@@ -18,34 +18,7 @@ from .errors import (
     RepresentationError,
     WindowTooSmallError,
 )
-from .fock import (
-    GradedBasis,
-    StructureFunction,
-    StructureSpec,
-    effective_dimension,
-    load_table_csv,
-    solve_structure_function,
-)
-from .qarith import RootOfUnity, primitive_root, q_factorial, q_number
-from .realization import (
-    KFermionPair,
-    TensorRealization,
-    build_kfermion_pair,
-    build_tensor_realization,
-    compare_realizations,
-    cyclic_lowering,
-    spectral_distance,
-    verify_kfermions,
-)
-from .replicas import (
-    ReplicaDoublet,
-    build_replica,
-    build_shift_operators,
-    check_isospectrality,
-    k2_reduction_entry,
-    verify_replica,
-    verify_sum_identity,
-)
+from .fock import StructureSpec
 from .report import ReportEntry, VerificationReport
 from .suite import (
     GradedSystem,
@@ -54,82 +27,30 @@ from .suite import (
     dump_operators,
     emit_spectrum,
     run_verification_suite,
-    write_matrix_market,
 )
-from .system import (
-    FsusyDoublet,
-    build_doublet,
-    partner_consistency_entry,
-    partner_value,
-    verify_fsusy,
-)
-from .wkalg import (
-    AlgebraRep,
-    OperatorMatrix,
-    build_projectors,
-    build_rep,
-    sector_selector,
-    verify_wk_relations,
-    window_projector,
-)
+from .system import partner_value
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraRep",
     "ConfigError",
     "DegenerateSpaceError",
     "DivisionDegenerateError",
     "DomainError",
     "FactorizationError",
-    "FsusyDoublet",
     "FsusyError",
-    "GradedBasis",
     "GradedSystem",
     "InvalidGradingError",
     "InvalidOrderError",
-    "KFermionPair",
-    "OperatorMatrix",
-    "ReplicaDoublet",
     "ReportEntry",
     "RepresentationError",
-    "RootOfUnity",
     "RunConfig",
-    "StructureFunction",
     "StructureSpec",
-    "TensorRealization",
     "VerificationReport",
     "WindowTooSmallError",
-    "build_doublet",
-    "build_kfermion_pair",
-    "build_projectors",
-    "build_rep",
-    "build_replica",
-    "build_shift_operators",
     "build_system",
-    "build_tensor_realization",
-    "check_isospectrality",
-    "compare_realizations",
-    "cyclic_lowering",
     "dump_operators",
-    "effective_dimension",
     "emit_spectrum",
-    "k2_reduction_entry",
-    "load_table_csv",
-    "partner_consistency_entry",
     "partner_value",
-    "primitive_root",
-    "q_factorial",
-    "q_number",
     "run_verification_suite",
-    "sector_selector",
-    "solve_structure_function",
-    "spectral_distance",
-    "verify_fsusy",
-    "verify_kfermions",
-    "verify_replica",
-    "verify_sum_identity",
-    "verify_wk_relations",
-    "window_projector",
-    "write_matrix_market",
 ]

@@ -13,6 +13,7 @@ config file, command-line flags.  Exit codes: 0 all asserted identities pass,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -25,6 +26,7 @@ from .errors import ConfigError, FsusyError
 from .fock import FAMILIES, StructureSpec, load_table_csv
 from .suite import (
     DEFAULT_TOLERANCE,
+    GradedSystem,
     RunConfig,
     build_system,
     dump_operators,
@@ -33,7 +35,7 @@ from .suite import (
 )
 
 CONFIG_KEYS = {
-    "k", "d", "family", "a", "b", "table", "margin", "tolerance", "variant",
+    "k", "d", "family", "a", "b", "table", "margin", "tolerance",
     "out_report", "out_spectrum", "out_operators",
 }
 _SECTOR_KEY = re.compile(r"^c(\d+)$")
@@ -84,7 +86,6 @@ def _add_common_flags(parser: argparse.ArgumentParser, sector_keys: list[str]) -
     parser.add_argument("--table", help="CSV path (header s,n,f) for the table family")
     parser.add_argument("--margin", type=int, help="safe-window margin (default k)")
     parser.add_argument("--tolerance", type=float, help="windowed residual tolerance")
-    parser.add_argument("--variant", help="deformed boson convention: sector or skewed")
     parser.add_argument("--out_report", help="write the JSON report here")
     parser.add_argument("--out_spectrum", help="write the CSV spectrum here")
     parser.add_argument("--out_operators", help="write Matrix Market dumps here")
@@ -119,7 +120,8 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
             p.add_argument("--out-dir", required=True,
                            help="directory for per-point reports and index.json")
             p.add_argument("--jobs", type=int, default=1,
-                           help="parallel workers (default 1)")
+                           help="parallel workers, at least 1 and at most the "
+                                "CPU count (default 1)")
     return parser
 
 
@@ -197,7 +199,6 @@ def make_config(ns: argparse.Namespace) -> RunConfig:
         spec=_build_spec(k, settings),
         margin=settings.get("margin", k),
         tolerance=settings.get("tolerance", DEFAULT_TOLERANCE),
-        variant=settings.get("variant", "sector"),
         out_report=settings.get("out_report"),
         out_spectrum=settings.get("out_spectrum"),
         out_operators=settings.get("out_operators"),
@@ -210,11 +211,19 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+def _build_noting_refusals(config: RunConfig) -> GradedSystem:
+    """build_system, with one stderr line per refused replica."""
+    system = build_system(config)
+    for s, exc in sorted(system.refused.items()):
+        print(f"replica {s} skipped: {exc}", file=sys.stderr)
+    return system
+
+
 def cmd_spectrum(ns: argparse.Namespace) -> int:
     config = make_config(ns)
     if not config.out_spectrum:
         raise ConfigError("spectrum needs an output path (--out_spectrum)")
-    system = build_system(config)
+    system = _build_noting_refusals(config)
     emit_spectrum(system.doublet, system.replicas, config.out_spectrum)
     print(f"spectrum written to {config.out_spectrum}")
     return 0
@@ -224,7 +233,7 @@ def cmd_dump(ns: argparse.Namespace) -> int:
     config = make_config(ns)
     if not config.out_operators:
         raise ConfigError("dump needs an output directory (--out_operators)")
-    system = build_system(config)
+    system = _build_noting_refusals(config)
     written = dump_operators(system, config.out_operators)
     print(f"{len(written)} operators written to {config.out_operators}")
     return 0
@@ -246,12 +255,8 @@ def _sweep_point(args: tuple) -> dict:
         "verdict": "error", "error": None,
     }
     try:
-        config = RunConfig(
-            k=base["k"], d=base["d"],
-            spec=StructureSpec.affine_family(base["k"], a, b),
-            margin=base["margin"], tolerance=base["tolerance"],
-            variant=base["variant"], out_report=path,
-        )
+        config = dataclasses.replace(
+            base, spec=StructureSpec.affine_family(base.k, a, b), out_report=path)
         point["verdict"] = run_verification_suite(config).verdict
     except FsusyError as exc:
         point["error"] = str(exc)
@@ -259,28 +264,22 @@ def _sweep_point(args: tuple) -> dict:
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
-    settings = _merge_settings(ns)
-    if "k" not in settings or "d" not in settings:
-        raise ConfigError("sweep needs k and d (flags or config keys)")
-    base = {
-        "k": settings["k"],
-        "d": settings["d"],
-        "margin": settings.get("margin", settings["k"]),
-        "tolerance": settings.get("tolerance", DEFAULT_TOLERANCE),
-        "variant": settings.get("variant", "sector"),
-    }
-    os.makedirs(ns.out_dir, exist_ok=True)
+    base = make_config(ns)
+    if ns.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {ns.jobs}")
+    jobs = min(ns.jobs, os.cpu_count() or 1)
     tasks = [
         (i, j, float(a), float(b), base, ns.out_dir)
         for i, a in enumerate(_grid(ns.a_range, "a-range"))
         for j, b in enumerate(_grid(ns.b_range, "b-range"))
     ]
-    if ns.jobs > 1:
-        with ProcessPoolExecutor(max_workers=ns.jobs) as pool:
+    os.makedirs(ns.out_dir, exist_ok=True)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             points = list(pool.map(_sweep_point, tasks))
     else:
         points = [_sweep_point(t) for t in tasks]
-    index = {"k": base["k"], "d": base["d"], "points": points}
+    index = {"k": base.k, "d": base.d, "points": points}
     with open(os.path.join(ns.out_dir, "index.json"), "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2)
         fh.write("\n")

@@ -8,12 +8,8 @@ catastrophically, the sum form does not.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from .errors import DivisionDegenerateError, InvalidOrderError
-
-UNIT_TOL = 1e-14
-CYCLE_TOL = 1e-12
 
 
 def primitive_root(k: int) -> complex:
@@ -45,29 +41,3 @@ def q_factorial(n: int, q: complex) -> complex:
     for i in range(1, n + 1):
         out *= q_number(i, q)
     return out
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """A validated primitive k-th root of unity."""
-
-    k: int
-    value: complex
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise InvalidOrderError(f"cyclic order must be at least 2, got {self.k}")
-        if abs(abs(self.value) - 1.0) > UNIT_TOL:
-            raise InvalidOrderError(f"|q| = {abs(self.value)!r} is not on the unit circle")
-        power = 1 + 0j
-        for j in range(1, self.k):
-            power *= self.value
-            if abs(power - 1.0) <= CYCLE_TOL:
-                raise InvalidOrderError(f"q^{j} = 1, root of order {self.k} is not primitive")
-        power *= self.value
-        if abs(power - 1.0) > CYCLE_TOL:
-            raise InvalidOrderError(f"q^{self.k} differs from 1 by {abs(power - 1.0):.3g}")
-
-    @classmethod
-    def primitive(cls, k: int) -> "RootOfUnity":
-        return cls(k, primitive_root(k))

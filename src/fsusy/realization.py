@@ -6,11 +6,11 @@ space as
     X- = A sum_s b(s)- Pf_s,   X+ = A^(k-1) sum_s b(s)+ Pf_s,
     A  = f- + f+^(k-1) / [k-1]_q!,   K = 1 (x) [f-, f+],   N = N_b (x) 1,
 
-with Pf_s the fermion-grade projectors carved out of [f-, f+].  The deformed
-boson weights follow one of two conventions ("variant"): per-sector solves of
-the same-sector recursion, or a reuse of the graded structure function.  The
-comparison against the graded Fock construction reports which convention
-reproduces the defining relations; it decides nothing by itself.
+with Pf_s the fermion-grade projectors carved out of [f-, f+].  Each deformed
+boson pair solves the same-sector recursion G_s(m+1) - G_s(m) = f_s(m) on its
+own.  The comparison against the graded Fock construction reports whether
+this convention reproduces the defining relations; for k >= 3 it decides
+nothing by itself.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DegenerateSpaceError,
     InvalidOrderError,
     RepresentationError,
@@ -37,8 +36,6 @@ from .wkalg import (
     window_description,
     window_residual,
 )
-
-VARIANTS = ("sector", "skewed")
 
 
 @dataclass(frozen=True)
@@ -60,7 +57,6 @@ class TensorRealization:
 
     k: int
     d: int
-    variant: str
     fermions: KFermionPair
     bosons: tuple[tuple[np.ndarray, np.ndarray], ...]
     Xm: np.ndarray
@@ -124,35 +120,25 @@ def verify_kfermions(pair: KFermionPair, strict: float = 1e-12) -> list[ReportEn
     return entries
 
 
-def boson_weights(spec: StructureSpec, d: int, variant: str) -> np.ndarray:
+def boson_weights(spec: StructureSpec, d: int) -> np.ndarray:
     """Squared ladder weights G_s(m) of the k deformed boson pairs.
 
-    "sector" solves G_s(m+1) - G_s(m) = f_s(m) within each sector alone;
-    "skewed" reuses the sector-coupled graded structure function.
+    Each sector solves G_s(m+1) - G_s(m) = f_s(m), G_s(0) = 0, alone.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown boson variant {variant!r}; choose from {VARIANTS}")
-    if variant == "sector":
-        steps = np.array([[spec.f(s, m) for m in range(d)] for s in range(spec.k)])
-        G = np.zeros((spec.k, d))
-        G[:, 1:] = np.cumsum(steps, axis=1)[:, :-1]
-    else:
-        from .fock import solve_structure_function
-
-        G = solve_structure_function(spec, d).values[:, :d]
+    steps = np.array([[spec.f(s, m) for m in range(d)] for s in range(spec.k)])
+    G = np.zeros((spec.k, d))
+    G[:, 1:] = np.cumsum(steps, axis=1)[:, :-1]
     bad = np.argwhere(G < -NONNEG_TOL)
     if bad.size:
         s, m = bad[0]
         raise RepresentationError(
-            f"boson weight G_{s}({m}) = {G[s, m]:.6g} is negative "
-            f"under variant {variant!r}; no real ladder element exists"
+            f"boson weight G_{s}({m}) = {G[s, m]:.6g} is negative; "
+            "no real ladder element exists"
         )
     return G
 
 
-def build_tensor_realization(
-    k: int, d: int, spec: StructureSpec, variant: str = "sector"
-) -> TensorRealization:
+def build_tensor_realization(k: int, d: int, spec: StructureSpec) -> TensorRealization:
     if spec.k != k:
         raise RepresentationError(f"structure spec has order {spec.k}, expected {k}")
     if d < 2:
@@ -161,7 +147,7 @@ def build_tensor_realization(
     A = cyclic_lowering(pair)
     Ak1 = np.linalg.matrix_power(A, k - 1)
     Pf = build_projectors(pair.Kf, k)
-    G = boson_weights(spec, d, variant)
+    G = boson_weights(spec, d)
     bosons = []
     Xm = np.zeros((k * d, k * d), dtype=complex)
     Xp = np.zeros((k * d, k * d), dtype=complex)
@@ -175,7 +161,7 @@ def build_tensor_realization(
         Xp += np.kron(bp, Ak1 @ Pf[s])
     K = np.kron(np.eye(d, dtype=complex), pair.Kf)
     N = np.kron(np.diag(np.arange(d, dtype=complex)), np.eye(k, dtype=complex))
-    return TensorRealization(k, d, variant, pair, tuple(bosons), Xm, Xp, K, N)
+    return TensorRealization(k, d, pair, tuple(bosons), Xm, Xp, K, N)
 
 
 def spectral_distance(A: np.ndarray, B: np.ndarray) -> float:

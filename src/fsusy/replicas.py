@@ -186,13 +186,17 @@ def verify_sum_identity(
         H = q(2)- q(2)+ + sum_{s=2..k} q(s)+ q(s)-
 
     checked away from the k-1 omitted ground levels, whose energies the
-    right-hand side cannot see.
+    right-hand side cannot see.  Without every replica the sum cannot be
+    formed, and the entry fails naming the missing ones.
     """
     basis = doublet.rep.basis
     k = basis.k
+    name = "fsusy.charge_sum"
+    statement = "H equals q(2)- q(2)+ plus the sum of q(s)+ q(s)- over all replicas"
     missing = [s for s in range(2, k + 1) if s not in replicas]
     if missing:
-        raise FsusyError(f"replicas {missing} missing; cannot form the charge sum")
+        return ReportEntry.failure(
+            name, statement, f"replicas {missing} could not be factorized")
     rhs = replicas[2].qm.mat @ replicas[2].qp.mat
     for s in range(2, k + 1):
         rhs = rhs + replicas[s].qp.mat @ replicas[s].qm.mat
@@ -200,8 +204,7 @@ def verify_sum_identity(
     for s in range(2, k + 1):
         P[basis.index(0, s % k), basis.index(0, s % k)] = 0.0
     return ReportEntry.check(
-        "fsusy.charge_sum",
-        "H equals q(2)- q(2)+ plus the sum of q(s)+ q(s)- over all replicas",
+        name, statement,
         window_residual(doublet.H.mat, rhs, P),
         tolerance,
         window_description(basis, margin) + ", omitting replica ground levels",

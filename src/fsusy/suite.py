@@ -1,9 +1,11 @@
 """Suite orchestration and file emitters.
 
-One RunConfig drives the whole pipeline: solve the structure function,
-truncate to the effective dimension, build the graded representation, the
-supercharge doublet and the replicas, verify every identity, and cross-check
-the tensor-product realization.  Construction failures become report entries
+One RunConfig drives the whole pipeline.  ``build_system`` is the only
+construction path: solve the structure function, truncate to the effective
+dimension, build the graded representation, the supercharge doublet and the
+replicas, recording each refused replica with its reason.  The suite then
+verifies every identity on the built system and cross-checks the
+tensor-product realization.  Construction failures become report entries
 rather than exceptions so a run always yields a verdict.
 """
 
@@ -23,7 +25,6 @@ from .fock import (
     solve_structure_function,
 )
 from .realization import (
-    VARIANTS,
     build_kfermion_pair,
     build_tensor_realization,
     compare_realizations,
@@ -57,7 +58,6 @@ class RunConfig:
     spec: StructureSpec
     margin: int
     tolerance: float = DEFAULT_TOLERANCE
-    variant: str = "sector"
     out_report: str | None = None
     out_spectrum: str | None = None
     out_operators: str | None = None
@@ -75,10 +75,6 @@ class RunConfig:
             )
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(
-                f"unknown boson variant {self.variant!r}; choose from {VARIANTS}"
-            )
         if self.spec.k != self.k:
             raise ConfigError(f"structure spec has order {self.spec.k}, expected {self.k}")
 
@@ -101,21 +97,28 @@ class RunConfig:
             "table_size": None if spec.table is None else len(spec.table),
             "margin": self.margin,
             "tolerance": self.tolerance,
-            "variant": self.variant,
         }
 
 
 @dataclass
 class GradedSystem:
-    """Built operators of one run: representation, doublet, replicas by s."""
+    """Built operators of one run: representation, doublet, replicas by s.
+
+    ``refused`` holds, by s, the reason each unbuilt replica was refused.
+    """
 
     rep: AlgebraRep
     doublet: FsusyDoublet
     replicas: dict[int, ReplicaDoublet] = field(default_factory=dict)
+    refused: dict[int, FactorizationError] = field(default_factory=dict)
+
+    @property
+    def d_effective(self) -> int:
+        return self.rep.basis.d
 
 
 def build_system(config: RunConfig) -> GradedSystem:
-    """Construct everything buildable; unfactorizable replicas are skipped."""
+    """Construct everything buildable; unfactorizable replicas are refused."""
     F = solve_structure_function(config.spec, config.d)
     d_eff = effective_dimension(F, config.d)
     basis = GradedBasis(config.k, d_eff)
@@ -125,65 +128,58 @@ def build_system(config: RunConfig) -> GradedSystem:
     for s in range(2, config.k + 1):
         try:
             system.replicas[s] = build_replica(doublet, s, slack=config.margin)
-        except FactorizationError:
-            continue
+        except FactorizationError as exc:
+            # without its traceback, which would tie this frame and the
+            # whole system into a reference cycle
+            system.refused[s] = exc.with_traceback(None)
     return system
 
 
 def run_verification_suite(config: RunConfig) -> VerificationReport:
-    """Run every check against one configuration and compile the report."""
-    entries: list[ReportEntry] = []
-    echo = config.echo(None)
+    """Build the system once, run every check on it and compile the report."""
     try:
-        F = solve_structure_function(config.spec, config.d)
-        d_eff = effective_dimension(F, config.d)
-        basis = GradedBasis(config.k, d_eff)
-        rep = build_rep(config.spec, basis, F.truncate(d_eff))
-        doublet = build_doublet(rep)
+        system = build_system(config)
     except FsusyError as exc:
-        entries.append(ReportEntry.failure(
+        echo = config.echo(None)
+        entries = [ReportEntry.failure(
             "construction.representation",
             "the graded ladder representation materializes on the truncated space",
-            exc))
-        report = VerificationReport.compile(echo, entries)
-        if config.out_report:
-            report.write(config.out_report)
-        return report
-    echo = config.echo(d_eff)
+            exc)]
+    else:
+        echo = config.echo(system.d_effective)
+        entries = verify_system(system, config)
+    report = VerificationReport.compile(echo, entries)
+    if config.out_report:
+        report.write(config.out_report)
+    return report
 
+
+def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
+    """Every identity check of a built system, in report order."""
+    rep, doublet = system.rep, system.doublet
     margin, tol, strict = config.margin, config.tolerance, config.strict
+    entries: list[ReportEntry] = []
     try:
         entries += verify_wk_relations(rep, margin, tol)
         entries += verify_fsusy(doublet, margin, tol, strict)
         entries.append(partner_consistency_entry(doublet, strict))
         entries.append(check_isospectrality(doublet, margin, tol))
 
-        replicas: dict[int, ReplicaDoublet] = {}
         for s in range(2, config.k + 1):
-            try:
-                rd = build_replica(doublet, s, slack=margin)
-            except FactorizationError as exc:
+            if s in system.refused:
                 entries.append(ReportEntry.failure(
                     f"replica{s}.factorization",
                     "the partner ladder admits real square roots at every level",
-                    exc))
-                continue
-            replicas[s] = rd
-            entries += verify_replica(rd, doublet, margin, tol, strict)
-        if len(replicas) == config.k - 1:
-            entries.append(verify_sum_identity(doublet, replicas, margin, tol))
-            if config.k == 2:
-                entries.append(k2_reduction_entry(doublet, replicas[2], margin, strict))
-        else:
-            missing = sorted(set(range(2, config.k + 1)) - set(replicas))
-            entries.append(ReportEntry.failure(
-                "fsusy.charge_sum",
-                "H equals q(2)- q(2)+ plus the sum of q(s)+ q(s)- over all replicas",
-                f"replicas {missing} could not be factorized"))
+                    system.refused[s]))
+            else:
+                entries += verify_replica(system.replicas[s], doublet, margin, tol, strict)
+        entries.append(verify_sum_identity(doublet, system.replicas, margin, tol))
+        if config.k == 2 and 2 in system.replicas:
+            entries.append(k2_reduction_entry(doublet, system.replicas[2], margin, strict))
 
         entries += verify_kfermions(build_kfermion_pair(config.k), strict)
         try:
-            tensor = build_tensor_realization(config.k, d_eff, config.spec, config.variant)
+            tensor = build_tensor_realization(config.k, system.d_effective, config.spec)
             entries += compare_realizations(tensor, rep, margin, tol)
         except FsusyError as exc:
             entries.append(ReportEntry.failure(
@@ -195,18 +191,13 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
             "construction.window",
             "a safe window exists below the truncation ceiling",
             exc))
-
-    report = VerificationReport.compile(echo, entries)
-    if config.out_report:
-        report.write(config.out_report)
-    return report
+    return entries
 
 
 def emit_spectrum(
     doublet: FsusyDoublet,
     replicas: dict[int, ReplicaDoublet],
     path: str,
-    fmt: str = "csv",
 ) -> None:
     """Write partner and replica energies as CSV rows s,n,energy,replica_s.
 
@@ -214,8 +205,6 @@ def emit_spectrum(
     ladders a replica couples, read off the built h(s) diagonal (so the
     omitted ground level shows its true entry, zero).
     """
-    if fmt != "csv":
-        raise ConfigError(f"unknown spectrum format {fmt!r}; only csv is supported")
     basis = doublet.rep.basis
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -234,16 +223,11 @@ def emit_spectrum(
 def write_matrix_market(path: str, mat: np.ndarray) -> None:
     """Matrix Market coordinate complex general, entries in row-major order."""
     rows, cols = mat.shape
-    nonzero = [
-        (i, j, mat[i, j])
-        for i in range(rows)
-        for j in range(cols)
-        if mat[i, j] != 0
-    ]
+    nz_rows, nz_cols = np.nonzero(mat)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("%%MatrixMarket matrix coordinate complex general\n")
-        fh.write(f"{rows} {cols} {len(nonzero)}\n")
-        for i, j, v in nonzero:
+        fh.write(f"{rows} {cols} {nz_rows.size}\n")
+        for i, j, v in zip(nz_rows, nz_cols, mat[nz_rows, nz_cols]):
             fh.write(f"{i + 1} {j + 1} {float(v.real)!r} {float(v.imag)!r}\n")
 
 

@@ -38,9 +38,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def dagger(self) -> np.ndarray:
-        return self.mat.conj().T
-
 
 @dataclass(frozen=True)
 class AlgebraRep:

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import fsusy.cli
 from fsusy.cli import main, parse_config_file
 from fsusy.errors import ConfigError
 
@@ -175,6 +177,28 @@ class TestExitCodes:
         assert lines[0] == "s,n,energy,replica_s"
         assert len(lines) == 1 + 3 * 8 + 2 * 2 * 8
 
+    def test_spectrum_names_refused_replica(self, tmp_path, capsys):
+        # H_5(1) = -2 admits no replica 5: its rows are left out, the
+        # refusal goes to stderr, and the run still succeeds
+        out = tmp_path / "spectrum.csv"
+        code = main(["spectrum", "--k", "5", "--d", "40",
+                     "--out_spectrum", str(out)])
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("replica 5 skipped: partner energy H_5(1) = -2 is negative")
+        rows = [line.split(",") for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert sorted({r[3] for r in rows if r[3]}) == ["2", "3", "4"]
+
+    def test_dump_names_refused_replica(self, tmp_path, capsys):
+        out_dir = tmp_path / "ops"
+        assert main(["dump", "--k", "5", "--d", "12",
+                     "--out_operators", str(out_dir)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("replica 5 skipped:")
+        assert (out_dir / "X4m.mtx").exists()
+        assert not (out_dir / "X5m.mtx").exists()
+
     def test_dump_requires_output_directory(self, capsys):
         assert main(["dump", "--k", "2", "--d", "6"]) == 2
         assert "out_operators" in capsys.readouterr().err
@@ -237,6 +261,55 @@ class TestSweep:
         assert code == 2
         assert "step count" in capsys.readouterr().err
 
+    def test_invalid_order_exits_2_before_writing(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", "--k", "1", "--d", "10",
+                     "--a-range", "0", "1", "2", "--b-range", "1", "1", "1",
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "cyclic order must be at least 2, got 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", "--k", "2", "--d", "8",
+                     "--a-range", "0", "1", "2", "--b-range", "1", "1", "1",
+                     "--out-dir", str(out_dir), "--jobs", jobs])
+        assert code == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cpus, jobs, workers", [
+        (2, "64", [2]),
+        (1, "2", []),
+        (None, "2", []),
+    ])
+    def test_jobs_capped_at_cpu_count(self, tmp_path, monkeypatch, cpus, jobs, workers):
+        # a stand-in pool records the worker count and starts no process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(fsusy.cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(fsusy.cli, "ProcessPoolExecutor", RecordingPool)
+        code = main(["sweep", "--k", "2", "--d", "8",
+                     "--a-range", "0", "1", "2", "--b-range", "1", "1", "1",
+                     "--out-dir", str(tmp_path / "sweep"), "--jobs", jobs])
+        assert code == 0
+        assert started == workers
+
     def test_parallel_jobs_match_serial(self, tmp_path):
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         argv = ["sweep", "--k", "2", "--d", "8",
@@ -268,9 +341,13 @@ class TestGoldenReport:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):
+        # the child imports the same fsusy as this process, installed or not
+        src = str(Path(fsusy.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fsusy", "verify", "--k", "2", "--d", "8"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "verdict: pass" in proc.stdout

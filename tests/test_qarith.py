@@ -1,11 +1,10 @@
 import cmath
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsusy.errors import DivisionDegenerateError, InvalidOrderError
-from fsusy.qarith import RootOfUnity, primitive_root, q_factorial, q_number
+from fsusy.qarith import primitive_root, q_factorial, q_number
 
 
 def test_primitive_root_values():
@@ -70,28 +69,11 @@ def test_q_factorial_below_order_is_nonzero(k):
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_root_of_unity_primitive(k):
-    root = RootOfUnity.primitive(k)
-    assert root.k == k
-    assert root.value == primitive_root(k)
-    assert abs(root.value**k - 1) < 1e-12
-
-
-def test_root_of_unity_rejects_non_primitive():
-    # -1 is a 4th root of unity but of order 2
-    with pytest.raises(InvalidOrderError):
-        RootOfUnity(4, -1 + 0j)
-
-
-def test_root_of_unity_rejects_off_circle():
-    with pytest.raises(InvalidOrderError):
-        RootOfUnity(3, 1.01 * primitive_root(3))
-
-
-def test_root_of_unity_rejects_wrong_order():
-    with pytest.raises(InvalidOrderError):
-        RootOfUnity(3, primitive_root(4))
-    with pytest.raises(InvalidOrderError):
-        RootOfUnity(1, 1 + 0j)
+    # primitive_root(k) lies on the unit circle and has order exactly k
+    q = primitive_root(k)
+    assert abs(abs(q) - 1) < 1e-14
+    assert abs(q**k - 1) < 1e-12
+    assert all(abs(q**j - 1) > 1e-12 for j in range(1, k))
 
 
 @given(k=st.integers(2, 10))
@@ -100,8 +82,3 @@ def test_roots_sum_to_zero(k):
     q = primitive_root(k)
     total = sum(q**t for t in range(k))
     assert abs(total) < 1e-12
-
-
-def test_conjugate_root_is_primitive_too():
-    q = np.conj(primitive_root(5))
-    RootOfUnity(5, complex(q))

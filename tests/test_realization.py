@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from fsusy.errors import ConfigError, InvalidOrderError, RepresentationError
+from fsusy.errors import InvalidOrderError, RepresentationError
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
 from fsusy.qarith import primitive_root
 from fsusy.realization import (
+    boson_weights,
     build_kfermion_pair,
     build_tensor_realization,
     compare_realizations,
@@ -104,16 +105,12 @@ class TestTensorRealization:
         K4 = np.linalg.matrix_power(tensor.K, 4)
         assert np.allclose(K4, np.eye(24), atol=1e-12)
 
-    def test_variants_coincide_for_unit_constant(self):
+    def test_boson_weights_match_structure_function_for_unit_constant(self):
+        # with one constant for every sector, the per-sector boson recursion
+        # and the sector-coupled graded structure function agree
         spec = StructureSpec.constant_values(3, 1.0)
-        sector = build_tensor_realization(3, 8, spec, "sector")
-        skewed = build_tensor_realization(3, 8, spec, "skewed")
-        assert np.allclose(sector.Xm, skewed.Xm, atol=1e-14)
-
-    def test_unknown_variant_is_rejected(self):
-        spec = StructureSpec.constant_values(2, 1.0)
-        with pytest.raises(ConfigError):
-            build_tensor_realization(2, 6, spec, "diagonal")
+        graded = solve_structure_function(spec, 8).values[:, :8]
+        assert np.allclose(boson_weights(spec, 8), graded, atol=1e-14)
 
     def test_order_mismatch_is_rejected(self):
         spec = StructureSpec.constant_values(2, 1.0)

@@ -185,8 +185,11 @@ def test_sum_identity_for_k4_affine():
 
 def test_sum_identity_requires_all_replicas():
     db = make_doublet(3, 10)
-    with pytest.raises(FsusyError):
-        verify_sum_identity(db, {2: build_replica(db, 2)}, margin=2)
+    entry = verify_sum_identity(db, {2: build_replica(db, 2)}, margin=2)
+    assert entry.name == "fsusy.charge_sum"
+    assert not entry.passed
+    assert entry.residual is None
+    assert "replicas [3]" in entry.error
 
 
 def test_reduction_entry_guards_its_domain():

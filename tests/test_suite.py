@@ -1,9 +1,12 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 from scipy.io import mmread
 
+import fsusy.suite
 from fsusy.errors import ConfigError
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
 from fsusy.replicas import build_replica
@@ -35,7 +38,6 @@ class TestRunConfig:
         cfg = RunConfig(k=3, d=12, spec=UNIT3, margin=3)
         assert cfg.tolerance == 1e-10
         assert cfg.strict == pytest.approx(1e-12)
-        assert cfg.variant == "sector"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -45,7 +47,7 @@ class TestRunConfig:
             dict(k=3, d=12, spec=UNIT3, margin=0),
             dict(k=3, d=12, spec=UNIT3, margin=11),
             dict(k=3, d=12, spec=UNIT3, margin=3, tolerance=0.0),
-            dict(k=3, d=12, spec=UNIT3, margin=3, variant="bogus"),
+            dict(k=3, d=12, spec=UNIT3, margin=3, tolerance=float("nan")),
             dict(k=4, d=12, spec=UNIT3, margin=4),
         ],
     )
@@ -175,12 +177,6 @@ class TestEmitSpectrum:
         emit_spectrum(system.doublet, system.replicas, str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_unknown_format(self, tmp_path):
-        system = small_system(2, 5)
-        with pytest.raises(ConfigError):
-            emit_spectrum(system.doublet, system.replicas,
-                          str(tmp_path / "x.json"), fmt="json")
-
 
 class TestMatrixMarket:
     def test_round_trip(self, tmp_path):
@@ -191,6 +187,22 @@ class TestMatrixMarket:
         write_matrix_market(str(path), M)
         back = mmread(str(path))
         assert np.array_equal(np.asarray(back.todense()), M)
+
+    def test_matches_entrywise_reference(self, tmp_path):
+        # the writer's text against a plain loop over every entry in
+        # row-major order, including signed zeros, round-off sized and
+        # purely imaginary entries
+        rng = np.random.default_rng(5)
+        M = rng.normal(size=(6, 9)) * 1e-17 + 1j * rng.normal(size=(6, 9))
+        M[rng.random(M.shape) < 0.5] = 0.0
+        M[0, 0], M[1, 1], M[2, 2] = -0.0, 1e-300, 2.5j
+        lines = ["%%MatrixMarket matrix coordinate complex general"]
+        body = [f"{i + 1} {j + 1} {float(M[i, j].real)!r} {float(M[i, j].imag)!r}"
+                for i in range(6) for j in range(9) if M[i, j] != 0]
+        lines += [f"6 9 {len(body)}"] + body
+        path = tmp_path / "r.mtx"
+        write_matrix_market(str(path), M)
+        assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
     def test_zero_matrix(self, tmp_path):
         path = tmp_path / "z.mtx"
@@ -243,3 +255,40 @@ def test_build_system_skips_unfactorizable_replicas():
     spec = StructureSpec.constant_values(5, 1.0)
     system = build_system(RunConfig(k=5, d=16, spec=spec, margin=5))
     assert sorted(system.replicas) == [2, 3, 4]
+    assert sorted(system.refused) == [5]
+    # H_5(1) = 4 F_0(1) - (1 f_2(-2) + 2 f_3(-1) + 3 f_4(0)) = 4 - 6
+    assert system.refused[5].n == 1
+    assert system.refused[5].value == -2
+    assert system.d_effective == 16
+
+
+def test_refused_replica_leaves_no_reference_cycle():
+    # a stored traceback would tie the build frame and the system into a
+    # cycle that only the cyclic collector frees, with every dense operator
+    spec = StructureSpec.constant_values(5, 1.0)
+    gc.disable()
+    try:
+        system = build_system(RunConfig(k=5, d=12, spec=spec, margin=5))
+        assert system.refused
+        alive = weakref.ref(system)
+        del system
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_suite_builds_once_and_reports_every_refusal(monkeypatch):
+    built = []
+    original = fsusy.suite.build_system
+
+    def counting_build_system(config):
+        built.append(original(config))
+        return built[-1]
+
+    monkeypatch.setattr(fsusy.suite, "build_system", counting_build_system)
+    spec = StructureSpec.constant_values(5, 1.0)
+    report = run_verification_suite(RunConfig(k=5, d=16, spec=spec, margin=5))
+    assert len(built) == 1
+    factorization = {e.name for e in report.entries if e.name.endswith(".factorization")}
+    assert factorization == {f"replica{s}.factorization" for s in built[0].refused}
+    assert built[0].refused
