@@ -76,16 +76,19 @@ def _sector_flags(argv: list[str]) -> list[str]:
     return found
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, sector_keys: list[str]) -> None:
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value settings file")
     parser.add_argument("--k", type=int, help="cyclic order (k >= 2)")
     parser.add_argument("--d", type=int, help="requested levels per sector (d >= 4)")
+    parser.add_argument("--margin", type=int, help="safe-window margin (default k)")
+    parser.add_argument("--tolerance", type=float, help="windowed residual tolerance")
+
+
+def _add_system_flags(parser: argparse.ArgumentParser, sector_keys: list[str]) -> None:
     parser.add_argument("--family", choices=FAMILIES, help="structure family")
     parser.add_argument("--a", type=float, help="affine slope f_s(n) = a n + b")
     parser.add_argument("--b", type=float, help="affine offset f_s(n) = a n + b")
     parser.add_argument("--table", help="CSV path (header s,n,f) for the table family")
-    parser.add_argument("--margin", type=int, help="safe-window margin (default k)")
-    parser.add_argument("--tolerance", type=float, help="windowed residual tolerance")
     parser.add_argument("--out_report", help="write the JSON report here")
     parser.add_argument("--out_spectrum", help="write the CSV spectrum here")
     parser.add_argument("--out_operators", help="write Matrix Market dumps here")
@@ -108,8 +111,9 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         ("dump", "emit every built operator as a Matrix Market file"),
         ("sweep", "verify a grid of affine families"),
     ]:
-        p = sub.add_parser(name, help=text)
-        _add_common_flags(p, sector_keys)
+        # the sweep matches no prefixes, which would read --a as --a-range
+        p = sub.add_parser(name, help=text, allow_abbrev=name != "sweep")
+        _add_common_flags(p)
         if name == "sweep":
             p.add_argument("--a-range", nargs=3, type=float, required=True,
                            metavar=("MIN", "MAX", "STEPS"),
@@ -122,6 +126,8 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
             p.add_argument("--jobs", type=int, default=1,
                            help="parallel workers, at least 1 and at most the "
                                 "CPU count (default 1)")
+        else:
+            _add_system_flags(p, sector_keys)
     return parser
 
 
@@ -241,6 +247,8 @@ def cmd_dump(ns: argparse.Namespace) -> int:
 
 def _grid(bounds: list[float], label: str) -> np.ndarray:
     lo, hi, steps = bounds
+    if not np.isfinite([lo, hi, steps]).all():
+        raise ConfigError(f"{label} values must be finite, got {lo} {hi} {steps}")
     count = int(steps)
     if count < 1 or count != steps:
         raise ConfigError(f"{label} step count must be a positive integer, got {steps}")
@@ -264,6 +272,12 @@ def _sweep_point(args: tuple) -> dict:
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
+    # config keys of flags the sweep lacks: the structure family and outputs
+    settings = parse_config_file(ns.config) if ns.config else {}
+    unused = sorted(key for key in settings if not hasattr(ns, key))
+    if unused:
+        raise ConfigError(f"sweep does not take {', '.join(unused)}; it sets the affine "
+                          "family per point and writes only to --out-dir")
     base = make_config(ns)
     if ns.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {ns.jobs}")

@@ -51,14 +51,20 @@ class StructureSpec:
         if self.family == "constant":
             if self.constants is None or len(self.constants) != self.k:
                 raise ConfigError("constant family needs one value per sector")
+            values = self.constants
         elif self.family == "affine":
             if self.a is None or self.b is None:
                 raise ConfigError("affine family needs coefficients a and b")
+            values = (self.a, self.b)
         elif self.family == "table":
             if not self.table:
                 raise ConfigError("table family needs a nonempty value table")
+            values = self.table.values()
         else:
             raise ConfigError(f"unknown structure family {self.family!r}")
+        bad = [v for v in values if not np.isfinite(v)]
+        if bad:
+            raise ConfigError(f"{self.family} family values must be finite, got {bad[0]}")
 
     @classmethod
     def constant_values(cls, k: int, values) -> "StructureSpec":

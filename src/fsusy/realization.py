@@ -8,9 +8,10 @@ space as
 
 with Pf_s the fermion-grade projectors carved out of [f-, f+].  Each deformed
 boson pair solves the same-sector recursion G_s(m+1) - G_s(m) = f_s(m) on its
-own.  The comparison against the graded Fock construction reports whether
-this convention reproduces the defining relations; for k >= 3 it decides
-nothing by itself.
+own.  The k-fermion matrices are dense k x k; the operators on the whole
+space are column maps in the graded layout.  The comparison against the
+graded Fock construction reports whether this convention reproduces the
+defining relations; for k >= 3 it decides nothing by itself.
 """
 
 from __future__ import annotations
@@ -23,14 +24,14 @@ from .errors import (
     DegenerateSpaceError,
     InvalidOrderError,
     RepresentationError,
-    WindowTooSmallError,
 )
-from .fock import NONNEG_TOL, GradedBasis, StructureSpec
+from .fock import NONNEG_TOL, StructureSpec
 from .qarith import primitive_root, q_factorial, q_number
 from .report import ReportEntry
 from .wkalg import (
     _RELATION_STATEMENTS,
     AlgebraRep,
+    ColumnMap,
     algebra_relation_residuals,
     build_projectors,
     window_description,
@@ -52,21 +53,18 @@ class KFermionPair:
 class TensorRealization:
     """Ladder, grading and number operators on the boson x fermion space.
 
-    Index layout: |m> (x) |t| sits at m*k + t (boson level major).
+    Index layout: |m> (x) |t> sits at t*d + m, the graded layout.  ``bosons``
+    holds each sector's pair (b(s)-, b(s)+) on the d boson levels.
     """
 
     k: int
     d: int
     fermions: KFermionPair
-    bosons: tuple[tuple[np.ndarray, np.ndarray], ...]
-    Xm: np.ndarray
-    Xp: np.ndarray
-    K: np.ndarray
-    N: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.k * self.d
+    bosons: tuple[tuple[ColumnMap, ColumnMap], ...]
+    Xm: ColumnMap
+    Xp: ColumnMap
+    K: ColumnMap
+    N: ColumnMap
 
 
 def build_kfermion_pair(k: int) -> KFermionPair:
@@ -107,10 +105,11 @@ def verify_kfermions(pair: KFermionPair, strict: float = 1e-12) -> list[ReportEn
             "kfermion.nilpotency", "f-^k = 0 and f+^k = 0",
             max(np.linalg.norm(np.linalg.matrix_power(pair.fm, k)),
                 np.linalg.norm(np.linalg.matrix_power(pair.fp, k)))),
+        # [f-, f+] is diagonal, so its diagonal is its eigenvalue multiset
         ReportEntry.check(
             "kfermion.grading_spectrum",
             "[f-, f+] has eigenvalue multiset {q^t : t = 0..k-1}",
-            spectral_distance(pair.Kf, np.diag(q ** np.arange(k))),
+            np.abs(pair.Kf - np.diag(q ** np.arange(k))).max(),
             strict, "eigenvalue multiset"),
     ]
     if k == 2:
@@ -148,56 +147,32 @@ def build_tensor_realization(k: int, d: int, spec: StructureSpec) -> TensorReali
     Ak1 = np.linalg.matrix_power(A, k - 1)
     Pf = build_projectors(pair.Kf, k)
     G = boson_weights(spec, d)
+    m, t = np.arange(k * d) % d, np.arange(k * d) // d
     bosons = []
-    Xm = np.zeros((k * d, k * d), dtype=complex)
-    Xp = np.zeros((k * d, k * d), dtype=complex)
+    wm = np.zeros(k * d, dtype=complex)
+    wp = np.zeros(k * d, dtype=complex)
     for s in range(k):
-        bm = np.zeros((d, d), dtype=complex)
-        for m in range(1, d):
-            bm[m - 1, m] = np.sqrt(max(G[s, m], 0.0))
-        bp = bm.conj().T
+        # b(s)- lowers level m to m-1; G_s(0) = 0 leaves level 0 empty
+        bm = ColumnMap(np.arange(d) - 1, np.sqrt(np.maximum(G[s], 0.0)).astype(complex))
+        bp = bm.adjoint()
         bosons.append((bm, bp))
-        Xm += np.kron(bm, A @ Pf[s])
-        Xp += np.kron(bp, Ak1 @ Pf[s])
-    K = np.kron(np.eye(d, dtype=complex), pair.Kf)
-    N = np.kron(np.diag(np.arange(d, dtype=complex)), np.eye(k, dtype=complex))
+        # A maps grade t to t-1 and A^(k-1) maps it to t+1, both mod k
+        wm += bm.weight[m] * (A @ Pf[s])[(t - 1) % k, t]
+        wp += bp.weight[m] * (Ak1 @ Pf[s])[(t + 1) % k, t]
+    Xm = ColumnMap(np.where(m > 0, (t - 1) % k * d + m - 1, -1), wm)
+    Xp = ColumnMap(np.where(m < d - 1, (t + 1) % k * d + m + 1, -1), wp)
+    K = ColumnMap.diag(np.diag(pair.Kf)[t])
+    N = ColumnMap.diag(m)
     return TensorRealization(k, d, pair, tuple(bosons), Xm, Xp, K, N)
 
 
-def spectral_distance(A: np.ndarray, B: np.ndarray) -> float:
-    """Max pair gap under a greedy nearest-first eigenvalue matching.
+def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest gap between two spectra, real up to round-off, paired in sorted order.
 
-    Lexicographic sorting would pair conjugate eigenvalues wrongly when their
-    real parts tie up to rounding; matching globally nearest pairs first is
-    stable for multisets that agree up to small perturbations.
+    On the real line the i-th smallest of one spectrum is paired with the
+    i-th smallest of the other, the pairing with the least largest gap.
     """
-    ea = np.linalg.eigvals(A)
-    eb = np.linalg.eigvals(B)
-    gaps = np.abs(ea[:, None] - eb[None, :])
-    free_a = np.ones(ea.size, dtype=bool)
-    free_b = np.ones(eb.size, dtype=bool)
-    worst = 0.0
-    matched = 0
-    for flat in np.argsort(gaps, axis=None):
-        i, j = divmod(int(flat), eb.size)
-        if not (free_a[i] and free_b[j]):
-            continue
-        free_a[i] = free_b[j] = False
-        worst = max(worst, float(gaps[i, j]))
-        matched += 1
-        if matched == ea.size:
-            break
-    return worst
-
-
-def grade_permutation(k: int, d: int) -> np.ndarray:
-    """Permutation from boson-major tensor layout to sector-major graded layout."""
-    basis = GradedBasis(k, d)
-    R = np.zeros((k * d, k * d), dtype=complex)
-    for m in range(d):
-        for t in range(k):
-            R[basis.index(m, t), m * k + t] = 1.0
-    return R
+    return float(np.abs(np.sort(a) - np.sort(b)).max())
 
 
 def compare_realizations(
@@ -218,13 +193,11 @@ def compare_realizations(
             f"tensor space is {k} x {d}, graded space is {rep.basis.k} x {rep.basis.d}"
         )
     informative = k >= 3
-    R = grade_permutation(k, d)
-    Xm = R @ tensor.Xm @ R.T
-    Xp = R @ tensor.Xp @ R.T
-    N = R @ tensor.N @ R.T
-    K = R @ tensor.K @ R.T
+    # Pi_s = 1 (x) Pf_s
+    projectors = [ColumnMap.diag(np.repeat(np.diag(P), d))
+                  for P in build_projectors(tensor.fermions.Kf, k)]
     residuals = algebra_relation_residuals(
-        rep.spec, rep.basis, Xm, Xp, N, K, build_projectors(K, k), margin)
+        rep.spec, rep.basis, tensor.Xm, tensor.Xp, tensor.N, tensor.K, projectors, margin)
     win = window_description(rep.basis, margin)
     entries = [
         ReportEntry.check(f"tensor.{key}", _RELATION_STATEMENTS[key], val,
@@ -232,15 +205,12 @@ def compare_realizations(
         for key, val in residuals.items()
     ]
 
+    # the graded window above already refused a margin that leaves no levels
     top = d - 1 - margin
-    if top < 1:
-        raise WindowTooSmallError(
-            f"margin {margin} leaves no boson window below the ceiling of {d} levels"
-        )
-    W = np.diag((np.arange(d) <= top).astype(complex))
+    W = np.arange(d) <= top
     dev = 0.0
     for s, (bm, bp) in enumerate(tensor.bosons):
-        expected = np.diag(np.array([rep.spec.f(s, m) for m in range(d)], dtype=complex))
+        expected = ColumnMap.diag([rep.spec.f(s, m) for m in range(d)])
         dev = max(dev, window_residual(bm @ bp - bp @ bm, expected, W))
     entries.append(ReportEntry.check(
         "tensor.boson_commutator", "[b(s)-, b(s)+] = f_s(N_b) for every sector",
@@ -249,6 +219,6 @@ def compare_realizations(
     entries.append(ReportEntry.check(
         "tensor.spectral_distance",
         "eigenvalues of X+ X- agree between the tensor and graded constructions",
-        spectral_distance(Xp @ Xm, rep.Xp.mat @ rep.Xm.mat),
+        spectral_distance((tensor.Xp @ tensor.Xm).diagonal(), (rep.Xp @ rep.Xm).diagonal()),
         tolerance, "eigenvalue multiset", informative=True))
     return entries

@@ -26,10 +26,10 @@ from .fock import NONNEG_TOL
 from .report import ReportEntry
 from .system import FsusyDoublet
 from .wkalg import (
-    OperatorMatrix,
-    sector_selector,
+    ColumnMap,
+    sector_mask,
     window_description,
-    window_projector,
+    window_mask,
     window_residual,
 )
 
@@ -39,16 +39,16 @@ class ReplicaDoublet:
     """One ordinary SUSY replica: shift operators, charges and Hamiltonian."""
 
     s: int
-    Xsm: OperatorMatrix
-    Xsp: OperatorMatrix
-    qm: OperatorMatrix
-    qp: OperatorMatrix
-    h: OperatorMatrix
+    Xsm: ColumnMap
+    Xsp: ColumnMap
+    qm: ColumnMap
+    qp: ColumnMap
+    h: ColumnMap
 
 
 def build_shift_operators(
     doublet: FsusyDoublet, s: int, slack: int = 0
-) -> tuple[OperatorMatrix, OperatorMatrix]:
+) -> tuple[ColumnMap, ColumnMap]:
     """Factorize partner ladder s into lowering/raising shift operators.
 
     Negative H_s(n) admits no real square root.  Within the top ``slack``
@@ -59,33 +59,27 @@ def build_shift_operators(
     k, d = basis.k, basis.d
     if not 2 <= s <= k:
         raise FsusyError(f"replica index {s} outside 2..{k}")
-    Xsm = np.zeros((basis.dim, basis.dim), dtype=complex)
+    target = np.full(basis.dim, -1)
+    weight = np.zeros(basis.dim, dtype=complex)
     for n in range(1, d):
         v = doublet.partner(s, n)
         if v < -NONNEG_TOL:
             if n > d - 1 - slack:
                 continue
             raise FactorizationError(s, n, v)
-        Xsm[basis.index(n - 1, s - 1), basis.index(n, s)] = np.sqrt(max(v, 0.0))
-    return (
-        OperatorMatrix(f"X{s}m", Xsm),
-        OperatorMatrix(f"X{s}p", Xsm.conj().T),
-    )
+        target[basis.index(n, s)] = basis.index(n - 1, s - 1)
+        weight[basis.index(n, s)] = np.sqrt(max(v, 0.0))
+    Xsm = ColumnMap(target, weight)
+    return Xsm, Xsm.adjoint()
 
 
 def build_replica(doublet: FsusyDoublet, s: int, slack: int = 0) -> ReplicaDoublet:
     Xsm, Xsp = build_shift_operators(doublet, s, slack)
     basis = doublet.rep.basis
-    lo = sector_selector(basis, s - 1)
-    hi = sector_selector(basis, s)
-    qm = Xsm.mat @ hi
-    qp = Xsp.mat @ lo
-    h = Xsm.mat @ Xsp.mat @ lo + Xsp.mat @ Xsm.mat @ hi
-    return ReplicaDoublet(
-        s, Xsm, Xsp,
-        OperatorMatrix(f"q{s}m", qm), OperatorMatrix(f"q{s}p", qp),
-        OperatorMatrix(f"h{s}", h),
-    )
+    lo = sector_mask(basis, s - 1)
+    hi = sector_mask(basis, s)
+    h = (Xsm @ Xsp).masked(lo) + (Xsp @ Xsm).masked(hi)
+    return ReplicaDoublet(s, Xsm, Xsp, Xsm.masked(hi), Xsp.masked(lo), h)
 
 
 def verify_replica(
@@ -97,45 +91,40 @@ def verify_replica(
 ) -> list[ReportEntry]:
     """Check the ordinary SUSY axioms and both factorization identities."""
     basis = doublet.rep.basis
-    s, d = rd.s, basis.d
-    P = window_projector(basis, margin)
+    s = rd.s
+    P = window_mask(basis, margin)
     win = window_description(basis, margin)
-    qm, qp, h = rd.qm.mat, rd.qp.mat, rd.h.mat
+    qm, qp, h = rd.qm, rd.qp, rd.h
     entries = []
 
-    nil = max(np.linalg.norm(qm @ qm), np.linalg.norm(qp @ qp))
+    nil = max((qm @ qm).norm(), (qp @ qp).norm())
     entries.append(ReportEntry.exact(
         f"replica{s}.nilpotency", "q- q- = 0 and q+ q+ = 0", nil))
     entries.append(ReportEntry.exact(
         f"replica{s}.pair_adjoint", "q+ is the conjugate transpose of q-",
-        np.linalg.norm(qp - qm.conj().T)))
+        (qp - qm.adjoint()).norm()))
     entries.append(ReportEntry.exact(
         f"replica{s}.anticommutator", "h = q- q+ + q+ q-",
-        np.linalg.norm(h - (qm @ qp + qp @ qm))))
+        (h - (qm @ qp + qp @ qm)).norm()))
     entries.append(ReportEntry.check(
         f"replica{s}.hamiltonian_commutes", "[h, q-] = 0 and [h, q+] = 0",
-        max(np.linalg.norm(h @ qm - qm @ h), np.linalg.norm(h @ qp - qp @ h)),
+        max((h @ qm - qm @ h).norm(), (h @ qp - qp @ h).norm()),
         strict, "full space"))
 
     # product identity: X(s)- X(s)+ = H_s(N+1) on sector s-1
-    lo_window = P @ sector_selector(basis, s - 1)
-    shifted = np.zeros(basis.dim, dtype=complex)
-    for n in range(d - 1):
-        shifted[basis.index(n, s - 1)] = doublet.partner(s, n + 1)
+    shifted = ColumnMap.diag(np.tile(np.append(doublet.partners[s - 1, 1:], 0.0), basis.k))
     entries.append(ReportEntry.check(
         f"replica{s}.shift_product",
         "X(s)- X(s)+ equals the partner ladder shifted one level down, on sector s-1",
-        window_residual(rd.Xsm.mat @ rd.Xsp.mat, np.diag(shifted), lo_window),
+        window_residual(rd.Xsm @ rd.Xsp, shifted, P & sector_mask(basis, s - 1)),
         tolerance, win + f", sector {s - 1}"))
 
     # diagonal identity: h = H_(s-1) Pi_(s-1) + H_s Pi_s away from the
     # omitted ground level |0, s> (its expected entry is zero by construction)
-    expected = np.zeros(basis.dim, dtype=complex)
-    for n in range(d):
-        expected[basis.index(n, s - 1)] = doublet.partner(s - 1, n)
-        expected[basis.index(n, s)] = doublet.partner(s, n)
-    expected[basis.index(0, s)] = 0.0
-    dev = np.abs((rd.h.mat - np.diag(expected)) @ P).max()
+    lo, hi = sector_mask(basis, s - 1), sector_mask(basis, s)
+    hi[basis.index(0, s)] = False
+    expected = doublet.partner_diagonal(s - 1).masked(lo) + doublet.partner_diagonal(s).masked(hi)
+    dev = (h - expected).masked(P).max_abs()
     entries.append(ReportEntry.check(
         f"replica{s}.partner_diagonal",
         "h carries the two partner ladders on its pair of sectors and vanishes elsewhere",
@@ -145,8 +134,8 @@ def verify_replica(
     Dlo = doublet.partner_diagonal(s - 1)
     Dhi = doublet.partner_diagonal(s)
     inter = max(
-        window_residual(Dlo @ rd.Xsm.mat, rd.Xsm.mat @ Dhi, P),
-        window_residual(Dhi @ rd.Xsp.mat, rd.Xsp.mat @ Dlo, P),
+        window_residual(Dlo @ rd.Xsm, rd.Xsm @ Dhi, P),
+        window_residual(Dhi @ rd.Xsp, rd.Xsp @ Dlo, P),
     )
     entries.append(ReportEntry.check(
         f"replica{s}.intertwining",
@@ -197,15 +186,15 @@ def verify_sum_identity(
     if missing:
         return ReportEntry.failure(
             name, statement, f"replicas {missing} could not be factorized")
-    rhs = replicas[2].qm.mat @ replicas[2].qp.mat
+    rhs = replicas[2].qm @ replicas[2].qp
     for s in range(2, k + 1):
-        rhs = rhs + replicas[s].qp.mat @ replicas[s].qm.mat
-    P = window_projector(basis, margin)
+        rhs = rhs + replicas[s].qp @ replicas[s].qm
+    P = window_mask(basis, margin)
     for s in range(2, k + 1):
-        P[basis.index(0, s % k), basis.index(0, s % k)] = 0.0
+        P[basis.index(0, s % k)] = False
     return ReportEntry.check(
         name, statement,
-        window_residual(doublet.H.mat, rhs, P),
+        window_residual(doublet.H, rhs, P),
         tolerance,
         window_description(basis, margin) + ", omitting replica ground levels",
     )
@@ -221,8 +210,8 @@ def k2_reduction_entry(
     if doublet.k != 2 or rd.s != 2:
         raise FsusyError("the reduction check applies to the k = 2 replica only")
     basis = doublet.rep.basis
-    P = window_projector(basis, margin)
-    dev = np.abs((rd.h.mat - doublet.H.mat) @ P).max()
+    P = window_mask(basis, margin)
+    dev = (rd.h - doublet.H).masked(P).max_abs()
     return ReportEntry.check(
         "reduction.total_hamiltonian",
         "for order 2 the replica Hamiltonian h(2) equals H entrywise",

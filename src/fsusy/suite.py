@@ -40,7 +40,7 @@ from .replicas import (
 )
 from .report import ReportEntry, VerificationReport
 from .system import FsusyDoublet, build_doublet, partner_consistency_entry, verify_fsusy
-from .wkalg import AlgebraRep, build_rep, verify_wk_relations
+from .wkalg import AlgebraRep, ColumnMap, build_rep, verify_wk_relations
 
 # asserted identities derived from exact cancellations get a tolerance this
 # much tighter than the windowed ones
@@ -213,36 +213,36 @@ def emit_spectrum(
             for n in range(doublet.d):
                 writer.writerow([s, n, doublet.partner(s, n), ""])
         for s in sorted(replicas):
-            h = replicas[s].h.mat
+            h = replicas[s].h.diagonal()
             for ladder in (s - 1, s):
                 for n in range(doublet.d):
-                    i = basis.index(n, ladder % basis.k)
-                    writer.writerow([ladder, n, float(h[i, i].real), s])
+                    writer.writerow([ladder, n, float(h[basis.index(n, ladder)].real), s])
 
 
-def write_matrix_market(path: str, mat: np.ndarray) -> None:
+def write_matrix_market(path: str, op: ColumnMap) -> None:
     """Matrix Market coordinate complex general, entries in row-major order."""
-    rows, cols = mat.shape
-    nz_rows, nz_cols = np.nonzero(mat)
+    cols = np.flatnonzero(op.weight)
+    cols = cols[np.argsort(op.target[cols], kind="stable")]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("%%MatrixMarket matrix coordinate complex general\n")
-        fh.write(f"{rows} {cols} {nz_rows.size}\n")
-        for i, j, v in zip(nz_rows, nz_cols, mat[nz_rows, nz_cols]):
+        fh.write(f"{op.dim} {op.dim} {cols.size}\n")
+        for i, j, v in zip(op.target[cols], cols, op.weight[cols]):
             fh.write(f"{i + 1} {j + 1} {float(v.real)!r} {float(v.imag)!r}\n")
 
 
 def dump_operators(system: GradedSystem, directory: str) -> list[str]:
-    """One Matrix Market file per labeled operator; returns written paths."""
+    """One Matrix Market file per operator, named after it; returns written paths."""
     os.makedirs(directory, exist_ok=True)
-    ops = [system.rep.Xm, system.rep.Xp, system.rep.N, system.rep.K]
-    ops += list(system.rep.projectors)
-    ops += [system.doublet.Qm, system.doublet.Qp, system.doublet.H]
-    for s in sorted(system.replicas):
-        rd = system.replicas[s]
-        ops += [rd.Xsm, rd.Xsp, rd.qm, rd.qp, rd.h]
+    rep, doublet = system.rep, system.doublet
+    ops = {"Xm": rep.Xm, "Xp": rep.Xp, "N": rep.N, "K": rep.K}
+    ops.update((f"Pi_{s}", P) for s, P in enumerate(rep.projectors))
+    ops.update(Qm=doublet.Qm, Qp=doublet.Qp, H=doublet.H)
+    for s, rd in sorted(system.replicas.items()):
+        ops.update({f"X{s}m": rd.Xsm, f"X{s}p": rd.Xsp, f"q{s}m": rd.qm,
+                    f"q{s}p": rd.qp, f"h{s}": rd.h})
     written = []
-    for op in ops:
-        path = os.path.join(directory, f"{op.label}.mtx")
-        write_matrix_market(path, op.mat)
+    for name, op in ops.items():
+        path = os.path.join(directory, f"{name}.mtx")
+        write_matrix_market(path, op)
         written.append(path)
     return written

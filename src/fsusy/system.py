@@ -24,10 +24,11 @@ from .fock import StructureFunction, StructureSpec
 from .report import ReportEntry
 from .wkalg import (
     AlgebraRep,
-    OperatorMatrix,
-    sector_selector,
+    ColumnMap,
+    sector_mask,
+    weight_diagonal,
     window_description,
-    window_projector,
+    window_mask,
     window_residual,
 )
 
@@ -41,9 +42,9 @@ class FsusyDoublet:
     """
 
     rep: AlgebraRep
-    Qm: OperatorMatrix
-    Qp: OperatorMatrix
-    H: OperatorMatrix
+    Qm: ColumnMap
+    Qp: ColumnMap
+    H: ColumnMap
     partners: np.ndarray
 
     @property
@@ -59,49 +60,32 @@ class FsusyDoublet:
             raise ValueError(f"partner index {s} outside 1..{self.k}")
         return float(self.partners[s - 1, n])
 
-    def partner_diagonal(self, s: int) -> np.ndarray:
+    def partner_diagonal(self, s: int) -> ColumnMap:
         """H_s(N) as a full-space diagonal: value H_s(n) at every |n, .>."""
-        return np.diag(np.tile(self.partners[s - 1], self.k).astype(complex))
-
-    def hamiltonian_diagonal_expected(self) -> np.ndarray:
-        """Partner-table prediction for diag(H): H_s(n) at |n, sector(s)>."""
-        out = np.zeros(self.k * self.d)
-        for sec in range(self.k):
-            s = self.k if sec == 0 else sec
-            out[sec * self.d : (sec + 1) * self.d] = self.partners[s - 1]
-        return out
+        return ColumnMap.diag(np.tile(self.partners[s - 1], self.k))
 
 
-def build_supercharges(rep: AlgebraRep) -> tuple[OperatorMatrix, OperatorMatrix]:
-    basis = rep.basis
-    # exact 0/1 selectors equal right-multiplication by (1 - Pi_s) and keep
-    # the order-k nilpotency exact in floating point
-    not_one = sector_selector(basis, *(s for s in range(basis.k) if s != 1))
-    not_zero = sector_selector(basis, *(s for s in range(1, basis.k)))
+def build_supercharges(rep: AlgebraRep) -> tuple[ColumnMap, ColumnMap]:
+    # exact 0/1 masks equal right-multiplication by (1 - Pi_s) and keep the
+    # order-k nilpotency exact in floating point
     return (
-        OperatorMatrix("Qm", rep.Xm.mat @ not_one),
-        OperatorMatrix("Qp", rep.Xp.mat @ not_zero),
+        rep.Xm.masked(~sector_mask(rep.basis, 1)),
+        rep.Xp.masked(~sector_mask(rep.basis, 0)),
     )
 
 
-def build_hamiltonian_operator(rep: AlgebraRep) -> OperatorMatrix:
+def build_hamiltonian_operator(rep: AlgebraRep) -> ColumnMap:
     """Assemble H term by term from its defining expression."""
     basis, spec = rep.basis, rep.spec
     k = basis.k
-    H = (k - 1) * (rep.Xp.mat @ rep.Xm.mat)
+    H = (k - 1) * (rep.Xp @ rep.Xm)
     for s in range(3, k + 1):
         for t in range(2, s):
-            H -= (t - 1) * shifted_weight_diagonal(spec, basis, t, t - s) @ rep.projector(s).mat
+            H -= (t - 1) * weight_diagonal(spec, basis, t, t - s) @ rep.projector(s)
     for s in range(1, k):
         for t in range(s, k):
-            H -= (t - k) * shifted_weight_diagonal(spec, basis, t, t - s) @ rep.projector(s).mat
-    return OperatorMatrix("H", H)
-
-
-def shifted_weight_diagonal(spec: StructureSpec, basis, t: int, shift: int) -> np.ndarray:
-    """Diagonal of f_t(N + shift): entry f_t(n + shift) at every state."""
-    vals = np.array([spec.f(t, n + shift) for n in range(basis.d)], dtype=complex)
-    return np.diag(np.tile(vals, basis.k))
+            H -= (t - k) * weight_diagonal(spec, basis, t, t - s) @ rep.projector(s)
+    return H
 
 
 def partner_value(spec: StructureSpec, F: StructureFunction, s: int, n: int) -> float:
@@ -141,18 +125,13 @@ def verify_fsusy(
     """Check nilpotency, the order-k multilinear relation and [H, Q+-] = 0."""
     basis = doublet.rep.basis
     k = basis.k
-    P = window_projector(basis, margin)
+    P = window_mask(basis, margin)
     win = window_description(basis, margin)
-    Qm, Qp, H = doublet.Qm.mat, doublet.Qp.mat, doublet.H.mat
+    Qm, Qp, H = doublet.Qm, doublet.Qp, doublet.H
 
-    mpow = np.linalg.matrix_power
-    nil = max(np.linalg.norm(mpow(Qm, k)), np.linalg.norm(mpow(Qp, k)))
-    lhs = sum(
-        (mpow(Qm, k - 1 - j) @ Qp @ mpow(Qm, j) for j in range(k)),
-        start=np.zeros_like(Qm),
-    )
-    rhs = mpow(Qm, k - 2) @ H
-    multilinear = window_residual(lhs, rhs, P)
+    nil = max((Qm ** k).norm(), (Qp ** k).norm())
+    terms = [Qm ** (k - 1 - j) @ Qp @ Qm ** j for j in range(k)]
+    multilinear = window_residual(sum(terms[1:], start=terms[0]), Qm ** (k - 2) @ H, P)
     commutation = max(
         window_residual(H @ Qm, Qm @ H, P),
         window_residual(H @ Qp, Qp @ H, P),
@@ -176,11 +155,11 @@ def partner_consistency_entry(doublet: FsusyDoublet, strict: float = 1e-12) -> R
     The two routes evaluate independent expressions; their agreement pins the
     sector convention of the closed form.
     """
-    diag = np.real(np.diag(doublet.H.mat))
-    expected = doublet.hamiltonian_diagonal_expected()
-    rel = np.abs(diag - expected) / np.maximum(1.0, np.abs(expected))
-    offdiag = doublet.H.mat - np.diag(np.diag(doublet.H.mat))
-    dev = max(float(rel.max()), float(np.abs(offdiag).max()))
+    H = doublet.H
+    # partner-table prediction: H_s(n) at |n, s mod k>
+    expected = np.roll(doublet.partners, 1, axis=0).ravel()
+    rel = np.abs(np.real(H.diagonal()) - expected) / np.maximum(1.0, np.abs(expected))
+    dev = max(float(rel.max()), (H - ColumnMap.diag(H.diagonal())).max_abs())
     return ReportEntry.check(
         "fsusy.partner_diagonal",
         "H is diagonal and its diagonal matches the closed-form partner energies",

@@ -142,6 +142,15 @@ class TestSpecSelection:
         assert config["family"] == "table"
         assert config["table_size"] == 2 * (10 + 2 * 2 + 1)
 
+    @pytest.mark.parametrize("flags", [
+        ["--a", "nan", "--b", "1"],
+        ["--c0", "inf"],
+    ])
+    def test_non_finite_structure_values_exit_2(self, capsys, flags):
+        code = main(["verify", "--k", "2", "--d", "8", *flags])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_family_flag_is_validated_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--k", "3", "--d", "12", "--family", "bogus"])
@@ -270,6 +279,43 @@ class TestSweep:
         assert "cyclic order must be at least 2, got 1" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_non_finite_range_exits_2_before_writing(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", "--k", "2", "--d", "8",
+                     "--a-range", "nan", "1", "2", "--b-range", "1", "1", "1",
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "a-range values must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--a", "5", "--b", "1"],
+        ["--out_report", "x.json"],
+        ["--family", "table"],
+        ["--c0", "2"],
+    ])
+    def test_point_flags_are_refused_by_parser(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.chdir(tmp_path)
+        out_dir = tmp_path / "sweep"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["sweep", "--k", "2", "--d", "8", *flags,
+                  "--a-range", "0", "0", "1", "--b-range", "1", "1", "1",
+                  "--out-dir", str(out_dir)])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_point_keys_in_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 2\nd = 8\na = 5\nc1 = 2\n", encoding="utf-8")
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(cfg),
+                     "--a-range", "0", "0", "1", "--b-range", "1", "1", "1",
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "sweep does not take a, c1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
         out_dir = tmp_path / "sweep"
@@ -339,15 +385,28 @@ class TestGoldenReport:
             assert residual[0] == pytest.approx(residual[1], abs=1e-12)
 
 
+def child_env():
+    # the child imports the same fsusy as this process, installed or not
+    src = str(Path(fsusy.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):
-        # the child imports the same fsusy as this process, installed or not
-        src = str(Path(fsusy.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "fsusy", "verify", "--k", "2", "--d", "8"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=child_env(),
         )
         assert proc.returncode == 0
         assert "verdict: pass" in proc.stdout
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; scipy would about double the
+        # start-up time and memory of every run
+        code = "import sys, fsusy.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -73,6 +73,17 @@ class TestStructureSpec:
         with pytest.raises(ConfigError):
             StructureSpec.from_table(2, {(5, 0): 1.0})
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(family="constant", constants=(1.0, float("nan"))),
+        dict(family="constant", constants=(float("inf"), 1.0)),
+        dict(family="affine", a=float("nan"), b=1.0),
+        dict(family="affine", a=0.5, b=float("-inf")),
+        dict(family="table", table={(0, 0): 1.0, (1, 0): float("nan")}),
+    ])
+    def test_rejects_non_finite_values(self, kwargs):
+        with pytest.raises(ConfigError, match="must be finite"):
+            StructureSpec(k=2, **kwargs)
+
 
 class TestGradedBasis:
     def test_layout(self):

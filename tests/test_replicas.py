@@ -36,8 +36,8 @@ def test_lowering_element_is_partner_square_root():
     basis = db.rep.basis
     Xsm, Xsp = build_shift_operators(db, 2)
     # H_2(1) = 3 for f = 1, so X(2)-|1,2> = sqrt(3)|0,1>
-    assert Xsm.mat[basis.index(0, 1), basis.index(1, 2)] == pytest.approx(np.sqrt(3))
-    assert np.array_equal(Xsp.mat, Xsm.mat.conj().T)
+    assert Xsm.dense()[basis.index(0, 1), basis.index(1, 2)] == pytest.approx(np.sqrt(3))
+    assert np.array_equal(Xsp.dense(), Xsm.dense().conj().T)
 
 
 def test_ground_state_is_omitted():
@@ -45,7 +45,7 @@ def test_ground_state_is_omitted():
     basis = db.rep.basis
     for s in (2, 3):
         Xsm, _ = build_shift_operators(db, s)
-        assert np.all(Xsm.mat[:, basis.index(0, s % 3)] == 0)
+        assert np.all(Xsm.dense()[:, basis.index(0, s % 3)] == 0)
 
 
 def test_replica_index_range_is_validated():
@@ -74,8 +74,8 @@ def test_slack_drops_only_top_level_negativity():
         build_shift_operators(db, 2)
     Xsm, _ = build_shift_operators(db, 2, slack=3)
     basis = db.rep.basis
-    assert Xsm.mat[basis.index(6, 1), basis.index(7, 2)] == 0.0
-    assert Xsm.mat[basis.index(0, 1), basis.index(1, 2)] != 0.0
+    assert Xsm.dense()[basis.index(6, 1), basis.index(7, 2)] == 0.0
+    assert Xsm.dense()[basis.index(0, 1), basis.index(1, 2)] != 0.0
 
 
 def test_slack_does_not_mask_low_level_negativity():
@@ -104,7 +104,7 @@ def test_replica_hamiltonian_diagonal_values():
     db = make_doublet(3, 8)
     rd = build_replica(db, 2)
     basis = db.rep.basis
-    h = rd.h.mat
+    h = rd.h.dense()
     for n in range(7):
         assert h[basis.index(n, 1), basis.index(n, 1)].real == pytest.approx(2 * n + 3)
     for n in range(1, 7):
@@ -137,11 +137,11 @@ def test_intertwining_transports_eigenstates():
     for n in range(10):
         vec = np.zeros(basis.dim, dtype=complex)
         vec[basis.index(n, 1)] = 1.0
-        lifted = rd.Xsp.mat @ vec
+        lifted = rd.Xsp.dense() @ vec
         norm = np.linalg.norm(lifted)
         assert norm == pytest.approx(np.sqrt(db.partner(2, n + 1)))
         expected = db.partner(1, n) * lifted
-        applied = db.partner_diagonal(2) @ lifted
+        applied = db.partner_diagonal(2).dense() @ lifted
         assert np.allclose(applied, expected, atol=1e-10)
 
 

@@ -20,7 +20,7 @@ from fsusy.suite import (
     write_matrix_market,
 )
 from fsusy.system import build_doublet
-from fsusy.wkalg import build_rep
+from fsusy.wkalg import ColumnMap, build_rep
 
 UNIT3 = StructureSpec.constant_values(3, 1.0)
 
@@ -181,42 +181,47 @@ class TestEmitSpectrum:
 class TestMatrixMarket:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
-        M = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
-        M[np.abs(M) < 0.8] = 0.0
+        target = rng.permutation(7)
+        target[rng.random(7) < 0.3] = -1
+        weight = rng.normal(size=7) + 1j * rng.normal(size=7)
+        weight[target < 0] = 0.0
+        op = ColumnMap(target, weight)
         path = tmp_path / "m.mtx"
-        write_matrix_market(str(path), M)
+        write_matrix_market(str(path), op)
         back = mmread(str(path))
-        assert np.array_equal(np.asarray(back.todense()), M)
+        assert np.array_equal(np.asarray(back.todense()), op.dense())
 
     def test_matches_entrywise_reference(self, tmp_path):
-        # the writer's text against a plain loop over every entry in
-        # row-major order, including signed zeros, round-off sized and
-        # purely imaginary entries
+        # the writer's text against a plain loop over every entry of the
+        # dense matrix in row-major order, including signed zeros, round-off
+        # sized and purely imaginary entries, and two columns sharing a row
         rng = np.random.default_rng(5)
-        M = rng.normal(size=(6, 9)) * 1e-17 + 1j * rng.normal(size=(6, 9))
-        M[rng.random(M.shape) < 0.5] = 0.0
-        M[0, 0], M[1, 1], M[2, 2] = -0.0, 1e-300, 2.5j
+        target = np.array([3, 0, 5, 3, -1, 1, 8, 2, 0])
+        weight = rng.normal(size=9) * 1e-17 + 1j * rng.normal(size=9)
+        weight[[4, 8]] = 0.0
+        weight[0], weight[1], weight[2] = -0.0, 1e-300, 2.5j
+        op = ColumnMap(target, weight)
+        M = op.dense()
         lines = ["%%MatrixMarket matrix coordinate complex general"]
         body = [f"{i + 1} {j + 1} {float(M[i, j].real)!r} {float(M[i, j].imag)!r}"
-                for i in range(6) for j in range(9) if M[i, j] != 0]
-        lines += [f"6 9 {len(body)}"] + body
+                for i in range(9) for j in range(9) if M[i, j] != 0]
+        lines += [f"9 9 {len(body)}"] + body
         path = tmp_path / "r.mtx"
-        write_matrix_market(str(path), M)
+        write_matrix_market(str(path), op)
         assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
     def test_zero_matrix(self, tmp_path):
         path = tmp_path / "z.mtx"
-        write_matrix_market(str(path), np.zeros((4, 4), dtype=complex))
+        write_matrix_market(str(path), ColumnMap(np.full(4, -1), np.zeros(4, dtype=complex)))
         text = path.read_text(encoding="utf-8")
         assert text.splitlines()[0] == "%%MatrixMarket matrix coordinate complex general"
         assert text.splitlines()[1] == "4 4 0"
         assert np.count_nonzero(np.asarray(mmread(str(path)).todense())) == 0
 
     def test_header_and_one_based_indices(self, tmp_path):
-        M = np.zeros((3, 3), dtype=complex)
-        M[0, 2] = 1.5 - 0.25j
+        op = ColumnMap(np.array([-1, -1, 0]), np.array([0, 0, 1.5 - 0.25j]))
         path = tmp_path / "e.mtx"
-        write_matrix_market(str(path), M)
+        write_matrix_market(str(path), op)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[1] == "3 3 1"
         assert lines[2] == "1 3 1.5 -0.25"
@@ -239,7 +244,7 @@ class TestDumpOperators:
         system = small_system(3, 6)
         dump_operators(system, str(tmp_path))
         back = np.asarray(mmread(str(tmp_path / "H.mtx")).todense())
-        assert np.array_equal(back, system.doublet.H.mat)
+        assert np.array_equal(back, system.doublet.H.dense())
 
     def test_redump_is_byte_identical(self, tmp_path):
         system = small_system(2, 4)

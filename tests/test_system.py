@@ -40,13 +40,13 @@ def test_ground_state_energy_is_negative_for_unit_constant():
     # the k = 3 sector-0 ground state sits at H_3(0) = -1
     db = make_doublet(3, 8)
     i = db.rep.basis.index(0, 0)
-    assert db.H.mat[i, i].real == pytest.approx(-1.0, abs=1e-12)
+    assert db.H.dense()[i, i].real == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_zero_structure_gives_zero_system():
     db = make_doublet(2, 6, StructureSpec.constant_values(2, 0.0))
-    assert np.linalg.norm(db.H.mat) == 0.0
-    assert np.linalg.norm(db.Qm.mat) == 0.0
+    assert np.linalg.norm(db.H.dense()) == 0.0
+    assert np.linalg.norm(db.Qm.dense()) == 0.0
     assert np.all(db.partners == 0.0)
 
 
@@ -54,9 +54,10 @@ def test_supercharges_avoid_their_masked_sectors():
     db = make_doublet(3, 6)
     basis = db.rep.basis
     # Q- never consumes sector 1, Q+ never consumes sector 0
+    Qm, Qp = db.Qm.dense(), db.Qp.dense()
     for n in range(6):
-        assert np.all(db.Qm.mat[:, basis.index(n, 1)] == 0)
-        assert np.all(db.Qp.mat[:, basis.index(n, 0)] == 0)
+        assert np.all(Qm[:, basis.index(n, 1)] == 0)
+        assert np.all(Qp[:, basis.index(n, 0)] == 0)
 
 
 @pytest.mark.parametrize(
@@ -79,9 +80,10 @@ def test_fsusy_axioms(k, d, spec):
 def test_nilpotency_needs_the_full_order():
     # Q-^(k-1) is still nonzero, only the k-th power dies
     db = make_doublet(4, 8)
-    power = np.linalg.matrix_power(db.Qm.mat, 3)
+    Qm = db.Qm.dense()
+    power = np.linalg.matrix_power(Qm, 3)
     assert np.linalg.norm(power) > 0.5
-    assert np.linalg.norm(power @ db.Qm.mat) == 0.0
+    assert np.linalg.norm(power @ Qm) == 0.0
 
 
 def test_partner_diagonal_consistency():
@@ -96,9 +98,10 @@ def test_partner_diagonal_consistency():
 
 def test_hamiltonian_is_diagonal_and_real():
     db = make_doublet(4, 10, StructureSpec.affine_family(4, 0.5, 1.0))
-    off = db.H.mat - np.diag(np.diag(db.H.mat))
+    H = db.H.dense()
+    off = H - np.diag(np.diag(H))
     assert np.linalg.norm(off) < 1e-12
-    assert np.abs(np.diag(db.H.mat).imag).max() < 1e-12
+    assert np.abs(np.diag(H).imag).max() < 1e-12
 
 
 @given(
@@ -125,7 +128,7 @@ def test_partner_shift_identity(k, raw):
 
 def test_partner_diagonal_tiles_all_sectors():
     db = make_doublet(3, 5)
-    diag = np.diag(db.partner_diagonal(2)).real
+    diag = np.diag(db.partner_diagonal(2).dense()).real
     expected = np.tile([db.partner(2, n) for n in range(5)], 3)
     assert np.allclose(diag, expected)
 

@@ -10,11 +10,12 @@ from fsusy.errors import (
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
 from fsusy.qarith import primitive_root
 from fsusy.wkalg import (
+    ColumnMap,
     build_projectors,
     build_rep,
-    sector_selector,
+    sector_mask,
     verify_wk_relations,
-    window_projector,
+    window_mask,
     window_residual,
 )
 
@@ -29,29 +30,31 @@ def test_ladder_matrix_elements():
     rep = make_rep(3, 6)
     basis = rep.basis
     F = rep.F
+    Xm = rep.Xm.dense()
     for s in range(3):
         for n in range(1, 6):
-            elem = rep.Xm.mat[basis.index(n - 1, s - 1), basis.index(n, s)]
+            elem = Xm[basis.index(n - 1, s - 1), basis.index(n, s)]
             assert elem == pytest.approx(np.sqrt(F.value(s, n)))
     # X- annihilates every sector ground state
     for s in range(3):
-        assert np.all(rep.Xm.mat[:, basis.index(0, s)] == 0)
+        assert np.all(Xm[:, basis.index(0, s)] == 0)
 
 
 def test_raising_is_exact_adjoint():
     rep = make_rep(4, 8, StructureSpec.affine_family(4, 0.5, 1.0))
-    assert np.array_equal(rep.Xp.mat, rep.Xm.mat.conj().T)
+    assert np.array_equal(rep.Xp.dense(), rep.Xm.dense().conj().T)
 
 
 def test_number_and_grading_diagonals():
     rep = make_rep(3, 5)
     basis = rep.basis
     q = primitive_root(3)
+    N, K = rep.N.dense(), rep.K.dense()
     for s in range(3):
         for n in range(5):
             i = basis.index(n, s)
-            assert rep.N.mat[i, i] == n
-            assert rep.K.mat[i, i] == q**s
+            assert N[i, i] == n
+            assert K[i, i] == q**s
 
 
 def test_negative_structure_value_is_rejected():
@@ -74,16 +77,17 @@ def test_structure_function_must_cover_basis():
 class TestProjectors:
     def test_resolution_of_identity(self):
         rep = make_rep(3, 5)
-        total = sum(p.mat for p in rep.projectors)
+        total = sum(p.dense() for p in rep.projectors)
         assert np.allclose(total, np.eye(15), atol=1e-12)
 
     def test_idempotent_and_orthogonal(self):
         rep = make_rep(4, 5)
         for s, p in enumerate(rep.projectors):
-            assert np.allclose(p.mat @ p.mat, p.mat, atol=1e-12)
+            P = p.dense()
+            assert np.allclose(P @ P, P, atol=1e-12)
             for t, other in enumerate(rep.projectors):
                 if t != s:
-                    assert np.linalg.norm(p.mat @ other.mat) < 1e-12
+                    assert np.linalg.norm(P @ other.dense()) < 1e-12
 
     def test_cyclic_accessor(self):
         rep = make_rep(3, 5)
@@ -103,38 +107,38 @@ class TestProjectors:
     def test_matches_exact_selector(self):
         rep = make_rep(3, 6)
         for s in range(3):
-            sel = sector_selector(rep.basis, s)
-            assert np.allclose(rep.projectors[s].mat, sel, atol=1e-12)
+            sel = np.diag(sector_mask(rep.basis, s))
+            assert np.allclose(rep.projectors[s].dense(), sel, atol=1e-12)
 
 
-def test_sector_selector_is_exact():
+def test_sector_mask_layout():
     basis = GradedBasis(3, 4)
-    sel = sector_selector(basis, 1, 3)  # 3 wraps to 0
-    diag = np.diag(sel)
-    assert set(diag.tolist()) <= {0.0, 1.0}
-    assert np.all(diag[basis.index(0, 1) : basis.index(3, 1) + 1] == 1.0)
-    assert np.all(diag[basis.index(0, 0) : basis.index(3, 0) + 1] == 1.0)
-    assert np.all(diag[basis.index(0, 2) : basis.index(3, 2) + 1] == 0.0)
+    mask = sector_mask(basis, 1) | sector_mask(basis, 3)  # 3 wraps to 0
+    assert mask.dtype == bool
+    assert np.all(mask[basis.index(0, 1) : basis.index(3, 1) + 1])
+    assert np.all(mask[basis.index(0, 0) : basis.index(3, 0) + 1])
+    assert not np.any(mask[basis.index(0, 2) : basis.index(3, 2) + 1])
 
 
-def test_window_projector_shape_and_errors():
+def test_window_mask_shape_and_errors():
     basis = GradedBasis(2, 6)
-    P = window_projector(basis, 2)
-    diag = np.diag(P).real
+    mask = window_mask(basis, 2)
     for s in range(2):
         for n in range(6):
-            assert diag[basis.index(n, s)] == (1.0 if n <= 3 else 0.0)
+            assert mask[basis.index(n, s)] == (n <= 3)
     with pytest.raises(WindowTooSmallError):
-        window_projector(basis, 0)
+        window_mask(basis, 0)
     with pytest.raises(WindowTooSmallError):
-        window_projector(basis, 5)
+        window_mask(basis, 5)
 
 
 def test_window_residual_normalization():
-    eye = np.eye(4, dtype=complex)
+    eye = ColumnMap.diag(np.ones(4))
+    zero = ColumnMap.diag(np.zeros(4))
+    window = np.ones(4, dtype=bool)
     # small lhs norms fall back to an absolute residual
-    assert window_residual(0.5 * eye, np.zeros((4, 4)), eye) == pytest.approx(1.0)
-    assert window_residual(eye, eye, eye) == 0.0
+    assert window_residual(0.5 * eye, zero, window) == pytest.approx(1.0)
+    assert window_residual(eye, eye, window) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -172,5 +176,68 @@ def test_relations_hold_for_random_nonnegative_tables(k, seed):
 
 def test_grading_commutes_with_number_exactly():
     rep = make_rep(3, 8)
-    comm = rep.K.mat @ rep.N.mat - rep.N.mat @ rep.K.mat
+    K, N = rep.K.dense(), rep.N.dense()
+    comm = K @ N - N @ K
     assert np.linalg.norm(comm) == 0.0
+
+
+# dyadic weights keep every product and sum exact, so the column-map results
+# must equal the dense ones bit for bit
+dyadic = st.builds(lambda re, im: complex(re, im) / 8, st.integers(-16, 16), st.integers(-16, 16))
+
+
+@st.composite
+def column_maps(draw, dim, targets=None):
+    """A column map on dim states; its nonzero columns follow ``targets`` if given."""
+    if targets is None:
+        targets = draw(st.lists(st.integers(-1, dim - 1), min_size=dim, max_size=dim))
+    weight = np.array(draw(st.lists(dyadic, min_size=dim, max_size=dim)))
+    target = np.array(targets)
+    weight[target < 0] = 0
+    return ColumnMap(target, weight)
+
+
+@st.composite
+def partial_permutations(draw, dim):
+    """A column map with distinct rows, so it has an adjoint."""
+    rows = draw(st.permutations(range(dim)))
+    empty = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+    return draw(column_maps(dim, [-1 if e else r for r, e in zip(rows, empty)]))
+
+
+@given(k=st.integers(2, 4), d=st.integers(2, 8), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_column_map_matches_dense_oracle(k, d, data):
+    dim = k * d
+    A = data.draw(column_maps(dim))
+    B = data.draw(column_maps(dim))
+    P = data.draw(partial_permutations(dim))
+    assert np.array_equal((A @ B).dense(), A.dense() @ B.dense())
+    assert np.array_equal((A ** 3).dense(), np.linalg.matrix_power(A.dense(), 3))
+    assert np.array_equal(P.adjoint().dense(), P.dense().conj().T)
+    c = data.draw(dyadic)
+    assert np.array_equal((c * A).dense(), c * A.dense())
+
+    # same shift: C shares A's rows wherever both are nonzero
+    C = data.draw(column_maps(dim, [t if w != 0 else data.draw(st.integers(-1, dim - 1))
+                                    for t, w in zip(A.target, A.weight)]))
+    assert np.array_equal((A + C).dense(), A.dense() + C.dense())
+    assert np.array_equal((A - C).dense(), A.dense() - C.dense())
+
+    window = np.array(data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
+    Wd = np.diag(window.astype(complex))
+    want = np.linalg.norm((A.dense() - C.dense()) @ Wd) / max(1.0, np.linalg.norm(A.dense() @ Wd))
+    assert window_residual(A, C, window) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert np.array_equal(A.masked(window).dense(), A.dense() @ Wd)
+
+    # a different shift on a column where both are nonzero is refused
+    live = np.flatnonzero(A.weight != 0)
+    if live.size:
+        j = data.draw(st.sampled_from(live.tolist()))
+        moved = A.target.copy()
+        moved[j] = (moved[j] + 1) % dim
+        D = ColumnMap(moved, A.weight)
+        with pytest.raises(ValueError):
+            A + D
+        with pytest.raises(ValueError):
+            A - D
