@@ -145,7 +145,7 @@ def build_tensor_realization(k: int, d: int, spec: StructureSpec) -> TensorReali
     pair = build_kfermion_pair(k)
     A = cyclic_lowering(pair)
     Ak1 = np.linalg.matrix_power(A, k - 1)
-    Pf = build_projectors(pair.Kf, k)
+    Pf = [np.diag(P) for P in build_projectors(np.diag(pair.Kf), k)]
     G = boson_weights(spec, d)
     m, t = np.arange(k * d) % d, np.arange(k * d) // d
     bosons = []
@@ -194,8 +194,8 @@ def compare_realizations(
         )
     informative = k >= 3
     # Pi_s = 1 (x) Pf_s
-    projectors = [ColumnMap.diag(np.repeat(np.diag(P), d))
-                  for P in build_projectors(tensor.fermions.Kf, k)]
+    projectors = [ColumnMap.diag(np.repeat(P, d))
+                  for P in build_projectors(np.diag(tensor.fermions.Kf), k)]
     residuals = algebra_relation_residuals(
         rep.spec, rep.basis, tensor.Xm, tensor.Xp, tensor.N, tensor.K, projectors, margin)
     win = window_description(rep.basis, margin)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 PACKAGE_VERSION = "0.1.0"
@@ -65,7 +65,8 @@ class VerificationReport:
     def to_dict(self) -> dict:
         return {
             "config": self.config,
-            "entries": [asdict(e) for e in self.entries],
+            # every field is a scalar or a string, so a shallow copy suffices
+            "entries": [dict(vars(e)) for e in self.entries],
             "verdict": self.verdict,
             "generated_at": self.generated_at,
             "version": self.version,

@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -280,6 +281,18 @@ def test_refused_replica_leaves_no_reference_cycle():
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_build_system_memory_is_linear_in_dimension():
+    # dimension 1600: a single (kd) x (kd) complex array would take 41 MB
+    config = RunConfig(k=4, d=400, spec=StructureSpec.affine_family(4, 0.5, 1.0), margin=4)
+    tracemalloc.start()
+    try:
+        build_system(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_suite_builds_once_and_reports_every_refusal(monkeypatch):

@@ -95,14 +95,34 @@ class TestProjectors:
         assert rep.projector(-1) is rep.projectors[2]
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(InvalidGradingError):
-            build_projectors(2.0 * np.eye(4, dtype=complex), 2)
+        with pytest.raises(InvalidGradingError, match="not unitary"):
+            build_projectors(2.0 * np.ones(4, dtype=complex), 2)
 
     def test_rejects_wrong_order(self):
         q = primitive_root(3)
-        K = np.diag([1, q, q**2, q**2]).astype(complex)
-        with pytest.raises(InvalidGradingError):
+        K = np.array([1, q, q**2, q**2], dtype=complex)
+        with pytest.raises(InvalidGradingError, match="not cyclic of order 2"):
             build_projectors(K, 2)
+
+    @pytest.mark.parametrize("d", [1, 8, 40])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_matches_dense_fourier_oracle(self, k, d):
+        q = primitive_root(k)
+        diag = np.repeat(q ** np.arange(k), d)
+        K, eye = np.diag(diag), np.eye(k * d, dtype=complex)
+        powers = [eye]
+        for _ in range(k - 1):
+            powers.append(powers[-1] @ K)
+        projectors = build_projectors(diag, k)
+        assert len(projectors) == k
+        for s, P in enumerate(projectors):
+            dense = sum(q ** (-s * t) * powers[t] for t in range(k)) / k
+            assert np.abs(P - np.diag(dense)).max() <= 1e-15
+            # every state of a sector gets the same value
+            blocks = P.reshape(k, d)
+            assert np.array_equal(blocks, np.repeat(blocks[:, :1], d, axis=1))
+        # the k Fourier sums each carry about one ulp per term: 1.8e-15 at k = 8
+        assert np.abs(sum(projectors) - 1).max() <= 2 * k * np.finfo(float).eps
 
     def test_matches_exact_selector(self):
         rep = make_rep(3, 6)
