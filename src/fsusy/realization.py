@@ -3,15 +3,29 @@
 The ladder operators are assembled on the (d-level boson) x (k-grade fermion)
 space as
 
-    X- = A sum_s b(s)- Pf_s,   X+ = A^(k-1) sum_s b(s)+ Pf_s,
+    X- = A sum_s b(s)- Pf_s,   X+ = A^(k-1) sum_s b(s+1)+ Pf_s,
     A  = f- + f+^(k-1) / [k-1]_q!,   K = 1 (x) [f-, f+],   N = N_b (x) 1,
 
-with Pf_s the fermion-grade projectors carved out of [f-, f+].  Each deformed
-boson pair solves the same-sector recursion G_s(m+1) - G_s(m) = f_s(m) on its
-own.  The k-fermion matrices are dense k x k; the operators on the whole
-space are column maps in the graded layout.  The comparison against the
-graded Fock construction reports whether this convention reproduces the
-defining relations; for k >= 3 it decides nothing by itself.
+with Pf_s the fermion-grade projectors resolved from [f-, f+] and
+b(s)-|m> = sqrt(F_s(m)) |m-1>, b(s)+ its adjoint, where F is the graded
+structure function of the Fock construction.
+
+Why this closes the algebra: A maps grade t to t-1 with weight a_t
+(a_t = [t]_q for t >= 1, a_0 = 1/[k-1]_q!).  The a_t multiply to 1 around
+the cycle, so A^k = 1 and A^(k-1) = A^(-1) maps t to t+1 with weight
+1/a_(t+1).  On |m> (x) |t> therefore
+
+    X+ X- = (sqrt(F_t(m)) a_t) (sqrt(F_t(m)) / a_t)                 = F_t(m),
+    X- X+ = (sqrt(F_(t+1)(m+1)) / a_(t+1)) (sqrt(F_(t+1)(m+1)) a_(t+1)) = F_(t+1)(m+1),
+
+and the coupled recursion F_(t+1)(m+1) - F_t(m) = f_t(m) gives
+[X-, X+] = sum_t f_t(N) Pf_t, the graded relation.  That is why X+ on grade t
+uses b(t+1)+, the ladder of its target grade.  The weights are shared with
+the graded route; what this route checks independently is the fermion
+algebra: A, A^(k-1) and the Pf_s resolved from [f-, f+].
+
+Every operator, the k x k fermions included, is a ColumnMap; on the whole
+space |m> (x) |t> sits at t*d + m, the graded layout.
 """
 
 from __future__ import annotations
@@ -20,12 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSpaceError,
-    InvalidOrderError,
-    RepresentationError,
-)
-from .fock import NONNEG_TOL, StructureSpec
+from .errors import InvalidOrderError, RepresentationError
+from .fock import StructureFunction
 from .qarith import primitive_root, q_factorial, q_number
 from .report import ReportEntry
 from .wkalg import (
@@ -35,36 +45,34 @@ from .wkalg import (
     algebra_relation_residuals,
     build_projectors,
     window_description,
-    window_residual,
 )
 
 
 @dataclass(frozen=True)
 class KFermionPair:
-    """Matrices of one k-fermion pair and their commutator grading."""
+    """Operators of one k-fermion pair on the k grades and their commutator grading."""
 
     k: int
-    fm: np.ndarray
-    fp: np.ndarray
-    Kf: np.ndarray
+    fm: ColumnMap
+    fp: ColumnMap
+    Kf: ColumnMap
 
 
 @dataclass(frozen=True)
 class TensorRealization:
-    """Ladder, grading and number operators on the boson x fermion space.
+    """Ladder, grading, number and sector operators on the boson x fermion space.
 
-    Index layout: |m> (x) |t> sits at t*d + m, the graded layout.  ``bosons``
-    holds each sector's pair (b(s)-, b(s)+) on the d boson levels.
+    Index layout: |m> (x) |t> sits at t*d + m, the graded layout.
+    ``projectors`` holds 1 (x) Pf_s for every grade s.
     """
 
     k: int
     d: int
-    fermions: KFermionPair
-    bosons: tuple[tuple[ColumnMap, ColumnMap], ...]
     Xm: ColumnMap
     Xp: ColumnMap
     K: ColumnMap
     N: ColumnMap
+    projectors: tuple[ColumnMap, ...]
 
 
 def build_kfermion_pair(k: int) -> KFermionPair:
@@ -76,94 +84,70 @@ def build_kfermion_pair(k: int) -> KFermionPair:
     if k < 2:
         raise InvalidOrderError(f"cyclic order must be at least 2, got {k}")
     q = primitive_root(k)
-    fp = np.zeros((k, k), dtype=complex)
-    fm = np.zeros((k, k), dtype=complex)
-    for t in range(k - 1):
-        fp[t + 1, t] = 1.0
-        fm[t, t + 1] = q_number(t + 1, q)
-    Kf = fm @ fp - fp @ fm
-    return KFermionPair(k, fm, fp, Kf)
+    t = np.arange(k)
+    fp = ColumnMap(np.where(t < k - 1, t + 1, -1), (t < k - 1).astype(complex))
+    fm = ColumnMap(t - 1, np.array([q_number(int(j), q) for j in t]))
+    return KFermionPair(k, fm, fp, fm @ fp - fp @ fm)
 
 
-def cyclic_lowering(pair: KFermionPair) -> np.ndarray:
+def cyclic_lowering(pair: KFermionPair) -> ColumnMap:
     """A = f- + f+^(k-1) / [k-1]_q!, mapping grade t to t-1 mod k; A^k = 1."""
     k = pair.k
-    top = np.linalg.matrix_power(pair.fp, k - 1)
-    return pair.fm + top / q_factorial(k - 1, primitive_root(k))
+    return pair.fm + (1 / q_factorial(k - 1, primitive_root(k))) * pair.fp ** (k - 1)
 
 
 def verify_kfermions(pair: KFermionPair, strict: float = 1e-12) -> list[ReportEntry]:
-    k = pair.k
+    k, fm, fp = pair.k, pair.fm, pair.fp
     q = primitive_root(k)
-    eye = np.eye(k, dtype=complex)
     entries = [
         ReportEntry.check(
             "kfermion.q_commutator", "f- f+ - q f+ f- = 1",
-            float(np.linalg.norm(pair.fm @ pair.fp - q * (pair.fp @ pair.fm) - eye)),
+            (fm @ fp - q * (fp @ fm) - ColumnMap.diag(np.ones(k))).norm(),
             strict, "full grade space"),
         ReportEntry.exact(
             "kfermion.nilpotency", "f-^k = 0 and f+^k = 0",
-            max(np.linalg.norm(np.linalg.matrix_power(pair.fm, k)),
-                np.linalg.norm(np.linalg.matrix_power(pair.fp, k)))),
+            max((fm ** k).norm(), (fp ** k).norm())),
         # [f-, f+] is diagonal, so its diagonal is its eigenvalue multiset
         ReportEntry.check(
             "kfermion.grading_spectrum",
             "[f-, f+] has eigenvalue multiset {q^t : t = 0..k-1}",
-            np.abs(pair.Kf - np.diag(q ** np.arange(k))).max(),
+            (pair.Kf - ColumnMap.diag(q ** np.arange(k))).max_abs(),
             strict, "eigenvalue multiset"),
     ]
     if k == 2:
         entries.append(ReportEntry.exact(
             "kfermion.pair_adjoint", "for order 2 the pair is mutually adjoint",
-            np.linalg.norm(pair.fp - pair.fm.conj().T)))
+            (fp - fm.adjoint()).norm()))
     return entries
 
 
-def boson_weights(spec: StructureSpec, d: int) -> np.ndarray:
-    """Squared ladder weights G_s(m) of the k deformed boson pairs.
-
-    Each sector solves G_s(m+1) - G_s(m) = f_s(m), G_s(0) = 0, alone.
-    """
-    steps = np.array([[spec.f(s, m) for m in range(d)] for s in range(spec.k)])
-    G = np.zeros((spec.k, d))
-    G[:, 1:] = np.cumsum(steps, axis=1)[:, :-1]
-    bad = np.argwhere(G < -NONNEG_TOL)
-    if bad.size:
-        s, m = bad[0]
-        raise RepresentationError(
-            f"boson weight G_{s}({m}) = {G[s, m]:.6g} is negative; "
-            "no real ladder element exists"
-        )
-    return G
+def _kron(b: ColumnMap, f: ColumnMap) -> ColumnMap:
+    """b (x) f for a boson operator b and a fermion operator f, in the graded layout."""
+    d = b.dim
+    m, t = np.arange(f.dim * d) % d, np.arange(f.dim * d) // d
+    empty = (b.target[m] < 0) | (f.target[t] < 0)
+    return ColumnMap(np.where(empty, -1, f.target[t] * d + b.target[m]), b.weight[m] * f.weight[t])
 
 
-def build_tensor_realization(k: int, d: int, spec: StructureSpec) -> TensorRealization:
-    if spec.k != k:
-        raise RepresentationError(f"structure spec has order {spec.k}, expected {k}")
-    if d < 2:
-        raise DegenerateSpaceError(f"need at least 2 boson levels, got {d}")
-    pair = build_kfermion_pair(k)
+def build_tensor_realization(pair: KFermionPair, F: StructureFunction) -> TensorRealization:
+    """The operators of the module docstring on F's d levels times the pair's k grades."""
+    k, d = pair.k, F.d
+    if F.k != k:
+        raise RepresentationError(f"structure function has order {F.k}, fermion pair {k}")
+    one = ColumnMap.diag(np.ones(d))
+    Pf = [ColumnMap.diag(P) for P in build_projectors(pair.Kf.diagonal(), k)]
+    # b(s)- lowers level m to m-1; F_s(0) = 0 leaves level 0 empty
+    bm = [ColumnMap(np.arange(d) - 1, np.sqrt(np.maximum(F.values[s, :d], 0.0)).astype(complex))
+          for s in range(k)]
+    zero = ColumnMap.diag(np.zeros(k * d))
     A = cyclic_lowering(pair)
-    Ak1 = np.linalg.matrix_power(A, k - 1)
-    Pf = [np.diag(P) for P in build_projectors(np.diag(pair.Kf), k)]
-    G = boson_weights(spec, d)
-    m, t = np.arange(k * d) % d, np.arange(k * d) // d
-    bosons = []
-    wm = np.zeros(k * d, dtype=complex)
-    wp = np.zeros(k * d, dtype=complex)
-    for s in range(k):
-        # b(s)- lowers level m to m-1; G_s(0) = 0 leaves level 0 empty
-        bm = ColumnMap(np.arange(d) - 1, np.sqrt(np.maximum(G[s], 0.0)).astype(complex))
-        bp = bm.adjoint()
-        bosons.append((bm, bp))
-        # A maps grade t to t-1 and A^(k-1) maps it to t+1, both mod k
-        wm += bm.weight[m] * (A @ Pf[s])[(t - 1) % k, t]
-        wp += bp.weight[m] * (Ak1 @ Pf[s])[(t + 1) % k, t]
-    Xm = ColumnMap(np.where(m > 0, (t - 1) % k * d + m - 1, -1), wm)
-    Xp = ColumnMap(np.where(m < d - 1, (t + 1) % k * d + m + 1, -1), wp)
-    K = ColumnMap.diag(np.diag(pair.Kf)[t])
-    N = ColumnMap.diag(m)
-    return TensorRealization(k, d, pair, tuple(bosons), Xm, Xp, K, N)
+    Ak1 = A ** (k - 1)
+    # A and A^(k-1) act on the fermions only, so X- = sum_s b(s)- (x) A Pf_s
+    Xm = sum((_kron(bm[s], A @ Pf[s]) for s in range(k)), start=zero)
+    Xp = sum((_kron(bm[(s + 1) % k].adjoint(), Ak1 @ Pf[s]) for s in range(k)), start=zero)
+    N = _kron(ColumnMap.diag(np.arange(d)), ColumnMap.diag(np.ones(k)))
+    projectors = tuple(_kron(one, P) for P in Pf)
+    return TensorRealization(k, d, Xm, Xp, _kron(one, pair.Kf), N, projectors)
 
 
 def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -182,40 +166,22 @@ def compare_realizations(
     tolerance: float = 1e-10,
 ) -> list[ReportEntry]:
     """Check the tensor operators against the defining relations and compare
-    spectra with the graded Fock construction.
-
-    Entries are informative for k >= 3 (the deformed boson convention is a
-    guess there); the spectral comparison is informative always.
-    """
+    spectra with the graded Fock construction."""
     k, d = tensor.k, tensor.d
     if (k, d) != (rep.basis.k, rep.basis.d):
         raise RepresentationError(
             f"tensor space is {k} x {d}, graded space is {rep.basis.k} x {rep.basis.d}"
         )
-    informative = k >= 3
-    # Pi_s = 1 (x) Pf_s
-    projectors = [ColumnMap.diag(np.repeat(P, d))
-                  for P in build_projectors(np.diag(tensor.fermions.Kf), k)]
     residuals = algebra_relation_residuals(
-        rep.spec, rep.basis, tensor.Xm, tensor.Xp, tensor.N, tensor.K, projectors, margin)
+        rep.spec, rep.basis, tensor.Xm, tensor.Xp, tensor.N, tensor.K, tensor.projectors, margin)
     win = window_description(rep.basis, margin)
     entries = [
-        ReportEntry.check(f"tensor.{key}", _RELATION_STATEMENTS[key], val,
-                          tolerance, win, informative=informative)
+        ReportEntry.check(f"tensor.{key}", _RELATION_STATEMENTS[key], val, tolerance, win)
         for key, val in residuals.items()
     ]
-
-    # the graded window above already refused a margin that leaves no levels
-    top = d - 1 - margin
-    W = np.arange(d) <= top
-    dev = 0.0
-    for s, (bm, bp) in enumerate(tensor.bosons):
-        expected = ColumnMap.diag([rep.spec.f(s, m) for m in range(d)])
-        dev = max(dev, window_residual(bm @ bp - bp @ bm, expected, W))
-    entries.append(ReportEntry.check(
-        "tensor.boson_commutator", "[b(s)-, b(s)+] = f_s(N_b) for every sector",
-        dev, tolerance, f"boson levels m <= {top}", informative=informative))
-
+    # informative: the distance is absolute while the eigenvalues grow like
+    # F ~ a d^2 / 2, so round-off alone exceeds the tolerance at large d
+    # (7.3e-10 at k=8, d=1000, affine (0.5, 1))
     entries.append(ReportEntry.check(
         "tensor.spectral_distance",
         "eigenvalues of X+ X- agree between the tensor and graded constructions",

@@ -33,13 +33,13 @@ class ReportEntry:
                    window, informative)
 
     @classmethod
-    def exact(cls, name, statement, residual, window="full space", informative=False):
+    def exact(cls, name, statement, residual, window="full space"):
         residual = float(residual)
-        return cls(name, statement, residual, 0.0, residual == 0.0, window, informative)
+        return cls(name, statement, residual, 0.0, residual == 0.0, window)
 
     @classmethod
-    def failure(cls, name, statement, error, informative=False):
-        return cls(name, statement, None, 0.0, False, "construction", informative, str(error))
+    def failure(cls, name, statement, error):
+        return cls(name, statement, None, 0.0, False, "construction", error=str(error))
 
 
 @dataclass

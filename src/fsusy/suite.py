@@ -73,8 +73,8 @@ class RunConfig:
             raise ConfigError(
                 f"margin {self.margin} leaves no window inside {self.d} levels"
             )
-        if not self.tolerance > 0:
-            raise ConfigError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < np.inf:
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.spec.k != self.k:
             raise ConfigError(f"structure spec has order {self.spec.k}, expected {self.k}")
 
@@ -177,15 +177,16 @@ def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
         if config.k == 2 and 2 in system.replicas:
             entries.append(k2_reduction_entry(doublet, system.replicas[2], margin, strict))
 
-        entries += verify_kfermions(build_kfermion_pair(config.k), strict)
+        pair = build_kfermion_pair(config.k)
+        entries += verify_kfermions(pair, strict)
         try:
-            tensor = build_tensor_realization(config.k, system.d_effective, config.spec)
+            tensor = build_tensor_realization(pair, rep.F)
             entries += compare_realizations(tensor, rep, margin, tol)
         except FsusyError as exc:
             entries.append(ReportEntry.failure(
                 "tensor.construction",
                 "the tensor-product realization materializes on the truncated space",
-                exc, informative=True))
+                exc))
     except WindowTooSmallError as exc:
         entries.append(ReportEntry.failure(
             "construction.window",

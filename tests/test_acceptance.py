@@ -288,18 +288,19 @@ def test_criterion_09_kfermions_and_tensor_realization(grid):
         check_residual(entries, "kfermion.q_commutator", 1e-12, point, bad)
         check_residual(entries, "kfermion.nilpotency", 0.0, point, bad, exact=True)
         check_residual(entries, "kfermion.grading_spectrum", 1e-12, point, bad)
+    relations = [f"tensor.{key}" for key in (
+        "ladder_commutator", "number_ladder", "grading_ladder", "grading_number",
+        "grading_cyclic")]
     reports, _ = grid
     for (k, label), report in reports.items():
-        tensor = [e for e in report.entries if e.name.startswith("tensor.")
-                  and e.name != "tensor.spectral_distance"]
-        assert tensor, (k, label)
-        for entry in tensor:
-            if k == 2:
-                assert not entry.informative, entry.name
-                if not (entry.residual < 1e-10):
-                    bad.append(f"k=2 {label} {entry.name}: {entry.residual:.3g}")
-            else:
-                assert entry.informative, entry.name
+        entries = by_name_list(report.entries)
+        tensor = sorted(name for name in entries if name.startswith("tensor."))
+        assert tensor == sorted(relations + ["tensor.spectral_distance"]), (k, label)
+        # every relation is asserted at every k; only the spectral distance informs
+        for name in relations:
+            assert not entries[name].informative, (k, label, name)
+            check_residual(entries, name, 1e-10, f"k={k} {label}", bad)
+        assert entries["tensor.spectral_distance"].informative
     assert not bad, "\n".join(bad)
 
 

@@ -100,6 +100,18 @@ class TestPrecedence:
         assert main(list(self.BASE)) == 2
         assert "invalid value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_infinite_tolerance_exits_2(self, source, monkeypatch, capsys):
+        # an infinite tolerance would pass every windowed entry; this run
+        # fails its strict partner_diagonal entries at any finite tolerance
+        argv = ["verify", "--k", "3", "--d", "1000", "--a", "0.5", "--b", "1"]
+        if source == "flag":
+            argv += ["--tolerance", "inf"]
+        else:
+            monkeypatch.setenv("FSUSY_TOLERANCE", "inf")
+        assert main(argv) == 2
+        assert "tolerance must be positive and finite, got inf" in capsys.readouterr().err
+
 
 class TestSpecSelection:
     def test_sector_constant_flags(self, tmp_path):

@@ -171,6 +171,29 @@ def test_effective_dimension_passthrough():
         effective_dimension(F, 16)
 
 
+AFFINE_A = (-1.0, -0.5, -0.25, -0.125, 0.0, 0.125, 0.5, 2.0)
+AFFINE_B = (0.25, 1.0, 1.5, 4.0)
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_affine_family_matches_closed_form(k):
+    # f is shared by every sector, so F_s(n) = b n + a n(n-1)/2 for every s;
+    # for a < 0 its first negative value sits at floor(1 - 2b/a) + 1, the
+    # bound-state count of the Morse-like case
+    d = 64
+    n = np.arange(d + 1)
+    for a in AFFINE_A:
+        for b in AFFINE_B:
+            F = solve_structure_function(StructureSpec.affine_family(k, a, b), d)
+            closed = b * n + a * n * (n - 1) / 2
+            for s in range(k):
+                np.testing.assert_allclose(F.values[s], closed, rtol=1e-12, atol=0,
+                                           err_msg=f"a={a} b={b} s={s}")
+            if a < 0:
+                expected = min(d, int(np.floor(1 - 2 * b / a)) + 1)
+                assert effective_dimension(F, d) == expected, (a, b)
+
+
 def test_effective_dimension_rejects_immediate_negativity():
     spec = StructureSpec.constant_values(2, -1.0)
     F = solve_structure_function(spec, 10)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from fsusy.errors import InvalidOrderError, RepresentationError
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
 from fsusy.qarith import primitive_root
 from fsusy.realization import (
-    boson_weights,
     build_kfermion_pair,
     build_tensor_realization,
     compare_realizations,
@@ -13,7 +14,7 @@ from fsusy.realization import (
     spectral_distance,
     verify_kfermions,
 )
-from fsusy.wkalg import build_rep
+from fsusy.wkalg import ColumnMap, build_rep
 
 
 def make_rep(k, d, spec=None):
@@ -24,9 +25,9 @@ def make_rep(k, d, spec=None):
 
 def test_ordinary_fermion_matrices():
     pair = build_kfermion_pair(2)
-    assert np.array_equal(pair.fm, np.array([[0, 1], [0, 0]], dtype=complex))
-    assert np.array_equal(pair.fp, np.array([[0, 0], [1, 0]], dtype=complex))
-    assert np.allclose(pair.Kf, np.diag([1, -1]), atol=1e-15)
+    assert np.array_equal(pair.fm.dense(), np.array([[0, 1], [0, 0]], dtype=complex))
+    assert np.array_equal(pair.fp.dense(), np.array([[0, 0], [1, 0]], dtype=complex))
+    assert np.allclose(pair.Kf.dense(), np.diag([1, -1]), atol=1e-15)
 
 
 def test_kfermion_order_is_validated():
@@ -47,13 +48,13 @@ def test_kfermion_invariants(k):
 @pytest.mark.parametrize("k", range(3, 9))
 def test_kfermion_pair_is_not_adjoint_above_order_two(k):
     pair = build_kfermion_pair(k)
-    assert np.linalg.norm(pair.fp - pair.fm.conj().T) > 0.1
+    assert np.linalg.norm(pair.fp.dense() - pair.fm.dense().conj().T) > 0.1
 
 
 @pytest.mark.parametrize("k", range(2, 8))
 def test_cyclic_lowering_support_and_order(k):
     pair = build_kfermion_pair(k)
-    A = cyclic_lowering(pair)
+    A = cyclic_lowering(pair).dense()
     for t in range(k):
         col = A[:, t]
         nonzero = np.flatnonzero(np.abs(col) > 1e-14)
@@ -65,68 +66,80 @@ def test_grading_eigenvalues_are_increment_differences():
     k = 5
     pair = build_kfermion_pair(k)
     q = primitive_root(k)
-    diag = np.diag(pair.Kf)
+    diag = pair.Kf.diagonal()
     assert np.allclose(diag, q ** np.arange(k), atol=1e-12)
+
+
+def make_tensor(rep):
+    return build_tensor_realization(build_kfermion_pair(rep.basis.k), rep.F)
+
+
+TENSOR_RELATIONS = [
+    "tensor.ladder_commutator",
+    "tensor.number_ladder",
+    "tensor.grading_ladder",
+    "tensor.grading_number",
+    "tensor.grading_cyclic",
+]
 
 
 class TestTensorRealization:
     def test_k2_matches_defining_relations(self):
         rep = make_rep(2, 10)
-        tensor = build_tensor_realization(2, 10, rep.spec)
-        entries = compare_realizations(tensor, rep, margin=2)
+        entries = compare_realizations(make_tensor(rep), rep, margin=2)
         by_name = {e.name: e for e in entries}
-        for key in [
-            "tensor.ladder_commutator",
-            "tensor.number_ladder",
-            "tensor.grading_ladder",
-            "tensor.grading_number",
-            "tensor.grading_cyclic",
-            "tensor.boson_commutator",
-        ]:
+        for key in TENSOR_RELATIONS:
             assert by_name[key].residual < 1e-10, key
             assert not by_name[key].informative
 
-    def test_k3_report_is_informative(self):
-        rep = make_rep(3, 12)
-        tensor = build_tensor_realization(3, 12, rep.spec)
-        entries = compare_realizations(tensor, rep, margin=3)
-        assert all(e.informative for e in entries)
-        assert all(np.isfinite(e.residual) for e in entries)
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_sector_constants_satisfy_every_relation(self, k):
+        # the tensor realization reads the coupled F, so sector-dependent
+        # constants close the algebra at every order
+        spec = StructureSpec.constant_values(k, [1 + 0.5 * s for s in range(k)])
+        rep = make_rep(k, 30, spec)
+        tensor = make_tensor(rep)
+        by_name = {e.name: e for e in compare_realizations(tensor, rep, margin=k)}
+        for key in TENSOR_RELATIONS:
+            assert not by_name[key].informative, key
+            assert by_name[key].residual < 1e-12, key
+        # both products are diagonal (test_tensor_and_graded_ladder_products_are_diagonal)
+        ours, graded = (tensor.Xp @ tensor.Xm).diagonal(), (rep.Xp @ rep.Xm).diagonal()
+        np.testing.assert_allclose(ours, graded, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_perturbed_raising_weight_fails_the_ladder_commutator(self, k):
+        rep = make_rep(k, 12)
+        tensor = make_tensor(rep)
+        weight = tensor.Xp.weight.copy()
+        weight[1 * 12 + 3] *= 1 + 1e-6  # |m=3> (x) |t=1>, inside the window
+        mutated = dataclasses.replace(tensor, Xp=ColumnMap(tensor.Xp.target, weight))
+        for op, passed in [(tensor, True), (mutated, False)]:
+            by_name = {e.name: e for e in compare_realizations(op, rep, margin=k)}
+            entry = by_name["tensor.ladder_commutator"]
+            assert not entry.informative
+            assert entry.passed is passed, entry.residual
 
     def test_lowering_reduces_number_by_one(self):
         for k in (2, 3, 4):
-            spec = StructureSpec.affine_family(k, 0.5, 1.0)
-            tensor = build_tensor_realization(k, 9, spec)
+            tensor = make_tensor(make_rep(k, 9, StructureSpec.affine_family(k, 0.5, 1.0)))
             N, Xm = tensor.N.dense(), tensor.Xm.dense()
             comm = N @ Xm - Xm @ N
             assert np.linalg.norm(comm + Xm) < 1e-12
 
     def test_grading_is_cyclic(self):
-        tensor = build_tensor_realization(4, 6, StructureSpec.constant_values(4, 1.0))
+        tensor = make_tensor(make_rep(4, 6))
         K4 = np.linalg.matrix_power(tensor.K.dense(), 4)
         assert np.allclose(K4, np.eye(24), atol=1e-12)
 
-    def test_boson_weights_match_structure_function_for_unit_constant(self):
-        # with one constant for every sector, the per-sector boson recursion
-        # and the sector-coupled graded structure function agree
-        spec = StructureSpec.constant_values(3, 1.0)
-        graded = solve_structure_function(spec, 8).values[:, :8]
-        assert np.allclose(boson_weights(spec, 8), graded, atol=1e-14)
-
     def test_order_mismatch_is_rejected(self):
-        spec = StructureSpec.constant_values(2, 1.0)
+        F = solve_structure_function(StructureSpec.constant_values(2, 1.0), 6)
         with pytest.raises(RepresentationError):
-            build_tensor_realization(3, 6, spec)
-
-    def test_negative_boson_weight_is_rejected(self):
-        # G(m) = 2m - m(m-1)/2 turns negative at m = 6
-        spec = StructureSpec.affine_family(2, -1.0, 2.0)
-        with pytest.raises(RepresentationError):
-            build_tensor_realization(2, 8, spec)
+            build_tensor_realization(build_kfermion_pair(3), F)
 
     def test_dimension_mismatch_in_comparison(self):
         rep = make_rep(2, 10)
-        tensor = build_tensor_realization(2, 8, StructureSpec.constant_values(2, 1.0))
+        tensor = make_tensor(make_rep(2, 8))
         with pytest.raises(RepresentationError):
             compare_realizations(tensor, rep, margin=2)
 
@@ -156,7 +169,7 @@ def test_tensor_and_graded_ladder_products_are_diagonal():
     # the spectral comparison reads the spectra of X+ X- off their diagonals
     spec = StructureSpec.affine_family(3, 0.5, 1.0)
     rep = make_rep(3, 9, spec)
-    tensor = build_tensor_realization(3, 9, spec)
+    tensor = make_tensor(rep)
     for Xp, Xm in [(rep.Xp, rep.Xm), (tensor.Xp, tensor.Xm)]:
         product = Xp.dense() @ Xm.dense()
         assert np.array_equal(product, np.diag(np.diag(product)))

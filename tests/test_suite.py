@@ -50,6 +50,7 @@ class TestRunConfig:
             dict(k=3, d=12, spec=UNIT3, margin=3, tolerance=0.0),
             dict(k=3, d=12, spec=UNIT3, margin=3, tolerance=float("nan")),
             dict(k=4, d=12, spec=UNIT3, margin=4),
+            dict(k=3, d=12, spec=UNIT3, margin=3, tolerance=float("inf")),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -126,22 +127,23 @@ class TestRunVerificationSuite:
         assert on_disk["config"]["k"] == 2
 
     def test_informative_entries_do_not_gate_the_verdict(self):
+        # the absolute spectral distance is the one entry recorded without
+        # gating; every tensor relation is asserted
         report = run_verification_suite(RunConfig(k=3, d=16, spec=UNIT3, margin=3))
-        tensor_entries = [e for e in report.entries if e.name.startswith("tensor.")]
-        assert tensor_entries
-        assert all(e.informative for e in tensor_entries)
+        informative = [e.name for e in report.entries if e.informative]
+        assert informative == ["tensor.spectral_distance"]
+        assert report.verdict == "pass"
 
     def test_k2_tensor_comparison_gates_the_verdict(self):
-        # sector-dependent weights break the single-mode tensor product:
-        # its commutator mixes adjacent sectors geometrically, so the k=2
-        # comparison (asserted, unlike k >= 3) honestly fails while every
-        # doublet and replica identity still passes
+        # sector-dependent weights: the tensor realization reads the coupled
+        # F, so its asserted comparison passes with every doublet and
+        # replica identity
         spec = StructureSpec.constant_values(2, [2.0, 0.5])
         report = run_verification_suite(RunConfig(k=2, d=12, spec=spec, margin=2))
-        assert report.verdict == "fail"
+        assert report.verdict == "pass"
         by_name = {e.name: e for e in report.entries}
         assert not by_name["tensor.ladder_commutator"].informative
-        assert not by_name["tensor.ladder_commutator"].passed
+        assert by_name["tensor.ladder_commutator"].passed
         assert by_name["fsusy.multilinear"].passed
         assert by_name["replica2.intertwining"].passed
         assert by_name["reduction.total_hamiltonian"].passed
