@@ -39,6 +39,9 @@ CONFIG_KEYS = {
     "out_report", "out_spectrum", "out_operators",
 }
 _SECTOR_KEY = re.compile(r"^c(\d+)$")
+# structure parameters that only one family reads; the sector constants c0,
+# c1, ... belong to the constant family
+_FAMILY_OF_KEY = {"a": "affine", "b": "affine", "table": "table"}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -175,6 +178,14 @@ def _build_spec(k: int, settings: dict) -> StructureSpec:
             family = "affine"
         else:
             family = "constant"
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}; choose from {FAMILIES}")
+    owners = {key: "constant" if _SECTOR_KEY.match(key) else _FAMILY_OF_KEY.get(key)
+              for key in settings}
+    foreign = sorted(key for key, owner in owners.items() if owner not in (None, family))
+    if foreign:
+        listing = ", ".join(f"{key} ({owners[key]} family)" for key in foreign)
+        raise ConfigError(f"the {family} family in use takes no {listing}")
     if family == "constant":
         bad = [s for s in sector_values if not 0 <= s < k]
         if bad:
@@ -185,11 +196,10 @@ def _build_spec(k: int, settings: dict) -> StructureSpec:
         if "a" not in settings or "b" not in settings:
             raise ConfigError("the affine family needs both a and b")
         return StructureSpec.affine_family(k, settings["a"], settings["b"])
-    if family == "table":
-        if "table" not in settings:
-            raise ConfigError("the table family needs a table CSV path")
-        return load_table_csv(settings["table"], k)
-    raise ConfigError(f"unknown family {family!r}; choose from {FAMILIES}")
+    # the table family
+    if "table" not in settings:
+        raise ConfigError("the table family needs a table CSV path")
+    return load_table_csv(settings["table"], k)
 
 
 def make_config(ns: argparse.Namespace) -> RunConfig:

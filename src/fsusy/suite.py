@@ -204,36 +204,50 @@ def emit_spectrum(
 
     Partner ladder rows carry an empty replica_s; replica rows repeat the two
     ladders a replica couples, read off the built h(s) diagonal (so the
-    omitted ground level shows its true entry, zero).
+    omitted ground level shows its true entry, zero).  Energies are written
+    as the shortest round-trip ``repr`` of their float64, signed zeros kept.
     """
     basis = doublet.rep.basis
+    rows = [[s, n, energy, ""]
+            for s, ladder in enumerate(doublet.partners.tolist(), start=1)
+            for n, energy in enumerate(ladder)]
+    for s in sorted(replicas):
+        h = replicas[s].h.diagonal().real.tolist()
+        for ladder in (s - 1, s):
+            start = basis.index(0, ladder)
+            rows += ([ladder, n, energy, s]
+                     for n, energy in enumerate(h[start:start + basis.d]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["s", "n", "energy", "replica_s"])
-        for s in range(1, doublet.k + 1):
-            for n in range(doublet.d):
-                writer.writerow([s, n, doublet.partner(s, n), ""])
-        for s in sorted(replicas):
-            h = replicas[s].h.diagonal()
-            for ladder in (s - 1, s):
-                for n in range(doublet.d):
-                    writer.writerow([ladder, n, float(h[basis.index(n, ladder)].real), s])
+        writer.writerows(rows)
 
 
 def write_matrix_market(path: str, op: ColumnMap) -> None:
-    """Matrix Market coordinate complex general, entries in row-major order."""
+    """Matrix Market coordinate complex general, entries in row-major order.
+
+    Each part is the shortest round-trip ``repr`` of its float64, signed
+    zeros kept, so reading the file back gives every entry exactly.
+    """
     cols = np.flatnonzero(op.weight)
     cols = cols[np.argsort(op.target[cols], kind="stable")]
+    weight = op.weight[cols].astype(complex, copy=False)
+    # each distinct part is formatted once; the memo is keyed by bit pattern
+    # because 0.0 and -0.0 are equal values that print differently
+    text: dict[int, str] = {}
+    parts = [text.get(bits) or text.setdefault(bits, repr(value))
+             for bits, value in zip(weight.view(np.int64).tolist(),
+                                    weight.view(np.float64).tolist())]
+    body = map("{} {} {} {}\n".format, (op.target[cols] + 1).tolist(), (cols + 1).tolist(),
+               parts[0::2], parts[1::2])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("%%MatrixMarket matrix coordinate complex general\n")
         fh.write(f"{op.dim} {op.dim} {cols.size}\n")
-        for i, j, v in zip(op.target[cols], cols, op.weight[cols]):
-            fh.write(f"{i + 1} {j + 1} {float(v.real)!r} {float(v.imag)!r}\n")
+        fh.write("".join(body))
 
 
-def dump_operators(system: GradedSystem, directory: str) -> list[str]:
-    """One Matrix Market file per operator, named after it; returns written paths."""
-    os.makedirs(directory, exist_ok=True)
+def named_operators(system: GradedSystem) -> dict[str, ColumnMap]:
+    """Every built operator under its dump name, in dump order."""
     rep, doublet = system.rep, system.doublet
     ops = {"Xm": rep.Xm, "Xp": rep.Xp, "N": rep.N, "K": rep.K}
     ops.update((f"Pi_{s}", P) for s, P in enumerate(rep.projectors))
@@ -241,9 +255,28 @@ def dump_operators(system: GradedSystem, directory: str) -> list[str]:
     for s, rd in sorted(system.replicas.items()):
         ops.update({f"X{s}m": rd.Xsm, f"X{s}p": rd.Xsp, f"q{s}m": rd.qm,
                     f"q{s}p": rd.qp, f"h{s}": rd.h})
+    return ops
+
+
+def dump_operators(system: GradedSystem, directory: str) -> list[str]:
+    """One Matrix Market file per operator, named after it; returns written paths.
+
+    A ``.mtx`` file already in the directory that this dump would not
+    overwrite, say a leftover of a larger system or of a replica now refused,
+    raises ConfigError before anything is written; no file is deleted.
+    """
+    files = {f"{name}.mtx": op for name, op in named_operators(system).items()}
+    if os.path.isdir(directory):
+        stale = sorted(f for f in os.listdir(directory)
+                       if f.endswith(".mtx") and f not in files)
+        if stale:
+            raise ConfigError(
+                f"{directory} already holds {', '.join(stale)}, which this dump "
+                "would not overwrite; choose an empty directory or remove them")
+    os.makedirs(directory, exist_ok=True)
     written = []
-    for name, op in ops.items():
-        path = os.path.join(directory, f"{name}.mtx")
+    for name, op in files.items():
+        path = os.path.join(directory, name)
         write_matrix_market(path, op)
         written.append(path)
     return written

@@ -163,6 +163,27 @@ class TestSpecSelection:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--family", "constant", "--a", "1", "--b", "2"],
+         "the constant family in use takes no a (affine family), b (affine family)"),
+        (["--family", "affine", "--a", "0.5", "--b", "1", "--c0", "3"],
+         "the affine family in use takes no c0 (constant family)"),
+        (["--a", "0.5", "--b", "1", "--c1", "7"],
+         "the affine family in use takes no c1 (constant family)"),
+        (["--family", "affine", "--a", "0.5", "--b", "1", "--table", "t.csv"],
+         "the affine family in use takes no table (table family)"),
+    ])
+    def test_parameter_of_another_family_exits_2(self, capsys, flags, message):
+        assert main(["verify", "--k", "3", "--d", "12", *flags]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_parameter_of_another_family_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 3\nd = 12\nfamily = affine\na = 0.5\nb = 1\nc1 = 7\n",
+                       encoding="utf-8")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "the affine family in use takes no c1 (constant family)" in capsys.readouterr().err
+
     def test_family_flag_is_validated_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--k", "3", "--d", "12", "--family", "bogus"])
@@ -219,6 +240,35 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("replica 5 skipped:")
         assert (out_dir / "X4m.mtx").exists()
         assert not (out_dir / "X5m.mtx").exists()
+
+    def test_dump_refuses_stale_files_of_a_larger_system(self, tmp_path, capsys):
+        out_dir = tmp_path / "ops"
+        assert main(["dump", "--k", "5", "--d", "12", "--out_operators", str(out_dir)]) == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert main(["dump", "--k", "2", "--d", "8", "--out_operators", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert "Pi_4.mtx" in err and "X4m.mtx" in err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+    def test_dump_refuses_file_of_a_replica_now_refused(self, tmp_path, capsys):
+        # affine (0.5, 1) builds replica 5; the unit constants refuse it
+        out_dir = tmp_path / "ops"
+        assert main(["dump", "--k", "5", "--d", "12", "--a", "0.5", "--b", "1",
+                     "--out_operators", str(out_dir)]) == 0
+        assert main(["dump", "--k", "5", "--d", "12",
+                     "--out_operators", str(out_dir)]) == 2
+        assert "X5m.mtx" in capsys.readouterr().err
+
+    def test_dump_same_config_twice_into_one_directory(self, tmp_path, capsys):
+        out_dir = tmp_path / "ops"
+        argv = ["dump", "--k", "5", "--d", "12", "--out_operators", str(out_dir)]
+        assert main(argv) == 0
+        first = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert main(argv) == 0
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == first
+        # 4 algebra + 5 projectors + 3 doublet + 5 for each of replicas 2..4
+        assert capsys.readouterr().out.splitlines().count(
+            f"27 operators written to {out_dir}") == 2
 
     def test_dump_requires_output_directory(self, capsys):
         assert main(["dump", "--k", "2", "--d", "6"]) == 2

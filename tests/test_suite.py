@@ -1,10 +1,13 @@
+import csv
 import gc
+import io
 import json
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.io import mmread
 
 import fsusy.suite
@@ -17,6 +20,7 @@ from fsusy.suite import (
     build_system,
     dump_operators,
     emit_spectrum,
+    named_operators,
     run_verification_suite,
     write_matrix_market,
 )
@@ -32,6 +36,40 @@ def small_system(k, d, spec=None):
     doublet = build_doublet(build_rep(spec, basis, solve_structure_function(spec, d)))
     replicas = {s: build_replica(doublet, s) for s in range(2, k + 1)}
     return GradedSystem(doublet.rep, doublet, replicas)
+
+
+# float64 parts a formatting memo must tell apart: 0.0 and -0.0 are equal
+# values with different bits, 1.0 and its successor are one ulp apart, and
+# 0.1 + 0.2 is not 0.3; plus a subnormal and a tiny negative
+WEIGHT_POOL = [0.0, -0.0, 1.0, float(np.nextafter(1.0, 2.0)), 0.1 + 0.2, 0.3,
+               5e-324, -1e-300]
+
+
+def entrywise_matrix_market(op: ColumnMap) -> str:
+    """Matrix Market text from a plain loop over every dense entry, row-major."""
+    M = op.dense()
+    n = op.dim
+    body = [f"{i + 1} {j + 1} {float(M[i, j].real)!r} {float(M[i, j].imag)!r}"
+            for i in range(n) for j in range(n) if M[i, j] != 0]
+    lines = ["%%MatrixMarket matrix coordinate complex general", f"{n} {n} {len(body)}"]
+    return "\n".join(lines + body) + "\n"
+
+
+def entrywise_spectrum(system: GradedSystem) -> str:
+    """Spectrum CSV from the row-by-row loop of the former writer."""
+    doublet, basis = system.doublet, system.rep.basis
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["s", "n", "energy", "replica_s"])
+    for s in range(1, doublet.k + 1):
+        for n in range(doublet.d):
+            writer.writerow([s, n, doublet.partner(s, n), ""])
+    for s in sorted(system.replicas):
+        h = system.replicas[s].h.diagonal()
+        for ladder in (s - 1, s):
+            for n in range(doublet.d):
+                writer.writerow([ladder, n, float(h[basis.index(n, ladder)].real), s])
+    return out.getvalue()
 
 
 class TestRunConfig:
@@ -180,6 +218,18 @@ class TestEmitSpectrum:
         emit_spectrum(system.doublet, system.replicas, str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("k, spec", [
+        (2, StructureSpec.constant_values(2, [1.0, 2.0])),
+        (5, StructureSpec.constant_values(5, 1.0)),  # replica 5 refused
+        (5, StructureSpec.affine_family(5, 0.5, 1.0)),
+    ])
+    def test_matches_row_by_row_reference(self, tmp_path, k, spec):
+        d = 30 if k == 2 else 40
+        system = build_system(RunConfig(k=k, d=d, spec=spec, margin=k))
+        path = tmp_path / "spectrum.csv"
+        emit_spectrum(system.doublet, system.replicas, str(path))
+        assert path.read_bytes() == entrywise_spectrum(system).encode("utf-8")
+
 
 class TestMatrixMarket:
     def test_round_trip(self, tmp_path):
@@ -195,23 +245,35 @@ class TestMatrixMarket:
         assert np.array_equal(np.asarray(back.todense()), op.dense())
 
     def test_matches_entrywise_reference(self, tmp_path):
-        # the writer's text against a plain loop over every entry of the
-        # dense matrix in row-major order, including signed zeros, round-off
-        # sized and purely imaginary entries, and two columns sharing a row
+        # round-off sized and purely imaginary entries, an all-zero complex
+        # -0.0 weight (not written) and two columns sharing a row
         rng = np.random.default_rng(5)
         target = np.array([3, 0, 5, 3, -1, 1, 8, 2, 0])
         weight = rng.normal(size=9) * 1e-17 + 1j * rng.normal(size=9)
         weight[[4, 8]] = 0.0
         weight[0], weight[1], weight[2] = -0.0, 1e-300, 2.5j
         op = ColumnMap(target, weight)
-        M = op.dense()
-        lines = ["%%MatrixMarket matrix coordinate complex general"]
-        body = [f"{i + 1} {j + 1} {float(M[i, j].real)!r} {float(M[i, j].imag)!r}"
-                for i in range(9) for j in range(9) if M[i, j] != 0]
-        lines += [f"9 9 {len(body)}"] + body
         path = tmp_path / "r.mtx"
         write_matrix_market(str(path), op)
-        assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+        assert path.read_text(encoding="utf-8") == entrywise_matrix_market(op)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_memo_matches_entrywise_reference(self, tmp_path_factory, data):
+        # both parts drawn from a small pool, so values repeat across
+        # entries and parts, and signed zeros sit beside nonzero partners
+        dim = data.draw(st.integers(2, 8))
+        target = np.array(data.draw(st.lists(st.integers(-1, dim - 1),
+                                             min_size=dim, max_size=dim)))
+        # two columns share a row
+        target[1] = target[0] = max(target[0], 0)
+        parts = st.lists(st.sampled_from(WEIGHT_POOL), min_size=dim, max_size=dim)
+        weight = np.array(data.draw(parts)) + 1j * np.array(data.draw(parts))
+        weight[target < 0] = 0.0
+        op = ColumnMap(target, weight)
+        path = tmp_path_factory.mktemp("memo") / "m.mtx"
+        write_matrix_market(str(path), op)
+        assert path.read_text(encoding="utf-8") == entrywise_matrix_market(op)
 
     def test_zero_matrix(self, tmp_path):
         path = tmp_path / "z.mtx"
@@ -220,6 +282,12 @@ class TestMatrixMarket:
         assert text.splitlines()[0] == "%%MatrixMarket matrix coordinate complex general"
         assert text.splitlines()[1] == "4 4 0"
         assert np.count_nonzero(np.asarray(mmread(str(path)).todense())) == 0
+
+    def test_real_weights_match_entrywise_reference(self, tmp_path):
+        op = ColumnMap(np.array([1, -1, 0]), np.array([-0.5, 0.0, 2.0]))
+        path = tmp_path / "x.mtx"
+        write_matrix_market(str(path), op)
+        assert path.read_text(encoding="utf-8") == entrywise_matrix_market(op)
 
     def test_header_and_one_based_indices(self, tmp_path):
         op = ColumnMap(np.array([-1, -1, 0]), np.array([0, 0, 1.5 - 0.25j]))
@@ -257,6 +325,32 @@ class TestDumpOperators:
         dump_operators(system, str(second))
         for path in sorted(first.iterdir()):
             assert path.read_bytes() == (second / path.name).read_bytes()
+
+    def test_every_file_reads_back_bit_exactly(self, tmp_path):
+        # shortest-repr text round-trips every float64, signed zeros included
+        spec = StructureSpec.affine_family(5, 0.5, 1.0)
+        system = build_system(RunConfig(k=5, d=40, spec=spec, margin=5))
+        ops = named_operators(system)
+        written = dump_operators(system, str(tmp_path))
+        assert [p.split("/")[-1] for p in written] == [f"{name}.mtx" for name in ops]
+        for name, op in ops.items():
+            coo = mmread(str(tmp_path / f"{name}.mtx"))
+            back = np.zeros((op.dim, op.dim), dtype=complex)
+            back[coo.row, coo.col] = coo.data
+            assert np.array_equal(back.view(np.int64), op.dense().view(np.int64)), name
+
+    def test_stale_files_refused_before_writing(self, tmp_path):
+        dump_operators(small_system(3, 6), str(tmp_path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ConfigError, match=r"Pi_2\.mtx.*X3m\.mtx"):
+            dump_operators(small_system(2, 4), str(tmp_path))
+        # nothing deleted, nothing overwritten
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_other_files_are_not_stale(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("kept\n", encoding="utf-8")
+        dump_operators(small_system(2, 4), str(tmp_path))
+        assert (tmp_path / "notes.txt").read_text(encoding="utf-8") == "kept\n"
 
 
 def test_build_system_skips_unfactorizable_replicas():
