@@ -38,7 +38,8 @@ CONFIG_KEYS = {
     "k", "d", "family", "a", "b", "table", "margin", "tolerance",
     "out_report", "out_spectrum", "out_operators",
 }
-_SECTOR_KEY = re.compile(r"^c(\d+)$")
+# canonical indices only: c00 would name sector 0 a second time
+_SECTOR_KEY = re.compile(r"^c(0|[1-9]\d*)$")
 # structure parameters that only one family reads; the sector constants c0,
 # c1, ... belong to the constant family
 _FAMILY_OF_KEY = {"a": "affine", "b": "affine", "table": "table"}

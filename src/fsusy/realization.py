@@ -44,6 +44,7 @@ from .wkalg import (
     ColumnMap,
     algebra_relation_residuals,
     build_projectors,
+    residual,
     window_description,
 )
 
@@ -99,25 +100,26 @@ def cyclic_lowering(pair: KFermionPair) -> ColumnMap:
 def verify_kfermions(pair: KFermionPair, strict: float = 1e-12) -> list[ReportEntry]:
     k, fm, fp = pair.k, pair.fm, pair.fp
     q = primitive_root(k)
+    zero = ColumnMap.diag(np.zeros(k))
     entries = [
         ReportEntry.check(
             "kfermion.q_commutator", "f- f+ - q f+ f- = 1",
-            (fm @ fp - q * (fp @ fm) - ColumnMap.diag(np.ones(k))).norm(),
+            residual(fm @ fp - q * (fp @ fm), ColumnMap.diag(np.ones(k))),
             strict, "full grade space"),
         ReportEntry.exact(
             "kfermion.nilpotency", "f-^k = 0 and f+^k = 0",
-            max((fm ** k).norm(), (fp ** k).norm())),
+            max(residual(fm ** k, zero), residual(fp ** k, zero))),
         # [f-, f+] is diagonal, so its diagonal is its eigenvalue multiset
         ReportEntry.check(
             "kfermion.grading_spectrum",
             "[f-, f+] has eigenvalue multiset {q^t : t = 0..k-1}",
-            (pair.Kf - ColumnMap.diag(q ** np.arange(k))).max_abs(),
+            residual(pair.Kf, ColumnMap.diag(q ** np.arange(k))),
             strict, "eigenvalue multiset"),
     ]
     if k == 2:
         entries.append(ReportEntry.exact(
             "kfermion.pair_adjoint", "for order 2 the pair is mutually adjoint",
-            (fp - fm.adjoint()).norm()))
+            residual(fp, fm.adjoint())))
     return entries
 
 
@@ -150,15 +152,6 @@ def build_tensor_realization(pair: KFermionPair, F: StructureFunction) -> Tensor
     return TensorRealization(k, d, Xm, Xp, _kron(one, pair.Kf), N, projectors)
 
 
-def spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest gap between two spectra, real up to round-off, paired in sorted order.
-
-    On the real line the i-th smallest of one spectrum is paired with the
-    i-th smallest of the other, the pairing with the least largest gap.
-    """
-    return float(np.abs(np.sort(a) - np.sort(b)).max())
-
-
 def compare_realizations(
     tensor: TensorRealization,
     rep: AlgebraRep,
@@ -179,12 +172,13 @@ def compare_realizations(
         ReportEntry.check(f"tensor.{key}", _RELATION_STATEMENTS[key], val, tolerance, win)
         for key, val in residuals.items()
     ]
-    # informative: the distance is absolute while the eigenvalues grow like
-    # F ~ a d^2 / 2, so round-off alone exceeds the tolerance at large d
-    # (7.3e-10 at k=8, d=1000, affine (0.5, 1))
+    # both products are diagonal, so their diagonals are their spectra, real
+    # up to round-off; sorted, the i-th smallest of one pairs with the i-th
+    # smallest of the other
+    spectra = [ColumnMap.diag(np.sort((Xp @ Xm).diagonal()))
+               for Xp, Xm in ((tensor.Xp, tensor.Xm), (rep.Xp, rep.Xm))]
     entries.append(ReportEntry.check(
         "tensor.spectral_distance",
         "eigenvalues of X+ X- agree between the tensor and graded constructions",
-        spectral_distance((tensor.Xp @ tensor.Xm).diagonal(), (rep.Xp @ rep.Xm).diagonal()),
-        tolerance, "eigenvalue multiset", informative=True))
+        residual(*spectra), tolerance, "eigenvalue multiset"))
     return entries

@@ -27,10 +27,10 @@ from .report import ReportEntry
 from .system import FsusyDoublet
 from .wkalg import (
     ColumnMap,
+    residual,
     sector_mask,
     window_description,
     window_mask,
-    window_residual,
 )
 
 
@@ -95,20 +95,21 @@ def verify_replica(
     P = window_mask(basis, margin)
     win = window_description(basis, margin)
     qm, qp, h = rd.qm, rd.qp, rd.h
+    zero = ColumnMap.diag(np.zeros(basis.dim))
     entries = []
 
-    nil = max((qm @ qm).norm(), (qp @ qp).norm())
+    nil = max(residual(qm @ qm, zero), residual(qp @ qp, zero))
     entries.append(ReportEntry.exact(
         f"replica{s}.nilpotency", "q- q- = 0 and q+ q+ = 0", nil))
     entries.append(ReportEntry.exact(
         f"replica{s}.pair_adjoint", "q+ is the conjugate transpose of q-",
-        (qp - qm.adjoint()).norm()))
+        residual(qp, qm.adjoint())))
     entries.append(ReportEntry.exact(
         f"replica{s}.anticommutator", "h = q- q+ + q+ q-",
-        (h - (qm @ qp + qp @ qm)).norm()))
+        residual(h, qm @ qp + qp @ qm)))
     entries.append(ReportEntry.check(
         f"replica{s}.hamiltonian_commutes", "[h, q-] = 0 and [h, q+] = 0",
-        max((h @ qm - qm @ h).norm(), (h @ qp - qp @ h).norm()),
+        max(residual(h @ qm, qm @ h), residual(h @ qp, qp @ h)),
         strict, "full space"))
 
     # product identity: X(s)- X(s)+ = H_s(N+1) on sector s-1
@@ -116,7 +117,7 @@ def verify_replica(
     entries.append(ReportEntry.check(
         f"replica{s}.shift_product",
         "X(s)- X(s)+ equals the partner ladder shifted one level down, on sector s-1",
-        window_residual(rd.Xsm @ rd.Xsp, shifted, P & sector_mask(basis, s - 1)),
+        residual(rd.Xsm @ rd.Xsp, shifted, P & sector_mask(basis, s - 1)),
         tolerance, win + f", sector {s - 1}"))
 
     # diagonal identity: h = H_(s-1) Pi_(s-1) + H_s Pi_s away from the
@@ -124,19 +125,16 @@ def verify_replica(
     lo, hi = sector_mask(basis, s - 1), sector_mask(basis, s)
     hi[basis.index(0, s)] = False
     expected = doublet.partner_diagonal(s - 1).masked(lo) + doublet.partner_diagonal(s).masked(hi)
-    dev = (h - expected).masked(P).max_abs()
     entries.append(ReportEntry.check(
         f"replica{s}.partner_diagonal",
         "h carries the two partner ladders on its pair of sectors and vanishes elsewhere",
-        dev, strict, win + f", omitting ground level of sector {s % basis.k}"))
+        residual(h, expected, P), strict,
+        win + f", omitting ground level of sector {s % basis.k}"))
 
     # intertwining: H_(s-1) X(s)- = X(s)- H_s and H_s X(s)+ = X(s)+ H_(s-1)
     Dlo = doublet.partner_diagonal(s - 1)
     Dhi = doublet.partner_diagonal(s)
-    inter = max(
-        window_residual(Dlo @ rd.Xsm, rd.Xsm @ Dhi, P),
-        window_residual(Dhi @ rd.Xsp, rd.Xsp @ Dlo, P),
-    )
+    inter = max(residual(Dlo @ rd.Xsm, rd.Xsm @ Dhi, P), residual(Dhi @ rd.Xsp, rd.Xsp @ Dlo, P))
     entries.append(ReportEntry.check(
         f"replica{s}.intertwining",
         "the shift operators intertwine adjacent partner ladders",
@@ -153,14 +151,13 @@ def check_isospectrality(
     the omitted ground levels fray the edges of a multiset comparison.
     """
     top = doublet.d - 1 - margin
-    dev = 0.0
-    for s in range(2, doublet.k + 1):
-        for n in range(1, top + 1):
-            dev = max(dev, abs(doublet.partner(s - 1, n - 1) - doublet.partner(s, n)))
+    # H_(s-1)(n-1) against H_s(n), s = 2 .. k and n = 1 .. top
+    lower = ColumnMap.diag(doublet.partners[:-1, :top].ravel())
+    upper = ColumnMap.diag(doublet.partners[1:, 1:top + 1].ravel())
     return ReportEntry.check(
         "partners.level_shift",
         "adjacent partner ladders agree after a one-level shift (wrap pair exempt)",
-        dev, tolerance, f"levels 1 <= n <= {top}, absolute deviation",
+        residual(lower, upper), tolerance, f"levels 1 <= n <= {top}",
     )
 
 
@@ -194,7 +191,7 @@ def verify_sum_identity(
         P[basis.index(0, s % k)] = False
     return ReportEntry.check(
         name, statement,
-        window_residual(doublet.H, rhs, P),
+        residual(doublet.H, rhs, P),
         tolerance,
         window_description(basis, margin) + ", omitting replica ground levels",
     )
@@ -210,10 +207,9 @@ def k2_reduction_entry(
     if doublet.k != 2 or rd.s != 2:
         raise FsusyError("the reduction check applies to the k = 2 replica only")
     basis = doublet.rep.basis
-    P = window_mask(basis, margin)
-    dev = (rd.h - doublet.H).masked(P).max_abs()
     return ReportEntry.check(
         "reduction.total_hamiltonian",
         "for order 2 the replica Hamiltonian h(2) equals H entrywise",
-        dev, strict, window_description(basis, margin),
+        residual(rd.h, doublet.H, window_mask(basis, margin)), strict,
+        window_description(basis, margin),
     )

@@ -13,8 +13,9 @@ PACKAGE_VERSION = "0.1.0"
 class ReportEntry:
     """One verified identity: its residual, tolerance and verdict.
 
-    Entries flagged informative are recorded but never affect the overall
-    verdict.  Construction failures carry an error string and a null residual.
+    Every entry is asserted and gates the verdict; ``informative`` stays
+    False and is kept only as a key of the report schema.  Construction
+    failures carry an error string and a null residual.
     """
 
     name: str
@@ -27,10 +28,9 @@ class ReportEntry:
     error: str | None = None
 
     @classmethod
-    def check(cls, name, statement, residual, tolerance, window, informative=False):
+    def check(cls, name, statement, residual, tolerance, window):
         residual = float(residual)
-        return cls(name, statement, residual, float(tolerance), residual <= tolerance,
-                   window, informative)
+        return cls(name, statement, residual, float(tolerance), residual <= tolerance, window)
 
     @classmethod
     def exact(cls, name, statement, residual, window="full space"):
@@ -54,7 +54,7 @@ class VerificationReport:
 
     @classmethod
     def compile(cls, config: dict, entries: list[ReportEntry]) -> "VerificationReport":
-        verdict = "pass" if all(e.passed for e in entries if not e.informative) else "fail"
+        verdict = "pass" if all(e.passed for e in entries) else "fail"
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
         return cls(dict(config), list(entries), verdict, stamp)
 
@@ -88,7 +88,7 @@ class VerificationReport:
             "family={family} margin={margin} tolerance={tolerance:g}".format(**cfg)
         )
         for e in self.entries:
-            tag = "info" if e.informative else ("PASS" if e.passed else "FAIL")
+            tag = "PASS" if e.passed else "FAIL"
             if e.error is not None:
                 lines.append(f"  [{tag}] {e.name}: error: {e.error}")
             else:

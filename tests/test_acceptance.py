@@ -98,26 +98,32 @@ def check_residual(entries, name, bound, point, bad, exact=False):
         bad.append(f"{point} {name}: residual {entry.residual:.3g}")
 
 
-@pytest.fixture(scope="module")
-def refused():
-    """Closed-form refusals: (k, family, s) -> first negative (n, H_s(n)).
+def closed_form_refusals(spec, d):
+    """Replicas the closed form refuses at margin = k: s -> first negative (n, H_s(n)).
 
     Levels above d_eff - 1 - margin are outside the range a replica must
     factorize (the suite drops them as truncation junk), so they are not
     scanned.  Values above -NONNEG_TOL count as nonnegative, as in the solver.
     """
     found = {}
-    for k in GRID_K:
-        for label, spec in grid_specs(k).items():
-            F = solve_structure_function(spec, GRID_D)
-            top = effective_dimension(F, GRID_D) - 1 - k  # margin = k
-            for s in range(2, k + 1):
-                for n in range(1, top + 1):
-                    value = partner_value(spec, F, s, n)
-                    if value < -NONNEG_TOL:
-                        found[k, label, s] = (n, value)
-                        break
+    F = solve_structure_function(spec, d)
+    top = effective_dimension(F, d) - 1 - spec.k
+    for s in range(2, spec.k + 1):
+        for n in range(1, top + 1):
+            value = partner_value(spec, F, s, n)
+            if value < -NONNEG_TOL:
+                found[s] = (n, value)
+                break
     return found
+
+
+@pytest.fixture(scope="module")
+def refused():
+    """Closed-form refusals on the grid: (k, family, s) -> first negative (n, H_s(n))."""
+    return {(k, label, s): first
+            for k in GRID_K
+            for label, spec in grid_specs(k).items()
+            for s, first in closed_form_refusals(spec, GRID_D).items()}
 
 
 def assert_documented_refusals(refused):
@@ -296,11 +302,38 @@ def test_criterion_09_kfermions_and_tensor_realization(grid):
         entries = by_name_list(report.entries)
         tensor = sorted(name for name in entries if name.startswith("tensor."))
         assert tensor == sorted(relations + ["tensor.spectral_distance"]), (k, label)
-        # every relation is asserted at every k; only the spectral distance informs
-        for name in relations:
+        # every relation and the spectral distance are asserted at every k
+        for name in relations + ["tensor.spectral_distance"]:
             assert not entries[name].informative, (k, label, name)
             check_residual(entries, name, 1e-10, f"k={k} {label}", bad)
-        assert entries["tensor.spectral_distance"].informative
+    assert not bad, "\n".join(bad)
+
+
+def failing_entries(report):
+    return sorted(e.name for e in report.entries if not e.passed)
+
+
+def test_verdicts_do_not_depend_on_d(grid):
+    # a verdict depends on the mathematics, not on the truncation: the same
+    # families at d = 150, 400 and 1000 give the verdict and failing entries
+    # of d = 40, unless the closed form refuses another set of replicas there
+    reports, _ = grid
+    bad = []
+    for k in GRID_K:
+        for label, spec in grid_specs(k).items():
+            base = reports[k, label]
+            base_refusals = closed_form_refusals(spec, GRID_D)
+            for d in (150, 400, 1000):
+                if closed_form_refusals(spec, d) != base_refusals:
+                    continue
+                report = run_verification_suite(RunConfig(k=k, d=d, spec=spec, margin=k))
+                if (report.verdict, failing_entries(report)) != (
+                        base.verdict, failing_entries(base)):
+                    worst = {e.name: e.residual for e in report.entries
+                             if not e.passed and e.residual is not None}
+                    bad.append(f"k={k} {label} d={d}: verdict {report.verdict}, failing "
+                               f"{failing_entries(report)} {worst}; at d={GRID_D} "
+                               f"{base.verdict}, {failing_entries(base)}")
     assert not bad, "\n".join(bad)
 
 

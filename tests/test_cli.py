@@ -124,6 +124,19 @@ class TestSpecSelection:
         # unset sectors keep the default weight
         assert config["constants"] == [2.0, 0.5, 1.0]
 
+    def test_sector_constant_alias_flag_exits_2(self, capsys):
+        # --c00 would otherwise override --c0 for the same sector
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--k", "2", "--d", "8", "--c0", "1", "--c00", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --c00" in capsys.readouterr().err
+
+    def test_sector_constant_alias_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 2\nd = 8\nc0 = 1\nc00 = 3\n", encoding="utf-8")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        assert "unknown key 'c00'" in capsys.readouterr().err
+
     def test_sector_constant_out_of_range(self, capsys):
         code = main(["verify", "--k", "2", "--d", "10", "--c5", "1.0"])
         assert code == 2

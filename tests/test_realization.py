@@ -11,7 +11,6 @@ from fsusy.realization import (
     build_tensor_realization,
     compare_realizations,
     cyclic_lowering,
-    spectral_distance,
     verify_kfermions,
 )
 from fsusy.wkalg import ColumnMap, build_rep
@@ -144,25 +143,46 @@ class TestTensorRealization:
             compare_realizations(tensor, rep, margin=2)
 
 
-def test_spectral_distance_of_identical_operators_is_zero():
-    rng = np.random.default_rng(7)
-    M = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-    vals = np.linalg.eigvals(M)
-    assert spectral_distance(vals, vals[rng.permutation(9)]) == 0.0
+def spectral_entry(tensor, rep):
+    entries = {e.name: e for e in compare_realizations(tensor, rep, margin=rep.basis.k)}
+    return entries["tensor.spectral_distance"]
 
 
-def test_spectral_distance_detects_shift():
-    vals = np.arange(5.0) + 0j
-    assert spectral_distance(vals, vals + 1) >= 1.0
+def test_spectral_distance_of_the_graded_operators_is_zero():
+    # the graded ladders themselves, with their states listed in another
+    # order, have the same sorted spectrum bit for bit
+    rep = make_rep(3, 9, StructureSpec.affine_family(3, 0.5, 1.0))
+    perm = np.random.default_rng(3).permutation(rep.basis.dim)
+    inverse = np.argsort(perm)
+    permuted = [ColumnMap(inverse[X.target[perm]], X.weight[perm]) for X in (rep.Xm, rep.Xp)]
+    tensor = dataclasses.replace(make_tensor(rep), Xm=permuted[0], Xp=permuted[1])
+    entry = spectral_entry(tensor, rep)
+    assert entry.residual == 0.0 and entry.passed
 
 
-def test_spectral_distance_pairs_near_real_values_in_order():
-    # round-off sized imaginary parts of either sign, in any order, leave
-    # the pairing of a real spectrum intact
-    rng = np.random.default_rng(3)
-    clean = np.repeat(np.arange(6.0), 2) + 0j
-    jitter = clean * (1 + 1e-15) + 1j * rng.choice([-1e-16, 1e-16], size=12)
-    assert spectral_distance(clean, jitter[rng.permutation(12)]) < 1e-12
+@pytest.mark.parametrize("level", [1, 18, 35])
+def test_spectral_distance_detects_one_scaled_weight(level):
+    # X+ X- takes one factor from X-, so scaling one X- weight by 1 + 1e-9
+    # moves one eigenvalue by 1e-9 of itself at any level of the window
+    rep = make_rep(4, 40, StructureSpec.affine_family(4, 0.5, 1.0))
+    tensor = make_tensor(rep)
+    weight = tensor.Xm.weight.copy()
+    weight[2 * 40 + level] *= 1 + 1e-9
+    mutated = dataclasses.replace(tensor, Xm=ColumnMap(tensor.Xm.target, weight))
+    assert spectral_entry(tensor, rep).passed
+    entry = spectral_entry(mutated, rep)
+    assert not entry.passed
+    assert entry.residual == pytest.approx(1e-9, rel=1e-3)
+
+
+def test_spectral_distance_is_asserted_at_large_d():
+    # the eigenvalues grow like a d^2 / 2 (2.5e5 here); relative to them the
+    # round-off stays near machine epsilon, where an absolute distance
+    # reached 7.3e-10
+    rep = make_rep(8, 1000, StructureSpec.affine_family(8, 0.5, 1.0))
+    entry = spectral_entry(make_tensor(rep), rep)
+    assert not entry.informative
+    assert entry.passed and entry.residual < 1e-13, entry.residual
 
 
 def test_tensor_and_graded_ladder_products_are_diagonal():

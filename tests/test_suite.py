@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -14,6 +15,7 @@ import fsusy.suite
 from fsusy.errors import ConfigError
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
 from fsusy.replicas import build_replica
+from fsusy.report import VerificationReport
 from fsusy.suite import (
     GradedSystem,
     RunConfig,
@@ -164,13 +166,16 @@ class TestRunVerificationSuite:
         assert on_disk["verdict"] == report.verdict
         assert on_disk["config"]["k"] == 2
 
-    def test_informative_entries_do_not_gate_the_verdict(self):
-        # the absolute spectral distance is the one entry recorded without
-        # gating; every tensor relation is asserted
+    def test_every_entry_gates_the_verdict(self):
+        # no entry is informative, so one failing entry, the spectral
+        # distance included, fails the run
         report = run_verification_suite(RunConfig(k=3, d=16, spec=UNIT3, margin=3))
-        informative = [e.name for e in report.entries if e.informative]
-        assert informative == ["tensor.spectral_distance"]
         assert report.verdict == "pass"
+        assert not any(e.informative for e in report.entries)
+        for entry in report.entries:
+            flipped = dataclasses.replace(entry, passed=False)
+            others = [flipped if e is entry else e for e in report.entries]
+            assert VerificationReport.compile(report.config, others).verdict == "fail"
 
     def test_k2_tensor_comparison_gates_the_verdict(self):
         # sector-dependent weights: the tensor realization reads the coupled

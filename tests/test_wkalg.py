@@ -14,9 +14,9 @@ from fsusy.wkalg import (
     build_projectors,
     build_rep,
     sector_mask,
+    residual,
     verify_wk_relations,
     window_mask,
-    window_residual,
 )
 
 
@@ -152,13 +152,24 @@ def test_window_mask_shape_and_errors():
         window_mask(basis, 5)
 
 
-def test_window_residual_normalization():
-    eye = ColumnMap.diag(np.ones(4))
-    zero = ColumnMap.diag(np.zeros(4))
-    window = np.ones(4, dtype=bool)
-    # small lhs norms fall back to an absolute residual
-    assert window_residual(0.5 * eye, zero, window) == pytest.approx(1.0)
-    assert window_residual(eye, eye, window) == 0.0
+def test_residual_scales_each_column():
+    values = np.array([0.5, 2.0, 1e6, 4.0])
+    lhs = ColumnMap.diag(values)
+    assert residual(lhs, lhs) == 0.0
+    # weights below 1 deviate absolutely, larger ones relatively
+    assert residual(lhs, ColumnMap.diag([0.25, 2.0, 1e6, 4.0])) == 0.25
+    assert residual(lhs, ColumnMap.diag(values * [1, 1, 1 + 1e-9, 1])) == pytest.approx(1e-9)
+    # one scaled weight shows at its own size, however many columns agree
+    big = ColumnMap.diag(np.arange(1.0, 10001.0))
+    scaled = ColumnMap.diag(big.weight * np.where(np.arange(10000) == 7, 1 + 1e-9, 1))
+    assert residual(big, scaled) == pytest.approx(1e-9)
+    # a weight in another row counts in full: (2 + 2) / 2
+    moved = ColumnMap(np.array([0, 2, 2, 3]), values)
+    assert residual(lhs, moved) == 2.0
+    # only window columns count, and an empty window leaves nothing to deviate
+    window = np.array([True, False, True, True])
+    assert residual(lhs, moved, window) == 0.0
+    assert residual(lhs, moved, np.zeros(4, dtype=bool)) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -225,6 +236,13 @@ def partial_permutations(draw, dim):
     return draw(column_maps(dim, [-1 if e else r for r, e in zip(rows, empty)]))
 
 
+def dense_residual(lhs: np.ndarray, rhs: np.ndarray, window: np.ndarray) -> float:
+    """Column 1-norm of lhs - rhs over max(1, column 1-norms), largest on the window."""
+    col = lambda m: np.abs(m).sum(axis=0)
+    dev = col(lhs - rhs) / np.maximum(1.0, np.maximum(col(lhs), col(rhs)))
+    return float(dev[window].max(initial=0.0))
+
+
 @given(k=st.integers(2, 4), d=st.integers(2, 8), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_column_map_matches_dense_oracle(k, d, data):
@@ -246,11 +264,12 @@ def test_column_map_matches_dense_oracle(k, d, data):
 
     window = np.array(data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
     Wd = np.diag(window.astype(complex))
-    want = np.linalg.norm((A.dense() - C.dense()) @ Wd) / max(1.0, np.linalg.norm(A.dense() @ Wd))
-    assert window_residual(A, C, window) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert residual(A, C, window) == dense_residual(A.dense(), C.dense(), window)
+    assert residual(A, B) == dense_residual(A.dense(), B.dense(), np.ones(dim, dtype=bool))
     assert np.array_equal(A.masked(window).dense(), A.dense() @ Wd)
 
-    # a different shift on a column where both are nonzero is refused
+    # a different shift on a column where both are nonzero is refused by
+    # + and -, and the residual counts both weights there
     live = np.flatnonzero(A.weight != 0)
     if live.size:
         j = data.draw(st.sampled_from(live.tolist()))
@@ -261,3 +280,5 @@ def test_column_map_matches_dense_oracle(k, d, data):
             A + D
         with pytest.raises(ValueError):
             A - D
+        assert residual(A, D, window) == dense_residual(A.dense(), D.dense(), window)
+        assert residual(A, D) > 0.0
