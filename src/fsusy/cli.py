@@ -101,37 +101,52 @@ def _add_system_flags(parser: argparse.ArgumentParser, sector_keys: list[str]) -
                             help=f"constant for sector {name[1:]}")
 
 
+_SUBCOMMANDS = {
+    "verify": "run the full identity suite and print a summary",
+    "spectrum": "emit partner and replica energies as CSV",
+    "dump": "emit every built operator as a Matrix Market file",
+    "sweep": "verify a grid of affine families",
+}
+
+
+def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--a-range", nargs=3, type=float, required=True,
+                        metavar=("MIN", "MAX", "STEPS"),
+                        help="affine slope grid: min max steps")
+    parser.add_argument("--b-range", nargs=3, type=float, required=True,
+                        metavar=("MIN", "MAX", "STEPS"),
+                        help="affine offset grid: min max steps")
+    parser.add_argument("--out-dir", required=True,
+                        help="directory for per-point reports and index.json")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="parallel workers, at least 1 and at most the "
+                             "CPU count (default 1)")
+
+
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The fsusy parser; only the subcommand that argv invokes gets its flags.
+
+    Every subcommand is registered, so ``fsusy -h`` and an invalid choice
+    read the same.  The top-level parser takes no option with a value, so
+    the first token of argv not starting with "-" names the subcommand.
+    """
     parser = argparse.ArgumentParser(
         prog="fsusy",
         description="Build and verify fractional supersymmetric systems "
                     "on truncated graded Fock spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sector_keys = _sector_flags(argv)
-    for name, text in [
-        ("verify", "run the full identity suite and print a summary"),
-        ("spectrum", "emit partner and replica energies as CSV"),
-        ("dump", "emit every built operator as a Matrix Market file"),
-        ("sweep", "verify a grid of affine families"),
-    ]:
+    invoked = next((token for token in argv if not token.startswith("-")), None)
+    for name, text in _SUBCOMMANDS.items():
         # the sweep matches no prefixes, which would read --a as --a-range
         p = sub.add_parser(name, help=text, allow_abbrev=name != "sweep")
+        if name != invoked:
+            continue
         _add_common_flags(p)
         if name == "sweep":
-            p.add_argument("--a-range", nargs=3, type=float, required=True,
-                           metavar=("MIN", "MAX", "STEPS"),
-                           help="affine slope grid: min max steps")
-            p.add_argument("--b-range", nargs=3, type=float, required=True,
-                           metavar=("MIN", "MAX", "STEPS"),
-                           help="affine offset grid: min max steps")
-            p.add_argument("--out-dir", required=True,
-                           help="directory for per-point reports and index.json")
-            p.add_argument("--jobs", type=int, default=1,
-                           help="parallel workers, at least 1 and at most the "
-                                "CPU count (default 1)")
+            _add_sweep_flags(p)
         else:
-            _add_system_flags(p, sector_keys)
+            _add_system_flags(p, _sector_flags(argv))
     return parser
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,19 +87,50 @@ class StructureSpec:
                 raise ConfigError(f"table sector {s} outside 0..{k - 1}")
         return cls(k=k, family="table", table=table)
 
-    def f(self, s: int, n: int) -> float:
-        """Value of f_s(n); the sector index is reduced mod k."""
-        s = s % self.k
+    def f(self, s, n):
+        """Value of f_s(n); the sector index is reduced mod k.
+
+        s and n may be integer arrays, which broadcast against each other;
+        two scalars give a float.
+        """
+        s, n = np.mod(s, self.k), np.asarray(n)
         if self.family == "constant":
-            return self.constants[s]
-        if self.family == "affine":
-            return self.a * n + self.b
-        try:
-            return self.table[(s, n)]
-        except KeyError:
+            values = np.array(self.constants)[s]
+        elif self.family == "affine":
+            values = self.a * n + self.b
+        else:
+            values = self._lookup(s, n)
+        shape = np.broadcast(s, n).shape
+        if values.shape != shape:
+            values = np.broadcast_to(values, shape).copy()
+        return float(values) if values.ndim == 0 else values
+
+    @cached_property
+    def _table_codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Table keys coded as n*k + s in ascending order, and their values.
+
+        The last code is a sentinel above every level's code.  A key whose
+        argument is too large for an int64 code is left out: no space that
+        fits in memory reaches that level.
+        """
+        top = np.iinfo(np.int64).max
+        limit = top // (2 * self.k)
+        pairs = sorted((n * self.k + s, v) for (s, n), v in self.table.items() if abs(n) < limit)
+        codes, values = zip(*pairs, (top, np.nan))
+        return np.array(codes, dtype=np.int64), np.array(values)
+
+    def _lookup(self, s: np.ndarray, n: np.ndarray) -> np.ndarray:
+        codes, values = self._table_codes
+        want = n * self.k + s
+        at = np.searchsorted(codes, want)
+        missing = codes[at] != want
+        if missing.any():
+            # the first missing key in C order of the broadcast arguments
+            n_i, s_i = divmod(int(want.flat[np.flatnonzero(missing)[0]]), self.k)
             raise DomainError(
-                f"table spec has no value for sector {s} at argument n = {n}"
-            ) from None
+                f"table spec has no value for sector {s_i} at argument n = {n_i}"
+            )
+        return values[at]
 
     @property
     def preset(self) -> str | None:
@@ -157,18 +189,27 @@ class StructureFunction:
 
 
 def solve_structure_function(spec: StructureSpec, d: int) -> StructureFunction:
-    """March the coupled recursion up from F_s(0) = 0.
+    """Solve the coupled recursion up from F_s(0) = 0.
 
     Each pair (s, n+1) is reached from exactly one predecessor
-    (s-1 mod k, n), so the solution is unique.
+    (s-1 mod k, n), so the solution is unique: along the chain that starts
+    at sector c, F_(c+n mod k)(n) is the sum of f_(c+j mod k)(j) over j < n,
+    added left to right to 0.0.
     """
     if d < 2:
         raise DegenerateSpaceError(f"need at least 2 levels per sector, got {d}")
-    values = np.zeros((spec.k, d + 1))
-    for n in range(d):
-        for s in range(spec.k):
-            values[(s + 1) % spec.k, n + 1] = values[s, n] + spec.f(s, n)
-    return StructureFunction(spec.k, d, values)
+    k = spec.k
+    # f_s(n) at [n, s], so a missing table value is reported level by level
+    f = spec.f(np.arange(k), np.arange(d)[:, None])
+    n = np.arange(d + 1)
+    chain = (np.arange(k)[:, None] + n) % k
+    # each chain's running sum starts from F_s(0) = 0.0, not from its first
+    # step, so a first step of -0.0 gives F = +0.0
+    steps = np.zeros((k, d + 1))
+    steps[:, 1:] = f[n[:-1], chain[:, :-1]]
+    values = np.empty((k, d + 1))
+    values[chain, n] = np.cumsum(steps, axis=1)
+    return StructureFunction(k, d, values)
 
 
 def effective_dimension(F: StructureFunction, requested_d: int) -> int:
@@ -179,11 +220,8 @@ def effective_dimension(F: StructureFunction, requested_d: int) -> int:
     """
     if requested_d > F.d:
         raise ValueError(f"F solved to n = {F.d}, cannot scan up to {requested_d}")
-    limit = requested_d
-    for n in range(requested_d):
-        if F.values[:, n].min() < -NONNEG_TOL:
-            limit = n
-            break
+    negative = np.flatnonzero((F.values[:, :requested_d] < -NONNEG_TOL).any(axis=0))
+    limit = int(negative[0]) if negative.size else requested_d
     if limit < 2:
         raise DegenerateSpaceError(
             f"structure values go negative at level {limit}; fewer than 2 levels survive"

@@ -59,16 +59,20 @@ def build_shift_operators(
     k, d = basis.k, basis.d
     if not 2 <= s <= k:
         raise FsusyError(f"replica index {s} outside 2..{k}")
+    n = np.arange(1, d)
+    v = doublet.partners[s - 1, 1:]
+    negative = v < -NONNEG_TOL
+    refused = np.flatnonzero(negative & (n <= d - 1 - slack))
+    if refused.size:
+        first = refused[0]
+        raise FactorizationError(s, int(n[first]), float(v[first]))
+    # the remaining negative values sit in the top slack levels and are dropped
+    keep = n[~negative]
     target = np.full(basis.dim, -1)
     weight = np.zeros(basis.dim, dtype=complex)
-    for n in range(1, d):
-        v = doublet.partner(s, n)
-        if v < -NONNEG_TOL:
-            if n > d - 1 - slack:
-                continue
-            raise FactorizationError(s, n, v)
-        target[basis.index(n, s)] = basis.index(n - 1, s - 1)
-        weight[basis.index(n, s)] = np.sqrt(max(v, 0.0))
+    cols = (s % k) * d + keep
+    target[cols] = (s - 1) % k * d + keep - 1
+    weight[cols] = np.sqrt(np.maximum(v[keep - 1], 0.0))
     Xsm = ColumnMap(target, weight)
     return Xsm, Xsm.adjoint()
 

@@ -223,27 +223,40 @@ def emit_spectrum(
         writer.writerows(rows)
 
 
-def write_matrix_market(path: str, op: ColumnMap) -> None:
+def write_matrix_market(
+    path: str,
+    op: ColumnMap,
+    text: dict[int, str] | None = None,
+    index: list[str] | None = None,
+) -> None:
     """Matrix Market coordinate complex general, entries in row-major order.
 
     Each part is the shortest round-trip ``repr`` of its float64, signed
-    zeros kept, so reading the file back gives every entry exactly.
+    zeros kept, so reading the file back gives every entry exactly.  ``text``
+    maps float64 bit patterns to their repr and ``index[i]`` is the text of
+    the 1-based index i + 1; both may be shared by the files of one dump.
     """
+    text = {} if text is None else text
+    if index is None:
+        index = [str(i) for i in range(1, op.dim + 1)]
     cols = np.flatnonzero(op.weight)
     cols = cols[np.argsort(op.target[cols], kind="stable")]
-    weight = op.weight[cols].astype(complex, copy=False)
-    # each distinct part is formatted once; the memo is keyed by bit pattern
-    # because 0.0 and -0.0 are equal values that print differently
-    text: dict[int, str] = {}
-    parts = [text.get(bits) or text.setdefault(bits, repr(value))
-             for bits, value in zip(weight.view(np.int64).tolist(),
-                                    weight.view(np.float64).tolist())]
-    body = map("{} {} {} {}\n".format, (op.target[cols] + 1).tolist(), (cols + 1).tolist(),
-               parts[0::2], parts[1::2])
+    bits = op.weight[cols].astype(complex, copy=False).view(np.int64).tolist()
+    # keyed by bit pattern because 0.0 and -0.0 are equal values that print
+    # differently
+    unseen = list(set(bits).difference(text))
+    text.update(zip(unseen, map(repr, np.array(unseen, dtype=np.int64).view(np.float64).tolist())))
+    # one line per entry, "row col re im", as eight interleaved pieces
+    line = [" "] * (8 * cols.size)
+    line[0::8] = map(index.__getitem__, op.target[cols].tolist())
+    line[2::8] = map(index.__getitem__, cols.tolist())
+    parts = list(map(text.__getitem__, bits))
+    line[4::8] = parts[0::2]
+    line[6::8] = parts[1::2]
+    line[7::8] = ["\n"] * cols.size
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("%%MatrixMarket matrix coordinate complex general\n")
-        fh.write(f"{op.dim} {op.dim} {cols.size}\n")
-        fh.write("".join(body))
+        fh.write(f"%%MatrixMarket matrix coordinate complex general\n"
+                 f"{op.dim} {op.dim} {cols.size}\n" + "".join(line))
 
 
 def named_operators(system: GradedSystem) -> dict[str, ColumnMap]:
@@ -274,9 +287,12 @@ def dump_operators(system: GradedSystem, directory: str) -> list[str]:
                 f"{directory} already holds {', '.join(stale)}, which this dump "
                 "would not overwrite; choose an empty directory or remove them")
     os.makedirs(directory, exist_ok=True)
+    # every part and index is formatted once per dump, not once per file
+    text: dict[int, str] = {}
+    index = [str(i) for i in range(1, system.rep.basis.dim + 1)]
     written = []
     for name, op in files.items():
         path = os.path.join(directory, name)
-        write_matrix_market(path, op)
+        write_matrix_market(path, op, text, index)
         written.append(path)
     return written

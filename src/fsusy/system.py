@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import RepresentationError
 from .fock import StructureFunction, StructureSpec
 from .report import ReportEntry
 from .wkalg import (
@@ -27,7 +28,6 @@ from .wkalg import (
     ColumnMap,
     residual,
     sector_mask,
-    weight_diagonal,
     window_description,
     window_mask,
 )
@@ -75,17 +75,29 @@ def build_supercharges(rep: AlgebraRep) -> tuple[ColumnMap, ColumnMap]:
 
 
 def build_hamiltonian_operator(rep: AlgebraRep) -> ColumnMap:
-    """Assemble H term by term from its defining expression."""
+    """Assemble H term by term from its defining expression.
+
+    Every term after (k-1) X+ X- is a diagonal; their weights are subtracted
+    in the order of the expression, each as ((c f_t(N + shift)) Pi_s).
+    """
     basis, spec = rep.basis, rep.spec
-    k = basis.k
-    H = (k - 1) * (rep.Xp @ rep.Xm)
-    for s in range(3, k + 1):
-        for t in range(2, s):
-            H -= (t - 1) * weight_diagonal(spec, basis, t, t - s) @ rep.projector(s)
-    for s in range(1, k):
-        for t in range(s, k):
-            H -= (t - k) * weight_diagonal(spec, basis, t, t - s) @ rep.projector(s)
-    return H
+    k, d = basis.k, basis.d
+    XpXm = rep.Xp @ rep.Xm
+    diagonal = np.arange(basis.dim)
+    if np.any((XpXm.target != diagonal) & (XpXm.weight != 0)):
+        raise RepresentationError("X+ X- sends a column off the diagonal")
+    H = (k - 1) * XpXm.weight
+    terms = [(s, t, t - 1) for s in range(3, k + 1) for t in range(2, s)]
+    terms += [(s, t, t - k) for s in range(1, k) for t in range(s, k)]
+    sector, t, c = (np.array(column)[:, None] for column in zip(*terms))
+    # c f_t(n + t - s) of every term, one term per row
+    weights = c * spec.f(t, np.arange(d) + t - sector).astype(complex)
+    projectors = [P.weight.reshape(k, d) for P in rep.projectors]
+    # row s of this view is sector s of H
+    by_sector = H.reshape(k, d)
+    for s, w in zip(sector[:, 0] % k, weights):
+        by_sector -= w * projectors[s]
+    return ColumnMap(diagonal, H)
 
 
 def partner_value(spec: StructureSpec, F: StructureFunction, s: int, n: int) -> float:
@@ -99,20 +111,42 @@ def partner_value(spec: StructureSpec, F: StructureFunction, s: int, n: int) -> 
     k = spec.k
     if not 1 <= s <= k:
         raise ValueError(f"partner index {s} outside 1..{k}")
-    base = (k - 1) * F.value(s % k, n)
-    mid = sum((t - 1) * spec.f(t, n - s + t) for t in range(2, k))
-    tail = (k - 1) * sum(spec.f(t, n - s + t) for t in range(s, k))
-    return base - mid + tail
+    # explicit left-to-right sums from 0.0: sum() of floats is compensated
+    # from Python 3.12 on, which would round differently
+    mid = 0.0
+    for t in range(2, k):
+        mid += (t - 1) * spec.f(t, n - s + t)
+    tail = 0.0
+    for t in range(s, k):
+        tail += spec.f(t, n - s + t)
+    return (k - 1) * F.value(s % k, n) - mid + (k - 1) * tail
+
+
+def partner_table(spec: StructureSpec, F: StructureFunction, d: int) -> np.ndarray:
+    """partner_value at every partner index s = 1 .. k (rows) and level n < d.
+
+    Each term is added in partner_value's order, from a 0.0 start as its
+    sums make, so the table equals the closed form bit for bit.
+    """
+    k = spec.k
+    s = np.arange(1, k + 1)[:, None]
+    n = np.arange(d)
+    # f_t(n - s + t) at [t - 2, s - 1, n] for t = 2 .. k-1
+    t = np.arange(2, k)[:, None, None]
+    f = spec.f(t, n - s + t)
+    mid, tail = np.zeros((k, d)), np.zeros((k, d))
+    # f_t enters the tail of rows s <= t only; f_1 that of s = 1 alone
+    tail[0] += spec.f(1, n)
+    for j, ft in enumerate(f, start=2):
+        mid += (j - 1) * ft
+        tail[:j] += ft[:j]
+    return (k - 1) * F.values[s[:, 0] % k, :d] - mid + (k - 1) * tail
 
 
 def build_doublet(rep: AlgebraRep) -> FsusyDoublet:
     Qm, Qp = build_supercharges(rep)
     H = build_hamiltonian_operator(rep)
-    d = rep.basis.d
-    partners = np.array(
-        [[partner_value(rep.spec, rep.F, s, n) for n in range(d)]
-         for s in range(1, rep.basis.k + 1)]
-    )
+    partners = partner_table(rep.spec, rep.F, rep.basis.d)
     return FsusyDoublet(rep, Qm, Qp, H, partners)
 
 

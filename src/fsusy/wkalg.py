@@ -90,11 +90,12 @@ class ColumnMap:
     def adjoint(self) -> ColumnMap:
         cols = np.flatnonzero(self.weight)
         rows = self.target[cols]
-        if np.unique(rows).size != rows.size:
-            raise ValueError("two columns share a row; the adjoint is no column map")
         target = np.full(self.dim, -1)
-        weight = np.zeros(self.dim, dtype=complex)
         target[rows] = cols
+        # two columns sharing a row would fill fewer rows than there are columns
+        if np.count_nonzero(target >= 0) != cols.size:
+            raise ValueError("two columns share a row; the adjoint is no column map")
+        weight = np.zeros(self.dim, dtype=complex)
         weight[rows] = self.weight[cols].conj()
         return ColumnMap(target, weight)
 
@@ -282,8 +283,7 @@ def algebra_relation_residuals(
 
 def weight_diagonal(spec: StructureSpec, basis: GradedBasis, t: int, shift: int = 0) -> ColumnMap:
     """Diagonal f_t(N + shift): entry f_t(n + shift) at every state |n, .>."""
-    vals = np.array([spec.f(t, n + shift) for n in range(basis.d)], dtype=complex)
-    return ColumnMap.diag(np.tile(vals, basis.k))
+    return ColumnMap.diag(np.tile(spec.f(t, np.arange(basis.d) + shift), basis.k))
 
 
 def verify_wk_relations(rep: AlgebraRep, margin: int, tolerance: float = 1e-10) -> list[ReportEntry]:

@@ -281,7 +281,7 @@ def test_criterion_08_solver_matches_telescoped_form():
         for s in range(k):
             for n in range(d + 1):
                 closed = sum(
-                    spec.f((s - j) % k, n - j) for j in range(1, n + 1)
+                    table[(s - j) % k, n - j] for j in range(1, n + 1)
                 )
                 assert abs(solved.values[s, n] - closed) < 1e-12
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,6 +168,28 @@ class TestSpecSelection:
         config = json.loads(out.read_text(encoding="utf-8"))["config"]
         assert config["family"] == "table"
         assert config["table_size"] == 2 * (10 + 2 * 2 + 1)
+
+    def test_table_missing_a_below_ground_argument_fails_construction(self, tmp_path, capsys):
+        # at k = 3 Hamiltonian assembly reads f_1(n) and f_2(n - 1 .. n + 1);
+        # of the dropped keys only (2, -1) is among them, while f_0 and the
+        # arguments -2 are never read
+        k, d = 3, 10
+        dropped = {(2, -1), (0, -1), (1, -2), (2, -2)}
+        rows = [f"{s},{n},1.0" for s in range(k) for n in range(-k, d + k + 1)
+                if (s, n) not in dropped]
+        table = tmp_path / "structure.csv"
+        table.write_text("\n".join(["s,n,f", *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        code = main(["verify", "--k", str(k), "--d", str(d),
+                     "--table", str(table), "--out_report", str(out)])
+        assert code == 1
+        assert "verdict: fail" in capsys.readouterr().out
+        entries = json.loads(out.read_text(encoding="utf-8"))["entries"]
+        assert [e["name"] for e in entries] == ["construction.representation"]
+        named = re.fullmatch(r"table spec has no value for sector (\d+) at argument n = (-?\d+)",
+                             entries[0]["error"])
+        assert named is not None, entries[0]["error"]
+        assert (int(named[1]), int(named[2])) == (2, -1)
 
     @pytest.mark.parametrize("flags", [
         ["--a", "nan", "--b", "1"],
@@ -466,6 +490,49 @@ def child_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+HELP = Path(__file__).parent / "data" / "help"
+
+
+class TestParserText:
+    """Help and usage errors, byte for byte as fsusy printed them while it
+    still gave every subcommand its flags on every call (argparse of Python
+    3.11 at 80 columns)."""
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["-h"], "fsusy.txt"),
+        (["verify", "-h"], "verify.txt"),
+        (["spectrum", "-h"], "spectrum.txt"),
+        (["dump", "-h"], "dump.txt"),
+        (["sweep", "-h"], "sweep.txt"),
+        (["verify", "--c0", "1", "--c2", "3", "-h"], "verify_c0_c2.txt"),
+    ])
+    def test_help(self, monkeypatch, capsys, argv, golden):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == (HELP / golden).read_text(encoding="utf-8")
+
+    def test_only_the_invoked_subcommand_gets_flags(self):
+        parser = fsusy.cli.build_parser(["spectrum", "--k", "3"])
+        subcommands = next(a for a in parser._actions
+                           if isinstance(a, argparse._SubParsersAction)).choices
+        flags = {name: [a.dest for a in p._actions] for name, p in subcommands.items()}
+        assert flags["verify"] == flags["dump"] == flags["sweep"] == ["help"]
+        assert "k" in flags["spectrum"] and "out_spectrum" in flags["spectrum"]
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["bogus"], "invalid_choice.txt"),
+        ([], "no_command.txt"),
+    ])
+    def test_usage_errors(self, monkeypatch, capsys, argv, golden):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (HELP / golden).read_text(encoding="utf-8")
 
 
 class TestModuleEntryPoint:

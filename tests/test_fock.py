@@ -54,6 +54,36 @@ class TestStructureSpec:
         with pytest.raises(DomainError):
             spec.f(0, 5)
 
+    @pytest.mark.parametrize("spec", [
+        StructureSpec.constant_values(3, [1.0, -0.0, 2.5]),
+        StructureSpec.affine_family(3, 0.5, 1.0),
+        StructureSpec.from_table(3, {(s, n): s + n / 8 for s in range(3) for n in range(-2, 6)}),
+    ], ids=["constant", "affine", "table"])
+    def test_array_arguments_broadcast_like_scalar_calls(self, spec):
+        s, n = np.arange(-1, 5)[:, None], np.arange(-2, 6)
+        values = spec.f(s, n)
+        assert values.shape == (6, 8)
+        expected = [[spec.f(int(a), int(b)) for b in n] for a in s[:, 0]]
+        assert values.tobytes() == np.array(expected).tobytes()
+        assert type(spec.f(1, 2)) is float
+        assert spec.f(2, n).shape == spec.f(np.arange(8), 3).shape == (8,)
+
+    def test_table_names_the_first_missing_key_in_argument_order(self):
+        spec = StructureSpec.from_table(3, {(s, n): 1.0 for s in range(3) for n in range(4)
+                                            if (s, n) not in {(2, 1), (1, 2)}})
+        with pytest.raises(DomainError, match="sector 2 at argument n = 1"):
+            spec.f(np.arange(3), np.arange(4)[:, None])
+        with pytest.raises(DomainError, match="sector 1 at argument n = 2"):
+            spec.f(np.arange(3)[:, None], np.arange(4))
+        with pytest.raises(DomainError, match="sector 0 at argument n = -1"):
+            spec.f(3, -1)
+
+    def test_table_argument_beyond_any_level_is_never_read(self):
+        spec = StructureSpec.from_table(2, {(0, 0): 1.0, (1, 0): 2.0, (1, 10**30): 3.0})
+        assert spec.f(np.arange(2), 0).tolist() == [1.0, 2.0]
+        with pytest.raises(DomainError, match="sector 1 at argument n = 1"):
+            spec.f(1, 1)
+
     def test_presets(self):
         assert StructureSpec.affine_family(3, 0.0, 1.0).preset == "harmonic"
         assert StructureSpec.affine_family(3, -0.1, 2.0).preset == "morse"

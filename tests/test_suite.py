@@ -344,6 +344,24 @@ class TestDumpOperators:
             back[coo.row, coo.col] = coo.data
             assert np.array_equal(back.view(np.int64), op.dense().view(np.int64)), name
 
+    @pytest.mark.parametrize("k, d, spec", [
+        (5, 40, StructureSpec.affine_family(5, 0.5, 1.0)),
+        # X- carries +0.0 imaginary parts and X+, its conjugate, -0.0 ones
+        (2, 6, StructureSpec.constant_values(2, 1.0)),
+    ], ids=["k=5", "k=2-signed-zeros"])
+    def test_shared_text_table_matches_entrywise_reference(self, tmp_path, k, d, spec):
+        # one memo serves every file of a dump; it must neither mix 0.0 with
+        # -0.0 nor carry one file's entries into the next
+        system = build_system(RunConfig(k=k, d=d, spec=spec, margin=k))
+        ops = named_operators(system)
+        dump_operators(system, str(tmp_path))
+        texts = {name: (tmp_path / f"{name}.mtx").read_text(encoding="utf-8") for name in ops}
+        parts = {part for text in texts.values()
+                 for line in text.splitlines()[2:] for part in line.split()[2:]}
+        assert {"0.0", "-0.0"} <= parts
+        for name, op in ops.items():
+            assert texts[name] == entrywise_matrix_market(op), name
+
     def test_stale_files_refused_before_writing(self, tmp_path):
         dump_operators(small_system(3, 6), str(tmp_path))
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}

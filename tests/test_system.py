@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
+from fsusy.suite import RunConfig, build_system
 from fsusy.system import (
     build_doublet,
     partner_consistency_entry,
@@ -139,3 +140,44 @@ def test_multilinear_window_tightness():
     db = make_doublet(4, 12)
     entries = {e.name: e for e in verify_fsusy(db, margin=4)}
     assert entries["fsusy.multilinear"].residual < 1e-12
+
+
+DYADIC_A = (-0.25, -0.125, 0.0, 0.125, 0.5, 2.0)
+DYADIC_B = (0.25, 1.0, 1.5, 4.0)
+
+
+@pytest.mark.parametrize("k", range(2, 6))
+def test_partner_table_matches_affine_closed_form(k):
+    # f_t(m) = a m + b in every sector, F(n) = b n + a n(n-1)/2, so
+    #   sum_{t=2..k-1} (t-1) f_t(n-s+t) = (k-2)(k-1)/2 g + a (k-2)(k-1)k/3
+    #   sum_{t=s..k-1}       f_t(n-s+t) = (k-s) g + a (k-s)(k-1+s)/2
+    # with g = a (n - s) + b; dyadic a, b keep every value exact
+    s = np.arange(1, k + 1)[:, None]
+    for a in DYADIC_A:
+        for b in DYADIC_B:
+            spec = StructureSpec.affine_family(k, a, b)
+            # a < 0 truncates the space below its first negative F
+            partners = build_system(RunConfig(k=k, d=40, spec=spec, margin=k)).doublet.partners
+            n = np.arange(partners.shape[1])
+            g = a * (n - s) + b
+            mid = (k - 2) * (k - 1) // 2 * g + a * ((k - 2) * (k - 1) * k // 3)
+            tail = (k - s) * g + a * ((k - s) * (k - 1 + s) // 2)
+            closed = (k - 1) * (b * n + a * n * (n - 1) / 2) - mid + (k - 1) * tail
+            assert np.array_equal(partners, closed), (a, b)
+
+
+@pytest.mark.parametrize("spec", [
+    StructureSpec.constant_values(3, 1.0),
+    StructureSpec.constant_values(4, [0.3, 1.7, -0.0, 2.9]),
+    StructureSpec.constant_values(5, [1.1, 0.0, 2.3, 0.7, 1.9]),
+    StructureSpec.from_table(
+        4, {(s, n): 0.1 + ((5 * s + 7 * n) % 13) / 7 for s in range(4) for n in range(-4, 30)}),
+], ids=["constant", "sector-constants", "sector-constants-with-zero", "table"])
+def test_partner_table_equals_partner_value_bit_for_bit(spec):
+    d = 20
+    db = make_doublet(spec.k, d, spec)
+    F = db.rep.F
+    for s in range(1, spec.k + 1):
+        for n in range(d):
+            expected = partner_value(spec, F, s, n)
+            assert np.float64(expected).tobytes() == db.partners[s - 1, n].tobytes(), (s, n)

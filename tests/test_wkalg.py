@@ -45,6 +45,15 @@ def test_raising_is_exact_adjoint():
     assert np.array_equal(rep.Xp.dense(), rep.Xm.dense().conj().T)
 
 
+def test_adjoint_refuses_two_columns_sharing_a_row():
+    op = ColumnMap(np.array([2, 0, 2, -1]), np.array([1.0, 2.0, 3.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="share a row"):
+        op.adjoint()
+    # a zero weight does not occupy its row
+    op = ColumnMap(np.array([2, 0, 2, -1]), np.array([1.0, 2.0, 0.0, 0.0], dtype=complex))
+    assert np.array_equal(op.adjoint().dense(), op.dense().conj().T)
+
+
 def test_number_and_grading_diagonals():
     rep = make_rep(3, 5)
     basis = rep.basis
