@@ -278,7 +278,10 @@ def _grid(bounds: list[float], label: str) -> np.ndarray:
     count = int(steps)
     if count < 1 or count != steps:
         raise ConfigError(f"{label} step count must be a positive integer, got {steps}")
-    return np.linspace(lo, hi, count)
+    try:
+        return np.linspace(lo, hi, count)
+    except (ValueError, MemoryError):
+        raise ConfigError(f"--{label} step count {steps:g} is too large to allocate") from None
 
 
 def _sweep_point(args: tuple) -> dict:

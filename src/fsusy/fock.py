@@ -21,6 +21,7 @@ from .errors import (
     DegenerateSpaceError,
     DomainError,
     InvalidOrderError,
+    WindowTooSmallError,
 )
 
 # Values above -NONNEG_TOL count as nonnegative; shields exact zeros of F
@@ -144,7 +145,13 @@ class StructureSpec:
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """Basis |n, s> with k sectors of d levels; flat index = s*d + n."""
+    """Basis |n, s> with k sectors of d levels; flat index = s*d + n.
+
+    This is the one place that knows the layout: ``level`` and ``sector``
+    give the (n, s) of every flat index, so a per-level array lifts to the
+    whole space as ``values[basis.level]`` and a per-sector one as
+    ``values[basis.sector]``.
+    """
 
     k: int
     d: int
@@ -159,16 +166,50 @@ class GradedBasis:
     def dim(self) -> int:
         return self.k * self.d
 
-    def index(self, n: int, s: int) -> int:
-        if not 0 <= n < self.d:
-            raise ValueError(f"level {n} outside 0..{self.d - 1}")
-        return (s % self.k) * self.d + n
+    @cached_property
+    def level(self) -> np.ndarray:
+        """Level n of every flat index (read-only)."""
+        return _read_only(np.arange(self.dim) % self.d)
+
+    @cached_property
+    def sector(self) -> np.ndarray:
+        """Sector s of every flat index (read-only)."""
+        return _read_only(np.arange(self.dim) // self.d)
+
+    def index(self, n, s):
+        """Flat index of |n, s>, the sector cyclic; n and s may be integer arrays."""
+        n = np.asarray(n)
+        bad = (n < 0) | (n >= self.d)
+        if bad.any():
+            raise ValueError(f"level {n[bad][0]} outside 0..{self.d - 1}")
+        flat = np.mod(s, self.k) * self.d + n
+        return int(flat) if flat.ndim == 0 else flat
 
     def state(self, i: int) -> tuple[int, int]:
         """Inverse of index: flat index -> (n, s)."""
         if not 0 <= i < self.dim:
             raise ValueError(f"index {i} outside 0..{self.dim - 1}")
-        return i % self.d, i // self.d
+        return int(self.level[i]), int(self.sector[i])
+
+    def sector_mask(self, s: int) -> np.ndarray:
+        """Columns of sector s (cyclic index), as a fresh mask."""
+        return self.sector == s % self.k
+
+    def window(self, margin: int) -> tuple[np.ndarray, str]:
+        """Columns of levels n <= d - 1 - margin, as a fresh mask, and their description."""
+        if margin < 1:
+            raise WindowTooSmallError(f"margin must be at least 1, got {margin}")
+        top = self.d - 1 - margin
+        if top < 1:
+            raise WindowTooSmallError(
+                f"margin {margin} leaves no window below the ceiling of {self.d} levels"
+            )
+        return self.level <= top, f"levels n <= {top} of {self.d} (margin {margin})"
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True)

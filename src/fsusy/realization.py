@@ -24,8 +24,9 @@ uses b(t+1)+, the ladder of its target grade.  The weights are shared with
 the graded route; what this route checks independently is the fermion
 algebra: A, A^(k-1) and the Pf_s resolved from [f-, f+].
 
-Every operator, the k x k fermions included, is a ColumnMap; on the whole
-space |m> (x) |t> sits at t*d + m, the graded layout.
+Every operator, the k x k fermions included, is a ColumnMap, and the whole
+realization is an AlgebraRep on the graded basis: |m> (x) |t> is the state
+|m, t> of level m in sector t.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOrderError, RepresentationError
-from .fock import StructureFunction
+from .fock import GradedBasis
 from .qarith import primitive_root, q_factorial, q_number
 from .report import ReportEntry
 from .wkalg import (
@@ -45,7 +46,6 @@ from .wkalg import (
     algebra_relation_residuals,
     build_projectors,
     residual,
-    window_description,
 )
 
 
@@ -57,23 +57,6 @@ class KFermionPair:
     fm: ColumnMap
     fp: ColumnMap
     Kf: ColumnMap
-
-
-@dataclass(frozen=True)
-class TensorRealization:
-    """Ladder, grading, number and sector operators on the boson x fermion space.
-
-    Index layout: |m> (x) |t> sits at t*d + m, the graded layout.
-    ``projectors`` holds 1 (x) Pf_s for every grade s.
-    """
-
-    k: int
-    d: int
-    Xm: ColumnMap
-    Xp: ColumnMap
-    K: ColumnMap
-    N: ColumnMap
-    projectors: tuple[ColumnMap, ...]
 
 
 def build_kfermion_pair(k: int) -> KFermionPair:
@@ -123,51 +106,51 @@ def verify_kfermions(pair: KFermionPair, strict: float = 1e-12) -> list[ReportEn
     return entries
 
 
-def _kron(b: ColumnMap, f: ColumnMap) -> ColumnMap:
-    """b (x) f for a boson operator b and a fermion operator f, in the graded layout."""
-    d = b.dim
-    m, t = np.arange(f.dim * d) % d, np.arange(f.dim * d) // d
-    empty = (b.target[m] < 0) | (f.target[t] < 0)
-    return ColumnMap(np.where(empty, -1, f.target[t] * d + b.target[m]), b.weight[m] * f.weight[t])
+def _kron(basis: GradedBasis, b: ColumnMap, f: ColumnMap) -> ColumnMap:
+    """b (x) f for a boson operator b on the d levels and a fermion operator f on the k grades."""
+    m, t = basis.level, basis.sector
+    cols = np.flatnonzero((b.target[m] >= 0) & (f.target[t] >= 0))
+    target = np.full(basis.dim, -1)
+    target[cols] = basis.index(b.target[m[cols]], f.target[t[cols]])
+    return ColumnMap(target, b.weight[m] * f.weight[t])
 
 
-def build_tensor_realization(pair: KFermionPair, F: StructureFunction) -> TensorRealization:
-    """The operators of the module docstring on F's d levels times the pair's k grades."""
-    k, d = pair.k, F.d
-    if F.k != k:
-        raise RepresentationError(f"structure function has order {F.k}, fermion pair {k}")
-    one = ColumnMap.diag(np.ones(d))
+def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
+    """The operators of the module docstring on rep's graded basis, levels times grades."""
+    basis, k = rep.basis, pair.k
+    if basis.k != k:
+        raise RepresentationError(f"graded space has order {basis.k}, fermion pair {k}")
+    d, F = basis.d, rep.F
     Pf = [ColumnMap.diag(P) for P in build_projectors(pair.Kf.diagonal(), k)]
     # b(s)- lowers level m to m-1; F_s(0) = 0 leaves level 0 empty
     bm = [ColumnMap(np.arange(d) - 1, np.sqrt(np.maximum(F.values[s, :d], 0.0)).astype(complex))
           for s in range(k)]
-    zero = ColumnMap.diag(np.zeros(k * d))
+    zero = ColumnMap.diag(np.zeros(basis.dim))
     A = cyclic_lowering(pair)
     Ak1 = A ** (k - 1)
     # A and A^(k-1) act on the fermions only, so X- = sum_s b(s)- (x) A Pf_s
-    Xm = sum((_kron(bm[s], A @ Pf[s]) for s in range(k)), start=zero)
-    Xp = sum((_kron(bm[(s + 1) % k].adjoint(), Ak1 @ Pf[s]) for s in range(k)), start=zero)
-    N = _kron(ColumnMap.diag(np.arange(d)), ColumnMap.diag(np.ones(k)))
-    projectors = tuple(_kron(one, P) for P in Pf)
-    return TensorRealization(k, d, Xm, Xp, _kron(one, pair.Kf), N, projectors)
+    Xm = sum((_kron(basis, bm[s], A @ Pf[s]) for s in range(k)), start=zero)
+    Xp = sum((_kron(basis, bm[(s + 1) % k].adjoint(), Ak1 @ Pf[s]) for s in range(k)), start=zero)
+    # 1 (x) K_f and 1 (x) Pf_s repeat each grade's value over its d levels
+    K = ColumnMap.diag(pair.Kf.diagonal()[basis.sector])
+    projectors = tuple(ColumnMap.diag(P.weight[basis.sector]) for P in Pf)
+    return AlgebraRep(rep.spec, basis, F, Xm, Xp, ColumnMap.diag(basis.level), K, projectors)
 
 
 def compare_realizations(
-    tensor: TensorRealization,
+    tensor: AlgebraRep,
     rep: AlgebraRep,
     margin: int,
     tolerance: float = 1e-10,
 ) -> list[ReportEntry]:
     """Check the tensor operators against the defining relations and compare
     spectra with the graded Fock construction."""
-    k, d = tensor.k, tensor.d
-    if (k, d) != (rep.basis.k, rep.basis.d):
+    if tensor.basis != rep.basis:
         raise RepresentationError(
-            f"tensor space is {k} x {d}, graded space is {rep.basis.k} x {rep.basis.d}"
+            f"tensor space is {tensor.basis.k} x {tensor.basis.d}, "
+            f"graded space is {rep.basis.k} x {rep.basis.d}"
         )
-    residuals = algebra_relation_residuals(
-        rep.spec, rep.basis, tensor.Xm, tensor.Xp, tensor.N, tensor.K, tensor.projectors, margin)
-    win = window_description(rep.basis, margin)
+    residuals, win = algebra_relation_residuals(tensor, margin)
     entries = [
         ReportEntry.check(f"tensor.{key}", _RELATION_STATEMENTS[key], val, tolerance, win)
         for key, val in residuals.items()

@@ -25,13 +25,7 @@ from .errors import FactorizationError, FsusyError
 from .fock import NONNEG_TOL
 from .report import ReportEntry
 from .system import FsusyDoublet
-from .wkalg import (
-    ColumnMap,
-    residual,
-    sector_mask,
-    window_description,
-    window_mask,
-)
+from .wkalg import ColumnMap, residual
 
 
 @dataclass(frozen=True)
@@ -70,8 +64,8 @@ def build_shift_operators(
     keep = n[~negative]
     target = np.full(basis.dim, -1)
     weight = np.zeros(basis.dim, dtype=complex)
-    cols = (s % k) * d + keep
-    target[cols] = (s - 1) % k * d + keep - 1
+    cols = basis.index(keep, s)
+    target[cols] = basis.index(keep - 1, s - 1)
     weight[cols] = np.sqrt(np.maximum(v[keep - 1], 0.0))
     Xsm = ColumnMap(target, weight)
     return Xsm, Xsm.adjoint()
@@ -80,8 +74,7 @@ def build_shift_operators(
 def build_replica(doublet: FsusyDoublet, s: int, slack: int = 0) -> ReplicaDoublet:
     Xsm, Xsp = build_shift_operators(doublet, s, slack)
     basis = doublet.rep.basis
-    lo = sector_mask(basis, s - 1)
-    hi = sector_mask(basis, s)
+    lo, hi = basis.sector_mask(s - 1), basis.sector_mask(s)
     h = (Xsm @ Xsp).masked(lo) + (Xsp @ Xsm).masked(hi)
     return ReplicaDoublet(s, Xsm, Xsp, Xsm.masked(hi), Xsp.masked(lo), h)
 
@@ -96,8 +89,7 @@ def verify_replica(
     """Check the ordinary SUSY axioms and both factorization identities."""
     basis = doublet.rep.basis
     s = rd.s
-    P = window_mask(basis, margin)
-    win = window_description(basis, margin)
+    P, win = basis.window(margin)
     qm, qp, h = rd.qm, rd.qp, rd.h
     zero = ColumnMap.diag(np.zeros(basis.dim))
     entries = []
@@ -117,16 +109,16 @@ def verify_replica(
         strict, "full space"))
 
     # product identity: X(s)- X(s)+ = H_s(N+1) on sector s-1
-    shifted = ColumnMap.diag(np.tile(np.append(doublet.partners[s - 1, 1:], 0.0), basis.k))
+    shifted = ColumnMap.diag(np.append(doublet.partners[s - 1, 1:], 0.0)[basis.level])
     entries.append(ReportEntry.check(
         f"replica{s}.shift_product",
         "X(s)- X(s)+ equals the partner ladder shifted one level down, on sector s-1",
-        residual(rd.Xsm @ rd.Xsp, shifted, P & sector_mask(basis, s - 1)),
+        residual(rd.Xsm @ rd.Xsp, shifted, P & basis.sector_mask(s - 1)),
         tolerance, win + f", sector {s - 1}"))
 
     # diagonal identity: h = H_(s-1) Pi_(s-1) + H_s Pi_s away from the
     # omitted ground level |0, s> (its expected entry is zero by construction)
-    lo, hi = sector_mask(basis, s - 1), sector_mask(basis, s)
+    lo, hi = basis.sector_mask(s - 1), basis.sector_mask(s)
     hi[basis.index(0, s)] = False
     expected = doublet.partner_diagonal(s - 1).masked(lo) + doublet.partner_diagonal(s).masked(hi)
     entries.append(ReportEntry.check(
@@ -190,14 +182,12 @@ def verify_sum_identity(
     rhs = replicas[2].qm @ replicas[2].qp
     for s in range(2, k + 1):
         rhs = rhs + replicas[s].qp @ replicas[s].qm
-    P = window_mask(basis, margin)
+    P, win = basis.window(margin)
     for s in range(2, k + 1):
-        P[basis.index(0, s % k)] = False
+        P[basis.index(0, s)] = False
     return ReportEntry.check(
-        name, statement,
-        residual(doublet.H, rhs, P),
-        tolerance,
-        window_description(basis, margin) + ", omitting replica ground levels",
+        name, statement, residual(doublet.H, rhs, P), tolerance,
+        win + ", omitting replica ground levels",
     )
 
 
@@ -210,10 +200,9 @@ def k2_reduction_entry(
     """For k = 2 the single replica reproduces H entrywise."""
     if doublet.k != 2 or rd.s != 2:
         raise FsusyError("the reduction check applies to the k = 2 replica only")
-    basis = doublet.rep.basis
+    P, win = doublet.rep.basis.window(margin)
     return ReportEntry.check(
         "reduction.total_hamiltonian",
         "for order 2 the replica Hamiltonian h(2) equals H entrywise",
-        residual(rd.h, doublet.H, window_mask(basis, margin)), strict,
-        window_description(basis, margin),
+        residual(rd.h, doublet.H, P), strict, win,
     )

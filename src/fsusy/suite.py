@@ -180,7 +180,7 @@ def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
         pair = build_kfermion_pair(config.k)
         entries += verify_kfermions(pair, strict)
         try:
-            tensor = build_tensor_realization(pair, rep.F)
+            tensor = build_tensor_realization(pair, rep)
             entries += compare_realizations(tensor, rep, margin, tol)
         except FsusyError as exc:
             entries.append(ReportEntry.failure(
@@ -212,11 +212,10 @@ def emit_spectrum(
             for s, ladder in enumerate(doublet.partners.tolist(), start=1)
             for n, energy in enumerate(ladder)]
     for s in sorted(replicas):
-        h = replicas[s].h.diagonal().real.tolist()
+        h = replicas[s].h.diagonal().real
         for ladder in (s - 1, s):
-            start = basis.index(0, ladder)
             rows += ([ladder, n, energy, s]
-                     for n, energy in enumerate(h[start:start + basis.d]))
+                     for n, energy in enumerate(h[basis.sector_mask(ladder)].tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["s", "n", "energy", "replica_s"])

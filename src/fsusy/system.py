@@ -23,14 +23,7 @@ import numpy as np
 from .errors import RepresentationError
 from .fock import StructureFunction, StructureSpec
 from .report import ReportEntry
-from .wkalg import (
-    AlgebraRep,
-    ColumnMap,
-    residual,
-    sector_mask,
-    window_description,
-    window_mask,
-)
+from .wkalg import AlgebraRep, ColumnMap, residual
 
 
 @dataclass(frozen=True)
@@ -62,15 +55,15 @@ class FsusyDoublet:
 
     def partner_diagonal(self, s: int) -> ColumnMap:
         """H_s(N) as a full-space diagonal: value H_s(n) at every |n, .>."""
-        return ColumnMap.diag(np.tile(self.partners[s - 1], self.k))
+        return ColumnMap.diag(self.partners[s - 1][self.rep.basis.level])
 
 
 def build_supercharges(rep: AlgebraRep) -> tuple[ColumnMap, ColumnMap]:
     # exact 0/1 masks equal right-multiplication by (1 - Pi_s) and keep the
     # order-k nilpotency exact in floating point
     return (
-        rep.Xm.masked(~sector_mask(rep.basis, 1)),
-        rep.Xp.masked(~sector_mask(rep.basis, 0)),
+        rep.Xm.masked(~rep.basis.sector_mask(1)),
+        rep.Xp.masked(~rep.basis.sector_mask(0)),
     )
 
 
@@ -92,11 +85,8 @@ def build_hamiltonian_operator(rep: AlgebraRep) -> ColumnMap:
     sector, t, c = (np.array(column)[:, None] for column in zip(*terms))
     # c f_t(n + t - s) of every term, one term per row
     weights = c * spec.f(t, np.arange(d) + t - sector).astype(complex)
-    projectors = [P.weight.reshape(k, d) for P in rep.projectors]
-    # row s of this view is sector s of H
-    by_sector = H.reshape(k, d)
     for s, w in zip(sector[:, 0] % k, weights):
-        by_sector -= w * projectors[s]
+        H -= w[basis.level] * rep.projectors[s].weight
     return ColumnMap(diagonal, H)
 
 
@@ -159,14 +149,17 @@ def verify_fsusy(
     """Check nilpotency, the order-k multilinear relation and [H, Q+-] = 0."""
     basis = doublet.rep.basis
     k = basis.k
-    P = window_mask(basis, margin)
-    win = window_description(basis, margin)
+    P, win = basis.window(margin)
     Qm, Qp, H = doublet.Qm, doublet.Qp, doublet.H
 
+    # Qm^0 .. Qm^k, each by the product chain that Qm ** j uses
+    powers = [ColumnMap.diag(np.ones(basis.dim))]
+    for _ in range(k):
+        powers.append(powers[-1] @ Qm)
     zero = ColumnMap.diag(np.zeros(basis.dim))
-    nil = max(residual(Qm ** k, zero), residual(Qp ** k, zero))
-    terms = [Qm ** (k - 1 - j) @ Qp @ Qm ** j for j in range(k)]
-    multilinear = residual(sum(terms[1:], start=terms[0]), Qm ** (k - 2) @ H, P)
+    nil = max(residual(powers[k], zero), residual(Qp ** k, zero))
+    terms = [powers[k - 1 - j] @ Qp @ powers[j] for j in range(k)]
+    multilinear = residual(sum(terms[1:], start=terms[0]), powers[k - 2] @ H, P)
     commutation = max(residual(H @ Qm, Qm @ H, P), residual(H @ Qp, Qp @ H, P))
     return [
         ReportEntry.exact(
@@ -187,8 +180,9 @@ def partner_consistency_entry(doublet: FsusyDoublet, strict: float = 1e-12) -> R
     The two routes evaluate independent expressions; their agreement pins the
     sector convention of the closed form.
     """
-    # partner-table prediction: H_s(n) at |n, s mod k>
-    expected = ColumnMap.diag(np.roll(doublet.partners, 1, axis=0).ravel())
+    # partner-table prediction: H_s(n) at |n, s mod k>, so sector 0 reads row k - 1
+    basis = doublet.rep.basis
+    expected = ColumnMap.diag(doublet.partners[basis.sector - 1, basis.level])
     return ReportEntry.check(
         "fsusy.partner_diagonal",
         "H is diagonal and its diagonal matches the closed-form partner energies",

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGradingError, RepresentationError, WindowTooSmallError
+from .errors import InvalidGradingError, RepresentationError
 from .fock import NONNEG_TOL, GradedBasis, StructureFunction, StructureSpec
 from .qarith import primitive_root
 from .report import ReportEntry
@@ -119,7 +119,11 @@ class ColumnMap:
 
 @dataclass(frozen=True)
 class AlgebraRep:
-    """All operator families of one graded ladder representation."""
+    """All operator families of one ladder representation on a graded basis.
+
+    ``build_rep`` makes the graded Fock construction and
+    ``realization.build_tensor_realization`` the k-fermion tensor one.
+    """
 
     spec: StructureSpec
     basis: GradedBasis
@@ -147,10 +151,11 @@ def build_projectors(K: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     """Resolve a unitary cyclic grading K, given by its diagonal, into projectors.
 
     Pi_s = (1/k) sum_t q^(-s t) K^t with q the primitive k-th root of unity;
-    each Pi_s is returned as its diagonal.  The powers K^t use the unfused
-    complex product, which rounds like the one-term dot of a dense matrix
-    product, so the round-off the exported Pi_s and H carry (about 1e-16
-    outside their sectors) stays what it was.
+    each Pi_s is returned as its diagonal.  Every step is elementwise, so
+    the k distinct grade values give the same bits as the whole space.  The
+    powers K^t use the unfused complex product, which rounds like the
+    one-term dot of a dense matrix product, so the round-off the exported
+    Pi_s and H carry (about 1e-16 outside their sectors) stays what it was.
     """
     dim = K.size
     if np.linalg.norm(np.abs(K) ** 2 - 1) > GRADING_TOL * dim:
@@ -168,27 +173,6 @@ def build_projectors(K: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
             acc += q ** (-s * t) * powers[t]
         projectors.append(acc / k)
     return tuple(projectors)
-
-
-def sector_mask(basis: GradedBasis, s: int) -> np.ndarray:
-    """Columns of sector s (cyclic index)."""
-    return np.arange(basis.dim) // basis.d == s % basis.k
-
-
-def window_mask(basis: GradedBasis, margin: int) -> np.ndarray:
-    """Columns of levels n <= d - 1 - margin."""
-    if margin < 1:
-        raise WindowTooSmallError(f"margin must be at least 1, got {margin}")
-    top = basis.d - 1 - margin
-    if top < 1:
-        raise WindowTooSmallError(
-            f"margin {margin} leaves no window below the ceiling of {basis.d} levels"
-        )
-    return np.arange(basis.dim) % basis.d <= top
-
-
-def window_description(basis: GradedBasis, margin: int) -> str:
-    return f"levels n <= {basis.d - 1 - margin} of {basis.d} (margin {margin})"
 
 
 def residual(lhs: ColumnMap, rhs: ColumnMap, window: np.ndarray | None = None) -> float:
@@ -211,10 +195,9 @@ def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> 
     X-|n, s> = sqrt(F_s(n)) |n-1, s-1> and X+ is its adjoint, so raising out
     of the top level is truncated to zero automatically.
     """
-    k, d = basis.k, basis.d
-    if F.k != k or F.d < d:
+    k, level, sector = basis.k, basis.level, basis.sector
+    if F.k != k or F.d < basis.d:
         raise RepresentationError("structure function does not cover the basis")
-    level, sector = np.arange(basis.dim) % d, np.arange(basis.dim) // d
     values = F.values[sector, level]
     bad = np.flatnonzero((level > 0) & (values < -NONNEG_TOL))
     if bad.size:
@@ -223,15 +206,16 @@ def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> 
             f"F_{s}({n}) = {F.value(s, n):.6g} is negative; no real ladder element exists"
         )
     Xm = ColumnMap(
-        np.where(level > 0, (sector - 1) % k * d + level - 1, -1),
+        np.where(level > 0, basis.index(np.maximum(level - 1, 0), sector - 1), -1),
         np.where(level > 0, np.sqrt(np.maximum(values, 0.0)), 0.0).astype(complex),
     )
     q = primitive_root(k)
-    K = ColumnMap.diag(np.repeat([q ** s for s in range(k)], d))
+    grades = np.array([q ** s for s in range(k)])
+    K = ColumnMap.diag(grades[sector])
     # the Fourier route rather than exact 0/1 masks: exported Pi_s and H carry
     # its round-off (about 1e-16 outside their sectors), which
     # perfbench/reference.json pins
-    projs = tuple(ColumnMap.diag(P) for P in build_projectors(K.weight, k))
+    projs = tuple(ColumnMap.diag(P[sector]) for P in build_projectors(grades, k))
     return AlgebraRep(spec, basis, F, Xm, Xm.adjoint(), ColumnMap.diag(level), K, projs)
 
 
@@ -244,34 +228,26 @@ _RELATION_STATEMENTS = {
 }
 
 
-def algebra_relation_residuals(
-    spec: StructureSpec,
-    basis: GradedBasis,
-    Xm: ColumnMap,
-    Xp: ColumnMap,
-    N: ColumnMap,
-    K: ColumnMap,
-    projectors,
-    margin: int,
-) -> dict[str, float]:
-    """Windowed residuals of the five defining relations.
+def algebra_relation_residuals(rep: AlgebraRep, margin: int) -> tuple[dict[str, float], str]:
+    """Windowed residuals of the five defining relations, and the window's description.
 
-    Shared by the graded Fock construction and the tensor-product one, which
-    use the same (sector, level) index layout.
+    Serves the graded Fock construction and the tensor-product one alike.
+    Each relation is compared in a form without cancellation, so every
+    column is scored at its own scale: X- X+ against X+ X- + sum_s f_s(N) Pi_s
+    and N X-+ against X-+ N -+ X-+.
     """
-    P = window_mask(basis, margin)
+    basis = rep.basis
+    P, win = basis.window(margin)
     q = primitive_root(basis.k)
     rhs = sum(
-        (weight_diagonal(spec, basis, s) @ projectors[s] for s in range(basis.k)),
+        (weight_diagonal(rep.spec, basis, s) @ rep.projectors[s] for s in range(basis.k)),
         start=ColumnMap.diag(np.zeros(basis.dim)),
     )
     eye = ColumnMap.diag(np.ones(basis.dim))
-    return {
-        "ladder_commutator": residual(Xm @ Xp - Xp @ Xm, rhs, P),
-        "number_ladder": max(
-            residual(N @ Xm - Xm @ N, -1 * Xm, P),
-            residual(N @ Xp - Xp @ N, Xp, P),
-        ),
+    Xm, Xp, N, K = rep.Xm, rep.Xp, rep.N, rep.K
+    residuals = {
+        "ladder_commutator": residual(Xm @ Xp, Xp @ Xm + rhs, P),
+        "number_ladder": max(residual(N @ Xm, Xm @ N - Xm, P), residual(N @ Xp, Xp @ N + Xp, P)),
         "grading_ladder": max(
             residual(K @ Xm, (1 / q) * (Xm @ K), P),
             residual(K @ Xp, q * (Xp @ K), P),
@@ -279,19 +255,17 @@ def algebra_relation_residuals(
         "grading_number": residual(K @ N, N @ K, P),
         "grading_cyclic": residual(K ** basis.k, eye, P),
     }
+    return residuals, win
 
 
-def weight_diagonal(spec: StructureSpec, basis: GradedBasis, t: int, shift: int = 0) -> ColumnMap:
-    """Diagonal f_t(N + shift): entry f_t(n + shift) at every state |n, .>."""
-    return ColumnMap.diag(np.tile(spec.f(t, np.arange(basis.d) + shift), basis.k))
+def weight_diagonal(spec: StructureSpec, basis: GradedBasis, t: int) -> ColumnMap:
+    """Diagonal f_t(N): entry f_t(n) at every state |n, .>."""
+    return ColumnMap.diag(spec.f(t, np.arange(basis.d))[basis.level])
 
 
 def verify_wk_relations(rep: AlgebraRep, margin: int, tolerance: float = 1e-10) -> list[ReportEntry]:
     """Check all five defining relations of the representation."""
-    residuals = algebra_relation_residuals(
-        rep.spec, rep.basis, rep.Xm, rep.Xp, rep.N, rep.K, rep.projectors, margin,
-    )
-    win = window_description(rep.basis, margin)
+    residuals, win = algebra_relation_residuals(rep, margin)
     return [
         ReportEntry.check(f"algebra.{key}", _RELATION_STATEMENTS[key], val, tolerance, win)
         for key, val in residuals.items()

@@ -1,11 +1,15 @@
 """The array-built system against the scalar loops it replaced, bit for bit.
 
 The reference functions below are the former level-by-level constructions:
-the recursion march, the per-level shift operators and the Hamiltonian
-assembled from ColumnMap terms with f evaluated one level at a time.  Each
-array route must give the same float64 bits, the same targets and the same
-refusals.
+the recursion march, the per-level shift operators, the Hamiltonian
+assembled from ColumnMap terms with f evaluated one level at a time, and
+the grading resolved over the whole space with every per-level or
+per-grade array lifted by np.tile, np.repeat or a Kronecker product with
+the identity.  Each array route must give the same float64 bits, the same
+targets and the same refusals.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -13,15 +17,18 @@ import pytest
 from fsusy.errors import FactorizationError
 from fsusy.fock import (
     NONNEG_TOL,
+    GradedBasis,
     StructureFunction,
     StructureSpec,
     effective_dimension,
     solve_structure_function,
 )
+from fsusy.qarith import primitive_root
+from fsusy.realization import build_kfermion_pair, build_tensor_realization
 from fsusy.replicas import build_shift_operators
 from fsusy.suite import RunConfig, build_system
-from fsusy.system import FsusyDoublet, partner_value
-from fsusy.wkalg import AlgebraRep, ColumnMap
+from fsusy.system import FsusyDoublet, build_hamiltonian_operator, partner_value
+from fsusy.wkalg import AlgebraRep, ColumnMap, build_projectors, build_rep
 
 GRID_FAMILIES = {
     "constant_unit": lambda k: StructureSpec.constant_values(k, 1.0),
@@ -84,6 +91,23 @@ def level_shift_operators(doublet: FsusyDoublet, s: int, slack: int) -> ColumnMa
         target[basis.index(n, s)] = basis.index(n - 1, s - 1)
         weight[basis.index(n, s)] = np.sqrt(max(v, 0.0))
     return ColumnMap(target, weight)
+
+
+def kron(b: ColumnMap, f: ColumnMap) -> ColumnMap:
+    """b (x) f with |m> (x) |t> at t*d + m, evaluated over the whole space."""
+    d = b.dim
+    m, t = np.arange(f.dim * d) % d, np.arange(f.dim * d) // d
+    empty = (b.target[m] < 0) | (f.target[t] < 0)
+    return ColumnMap(np.where(empty, -1, f.target[t] * d + b.target[m]), b.weight[m] * f.weight[t])
+
+
+def full_space_grading(rep: AlgebraRep) -> AlgebraRep:
+    """rep with K repeated over every level and each Pi_s resolved from that full K."""
+    k, d = rep.basis.k, rep.basis.d
+    q = primitive_root(k)
+    K = ColumnMap.diag(np.repeat([q ** s for s in range(k)], d))
+    projectors = tuple(ColumnMap.diag(P) for P in build_projectors(K.weight, k))
+    return dataclasses.replace(rep, K=K, projectors=projectors)
 
 
 def assert_same_map(a: ColumnMap, b: ColumnMap):
@@ -166,3 +190,26 @@ def test_slack_levels_are_dropped_like_the_level_loop():
                 continue
             assert_same_map(build_shift_operators(doublet, s, slack)[0], expected)
 
+
+
+@pytest.mark.parametrize("d", [5, 7, 40, 41])
+@pytest.mark.parametrize("k", range(2, 10))
+def test_grading_resolved_on_the_grades_matches_the_full_space(k, d):
+    # the Fourier sum rounds elementwise, so resolving the k grade values and
+    # lifting them gives the full-space bits, whether kd is a multiple of 4 or not
+    spec = StructureSpec.affine_family(k, 0.5, 1.0)
+    rep = build_rep(spec, GradedBasis(k, d), solve_structure_function(spec, d))
+    reference = full_space_grading(rep)
+    assert_same_map(rep.K, reference.K)
+    for P, expected in zip(rep.projectors, reference.projectors, strict=True):
+        assert_same_map(P, expected)
+    assert_same_map(build_hamiltonian_operator(rep), term_hamiltonian(reference))
+
+    pair = build_kfermion_pair(k)
+    tensor = build_tensor_realization(pair, rep)
+    one = ColumnMap.diag(np.ones(d))
+    assert_same_map(tensor.K, kron(one, pair.Kf))
+    assert_same_map(tensor.N, kron(ColumnMap.diag(np.arange(d)), ColumnMap.diag(np.ones(k))))
+    fermion_projectors = build_projectors(pair.Kf.diagonal(), k)
+    for P, Pf in zip(tensor.projectors, fermion_projectors, strict=True):
+        assert_same_map(P, kron(one, ColumnMap.diag(Pf)))

@@ -369,6 +369,15 @@ class TestSweep:
         assert code == 2
         assert "step count" in capsys.readouterr().err
 
+    def test_unallocatable_step_count_exits_2_before_writing(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", "--k", "3", "--d", "10",
+                     "--a-range", "0", "1", "1e30", "--b-range", "1", "1", "1",
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert "--a-range step count 1e+30 is too large to allocate" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_invalid_order_exits_2_before_writing(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
         code = main(["sweep", "--k", "1", "--d", "10",

@@ -74,7 +74,7 @@ def rep_case(field, s):
 def tensor_case(field, s):
     def run(system, n, factor):
         rep = system.rep
-        tensor = build_tensor_realization(build_kfermion_pair(rep.basis.k), rep.F)
+        tensor = build_tensor_realization(build_kfermion_pair(rep.basis.k), rep)
         op = scaled(getattr(tensor, field), rep.basis.index(n, s), factor)
         return compare_realizations(dataclasses.replace(tensor, **{field: op}), rep, rep.basis.k)
     return run

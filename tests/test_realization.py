@@ -70,7 +70,7 @@ def test_grading_eigenvalues_are_increment_differences():
 
 
 def make_tensor(rep):
-    return build_tensor_realization(build_kfermion_pair(rep.basis.k), rep.F)
+    return build_tensor_realization(build_kfermion_pair(rep.basis.k), rep)
 
 
 TENSOR_RELATIONS = [
@@ -132,9 +132,8 @@ class TestTensorRealization:
         assert np.allclose(K4, np.eye(24), atol=1e-12)
 
     def test_order_mismatch_is_rejected(self):
-        F = solve_structure_function(StructureSpec.constant_values(2, 1.0), 6)
-        with pytest.raises(RepresentationError):
-            build_tensor_realization(build_kfermion_pair(3), F)
+        with pytest.raises(RepresentationError, match="order 2, fermion pair 3"):
+            build_tensor_realization(build_kfermion_pair(3), make_rep(2, 6))
 
     def test_dimension_mismatch_in_comparison(self):
         rep = make_rep(2, 10)

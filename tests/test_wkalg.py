@@ -13,10 +13,8 @@ from fsusy.wkalg import (
     ColumnMap,
     build_projectors,
     build_rep,
-    sector_mask,
     residual,
     verify_wk_relations,
-    window_mask,
 )
 
 
@@ -136,29 +134,47 @@ class TestProjectors:
     def test_matches_exact_selector(self):
         rep = make_rep(3, 6)
         for s in range(3):
-            sel = np.diag(sector_mask(rep.basis, s))
+            sel = np.diag(rep.basis.sector_mask(s))
             assert np.allclose(rep.projectors[s].dense(), sel, atol=1e-12)
 
 
 def test_sector_mask_layout():
     basis = GradedBasis(3, 4)
-    mask = sector_mask(basis, 1) | sector_mask(basis, 3)  # 3 wraps to 0
+    mask = basis.sector_mask(1) | basis.sector_mask(3)  # 3 wraps to 0
     assert mask.dtype == bool
     assert np.all(mask[basis.index(0, 1) : basis.index(3, 1) + 1])
     assert np.all(mask[basis.index(0, 0) : basis.index(3, 0) + 1])
     assert not np.any(mask[basis.index(0, 2) : basis.index(3, 2) + 1])
+    # level and sector invert the flat index s*d + n, arrays included
+    assert list(basis.level) == [0, 1, 2, 3] * 3
+    assert list(basis.sector) == [0] * 4 + [1] * 4 + [2] * 4
+    assert np.array_equal(basis.index(basis.level, basis.sector), np.arange(basis.dim))
+    assert all(basis.state(i) == (basis.level[i], basis.sector[i]) for i in range(basis.dim))
+    # the layout arrays are cached and shared, so they are read-only
+    assert basis.level is basis.level and basis.sector is basis.sector
+    for layout in (basis.level, basis.sector):
+        with pytest.raises(ValueError, match="read-only"):
+            layout[0] = 1
+    with pytest.raises(ValueError, match="level 4 outside 0..3"):
+        basis.index(np.array([1, 4]), 0)
 
 
 def test_window_mask_shape_and_errors():
     basis = GradedBasis(2, 6)
-    mask = window_mask(basis, 2)
+    mask, description = basis.window(2)
+    assert description == "levels n <= 3 of 6 (margin 2)"
     for s in range(2):
         for n in range(6):
             assert mask[basis.index(n, s)] == (n <= 3)
-    with pytest.raises(WindowTooSmallError):
-        window_mask(basis, 0)
-    with pytest.raises(WindowTooSmallError):
-        window_mask(basis, 5)
+    # callers clear states in their window, which must not leak into the next
+    mask[:] = False
+    assert basis.window(2)[0].sum() == 8
+    with pytest.raises(WindowTooSmallError, match="margin must be at least 1, got 0"):
+        basis.window(0)
+    with pytest.raises(
+        WindowTooSmallError, match="margin 5 leaves no window below the ceiling of 6 levels"
+    ):
+        basis.window(5)
 
 
 def test_residual_scales_each_column():
