@@ -346,6 +346,12 @@ def main(argv: list[str] | None = None) -> int:
     except (FsusyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # make_config read these settings before the build ran out of memory
+        settings = _merge_settings(ns)
+        print(f"error: the system at k={settings['k']}, d={settings['d']} is too large "
+              "to allocate", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -240,16 +240,19 @@ def solve_structure_function(spec: StructureSpec, d: int) -> StructureFunction:
     if d < 2:
         raise DegenerateSpaceError(f"need at least 2 levels per sector, got {d}")
     k = spec.k
-    # f_s(n) at [n, s], so a missing table value is reported level by level
-    f = spec.f(np.arange(k), np.arange(d)[:, None])
-    n = np.arange(d + 1)
-    chain = (np.arange(k)[:, None] + n) % k
-    # each chain's running sum starts from F_s(0) = 0.0, not from its first
-    # step, so a first step of -0.0 gives F = +0.0
-    steps = np.zeros((k, d + 1))
-    steps[:, 1:] = f[n[:-1], chain[:, :-1]]
-    values = np.empty((k, d + 1))
-    values[chain, n] = np.cumsum(steps, axis=1)
+    # values beyond float64 become inf or nan here, without a warning;
+    # build_rep refuses any that the basis reads
+    with np.errstate(over="ignore", invalid="ignore"):
+        # f_s(n) at [n, s], so a missing table value is reported level by level
+        f = spec.f(np.arange(k), np.arange(d)[:, None])
+        n = np.arange(d + 1)
+        chain = (np.arange(k)[:, None] + n) % k
+        # each chain's running sum starts from F_s(0) = 0.0, not from its first
+        # step, so a first step of -0.0 gives F = +0.0
+        steps = np.zeros((k, d + 1))
+        steps[:, 1:] = f[n[:-1], chain[:, :-1]]
+        values = np.empty((k, d + 1))
+        values[chain, n] = np.cumsum(steps, axis=1)
     return StructureFunction(k, d, values)
 
 

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, FsusyError
-from .fock import NONNEG_TOL
+from .fock import NONNEG_TOL, GradedBasis
 from .report import ReportEntry
 from .system import FsusyDoublet
-from .wkalg import ColumnMap, residual
+from .wkalg import ColumnMap, deviation, residual, window_max
 
 
 @dataclass(frozen=True)
@@ -79,62 +79,155 @@ def build_replica(doublet: FsusyDoublet, s: int, slack: int = 0) -> ReplicaDoubl
     return ReplicaDoublet(s, Xsm, Xsp, Xsm.masked(hi), Xsp.masked(lo), h)
 
 
-def verify_replica(
-    rd: ReplicaDoublet,
+_FIELDS = ("Xsm", "Xsp", "qm", "qp", "h")
+
+
+@dataclass(frozen=True)
+class ReplicaBlocks:
+    """Replica operators gathered onto the direct sum of their sector pairs.
+
+    Replica ``order[i]`` = s holds sectors 2i (its sector s-1) and 2i+1 (its
+    sector s mod k) of ``stack``, a graded basis of 2m sectors of d levels
+    for m replicas; ``cols`` is the full-space column of every stacked
+    column.  ``ops`` maps each gathered field to one block-diagonal column
+    map, so a product never leaves its replica and every weight is the
+    full-space weight itself.  ``stray[i]`` is the largest deviation of
+    replica i's full-space operators from their gathers: nonzero weights off
+    its two sectors, or sent off them.  It is 0 for every replica that
+    ``build_replica`` makes.
+    """
+
+    order: tuple[int, ...]
+    stack: GradedBasis
+    cols: np.ndarray
+    ops: dict[str, ColumnMap]
+    stray: np.ndarray
+
+    @classmethod
+    def gather(cls, replicas: dict[int, ReplicaDoublet], basis: GradedBasis,
+               fields: tuple[str, ...] = _FIELDS) -> ReplicaBlocks:
+        order = tuple(sorted(replicas))
+        m = len(order)
+        stack = GradedBasis(2 * m, basis.d)
+        pairs = np.array([(s - 1, s % basis.k) for s in order]).ravel()
+        cols = basis.index(stack.level, pairs[stack.sector])
+        # stacked sector 2i of each column's replica, and that replica's two sectors
+        first = stack.sector & ~1
+        low_sector, high_sector = pairs[first], pairs[first + 1]
+        stray = np.zeros(m)
+        ops = {}
+        for name in fields:
+            full = [getattr(replicas[s], name) for s in order]
+            target = np.concatenate([op.target[c] for op, c in zip(full, cols.reshape(m, -1))])
+            weight = np.concatenate([op.weight[c] for op, c in zip(full, cols.reshape(m, -1))])
+            to = np.maximum(target, 0)
+            high = basis.sector[to] == high_sector
+            inside = (target >= 0) & (high | (basis.sector[to] == low_sector))
+            block = ColumnMap(np.where(inside, stack.index(basis.level[to], first + high), -1),
+                              np.where(inside, weight, 0.0))
+            # a weight off the pair, or sent off it, is missing from the gather
+            if sum(np.count_nonzero(op.weight) for op in full) != np.count_nonzero(block.weight):
+                for i, op in enumerate(full):
+                    back = _scatter(block, cols, stack.sector // 2 == i, basis)
+                    stray[i] = np.maximum(stray[i], residual(op, back))
+            ops[name] = block
+        return cls(order, stack, cols, ops, stray)
+
+
+def _scatter(block: ColumnMap, cols: np.ndarray, take: np.ndarray, basis: GradedBasis) -> ColumnMap:
+    """The stacked columns ``take`` of a block-diagonal map, back on the full space."""
+    own = np.flatnonzero(take)
+    to = block.target[own]
+    target = np.full(basis.dim, -1)
+    weight = np.zeros(basis.dim, dtype=complex)
+    target[cols[own]] = np.where(to >= 0, cols[np.maximum(to, 0)], -1)
+    weight[cols[own]] = block.weight[own]
+    return ColumnMap(target, weight)
+
+
+def verify_replicas(
+    replicas: dict[int, ReplicaDoublet],
     doublet: FsusyDoublet,
     margin: int,
     tolerance: float = 1e-10,
     strict: float = 1e-12,
-) -> list[ReportEntry]:
-    """Check the ordinary SUSY axioms and both factorization identities."""
+) -> dict[int, list[ReportEntry]]:
+    """Check the ordinary SUSY axioms and both factorization identities of
+    every replica, by s.
+
+    Each identity is evaluated once, on the block-diagonal gather of all
+    replicas, and each replica reads the largest deviation over its own two
+    sectors.  Its operators vanish off those sectors, so this equals the
+    full-space residual; a stray weight (``ReplicaBlocks.stray``) fails
+    every entry of its replica.
+    """
+    if not replicas:
+        return {}
     basis = doublet.rep.basis
-    s = rd.s
-    P, win = basis.window(margin)
-    qm, qp, h = rd.qm, rd.qp, rd.h
-    zero = ColumnMap.diag(np.zeros(basis.dim))
-    entries = []
+    blocks = ReplicaBlocks.gather(replicas, basis)
+    stack, m = blocks.stack, len(blocks.order)
+    P, win = stack.window(margin)
+    Xsm, Xsp, qm, qp, h = (blocks.ops[name] for name in _FIELDS)
+    lower = stack.sector % 2 == 0
 
-    nil = max(residual(qm @ qm, zero), residual(qp @ qp, zero))
-    entries.append(ReportEntry.exact(
-        f"replica{s}.nilpotency", "q- q- = 0 and q+ q+ = 0", nil))
-    entries.append(ReportEntry.exact(
-        f"replica{s}.pair_adjoint", "q+ is the conjugate transpose of q-",
-        residual(qp, qm.adjoint())))
-    entries.append(ReportEntry.exact(
-        f"replica{s}.anticommutator", "h = q- q+ + q+ q-",
-        residual(h, qm @ qp + qp @ qm)))
-    entries.append(ReportEntry.check(
-        f"replica{s}.hamiltonian_commutes", "[h, q-] = 0 and [h, q+] = 0",
-        max(residual(h @ qm, qm @ h), residual(h @ qp, qp @ h)),
-        strict, "full space"))
+    def score(lhs, rhs, window=None):
+        return window_max(deviation(lhs, rhs), window, m)
 
-    # product identity: X(s)- X(s)+ = H_s(N+1) on sector s-1
-    shifted = ColumnMap.diag(np.append(doublet.partners[s - 1, 1:], 0.0)[basis.level])
-    entries.append(ReportEntry.check(
-        f"replica{s}.shift_product",
-        "X(s)- X(s)+ equals the partner ladder shifted one level down, on sector s-1",
-        residual(rd.Xsm @ rd.Xsp, shifted, P & basis.sector_mask(s - 1)),
-        tolerance, win + f", sector {s - 1}"))
+    zero = ColumnMap.diag(np.zeros(stack.dim))
 
-    # diagonal identity: h = H_(s-1) Pi_(s-1) + H_s Pi_s away from the
-    # omitted ground level |0, s> (its expected entry is zero by construction)
-    lo, hi = basis.sector_mask(s - 1), basis.sector_mask(s)
-    hi[basis.index(0, s)] = False
-    expected = doublet.partner_diagonal(s - 1).masked(lo) + doublet.partner_diagonal(s).masked(hi)
-    entries.append(ReportEntry.check(
-        f"replica{s}.partner_diagonal",
-        "h carries the two partner ladders on its pair of sectors and vanishes elsewhere",
-        residual(h, expected, P), strict,
-        win + f", omitting ground level of sector {s % basis.k}"))
+    # the two partner ladders of each replica: H_(s-1) on sector s-1 and
+    # H_s on sector s, as rows s-2 and s-1 of the partner table
+    rows = np.array([(s - 2, s - 1) for s in blocks.order]).ravel()
+    D = ColumnMap.diag(doublet.partners[rows[stack.sector], stack.level])
+    # H_s(n + 1) on sector s-1, 0 at the top level
+    up = np.append(doublet.partners[:, 1:], np.zeros((basis.k, 1)), axis=1)
 
-    # intertwining: H_(s-1) X(s)- = X(s)- H_s and H_s X(s)+ = X(s)+ H_(s-1)
-    Dlo = doublet.partner_diagonal(s - 1)
-    Dhi = doublet.partner_diagonal(s)
-    inter = max(residual(Dlo @ rd.Xsm, rd.Xsm @ Dhi, P), residual(Dhi @ rd.Xsp, rd.Xsp @ Dlo, P))
-    entries.append(ReportEntry.check(
-        f"replica{s}.intertwining",
-        "the shift operators intertwine adjacent partner ladders",
-        inter, strict, win))
+    # each identity's products live only while it is scored
+    columns = {
+        "nilpotency": np.maximum(score(qm @ qm, zero), score(qp @ qp, zero)),
+        "pair_adjoint": score(qp, qm.adjoint()),
+        "anticommutator": score(h, qm @ qp + qp @ qm),
+        "hamiltonian_commutes": np.maximum(score(h @ qm, qm @ h), score(h @ qp, qp @ h)),
+        "shift_product": score(
+            Xsm @ Xsp, ColumnMap.diag(up[rows[stack.sector | 1], stack.level]), P & lower),
+        # h vanishes at the omitted ground level |0, s>
+        "partner_diagonal": score(h, D.masked(lower | (stack.level > 0)), P),
+        "intertwining": np.maximum(score(D @ Xsm, Xsm @ D, P), score(D @ Xsp, Xsp @ D, P)),
+    }
+    columns = {key: np.maximum(val, blocks.stray) for key, val in columns.items()}
+
+    entries = {}
+    for i, s in enumerate(blocks.order):
+        res = {key: float(val[i]) for key, val in columns.items()}
+        entries[s] = [
+            ReportEntry.exact(
+                f"replica{s}.nilpotency", "q- q- = 0 and q+ q+ = 0", res["nilpotency"]),
+            ReportEntry.exact(
+                f"replica{s}.pair_adjoint", "q+ is the conjugate transpose of q-",
+                res["pair_adjoint"]),
+            ReportEntry.exact(
+                f"replica{s}.anticommutator", "h = q- q+ + q+ q-", res["anticommutator"]),
+            ReportEntry.check(
+                f"replica{s}.hamiltonian_commutes", "[h, q-] = 0 and [h, q+] = 0",
+                res["hamiltonian_commutes"], strict, "full space"),
+            # product identity: X(s)- X(s)+ = H_s(N+1) on sector s-1
+            ReportEntry.check(
+                f"replica{s}.shift_product",
+                "X(s)- X(s)+ equals the partner ladder shifted one level down, on sector s-1",
+                res["shift_product"], tolerance, win + f", sector {s - 1}"),
+            # diagonal identity: h = H_(s-1) Pi_(s-1) + H_s Pi_s away from the
+            # omitted ground level |0, s> (its expected entry is zero by construction)
+            ReportEntry.check(
+                f"replica{s}.partner_diagonal",
+                "h carries the two partner ladders on its pair of sectors and vanishes elsewhere",
+                res["partner_diagonal"], strict,
+                win + f", omitting ground level of sector {s % basis.k}"),
+            # intertwining: H_(s-1) X(s)- = X(s)- H_s and H_s X(s)+ = X(s)+ H_(s-1)
+            ReportEntry.check(
+                f"replica{s}.intertwining",
+                "the shift operators intertwine adjacent partner ladders",
+                res["intertwining"], strict, win),
+        ]
     return entries
 
 
@@ -179,12 +272,19 @@ def verify_sum_identity(
     if missing:
         return ReportEntry.failure(
             name, statement, f"replicas {missing} could not be factorized")
-    rhs = replicas[2].qm @ replicas[2].qp
-    for s in range(2, k + 1):
-        rhs = rhs + replicas[s].qp @ replicas[s].qm
+    # q(s)+ q(s)- lives on sector s and q(2)- q(2)+ on sector 1, so each
+    # column of the sum takes one block product: the upper sector of every
+    # replica and the lower sector of replica 2, the first block
+    blocks = ReplicaBlocks.gather(replicas, basis, ("qm", "qp"))
+    qm, qp = blocks.ops["qm"], blocks.ops["qp"]
+    sector = blocks.stack.sector
+    upper = sector % 2 == 1
+    up, down = qp @ qm, qm @ qp
+    products = ColumnMap(np.where(upper, up.target, down.target),
+                         np.where(upper, up.weight, down.weight))
+    rhs = _scatter(products, blocks.cols, upper | (sector == 0), basis)
     P, win = basis.window(margin)
-    for s in range(2, k + 1):
-        P[basis.index(0, s)] = False
+    P[basis.index(0, np.arange(2, k + 1))] = False
     return ReportEntry.check(
         name, statement, residual(doublet.H, rhs, P), tolerance,
         win + ", omitting replica ground levels",

@@ -35,7 +35,7 @@ from .replicas import (
     build_replica,
     check_isospectrality,
     k2_reduction_entry,
-    verify_replica,
+    verify_replicas,
     verify_sum_identity,
 )
 from .report import ReportEntry, VerificationReport
@@ -159,12 +159,29 @@ def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
     rep, doublet = system.rep, system.doublet
     margin, tol, strict = config.margin, config.tolerance, config.strict
     entries: list[ReportEntry] = []
+    pair = build_kfermion_pair(config.k)
     try:
-        entries += verify_wk_relations(rep, margin, tol)
+        tensor = build_tensor_realization(pair, rep)
+    except FsusyError as exc:
+        tensor = None
+        tensor_entries = [ReportEntry.failure(
+            "tensor.construction",
+            "the tensor-product realization materializes on the truncated space",
+            exc)]
+    try:
+        # the graded and the tensor relations in one pass; the tensor entries
+        # go last in the report, but are scored here so that the tensor
+        # realization is freed before the doublet and replica checks
+        algebra, relations = verify_wk_relations(rep, margin, tol, tensor)
+        if tensor is not None:
+            tensor_entries = relations + [compare_realizations(tensor, rep, tol)]
+            del tensor
+        entries += algebra
         entries += verify_fsusy(doublet, margin, tol, strict)
         entries.append(partner_consistency_entry(doublet, strict))
         entries.append(check_isospectrality(doublet, margin, tol))
 
+        replica_entries = verify_replicas(system.replicas, doublet, margin, tol, strict)
         for s in range(2, config.k + 1):
             if s in system.refused:
                 entries.append(ReportEntry.failure(
@@ -172,21 +189,13 @@ def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
                     "the partner ladder admits real square roots at every level",
                     system.refused[s]))
             else:
-                entries += verify_replica(system.replicas[s], doublet, margin, tol, strict)
+                entries += replica_entries[s]
         entries.append(verify_sum_identity(doublet, system.replicas, margin, tol))
         if config.k == 2 and 2 in system.replicas:
             entries.append(k2_reduction_entry(doublet, system.replicas[2], margin, strict))
 
-        pair = build_kfermion_pair(config.k)
         entries += verify_kfermions(pair, strict)
-        try:
-            tensor = build_tensor_realization(pair, rep)
-            entries += compare_realizations(tensor, rep, margin, tol)
-        except FsusyError as exc:
-            entries.append(ReportEntry.failure(
-                "tensor.construction",
-                "the tensor-product realization materializes on the truncated space",
-                exc))
+        entries += tensor_entries
     except WindowTooSmallError as exc:
         entries.append(ReportEntry.failure(
             "construction.window",

@@ -16,17 +16,22 @@ checked on a safe window of states at least ``margin`` levels below the
 ceiling.  Every identity A = B in fsusy is scored by one scale-free residual,
 the largest per-column relative deviation over the window columns j:
 
-    residual(A, B) = max_j |A_j - B_j|_1 / max(1, |A_j|_1, |B_j|_1)
+    deviation_j(A, B) = |A_j - B_j|_1 / max(1, |A_j|_1, |B_j|_1)
+    residual(A, B)    = max_j deviation_j(A, B)
 
 with |.|_1 the column 1-norm.  A column whose two nonzero entries sit in
 different rows deviates by |A_j| + |B_j|.  The residual is 0 exactly when
 A and B agree on the window, and a relative error in one weight shows at
-its own size whatever d is.
+its own size whatever d is.  Block-diagonal operators (several
+representations or replicas side by side) are compared once, and each
+block's residual is the maximum of the deviation over its own columns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +41,14 @@ from .qarith import primitive_root
 from .report import ReportEntry
 
 GRADING_TOL = 1e-12
+
+
+@lru_cache(maxsize=4)
+def _identity(dim: int) -> np.ndarray:
+    """Read-only targets 0 .. dim-1, shared by the diagonal maps of that dimension."""
+    target = np.arange(dim)
+    target.flags.writeable = False
+    return target
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +67,7 @@ class ColumnMap:
 
     @classmethod
     def diag(cls, values) -> ColumnMap:
-        return cls(np.arange(len(values)), np.array(values, dtype=complex))
+        return cls(_identity(len(values)), np.array(values, dtype=complex))
 
     @property
     def dim(self) -> int:
@@ -175,18 +188,31 @@ def build_projectors(K: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     return tuple(projectors)
 
 
-def residual(lhs: ColumnMap, rhs: ColumnMap, window: np.ndarray | None = None) -> float:
-    """Largest relative column deviation of lhs = rhs over the window columns.
+def deviation(lhs: ColumnMap, rhs: ColumnMap) -> np.ndarray:
+    """Relative deviation of lhs = rhs in each column.
 
     Column j scores |lhs_j - rhs_j| / max(1, |lhs_j|, |rhs_j|), where two
-    nonzero entries in different rows deviate by |lhs_j| + |rhs_j|; without
-    a window every column counts.
+    nonzero entries in different rows deviate by |lhs_j| + |rhs_j|.
     """
     a, b = np.abs(lhs.weight), np.abs(rhs.weight)
-    apart = (lhs.target != rhs.target) & (a > 0) & (b > 0)
-    dev = np.where(apart, a + b, np.abs(lhs.weight - rhs.weight))
-    dev /= np.maximum(1.0, np.maximum(a, b))
-    return float((dev if window is None else dev[window]).max(initial=0.0))
+    dev = np.abs(lhs.weight - rhs.weight)
+    np.add(a, b, out=dev, where=(lhs.target != rhs.target) & (a > 0) & (b > 0))
+    np.maximum(a, b, out=a)
+    dev /= np.maximum(a, 1.0, out=a)
+    return dev
+
+
+def window_max(dev: np.ndarray, window: np.ndarray | None = None, blocks: int = 1) -> np.ndarray:
+    """Largest deviation over the window columns of each of ``blocks`` equal
+    consecutive column blocks; without a window every column counts."""
+    if window is not None:
+        dev = np.where(window, dev, 0.0)
+    return dev.reshape(blocks, -1).max(axis=1, initial=0.0)
+
+
+def residual(lhs: ColumnMap, rhs: ColumnMap, window: np.ndarray | None = None) -> float:
+    """Largest relative column deviation of lhs = rhs over the window columns."""
+    return float(window_max(deviation(lhs, rhs), window)[0])
 
 
 def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> AlgebraRep:
@@ -199,6 +225,12 @@ def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> 
     if F.k != k or F.d < basis.d:
         raise RepresentationError("structure function does not cover the basis")
     values = F.values[sector, level]
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        n, s = basis.state(int(bad[0]))
+        raise RepresentationError(
+            f"F_{s}({n}) = {F.value(s, n)} is not finite; the structure values overflow float64"
+        )
     bad = np.flatnonzero((level > 0) & (values < -NONNEG_TOL))
     if bad.size:
         n, s = basis.state(int(bad[0]))
@@ -228,45 +260,93 @@ _RELATION_STATEMENTS = {
 }
 
 
-def algebra_relation_residuals(rep: AlgebraRep, margin: int) -> tuple[dict[str, float], str]:
-    """Windowed residuals of the five defining relations, and the window's description.
+def direct_sum(ops: Sequence[ColumnMap]) -> ColumnMap:
+    """Block-diagonal column map of ops, the i-th acting on columns i*dim .. (i+1)*dim - 1."""
+    dim = ops[0].dim
+    return ColumnMap(
+        np.concatenate([np.where(op.target >= 0, op.target + i * dim, -1)
+                        for i, op in enumerate(ops)]),
+        np.concatenate([op.weight for op in ops]),
+    )
 
-    Serves the graded Fock construction and the tensor-product one alike.
-    Each relation is compared in a form without cancellation, so every
-    column is scored at its own scale: X- X+ against X+ X- + sum_s f_s(N) Pi_s
-    and N X-+ against X-+ N -+ X-+.
+
+def ladder_weights(rep: AlgebraRep) -> np.ndarray:
+    """Weights of the diagonal sum_s f_s(N) Pi_s.
+
+    The k terms f_s(n) Pi_s are added to zero in order s = 0 .. k-1, each
+    the complex product of f_s(n) and the projector weight, as the sum of
+    k diagonal column-map products did.
     """
     basis = rep.basis
-    P, win = basis.window(margin)
+    f = rep.spec.f(np.arange(basis.k)[:, None], np.arange(basis.d))
+    total = np.zeros(basis.dim, dtype=complex)
+    for f_s, P in zip(f.astype(complex), rep.projectors, strict=True):
+        total += f_s[basis.level] * P.weight
+    return total
+
+
+def algebra_relation_residuals(
+    reps: Sequence[AlgebraRep], margin: int
+) -> tuple[list[dict[str, float]], str]:
+    """Windowed residuals of the five defining relations of each representation,
+    and the window's description.
+
+    The representations share one graded basis (k sectors of d levels) and
+    are scored in one pass on their direct sum, the basis of p k sectors in
+    which representation i holds sectors i k .. i k + k - 1; each one's
+    residuals are the largest deviations over its own columns, so they equal
+    a pass on that representation alone.  Serves the graded Fock
+    construction and the tensor-product one alike.  Each relation is
+    compared in a form without cancellation, so every column is scored at
+    its own scale: X- X+ against X+ X- + sum_s f_s(N) Pi_s and N X-+
+    against X-+ N -+ X-+.
+    """
+    basis = reps[0].basis
+    for rep in reps[1:]:
+        if rep.basis != basis:
+            raise RepresentationError(
+                f"representations on {rep.basis.k} x {rep.basis.d} and "
+                f"{basis.k} x {basis.d} spaces have no common window"
+            )
+    p = len(reps)
+    P, win = GradedBasis(p * basis.k, basis.d).window(margin)
     q = primitive_root(basis.k)
-    rhs = sum(
-        (weight_diagonal(rep.spec, basis, s) @ rep.projectors[s] for s in range(basis.k)),
-        start=ColumnMap.diag(np.zeros(basis.dim)),
-    )
-    eye = ColumnMap.diag(np.ones(basis.dim))
-    Xm, Xp, N, K = rep.Xm, rep.Xp, rep.N, rep.K
-    residuals = {
-        "ladder_commutator": residual(Xm @ Xp, Xp @ Xm + rhs, P),
-        "number_ladder": max(residual(N @ Xm, Xm @ N - Xm, P), residual(N @ Xp, Xp @ N + Xp, P)),
-        "grading_ladder": max(
-            residual(K @ Xm, (1 / q) * (Xm @ K), P),
-            residual(K @ Xp, q * (Xp @ K), P),
-        ),
-        "grading_number": residual(K @ N, N @ K, P),
-        "grading_cyclic": residual(K ** basis.k, eye, P),
+    Xm, Xp, N, K = (direct_sum([getattr(rep, name) for rep in reps])
+                    for name in ("Xm", "Xp", "N", "K"))
+
+    def score(lhs, rhs):
+        return window_max(deviation(lhs, rhs), P, p)
+
+    # each relation's products live only while it is scored
+    columns = {
+        "ladder_commutator": score(
+            Xm @ Xp, Xp @ Xm + ColumnMap.diag(np.concatenate([ladder_weights(r) for r in reps]))),
+        "number_ladder": np.maximum(score(N @ Xm, Xm @ N - Xm), score(N @ Xp, Xp @ N + Xp)),
+        "grading_ladder": np.maximum(score(K @ Xm, (1 / q) * (Xm @ K)),
+                                     score(K @ Xp, q * (Xp @ K))),
+        "grading_number": score(K @ N, N @ K),
+        "grading_cyclic": score(K ** basis.k, ColumnMap.diag(np.ones(K.dim))),
     }
-    return residuals, win
+    return [{key: float(val[i]) for key, val in columns.items()} for i in range(p)], win
 
 
-def weight_diagonal(spec: StructureSpec, basis: GradedBasis, t: int) -> ColumnMap:
-    """Diagonal f_t(N): entry f_t(n) at every state |n, .>."""
-    return ColumnMap.diag(spec.f(t, np.arange(basis.d))[basis.level])
+def verify_wk_relations(
+    rep: AlgebraRep,
+    margin: int,
+    tolerance: float = 1e-10,
+    tensor: AlgebraRep | None = None,
+) -> tuple[list[ReportEntry], list[ReportEntry]]:
+    """Check the five defining relations of the graded construction and,
+    when given, of the tensor-product one, in one pass on both.
 
-
-def verify_wk_relations(rep: AlgebraRep, margin: int, tolerance: float = 1e-10) -> list[ReportEntry]:
-    """Check all five defining relations of the representation."""
-    residuals, win = algebra_relation_residuals(rep, margin)
-    return [
-        ReportEntry.check(f"algebra.{key}", _RELATION_STATEMENTS[key], val, tolerance, win)
-        for key, val in residuals.items()
+    Returns the algebra.* entries and the tensor.* entries (none without a
+    tensor realization).
+    """
+    reps = [rep] if tensor is None else [rep, tensor]
+    residuals, win = algebra_relation_residuals(reps, margin)
+    entries = [
+        [ReportEntry.check(f"{prefix}.{key}", _RELATION_STATEMENTS[key], val, tolerance, win)
+         for key, val in values.items()]
+        for prefix, values in zip(("algebra", "tensor"), residuals)
     ]
+    return entries[0], (entries[1] if tensor is not None else [])

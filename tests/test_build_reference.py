@@ -7,6 +7,13 @@ the grading resolved over the whole space with every per-level or
 per-grade array lifted by np.tile, np.repeat or a Kronecker product with
 the identity.  Each array route must give the same float64 bits, the same
 targets and the same refusals.
+
+The checks have references too: each replica verified on the whole space,
+one at a time; the charge sum added up from k-1 full-space products; the
+defining relations of one representation with sum_s f_s(N) Pi_s formed
+from k diagonal products; and the tensor ladders summed from 2k Kronecker
+terms.  The batched checks must give the same entries, residual bits
+included.
 """
 
 import dataclasses
@@ -14,7 +21,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fsusy.errors import FactorizationError
+import fsusy.replicas
+import fsusy.wkalg
+from fsusy.errors import FactorizationError, FsusyError, WindowTooSmallError
 from fsusy.fock import (
     NONNEG_TOL,
     GradedBasis,
@@ -24,11 +33,39 @@ from fsusy.fock import (
     solve_structure_function,
 )
 from fsusy.qarith import primitive_root
-from fsusy.realization import build_kfermion_pair, build_tensor_realization
-from fsusy.replicas import build_shift_operators
-from fsusy.suite import RunConfig, build_system
-from fsusy.system import FsusyDoublet, build_hamiltonian_operator, partner_value
-from fsusy.wkalg import AlgebraRep, ColumnMap, build_projectors, build_rep
+from fsusy.realization import (
+    build_kfermion_pair,
+    build_tensor_realization,
+    compare_realizations,
+    cyclic_lowering,
+    verify_kfermions,
+)
+from fsusy.replicas import (
+    build_shift_operators,
+    check_isospectrality,
+    k2_reduction_entry,
+    verify_replicas,
+    verify_sum_identity,
+)
+from fsusy.report import ReportEntry
+from fsusy.suite import RunConfig, build_system, verify_system
+from fsusy.system import (
+    FsusyDoublet,
+    build_hamiltonian_operator,
+    partner_consistency_entry,
+    partner_value,
+    verify_fsusy,
+)
+from fsusy.wkalg import (
+    _RELATION_STATEMENTS,
+    AlgebraRep,
+    ColumnMap,
+    algebra_relation_residuals,
+    build_projectors,
+    build_rep,
+    ladder_weights,
+    residual,
+)
 
 GRID_FAMILIES = {
     "constant_unit": lambda k: StructureSpec.constant_values(k, 1.0),
@@ -213,3 +250,268 @@ def test_grading_resolved_on_the_grades_matches_the_full_space(k, d):
     fermion_projectors = build_projectors(pair.Kf.diagonal(), k)
     for P, Pf in zip(tensor.projectors, fermion_projectors, strict=True):
         assert_same_map(P, kron(one, ColumnMap.diag(Pf)))
+
+
+# ---------------------------------------------------------------- checks
+
+def reference_verify_replica(rd, doublet, margin, tolerance=1e-10, strict=1e-12):
+    """One replica's entries, every identity scored over the whole space."""
+    basis = doublet.rep.basis
+    s = rd.s
+    P, win = basis.window(margin)
+    qm, qp, h = rd.qm, rd.qp, rd.h
+    zero = ColumnMap.diag(np.zeros(basis.dim))
+    entries = []
+    nil = max(residual(qm @ qm, zero), residual(qp @ qp, zero))
+    entries.append(ReportEntry.exact(
+        f"replica{s}.nilpotency", "q- q- = 0 and q+ q+ = 0", nil))
+    entries.append(ReportEntry.exact(
+        f"replica{s}.pair_adjoint", "q+ is the conjugate transpose of q-",
+        residual(qp, qm.adjoint())))
+    entries.append(ReportEntry.exact(
+        f"replica{s}.anticommutator", "h = q- q+ + q+ q-",
+        residual(h, qm @ qp + qp @ qm)))
+    entries.append(ReportEntry.check(
+        f"replica{s}.hamiltonian_commutes", "[h, q-] = 0 and [h, q+] = 0",
+        max(residual(h @ qm, qm @ h), residual(h @ qp, qp @ h)),
+        strict, "full space"))
+    shifted = ColumnMap.diag(np.append(doublet.partners[s - 1, 1:], 0.0)[basis.level])
+    entries.append(ReportEntry.check(
+        f"replica{s}.shift_product",
+        "X(s)- X(s)+ equals the partner ladder shifted one level down, on sector s-1",
+        residual(rd.Xsm @ rd.Xsp, shifted, P & basis.sector_mask(s - 1)),
+        tolerance, win + f", sector {s - 1}"))
+    lo, hi = basis.sector_mask(s - 1), basis.sector_mask(s)
+    hi[basis.index(0, s)] = False
+    expected = doublet.partner_diagonal(s - 1).masked(lo) + doublet.partner_diagonal(s).masked(hi)
+    entries.append(ReportEntry.check(
+        f"replica{s}.partner_diagonal",
+        "h carries the two partner ladders on its pair of sectors and vanishes elsewhere",
+        residual(h, expected, P), strict,
+        win + f", omitting ground level of sector {s % basis.k}"))
+    Dlo, Dhi = doublet.partner_diagonal(s - 1), doublet.partner_diagonal(s)
+    inter = max(residual(Dlo @ rd.Xsm, rd.Xsm @ Dhi, P), residual(Dhi @ rd.Xsp, rd.Xsp @ Dlo, P))
+    entries.append(ReportEntry.check(
+        f"replica{s}.intertwining",
+        "the shift operators intertwine adjacent partner ladders",
+        inter, strict, win))
+    return entries
+
+
+def reference_sum_identity(doublet, replicas, margin, tolerance=1e-10):
+    """The charge sum added up from k-1 full-space products."""
+    basis = doublet.rep.basis
+    k = basis.k
+    name = "fsusy.charge_sum"
+    statement = "H equals q(2)- q(2)+ plus the sum of q(s)+ q(s)- over all replicas"
+    missing = [s for s in range(2, k + 1) if s not in replicas]
+    if missing:
+        return ReportEntry.failure(name, statement, f"replicas {missing} could not be factorized")
+    rhs = replicas[2].qm @ replicas[2].qp
+    for s in range(2, k + 1):
+        rhs = rhs + replicas[s].qp @ replicas[s].qm
+    P, win = basis.window(margin)
+    for s in range(2, k + 1):
+        P[basis.index(0, s)] = False
+    return ReportEntry.check(name, statement, residual(doublet.H, rhs, P), tolerance,
+                             win + ", omitting replica ground levels")
+
+
+def reference_ladder_sum(rep):
+    """sum_s f_s(N) Pi_s from k diagonal column-map products."""
+    basis = rep.basis
+    return sum(
+        (ColumnMap.diag(rep.spec.f(s, np.arange(basis.d))[basis.level]) @ rep.projectors[s]
+         for s in range(basis.k)),
+        start=ColumnMap.diag(np.zeros(basis.dim)),
+    )
+
+
+def reference_relation_residuals(rep, margin):
+    """The five relation residuals of one representation on its own space."""
+    basis = rep.basis
+    P, win = basis.window(margin)
+    q = primitive_root(basis.k)
+    eye = ColumnMap.diag(np.ones(basis.dim))
+    Xm, Xp, N, K = rep.Xm, rep.Xp, rep.N, rep.K
+    return {
+        "ladder_commutator": residual(Xm @ Xp, Xp @ Xm + reference_ladder_sum(rep), P),
+        "number_ladder": max(residual(N @ Xm, Xm @ N - Xm, P), residual(N @ Xp, Xp @ N + Xp, P)),
+        "grading_ladder": max(residual(K @ Xm, (1 / q) * (Xm @ K), P),
+                              residual(K @ Xp, q * (Xp @ K), P)),
+        "grading_number": residual(K @ N, N @ K, P),
+        "grading_cyclic": residual(K ** basis.k, eye, P),
+    }, win
+
+
+def reference_tensor(pair, rep):
+    """The tensor realization with X-+ summed from k Kronecker terms each."""
+    basis, k, d = rep.basis, pair.k, rep.basis.d
+    Pf = [ColumnMap.diag(P) for P in build_projectors(pair.Kf.diagonal(), k)]
+    bm = [ColumnMap(np.arange(d) - 1, np.sqrt(np.maximum(rep.F.values[s, :d], 0.0)).astype(complex))
+          for s in range(k)]
+    zero = ColumnMap.diag(np.zeros(basis.dim))
+    A = cyclic_lowering(pair)
+    Ak1 = A ** (k - 1)
+    Xm = sum((kron(bm[s], A @ Pf[s]) for s in range(k)), start=zero)
+    Xp = sum((kron(bm[(s + 1) % k].adjoint(), Ak1 @ Pf[s]) for s in range(k)), start=zero)
+    return dataclasses.replace(build_tensor_realization(pair, rep), Xm=Xm, Xp=Xp)
+
+
+def reference_verify_system(system, config):
+    """The suite's entries with every check on the whole space, one at a time."""
+    rep, doublet = system.rep, system.doublet
+    margin, tol, strict = config.margin, config.tolerance, config.strict
+    entries = []
+    try:
+        residuals, win = reference_relation_residuals(rep, margin)
+        entries += [ReportEntry.check(f"algebra.{key}", _RELATION_STATEMENTS[key], val, tol, win)
+                    for key, val in residuals.items()]
+        entries += verify_fsusy(doublet, margin, tol, strict)
+        entries.append(partner_consistency_entry(doublet, strict))
+        entries.append(check_isospectrality(doublet, margin, tol))
+        for s in range(2, config.k + 1):
+            if s in system.refused:
+                entries.append(ReportEntry.failure(
+                    f"replica{s}.factorization",
+                    "the partner ladder admits real square roots at every level",
+                    system.refused[s]))
+            else:
+                entries += reference_verify_replica(system.replicas[s], doublet, margin, tol, strict)
+        entries.append(reference_sum_identity(doublet, system.replicas, margin, tol))
+        if config.k == 2 and 2 in system.replicas:
+            entries.append(k2_reduction_entry(doublet, system.replicas[2], margin, strict))
+        pair = build_kfermion_pair(config.k)
+        entries += verify_kfermions(pair, strict)
+        try:
+            tensor = reference_tensor(pair, rep)
+        except FsusyError as exc:
+            entries.append(ReportEntry.failure(
+                "tensor.construction",
+                "the tensor-product realization materializes on the truncated space", exc))
+        else:
+            residuals, win = reference_relation_residuals(tensor, margin)
+            entries += [ReportEntry.check(f"tensor.{key}", _RELATION_STATEMENTS[key], val, tol, win)
+                        for key, val in residuals.items()]
+            entries.append(compare_realizations(tensor, rep, tol))
+    except WindowTooSmallError as exc:
+        entries.append(ReportEntry.failure(
+            "construction.window", "a safe window exists below the truncation ceiling", exc))
+    return entries
+
+
+def entry_bits(entry):
+    """Every field of an entry, the residual as its float64 bits."""
+    fields = dict(vars(entry))
+    if fields["residual"] is not None:
+        fields["residual"] = float(fields["residual"]).hex()
+    return fields
+
+
+CHECK_FAMILIES = dict(
+    GRID_FAMILIES,
+    sector_constants=lambda k: StructureSpec.constant_values(k, [1 + 0.5 * s for s in range(k)]),
+    table=lambda k: StructureSpec.from_table(
+        k, {(s, n): ((7 * s + 3 * n) % 11 + 1) / 3 for s in range(k) for n in range(-k, 60)}),
+)
+CHECK_POINTS = [(k, label) for k in range(2, 9) for label in CHECK_FAMILIES]
+
+
+@pytest.mark.parametrize("k,label", CHECK_POINTS, ids=[f"k={k}-{lb}" for k, lb in CHECK_POINTS])
+def test_batched_checks_match_the_one_at_a_time_route(k, label):
+    # refused replicas included: k = 4 falling, k = 5 unit, flat and falling,
+    # and the constant family's top replicas from k = 5 on
+    config = RunConfig(k=k, d=40, spec=CHECK_FAMILIES[label](k), margin=k)
+    system = build_system(config)
+    got = verify_system(system, config)
+    want = reference_verify_system(system, config)
+    assert [entry_bits(e) for e in got] == [entry_bits(e) for e in want]
+    batch = verify_replicas(system.replicas, system.doublet, k)
+    assert sorted(batch) == sorted(system.replicas)
+    for s, rd in system.replicas.items():
+        one = reference_verify_replica(rd, system.doublet, k)
+        assert [entry_bits(e) for e in batch[s]] == [entry_bits(e) for e in one]
+    assert (entry_bits(verify_sum_identity(system.doublet, system.replicas, k))
+            == entry_bits(reference_sum_identity(system.doublet, system.replicas, k)))
+
+
+@pytest.mark.parametrize("k,label", CHECK_POINTS, ids=[f"k={k}-{lb}" for k, lb in CHECK_POINTS])
+def test_paired_relation_pass_equals_each_representation_alone(k, label):
+    config = RunConfig(k=k, d=40, spec=CHECK_FAMILIES[label](k), margin=k)
+    rep = build_system(config).rep
+    tensor = build_tensor_realization(build_kfermion_pair(k), rep)
+    (graded, paired_tensor), win = algebra_relation_residuals([rep, tensor], k)
+    alone = [algebra_relation_residuals([one], k) for one in (rep, tensor)]
+    references = [reference_relation_residuals(one, k) for one in (rep, tensor)]
+    for residuals, (single, single_win), (ref, ref_win) in zip(
+            (graded, paired_tensor), alone, references, strict=True):
+        assert win == single_win == ref_win
+        hexed = {key: val.hex() for key, val in residuals.items()}
+        assert hexed == {key: val.hex() for key, val in single[0].items()}
+        assert hexed == {key: val.hex() for key, val in ref.items()}
+
+
+@pytest.mark.parametrize("k,label", CHECK_POINTS, ids=[f"k={k}-{lb}" for k, lb in CHECK_POINTS])
+def test_grade_block_sums_match_the_term_sums(k, label):
+    config = RunConfig(k=k, d=40, spec=CHECK_FAMILIES[label](k), margin=k)
+    rep = build_system(config).rep
+    for one in (rep, build_tensor_realization(build_kfermion_pair(k), rep)):
+        assert ladder_weights(one).tobytes() == reference_ladder_sum(one).weight.tobytes()
+    pair = build_kfermion_pair(k)
+    tensor, reference = build_tensor_realization(pair, rep), reference_tensor(pair, rep)
+    assert_same_map(tensor.Xm, reference.Xm)
+    assert_same_map(tensor.Xp, reference.Xp)
+
+
+def count_calls(monkeypatch):
+    """Count column-map products and per-column deviations from now on.
+
+    A power counts as one call, not as its chain of products.
+    """
+    counts = {"matmul": 0, "deviation": 0}
+    inside_power = []
+    matmul, power, deviation = ColumnMap.__matmul__, ColumnMap.__pow__, fsusy.wkalg.deviation
+
+    def counted_matmul(self, other):
+        counts["matmul"] += not inside_power
+        return matmul(self, other)
+
+    def counted_power(self, n):
+        counts["matmul"] += not inside_power
+        inside_power.append(n)
+        try:
+            return power(self, n)
+        finally:
+            inside_power.pop()
+
+    def counted_deviation(lhs, rhs):
+        counts["deviation"] += 1
+        return deviation(lhs, rhs)
+
+    monkeypatch.setattr(ColumnMap, "__matmul__", counted_matmul)
+    monkeypatch.setattr(ColumnMap, "__pow__", counted_power)
+    monkeypatch.setattr(fsusy.wkalg, "deviation", counted_deviation)
+    monkeypatch.setattr(fsusy.replicas, "deviation", counted_deviation)
+    return counts
+
+
+def test_batched_checks_make_the_same_calls_at_every_order(monkeypatch):
+    # no loop over replicas or representations may come back into the
+    # replica stage or the relation pass: k = 3 and k = 8 (every replica
+    # built) make equally many products and deviations
+    stages = {}
+    for k in (3, 8):
+        config = RunConfig(k=k, d=40, spec=StructureSpec.affine_family(k, 0.5, 1.0), margin=k)
+        system = build_system(config)
+        assert len(system.replicas) == k - 1
+        tensor = build_tensor_realization(build_kfermion_pair(k), system.rep)
+        with monkeypatch.context() as patch:
+            counts = count_calls(patch)
+            verify_replicas(system.replicas, system.doublet, k)
+            verify_sum_identity(system.doublet, system.replicas, k)
+            replica_stage = dict(counts)
+            counts.update(matmul=0, deviation=0)
+            algebra_relation_residuals([system.rep, tensor], k)
+            stages[k] = replica_stage, dict(counts)
+    assert stages[3] == stages[8]
+    assert all(count > 0 for stage in stages[3] for count in stage.values())

@@ -200,6 +200,26 @@ class TestSpecSelection:
         assert code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--a", "1e308", "--b", "1e308"],
+        ["--c0", "1e308", "--c1", "1e308", "--c2", "1e308"],
+    ], ids=["affine", "constant"])
+    def test_overflowing_structure_values_fail_construction(self, tmp_path, capsys, flags):
+        # f_s(1) = 2e308 and F_s(2) = 2e308 overflow float64; any warning
+        # numpy raised on the way would fail this test
+        out = tmp_path / "report.json"
+        code = main(["verify", "--k", "3", "--d", "40", *flags, "--out_report", str(out)])
+        assert code == 1
+        assert "verdict: fail" in capsys.readouterr().out
+        # a NaN or an Infinity in the report, which strict JSON lacks, fails here
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=pytest.fail)
+        assert report["verdict"] == "fail"
+        [entry] = report["entries"]
+        assert entry["name"] == "construction.representation"
+        assert entry["residual"] is None
+        assert entry["error"] == ("F_0(2) = inf is not finite; "
+                                  "the structure values overflow float64")
+
     @pytest.mark.parametrize("flags, message", [
         (["--family", "constant", "--a", "1", "--b", "2"],
          "the constant family in use takes no a (affine family), b (affine family)"),
@@ -237,6 +257,12 @@ class TestExitCodes:
     def test_invalid_order_exits_2(self, capsys):
         assert main(["verify", "--k", "1", "--d", "12"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unallocatable_truncation_exits_2(self, capsys):
+        # numpy refuses the 7.28 TiB level array at once, touching no memory
+        assert main(["verify", "--k", "3", "--d", "1000000000000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the system at k=3, d=1000000000000 is too large to allocate\n")
 
     def test_unreachable_tolerance_exits_1(self, capsys):
         code = main(["verify", "--k", "3", "--d", "12", "--tolerance", "1e-18"])

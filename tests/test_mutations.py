@@ -6,11 +6,14 @@ Here one weight (or partner energy) is scaled by 1 + 1e-9 at a low level, a
 middle level and the top of the window, on the four acceptance families at
 k = 3, d = 40 (k = 2 for the order-2 reduction, the k-fermion grades for the
 k-fermion entries), and the entry must fail at its tier: 1e-10 windowed,
-1e-12 strict, 0 exact.
+1e-12 strict, 0 exact.  The checks run as the suite runs them: the graded
+and the tensor relations in one paired pass, all replicas in one
+block-diagonal batch.
 
 Four identities cannot see a scaled weight and are not listed: Q-^k = 0,
 q- q- = 0 and f-^k = 0 stay nilpotent whatever their weights, and the
-diagonal K and N commute whatever their weights.
+diagonal K and N commute whatever their weights.  A replica operator that
+reaches a third sector fails every entry of its own replica and no other.
 """
 
 import dataclasses
@@ -27,7 +30,7 @@ from fsusy.realization import (
 from fsusy.replicas import (
     check_isospectrality,
     k2_reduction_entry,
-    verify_replica,
+    verify_replicas,
     verify_sum_identity,
 )
 from fsusy.suite import RunConfig, build_system
@@ -51,7 +54,7 @@ def family_specs(k):
 def systems():
     """(k, family) -> built system at d = 40, margin = k."""
     return {(k, label): build_system(RunConfig(k=k, d=D, spec=spec, margin=k))
-            for k in (2, 3) for label, spec in family_specs(k).items()}
+            for k in (2, 3, 4) for label, spec in family_specs(k).items()}
 
 
 def scaled(op, col, factor):
@@ -63,21 +66,34 @@ def scaled(op, col, factor):
 # Each case maps (system, level n, factor) to the entries of the check behind
 # an entry name, with one weight of sector s at level n scaled by factor.
 
+def make_tensor(rep):
+    return build_tensor_realization(build_kfermion_pair(rep.basis.k), rep)
+
+
 def rep_case(field, s):
     def run(system, n, factor):
         rep = system.rep
         op = scaled(getattr(rep, field), rep.basis.index(n, s), factor)
-        return verify_wk_relations(dataclasses.replace(rep, **{field: op}), rep.basis.k)
+        mutated = dataclasses.replace(rep, **{field: op})
+        return verify_wk_relations(mutated, rep.basis.k, tensor=make_tensor(rep))[0]
     return run
 
 
 def tensor_case(field, s):
     def run(system, n, factor):
         rep = system.rep
-        tensor = build_tensor_realization(build_kfermion_pair(rep.basis.k), rep)
+        tensor = make_tensor(rep)
         op = scaled(getattr(tensor, field), rep.basis.index(n, s), factor)
-        return compare_realizations(dataclasses.replace(tensor, **{field: op}), rep, rep.basis.k)
+        mutated = dataclasses.replace(tensor, **{field: op})
+        return (verify_wk_relations(rep, rep.basis.k, tensor=mutated)[1]
+                + [compare_realizations(mutated, rep)])
     return run
+
+
+def replica_entries(replicas, doublet):
+    """Entries of every replica, checked in one batch as the suite does."""
+    return [e for entries in verify_replicas(replicas, doublet, doublet.k).values()
+            for e in entries]
 
 
 def hamiltonian_case(s):
@@ -100,8 +116,8 @@ def partner_case(s):
         partners = doublet.partners.copy()
         partners[s - 1, n] *= factor
         doublet = dataclasses.replace(doublet, partners=partners)
-        return [check_isospectrality(doublet, doublet.k)] + verify_replica(
-            system.replicas[s], doublet, doublet.k)
+        return [check_isospectrality(doublet, doublet.k)] + replica_entries(
+            system.replicas, doublet)
     return run
 
 
@@ -109,7 +125,9 @@ def replica_case(s, field, sector):
     def run(system, n, factor):
         rd, doublet = system.replicas[s], system.doublet
         op = scaled(getattr(rd, field), doublet.rep.basis.index(n, sector), factor)
-        return verify_replica(dataclasses.replace(rd, **{field: op}), doublet, doublet.k)
+        replicas = dict(system.replicas)
+        replicas[s] = dataclasses.replace(rd, **{field: op})
+        return replica_entries(replicas, doublet)
     return run
 
 
@@ -177,3 +195,42 @@ def test_scaled_fermion_weight_fails_the_entry(name, k, field, grades):
             mutated = dataclasses.replace(pair, **{field: scaled(getattr(pair, field), t, factor)})
             entry = {e.name: e for e in verify_kfermions(mutated)}[name]
             assert entry.passed is passed, (t, factor, entry.residual)
+
+
+def planted(op, col, target, weight):
+    """op with column col sent to row target with the given weight."""
+    targets, weights = op.target.copy(), op.weight.copy()
+    targets[col], weights[col] = target, weight
+    return ColumnMap(targets, weights)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("how", ["third-sector-column", "target-off-the-pair"])
+def test_stray_replica_weight_fails_only_its_replica(systems, k, how):
+    """A weight of 1e-9 planted in h(s) in a column of a third sector, or in
+    X(s)- in a column of sector s with its row in a third sector, fails
+    every entry of replica s and leaves the other replicas' entries as they
+    were, at any level, the top one included."""
+    for label in family_specs(k):
+        system = systems[k, label]
+        doublet, basis = system.doublet, system.doublet.rep.basis
+        for s in system.replicas:
+            third = (s + 1) % k
+            for n in (1, basis.d // 2, basis.d - 1):
+                replicas = dict(system.replicas)
+                rd = replicas[s]
+                if how == "third-sector-column":
+                    col = basis.index(n, third)
+                    replicas[s] = dataclasses.replace(rd, h=planted(rd.h, col, col, 1e-9))
+                else:
+                    col = basis.index(n, s)
+                    stray = planted(rd.Xsm, col, basis.index(n - 1, third), 1e-9)
+                    replicas[s] = dataclasses.replace(rd, Xsm=stray)
+                before = verify_replicas(system.replicas, doublet, k)
+                after = verify_replicas(replicas, doublet, k)
+                for r, entries in after.items():
+                    for e, ref in zip(entries, before[r], strict=True):
+                        if r == s:
+                            assert not e.passed, (label, s, n, e.name, e.residual)
+                        else:
+                            assert e == ref, (label, s, n, e.name)

@@ -13,7 +13,7 @@ from fsusy.realization import (
     cyclic_lowering,
     verify_kfermions,
 )
-from fsusy.wkalg import ColumnMap, build_rep
+from fsusy.wkalg import ColumnMap, build_rep, verify_wk_relations
 
 
 def make_rep(k, d, spec=None):
@@ -73,6 +73,11 @@ def make_tensor(rep):
     return build_tensor_realization(build_kfermion_pair(rep.basis.k), rep)
 
 
+def tensor_entries(tensor, rep, margin):
+    """The tensor.* entries of a suite run: the relations, paired with rep's, and the spectra."""
+    return verify_wk_relations(rep, margin, tensor=tensor)[1] + [compare_realizations(tensor, rep)]
+
+
 TENSOR_RELATIONS = [
     "tensor.ladder_commutator",
     "tensor.number_ladder",
@@ -85,7 +90,7 @@ TENSOR_RELATIONS = [
 class TestTensorRealization:
     def test_k2_matches_defining_relations(self):
         rep = make_rep(2, 10)
-        entries = compare_realizations(make_tensor(rep), rep, margin=2)
+        entries = tensor_entries(make_tensor(rep), rep, margin=2)
         by_name = {e.name: e for e in entries}
         for key in TENSOR_RELATIONS:
             assert by_name[key].residual < 1e-10, key
@@ -98,7 +103,7 @@ class TestTensorRealization:
         spec = StructureSpec.constant_values(k, [1 + 0.5 * s for s in range(k)])
         rep = make_rep(k, 30, spec)
         tensor = make_tensor(rep)
-        by_name = {e.name: e for e in compare_realizations(tensor, rep, margin=k)}
+        by_name = {e.name: e for e in tensor_entries(tensor, rep, margin=k)}
         for key in TENSOR_RELATIONS:
             assert not by_name[key].informative, key
             assert by_name[key].residual < 1e-12, key
@@ -114,7 +119,7 @@ class TestTensorRealization:
         weight[1 * 12 + 3] *= 1 + 1e-6  # |m=3> (x) |t=1>, inside the window
         mutated = dataclasses.replace(tensor, Xp=ColumnMap(tensor.Xp.target, weight))
         for op, passed in [(tensor, True), (mutated, False)]:
-            by_name = {e.name: e for e in compare_realizations(op, rep, margin=k)}
+            by_name = {e.name: e for e in tensor_entries(op, rep, margin=k)}
             entry = by_name["tensor.ladder_commutator"]
             assert not entry.informative
             assert entry.passed is passed, entry.residual
@@ -139,12 +144,13 @@ class TestTensorRealization:
         rep = make_rep(2, 10)
         tensor = make_tensor(make_rep(2, 8))
         with pytest.raises(RepresentationError):
-            compare_realizations(tensor, rep, margin=2)
+            compare_realizations(tensor, rep)
+        with pytest.raises(RepresentationError, match="no common window"):
+            verify_wk_relations(rep, 2, tensor=tensor)
 
 
 def spectral_entry(tensor, rep):
-    entries = {e.name: e for e in compare_realizations(tensor, rep, margin=rep.basis.k)}
-    return entries["tensor.spectral_distance"]
+    return compare_realizations(tensor, rep)
 
 
 def test_spectral_distance_of_the_graded_operators_is_zero():

@@ -8,7 +8,7 @@ from fsusy.replicas import (
     build_shift_operators,
     check_isospectrality,
     k2_reduction_entry,
-    verify_replica,
+    verify_replicas,
     verify_sum_identity,
 )
 from fsusy.system import build_doublet
@@ -88,7 +88,7 @@ def test_slack_does_not_mask_low_level_negativity():
 def test_replica_identities_for_unit_constant(s):
     db = make_doublet(3, 30)
     rd = build_replica(db, s)
-    entries = {e.name: e for e in verify_replica(rd, db, margin=3)}
+    entries = {e.name: e for e in verify_replicas({s: rd}, db, margin=3)[s]}
     assert entries[f"replica{s}.nilpotency"].residual == 0.0
     assert entries[f"replica{s}.pair_adjoint"].residual == 0.0
     assert entries[f"replica{s}.anticommutator"].residual == 0.0
@@ -117,7 +117,7 @@ def test_replica_hamiltonian_diagonal_values():
 def test_k2_intertwining_is_tight():
     db = make_doublet(2, 20)
     rd = build_replica(db, 2)
-    entries = {e.name: e for e in verify_replica(rd, db, margin=2)}
+    entries = {e.name: e for e in verify_replicas({2: rd}, db, margin=2)[2]}
     assert entries["replica2.intertwining"].residual < 1e-12
 
 
@@ -125,7 +125,7 @@ def test_zero_structure_replica_is_zero():
     db = make_doublet(3, 8, StructureSpec.constant_values(3, 0.0))
     for s in (2, 3):
         rd = build_replica(db, s)
-        for e in verify_replica(rd, db, margin=2):
+        for e in verify_replicas({s: rd}, db, margin=2)[s]:
             assert e.residual == 0.0, e.name
 
 

@@ -192,6 +192,42 @@ class TestRunVerificationSuite:
         assert by_name["reduction.total_hamiltonian"].passed
 
 
+def indented_json(report: VerificationReport) -> str:
+    """The report through the indenting pure-Python encoder, the oracle of to_json."""
+    return json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+class TestReportJson:
+    @pytest.mark.parametrize("k,d,spec", [
+        (3, 12, UNIT3),
+        (5, 20, StructureSpec.constant_values(5, [1.0, 0.5, 2.0, 1.5, 0.25])),
+        (3, 10, StructureSpec.from_table(
+            3, {(s, n): 1.0 + 0.25 * s for s in range(3) for n in range(-3, 14)})),
+        (3, 20, StructureSpec.from_table(
+            3, {(s, n): 3.0 - n for s in range(3) for n in range(-3, 24)})),
+    ], ids=["golden-config-k3", "constants-refused-replica", "table", "truncating-table"])
+    def test_suite_reports_match_the_indenting_encoder(self, k, d, spec):
+        report = run_verification_suite(RunConfig(k=k, d=d, spec=spec, margin=k))
+        assert report.to_json() == indented_json(report)
+
+    def test_failure_entries_with_quotes_and_non_ascii_text(self):
+        failure = fsusy.report.ReportEntry.failure
+        entries = [
+            failure("construction.representation", 'the "graded" ladder\tmaterializes',
+                    'partner energy H₅(1) = -2 is "negative"; \\ no root'),
+            failure("construction.window", "a window exists", "ü\n€ and \u2028"),
+        ]
+        config = RunConfig(k=5, d=40, spec=StructureSpec.constant_values(5, 1.0),
+                           margin=5).echo(None)
+        report = VerificationReport.compile(config, entries)
+        assert report.to_json() == indented_json(report)
+        assert "H\\u2085(1)" in report.to_json()
+
+    def test_report_without_entries(self):
+        report = VerificationReport.compile({"k": 2}, [])
+        assert report.to_json() == indented_json(report)
+
+
 class TestEmitSpectrum:
     def test_rows_and_values(self, tmp_path):
         system = small_system(3, 5)

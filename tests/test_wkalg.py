@@ -209,7 +209,8 @@ def test_residual_scales_each_column():
 )
 def test_defining_relations_hold(k, d, spec):
     rep = make_rep(k, d, spec)
-    entries = verify_wk_relations(rep, margin=2)
+    entries, tensor_entries = verify_wk_relations(rep, margin=2)
+    assert tensor_entries == []
     assert len(entries) == 5
     for e in entries:
         assert e.passed, (e.name, e.residual)
@@ -226,7 +227,7 @@ def test_relations_hold_for_random_nonnegative_tables(k, seed):
     }
     spec = StructureSpec.from_table(k, entries)
     rep = make_rep(k, d, spec)
-    for e in verify_wk_relations(rep, margin=2):
+    for e in verify_wk_relations(rep, margin=2)[0]:
         assert e.residual < 1e-10, (e.name, e.residual)
 
 
