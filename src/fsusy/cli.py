@@ -225,11 +225,14 @@ def make_config(ns: argparse.Namespace) -> RunConfig:
     if "d" not in settings:
         raise ConfigError("the truncation d is required (flag --d or config key d)")
     k, d = settings["k"], settings["d"]
+    margin = settings.get("margin", k)
+    # before the spec, as the constant family makes a list of k values
+    RunConfig.check_space(k, d, margin)
     return RunConfig(
         k=k,
         d=d,
         spec=_build_spec(k, settings),
-        margin=settings.get("margin", k),
+        margin=margin,
         tolerance=settings.get("tolerance", DEFAULT_TOLERANCE),
         out_report=settings.get("out_report"),
         out_spectrum=settings.get("out_spectrum"),

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,23 @@ from .errors import (
 NONNEG_TOL = 1e-12
 
 FAMILIES = ("constant", "affine", "table")
+
+
+class Columns(NamedTuple):
+    """Columns to score on (a ``mask``, None for all) and their report text."""
+
+    mask: np.ndarray | None
+    text: str
+
+    def narrow(self, keep: np.ndarray | None, note: str) -> Columns:
+        """The columns ``keep`` also holds, the note appended to the text; a
+        ``keep`` of None keeps them all, for a note on the expected side."""
+        return Columns(self.mask if keep is None else self.mask & keep, f"{self.text}, {note}")
+
+
+FULL_SPACE = Columns(None, "full space")
+FULL_GRADE_SPACE = Columns(None, "full grade space")
+EIGENVALUE_MULTISET = Columns(None, "eigenvalue multiset")
 
 
 @dataclass(frozen=True)
@@ -195,7 +213,7 @@ class GradedBasis:
         """Columns of sector s (cyclic index), as a fresh mask."""
         return self.sector == s % self.k
 
-    def window(self, margin: int) -> tuple[np.ndarray, str]:
+    def window(self, margin: int) -> Columns:
         """Columns of levels n <= d - 1 - margin, as a fresh mask, and their description."""
         if margin < 1:
             raise WindowTooSmallError(f"margin must be at least 1, got {margin}")
@@ -204,7 +222,7 @@ class GradedBasis:
             raise WindowTooSmallError(
                 f"margin {margin} leaves no window below the ceiling of {self.d} levels"
             )
-        return self.level <= top, f"levels n <= {top} of {self.d} (margin {margin})"
+        return Columns(self.level <= top, f"levels n <= {top} of {self.d} (margin {margin})")
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

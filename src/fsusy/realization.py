@@ -36,10 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidOrderError, RepresentationError
-from .fock import GradedBasis
+from .fock import EIGENVALUE_MULTISET, FULL_GRADE_SPACE, FULL_SPACE, GradedBasis
 from .qarith import primitive_root, q_factorial, q_number
 from .report import ReportEntry
-from .wkalg import AlgebraRep, ColumnMap, build_projectors, residual
+from .wkalg import AlgebraRep, ColumnMap, Scoring, build_projectors, score
 
 
 @dataclass(frozen=True)
@@ -73,29 +73,29 @@ def cyclic_lowering(pair: KFermionPair) -> ColumnMap:
     return pair.fm + (1 / q_factorial(k - 1, primitive_root(k))) * pair.fp ** (k - 1)
 
 
-def verify_kfermions(pair: KFermionPair, strict: float = 1e-12) -> list[ReportEntry]:
+def verify_kfermions(pair: KFermionPair, scoring: Scoring) -> list[ReportEntry]:
     k, fm, fp = pair.k, pair.fm, pair.fp
     q = primitive_root(k)
     zero = ColumnMap.diag(np.zeros(k))
     entries = [
-        ReportEntry.check(
+        scoring.entry(
             "kfermion.q_commutator", "f- f+ - q f+ f- = 1",
-            residual(fm @ fp - q * (fp @ fm), ColumnMap.diag(np.ones(k))),
-            strict, "full grade space"),
-        ReportEntry.exact(
+            score([(fm @ fp - q * (fp @ fm), ColumnMap.diag(np.ones(k)))])[0],
+            "strict", FULL_GRADE_SPACE),
+        scoring.entry(
             "kfermion.nilpotency", "f-^k = 0 and f+^k = 0",
-            max(residual(fm ** k, zero), residual(fp ** k, zero))),
+            score([(fm ** k, zero), (fp ** k, zero)])[0], "exact", FULL_SPACE),
         # [f-, f+] is diagonal, so its diagonal is its eigenvalue multiset
-        ReportEntry.check(
+        scoring.entry(
             "kfermion.grading_spectrum",
             "[f-, f+] has eigenvalue multiset {q^t : t = 0..k-1}",
-            residual(pair.Kf, ColumnMap.diag(q ** np.arange(k))),
-            strict, "eigenvalue multiset"),
+            score([(pair.Kf, ColumnMap.diag(q ** np.arange(k)))])[0],
+            "strict", EIGENVALUE_MULTISET),
     ]
     if k == 2:
-        entries.append(ReportEntry.exact(
+        entries.append(scoring.entry(
             "kfermion.pair_adjoint", "for order 2 the pair is mutually adjoint",
-            residual(fp, fm.adjoint())))
+            score([(fp, fm.adjoint())])[0], "exact", FULL_SPACE))
     return entries
 
 
@@ -140,11 +140,7 @@ def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
     return AlgebraRep(rep.spec, basis, F, Xm, Xp, rep.N, K, projectors)
 
 
-def compare_realizations(
-    tensor: AlgebraRep,
-    rep: AlgebraRep,
-    tolerance: float = 1e-10,
-) -> ReportEntry:
+def compare_realizations(tensor: AlgebraRep, rep: AlgebraRep, scoring: Scoring) -> ReportEntry:
     """Compare the spectra of X+ X- between the tensor and the graded construction.
 
     Their defining relations are checked together by
@@ -160,7 +156,7 @@ def compare_realizations(
     # smallest of the other
     spectra = [ColumnMap.diag(np.sort((Xp @ Xm).diagonal()))
                for Xp, Xm in ((tensor.Xp, tensor.Xm), (rep.Xp, rep.Xm))]
-    return ReportEntry.check(
+    return scoring.entry(
         "tensor.spectral_distance",
         "eigenvalues of X+ X- agree between the tensor and graded constructions",
-        residual(*spectra), tolerance, "eigenvalue multiset")
+        score([spectra])[0], "windowed", EIGENVALUE_MULTISET)

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, FsusyError
-from .fock import NONNEG_TOL, GradedBasis
+from .fock import FULL_SPACE, NONNEG_TOL, Columns, GradedBasis
 from .report import ReportEntry
 from .system import FsusyDoublet
-from .wkalg import ColumnMap, deviation, residual, window_max
+from .wkalg import ColumnMap, Scoring, score
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class ReplicaBlocks:
             if sum(np.count_nonzero(op.weight) for op in full) != np.count_nonzero(block.weight):
                 for i, op in enumerate(full):
                     back = _scatter(block, cols, stack.sector // 2 == i, basis)
-                    stray[i] = np.maximum(stray[i], residual(op, back))
+                    stray[i] = np.maximum(stray[i], score([(op, back)])[0])
             ops[name] = block
         return cls(order, stack, cols, ops, stray)
 
@@ -145,34 +145,53 @@ def _scatter(block: ColumnMap, cols: np.ndarray, take: np.ndarray, basis: Graded
     return ColumnMap(target, weight)
 
 
+# the statement and tier of every replica identity
+_IDENTITIES = {
+    "nilpotency": ("q- q- = 0 and q+ q+ = 0", "exact"),
+    "pair_adjoint": ("q+ is the conjugate transpose of q-", "exact"),
+    "anticommutator": ("h = q- q+ + q+ q-", "exact"),
+    "hamiltonian_commutes": ("[h, q-] = 0 and [h, q+] = 0", "strict"),
+    # X(s)- X(s)+ = H_s(N+1) on sector s-1
+    "shift_product": ("X(s)- X(s)+ equals the partner ladder shifted one level down, "
+                      "on sector s-1", "windowed"),
+    # h = H_(s-1) Pi_(s-1) + H_s Pi_s, with 0 expected at the omitted |0, s>
+    "partner_diagonal": ("h carries the two partner ladders on its pair of sectors and "
+                         "vanishes elsewhere", "strict"),
+    # H_(s-1) X(s)- = X(s)- H_s and H_s X(s)+ = X(s)+ H_(s-1)
+    "intertwining": ("the shift operators intertwine adjacent partner ladders", "strict"),
+}
+
+
 def verify_replicas(
-    replicas: dict[int, ReplicaDoublet],
-    doublet: FsusyDoublet,
-    margin: int,
-    tolerance: float = 1e-10,
-    strict: float = 1e-12,
+    replicas: dict[int, ReplicaDoublet], doublet: FsusyDoublet, scoring: Scoring
 ) -> dict[int, list[ReportEntry]]:
     """Check the ordinary SUSY axioms and both factorization identities of
     every replica, by s.
 
     Each identity is evaluated once, on the block-diagonal gather of all
-    replicas, and each replica reads the largest deviation over its own two
-    sectors.  Its operators vanish off those sectors, so this equals the
-    full-space residual; a stray weight (``ReplicaBlocks.stray``) fails
-    every entry of its replica.
+    replicas; each replica's residual over its own columns of the graded
+    basis equals its full-space one, and a stray weight
+    (``ReplicaBlocks.stray``) fails every entry of its replica.
     """
     if not replicas:
         return {}
     basis = doublet.rep.basis
     blocks = ReplicaBlocks.gather(replicas, basis)
     stack, m = blocks.stack, len(blocks.order)
-    P, win = stack.window(margin)
+    window = basis.window(scoring.margin)
+    # each replica's column set of every identity, on the graded basis
+    columns = {s: dict(dict.fromkeys(_IDENTITIES, FULL_SPACE), intertwining=window,
+                       shift_product=window.narrow(basis.sector_mask(s - 1), f"sector {s - 1}"),
+                       partner_diagonal=window.narrow(
+                           None, f"omitting ground level of sector {s % basis.k}"))
+               for s in blocks.order}
+
+    def on_stack(key):
+        return np.concatenate([columns[s][key].mask[c]
+                               for s, c in zip(blocks.order, blocks.cols.reshape(m, -1))])
+
     Xsm, Xsp, qm, qp, h = (blocks.ops[name] for name in _FIELDS)
     lower = stack.sector % 2 == 0
-
-    def score(lhs, rhs, window=None):
-        return window_max(deviation(lhs, rhs), window, m)
-
     zero = ColumnMap.diag(np.zeros(stack.dim))
 
     # the two partner ladders of each replica: H_(s-1) on sector s-1 and
@@ -183,78 +202,45 @@ def verify_replicas(
     up = np.append(doublet.partners[:, 1:], np.zeros((basis.k, 1)), axis=1)
 
     # each identity's products live only while it is scored
-    columns = {
-        "nilpotency": np.maximum(score(qm @ qm, zero), score(qp @ qp, zero)),
-        "pair_adjoint": score(qp, qm.adjoint()),
-        "anticommutator": score(h, qm @ qp + qp @ qm),
-        "hamiltonian_commutes": np.maximum(score(h @ qm, qm @ h), score(h @ qp, qp @ h)),
+    residuals = {
+        "nilpotency": score(((q @ q, zero) for q in (qm, qp)), None, m),
+        "pair_adjoint": score([(qp, qm.adjoint())], None, m),
+        "anticommutator": score([(h, qm @ qp + qp @ qm)], None, m),
+        "hamiltonian_commutes": score(((h @ q, q @ h) for q in (qm, qp)), None, m),
         "shift_product": score(
-            Xsm @ Xsp, ColumnMap.diag(up[rows[stack.sector | 1], stack.level]), P & lower),
-        # h vanishes at the omitted ground level |0, s>
-        "partner_diagonal": score(h, D.masked(lower | (stack.level > 0)), P),
-        "intertwining": np.maximum(score(D @ Xsm, Xsm @ D, P), score(D @ Xsp, Xsp @ D, P)),
+            [(Xsm @ Xsp, ColumnMap.diag(up[rows[stack.sector | 1], stack.level]))],
+            on_stack("shift_product"), m),
+        "partner_diagonal": score(
+            [(h, D.masked(lower | (stack.level > 0)))], on_stack("partner_diagonal"), m),
+        "intertwining": score(((D @ X, X @ D) for X in (Xsm, Xsp)), on_stack("intertwining"), m),
     }
-    columns = {key: np.maximum(val, blocks.stray) for key, val in columns.items()}
-
-    entries = {}
-    for i, s in enumerate(blocks.order):
-        res = {key: float(val[i]) for key, val in columns.items()}
-        entries[s] = [
-            ReportEntry.exact(
-                f"replica{s}.nilpotency", "q- q- = 0 and q+ q+ = 0", res["nilpotency"]),
-            ReportEntry.exact(
-                f"replica{s}.pair_adjoint", "q+ is the conjugate transpose of q-",
-                res["pair_adjoint"]),
-            ReportEntry.exact(
-                f"replica{s}.anticommutator", "h = q- q+ + q+ q-", res["anticommutator"]),
-            ReportEntry.check(
-                f"replica{s}.hamiltonian_commutes", "[h, q-] = 0 and [h, q+] = 0",
-                res["hamiltonian_commutes"], strict, "full space"),
-            # product identity: X(s)- X(s)+ = H_s(N+1) on sector s-1
-            ReportEntry.check(
-                f"replica{s}.shift_product",
-                "X(s)- X(s)+ equals the partner ladder shifted one level down, on sector s-1",
-                res["shift_product"], tolerance, win + f", sector {s - 1}"),
-            # diagonal identity: h = H_(s-1) Pi_(s-1) + H_s Pi_s away from the
-            # omitted ground level |0, s> (its expected entry is zero by construction)
-            ReportEntry.check(
-                f"replica{s}.partner_diagonal",
-                "h carries the two partner ladders on its pair of sectors and vanishes elsewhere",
-                res["partner_diagonal"], strict,
-                win + f", omitting ground level of sector {s % basis.k}"),
-            # intertwining: H_(s-1) X(s)- = X(s)- H_s and H_s X(s)+ = X(s)+ H_(s-1)
-            ReportEntry.check(
-                f"replica{s}.intertwining",
-                "the shift operators intertwine adjacent partner ladders",
-                res["intertwining"], strict, win),
-        ]
-    return entries
+    return {
+        s: [scoring.entry(f"replica{s}.{key}", statement,
+                          np.maximum(residuals[key][i], blocks.stray[i]), tier, columns[s][key])
+            for key, (statement, tier) in _IDENTITIES.items()]
+        for i, s in enumerate(blocks.order)
+    }
 
 
-def check_isospectrality(
-    doublet: FsusyDoublet, margin: int, tolerance: float = 1e-10
-) -> ReportEntry:
+def check_isospectrality(doublet: FsusyDoublet, scoring: Scoring) -> ReportEntry:
     """Level-shift identity H_(s-1)(n-1) = H_s(n) for s = 2 .. k.
 
     Stated on values rather than eigenvalue multisets because truncation and
     the omitted ground levels fray the edges of a multiset comparison.
     """
-    top = doublet.d - 1 - margin
+    top = doublet.d - 1 - scoring.margin
     # H_(s-1)(n-1) against H_s(n), s = 2 .. k and n = 1 .. top
     lower = ColumnMap.diag(doublet.partners[:-1, :top].ravel())
     upper = ColumnMap.diag(doublet.partners[1:, 1:top + 1].ravel())
-    return ReportEntry.check(
+    return scoring.entry(
         "partners.level_shift",
         "adjacent partner ladders agree after a one-level shift (wrap pair exempt)",
-        residual(lower, upper), tolerance, f"levels 1 <= n <= {top}",
+        score([(lower, upper)])[0], "windowed", Columns(None, f"levels 1 <= n <= {top}"),
     )
 
 
 def verify_sum_identity(
-    doublet: FsusyDoublet,
-    replicas: dict[int, ReplicaDoublet],
-    margin: int,
-    tolerance: float = 1e-10,
+    doublet: FsusyDoublet, replicas: dict[int, ReplicaDoublet], scoring: Scoring
 ) -> ReportEntry:
     """Reassemble H from the replica charges:
 
@@ -265,10 +251,9 @@ def verify_sum_identity(
     formed, and the entry fails naming the missing ones.
     """
     basis = doublet.rep.basis
-    k = basis.k
     name = "fsusy.charge_sum"
     statement = "H equals q(2)- q(2)+ plus the sum of q(s)+ q(s)- over all replicas"
-    missing = [s for s in range(2, k + 1) if s not in replicas]
+    missing = [s for s in range(2, basis.k + 1) if s not in replicas]
     if missing:
         return ReportEntry.failure(
             name, statement, f"replicas {missing} could not be factorized")
@@ -283,26 +268,20 @@ def verify_sum_identity(
     products = ColumnMap(np.where(upper, up.target, down.target),
                          np.where(upper, up.weight, down.weight))
     rhs = _scatter(products, blocks.cols, upper | (sector == 0), basis)
-    P, win = basis.window(margin)
-    P[basis.index(0, np.arange(2, k + 1))] = False
-    return ReportEntry.check(
-        name, statement, residual(doublet.H, rhs, P), tolerance,
-        win + ", omitting replica ground levels",
-    )
+    # every column but the ground levels |0, s> of sectors s = 2 .. k
+    window = basis.window(scoring.margin).narrow(
+        (basis.level > 0) | (basis.sector == 1), "omitting replica ground levels")
+    return scoring.entry(
+        name, statement, score([(doublet.H, rhs)], window.mask)[0], "windowed", window)
 
 
-def k2_reduction_entry(
-    doublet: FsusyDoublet,
-    rd: ReplicaDoublet,
-    margin: int,
-    strict: float = 1e-12,
-) -> ReportEntry:
+def k2_reduction_entry(doublet: FsusyDoublet, rd: ReplicaDoublet, scoring: Scoring) -> ReportEntry:
     """For k = 2 the single replica reproduces H entrywise."""
     if doublet.k != 2 or rd.s != 2:
         raise FsusyError("the reduction check applies to the k = 2 replica only")
-    P, win = doublet.rep.basis.window(margin)
-    return ReportEntry.check(
+    window = doublet.rep.basis.window(scoring.margin)
+    return scoring.entry(
         "reduction.total_hamiltonian",
         "for order 2 the replica Hamiltonian h(2) equals H entrywise",
-        residual(rd.h, doublet.H, P), strict, win,
+        score([(rd.h, doublet.H)], window.mask)[0], "strict", window,
     )

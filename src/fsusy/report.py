@@ -17,8 +17,9 @@ class ReportEntry:
     """One verified identity: its residual, tolerance and verdict.
 
     Every entry is asserted and gates the verdict; ``informative`` stays
-    False and is kept only as a key of the report schema.  Construction
-    failures carry an error string and a null residual.
+    False and is kept only as a key of the report schema.  Scored entries
+    come from ``wkalg.Scoring.entry``.  Construction failures, and identities
+    whose products overflow, carry an error string and a null residual.
     """
 
     name: str
@@ -29,16 +30,6 @@ class ReportEntry:
     window: str
     informative: bool = False
     error: str | None = None
-
-    @classmethod
-    def check(cls, name, statement, residual, tolerance, window):
-        residual = float(residual)
-        return cls(name, statement, residual, float(tolerance), residual <= tolerance, window)
-
-    @classmethod
-    def exact(cls, name, statement, residual, window="full space"):
-        residual = float(residual)
-        return cls(name, statement, residual, 0.0, residual == 0.0, window)
 
     @classmethod
     def failure(cls, name, statement, error):
@@ -101,12 +92,10 @@ class VerificationReport:
 
     def summary(self) -> str:
         """Human-readable synopsis; residuals shown with 3 significant digits."""
-        lines = []
-        cfg = self.config
-        lines.append(
+        lines = [
             "graded system k={k} d={d_requested} (effective {d_effective}) "
-            "family={family} margin={margin} tolerance={tolerance:g}".format(**cfg)
-        )
+            "family={family} margin={margin} tolerance={tolerance:g}".format(**self.config)
+        ]
         for e in self.entries:
             tag = "PASS" if e.passed else "FAIL"
             if e.error is not None:

@@ -40,11 +40,7 @@ from .replicas import (
 )
 from .report import ReportEntry, VerificationReport
 from .system import FsusyDoublet, build_doublet, partner_consistency_entry, verify_fsusy
-from .wkalg import AlgebraRep, ColumnMap, build_rep, verify_wk_relations
-
-# asserted identities derived from exact cancellations get a tolerance this
-# much tighter than the windowed ones
-STRICT_FACTOR = 1e-2
+from .wkalg import AlgebraRep, ColumnMap, Scoring, build_rep, verify_wk_relations
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -63,24 +59,27 @@ class RunConfig:
     out_operators: str | None = None
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ConfigError(f"cyclic order must be at least 2, got {self.k}")
-        if self.d < 4:
-            raise ConfigError(f"truncation must be at least 4 levels, got {self.d}")
-        if self.margin < 1:
-            raise ConfigError(f"window margin must be at least 1, got {self.margin}")
-        if self.d - self.margin < 2:
-            raise ConfigError(
-                f"margin {self.margin} leaves no window inside {self.d} levels"
-            )
+        self.check_space(self.k, self.d, self.margin)
         if not 0 < self.tolerance < np.inf:
             raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.spec.k != self.k:
             raise ConfigError(f"structure spec has order {self.spec.k}, expected {self.k}")
 
+    @staticmethod
+    def check_space(k: int, d: int, margin: int) -> None:
+        """Refuse an order, truncation or margin that leaves no window."""
+        if k < 2:
+            raise ConfigError(f"cyclic order must be at least 2, got {k}")
+        if d < 4:
+            raise ConfigError(f"truncation must be at least 4 levels, got {d}")
+        if margin < 1:
+            raise ConfigError(f"window margin must be at least 1, got {margin}")
+        if d - margin < 2:
+            raise ConfigError(f"margin {margin} leaves no window inside {d} levels")
+
     @property
-    def strict(self) -> float:
-        return self.tolerance * STRICT_FACTOR
+    def scoring(self) -> Scoring:
+        return Scoring(self.margin, self.tolerance)
 
     def echo(self, d_effective: int | None) -> dict:
         """Config as stable JSON-ready scalars for the report header."""
@@ -154,10 +153,11 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
     return report
 
 
+# products that overflow float64 fail their entries instead of warning
+@np.errstate(over="ignore", invalid="ignore")
 def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
     """Every identity check of a built system, in report order."""
-    rep, doublet = system.rep, system.doublet
-    margin, tol, strict = config.margin, config.tolerance, config.strict
+    rep, doublet, scoring = system.rep, system.doublet, config.scoring
     entries: list[ReportEntry] = []
     pair = build_kfermion_pair(config.k)
     try:
@@ -172,16 +172,16 @@ def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
         # the graded and the tensor relations in one pass; the tensor entries
         # go last in the report, but are scored here so that the tensor
         # realization is freed before the doublet and replica checks
-        algebra, relations = verify_wk_relations(rep, margin, tol, tensor)
+        algebra, relations = verify_wk_relations(rep, scoring, tensor)
         if tensor is not None:
-            tensor_entries = relations + [compare_realizations(tensor, rep, tol)]
+            tensor_entries = relations + [compare_realizations(tensor, rep, scoring)]
             del tensor
         entries += algebra
-        entries += verify_fsusy(doublet, margin, tol, strict)
-        entries.append(partner_consistency_entry(doublet, strict))
-        entries.append(check_isospectrality(doublet, margin, tol))
+        entries += verify_fsusy(doublet, scoring)
+        entries.append(partner_consistency_entry(doublet, scoring))
+        entries.append(check_isospectrality(doublet, scoring))
 
-        replica_entries = verify_replicas(system.replicas, doublet, margin, tol, strict)
+        replica_entries = verify_replicas(system.replicas, doublet, scoring)
         for s in range(2, config.k + 1):
             if s in system.refused:
                 entries.append(ReportEntry.failure(
@@ -190,11 +190,11 @@ def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
                     system.refused[s]))
             else:
                 entries += replica_entries[s]
-        entries.append(verify_sum_identity(doublet, system.replicas, margin, tol))
+        entries.append(verify_sum_identity(doublet, system.replicas, scoring))
         if config.k == 2 and 2 in system.replicas:
-            entries.append(k2_reduction_entry(doublet, system.replicas[2], margin, strict))
+            entries.append(k2_reduction_entry(doublet, system.replicas[2], scoring))
 
-        entries += verify_kfermions(pair, strict)
+        entries += verify_kfermions(pair, scoring)
         entries += tensor_entries
     except WindowTooSmallError as exc:
         entries.append(ReportEntry.failure(

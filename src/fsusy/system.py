@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RepresentationError
-from .fock import StructureFunction, StructureSpec
+from .fock import FULL_SPACE, StructureFunction, StructureSpec
 from .report import ReportEntry
-from .wkalg import AlgebraRep, ColumnMap, residual
+from .wkalg import AlgebraRep, ColumnMap, Scoring, score
 
 
 @dataclass(frozen=True)
@@ -140,16 +140,11 @@ def build_doublet(rep: AlgebraRep) -> FsusyDoublet:
     return FsusyDoublet(rep, Qm, Qp, H, partners)
 
 
-def verify_fsusy(
-    doublet: FsusyDoublet,
-    margin: int,
-    tolerance: float = 1e-10,
-    strict: float = 1e-12,
-) -> list[ReportEntry]:
+def verify_fsusy(doublet: FsusyDoublet, scoring: Scoring) -> list[ReportEntry]:
     """Check nilpotency, the order-k multilinear relation and [H, Q+-] = 0."""
     basis = doublet.rep.basis
     k = basis.k
-    P, win = basis.window(margin)
+    window = basis.window(scoring.margin)
     Qm, Qp, H = doublet.Qm, doublet.Qp, doublet.H
 
     # Qm^0 .. Qm^k, each by the product chain that Qm ** j uses
@@ -157,24 +152,24 @@ def verify_fsusy(
     for _ in range(k):
         powers.append(powers[-1] @ Qm)
     zero = ColumnMap.diag(np.zeros(basis.dim))
-    nil = max(residual(powers[k], zero), residual(Qp ** k, zero))
-    terms = [powers[k - 1 - j] @ Qp @ powers[j] for j in range(k)]
-    multilinear = residual(sum(terms[1:], start=terms[0]), powers[k - 2] @ H, P)
-    commutation = max(residual(H @ Qm, Qm @ H, P), residual(H @ Qp, Qp @ H, P))
+    # each ordered product Qm^(k-1-j) Qp Qm^j joins the sum as it is formed
+    ordered = (powers[k - 1 - j] @ Qp @ powers[j] for j in range(k))
+    total = sum(ordered, start=next(ordered))
     return [
-        ReportEntry.exact(
-            "fsusy.nilpotency", "Q-^k = 0 and Q+^k = 0", nil),
-        ReportEntry.check(
+        scoring.entry(
+            "fsusy.nilpotency", "Q-^k = 0 and Q+^k = 0",
+            score([(powers[k], zero), (Qp ** k, zero)])[0], "exact", FULL_SPACE),
+        scoring.entry(
             "fsusy.multilinear",
             "the k ordered products Q-^(k-1-j) Q+ Q-^j sum to Q-^(k-2) H",
-            multilinear, tolerance, win),
-        ReportEntry.check(
+            score([(total, powers[k - 2] @ H)], window.mask)[0], "windowed", window),
+        scoring.entry(
             "fsusy.hamiltonian_commutes", "[H, Q-] = 0 and [H, Q+] = 0",
-            commutation, strict, win),
+            score(((H @ Q, Q @ H) for Q in (Qm, Qp)), window.mask)[0], "strict", window),
     ]
 
 
-def partner_consistency_entry(doublet: FsusyDoublet, strict: float = 1e-12) -> ReportEntry:
+def partner_consistency_entry(doublet: FsusyDoublet, scoring: Scoring) -> ReportEntry:
     """Compare diag(H) from operator assembly against the partner formula.
 
     The two routes evaluate independent expressions; their agreement pins the
@@ -183,8 +178,8 @@ def partner_consistency_entry(doublet: FsusyDoublet, strict: float = 1e-12) -> R
     # partner-table prediction: H_s(n) at |n, s mod k>, so sector 0 reads row k - 1
     basis = doublet.rep.basis
     expected = ColumnMap.diag(doublet.partners[basis.sector - 1, basis.level])
-    return ReportEntry.check(
+    return scoring.entry(
         "fsusy.partner_diagonal",
         "H is diagonal and its diagonal matches the closed-form partner energies",
-        residual(doublet.H, expected), strict, "full space",
+        score([(doublet.H, expected)])[0], "strict", FULL_SPACE,
     )

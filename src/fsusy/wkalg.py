@@ -13,15 +13,15 @@ On the graded basis the defining relations read
 
 Raising out of the top level n = d-1 is truncated to zero, so identities are
 checked on a safe window of states at least ``margin`` levels below the
-ceiling.  Every identity A = B in fsusy is scored by one scale-free residual,
-the largest per-column relative deviation over the window columns j:
+ceiling.  Every identity A = B in fsusy is scored by one scale-free residual
+(``score``), the largest per-column relative deviation over its columns j:
 
     deviation_j(A, B) = |A_j - B_j|_1 / max(1, |A_j|_1, |B_j|_1)
     residual(A, B)    = max_j deviation_j(A, B)
 
 with |.|_1 the column 1-norm.  A column whose two nonzero entries sit in
 different rows deviates by |A_j| + |B_j|.  The residual is 0 exactly when
-A and B agree on the window, and a relative error in one weight shows at
+A and B agree on those columns, and a relative error in one weight shows at
 its own size whatever d is.  Block-diagonal operators (several
 representations or replicas side by side) are compared once, and each
 block's residual is the maximum of the deviation over its own columns.
@@ -32,15 +32,18 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 
 import numpy as np
 
 from .errors import InvalidGradingError, RepresentationError
-from .fock import NONNEG_TOL, GradedBasis, StructureFunction, StructureSpec
+from .fock import NONNEG_TOL, Columns, GradedBasis, StructureFunction, StructureSpec
 from .qarith import primitive_root
 from .report import ReportEntry
 
 GRADING_TOL = 1e-12
+
+STRICT_FACTOR = 1e-2
 
 
 @lru_cache(maxsize=4)
@@ -202,17 +205,40 @@ def deviation(lhs: ColumnMap, rhs: ColumnMap) -> np.ndarray:
     return dev
 
 
-def window_max(dev: np.ndarray, window: np.ndarray | None = None, blocks: int = 1) -> np.ndarray:
-    """Largest deviation over the window columns of each of ``blocks`` equal
-    consecutive column blocks; without a window every column counts."""
-    if window is not None:
-        dev = np.where(window, dev, 0.0)
-    return dev.reshape(blocks, -1).max(axis=1, initial=0.0)
+def score(pairs, window: np.ndarray | None = None, blocks: int = 1) -> np.ndarray:
+    """Residual of each of ``blocks`` equal consecutive column blocks: the largest
+    deviation over the block's window columns (all without a window) and over the
+    (lhs, rhs) pairs, each freed before a generator of pairs forms the next."""
+    out = np.zeros(blocks)
+    for lhs, rhs in pairs:
+        dev = deviation(lhs, rhs)
+        del lhs, rhs
+        if window is not None:
+            dev = np.where(window, dev, 0.0)
+        out = np.maximum(out, dev.reshape(blocks, -1).max(axis=1, initial=0.0))
+    return out
 
 
-def residual(lhs: ColumnMap, rhs: ColumnMap, window: np.ndarray | None = None) -> float:
-    """Largest relative column deviation of lhs = rhs over the window columns."""
-    return float(window_max(deviation(lhs, rhs), window)[0])
+@dataclass(frozen=True)
+class Scoring:
+    """A run's window margin and tolerance; ``entry`` makes every scored entry.
+
+    Tiers: "exact" at 0, "strict" at ``tolerance`` * STRICT_FACTOR for the
+    identities that hold by exact cancellation, "windowed" at ``tolerance``.
+    """
+
+    margin: int
+    tolerance: float
+
+    def entry(self, name, statement, residual, tier: str, columns: Columns) -> ReportEntry:
+        """The entry of an identity; a residual that is not finite is an overflow."""
+        bound = float({"exact": 0.0, "windowed": self.tolerance,
+                       "strict": self.tolerance * STRICT_FACTOR}[tier])
+        residual = float(residual)
+        if not np.isfinite(residual):
+            return ReportEntry(name, statement, None, bound, False, columns.text,
+                               error="the products of this identity overflow float64")
+        return ReportEntry(name, statement, residual, bound, residual <= bound, columns.text)
 
 
 def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> AlgebraRep:
@@ -287,9 +313,9 @@ def ladder_weights(rep: AlgebraRep) -> np.ndarray:
 
 def algebra_relation_residuals(
     reps: Sequence[AlgebraRep], margin: int
-) -> tuple[list[dict[str, float]], str]:
+) -> tuple[list[dict[str, float]], Columns]:
     """Windowed residuals of the five defining relations of each representation,
-    and the window's description.
+    and the window of their common basis.
 
     The representations share one graded basis (k sectors of d levels) and
     are scored in one pass on their direct sum, the basis of p k sectors in
@@ -309,32 +335,25 @@ def algebra_relation_residuals(
                 f"{basis.k} x {basis.d} spaces have no common window"
             )
     p = len(reps)
-    P, win = GradedBasis(p * basis.k, basis.d).window(margin)
+    window = basis.window(margin)
+    P = np.tile(window.mask, p)
     q = primitive_root(basis.k)
     Xm, Xp, N, K = (direct_sum([getattr(rep, name) for rep in reps])
                     for name in ("Xm", "Xp", "N", "K"))
-
-    def score(lhs, rhs):
-        return window_max(deviation(lhs, rhs), P, p)
-
+    ladder = ColumnMap.diag(np.concatenate([ladder_weights(r) for r in reps]))
     # each relation's products live only while it is scored
     columns = {
-        "ladder_commutator": score(
-            Xm @ Xp, Xp @ Xm + ColumnMap.diag(np.concatenate([ladder_weights(r) for r in reps]))),
-        "number_ladder": np.maximum(score(N @ Xm, Xm @ N - Xm), score(N @ Xp, Xp @ N + Xp)),
-        "grading_ladder": np.maximum(score(K @ Xm, (1 / q) * (Xm @ K)),
-                                     score(K @ Xp, q * (Xp @ K))),
-        "grading_number": score(K @ N, N @ K),
-        "grading_cyclic": score(K ** basis.k, ColumnMap.diag(np.ones(K.dim))),
+        "ladder_commutator": score([(Xm @ Xp, Xp @ Xm + ladder)], P, p),
+        "number_ladder": score(((N @ X, op(X @ N, X)) for op, X in ((sub, Xm), (add, Xp))), P, p),
+        "grading_ladder": score(((K @ X, c * (X @ K)) for c, X in ((1 / q, Xm), (q, Xp))), P, p),
+        "grading_number": score([(K @ N, N @ K)], P, p),
+        "grading_cyclic": score([(K ** basis.k, ColumnMap.diag(np.ones(K.dim)))], P, p),
     }
-    return [{key: float(val[i]) for key, val in columns.items()} for i in range(p)], win
+    return [{key: float(val[i]) for key, val in columns.items()} for i in range(p)], window
 
 
 def verify_wk_relations(
-    rep: AlgebraRep,
-    margin: int,
-    tolerance: float = 1e-10,
-    tensor: AlgebraRep | None = None,
+    rep: AlgebraRep, scoring: Scoring, tensor: AlgebraRep | None = None
 ) -> tuple[list[ReportEntry], list[ReportEntry]]:
     """Check the five defining relations of the graded construction and,
     when given, of the tensor-product one, in one pass on both.
@@ -343,9 +362,9 @@ def verify_wk_relations(
     tensor realization).
     """
     reps = [rep] if tensor is None else [rep, tensor]
-    residuals, win = algebra_relation_residuals(reps, margin)
+    residuals, window = algebra_relation_residuals(reps, scoring.margin)
     entries = [
-        [ReportEntry.check(f"{prefix}.{key}", _RELATION_STATEMENTS[key], val, tolerance, win)
+        [scoring.entry(f"{prefix}.{key}", _RELATION_STATEMENTS[key], val, "windowed", window)
          for key, val in values.items()]
         for prefix, values in zip(("algebra", "tensor"), residuals)
     ]

@@ -32,7 +32,7 @@ from fsusy.fock import (
 from fsusy.realization import build_kfermion_pair, verify_kfermions
 from fsusy.suite import RunConfig, run_verification_suite
 from fsusy.system import build_doublet, partner_value
-from fsusy.wkalg import build_rep
+from fsusy.wkalg import Scoring, build_rep
 
 GRID_K = (2, 3, 4, 5)
 GRID_D = 40
@@ -289,7 +289,7 @@ def test_criterion_08_solver_matches_telescoped_form():
 def test_criterion_09_kfermions_and_tensor_realization(grid):
     bad = []
     for k in range(2, 9):
-        entries = by_name_list(verify_kfermions(build_kfermion_pair(k)))
+        entries = by_name_list(verify_kfermions(build_kfermion_pair(k), Scoring(k, 1e-10)))
         point = f"k={k}"
         check_residual(entries, "kfermion.q_commutator", 1e-12, point, bad)
         check_residual(entries, "kfermion.nilpotency", 0.0, point, bad, exact=True)

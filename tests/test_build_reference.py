@@ -10,6 +10,7 @@ targets and the same refusals.
 
 The checks have references too: each replica verified on the whole space,
 one at a time; the charge sum added up from k-1 full-space products; the
+order-k multilinear sum from the list of its k ordered products; the
 defining relations of one representation with sum_s f_s(N) Pi_s formed
 from k diagonal products; and the tensor ladders summed from 2k Kronecker
 terms.  The batched checks must give the same entries, residual bits
@@ -21,7 +22,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import fsusy.replicas
 import fsusy.wkalg
 from fsusy.errors import FactorizationError, FsusyError, WindowTooSmallError
 from fsusy.fock import (
@@ -54,7 +54,6 @@ from fsusy.system import (
     build_hamiltonian_operator,
     partner_consistency_entry,
     partner_value,
-    verify_fsusy,
 )
 from fsusy.wkalg import (
     _RELATION_STATEMENTS,
@@ -63,8 +62,8 @@ from fsusy.wkalg import (
     algebra_relation_residuals,
     build_projectors,
     build_rep,
+    STRICT_FACTOR,
     ladder_weights,
-    residual,
 )
 
 GRID_FAMILIES = {
@@ -254,6 +253,18 @@ def test_grading_resolved_on_the_grades_matches_the_full_space(k, d):
 
 # ---------------------------------------------------------------- checks
 
+def residual(lhs, rhs, window=None):
+    """Largest relative column deviation of lhs = rhs over the window columns."""
+    dev = fsusy.wkalg.deviation(lhs, rhs)
+    return float((dev if window is None else dev[window]).max(initial=0.0))
+
+
+def check(name, statement, residual, tolerance, window="full space"):
+    """The entry of an identity asserted at ``tolerance``, 0 for the exact ones."""
+    residual = float(residual)
+    return ReportEntry(name, statement, residual, float(tolerance), residual <= tolerance, window)
+
+
 def reference_verify_replica(rd, doublet, margin, tolerance=1e-10, strict=1e-12):
     """One replica's entries, every identity scored over the whole space."""
     basis = doublet.rep.basis
@@ -263,20 +274,20 @@ def reference_verify_replica(rd, doublet, margin, tolerance=1e-10, strict=1e-12)
     zero = ColumnMap.diag(np.zeros(basis.dim))
     entries = []
     nil = max(residual(qm @ qm, zero), residual(qp @ qp, zero))
-    entries.append(ReportEntry.exact(
-        f"replica{s}.nilpotency", "q- q- = 0 and q+ q+ = 0", nil))
-    entries.append(ReportEntry.exact(
+    entries.append(check(
+        f"replica{s}.nilpotency", "q- q- = 0 and q+ q+ = 0", nil, 0.0))
+    entries.append(check(
         f"replica{s}.pair_adjoint", "q+ is the conjugate transpose of q-",
-        residual(qp, qm.adjoint())))
-    entries.append(ReportEntry.exact(
+        residual(qp, qm.adjoint()), 0.0))
+    entries.append(check(
         f"replica{s}.anticommutator", "h = q- q+ + q+ q-",
-        residual(h, qm @ qp + qp @ qm)))
-    entries.append(ReportEntry.check(
+        residual(h, qm @ qp + qp @ qm), 0.0))
+    entries.append(check(
         f"replica{s}.hamiltonian_commutes", "[h, q-] = 0 and [h, q+] = 0",
         max(residual(h @ qm, qm @ h), residual(h @ qp, qp @ h)),
         strict, "full space"))
     shifted = ColumnMap.diag(np.append(doublet.partners[s - 1, 1:], 0.0)[basis.level])
-    entries.append(ReportEntry.check(
+    entries.append(check(
         f"replica{s}.shift_product",
         "X(s)- X(s)+ equals the partner ladder shifted one level down, on sector s-1",
         residual(rd.Xsm @ rd.Xsp, shifted, P & basis.sector_mask(s - 1)),
@@ -284,18 +295,39 @@ def reference_verify_replica(rd, doublet, margin, tolerance=1e-10, strict=1e-12)
     lo, hi = basis.sector_mask(s - 1), basis.sector_mask(s)
     hi[basis.index(0, s)] = False
     expected = doublet.partner_diagonal(s - 1).masked(lo) + doublet.partner_diagonal(s).masked(hi)
-    entries.append(ReportEntry.check(
+    entries.append(check(
         f"replica{s}.partner_diagonal",
         "h carries the two partner ladders on its pair of sectors and vanishes elsewhere",
         residual(h, expected, P), strict,
         win + f", omitting ground level of sector {s % basis.k}"))
     Dlo, Dhi = doublet.partner_diagonal(s - 1), doublet.partner_diagonal(s)
     inter = max(residual(Dlo @ rd.Xsm, rd.Xsm @ Dhi, P), residual(Dhi @ rd.Xsp, rd.Xsp @ Dlo, P))
-    entries.append(ReportEntry.check(
+    entries.append(check(
         f"replica{s}.intertwining",
         "the shift operators intertwine adjacent partner ladders",
         inter, strict, win))
     return entries
+
+
+def reference_verify_fsusy(doublet, margin, tolerance=1e-10, strict=1e-12):
+    """The doublet axioms with the k ordered products held in a list, summed in order."""
+    basis = doublet.rep.basis
+    k = basis.k
+    P, win = basis.window(margin)
+    Qm, Qp, H = doublet.Qm, doublet.Qp, doublet.H
+    powers = [ColumnMap.diag(np.ones(basis.dim))]
+    for _ in range(k):
+        powers.append(powers[-1] @ Qm)
+    zero = ColumnMap.diag(np.zeros(basis.dim))
+    terms = [powers[k - 1 - j] @ Qp @ powers[j] for j in range(k)]
+    return [
+        check("fsusy.nilpotency", "Q-^k = 0 and Q+^k = 0",
+              max(residual(powers[k], zero), residual(Qp ** k, zero)), 0.0),
+        check("fsusy.multilinear", "the k ordered products Q-^(k-1-j) Q+ Q-^j sum to Q-^(k-2) H",
+              residual(sum(terms[1:], start=terms[0]), powers[k - 2] @ H, P), tolerance, win),
+        check("fsusy.hamiltonian_commutes", "[H, Q-] = 0 and [H, Q+] = 0",
+              max(residual(H @ Qm, Qm @ H, P), residual(H @ Qp, Qp @ H, P)), strict, win),
+    ]
 
 
 def reference_sum_identity(doublet, replicas, margin, tolerance=1e-10):
@@ -313,8 +345,8 @@ def reference_sum_identity(doublet, replicas, margin, tolerance=1e-10):
     P, win = basis.window(margin)
     for s in range(2, k + 1):
         P[basis.index(0, s)] = False
-    return ReportEntry.check(name, statement, residual(doublet.H, rhs, P), tolerance,
-                             win + ", omitting replica ground levels")
+    return check(name, statement, residual(doublet.H, rhs, P), tolerance,
+                 win + ", omitting replica ground levels")
 
 
 def reference_ladder_sum(rep):
@@ -361,15 +393,16 @@ def reference_tensor(pair, rep):
 def reference_verify_system(system, config):
     """The suite's entries with every check on the whole space, one at a time."""
     rep, doublet = system.rep, system.doublet
-    margin, tol, strict = config.margin, config.tolerance, config.strict
+    margin, tol, scoring = config.margin, config.tolerance, config.scoring
+    strict = tol * STRICT_FACTOR
     entries = []
     try:
         residuals, win = reference_relation_residuals(rep, margin)
-        entries += [ReportEntry.check(f"algebra.{key}", _RELATION_STATEMENTS[key], val, tol, win)
+        entries += [check(f"algebra.{key}", _RELATION_STATEMENTS[key], val, tol, win)
                     for key, val in residuals.items()]
-        entries += verify_fsusy(doublet, margin, tol, strict)
-        entries.append(partner_consistency_entry(doublet, strict))
-        entries.append(check_isospectrality(doublet, margin, tol))
+        entries += reference_verify_fsusy(doublet, margin, tol, strict)
+        entries.append(partner_consistency_entry(doublet, scoring))
+        entries.append(check_isospectrality(doublet, scoring))
         for s in range(2, config.k + 1):
             if s in system.refused:
                 entries.append(ReportEntry.failure(
@@ -380,9 +413,9 @@ def reference_verify_system(system, config):
                 entries += reference_verify_replica(system.replicas[s], doublet, margin, tol, strict)
         entries.append(reference_sum_identity(doublet, system.replicas, margin, tol))
         if config.k == 2 and 2 in system.replicas:
-            entries.append(k2_reduction_entry(doublet, system.replicas[2], margin, strict))
+            entries.append(k2_reduction_entry(doublet, system.replicas[2], scoring))
         pair = build_kfermion_pair(config.k)
-        entries += verify_kfermions(pair, strict)
+        entries += verify_kfermions(pair, scoring)
         try:
             tensor = reference_tensor(pair, rep)
         except FsusyError as exc:
@@ -391,9 +424,9 @@ def reference_verify_system(system, config):
                 "the tensor-product realization materializes on the truncated space", exc))
         else:
             residuals, win = reference_relation_residuals(tensor, margin)
-            entries += [ReportEntry.check(f"tensor.{key}", _RELATION_STATEMENTS[key], val, tol, win)
+            entries += [check(f"tensor.{key}", _RELATION_STATEMENTS[key], val, tol, win)
                         for key, val in residuals.items()]
-            entries.append(compare_realizations(tensor, rep, tol))
+            entries.append(compare_realizations(tensor, rep, scoring))
     except WindowTooSmallError as exc:
         entries.append(ReportEntry.failure(
             "construction.window", "a safe window exists below the truncation ceiling", exc))
@@ -426,12 +459,12 @@ def test_batched_checks_match_the_one_at_a_time_route(k, label):
     got = verify_system(system, config)
     want = reference_verify_system(system, config)
     assert [entry_bits(e) for e in got] == [entry_bits(e) for e in want]
-    batch = verify_replicas(system.replicas, system.doublet, k)
+    batch = verify_replicas(system.replicas, system.doublet, config.scoring)
     assert sorted(batch) == sorted(system.replicas)
     for s, rd in system.replicas.items():
         one = reference_verify_replica(rd, system.doublet, k)
         assert [entry_bits(e) for e in batch[s]] == [entry_bits(e) for e in one]
-    assert (entry_bits(verify_sum_identity(system.doublet, system.replicas, k))
+    assert (entry_bits(verify_sum_identity(system.doublet, system.replicas, config.scoring))
             == entry_bits(reference_sum_identity(system.doublet, system.replicas, k)))
 
 
@@ -445,7 +478,7 @@ def test_paired_relation_pass_equals_each_representation_alone(k, label):
     references = [reference_relation_residuals(one, k) for one in (rep, tensor)]
     for residuals, (single, single_win), (ref, ref_win) in zip(
             (graded, paired_tensor), alone, references, strict=True):
-        assert win == single_win == ref_win
+        assert win.text == single_win.text == ref_win
         hexed = {key: val.hex() for key, val in residuals.items()}
         assert hexed == {key: val.hex() for key, val in single[0].items()}
         assert hexed == {key: val.hex() for key, val in ref.items()}
@@ -491,7 +524,6 @@ def count_calls(monkeypatch):
     monkeypatch.setattr(ColumnMap, "__matmul__", counted_matmul)
     monkeypatch.setattr(ColumnMap, "__pow__", counted_power)
     monkeypatch.setattr(fsusy.wkalg, "deviation", counted_deviation)
-    monkeypatch.setattr(fsusy.replicas, "deviation", counted_deviation)
     return counts
 
 
@@ -507,8 +539,8 @@ def test_batched_checks_make_the_same_calls_at_every_order(monkeypatch):
         tensor = build_tensor_realization(build_kfermion_pair(k), system.rep)
         with monkeypatch.context() as patch:
             counts = count_calls(patch)
-            verify_replicas(system.replicas, system.doublet, k)
-            verify_sum_identity(system.doublet, system.replicas, k)
+            verify_replicas(system.replicas, system.doublet, config.scoring)
+            verify_sum_identity(system.doublet, system.replicas, config.scoring)
             replica_stage = dict(counts)
             counts.update(matmul=0, deviation=0)
             algebra_relation_residuals([system.rep, tensor], k)

@@ -220,6 +220,38 @@ class TestSpecSelection:
         assert entry["error"] == ("F_0(2) = inf is not finite; "
                                   "the structure values overflow float64")
 
+    def test_overflowing_products_fail_their_entries(self, tmp_path, capsys):
+        # F stays finite (up to about 7.8e307), but products of its weights
+        # overflow; any numpy warning would fail this test
+        out = tmp_path / "report.json"
+        code = main(["verify", "--k", "3", "--d", "40", "--a", "1e305", "--b", "1",
+                     "--out_report", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=pytest.fail)
+        window = "levels n <= 36 of 40 (margin 3)"
+        overflowing = {
+            "fsusy.multilinear": (1e-10, window),
+            "fsusy.hamiltonian_commutes": (1e-12, window),
+            "replica2.hamiltonian_commutes": (1e-12, "full space"),
+            "replica2.intertwining": (1e-12, window),
+            "replica3.hamiltonian_commutes": (1e-12, "full space"),
+            "replica3.intertwining": (1e-12, window),
+        }
+        failing = {e["name"]: e for e in report["entries"] if not e["passed"]}
+        assert sorted(failing) == sorted([*overflowing, "fsusy.partner_diagonal",
+                                          "fsusy.charge_sum"])
+        for name, (tolerance, text) in overflowing.items():
+            entry = failing[name]
+            assert entry["residual"] is None
+            assert entry["tolerance"] == pytest.approx(tolerance, rel=1e-12)
+            assert entry["window"] == text
+            assert entry["error"] == "the products of this identity overflow float64"
+        # H's assembly cancels to residual 1 here, which is not an overflow
+        for name in ("fsusy.partner_diagonal", "fsusy.charge_sum"):
+            assert failing[name]["residual"] == 1.0
+            assert failing[name]["error"] is None
+
     @pytest.mark.parametrize("flags, message", [
         (["--family", "constant", "--a", "1", "--b", "2"],
          "the constant family in use takes no a (affine family), b (affine family)"),
@@ -263,6 +295,16 @@ class TestExitCodes:
         assert main(["verify", "--k", "3", "--d", "1000000000000"]) == 2
         assert capsys.readouterr().err == (
             "error: the system at k=3, d=1000000000000 is too large to allocate\n")
+
+    def test_margin_is_checked_before_the_spec_is_built(self, monkeypatch, capsys):
+        # the constant family would first make a list of 10^9 sector values
+        def build_spec(*args):
+            pytest.fail("the structure spec was built before the margin was checked")
+
+        monkeypatch.setattr(fsusy.cli, "_build_spec", build_spec)
+        assert main(["verify", "--k", "1000000000", "--d", "4"]) == 2
+        assert capsys.readouterr().err == (
+            "error: margin 1000000000 leaves no window inside 4 levels\n")
 
     def test_unreachable_tolerance_exits_1(self, capsys):
         code = main(["verify", "--k", "3", "--d", "12", "--tolerance", "1e-18"])
@@ -517,6 +559,20 @@ class TestGoldenReport:
             assert g == w
             # residuals are round-off sized and may drift across BLAS builds
             assert residual[0] == pytest.approx(residual[1], abs=1e-12)
+
+
+    def test_tolerance_scales_every_tier(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--k", "3", "--d", "12", "--tolerance", "1e-8",
+                     "--out_report", str(out)]) == 0
+        got = json.loads(out.read_text(encoding="utf-8"))["entries"]
+        want = json.loads(GOLDEN.read_text(encoding="utf-8"))["entries"]
+        assert [e["name"] for e in got] == [e["name"] for e in want]
+        assert any(w["tolerance"] == 0.0 for w in want)
+        for g, w in zip(got, want):
+            # exact entries stay at 0; windowed and strict ones scale with --tolerance
+            assert g["tolerance"] == pytest.approx(w["tolerance"] * 100, rel=1e-12), g["name"]
+            assert (g["tolerance"] == 0.0) == (w["tolerance"] == 0.0), g["name"]
 
 
 def child_env():

@@ -1,6 +1,6 @@
 """One scaled weight fails the entry whose identity reads it.
 
-Every entry is scored by ``wkalg.residual``, the largest relative column
+Every entry is scored by ``wkalg.score``, the largest relative column
 deviation over its window, so an error in one weight shows at its own size.
 Here one weight (or partner energy) is scaled by 1 + 1e-9 at a low level, a
 middle level and the top of the window, on the four acceptance families at
@@ -35,7 +35,7 @@ from fsusy.replicas import (
 )
 from fsusy.suite import RunConfig, build_system
 from fsusy.system import partner_consistency_entry, verify_fsusy
-from fsusy.wkalg import ColumnMap, verify_wk_relations
+from fsusy.wkalg import ColumnMap, Scoring, verify_wk_relations
 
 D = 40
 SCALE = 1 + 1e-9
@@ -75,7 +75,7 @@ def rep_case(field, s):
         rep = system.rep
         op = scaled(getattr(rep, field), rep.basis.index(n, s), factor)
         mutated = dataclasses.replace(rep, **{field: op})
-        return verify_wk_relations(mutated, rep.basis.k, tensor=make_tensor(rep))[0]
+        return verify_wk_relations(mutated, Scoring(rep.basis.k, 1e-10), tensor=make_tensor(rep))[0]
     return run
 
 
@@ -85,26 +85,27 @@ def tensor_case(field, s):
         tensor = make_tensor(rep)
         op = scaled(getattr(tensor, field), rep.basis.index(n, s), factor)
         mutated = dataclasses.replace(tensor, **{field: op})
-        return (verify_wk_relations(rep, rep.basis.k, tensor=mutated)[1]
-                + [compare_realizations(mutated, rep)])
+        scoring = Scoring(rep.basis.k, 1e-10)
+        return (verify_wk_relations(rep, scoring, tensor=mutated)[1]
+                + [compare_realizations(mutated, rep, scoring)])
     return run
 
 
 def replica_entries(replicas, doublet):
     """Entries of every replica, checked in one batch as the suite does."""
-    return [e for entries in verify_replicas(replicas, doublet, doublet.k).values()
+    return [e for entries in verify_replicas(replicas, doublet, Scoring(doublet.k, 1e-10)).values()
             for e in entries]
 
 
 def hamiltonian_case(s):
     def run(system, n, factor):
         doublet = system.doublet
-        margin = doublet.k
+        scoring = Scoring(doublet.k, 1e-10)
         H = scaled(doublet.H, doublet.rep.basis.index(n, s), factor)
         doublet = dataclasses.replace(doublet, H=H)
-        return verify_fsusy(doublet, margin) + [
-            partner_consistency_entry(doublet),
-            verify_sum_identity(doublet, system.replicas, margin),
+        return verify_fsusy(doublet, scoring) + [
+            partner_consistency_entry(doublet, scoring),
+            verify_sum_identity(doublet, system.replicas, scoring),
         ]
     return run
 
@@ -116,7 +117,7 @@ def partner_case(s):
         partners = doublet.partners.copy()
         partners[s - 1, n] *= factor
         doublet = dataclasses.replace(doublet, partners=partners)
-        return [check_isospectrality(doublet, doublet.k)] + replica_entries(
+        return [check_isospectrality(doublet, Scoring(doublet.k, 1e-10))] + replica_entries(
             system.replicas, doublet)
     return run
 
@@ -134,7 +135,7 @@ def replica_case(s, field, sector):
 def reduction_case(system, n, factor):
     rd, doublet = system.replicas[2], system.doublet
     h = scaled(rd.h, doublet.rep.basis.index(n, 1), factor)
-    return [k2_reduction_entry(doublet, dataclasses.replace(rd, h=h), 2)]
+    return [k2_reduction_entry(doublet, dataclasses.replace(rd, h=h), Scoring(2, 1e-10))]
 
 
 CASES = {
@@ -193,7 +194,7 @@ def test_scaled_fermion_weight_fails_the_entry(name, k, field, grades):
     for t in grades:
         for factor, passed in [(1.0, True), (SCALE, False)]:
             mutated = dataclasses.replace(pair, **{field: scaled(getattr(pair, field), t, factor)})
-            entry = {e.name: e for e in verify_kfermions(mutated)}[name]
+            entry = {e.name: e for e in verify_kfermions(mutated, Scoring(k, 1e-10))}[name]
             assert entry.passed is passed, (t, factor, entry.residual)
 
 
@@ -226,8 +227,8 @@ def test_stray_replica_weight_fails_only_its_replica(systems, k, how):
                     col = basis.index(n, s)
                     stray = planted(rd.Xsm, col, basis.index(n - 1, third), 1e-9)
                     replicas[s] = dataclasses.replace(rd, Xsm=stray)
-                before = verify_replicas(system.replicas, doublet, k)
-                after = verify_replicas(replicas, doublet, k)
+                before = verify_replicas(system.replicas, doublet, Scoring(k, 1e-10))
+                after = verify_replicas(replicas, doublet, Scoring(k, 1e-10))
                 for r, entries in after.items():
                     for e, ref in zip(entries, before[r], strict=True):
                         if r == s:

@@ -13,7 +13,7 @@ from fsusy.realization import (
     cyclic_lowering,
     verify_kfermions,
 )
-from fsusy.wkalg import ColumnMap, build_rep, verify_wk_relations
+from fsusy.wkalg import ColumnMap, Scoring, build_rep, verify_wk_relations
 
 
 def make_rep(k, d, spec=None):
@@ -36,7 +36,7 @@ def test_kfermion_order_is_validated():
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_kfermion_invariants(k):
-    entries = {e.name: e for e in verify_kfermions(build_kfermion_pair(k))}
+    entries = {e.name: e for e in verify_kfermions(build_kfermion_pair(k), Scoring(k, 1e-10))}
     assert entries["kfermion.q_commutator"].residual < 1e-12
     assert entries["kfermion.nilpotency"].residual == 0.0
     assert entries["kfermion.grading_spectrum"].residual < 1e-12
@@ -75,7 +75,9 @@ def make_tensor(rep):
 
 def tensor_entries(tensor, rep, margin):
     """The tensor.* entries of a suite run: the relations, paired with rep's, and the spectra."""
-    return verify_wk_relations(rep, margin, tensor=tensor)[1] + [compare_realizations(tensor, rep)]
+    scoring = Scoring(margin, 1e-10)
+    return (verify_wk_relations(rep, scoring, tensor=tensor)[1]
+            + [compare_realizations(tensor, rep, scoring)])
 
 
 TENSOR_RELATIONS = [
@@ -144,13 +146,13 @@ class TestTensorRealization:
         rep = make_rep(2, 10)
         tensor = make_tensor(make_rep(2, 8))
         with pytest.raises(RepresentationError):
-            compare_realizations(tensor, rep)
+            compare_realizations(tensor, rep, Scoring(2, 1e-10))
         with pytest.raises(RepresentationError, match="no common window"):
-            verify_wk_relations(rep, 2, tensor=tensor)
+            verify_wk_relations(rep, Scoring(2, 1e-10), tensor=tensor)
 
 
 def spectral_entry(tensor, rep):
-    return compare_realizations(tensor, rep)
+    return compare_realizations(tensor, rep, Scoring(tensor.basis.k, 1e-10))
 
 
 def test_spectral_distance_of_the_graded_operators_is_zero():

@@ -12,7 +12,7 @@ from fsusy.replicas import (
     verify_sum_identity,
 )
 from fsusy.system import build_doublet
-from fsusy.wkalg import build_rep
+from fsusy.wkalg import Scoring, build_rep
 
 
 def make_doublet(k, d, spec=None):
@@ -88,7 +88,7 @@ def test_slack_does_not_mask_low_level_negativity():
 def test_replica_identities_for_unit_constant(s):
     db = make_doublet(3, 30)
     rd = build_replica(db, s)
-    entries = {e.name: e for e in verify_replicas({s: rd}, db, margin=3)[s]}
+    entries = {e.name: e for e in verify_replicas({s: rd}, db, Scoring(3, 1e-10))[s]}
     assert entries[f"replica{s}.nilpotency"].residual == 0.0
     assert entries[f"replica{s}.pair_adjoint"].residual == 0.0
     assert entries[f"replica{s}.anticommutator"].residual == 0.0
@@ -117,7 +117,7 @@ def test_replica_hamiltonian_diagonal_values():
 def test_k2_intertwining_is_tight():
     db = make_doublet(2, 20)
     rd = build_replica(db, 2)
-    entries = {e.name: e for e in verify_replicas({2: rd}, db, margin=2)[2]}
+    entries = {e.name: e for e in verify_replicas({2: rd}, db, Scoring(2, 1e-10))[2]}
     assert entries["replica2.intertwining"].residual < 1e-12
 
 
@@ -125,7 +125,7 @@ def test_zero_structure_replica_is_zero():
     db = make_doublet(3, 8, StructureSpec.constant_values(3, 0.0))
     for s in (2, 3):
         rd = build_replica(db, s)
-        for e in verify_replicas({s: rd}, db, margin=2)[s]:
+        for e in verify_replicas({s: rd}, db, Scoring(2, 1e-10))[s]:
             assert e.residual == 0.0, e.name
 
 
@@ -151,7 +151,7 @@ def test_level_shift_identity_holds():
         StructureSpec.affine_family(4, 0.5, 1.0),
     ]:
         db = make_doublet(spec.k, 20, spec)
-        entry = check_isospectrality(db, margin=spec.k)
+        entry = check_isospectrality(db, Scoring(spec.k, 1e-10))
         assert entry.passed, entry.residual
 
 
@@ -163,15 +163,15 @@ def test_wrap_pair_is_not_isospectral():
         abs(db.partner(3, n - 1) - db.partner(1, n)) for n in range(1, 8)
     )
     assert wrap_dev == pytest.approx(6.0)
-    assert check_isospectrality(db, margin=3).passed
+    assert check_isospectrality(db, Scoring(3, 1e-10)).passed
 
 
 def test_sum_identity_for_k2():
     db = make_doublet(2, 30)
     rd = build_replica(db, 2)
-    entry = verify_sum_identity(db, {2: rd}, margin=2)
+    entry = verify_sum_identity(db, {2: rd}, Scoring(2, 1e-10))
     assert entry.residual < 1e-10
-    reduction = k2_reduction_entry(db, rd, margin=2)
+    reduction = k2_reduction_entry(db, rd, Scoring(2, 1e-10))
     assert reduction.residual < 1e-12
 
 
@@ -179,13 +179,13 @@ def test_sum_identity_for_k4_affine():
     spec = StructureSpec.affine_family(4, 0.0, 1.0)
     db = make_doublet(4, 40, spec)
     replicas = {s: build_replica(db, s) for s in range(2, 5)}
-    entry = verify_sum_identity(db, replicas, margin=4)
+    entry = verify_sum_identity(db, replicas, Scoring(4, 1e-10))
     assert entry.residual < 1e-10
 
 
 def test_sum_identity_requires_all_replicas():
     db = make_doublet(3, 10)
-    entry = verify_sum_identity(db, {2: build_replica(db, 2)}, margin=2)
+    entry = verify_sum_identity(db, {2: build_replica(db, 2)}, Scoring(2, 1e-10))
     assert entry.name == "fsusy.charge_sum"
     assert not entry.passed
     assert entry.residual is None
@@ -196,4 +196,4 @@ def test_reduction_entry_guards_its_domain():
     db = make_doublet(3, 10)
     rd = build_replica(db, 2)
     with pytest.raises(FsusyError):
-        k2_reduction_entry(db, rd, margin=2)
+        k2_reduction_entry(db, rd, Scoring(2, 1e-10))

@@ -13,7 +13,7 @@ from scipy.io import mmread
 
 import fsusy.suite
 from fsusy.errors import ConfigError
-from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
+from fsusy.fock import FULL_SPACE, GradedBasis, StructureSpec, solve_structure_function
 from fsusy.replicas import build_replica
 from fsusy.report import VerificationReport
 from fsusy.suite import (
@@ -78,7 +78,8 @@ class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig(k=3, d=12, spec=UNIT3, margin=3)
         assert cfg.tolerance == 1e-10
-        assert cfg.strict == pytest.approx(1e-12)
+        strict = cfg.scoring.entry("x", "x", 0.0, "strict", FULL_SPACE)
+        assert strict.tolerance == pytest.approx(1e-12)
 
     @pytest.mark.parametrize(
         "kwargs",

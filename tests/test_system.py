@@ -10,7 +10,7 @@ from fsusy.system import (
     partner_value,
     verify_fsusy,
 )
-from fsusy.wkalg import build_rep
+from fsusy.wkalg import Scoring, build_rep
 
 
 def make_doublet(k, d, spec=None):
@@ -72,7 +72,7 @@ def test_supercharges_avoid_their_masked_sectors():
 )
 def test_fsusy_axioms(k, d, spec):
     db = make_doublet(k, d, spec)
-    entries = {e.name: e for e in verify_fsusy(db, margin=2)}
+    entries = {e.name: e for e in verify_fsusy(db, Scoring(2, 1e-10))}
     assert entries["fsusy.nilpotency"].residual == 0.0
     assert entries["fsusy.multilinear"].residual < 1e-10
     assert entries["fsusy.hamiltonian_commutes"].residual < 1e-12
@@ -93,7 +93,7 @@ def test_partner_diagonal_consistency():
         StructureSpec.affine_family(3, 0.25, 1.0),
     ]:
         db = make_doublet(3, 12, spec)
-        entry = partner_consistency_entry(db)
+        entry = partner_consistency_entry(db, Scoring(2, 1e-10))
         assert entry.passed, entry.residual
 
 
@@ -138,7 +138,7 @@ def test_multilinear_window_tightness():
     # the multilinear identity involves k - 1 raisings, so truncation effects
     # stay outside a window with margin >= k - 1
     db = make_doublet(4, 12)
-    entries = {e.name: e for e in verify_fsusy(db, margin=4)}
+    entries = {e.name: e for e in verify_fsusy(db, Scoring(4, 1e-10))}
     assert entries["fsusy.multilinear"].residual < 1e-12
 
 

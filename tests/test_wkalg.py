@@ -7,13 +7,15 @@ from fsusy.errors import (
     RepresentationError,
     WindowTooSmallError,
 )
-from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
+from fsusy.fock import FULL_SPACE, GradedBasis, StructureSpec, solve_structure_function
 from fsusy.qarith import primitive_root
 from fsusy.wkalg import (
+    STRICT_FACTOR,
     ColumnMap,
     build_projectors,
+    Scoring,
     build_rep,
-    residual,
+    score,
     verify_wk_relations,
 )
 
@@ -180,21 +182,61 @@ def test_window_mask_shape_and_errors():
 def test_residual_scales_each_column():
     values = np.array([0.5, 2.0, 1e6, 4.0])
     lhs = ColumnMap.diag(values)
-    assert residual(lhs, lhs) == 0.0
+    assert score([(lhs, lhs)])[0] == 0.0
     # weights below 1 deviate absolutely, larger ones relatively
-    assert residual(lhs, ColumnMap.diag([0.25, 2.0, 1e6, 4.0])) == 0.25
-    assert residual(lhs, ColumnMap.diag(values * [1, 1, 1 + 1e-9, 1])) == pytest.approx(1e-9)
+    assert score([(lhs, ColumnMap.diag([0.25, 2.0, 1e6, 4.0]))])[0] == 0.25
+    assert score([(lhs, ColumnMap.diag(values * [1, 1, 1 + 1e-9, 1]))])[0] == pytest.approx(1e-9)
     # one scaled weight shows at its own size, however many columns agree
     big = ColumnMap.diag(np.arange(1.0, 10001.0))
     scaled = ColumnMap.diag(big.weight * np.where(np.arange(10000) == 7, 1 + 1e-9, 1))
-    assert residual(big, scaled) == pytest.approx(1e-9)
+    assert score([(big, scaled)])[0] == pytest.approx(1e-9)
     # a weight in another row counts in full: (2 + 2) / 2
     moved = ColumnMap(np.array([0, 2, 2, 3]), values)
-    assert residual(lhs, moved) == 2.0
+    assert score([(lhs, moved)])[0] == 2.0
     # only window columns count, and an empty window leaves nothing to deviate
     window = np.array([True, False, True, True])
-    assert residual(lhs, moved, window) == 0.0
-    assert residual(lhs, moved, np.zeros(4, dtype=bool)) == 0.0
+    assert score([(lhs, moved)], window)[0] == 0.0
+    assert score([(lhs, moved)], np.zeros(4, dtype=bool))[0] == 0.0
+
+
+def test_columns_narrow_and_describe_themselves():
+    basis = GradedBasis(2, 6)
+    window = basis.window(2)
+    shift = window.narrow(basis.sector_mask(1), "sector 1")
+    assert shift.text == "levels n <= 3 of 6 (margin 2), sector 1"
+    assert np.array_equal(shift.mask, (basis.level <= 3) & (basis.sector == 1))
+    # without a mask only the text grows
+    noted = window.narrow(None, "omitting ground level of sector 0")
+    assert noted.text == "levels n <= 3 of 6 (margin 2), omitting ground level of sector 0"
+    assert np.array_equal(noted.mask, window.mask)
+
+
+def test_score_takes_every_pair_within_each_block():
+    one = ColumnMap.diag([1.0, 1.0, 1.0, 1.0])
+    first = ColumnMap.diag([1.5, 1.0, 1.0, 1.25])
+    second = ColumnMap.diag([1.0, 1.75, 1.0, 1.0])
+    pairs = [(one, first), (one, second)]
+    assert score(pairs, None, 2).tolist() == [0.75 / 1.75, 0.25 / 1.25]
+    assert score(pairs, np.array([True, False, True, True]), 2).tolist() == [0.5 / 1.5, 0.25 / 1.25]
+    assert score(pairs).tolist() == [0.75 / 1.75]
+    assert score([], None, 3).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_scoring_tiers_and_overflow():
+    scoring = Scoring(2, 1e-8)
+    window = GradedBasis(2, 6).window(2)
+    entries = [scoring.entry("x.y", "x = y", 5e-9, tier, window)
+               for tier in ("exact", "windowed", "strict")]
+    assert [e.tolerance for e in entries] == [0.0, 1e-8, 1e-8 * STRICT_FACTOR]
+    assert [e.passed for e in entries] == [False, True, False]
+    assert all(e.window == window.text and e.error is None for e in entries)
+    assert scoring.entry("x.y", "x = y", 0.0, "exact", FULL_SPACE).passed
+    for value in (np.nan, np.inf):
+        entry = scoring.entry("x.y", "x = y", value, "strict", window)
+        assert (entry.residual, entry.passed, entry.window) == (None, False, window.text)
+        assert entry.error == "the products of this identity overflow float64"
+    with pytest.raises(KeyError):
+        scoring.entry("x.y", "x = y", 0.0, "loose", window)
 
 
 @pytest.mark.parametrize(
@@ -209,7 +251,7 @@ def test_residual_scales_each_column():
 )
 def test_defining_relations_hold(k, d, spec):
     rep = make_rep(k, d, spec)
-    entries, tensor_entries = verify_wk_relations(rep, margin=2)
+    entries, tensor_entries = verify_wk_relations(rep, Scoring(2, 1e-10))
     assert tensor_entries == []
     assert len(entries) == 5
     for e in entries:
@@ -227,7 +269,7 @@ def test_relations_hold_for_random_nonnegative_tables(k, seed):
     }
     spec = StructureSpec.from_table(k, entries)
     rep = make_rep(k, d, spec)
-    for e in verify_wk_relations(rep, margin=2)[0]:
+    for e in verify_wk_relations(rep, Scoring(2, 1e-10))[0]:
         assert e.residual < 1e-10, (e.name, e.residual)
 
 
@@ -290,8 +332,8 @@ def test_column_map_matches_dense_oracle(k, d, data):
 
     window = np.array(data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
     Wd = np.diag(window.astype(complex))
-    assert residual(A, C, window) == dense_residual(A.dense(), C.dense(), window)
-    assert residual(A, B) == dense_residual(A.dense(), B.dense(), np.ones(dim, dtype=bool))
+    assert score([(A, C)], window)[0] == dense_residual(A.dense(), C.dense(), window)
+    assert score([(A, B)])[0] == dense_residual(A.dense(), B.dense(), np.ones(dim, dtype=bool))
     assert np.array_equal(A.masked(window).dense(), A.dense() @ Wd)
 
     # a different shift on a column where both are nonzero is refused by
@@ -306,5 +348,5 @@ def test_column_map_matches_dense_oracle(k, d, data):
             A + D
         with pytest.raises(ValueError):
             A - D
-        assert residual(A, D, window) == dense_residual(A.dense(), D.dense(), window)
-        assert residual(A, D) > 0.0
+        assert score([(A, D)], window)[0] == dense_residual(A.dense(), D.dense(), window)
+        assert score([(A, D)])[0] > 0.0
