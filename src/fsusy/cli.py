@@ -46,10 +46,11 @@ _FAMILY_OF_KEY = {"a": "affine", "b": "affine", "table": "table"}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat key = value lines; blank lines and # comments are skipped."""
+    """Flat key = value lines; blank lines and # comments are skipped.  A
+    leading byte-order mark is not part of the first key."""
     values: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

@@ -298,7 +298,8 @@ def load_table_csv(path, k: int) -> StructureSpec:
     ground level, which Hamiltonian assembly requires.
     """
     entries: dict[tuple[int, int], float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig: a spreadsheet may begin the file with a byte-order mark
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [c.strip() for c in header] != ["s", "n", "f"]:

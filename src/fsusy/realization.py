@@ -99,20 +99,21 @@ def verify_kfermions(pair: KFermionPair, scoring: Scoring) -> list[ReportEntry]:
     return entries
 
 
-def _graded_sum(basis: GradedBasis, bosons: list[ColumnMap], fermions: list[ColumnMap]) -> ColumnMap:
-    """sum_s bosons[s] (x) fermions[s] for boson operators on the d levels and
-    fermion operators on the k grades, filled once per grade block.
+def _graded_sum(basis: GradedBasis, bosons: np.ndarray, to_level: np.ndarray,
+                fermions: np.ndarray, to_grade: np.ndarray) -> ColumnMap:
+    """sum_s bosons[s] (x) fermions[s] for boson weights on the d levels
+    (rows of a (k, d) array) and fermion weights on the k grades (rows of a
+    (k, k) array), filled once per grade block.
 
-    Column |m, t> adds the k products bosons[s].weight[m] * fermions[s].weight[t]
-    to zero in order s = 0 .. k-1, as a sum of k Kronecker products would.
-    Wherever the weights are nonzero all bosons share their targets, and so
-    do all fermions, so each column has one target.
+    Column |m, t> adds the k products bosons[s, m] * fermions[s, t] to zero
+    in order s = 0 .. k-1, as a sum of k Kronecker products would.  Every
+    boson sends level m to ``to_level[m]`` and every fermion grade t to
+    ``to_grade[t]`` (-1 for none), so each column has one target.
     """
     weight = np.zeros((basis.k, basis.d), dtype=complex)
     for b, f in zip(bosons, fermions, strict=True):
-        weight += b.weight * f.weight[:, None]
-    to_level = np.max([b.target for b in bosons], axis=0)[basis.level]
-    to_grade = np.max([f.target for f in fermions], axis=0)[basis.sector]
+        weight += b * f[:, None]
+    to_level, to_grade = to_level[basis.level], to_grade[basis.sector]
     target = np.where((to_level >= 0) & (to_grade >= 0),
                       basis.index(np.maximum(to_level, 0), to_grade), -1)
     return ColumnMap(target, weight[basis.sector, basis.level])
@@ -124,19 +125,28 @@ def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
     if basis.k != k:
         raise RepresentationError(f"graded space has order {basis.k}, fermion pair {k}")
     d, F = basis.d, rep.F
-    Pf = [ColumnMap.diag(P) for P in build_projectors(pair.Kf.diagonal(), k)]
-    # b(s)- lowers level m to m-1; F_s(0) = 0 leaves level 0 empty
-    bm = [ColumnMap(np.arange(d) - 1, np.sqrt(np.maximum(F.values[s, :d], 0.0)).astype(complex))
-          for s in range(k)]
+    # the diagonal of Pf_s as row s
+    Pf = np.array(build_projectors(pair.Kf.diagonal(), k))
+    # b(s)- lowers level m to m-1 with weight sqrt(F_s(m)); F_s(0) = 0 leaves
+    # level 0 empty.  b(s+1)+ at [s, m] is the adjoint of row s+1: it raises
+    # m to m+1 with the conjugate weight of level m+1, where that weight is
+    # nonzero
+    bm = np.sqrt(np.maximum(F.values[:, :d], 0.0)).astype(complex)
+    raised = np.roll(bm, -1, axis=0)[:, 1:]
+    bp = np.zeros((k, d), dtype=complex)
+    bp[:, :-1] = np.where(raised != 0, raised.conj(), 0)
+    up = np.append(np.where((raised != 0).any(axis=0), np.arange(1, d), -1), -1)
     A = cyclic_lowering(pair)
     Ak1 = A ** (k - 1)
-    # A and A^(k-1) act on the fermions only, so X- = sum_s b(s)- (x) A Pf_s
-    Xm = _graded_sum(basis, bm, [A @ P for P in Pf])
-    Xp = _graded_sum(basis, [bm[(s + 1) % k].adjoint() for s in range(k)], [Ak1 @ P for P in Pf])
+    # A Pf_s and A^(k-1) Pf_s keep the targets of A and A^(k-1); X- is
+    # sum_s b(s)- (x) A Pf_s
+    Xm = _graded_sum(basis, bm, np.arange(d) - 1, A.weight * Pf, A.target)
+    Xp = _graded_sum(basis, bp, up, Ak1.weight * Pf, Ak1.target)
     # 1 (x) K_f and 1 (x) Pf_s repeat each grade's value over its d levels;
     # N_b (x) 1 is the graded N itself
     K = ColumnMap.diag(pair.Kf.diagonal()[basis.sector])
-    projectors = tuple(ColumnMap.diag(P.weight[basis.sector]) for P in Pf)
+    # each projector a row of one lifted array, sharing K's diagonal targets
+    projectors = tuple(ColumnMap(K.target, P) for P in Pf[:, basis.sector])
     return AlgebraRep(rep.spec, basis, F, Xm, Xp, rep.N, K, projectors)
 
 

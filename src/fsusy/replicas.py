@@ -18,6 +18,7 @@ tied level to level by H_(s-1)(n-1) = H_s(n); the wrap-around pair
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from .wkalg import ColumnMap, Scoring, score
 
 @dataclass(frozen=True)
 class ReplicaDoublet:
-    """One ordinary SUSY replica: shift operators, charges and Hamiltonian."""
+    """One ordinary SUSY replica on the full space: shift operators, charges
+    and Hamiltonian."""
 
     s: int
     Xsm: ColumnMap
@@ -40,103 +42,92 @@ class ReplicaDoublet:
     h: ColumnMap
 
 
-def build_shift_operators(
-    doublet: FsusyDoublet, s: int, slack: int = 0
-) -> tuple[ColumnMap, ColumnMap]:
-    """Factorize partner ladder s into lowering/raising shift operators.
-
-    Negative H_s(n) admits no real square root.  Within the top ``slack``
-    levels such values are truncation junk and the corresponding terms are
-    dropped; anywhere else they abort with the offending (s, n).
-    """
-    basis = doublet.rep.basis
-    k, d = basis.k, basis.d
-    if not 2 <= s <= k:
-        raise FsusyError(f"replica index {s} outside 2..{k}")
-    n = np.arange(1, d)
-    v = doublet.partners[s - 1, 1:]
-    negative = v < -NONNEG_TOL
-    refused = np.flatnonzero(negative & (n <= d - 1 - slack))
-    if refused.size:
-        first = refused[0]
-        raise FactorizationError(s, int(n[first]), float(v[first]))
-    # the remaining negative values sit in the top slack levels and are dropped
-    keep = n[~negative]
-    target = np.full(basis.dim, -1)
-    weight = np.zeros(basis.dim, dtype=complex)
-    cols = basis.index(keep, s)
-    target[cols] = basis.index(keep - 1, s - 1)
-    weight[cols] = np.sqrt(np.maximum(v[keep - 1], 0.0))
-    Xsm = ColumnMap(target, weight)
-    return Xsm, Xsm.adjoint()
-
-
-def build_replica(doublet: FsusyDoublet, s: int, slack: int = 0) -> ReplicaDoublet:
-    Xsm, Xsp = build_shift_operators(doublet, s, slack)
-    basis = doublet.rep.basis
-    lo, hi = basis.sector_mask(s - 1), basis.sector_mask(s)
-    h = (Xsm @ Xsp).masked(lo) + (Xsp @ Xsm).masked(hi)
-    return ReplicaDoublet(s, Xsm, Xsp, Xsm.masked(hi), Xsp.masked(lo), h)
-
-
 _FIELDS = ("Xsm", "Xsp", "qm", "qp", "h")
 
 
 @dataclass(frozen=True)
 class ReplicaBlocks:
-    """Replica operators gathered onto the direct sum of their sector pairs.
+    """Every built replica side by side on the direct sum of their sector pairs.
 
     Replica ``order[i]`` = s holds sectors 2i (its sector s-1) and 2i+1 (its
     sector s mod k) of ``stack``, a graded basis of 2m sectors of d levels
     for m replicas; ``cols`` is the full-space column of every stacked
-    column.  ``ops`` maps each gathered field to one block-diagonal column
-    map, so a product never leaves its replica and every weight is the
-    full-space weight itself.  ``stray[i]`` is the largest deviation of
-    replica i's full-space operators from their gathers: nonzero weights off
-    its two sectors, or sent off them.  It is 0 for every replica that
-    ``build_replica`` makes.
+    column.  Each field of ``_FIELDS`` is one block-diagonal column map, so
+    a product never leaves its replica and every weight is the replica's
+    full-space weight.  With no replica built the maps are empty and there
+    is no stack.
     """
 
+    basis: GradedBasis
     order: tuple[int, ...]
-    stack: GradedBasis
-    cols: np.ndarray
-    ops: dict[str, ColumnMap]
-    stray: np.ndarray
+    Xsm: ColumnMap
+    Xsp: ColumnMap
+    qm: ColumnMap
+    qp: ColumnMap
+    h: ColumnMap
 
-    @classmethod
-    def gather(cls, replicas: dict[int, ReplicaDoublet], basis: GradedBasis,
-               fields: tuple[str, ...] = _FIELDS) -> ReplicaBlocks:
-        order = tuple(sorted(replicas))
-        m = len(order)
-        stack = GradedBasis(2 * m, basis.d)
-        pairs = np.array([(s - 1, s % basis.k) for s in order]).ravel()
-        cols = basis.index(stack.level, pairs[stack.sector])
-        # stacked sector 2i of each column's replica, and that replica's two sectors
-        first = stack.sector & ~1
-        low_sector, high_sector = pairs[first], pairs[first + 1]
-        stray = np.zeros(m)
-        ops = {}
-        for name in fields:
-            full = [getattr(replicas[s], name) for s in order]
-            target = np.concatenate([op.target[c] for op, c in zip(full, cols.reshape(m, -1))])
-            weight = np.concatenate([op.weight[c] for op, c in zip(full, cols.reshape(m, -1))])
-            to = np.maximum(target, 0)
-            high = basis.sector[to] == high_sector
-            inside = (target >= 0) & (high | (basis.sector[to] == low_sector))
-            block = ColumnMap(np.where(inside, stack.index(basis.level[to], first + high), -1),
-                              np.where(inside, weight, 0.0))
-            # a weight off the pair, or sent off it, is missing from the gather
-            if sum(np.count_nonzero(op.weight) for op in full) != np.count_nonzero(block.weight):
-                for i, op in enumerate(full):
-                    back = _scatter(block, cols, stack.sector // 2 == i, basis)
-                    stray[i] = np.maximum(stray[i], score([(op, back)])[0])
-            ops[name] = block
-        return cls(order, stack, cols, ops, stray)
+    @cached_property
+    def stack(self) -> GradedBasis:
+        return GradedBasis(2 * len(self.order), self.basis.d)
+
+    @cached_property
+    def cols(self) -> np.ndarray:
+        pairs = np.array([(s - 1, s % self.basis.k) for s in self.order]).ravel()
+        return self.basis.index(self.stack.level, pairs[self.stack.sector])
+
+    def full_space(self) -> dict[int, ReplicaDoublet]:
+        """Each replica's operators on the full space, by s."""
+        size = 2 * self.basis.d
+        return {s: ReplicaDoublet(s, *(
+                    _scatter(getattr(self, name), self.cols, slice(i * size, (i + 1) * size),
+                             self.basis)
+                    for name in _FIELDS))
+                for i, s in enumerate(self.order)}
 
 
-def _scatter(block: ColumnMap, cols: np.ndarray, take: np.ndarray, basis: GradedBasis) -> ColumnMap:
-    """The stacked columns ``take`` of a block-diagonal map, back on the full space."""
-    own = np.flatnonzero(take)
+def build_replicas(
+    doublet: FsusyDoublet, slack: int = 0
+) -> tuple[ReplicaBlocks, dict[int, FactorizationError]]:
+    """Factorize every partner ladder s = 2 .. k at once: the replicas on
+    their stacked sector pairs, and the refused ones by s.
+
+    Negative H_s(n) admits no real square root.  Within the top ``slack``
+    levels such values are truncation junk and their terms are dropped;
+    anywhere else the replica is refused at its first offending (s, n).
+    """
+    basis = doublet.rep.basis
+    d = basis.d
+    n = np.arange(1, d)
+    # H_s(n) at [s - 2, n - 1]
+    v = doublet.partners[1:, 1:]
+    negative = v < -NONNEG_TOL
+    offending = negative & (n <= d - 1 - slack)
+    refused = {}
+    for row in np.flatnonzero(offending.any(axis=1)):
+        first = np.argmax(offending[row])
+        refused[int(row) + 2] = FactorizationError(int(row) + 2, int(n[first]), float(v[row, first]))
+    built = np.flatnonzero(~offending.any(axis=1))
+    m = built.size
+    # X(s)- sends |n, s>, stacked column (2i + 1) d + n, to |n-1, s-1>, stacked
+    # column 2i d + n - 1; the negative values left sit in the top slack levels
+    # and are dropped
+    keep = ~negative[built]
+    target = np.full((m, 2, d), -1)
+    target[:, 1, 1:] = np.where(keep, np.arange(m)[:, None] * 2 * d + n - 1, -1)
+    weight = np.zeros((m, 2, d), dtype=complex)
+    weight[:, 1, 1:] = np.where(keep, np.sqrt(np.maximum(v[built], 0.0)), 0.0)
+    Xsm = ColumnMap(target.ravel(), weight.ravel())
+    Xsp = Xsm.adjoint()
+    high = np.arange(2 * m * d) // d % 2 == 1
+    h = (Xsm @ Xsp).masked(~high) + (Xsp @ Xsm).masked(high)
+    blocks = ReplicaBlocks(basis, tuple(int(r) + 2 for r in built),
+                           Xsm, Xsp, Xsm.masked(high), Xsp.masked(~high), h)
+    return blocks, refused
+
+
+def _scatter(block: ColumnMap, cols: np.ndarray, own, basis: GradedBasis) -> ColumnMap:
+    """The stacked columns ``own`` (a mask or a slice) of a block-diagonal map,
+    back on the full space."""
     to = block.target[own]
     target = np.full(basis.dim, -1)
     weight = np.zeros(basis.dim, dtype=complex)
@@ -163,21 +154,17 @@ _IDENTITIES = {
 
 
 def verify_replicas(
-    replicas: dict[int, ReplicaDoublet], doublet: FsusyDoublet, scoring: Scoring
+    blocks: ReplicaBlocks, doublet: FsusyDoublet, scoring: Scoring
 ) -> dict[int, list[ReportEntry]]:
     """Check the ordinary SUSY axioms and both factorization identities of
     every replica, by s.
 
-    Each identity is evaluated once, on the block-diagonal gather of all
-    replicas; each replica's residual over its own columns of the graded
-    basis equals its full-space one, and a stray weight
-    (``ReplicaBlocks.stray``) fails every entry of its replica.
+    Each identity is evaluated once on the stacked replicas; each replica's
+    residual over its own columns of the stack equals its full-space one.
     """
-    if not replicas:
+    if not blocks.order:
         return {}
-    basis = doublet.rep.basis
-    blocks = ReplicaBlocks.gather(replicas, basis)
-    stack, m = blocks.stack, len(blocks.order)
+    basis, stack, m = doublet.rep.basis, blocks.stack, len(blocks.order)
     window = basis.window(scoring.margin)
     # each replica's column set of every identity, on the graded basis
     columns = {s: dict(dict.fromkeys(_IDENTITIES, FULL_SPACE), intertwining=window,
@@ -185,13 +172,11 @@ def verify_replicas(
                        partner_diagonal=window.narrow(
                            None, f"omitting ground level of sector {s % basis.k}"))
                for s in blocks.order}
-
-    def on_stack(key):
-        return np.concatenate([columns[s][key].mask[c]
-                               for s, c in zip(blocks.order, blocks.cols.reshape(m, -1))])
-
-    Xsm, Xsp, qm, qp, h = (blocks.ops[name] for name in _FIELDS)
+    # the same column sets on the stack, where sector s-1 is each lower sector
     lower = stack.sector % 2 == 0
+    inside = window.mask[blocks.cols]
+
+    Xsm, Xsp, qm, qp, h = (getattr(blocks, name) for name in _FIELDS)
     zero = ColumnMap.diag(np.zeros(stack.dim))
 
     # the two partner ladders of each replica: H_(s-1) on sector s-1 and
@@ -209,14 +194,12 @@ def verify_replicas(
         "hamiltonian_commutes": score(((h @ q, q @ h) for q in (qm, qp)), None, m),
         "shift_product": score(
             [(Xsm @ Xsp, ColumnMap.diag(up[rows[stack.sector | 1], stack.level]))],
-            on_stack("shift_product"), m),
-        "partner_diagonal": score(
-            [(h, D.masked(lower | (stack.level > 0)))], on_stack("partner_diagonal"), m),
-        "intertwining": score(((D @ X, X @ D) for X in (Xsm, Xsp)), on_stack("intertwining"), m),
+            inside & lower, m),
+        "partner_diagonal": score([(h, D.masked(lower | (stack.level > 0)))], inside, m),
+        "intertwining": score(((D @ X, X @ D) for X in (Xsm, Xsp)), inside, m),
     }
     return {
-        s: [scoring.entry(f"replica{s}.{key}", statement,
-                          np.maximum(residuals[key][i], blocks.stray[i]), tier, columns[s][key])
+        s: [scoring.entry(f"replica{s}.{key}", statement, residuals[key][i], tier, columns[s][key])
             for key, (statement, tier) in _IDENTITIES.items()]
         for i, s in enumerate(blocks.order)
     }
@@ -240,7 +223,7 @@ def check_isospectrality(doublet: FsusyDoublet, scoring: Scoring) -> ReportEntry
 
 
 def verify_sum_identity(
-    doublet: FsusyDoublet, replicas: dict[int, ReplicaDoublet], scoring: Scoring
+    doublet: FsusyDoublet, blocks: ReplicaBlocks, scoring: Scoring
 ) -> ReportEntry:
     """Reassemble H from the replica charges:
 
@@ -253,18 +236,16 @@ def verify_sum_identity(
     basis = doublet.rep.basis
     name = "fsusy.charge_sum"
     statement = "H equals q(2)- q(2)+ plus the sum of q(s)+ q(s)- over all replicas"
-    missing = [s for s in range(2, basis.k + 1) if s not in replicas]
+    missing = [s for s in range(2, basis.k + 1) if s not in blocks.order]
     if missing:
         return ReportEntry.failure(
             name, statement, f"replicas {missing} could not be factorized")
     # q(s)+ q(s)- lives on sector s and q(2)- q(2)+ on sector 1, so each
     # column of the sum takes one block product: the upper sector of every
     # replica and the lower sector of replica 2, the first block
-    blocks = ReplicaBlocks.gather(replicas, basis, ("qm", "qp"))
-    qm, qp = blocks.ops["qm"], blocks.ops["qp"]
     sector = blocks.stack.sector
     upper = sector % 2 == 1
-    up, down = qp @ qm, qm @ qp
+    up, down = blocks.qp @ blocks.qm, blocks.qm @ blocks.qp
     products = ColumnMap(np.where(upper, up.target, down.target),
                          np.where(upper, up.weight, down.weight))
     rhs = _scatter(products, blocks.cols, upper | (sector == 0), basis)

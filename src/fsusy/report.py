@@ -8,7 +8,7 @@ from datetime import datetime, timezone
 
 PACKAGE_VERSION = "0.1.0"
 
-# an entry at the depth of the report's entries, items on lines of their own
+# entries at the depth of the report's entries, items on lines of their own
 _ENTRY_ENCODER = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
@@ -69,21 +69,25 @@ class VerificationReport:
     def to_json(self) -> str:
         """The report as ``json.dumps(self.to_dict(), indent=2)`` plus a newline.
 
-        Each entry is a flat dict of scalars, so it is encoded by the C
-        encoder with the line breaks and indentation of its items spelled
-        into the item separator; only the rest of the report goes through
-        the indenting encoder.
+        Each entry is a flat dict of scalars, so the whole list is encoded
+        in one call of the C encoder, with the line breaks and indentation
+        of an entry's items spelled into the item separator; only the
+        separator between entries is then re-indented, and only the rest of
+        the report goes through the indenting encoder.
         """
         report = self.to_dict()
         entries, report["entries"] = report["entries"], []
         text = json.dumps(report, indent=2)
         if entries:
+            # no encoded string holds a raw line break, so "}" and a line
+            # break only meet between two entries
+            items = _ENTRY_ENCODER.encode(entries)[2:-2].replace(
+                "},\n      {", "\n    },\n    {\n      ")
             # the only line that starts with two spaces and "entries" is the
             # key of the report's own list, which the indenting encoder
             # wrote as []
-            items = ",\n    ".join(
-                "{\n      " + _ENTRY_ENCODER.encode(entry)[1:-1] + "\n    }" for entry in entries)
-            text = text.replace('\n  "entries": []', '\n  "entries": [\n    ' + items + "\n  ]", 1)
+            text = text.replace('\n  "entries": []',
+                                '\n  "entries": [\n    {\n      ' + items + "\n    }\n  ]", 1)
         return text + "\n"
 
     def write(self, path) -> None:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,8 +32,9 @@ from .realization import (
     verify_kfermions,
 )
 from .replicas import (
+    ReplicaBlocks,
     ReplicaDoublet,
-    build_replica,
+    build_replicas,
     check_isospectrality,
     k2_reduction_entry,
     verify_replicas,
@@ -101,19 +103,25 @@ class RunConfig:
 
 @dataclass
 class GradedSystem:
-    """Built operators of one run: representation, doublet, replicas by s.
+    """Built operators of one run: representation, doublet and the replicas
+    on their stacked sector pairs.
 
     ``refused`` holds, by s, the reason each unbuilt replica was refused.
     """
 
     rep: AlgebraRep
     doublet: FsusyDoublet
-    replicas: dict[int, ReplicaDoublet] = field(default_factory=dict)
-    refused: dict[int, FactorizationError] = field(default_factory=dict)
+    blocks: ReplicaBlocks
+    refused: dict[int, FactorizationError]
 
     @property
     def d_effective(self) -> int:
         return self.rep.basis.d
+
+    @cached_property
+    def replicas(self) -> dict[int, ReplicaDoublet]:
+        """Each built replica on the full space, by s, derived on first use."""
+        return self.blocks.full_space()
 
 
 def build_system(config: RunConfig) -> GradedSystem:
@@ -123,15 +131,7 @@ def build_system(config: RunConfig) -> GradedSystem:
     basis = GradedBasis(config.k, d_eff)
     rep = build_rep(config.spec, basis, F.truncate(d_eff))
     doublet = build_doublet(rep)
-    system = GradedSystem(rep, doublet)
-    for s in range(2, config.k + 1):
-        try:
-            system.replicas[s] = build_replica(doublet, s, slack=config.margin)
-        except FactorizationError as exc:
-            # without its traceback, which would tie this frame and the
-            # whole system into a reference cycle
-            system.refused[s] = exc.with_traceback(None)
-    return system
+    return GradedSystem(rep, doublet, *build_replicas(doublet, slack=config.margin))
 
 
 def run_verification_suite(config: RunConfig) -> VerificationReport:
@@ -181,7 +181,7 @@ def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
         entries.append(partner_consistency_entry(doublet, scoring))
         entries.append(check_isospectrality(doublet, scoring))
 
-        replica_entries = verify_replicas(system.replicas, doublet, scoring)
+        replica_entries = verify_replicas(system.blocks, doublet, scoring)
         for s in range(2, config.k + 1):
             if s in system.refused:
                 entries.append(ReportEntry.failure(
@@ -190,8 +190,8 @@ def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
                     system.refused[s]))
             else:
                 entries += replica_entries[s]
-        entries.append(verify_sum_identity(doublet, system.replicas, scoring))
-        if config.k == 2 and 2 in system.replicas:
+        entries.append(verify_sum_identity(doublet, system.blocks, scoring))
+        if config.k == 2 and 2 in system.blocks.order:
             entries.append(k2_reduction_entry(doublet, system.replicas[2], scoring))
 
         entries += verify_kfermions(pair, scoring)

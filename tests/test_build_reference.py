@@ -6,7 +6,9 @@ assembled from ColumnMap terms with f evaluated one level at a time, and
 the grading resolved over the whole space with every per-level or
 per-grade array lifted by np.tile, np.repeat or a Kronecker product with
 the identity.  Each array route must give the same float64 bits, the same
-targets and the same refusals.
+targets and the same refusals.  The replicas have a reference too: each
+replica built on the whole space, one s at a time, against the replica
+stack that builds all of them at once.
 
 The checks have references too: each replica verified on the whole space,
 one at a time; the charge sum added up from k-1 full-space products; the
@@ -41,7 +43,8 @@ from fsusy.realization import (
     verify_kfermions,
 )
 from fsusy.replicas import (
-    build_shift_operators,
+    ReplicaDoublet,
+    build_replicas,
     check_isospectrality,
     k2_reduction_entry,
     verify_replicas,
@@ -129,6 +132,52 @@ def level_shift_operators(doublet: FsusyDoublet, s: int, slack: int) -> ColumnMa
     return ColumnMap(target, weight)
 
 
+def build_shift_operators(
+    doublet: FsusyDoublet, s: int, slack: int = 0
+) -> tuple[ColumnMap, ColumnMap]:
+    """X(s)- and X(s)+ of one replica on the whole space; a negative H_s(n)
+    below the top ``slack`` levels raises, one within them is dropped."""
+    basis = doublet.rep.basis
+    k, d = basis.k, basis.d
+    if not 2 <= s <= k:
+        raise FsusyError(f"replica index {s} outside 2..{k}")
+    n = np.arange(1, d)
+    v = doublet.partners[s - 1, 1:]
+    negative = v < -NONNEG_TOL
+    refused = np.flatnonzero(negative & (n <= d - 1 - slack))
+    if refused.size:
+        first = refused[0]
+        raise FactorizationError(s, int(n[first]), float(v[first]))
+    keep = n[~negative]
+    target = np.full(basis.dim, -1)
+    weight = np.zeros(basis.dim, dtype=complex)
+    cols = basis.index(keep, s)
+    target[cols] = basis.index(keep - 1, s - 1)
+    weight[cols] = np.sqrt(np.maximum(v[keep - 1], 0.0))
+    Xsm = ColumnMap(target, weight)
+    return Xsm, Xsm.adjoint()
+
+
+def build_replica(doublet: FsusyDoublet, s: int, slack: int = 0) -> ReplicaDoublet:
+    """Replica s on the whole space, its charges and h masked by sector."""
+    Xsm, Xsp = build_shift_operators(doublet, s, slack)
+    basis = doublet.rep.basis
+    lo, hi = basis.sector_mask(s - 1), basis.sector_mask(s)
+    h = (Xsm @ Xsp).masked(lo) + (Xsp @ Xsm).masked(hi)
+    return ReplicaDoublet(s, Xsm, Xsp, Xsm.masked(hi), Xsp.masked(lo), h)
+
+
+def reference_replicas(doublet: FsusyDoublet, slack: int):
+    """Every replica by s from the one-at-a-time route, and the refused ones."""
+    replicas, refused = {}, {}
+    for s in range(2, doublet.k + 1):
+        try:
+            replicas[s] = build_replica(doublet, s, slack)
+        except FactorizationError as exc:
+            refused[s] = exc
+    return replicas, refused
+
+
 def kron(b: ColumnMap, f: ColumnMap) -> ColumnMap:
     """b (x) f with |m> (x) |t> at t*d + m, evaluated over the whole space."""
     d = b.dim
@@ -149,6 +198,10 @@ def full_space_grading(rep: AlgebraRep) -> AlgebraRep:
 def assert_same_map(a: ColumnMap, b: ColumnMap):
     assert np.array_equal(a.target, b.target)
     assert a.weight.tobytes() == b.weight.tobytes()
+
+
+def refusal(exc: FactorizationError):
+    return exc.s, exc.n, float(exc.value).hex(), str(exc)
 
 
 @pytest.fixture(scope="module", params=POINTS, ids=[f"k={k}-{label}" for k, label in POINTS])
@@ -186,7 +239,7 @@ def test_shift_operators_and_refusals_match_the_level_loop(built):
             refused[s] = (exc.s, exc.n, exc.value)
             continue
         assert_same_map(system.replicas[s].Xsm, expected)
-        assert_same_map(build_shift_operators(system.doublet, s, spec.k)[1], expected.adjoint())
+        assert_same_map(system.replicas[s].Xsp, expected.adjoint())
     assert {s: (e.s, e.n, e.value) for s, e in system.refused.items()} == refused
 
 
@@ -195,7 +248,8 @@ def test_shift_operators_and_refusals_match_the_level_loop(built):
     StructureSpec.constant_values(4, [1.25, 0.5, 2.0, 0.75]),
     StructureSpec.from_table(
         3, {(s, n): ((7 * s + 3 * n) % 11 + 1) / 3 for s in range(3) for n in range(-3, 30)}),
-], ids=["signed-zeros", "sector-constants", "table"])
+    StructureSpec.constant_values(3, 0.0),
+], ids=["signed-zeros", "sector-constants", "table", "zeros"])
 def test_other_families_match_the_scalar_loops(spec):
     system = build_system(RunConfig(k=spec.k, d=24, spec=spec, margin=spec.k))
     rep = system.rep
@@ -205,6 +259,11 @@ def test_other_families_match_the_scalar_loops(spec):
     assert_same_map(system.doublet.H, term_hamiltonian(rep))
     for s, replica in system.replicas.items():
         assert_same_map(replica.Xsm, level_shift_operators(system.doublet, s, spec.k))
+    # with zero structure values the boson weights vanish, and so do their targets
+    pair = build_kfermion_pair(spec.k)
+    tensor, reference = build_tensor_realization(pair, rep), reference_tensor(pair, rep)
+    assert_same_map(tensor.Xm, reference.Xm)
+    assert_same_map(tensor.Xp, reference.Xp)
 
 
 def test_slack_levels_are_dropped_like_the_level_loop():
@@ -215,16 +274,18 @@ def test_slack_levels_are_dropped_like_the_level_loop():
     system = build_system(RunConfig(k=3, d=20, spec=spec, margin=3))
     doublet = system.doublet
     assert d == system.d_effective
-    for s in (2, 3):
-        for slack in range(d):
+    for slack in range(d):
+        blocks, refused = build_replicas(doublet, slack)
+        replicas = blocks.full_space()
+        for s in (2, 3):
             try:
                 expected = level_shift_operators(doublet, s, slack)
             except FactorizationError as exc:
-                with pytest.raises(FactorizationError) as got:
-                    build_shift_operators(doublet, s, slack)
-                assert (got.value.s, got.value.n, got.value.value) == (exc.s, exc.n, exc.value)
+                assert s not in replicas
+                assert refusal(refused[s]) == refusal(exc)
                 continue
-            assert_same_map(build_shift_operators(doublet, s, slack)[0], expected)
+            assert s not in refused
+            assert_same_map(replicas[s].Xsm, expected)
 
 
 
@@ -391,10 +452,12 @@ def reference_tensor(pair, rep):
 
 
 def reference_verify_system(system, config):
-    """The suite's entries with every check on the whole space, one at a time."""
+    """The suite's entries with every replica built and every check made on
+    the whole space, one at a time."""
     rep, doublet = system.rep, system.doublet
     margin, tol, scoring = config.margin, config.tolerance, config.scoring
     strict = tol * STRICT_FACTOR
+    replicas, refused = reference_replicas(doublet, margin)
     entries = []
     try:
         residuals, win = reference_relation_residuals(rep, margin)
@@ -404,16 +467,16 @@ def reference_verify_system(system, config):
         entries.append(partner_consistency_entry(doublet, scoring))
         entries.append(check_isospectrality(doublet, scoring))
         for s in range(2, config.k + 1):
-            if s in system.refused:
+            if s in refused:
                 entries.append(ReportEntry.failure(
                     f"replica{s}.factorization",
                     "the partner ladder admits real square roots at every level",
-                    system.refused[s]))
+                    refused[s]))
             else:
-                entries += reference_verify_replica(system.replicas[s], doublet, margin, tol, strict)
-        entries.append(reference_sum_identity(doublet, system.replicas, margin, tol))
-        if config.k == 2 and 2 in system.replicas:
-            entries.append(k2_reduction_entry(doublet, system.replicas[2], scoring))
+                entries += reference_verify_replica(replicas[s], doublet, margin, tol, strict)
+        entries.append(reference_sum_identity(doublet, replicas, margin, tol))
+        if config.k == 2 and 2 in replicas:
+            entries.append(k2_reduction_entry(doublet, replicas[2], scoring))
         pair = build_kfermion_pair(config.k)
         entries += verify_kfermions(pair, scoring)
         try:
@@ -459,13 +522,45 @@ def test_batched_checks_match_the_one_at_a_time_route(k, label):
     got = verify_system(system, config)
     want = reference_verify_system(system, config)
     assert [entry_bits(e) for e in got] == [entry_bits(e) for e in want]
-    batch = verify_replicas(system.replicas, system.doublet, config.scoring)
-    assert sorted(batch) == sorted(system.replicas)
-    for s, rd in system.replicas.items():
+    replicas, _ = reference_replicas(system.doublet, k)
+    batch = verify_replicas(system.blocks, system.doublet, config.scoring)
+    assert sorted(batch) == sorted(replicas)
+    for s, rd in replicas.items():
         one = reference_verify_replica(rd, system.doublet, k)
         assert [entry_bits(e) for e in batch[s]] == [entry_bits(e) for e in one]
-    assert (entry_bits(verify_sum_identity(system.doublet, system.replicas, config.scoring))
-            == entry_bits(reference_sum_identity(system.doublet, system.replicas, k)))
+    assert (entry_bits(verify_sum_identity(system.doublet, system.blocks, config.scoring))
+            == entry_bits(reference_sum_identity(system.doublet, replicas, k)))
+
+
+@pytest.mark.parametrize("k,label", CHECK_POINTS, ids=[f"k={k}-{lb}" for k, lb in CHECK_POINTS])
+def test_replica_stack_matches_the_one_at_a_time_build(k, label):
+    # refused replicas included (k = 4 falling, k = 5 unit), and levels
+    # dropped inside the top slack (k = 6 .. 8 falling: replica 2 drops n = 39)
+    system = build_system(RunConfig(k=k, d=40, spec=CHECK_FAMILIES[label](k), margin=k))
+    blocks, basis = system.blocks, system.rep.basis
+    replicas, refused = reference_replicas(system.doublet, k)
+    assert ({s: refusal(e) for s, e in system.refused.items()}
+            == {s: refusal(e) for s, e in refused.items()})
+    assert blocks.order == tuple(sorted(replicas))
+    if label == "affine_falling" and k >= 6:
+        assert system.doublet.partners[1, 39] < -NONNEG_TOL and 2 in blocks.order
+    size = 2 * basis.d
+    for i, s in enumerate(blocks.order):
+        own = np.arange(i * size, (i + 1) * size)
+        cols = blocks.cols[own]
+        assert np.array_equal(basis.sector[cols], np.repeat([s - 1, s % k], basis.d))
+        for name in ("Xsm", "Xsp", "qm", "qp", "h"):
+            stacked, full = getattr(blocks, name), getattr(replicas[s], name)
+            # the replica's weights all sit on its pair of sectors ...
+            assert np.count_nonzero(full.weight) == np.count_nonzero(full.weight[cols])
+            weight = stacked.weight[own]
+            assert np.array_equal(weight.view(np.int64), full.weight[cols].view(np.int64)), name
+            # ... and each nonzero one is sent inside the replica's own block
+            to = stacked.target[own][weight != 0]
+            assert np.all((to >= own[0]) & (to <= own[-1])), name
+            assert np.array_equal(blocks.cols[to], full.target[cols][weight != 0]), name
+            # readers of the full space get the one-at-a-time map itself
+            assert_same_map(getattr(system.replicas[s], name), full)
 
 
 @pytest.mark.parametrize("k,label", CHECK_POINTS, ids=[f"k={k}-{lb}" for k, lb in CHECK_POINTS])
@@ -497,13 +592,14 @@ def test_grade_block_sums_match_the_term_sums(k, label):
 
 
 def count_calls(monkeypatch):
-    """Count column-map products and per-column deviations from now on.
+    """Count column-map products, adjoints and per-column deviations from now on.
 
     A power counts as one call, not as its chain of products.
     """
-    counts = {"matmul": 0, "deviation": 0}
+    counts = dict.fromkeys(("matmul", "adjoint", "deviation"), 0)
     inside_power = []
-    matmul, power, deviation = ColumnMap.__matmul__, ColumnMap.__pow__, fsusy.wkalg.deviation
+    matmul, power, adjoint = ColumnMap.__matmul__, ColumnMap.__pow__, ColumnMap.adjoint
+    deviation = fsusy.wkalg.deviation
 
     def counted_matmul(self, other):
         counts["matmul"] += not inside_power
@@ -517,33 +613,52 @@ def count_calls(monkeypatch):
         finally:
             inside_power.pop()
 
+    def counted_adjoint(self):
+        counts["adjoint"] += 1
+        return adjoint(self)
+
     def counted_deviation(lhs, rhs):
         counts["deviation"] += 1
         return deviation(lhs, rhs)
 
     monkeypatch.setattr(ColumnMap, "__matmul__", counted_matmul)
     monkeypatch.setattr(ColumnMap, "__pow__", counted_power)
+    monkeypatch.setattr(ColumnMap, "adjoint", counted_adjoint)
     monkeypatch.setattr(fsusy.wkalg, "deviation", counted_deviation)
     return counts
 
 
 def test_batched_checks_make_the_same_calls_at_every_order(monkeypatch):
-    # no loop over replicas or representations may come back into the
-    # replica stage or the relation pass: k = 3 and k = 8 (every replica
-    # built) make equally many products and deviations
+    # no loop over replicas, grades or representations may come back into
+    # the replica build and checks, the tensor build or the relation pass:
+    # k = 3 and k = 8 (every replica built) make equally many products,
+    # adjoints and deviations in each stage
     stages = {}
     for k in (3, 8):
         config = RunConfig(k=k, d=40, spec=StructureSpec.affine_family(k, 0.5, 1.0), margin=k)
         system = build_system(config)
-        assert len(system.replicas) == k - 1
-        tensor = build_tensor_realization(build_kfermion_pair(k), system.rep)
+        assert len(system.blocks.order) == k - 1
+        pair = build_kfermion_pair(k)
         with monkeypatch.context() as patch:
             counts = count_calls(patch)
-            verify_replicas(system.replicas, system.doublet, config.scoring)
-            verify_sum_identity(system.doublet, system.replicas, config.scoring)
-            replica_stage = dict(counts)
-            counts.update(matmul=0, deviation=0)
+            stage = {}
+
+            def done(name):
+                stage[name] = dict(counts)
+                counts.update(dict.fromkeys(counts, 0))
+
+            blocks, _ = build_replicas(system.doublet, config.margin)
+            done("replica build")
+            verify_replicas(blocks, system.doublet, config.scoring)
+            verify_sum_identity(system.doublet, blocks, config.scoring)
+            done("replica checks")
+            tensor = build_tensor_realization(pair, system.rep)
+            done("tensor build")
             algebra_relation_residuals([system.rep, tensor], k)
-            stages[k] = replica_stage, dict(counts)
+            done("relation pass")
+        stages[k] = stage
     assert stages[3] == stages[8]
-    assert all(count > 0 for stage in stages[3] for count in stage.values())
+    assert all(stage["matmul"] > 0 for stage in stages[3].values())
+    assert stages[3]["replica build"]["adjoint"] == 1
+    assert stages[3]["replica checks"]["deviation"] > 0
+    assert stages[3]["relation pass"]["deviation"] > 0

@@ -63,6 +63,39 @@ class TestParseConfigFile:
         assert "cannot read config file" in capsys.readouterr().err
 
 
+def run_with_and_without_bom(tmp_path, capsys, name, text, argv):
+    """Exit code, stdout and report (without its stamp) of one run with the
+    input file saved plainly and one with a UTF-8 byte-order mark."""
+    results = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        path = tmp_path / f"{encoding}-{name}"
+        path.write_text(text, encoding=encoding)
+        out = tmp_path / f"{encoding}-report.json"
+        code = main([part.replace("INPUT", str(path)) for part in argv]
+                    + ["--out_report", str(out)])
+        report = json.loads(out.read_text(encoding="utf-8"))
+        report.pop("generated_at")
+        results.append((code, capsys.readouterr(), report))
+    assert (tmp_path / f"utf-8-sig-{name}").read_bytes().startswith(b"\xef\xbb\xbf")
+    return results
+
+
+class TestByteOrderMark:
+    def test_table_csv_with_bom_reads_as_without(self, tmp_path, capsys):
+        lines = ["s,n,f"] + [f"{s},{n},1.0" for s in range(2) for n in range(-2, 13)]
+        plain, marked = run_with_and_without_bom(
+            tmp_path, capsys, "table.csv", "\n".join(lines) + "\n",
+            ["verify", "--k", "2", "--d", "10", "--table", "INPUT"])
+        assert plain[0] == 0
+        assert marked == plain
+
+    def test_config_file_with_bom_reads_as_without(self, tmp_path, capsys):
+        plain, marked = run_with_and_without_bom(
+            tmp_path, capsys, "run.cfg", "k = 3\nd = 12\n", ["verify", "--config", "INPUT"])
+        assert plain[0] == 0
+        assert marked == plain
+
+
 def report_tolerance(tmp_path, argv, monkeypatch=None, env=None):
     if monkeypatch is not None and env is not None:
         monkeypatch.setenv("FSUSY_TOLERANCE", env)

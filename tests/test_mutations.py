@@ -7,13 +7,14 @@ middle level and the top of the window, on the four acceptance families at
 k = 3, d = 40 (k = 2 for the order-2 reduction, the k-fermion grades for the
 k-fermion entries), and the entry must fail at its tier: 1e-10 windowed,
 1e-12 strict, 0 exact.  The checks run as the suite runs them: the graded
-and the tensor relations in one paired pass, all replicas in one
-block-diagonal batch.
+and the tensor relations in one paired pass, all replicas on their stacked
+sector pairs.
 
 Four identities cannot see a scaled weight and are not listed: Q-^k = 0,
 q- q- = 0 and f-^k = 0 stay nilpotent whatever their weights, and the
-diagonal K and N commute whatever their weights.  A replica operator that
-reaches a third sector fails every entry of its own replica and no other.
+diagonal K and N commute whatever their weights.  A replica weight sent
+into another replica's block fails the entries of its own replica that
+read it, and no entry of another replica.
 """
 
 import dataclasses
@@ -91,10 +92,16 @@ def tensor_case(field, s):
     return run
 
 
-def replica_entries(replicas, doublet):
-    """Entries of every replica, checked in one batch as the suite does."""
-    return [e for entries in verify_replicas(replicas, doublet, Scoring(doublet.k, 1e-10)).values()
+def replica_entries(blocks, doublet):
+    """Entries of every replica, checked on the stack as the suite does."""
+    return [e for entries in verify_replicas(blocks, doublet, Scoring(doublet.k, 1e-10)).values()
             for e in entries]
+
+
+def stacked_column(blocks, s, n, sector):
+    """Stacked column of |n, sector> in replica s's block, sector s-1 or s."""
+    i = blocks.order.index(s)
+    return blocks.stack.index(n, 2 * i + (sector % blocks.basis.k != s - 1))
 
 
 def hamiltonian_case(s):
@@ -105,7 +112,7 @@ def hamiltonian_case(s):
         doublet = dataclasses.replace(doublet, H=H)
         return verify_fsusy(doublet, scoring) + [
             partner_consistency_entry(doublet, scoring),
-            verify_sum_identity(doublet, system.replicas, scoring),
+            verify_sum_identity(doublet, system.blocks, scoring),
         ]
     return run
 
@@ -118,17 +125,15 @@ def partner_case(s):
         partners[s - 1, n] *= factor
         doublet = dataclasses.replace(doublet, partners=partners)
         return [check_isospectrality(doublet, Scoring(doublet.k, 1e-10))] + replica_entries(
-            system.replicas, doublet)
+            system.blocks, doublet)
     return run
 
 
 def replica_case(s, field, sector):
     def run(system, n, factor):
-        rd, doublet = system.replicas[s], system.doublet
-        op = scaled(getattr(rd, field), doublet.rep.basis.index(n, sector), factor)
-        replicas = dict(system.replicas)
-        replicas[s] = dataclasses.replace(rd, **{field: op})
-        return replica_entries(replicas, doublet)
+        blocks = system.blocks
+        op = scaled(getattr(blocks, field), stacked_column(blocks, s, n, sector), factor)
+        return replica_entries(dataclasses.replace(blocks, **{field: op}), system.doublet)
     return run
 
 
@@ -205,33 +210,37 @@ def planted(op, col, target, weight):
     return ColumnMap(targets, weights)
 
 
+# the entries of a replica whose identities read each operator
+READS = {"h": ("anticommutator", "hamiltonian_commutes", "partner_diagonal"),
+         "Xsm": ("shift_product", "intertwining")}
+
+
 @pytest.mark.parametrize("k", [3, 4])
-@pytest.mark.parametrize("how", ["third-sector-column", "target-off-the-pair"])
+@pytest.mark.parametrize("how", ["h-target-off-the-pair", "target-off-the-pair"])
 def test_stray_replica_weight_fails_only_its_replica(systems, k, how):
-    """A weight of 1e-9 planted in h(s) in a column of a third sector, or in
-    X(s)- in a column of sector s with its row in a third sector, fails
-    every entry of replica s and leaves the other replicas' entries as they
-    were, at any level, the top one included."""
+    """A weight of 1e-9 planted in replica s's block, in h(s) or in X(s)- at
+    a column of its sector s, with its row in the next replica's block, fails
+    every entry of replica s that reads that operator and leaves every other
+    entry as it was.  The column is one where the operator holds a weight, at
+    the first, the middle and the last such level of the window."""
+    field = "h" if how.startswith("h") else "Xsm"
     for label in family_specs(k):
         system = systems[k, label]
-        doublet, basis = system.doublet, system.doublet.rep.basis
-        for s in system.replicas:
-            third = (s + 1) % k
-            for n in (1, basis.d // 2, basis.d - 1):
-                replicas = dict(system.replicas)
-                rd = replicas[s]
-                if how == "third-sector-column":
-                    col = basis.index(n, third)
-                    replicas[s] = dataclasses.replace(rd, h=planted(rd.h, col, col, 1e-9))
-                else:
-                    col = basis.index(n, s)
-                    stray = planted(rd.Xsm, col, basis.index(n - 1, third), 1e-9)
-                    replicas[s] = dataclasses.replace(rd, Xsm=stray)
-                before = verify_replicas(system.replicas, doublet, Scoring(k, 1e-10))
-                after = verify_replicas(replicas, doublet, Scoring(k, 1e-10))
+        blocks, doublet = system.blocks, system.doublet
+        op = getattr(blocks, field)
+        before = verify_replicas(blocks, doublet, Scoring(k, 1e-10))
+        top = system.d_effective - 1 - k
+        for i, s in enumerate(blocks.order):
+            other = (i + 1) % len(blocks.order)
+            held = [n for n in range(1, top + 1) if op.weight[stacked_column(blocks, s, n, s)] != 0]
+            for n in (held[0], held[len(held) // 2], held[-1]):
+                col = stacked_column(blocks, s, n, s)
+                row = blocks.stack.index(n - 1, 2 * other)
+                mutated = dataclasses.replace(blocks, **{field: planted(op, col, row, 1e-9)})
+                after = verify_replicas(mutated, doublet, Scoring(k, 1e-10))
                 for r, entries in after.items():
                     for e, ref in zip(entries, before[r], strict=True):
-                        if r == s:
+                        if r == s and e.name.split(".")[1] in READS[field]:
                             assert not e.passed, (label, s, n, e.name, e.residual)
                         else:
                             assert e == ref, (label, s, n, e.name)

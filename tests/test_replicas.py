@@ -1,11 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fsusy.errors import FactorizationError, FsusyError
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
 from fsusy.replicas import (
-    build_replica,
-    build_shift_operators,
+    build_replicas,
     check_isospectrality,
     k2_reduction_entry,
     verify_replicas,
@@ -20,6 +21,25 @@ def make_doublet(k, d, spec=None):
     basis = GradedBasis(k, d)
     rep = build_rep(spec, basis, solve_structure_function(spec, d))
     return build_doublet(rep)
+
+
+def build_replica(db, s, slack=0):
+    """Replica s on the full space, from the stack of every replica; its
+    refusal is raised."""
+    blocks, refused = build_replicas(db, slack)
+    if s in refused:
+        raise refused[s]
+    return blocks.full_space()[s]
+
+
+def build_shift_operators(db, s, slack=0):
+    rd = build_replica(db, s, slack)
+    return rd.Xsm, rd.Xsp
+
+
+def replica_entries(db, margin):
+    """The entries of every replica by s, checked on the stack."""
+    return verify_replicas(build_replicas(db)[0], db, Scoring(margin, 1e-10))
 
 
 def decaying_table_doublet():
@@ -46,13 +66,6 @@ def test_ground_state_is_omitted():
     for s in (2, 3):
         Xsm, _ = build_shift_operators(db, s)
         assert np.all(Xsm.dense()[:, basis.index(0, s % 3)] == 0)
-
-
-def test_replica_index_range_is_validated():
-    db = make_doublet(3, 8)
-    for s in (0, 1, 4):
-        with pytest.raises(FsusyError):
-            build_shift_operators(db, s)
 
 
 def test_negative_partner_energy_aborts_factorization():
@@ -87,8 +100,7 @@ def test_slack_does_not_mask_low_level_negativity():
 @pytest.mark.parametrize("s", [2, 3])
 def test_replica_identities_for_unit_constant(s):
     db = make_doublet(3, 30)
-    rd = build_replica(db, s)
-    entries = {e.name: e for e in verify_replicas({s: rd}, db, Scoring(3, 1e-10))[s]}
+    entries = {e.name: e for e in replica_entries(db, 3)[s]}
     assert entries[f"replica{s}.nilpotency"].residual == 0.0
     assert entries[f"replica{s}.pair_adjoint"].residual == 0.0
     assert entries[f"replica{s}.anticommutator"].residual == 0.0
@@ -116,16 +128,14 @@ def test_replica_hamiltonian_diagonal_values():
 
 def test_k2_intertwining_is_tight():
     db = make_doublet(2, 20)
-    rd = build_replica(db, 2)
-    entries = {e.name: e for e in verify_replicas({2: rd}, db, Scoring(2, 1e-10))[2]}
+    entries = {e.name: e for e in replica_entries(db, 2)[2]}
     assert entries["replica2.intertwining"].residual < 1e-12
 
 
 def test_zero_structure_replica_is_zero():
     db = make_doublet(3, 8, StructureSpec.constant_values(3, 0.0))
     for s in (2, 3):
-        rd = build_replica(db, s)
-        for e in verify_replicas({s: rd}, db, Scoring(2, 1e-10))[s]:
+        for e in replica_entries(db, 2)[s]:
             assert e.residual == 0.0, e.name
 
 
@@ -169,7 +179,7 @@ def test_wrap_pair_is_not_isospectral():
 def test_sum_identity_for_k2():
     db = make_doublet(2, 30)
     rd = build_replica(db, 2)
-    entry = verify_sum_identity(db, {2: rd}, Scoring(2, 1e-10))
+    entry = verify_sum_identity(db, build_replicas(db)[0], Scoring(2, 1e-10))
     assert entry.residual < 1e-10
     reduction = k2_reduction_entry(db, rd, Scoring(2, 1e-10))
     assert reduction.residual < 1e-12
@@ -178,14 +188,18 @@ def test_sum_identity_for_k2():
 def test_sum_identity_for_k4_affine():
     spec = StructureSpec.affine_family(4, 0.0, 1.0)
     db = make_doublet(4, 40, spec)
-    replicas = {s: build_replica(db, s) for s in range(2, 5)}
-    entry = verify_sum_identity(db, replicas, Scoring(4, 1e-10))
+    entry = verify_sum_identity(db, build_replicas(db)[0], Scoring(4, 1e-10))
     assert entry.residual < 1e-10
 
 
 def test_sum_identity_requires_all_replicas():
     db = make_doublet(3, 10)
-    entry = verify_sum_identity(db, {2: build_replica(db, 2)}, Scoring(2, 1e-10))
+    # a negative H_3(1) refuses replica 3 and leaves replica 2 alone
+    partners = db.partners.copy()
+    partners[2, 1] = -1.0
+    blocks, refused = build_replicas(dataclasses.replace(db, partners=partners))
+    assert blocks.order == (2,) and sorted(refused) == [3]
+    entry = verify_sum_identity(db, blocks, Scoring(2, 1e-10))
     assert entry.name == "fsusy.charge_sum"
     assert not entry.passed
     assert entry.residual is None
@@ -197,3 +211,36 @@ def test_reduction_entry_guards_its_domain():
     rd = build_replica(db, 2)
     with pytest.raises(FsusyError):
         k2_reduction_entry(db, rd, Scoring(2, 1e-10))
+
+
+def test_stack_without_replicas():
+    # every partner ladder negative above the ground level: nothing is built
+    db = make_doublet(4, 10)
+    partners = db.partners.copy()
+    partners[:, 1:] = -1.0
+    blocks, refused = build_replicas(dataclasses.replace(db, partners=partners))
+    assert blocks.order == ()
+    assert {s: (e.s, e.n, e.value) for s, e in refused.items()} == {
+        s: (s, 1, -1.0) for s in (2, 3, 4)}
+    assert all(op.dim == 0 for op in (blocks.Xsm, blocks.Xsp, blocks.qm, blocks.qp, blocks.h))
+    assert blocks.full_space() == {}
+    assert verify_replicas(blocks, db, Scoring(4, 1e-10)) == {}
+    entry = verify_sum_identity(db, blocks, Scoring(4, 1e-10))
+    assert not entry.passed and entry.residual is None
+    assert "replicas [2, 3, 4]" in entry.error
+
+
+def test_each_replica_is_checked_on_its_own_block():
+    # replica s's entries from the stack of every replica equal those from a
+    # stack that holds replica s alone
+    db = make_doublet(4, 20, StructureSpec.affine_family(4, 0.5, 1.0))
+    every = replica_entries(db, 4)
+    for s in (2, 3, 4):
+        partners = db.partners.copy()
+        # refuse every other replica at level 1
+        others = [r for r in (2, 3, 4) if r != s]
+        partners[[r - 1 for r in others], 1] = -1.0
+        blocks, refused = build_replicas(dataclasses.replace(db, partners=partners))
+        assert blocks.order == (s,) and sorted(refused) == others
+        alone = verify_replicas(blocks, db, Scoring(4, 1e-10))
+        assert alone[s] == every[s]

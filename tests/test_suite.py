@@ -14,7 +14,7 @@ from scipy.io import mmread
 import fsusy.suite
 from fsusy.errors import ConfigError
 from fsusy.fock import FULL_SPACE, GradedBasis, StructureSpec, solve_structure_function
-from fsusy.replicas import build_replica
+from fsusy.replicas import build_replicas
 from fsusy.report import VerificationReport
 from fsusy.suite import (
     GradedSystem,
@@ -36,8 +36,7 @@ def small_system(k, d, spec=None):
     spec = spec or StructureSpec.constant_values(k, 1.0)
     basis = GradedBasis(k, d)
     doublet = build_doublet(build_rep(spec, basis, solve_structure_function(spec, d)))
-    replicas = {s: build_replica(doublet, s) for s in range(2, k + 1)}
-    return GradedSystem(doublet.rep, doublet, replicas)
+    return GradedSystem(doublet.rep, doublet, *build_replicas(doublet))
 
 
 # float64 parts a formatting memo must tell apart: 0.0 and -0.0 are equal
@@ -217,6 +216,8 @@ class TestReportJson:
             failure("construction.representation", 'the "graded" ladder\tmaterializes',
                     'partner energy H₅(1) = -2 is "negative"; \\ no root'),
             failure("construction.window", "a window exists", "ü\n€ and \u2028"),
+            # the text between two entries, escaped inside a string
+            failure("construction.window", "},\n      {", "}\n    },\n    {"),
         ]
         config = RunConfig(k=5, d=40, spec=StructureSpec.constant_values(5, 1.0),
                            margin=5).echo(None)
