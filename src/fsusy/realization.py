@@ -125,8 +125,8 @@ def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
     if basis.k != k:
         raise RepresentationError(f"graded space has order {basis.k}, fermion pair {k}")
     d, F = basis.d, rep.F
-    # the diagonal of Pf_s as row s
-    Pf = np.array(build_projectors(pair.Kf.diagonal(), k))
+    # the diagonal of Pf_s as row s: its value on each grade, which is the sector
+    Pf = build_projectors(pair.Kf.diagonal(), k)
     # b(s)- lowers level m to m-1 with weight sqrt(F_s(m)); F_s(0) = 0 leaves
     # level 0 empty.  b(s+1)+ at [s, m] is the adjoint of row s+1: it raises
     # m to m+1 with the conjugate weight of level m+1, where that weight is
@@ -145,9 +145,7 @@ def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
     # 1 (x) K_f and 1 (x) Pf_s repeat each grade's value over its d levels;
     # N_b (x) 1 is the graded N itself
     K = ColumnMap.diag(pair.Kf.diagonal()[basis.sector])
-    # each projector a row of one lifted array, sharing K's diagonal targets
-    projectors = tuple(ColumnMap(K.target, P) for P in Pf[:, basis.sector])
-    return AlgebraRep(rep.spec, basis, F, Xm, Xp, rep.N, K, projectors)
+    return AlgebraRep(rep.spec, basis, F, Xm, Xp, rep.N, K, Pf)
 
 
 def compare_realizations(tensor: AlgebraRep, rep: AlgebraRep, scoring: Scoring) -> ReportEntry:

@@ -124,6 +124,8 @@ class GradedSystem:
         return self.blocks.full_space()
 
 
+# values that overflow float64 are refused as construction failures instead of warning
+@np.errstate(over="ignore", invalid="ignore")
 def build_system(config: RunConfig) -> GradedSystem:
     """Construct everything buildable; unfactorizable replicas are refused."""
     F = solve_structure_function(config.spec, config.d)
@@ -271,7 +273,7 @@ def named_operators(system: GradedSystem) -> dict[str, ColumnMap]:
     """Every built operator under its dump name, in dump order."""
     rep, doublet = system.rep, system.doublet
     ops = {"Xm": rep.Xm, "Xp": rep.Xp, "N": rep.N, "K": rep.K}
-    ops.update((f"Pi_{s}", P) for s, P in enumerate(rep.projectors))
+    ops.update((f"Pi_{s}", rep.projector(s)) for s in range(rep.basis.k))
     ops.update(Qm=doublet.Qm, Qp=doublet.Qp, H=doublet.H)
     for s, rd in sorted(system.replicas.items()):
         ops.update({f"X{s}m": rd.Xsm, f"X{s}p": rd.Xsp, f"q{s}m": rd.qm,

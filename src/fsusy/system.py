@@ -71,7 +71,8 @@ def build_hamiltonian_operator(rep: AlgebraRep) -> ColumnMap:
     """Assemble H term by term from its defining expression.
 
     Every term after (k-1) X+ X- is a diagonal; their weights are subtracted
-    in the order of the expression, each as ((c f_t(N + shift)) Pi_s).
+    on the (sector, level) table in the order of the expression, each as
+    ((c f_t(n + shift)) Pi_s), and H is lifted once.
     """
     basis, spec = rep.basis, rep.spec
     k, d = basis.k, basis.d
@@ -79,15 +80,16 @@ def build_hamiltonian_operator(rep: AlgebraRep) -> ColumnMap:
     diagonal = np.arange(basis.dim)
     if np.any((XpXm.target != diagonal) & (XpXm.weight != 0)):
         raise RepresentationError("X+ X- sends a column off the diagonal")
-    H = (k - 1) * XpXm.weight
+    H = np.empty((k, d), dtype=complex)
+    H[basis.sector, basis.level] = (k - 1) * XpXm.weight
     terms = [(s, t, t - 1) for s in range(3, k + 1) for t in range(2, s)]
     terms += [(s, t, t - k) for s in range(1, k) for t in range(s, k)]
     sector, t, c = (np.array(column)[:, None] for column in zip(*terms))
     # c f_t(n + t - s) of every term, one term per row
     weights = c * spec.f(t, np.arange(d) + t - sector).astype(complex)
     for s, w in zip(sector[:, 0] % k, weights):
-        H -= w[basis.level] * rep.projectors[s].weight
-    return ColumnMap(diagonal, H)
+        H -= w * rep.projectors[s][:, None]
+    return ColumnMap(diagonal, H[basis.sector, basis.level])
 
 
 def partner_value(spec: StructureSpec, F: StructureFunction, s: int, n: int) -> float:
@@ -134,10 +136,16 @@ def partner_table(spec: StructureSpec, F: StructureFunction, d: int) -> np.ndarr
 
 
 def build_doublet(rep: AlgebraRep) -> FsusyDoublet:
-    Qm, Qp = build_supercharges(rep)
-    H = build_hamiltonian_operator(rep)
+    """Supercharges, H and the partner table; a partner energy that is not
+    finite is refused at its first (s, n) in row order, before H is built."""
     partners = partner_table(rep.spec, rep.F, rep.basis.d)
-    return FsusyDoublet(rep, Qm, Qp, H, partners)
+    bad = np.argwhere(~np.isfinite(partners))
+    if bad.size:
+        s, n = bad[0]
+        raise RepresentationError(f"H_{s + 1}({n}) = {partners[s, n]} is not finite; "
+                                  "the partner energies overflow float64")
+    Qm, Qp = build_supercharges(rep)
+    return FsusyDoublet(rep, Qm, Qp, build_hamiltonian_operator(rep), partners)
 
 
 def verify_fsusy(doublet: FsusyDoublet, scoring: Scoring) -> list[ReportEntry]:

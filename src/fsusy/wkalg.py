@@ -148,11 +148,11 @@ class AlgebraRep:
     Xp: ColumnMap
     N: ColumnMap
     K: ColumnMap
-    projectors: tuple[ColumnMap, ...]
+    projectors: np.ndarray  # (k, k): row s holds Pi_s's value on each sector
 
     def projector(self, s: int) -> ColumnMap:
-        """Sector projector; the index is cyclic, so s = k maps to 0."""
-        return self.projectors[s % self.basis.k]
+        """Pi_s lifted to a full-space diagonal; s is cyclic, so s = k maps to 0."""
+        return ColumnMap.diag(self.projectors[s % self.basis.k][self.basis.sector])
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -163,12 +163,12 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_projectors(K: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+def build_projectors(K: np.ndarray, k: int) -> np.ndarray:
     """Resolve a unitary cyclic grading K, given by its diagonal, into projectors.
 
     Pi_s = (1/k) sum_t q^(-s t) K^t with q the primitive k-th root of unity;
-    each Pi_s is returned as its diagonal.  Every step is elementwise, so
-    the k distinct grade values give the same bits as the whole space.  The
+    row s of the result is the diagonal of Pi_s.  Every step is elementwise,
+    so the k distinct grade values give the same bits as the whole space.  The
     powers K^t use the unfused complex product, which rounds like the
     one-term dot of a dense matrix product, so the round-off the exported
     Pi_s and H carry (about 1e-16 outside their sectors) stays what it was.
@@ -182,13 +182,11 @@ def build_projectors(K: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     if np.linalg.norm(powers[k] - 1) > GRADING_TOL * dim:
         raise InvalidGradingError(f"grading operator is not cyclic of order {k}")
     q = primitive_root(k)
-    projectors = []
-    for s in range(k):
-        acc = np.zeros(dim, dtype=complex)
+    projectors = np.zeros((k, dim), dtype=complex)
+    for s, acc in enumerate(projectors):
         for t in range(k):
             acc += q ** (-s * t) * powers[t]
-        projectors.append(acc / k)
-    return tuple(projectors)
+    return projectors / k
 
 
 def deviation(lhs: ColumnMap, rhs: ColumnMap) -> np.ndarray:
@@ -242,7 +240,7 @@ class Scoring:
 
 
 def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> AlgebraRep:
-    """Materialize X-, X+, N, K and the sector projectors.
+    """Materialize X-, X+, N, K and the table of the sector projectors.
 
     X-|n, s> = sqrt(F_s(n)) |n-1, s-1> and X+ is its adjoint, so raising out
     of the top level is truncated to zero automatically.
@@ -269,12 +267,11 @@ def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> 
     )
     q = primitive_root(k)
     grades = np.array([q ** s for s in range(k)])
-    K = ColumnMap.diag(grades[sector])
     # the Fourier route rather than exact 0/1 masks: exported Pi_s and H carry
     # its round-off (about 1e-16 outside their sectors), which
     # perfbench/reference.json pins
-    projs = tuple(ColumnMap.diag(P[sector]) for P in build_projectors(grades, k))
-    return AlgebraRep(spec, basis, F, Xm, Xm.adjoint(), ColumnMap.diag(level), K, projs)
+    return AlgebraRep(spec, basis, F, Xm, Xm.adjoint(), ColumnMap.diag(level),
+                      ColumnMap.diag(grades[sector]), build_projectors(grades, k))
 
 
 _RELATION_STATEMENTS = {
@@ -299,16 +296,16 @@ def direct_sum(ops: Sequence[ColumnMap]) -> ColumnMap:
 def ladder_weights(rep: AlgebraRep) -> np.ndarray:
     """Weights of the diagonal sum_s f_s(N) Pi_s.
 
-    The k terms f_s(n) Pi_s are added to zero in order s = 0 .. k-1, each
-    the complex product of f_s(n) and the projector weight, as the sum of
-    k diagonal column-map products did.
+    The k terms f_s(n) Pi_s are added to zero in order s = 0 .. k-1 on the
+    (sector, level) table, each the complex product of f_s(n) and Pi_s's
+    value on the sector, as the sum of k diagonal column-map products did.
     """
     basis = rep.basis
     f = rep.spec.f(np.arange(basis.k)[:, None], np.arange(basis.d))
-    total = np.zeros(basis.dim, dtype=complex)
+    total = np.zeros((basis.k, basis.d), dtype=complex)
     for f_s, P in zip(f.astype(complex), rep.projectors, strict=True):
-        total += f_s[basis.level] * P.weight
-    return total
+        total += f_s * P[:, None]
+    return total[basis.sector, basis.level]
 
 
 def algebra_relation_residuals(

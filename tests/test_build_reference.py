@@ -54,6 +54,7 @@ from fsusy.report import ReportEntry
 from fsusy.suite import RunConfig, build_system, verify_system
 from fsusy.system import (
     FsusyDoublet,
+    build_doublet,
     build_hamiltonian_operator,
     partner_consistency_entry,
     partner_value,
@@ -98,16 +99,19 @@ def scalar_weight_diagonal(spec, basis, t, shift):
     return ColumnMap.diag(np.tile(vals, basis.k))
 
 
-def term_hamiltonian(rep: AlgebraRep) -> ColumnMap:
+def term_hamiltonian(rep: AlgebraRep, projectors=None) -> ColumnMap:
+    """H from full-space ColumnMap terms; Pi_s is projectors[s mod k] when
+    given, else rep's projector lifted to the whole space."""
     basis, spec = rep.basis, rep.spec
     k = basis.k
+    projector = rep.projector if projectors is None else lambda s: projectors[s % k]
     H = (k - 1) * (rep.Xp @ rep.Xm)
     for s in range(3, k + 1):
         for t in range(2, s):
-            H -= (t - 1) * scalar_weight_diagonal(spec, basis, t, t - s) @ rep.projector(s)
+            H -= (t - 1) * scalar_weight_diagonal(spec, basis, t, t - s) @ projector(s)
     for s in range(1, k):
         for t in range(s, k):
-            H -= (t - k) * scalar_weight_diagonal(spec, basis, t, t - s) @ rep.projector(s)
+            H -= (t - k) * scalar_weight_diagonal(spec, basis, t, t - s) @ projector(s)
     return H
 
 
@@ -186,13 +190,13 @@ def kron(b: ColumnMap, f: ColumnMap) -> ColumnMap:
     return ColumnMap(np.where(empty, -1, f.target[t] * d + b.target[m]), b.weight[m] * f.weight[t])
 
 
-def full_space_grading(rep: AlgebraRep) -> AlgebraRep:
-    """rep with K repeated over every level and each Pi_s resolved from that full K."""
+def full_space_grading(rep: AlgebraRep) -> tuple[ColumnMap, list[ColumnMap]]:
+    """K repeated over every level, and each Pi_s resolved from that full K
+    as a full-space diagonal map."""
     k, d = rep.basis.k, rep.basis.d
     q = primitive_root(k)
     K = ColumnMap.diag(np.repeat([q ** s for s in range(k)], d))
-    projectors = tuple(ColumnMap.diag(P) for P in build_projectors(K.weight, k))
-    return dataclasses.replace(rep, K=K, projectors=projectors)
+    return K, [ColumnMap.diag(P) for P in build_projectors(K.weight, k)]
 
 
 def assert_same_map(a: ColumnMap, b: ColumnMap):
@@ -296,11 +300,12 @@ def test_grading_resolved_on_the_grades_matches_the_full_space(k, d):
     # lifting them gives the full-space bits, whether kd is a multiple of 4 or not
     spec = StructureSpec.affine_family(k, 0.5, 1.0)
     rep = build_rep(spec, GradedBasis(k, d), solve_structure_function(spec, d))
-    reference = full_space_grading(rep)
-    assert_same_map(rep.K, reference.K)
-    for P, expected in zip(rep.projectors, reference.projectors, strict=True):
-        assert_same_map(P, expected)
-    assert_same_map(build_hamiltonian_operator(rep), term_hamiltonian(reference))
+    K, projectors = full_space_grading(rep)
+    assert_same_map(rep.K, K)
+    assert rep.projectors.shape == (k, k)
+    for s, expected in enumerate(projectors):
+        assert_same_map(rep.projector(s), expected)
+    assert_same_map(build_hamiltonian_operator(rep), term_hamiltonian(rep, projectors))
 
     pair = build_kfermion_pair(k)
     tensor = build_tensor_realization(pair, rep)
@@ -308,8 +313,9 @@ def test_grading_resolved_on_the_grades_matches_the_full_space(k, d):
     assert_same_map(tensor.K, kron(one, pair.Kf))
     assert_same_map(tensor.N, kron(ColumnMap.diag(np.arange(d)), ColumnMap.diag(np.ones(k))))
     fermion_projectors = build_projectors(pair.Kf.diagonal(), k)
-    for P, Pf in zip(tensor.projectors, fermion_projectors, strict=True):
-        assert_same_map(P, kron(one, ColumnMap.diag(Pf)))
+    assert tensor.projectors.tobytes() == fermion_projectors.tobytes()
+    for s, Pf in enumerate(fermion_projectors):
+        assert_same_map(tensor.projector(s), kron(one, ColumnMap.diag(Pf)))
 
 
 # ---------------------------------------------------------------- checks
@@ -414,7 +420,7 @@ def reference_ladder_sum(rep):
     """sum_s f_s(N) Pi_s from k diagonal column-map products."""
     basis = rep.basis
     return sum(
-        (ColumnMap.diag(rep.spec.f(s, np.arange(basis.d))[basis.level]) @ rep.projectors[s]
+        (ColumnMap.diag(rep.spec.f(s, np.arange(basis.d))[basis.level]) @ rep.projector(s)
          for s in range(basis.k)),
         start=ColumnMap.diag(np.zeros(basis.dim)),
     )
@@ -592,14 +598,20 @@ def test_grade_block_sums_match_the_term_sums(k, label):
 
 
 def count_calls(monkeypatch):
-    """Count column-map products, adjoints and per-column deviations from now on.
+    """Count column-map constructions, products, adjoints and per-column
+    deviations from now on.
 
-    A power counts as one call, not as its chain of products.
+    A power counts as one product, not as its chain of products, and the
+    maps that chain makes are not counted.
     """
-    counts = dict.fromkeys(("matmul", "adjoint", "deviation"), 0)
+    counts = dict.fromkeys(("construct", "matmul", "adjoint", "deviation"), 0)
     inside_power = []
-    matmul, power, adjoint = ColumnMap.__matmul__, ColumnMap.__pow__, ColumnMap.adjoint
-    deviation = fsusy.wkalg.deviation
+    init, matmul, power = ColumnMap.__init__, ColumnMap.__matmul__, ColumnMap.__pow__
+    adjoint, deviation = ColumnMap.adjoint, fsusy.wkalg.deviation
+
+    def counted_init(self, *args, **kwargs):
+        counts["construct"] += not inside_power
+        init(self, *args, **kwargs)
 
     def counted_matmul(self, other):
         counts["matmul"] += not inside_power
@@ -621,6 +633,7 @@ def count_calls(monkeypatch):
         counts["deviation"] += 1
         return deviation(lhs, rhs)
 
+    monkeypatch.setattr(ColumnMap, "__init__", counted_init)
     monkeypatch.setattr(ColumnMap, "__matmul__", counted_matmul)
     monkeypatch.setattr(ColumnMap, "__pow__", counted_power)
     monkeypatch.setattr(ColumnMap, "adjoint", counted_adjoint)
@@ -629,15 +642,17 @@ def count_calls(monkeypatch):
 
 
 def test_batched_checks_make_the_same_calls_at_every_order(monkeypatch):
-    # no loop over replicas, grades or representations may come back into
-    # the replica build and checks, the tensor build or the relation pass:
-    # k = 3 and k = 8 (every replica built) make equally many products,
-    # adjoints and deviations in each stage
+    # no loop over replicas, grades, projectors or representations may come
+    # back into the representation, the doublet, the replica build and
+    # checks, the tensor build or the relation pass: k = 3 and k = 8 (every
+    # replica built) make equally many column maps, products, adjoints and
+    # deviations in each stage
     stages = {}
     for k in (3, 8):
         config = RunConfig(k=k, d=40, spec=StructureSpec.affine_family(k, 0.5, 1.0), margin=k)
         system = build_system(config)
         assert len(system.blocks.order) == k - 1
+        F, basis = system.rep.F, system.rep.basis
         pair = build_kfermion_pair(k)
         with monkeypatch.context() as patch:
             counts = count_calls(patch)
@@ -647,6 +662,8 @@ def test_batched_checks_make_the_same_calls_at_every_order(monkeypatch):
                 stage[name] = dict(counts)
                 counts.update(dict.fromkeys(counts, 0))
 
+            build_doublet(build_rep(config.spec, basis, F))
+            done("representation and doublet")
             blocks, _ = build_replicas(system.doublet, config.margin)
             done("replica build")
             verify_replicas(blocks, system.doublet, config.scoring)
@@ -658,7 +675,7 @@ def test_batched_checks_make_the_same_calls_at_every_order(monkeypatch):
             done("relation pass")
         stages[k] = stage
     assert stages[3] == stages[8]
-    assert all(stage["matmul"] > 0 for stage in stages[3].values())
+    assert all(stage["construct"] > 0 and stage["matmul"] > 0 for stage in stages[3].values())
     assert stages[3]["replica build"]["adjoint"] == 1
     assert stages[3]["replica checks"]["deviation"] > 0
     assert stages[3]["relation pass"]["deviation"] > 0

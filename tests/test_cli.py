@@ -253,6 +253,28 @@ class TestSpecSelection:
         assert entry["error"] == ("F_0(2) = inf is not finite; "
                                   "the structure values overflow float64")
 
+    def test_overflowing_partner_energies_fail_construction(self, tmp_path, capsys):
+        # F stays finite (up to about 1.5e308), but (k-1) F_s(n) overflows in
+        # the partner table; any numpy warning would fail this test
+        out = tmp_path / "report.json"
+        flags = ["--k", "3", "--d", "40", "--a", "2e305", "--b", "1"]
+        message = "H_1(29) = inf is not finite; the partner energies overflow float64"
+        assert main(["verify", *flags, "--out_report", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "verdict: fail" in captured.out
+        assert captured.err == ""
+        report = json.loads(out.read_text(encoding="utf-8"), parse_constant=pytest.fail)
+        assert report["verdict"] == "fail"
+        [entry] = report["entries"]
+        assert entry["name"] == "construction.representation"
+        assert entry["residual"] is None
+        assert entry["error"] == message
+        for command, flag, target in (("spectrum", "--out_spectrum", tmp_path / "spec.csv"),
+                                      ("dump", "--out_operators", tmp_path / "ops")):
+            assert main([command, *flags, flag, str(target)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not target.exists()
+
     def test_overflowing_products_fail_their_entries(self, tmp_path, capsys):
         # F stays finite (up to about 7.8e307), but products of its weights
         # overflow; any numpy warning would fail this test

@@ -12,7 +12,8 @@ from fsusy.replicas import (
     verify_replicas,
     verify_sum_identity,
 )
-from fsusy.system import build_doublet
+from fsusy.suite import RunConfig, build_system
+from fsusy.system import build_doublet, partner_value
 from fsusy.wkalg import Scoring, build_rep
 
 
@@ -174,6 +175,24 @@ def test_wrap_pair_is_not_isospectral():
     )
     assert wrap_dev == pytest.approx(6.0)
     assert check_isospectrality(db, Scoring(3, 1e-10)).passed
+
+
+@pytest.mark.parametrize("k", [*range(2, 14), 16, 32, 64, 65])
+def test_constant_family_refuses_the_top_replicas(k):
+    # f = 1: exactly the top floor((k-3)/2) replicas are refused, each at
+    # n = 1, and the j-th of them counting up from the lowest refused s has
+    # H_s(1) = -(k-1) j at even k and -(k-1)(2j-1)/2 at odd k
+    spec = StructureSpec.constant_values(k, 1.0)
+    system = build_system(RunConfig(k=k, d=k + 2, spec=spec, margin=k))
+    lowest = k - (k - 3) // 2 + 1
+    assert sorted(system.refused) == list(range(lowest, k + 1))
+    if k < 5:
+        assert not system.refused
+    for j, s in enumerate(range(lowest, k + 1), start=1):
+        exc = system.refused[s]
+        expected = -(k - 1) * j if k % 2 == 0 else -(k - 1) * (2 * j - 1) / 2
+        assert (exc.s, exc.n) == (s, 1)
+        assert exc.value == expected == partner_value(spec, system.rep.F, s, 1)
 
 
 def test_sum_identity_for_k2():

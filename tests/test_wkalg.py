@@ -86,22 +86,26 @@ def test_structure_function_must_cover_basis():
 class TestProjectors:
     def test_resolution_of_identity(self):
         rep = make_rep(3, 5)
-        total = sum(p.dense() for p in rep.projectors)
+        total = sum(rep.projector(s).dense() for s in range(3))
         assert np.allclose(total, np.eye(15), atol=1e-12)
 
     def test_idempotent_and_orthogonal(self):
         rep = make_rep(4, 5)
-        for s, p in enumerate(rep.projectors):
-            P = p.dense()
+        for s in range(4):
+            P = rep.projector(s).dense()
             assert np.allclose(P @ P, P, atol=1e-12)
-            for t, other in enumerate(rep.projectors):
+            for t in range(4):
                 if t != s:
-                    assert np.linalg.norm(P @ other.dense()) < 1e-12
+                    assert np.linalg.norm(P @ rep.projector(t).dense()) < 1e-12
 
     def test_cyclic_accessor(self):
         rep = make_rep(3, 5)
-        assert rep.projector(3) is rep.projectors[0]
-        assert rep.projector(-1) is rep.projectors[2]
+        # one (k, k) table, row s the value of Pi_s on each sector, lifted on request
+        assert rep.projectors.shape == (3, 3)
+        for s, row in ((3, 0), (-1, 2)):
+            P = rep.projector(s)
+            assert np.array_equal(P.target, np.arange(15))
+            assert P.weight.tobytes() == np.repeat(rep.projectors[row], 5).tobytes()
 
     def test_rejects_non_unitary(self):
         with pytest.raises(InvalidGradingError, match="not unitary"):
@@ -137,7 +141,7 @@ class TestProjectors:
         rep = make_rep(3, 6)
         for s in range(3):
             sel = np.diag(rep.basis.sector_mask(s))
-            assert np.allclose(rep.projectors[s].dense(), sel, atol=1e-12)
+            assert np.allclose(rep.projector(s).dense(), sel, atol=1e-12)
 
 
 def test_sector_mask_layout():
