@@ -32,6 +32,7 @@ from .suite import (
     dump_operators,
     emit_spectrum,
     run_verification_suite,
+    too_large,
 )
 
 CONFIG_KEYS = {
@@ -353,8 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         # make_config read these settings before the build ran out of memory
         settings = _merge_settings(ns)
-        print(f"error: the system at k={settings['k']}, d={settings['d']} is too large "
-              "to allocate", file=sys.stderr)
+        print(f"error: {too_large(settings['k'], settings['d'])}", file=sys.stderr)
         return 2
 
 

@@ -32,6 +32,8 @@ realization is an AlgebraRep on the graded basis: |m> (x) |t> is the state
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -44,16 +46,64 @@ from .wkalg import AlgebraRep, ColumnMap, Scoring, build_projectors, score
 
 @dataclass(frozen=True)
 class KFermionPair:
-    """Operators of one k-fermion pair on the k grades and their commutator grading."""
+    """Operators of one k-fermion pair on the k grades and their commutator grading.
+
+    What depends on the pair alone is derived on first use and kept with it:
+    the tensor's fermion factors ``A``, ``Ak1`` and ``Pf`` and the residuals
+    of its checks.  A pair made by ``dataclasses.replace`` is a new object
+    and derives its own.
+    """
 
     k: int
     fm: ColumnMap
     fp: ColumnMap
     Kf: ColumnMap
 
+    @cached_property
+    def A(self) -> ColumnMap:
+        """A = f- + f+^(k-1) / [k-1]_q!, mapping grade t to t-1 mod k; A^k = 1."""
+        k = self.k
+        scale = 1 / q_factorial(k - 1, primitive_root(k))
+        return _frozen(self.fm + scale * self.fp ** (k - 1))
 
+    @cached_property
+    def Ak1(self) -> ColumnMap:
+        """A^(k-1) = A^(-1), mapping grade t to t+1 mod k."""
+        return _frozen(self.A ** (self.k - 1))
+
+    @cached_property
+    def Pf(self) -> np.ndarray:
+        """The grade projectors resolved from [f-, f+]: row s the diagonal of Pf_s."""
+        Pf = build_projectors(self.Kf.diagonal(), self.k)
+        Pf.flags.writeable = False
+        return Pf
+
+    @cached_property
+    def residuals(self) -> MappingProxyType:
+        """Residual of each kfermion.* identity, by the name of its entry."""
+        k, fm, fp = self.k, self.fm, self.fp
+        q = primitive_root(k)
+        zero = ColumnMap.diag(np.zeros(k))
+        residuals = {
+            "q_commutator": score([(fm @ fp - q * (fp @ fm), ColumnMap.diag(np.ones(k)))]),
+            "nilpotency": score([(fm ** k, zero), (fp ** k, zero)]),
+            # [f-, f+] is diagonal, so its diagonal is its eigenvalue multiset
+            "grading_spectrum": score([(self.Kf, ColumnMap.diag(q ** np.arange(k)))]),
+        }
+        if k == 2:
+            residuals["pair_adjoint"] = score([(fp, fm.adjoint())])
+        return MappingProxyType({name: float(val[0]) for name, val in residuals.items()})
+
+
+def _frozen(op: ColumnMap) -> ColumnMap:
+    op.target.flags.writeable = op.weight.flags.writeable = False
+    return op
+
+
+@lru_cache(maxsize=8)
 def build_kfermion_pair(k: int) -> KFermionPair:
-    """k-fermions with f+ the unit shift and f- carrying the [t]_q weights.
+    """k-fermions with f+ the unit shift and f- carrying the [t]_q weights,
+    built once per order; every array is read-only.
 
     f+|t> = |t+1> (dying at the top), f-|t> = [t]_q |t-1>, so both
     [f-, f+]_q = 1 and [f-, f+] = diag(q^t) hold.
@@ -64,38 +114,25 @@ def build_kfermion_pair(k: int) -> KFermionPair:
     t = np.arange(k)
     fp = ColumnMap(np.where(t < k - 1, t + 1, -1), (t < k - 1).astype(complex))
     fm = ColumnMap(t - 1, np.array([q_number(int(j), q) for j in t]))
-    return KFermionPair(k, fm, fp, fm @ fp - fp @ fm)
+    return KFermionPair(k, *map(_frozen, (fm, fp, fm @ fp - fp @ fm)))
 
 
-def cyclic_lowering(pair: KFermionPair) -> ColumnMap:
-    """A = f- + f+^(k-1) / [k-1]_q!, mapping grade t to t-1 mod k; A^k = 1."""
-    k = pair.k
-    return pair.fm + (1 / q_factorial(k - 1, primitive_root(k))) * pair.fp ** (k - 1)
+# the statement and tier of every kfermion.* identity, in report order
+_KFERMION_IDENTITIES = {
+    "q_commutator": ("f- f+ - q f+ f- = 1", "strict", FULL_GRADE_SPACE),
+    "nilpotency": ("f-^k = 0 and f+^k = 0", "exact", FULL_SPACE),
+    "grading_spectrum": ("[f-, f+] has eigenvalue multiset {q^t : t = 0..k-1}",
+                         "strict", EIGENVALUE_MULTISET),
+    "pair_adjoint": ("for order 2 the pair is mutually adjoint", "exact", FULL_SPACE),
+}
 
 
 def verify_kfermions(pair: KFermionPair, scoring: Scoring) -> list[ReportEntry]:
-    k, fm, fp = pair.k, pair.fm, pair.fp
-    q = primitive_root(k)
-    zero = ColumnMap.diag(np.zeros(k))
-    entries = [
-        scoring.entry(
-            "kfermion.q_commutator", "f- f+ - q f+ f- = 1",
-            score([(fm @ fp - q * (fp @ fm), ColumnMap.diag(np.ones(k)))])[0],
-            "strict", FULL_GRADE_SPACE),
-        scoring.entry(
-            "kfermion.nilpotency", "f-^k = 0 and f+^k = 0",
-            score([(fm ** k, zero), (fp ** k, zero)])[0], "exact", FULL_SPACE),
-        # [f-, f+] is diagonal, so its diagonal is its eigenvalue multiset
-        scoring.entry(
-            "kfermion.grading_spectrum",
-            "[f-, f+] has eigenvalue multiset {q^t : t = 0..k-1}",
-            score([(pair.Kf, ColumnMap.diag(q ** np.arange(k)))])[0],
-            "strict", EIGENVALUE_MULTISET),
-    ]
-    if k == 2:
-        entries.append(scoring.entry(
-            "kfermion.pair_adjoint", "for order 2 the pair is mutually adjoint",
-            score([(fp, fm.adjoint())])[0], "exact", FULL_SPACE))
+    """The kfermion.* entries of the pair's residuals, scored afresh on every call."""
+    entries = []
+    for name, residual in pair.residuals.items():
+        statement, tier, columns = _KFERMION_IDENTITIES[name]
+        entries.append(scoring.entry(f"kfermion.{name}", statement, residual, tier, columns))
     return entries
 
 
@@ -126,7 +163,7 @@ def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
         raise RepresentationError(f"graded space has order {basis.k}, fermion pair {k}")
     d, F = basis.d, rep.F
     # the diagonal of Pf_s as row s: its value on each grade, which is the sector
-    Pf = build_projectors(pair.Kf.diagonal(), k)
+    Pf, A, Ak1 = pair.Pf, pair.A, pair.Ak1
     # b(s)- lowers level m to m-1 with weight sqrt(F_s(m)); F_s(0) = 0 leaves
     # level 0 empty.  b(s+1)+ at [s, m] is the adjoint of row s+1: it raises
     # m to m+1 with the conjugate weight of level m+1, where that weight is
@@ -136,8 +173,6 @@ def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
     bp = np.zeros((k, d), dtype=complex)
     bp[:, :-1] = np.where(raised != 0, raised.conj(), 0)
     up = np.append(np.where((raised != 0).any(axis=0), np.arange(1, d), -1), -1)
-    A = cyclic_lowering(pair)
-    Ak1 = A ** (k - 1)
     # A Pf_s and A^(k-1) Pf_s keep the targets of A and A^(k-1); X- is
     # sum_s b(s)- (x) A Pf_s
     Xm = _graded_sum(basis, bm, np.arange(d) - 1, A.weight * Pf, A.target)

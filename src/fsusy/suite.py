@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,6 +48,19 @@ from .wkalg import AlgebraRep, ColumnMap, Scoring, build_rep, verify_wk_relation
 DEFAULT_TOLERANCE = 1e-10
 
 
+def too_large(k: int, d: int) -> ConfigError:
+    return ConfigError(f"the system at k={k}, d={d} is too large to allocate")
+
+
+def _physical_memory() -> int:
+    """Bytes of this machine's memory; the address space where that cannot be read."""
+    try:
+        size = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        size = 0
+    return size if size > 0 else sys.maxsize
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated inputs of one run: space, structure family, outputs."""
@@ -78,6 +92,9 @@ class RunConfig:
             raise ConfigError(f"window margin must be at least 1, got {margin}")
         if d - margin < 2:
             raise ConfigError(f"margin {margin} leaves no window inside {d} levels")
+        # H's (k-1)^2 complex term weights over d levels are made at once
+        if 16 * (k - 1) ** 2 * d > _physical_memory():
+            raise too_large(k, d)
 
     @property
     def scoring(self) -> Scoring:

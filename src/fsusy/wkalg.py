@@ -265,13 +265,25 @@ def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> 
         np.where(level > 0, basis.index(np.maximum(level - 1, 0), sector - 1), -1),
         np.where(level > 0, np.sqrt(np.maximum(values, 0.0)), 0.0).astype(complex),
     )
+    grades, projectors = _grading(k)
+    return AlgebraRep(spec, basis, F, Xm, Xm.adjoint(), ColumnMap.diag(level),
+                      ColumnMap.diag(grades[sector]), projectors)
+
+
+@lru_cache(maxsize=8)
+def _grading(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grades q^s of the k sectors and their projector table, built once
+    per order; both read-only.
+
+    The Fourier route rather than exact 0/1 masks: exported Pi_s and H carry
+    its round-off (about 1e-16 outside their sectors), which
+    perfbench/reference.json pins.
+    """
     q = primitive_root(k)
     grades = np.array([q ** s for s in range(k)])
-    # the Fourier route rather than exact 0/1 masks: exported Pi_s and H carry
-    # its round-off (about 1e-16 outside their sectors), which
-    # perfbench/reference.json pins
-    return AlgebraRep(spec, basis, F, Xm, Xm.adjoint(), ColumnMap.diag(level),
-                      ColumnMap.diag(grades[sector]), build_projectors(grades, k))
+    projectors = build_projectors(grades, k)
+    grades.flags.writeable = projectors.flags.writeable = False
+    return grades, projectors
 
 
 _RELATION_STATEMENTS = {

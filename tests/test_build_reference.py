@@ -34,12 +34,11 @@ from fsusy.fock import (
     effective_dimension,
     solve_structure_function,
 )
-from fsusy.qarith import primitive_root
+from fsusy.qarith import primitive_root, q_factorial
 from fsusy.realization import (
     build_kfermion_pair,
     build_tensor_realization,
     compare_realizations,
-    cyclic_lowering,
     verify_kfermions,
 )
 from fsusy.replicas import (
@@ -450,7 +449,7 @@ def reference_tensor(pair, rep):
     bm = [ColumnMap(np.arange(d) - 1, np.sqrt(np.maximum(rep.F.values[s, :d], 0.0)).astype(complex))
           for s in range(k)]
     zero = ColumnMap.diag(np.zeros(basis.dim))
-    A = cyclic_lowering(pair)
+    A = pair.fm + (1 / q_factorial(k - 1, primitive_root(k))) * pair.fp ** (k - 1)
     Ak1 = A ** (k - 1)
     Xm = sum((kron(bm[s], A @ Pf[s]) for s in range(k)), start=zero)
     Xp = sum((kron(bm[(s + 1) % k].adjoint(), Ak1 @ Pf[s]) for s in range(k)), start=zero)
@@ -641,18 +640,20 @@ def count_calls(monkeypatch):
     return counts
 
 
-def test_batched_checks_make_the_same_calls_at_every_order(monkeypatch):
+def test_batched_checks_make_the_same_calls_at_every_order(monkeypatch, clear_order_caches):
     # no loop over replicas, grades, projectors or representations may come
     # back into the representation, the doublet, the replica build and
     # checks, the tensor build or the relation pass: k = 3 and k = 8 (every
     # replica built) make equally many column maps, products, adjoints and
-    # deviations in each stage
-    stages = {}
+    # deviations in each stage.  Each order starts from empty order caches,
+    # as a fresh process does, whatever ran before this test
+    stages, warm = {}, {}
     for k in (3, 8):
         config = RunConfig(k=k, d=40, spec=StructureSpec.affine_family(k, 0.5, 1.0), margin=k)
         system = build_system(config)
         assert len(system.blocks.order) == k - 1
         F, basis = system.rep.F, system.rep.basis
+        clear_order_caches()
         pair = build_kfermion_pair(k)
         with monkeypatch.context() as patch:
             counts = count_calls(patch)
@@ -673,9 +674,15 @@ def test_batched_checks_make_the_same_calls_at_every_order(monkeypatch):
             done("tensor build")
             algebra_relation_residuals([system.rep, tensor], k)
             done("relation pass")
+            # the pair keeps its fermion factors: a second tensor build at
+            # this order forms no product
+            build_tensor_realization(build_kfermion_pair(k), system.rep)
+            warm[k] = dict(counts)
         stages[k] = stage
     assert stages[3] == stages[8]
     assert all(stage["construct"] > 0 and stage["matmul"] > 0 for stage in stages[3].values())
     assert stages[3]["replica build"]["adjoint"] == 1
     assert stages[3]["replica checks"]["deviation"] > 0
     assert stages[3]["relation pass"]["deviation"] > 0
+    assert warm[3] == warm[8]
+    assert warm[3]["matmul"] == 0 and warm[3]["construct"] > 0

@@ -346,7 +346,7 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_unallocatable_truncation_exits_2(self, capsys):
-        # numpy refuses the 7.28 TiB level array at once, touching no memory
+        # H's term weights alone would take 64 TB: refused before anything is built
         assert main(["verify", "--k", "3", "--d", "1000000000000"]) == 2
         assert capsys.readouterr().err == (
             "error: the system at k=3, d=1000000000000 is too large to allocate\n")
@@ -360,6 +360,17 @@ class TestExitCodes:
         assert main(["verify", "--k", "1000000000", "--d", "4"]) == 2
         assert capsys.readouterr().err == (
             "error: margin 1000000000 leaves no window inside 4 levels\n")
+
+    def test_huge_order_is_refused_before_the_spec_is_built(self, monkeypatch, capsys):
+        # margin 1 leaves a window, but the constant family would first make a
+        # list of 10^9 sector values, and H's term weights need 6.4e19 bytes
+        def build_spec(*args):
+            pytest.fail("the structure spec was built for a system too large to allocate")
+
+        monkeypatch.setattr(fsusy.cli, "_build_spec", build_spec)
+        assert main(["verify", "--k", "1000000000", "--d", "4", "--margin", "1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: the system at k=1000000000, d=4 is too large to allocate\n")
 
     def test_unreachable_tolerance_exits_1(self, capsys):
         code = main(["verify", "--k", "3", "--d", "12", "--tolerance", "1e-18"])

@@ -196,6 +196,8 @@ def test_scaled_weight_fails_the_entry(systems, name):
 ])
 def test_scaled_fermion_weight_fails_the_entry(name, k, field, grades):
     pair = build_kfermion_pair(k)
+    # the canonical pair's residuals are cached first; no mutated copy may read them
+    assert all(e.passed for e in verify_kfermions(pair, Scoring(k, 1e-10)))
     for t in grades:
         for factor, passed in [(1.0, True), (SCALE, False)]:
             mutated = dataclasses.replace(pair, **{field: scaled(getattr(pair, field), t, factor)})

@@ -10,7 +10,6 @@ from fsusy.realization import (
     build_kfermion_pair,
     build_tensor_realization,
     compare_realizations,
-    cyclic_lowering,
     verify_kfermions,
 )
 from fsusy.wkalg import ColumnMap, Scoring, build_rep, verify_wk_relations
@@ -53,7 +52,7 @@ def test_kfermion_pair_is_not_adjoint_above_order_two(k):
 @pytest.mark.parametrize("k", range(2, 8))
 def test_cyclic_lowering_support_and_order(k):
     pair = build_kfermion_pair(k)
-    A = cyclic_lowering(pair).dense()
+    A = pair.A.dense()
     for t in range(k):
         col = A[:, t]
         nonzero = np.flatnonzero(np.abs(col) > 1e-14)

@@ -97,6 +97,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
 
+    def test_refuses_a_system_whose_h_terms_exceed_memory(self, monkeypatch):
+        # H's (k-1)^2 = 4 complex term weights over 12 levels take 768 bytes
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 768)
+        RunConfig.check_space(3, 12, 3)
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 767)
+        with pytest.raises(ConfigError, match="^the system at k=3, d=12 is too large to allocate$"):
+            RunConfig.check_space(3, 12, 3)
+
     def test_echo_is_json_ready(self):
         cfg = RunConfig(k=3, d=12, spec=StructureSpec.affine_family(3, -0.1, 2.0), margin=3)
         echo = cfg.echo(10)
