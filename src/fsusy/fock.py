@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -184,15 +184,15 @@ class GradedBasis:
     def dim(self) -> int:
         return self.k * self.d
 
-    @property
+    @cached_property
     def level(self) -> np.ndarray:
-        """Level n of every flat index (read-only, shared by every basis of this shape)."""
-        return _layout(self.k, self.d)[0]
+        """Level n of every flat index (read-only)."""
+        return _read_only(np.arange(self.dim) % self.d)
 
-    @property
+    @cached_property
     def sector(self) -> np.ndarray:
-        """Sector s of every flat index (read-only, shared by every basis of this shape)."""
-        return _layout(self.k, self.d)[1]
+        """Sector s of every flat index (read-only)."""
+        return _read_only(np.arange(self.dim) // self.d)
 
     def index(self, n, s):
         """Flat index of |n, s>, the sector cyclic; n and s may be integer arrays."""
@@ -228,13 +228,6 @@ class GradedBasis:
 def _read_only(values: np.ndarray) -> np.ndarray:
     values.flags.writeable = False
     return values
-
-
-@lru_cache(maxsize=8)
-def _layout(k: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Level and sector of every flat index of the k x d basis, built once per shape."""
-    flat = np.arange(k * d)
-    return _read_only(flat % d), _read_only(flat // d)
 
 
 @dataclass(frozen=True)

@@ -67,23 +67,12 @@ def build_supercharges(rep: AlgebraRep) -> tuple[ColumnMap, ColumnMap]:
     )
 
 
-# largest (terms, k, d) table of term products that H's assembly forms at once
-_TERM_PRODUCT_BYTES = 1 << 22
-
-
 def build_hamiltonian_operator(rep: AlgebraRep) -> ColumnMap:
     """Assemble H term by term from its defining expression.
 
     Every term after (k-1) X+ X- is a diagonal; their weights are subtracted
     on the (sector, level) table in the order of the expression, each as
     ((c f_t(n + shift)) Pi_s), and H is lifted once.
-
-    When the products of all terms fit in ``_TERM_PRODUCT_BYTES`` they are
-    formed in one broadcast and subtracted by one ``np.subtract.reduce``
-    along the term axis, one after the other in the order of the
-    expression; that saves a numpy call per term on small systems.  Larger
-    tables subtract each term's product on its own, which stays in cache:
-    there the work is memory-bound and a batch of products is slower.
     """
     basis, spec = rep.basis, rep.spec
     k, d = basis.k, basis.d
@@ -98,16 +87,8 @@ def build_hamiltonian_operator(rep: AlgebraRep) -> ColumnMap:
     sector, t, c = (np.array(column)[:, None] for column in zip(*terms))
     # c f_t(n + t - s) of every term, one term per row
     weights = c * spec.f(t, np.arange(d) + t - sector).astype(complex)
-    rows = sector[:, 0] % k
-    if len(terms) * H.nbytes <= _TERM_PRODUCT_BYTES:
-        # slot 0 holds (k-1) X+ X-, the others the term products
-        stack = np.empty((len(terms) + 1, k, d), dtype=complex)
-        stack[0] = H
-        np.multiply(weights[:, None, :], rep.projectors[rows, :, None], out=stack[1:])
-        np.subtract.reduce(stack, axis=0, out=H)
-    else:
-        for s, w in zip(rows, weights):
-            H -= w * rep.projectors[s][:, None]
+    for s, w in zip(sector[:, 0] % k, weights):
+        H -= w * rep.projectors[s][:, None]
     return ColumnMap(diagonal, H[basis.sector, basis.level])
 
 

@@ -1,7 +1,6 @@
-"""What depends on the order k (and the truncation d) alone is built once
-per process and shared by every system of that shape: the graded layout,
-the grades and their projector table, and the k-fermion pair with its
-fermion factors and residuals.
+"""What depends on the order k alone is built once per process and shared
+by every system of that order: the grades and their projector table, and
+the k-fermion pair with its fermion factors and residuals.
 
 These tests hold the caches to three promises: every shared array is
 read-only, a sequence of runs in one process writes the reports that one
@@ -39,7 +38,7 @@ POINTS = [(k, label) for k in POINT_ORDERS for label in point_specs(k)]
 
 
 def shared_arrays(k, d):
-    """Every array a cache holds at (k, d), by a name for the failure message."""
+    """Every array the order caches hold at k, and the read-only basis layout, by name."""
     basis = GradedBasis(k, d)
     spec = StructureSpec.constant_values(k, 1.0)
     rep = build_rep(spec, basis, solve_structure_function(spec, d))
@@ -62,11 +61,10 @@ def test_every_shared_array_is_read_only(k):
         build_kfermion_pair(k).residuals["q_commutator"] = 0.0
 
 
-def test_systems_of_one_shape_share_the_order_objects():
+def test_systems_of_one_order_share_the_order_objects():
     first, second = (build_system(RunConfig(k=4, d=12, spec=spec, margin=4)).rep
                      for spec in (StructureSpec.constant_values(4, 1.0),
                                   StructureSpec.affine_family(4, 0.5, 1.0)))
-    assert first.basis.level is second.basis.level
     assert first.projectors is second.projectors
     assert build_kfermion_pair(4) is build_kfermion_pair(4)
     pair = build_kfermion_pair(4)

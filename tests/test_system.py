@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import fsusy.system
-
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
 from fsusy.suite import RunConfig, build_system
 from fsusy.system import (
@@ -183,20 +181,3 @@ def test_partner_table_equals_partner_value_bit_for_bit(spec):
         for n in range(d):
             expected = partner_value(spec, F, s, n)
             assert np.float64(expected).tobytes() == db.partners[s - 1, n].tobytes(), (s, n)
-
-
-@pytest.mark.parametrize("k,d", [(2, 12), (3, 40), (5, 40), (8, 40), (16, 24)])
-def test_batched_and_per_term_hamiltonian_agree_bit_for_bit(monkeypatch, k, d):
-    # the one broadcast and reduce of small systems subtracts the terms in
-    # the order of the per-term loop of large ones, signed zeros included
-    for spec in (StructureSpec.constant_values(k, [1 + s / 2 for s in range(k)]),
-                 StructureSpec.affine_family(k, 0.5, 1.0),
-                 StructureSpec.affine_family(k, -0.1, 2.0),
-                 StructureSpec.affine_family(k, 0.0, 0.0)):
-        rep = build_rep(spec, GradedBasis(k, d), solve_structure_function(spec, d))
-        batched = fsusy.system.build_hamiltonian_operator(rep)
-        monkeypatch.setattr(fsusy.system, "_TERM_PRODUCT_BYTES", 0)
-        per_term = fsusy.system.build_hamiltonian_operator(rep)
-        monkeypatch.undo()
-        assert batched.weight.tobytes() == per_term.weight.tobytes()
-        assert np.array_equal(batched.target, per_term.target)
