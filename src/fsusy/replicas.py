@@ -211,7 +211,8 @@ def check_isospectrality(doublet: FsusyDoublet, scoring: Scoring) -> ReportEntry
     Stated on values rather than eigenvalue multisets because truncation and
     the omitted ground levels fray the edges of a multiset comparison.
     """
-    top = doublet.d - 1 - scoring.margin
+    basis = doublet.rep.basis
+    top = int(basis.level[basis.window(scoring.margin).mask].max())
     # H_(s-1)(n-1) against H_s(n), s = 2 .. k and n = 1 .. top
     lower = ColumnMap.diag(doublet.partners[:-1, :top].ravel())
     upper = ColumnMap.diag(doublet.partners[1:, 1:top + 1].ravel())

@@ -92,12 +92,11 @@ class RunConfig:
             raise ConfigError(f"window margin must be at least 1, got {margin}")
         if d - margin < 2:
             raise ConfigError(f"margin {margin} leaves no window inside {d} levels")
-        # a lower bound only: H's (k-1)^2 complex term weights over d levels
-        # are made at once, and no machine holds more than its physical
-        # memory (cgroup limits and the other tables are not counted), so
-        # this stops a huge order before its spec is built; a system that
-        # passes can still run out of memory
-        if 16 * (k - 1) ** 2 * d > _physical_memory():
+        # the peak of a verify run: k + 31 column maps of kd columns at 24
+        # bytes a column, verify_fsusy's k + 1 powers of Q- and 30 for the
+        # built system and the checks; the interpreter, cgroup limits and the
+        # spectrum and dump outputs are not counted
+        if 24 * (k + 31) * k * d > _physical_memory():
             raise too_large(k, d)
 
     @property

@@ -70,9 +70,9 @@ def build_supercharges(rep: AlgebraRep) -> tuple[ColumnMap, ColumnMap]:
 def build_hamiltonian_operator(rep: AlgebraRep) -> ColumnMap:
     """Assemble H term by term from its defining expression.
 
-    Every term after (k-1) X+ X- is a diagonal; their weights are subtracted
-    on the (sector, level) table in the order of the expression, each as
-    ((c f_t(n + shift)) Pi_s), and H is lifted once.
+    Every term after (k-1) X+ X- is a diagonal; each is evaluated on its own
+    and subtracted on the (sector, level) table in the order of the
+    expression, as ((c f_t(n + t - s)) Pi_s), and H is lifted once.
     """
     basis, spec = rep.basis, rep.spec
     k, d = basis.k, basis.d
@@ -82,13 +82,11 @@ def build_hamiltonian_operator(rep: AlgebraRep) -> ColumnMap:
         raise RepresentationError("X+ X- sends a column off the diagonal")
     H = np.empty((k, d), dtype=complex)
     H[basis.sector, basis.level] = (k - 1) * XpXm.weight
+    n = np.arange(d)
     terms = [(s, t, t - 1) for s in range(3, k + 1) for t in range(2, s)]
     terms += [(s, t, t - k) for s in range(1, k) for t in range(s, k)]
-    sector, t, c = (np.array(column)[:, None] for column in zip(*terms))
-    # c f_t(n + t - s) of every term, one term per row
-    weights = c * spec.f(t, np.arange(d) + t - sector).astype(complex)
-    for s, w in zip(sector[:, 0] % k, weights):
-        H -= w * rep.projectors[s][:, None]
+    for s, t, c in terms:
+        H -= c * spec.f(t, n + t - s).astype(complex) * rep.projectors[s % k][:, None]
     return ColumnMap(diagonal, H[basis.sector, basis.level])
 
 
@@ -123,15 +121,13 @@ def partner_table(spec: StructureSpec, F: StructureFunction, d: int) -> np.ndarr
     k = spec.k
     s = np.arange(1, k + 1)[:, None]
     n = np.arange(d)
-    # f_t(n - s + t) at [t - 2, s - 1, n] for t = 2 .. k-1
-    t = np.arange(2, k)[:, None, None]
-    f = spec.f(t, n - s + t)
     mid, tail = np.zeros((k, d)), np.zeros((k, d))
     # f_t enters the tail of rows s <= t only; f_1 that of s = 1 alone
     tail[0] += spec.f(1, n)
-    for j, ft in enumerate(f, start=2):
-        mid += (j - 1) * ft
-        tail[:j] += ft[:j]
+    for t in range(2, k):
+        ft = spec.f(t, n - s + t)
+        mid += (t - 1) * ft
+        tail[:t] += ft[:t]
     return (k - 1) * F.values[s[:, 0] % k, :d] - mid + (k - 1) * tail
 
 

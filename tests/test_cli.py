@@ -203,26 +203,32 @@ class TestSpecSelection:
         assert config["table_size"] == 2 * (10 + 2 * 2 + 1)
 
     def test_table_missing_a_below_ground_argument_fails_construction(self, tmp_path, capsys):
-        # at k = 3 Hamiltonian assembly reads f_1(n) and f_2(n - 1 .. n + 1);
-        # of the dropped keys only (2, -1) is among them, while f_0 and the
-        # arguments -2 are never read
-        k, d = 3, 10
-        dropped = {(2, -1), (0, -1), (1, -2), (2, -2)}
-        rows = [f"{s},{n},1.0" for s in range(k) for n in range(-k, d + k + 1)
-                if (s, n) not in dropped]
-        table = tmp_path / "structure.csv"
-        table.write_text("\n".join(["s,n,f", *rows]) + "\n", encoding="utf-8")
-        out = tmp_path / "report.json"
-        code = main(["verify", "--k", str(k), "--d", str(d),
-                     "--table", str(table), "--out_report", str(out)])
-        assert code == 1
-        assert "verdict: fail" in capsys.readouterr().out
-        entries = json.loads(out.read_text(encoding="utf-8"))["entries"]
-        assert [e["name"] for e in entries] == ["construction.representation"]
-        named = re.fullmatch(r"table spec has no value for sector (\d+) at argument n = (-?\d+)",
-                             entries[0]["error"])
-        assert named is not None, entries[0]["error"]
-        assert (int(named[1]), int(named[2])) == (2, -1)
+        # the partner table reads f_t(n - s + t) for t = 2 .. k-1, every s and
+        # n >= 0, in that order, and f_1(n); f_0 is never read.  At k = 3 of
+        # the dropped keys only (2, -1) is read.  At k = 5 f_2 reaches -3 at
+        # s = 5, and f_3 -1 at s = 4 and f_4 -1 at s = 5 are read after it:
+        # an order by s, or by t from the top, or H's term order would name
+        # (3, -1) or (4, -1)
+        cases = [(3, {(2, -1), (0, -1), (1, -2), (2, -2)}, (2, -1)),
+                 (5, {(4, -1), (3, -1), (2, -3), (0, -1), (1, -2)}, (2, -3))]
+        d = 10
+        for k, dropped, first in cases:
+            rows = [f"{s},{n},1.0" for s in range(k) for n in range(-k, d + k + 1)
+                    if (s, n) not in dropped]
+            table = tmp_path / f"structure{k}.csv"
+            table.write_text("\n".join(["s,n,f", *rows]) + "\n", encoding="utf-8")
+            out = tmp_path / f"report{k}.json"
+            code = main(["verify", "--k", str(k), "--d", str(d),
+                         "--table", str(table), "--out_report", str(out)])
+            assert code == 1
+            assert "verdict: fail" in capsys.readouterr().out
+            entries = json.loads(out.read_text(encoding="utf-8"))["entries"]
+            assert [e["name"] for e in entries] == ["construction.representation"]
+            named = re.fullmatch(
+                r"table spec has no value for sector (\d+) at argument n = (-?\d+)",
+                entries[0]["error"])
+            assert named is not None, entries[0]["error"]
+            assert (int(named[1]), int(named[2])) == first
 
     @pytest.mark.parametrize("flags", [
         ["--a", "nan", "--b", "1"],
@@ -346,7 +352,7 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_unallocatable_truncation_exits_2(self, capsys):
-        # H's term weights alone would take 64 TB: refused before anything is built
+        # a verify run is counted at 2.4e15 bytes: refused before anything is built
         assert main(["verify", "--k", "3", "--d", "1000000000000"]) == 2
         assert capsys.readouterr().err == (
             "error: the system at k=3, d=1000000000000 is too large to allocate\n")
@@ -363,7 +369,7 @@ class TestExitCodes:
 
     def test_huge_order_is_refused_before_the_spec_is_built(self, monkeypatch, capsys):
         # margin 1 leaves a window, but the constant family would first make a
-        # list of 10^9 sector values, and H's term weights need 6.4e19 bytes
+        # list of 10^9 sector values, and a verify run is counted at 9.6e19 bytes
         def build_spec(*args):
             pytest.fail("the structure spec was built for a system too large to allocate")
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fsusy.errors import FactorizationError, FsusyError
+from fsusy.errors import FactorizationError, FsusyError, WindowTooSmallError
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
 from fsusy.replicas import (
     build_replicas,
@@ -164,6 +164,19 @@ def test_level_shift_identity_holds():
         db = make_doublet(spec.k, 20, spec)
         entry = check_isospectrality(db, Scoring(spec.k, 1e-10))
         assert entry.passed, entry.residual
+
+
+def test_level_shift_takes_its_levels_from_the_window():
+    # the window rule of every other check: margin d-2 keeps level 1 alone,
+    # and a margin that leaves no level raises instead of scoring nothing
+    d = 12
+    db = make_doublet(3, d, StructureSpec.affine_family(3, 0.5, 1.0))
+    entry = check_isospectrality(db, Scoring(d - 2, 1e-10))
+    assert entry.passed
+    assert entry.window == "levels 1 <= n <= 1"
+    for margin in (d - 1, d, 2 * d):
+        with pytest.raises(WindowTooSmallError, match=f"^margin {margin} leaves no window"):
+            check_isospectrality(db, Scoring(margin, 1e-10))
 
 
 def test_wrap_pair_is_not_isospectral():

@@ -97,11 +97,11 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
 
-    def test_refuses_a_system_whose_h_terms_exceed_memory(self, monkeypatch):
-        # H's (k-1)^2 = 4 complex term weights over 12 levels take 768 bytes
-        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 768)
+    def test_refuses_a_system_that_exceeds_memory(self, monkeypatch):
+        # a verify run at k=3, d=12 is counted as 24 (k + 31) k d = 29376 bytes
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 29376)
         RunConfig.check_space(3, 12, 3)
-        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 767)
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 29375)
         with pytest.raises(ConfigError, match="^the system at k=3, d=12 is too large to allocate$"):
             RunConfig.check_space(3, 12, 3)
 
@@ -448,16 +448,37 @@ def test_refused_replica_leaves_no_reference_cycle():
         gc.enable()
 
 
-def test_build_system_memory_is_linear_in_dimension():
-    # dimension 1600: a single (kd) x (kd) complex array would take 41 MB
-    config = RunConfig(k=4, d=400, spec=StructureSpec.affine_family(4, 0.5, 1.0), margin=4)
+def traced_peak(run, config):
+    gc.collect()
     tracemalloc.start()
     try:
-        build_system(config)
-        _, peak = tracemalloc.get_traced_memory()
+        run(config)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+
+
+def test_build_system_memory_is_linear_in_dimension():
+    # at k=4, d=400 a single (kd) x (kd) complex array would take 41 MB; at
+    # k=64, d=500 and k=16, d=2000 a build that evaluates all of H's and the
+    # partner table's terms at once peaks at 67 and 20 MiB
+    for k, d in [(4, 400), (64, 500), (16, 2000)]:
+        config = RunConfig(k=k, d=d, spec=StructureSpec.affine_family(k, 0.5, 1.0), margin=k)
+        peak = traced_peak(build_system, config)
+        assert peak < 16 * 2**20, (k, d, peak)
+
+
+@pytest.mark.parametrize("k, d", [(8, 1000), (32, 250), (64, 125)])
+def test_size_check_counts_the_peak_of_a_verify_run(monkeypatch, k, d):
+    config = RunConfig(k=k, d=d, spec=StructureSpec.affine_family(k, 0.5, 1.0), margin=k)
+    peak = traced_peak(run_verification_suite, config)
+    # a machine one byte short of the traced peak is refused, one that holds
+    # a quarter more is not
+    monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: peak - 1)
+    with pytest.raises(ConfigError, match="too large to allocate"):
+        RunConfig.check_space(k, d, k)
+    monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: int(1.25 * peak))
+    RunConfig.check_space(k, d, k)
 
 
 def test_suite_builds_once_and_reports_every_refusal(monkeypatch):

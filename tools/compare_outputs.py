@@ -40,8 +40,14 @@ FAMILIES = {
     "sector-constants": None,  # c_s = 1 + s/2, filled in per k
 }
 
-TABLE_CSV = "s,n,f\n" + "".join(
-    f"{s},{n},{((7 * s + 3 * n) % 11 + 1) / 3!r}\n" for s in range(3) for n in range(-3, 60))
+
+def table_csv(k: int) -> str:
+    """A table spec of order k over the arguments -k .. 59."""
+    return "s,n,f\n" + "".join(f"{s},{n},{((7 * s + 3 * n) % 11 + 1) / 3!r}\n"
+                               for s in range(k) for n in range(-k, 60))
+
+
+TABLES = {"table.csv": table_csv(3), "table5.csv": table_csv(5)}
 
 
 def family_flags(name: str, k: int) -> list[str]:
@@ -69,10 +75,14 @@ def configurations() -> dict[str, tuple[list[str], tuple[str, ...]]]:
         "k=3 d=40 affine(2e305,1) (overflowing partner energies)": (
             ["--k", "3", "--d", "40", "--a", "2e305", "--b", "1"], every),
         "k=3 d=40 table": (["--k", "3", "--d", "40", "--table", "table.csv"], every),
+        "k=5 d=40 table": (["--k", "5", "--d", "40", "--table", "table5.csv"], every),
         "k=3 d=12 margin 10": (["--k", "3", "--d", "12", "--margin", "10"], every),
         "k=7 d=30 constant": (["--k", "7", "--d", "30", "--family", "constant"], every),
         "k=7 d=30 affine(0.5,1)": (["--k", "7", "--d", "30", "--a", "0.5", "--b", "1"], every),
         "k=8 d=100 affine(0.5,1)": (["--k", "8", "--d", "100", "--a", "0.5", "--b", "1"], every),
+        # H sums (k-1)^2 = 529 terms here, each partner energy 22 f_t terms
+        "k=24 d=60 affine(0.5,1)": (["--k", "24", "--d", "60", "--a", "0.5", "--b", "1"], every),
+        "k=24 d=60 constant": (["--k", "24", "--d", "60", "--family", "constant"], every),
         "k=64 d=500 affine(0.5,1)": (
             ["--k", "64", "--d", "500", "--a", "0.5", "--b", "1"], ("verify",)),
         "k=64 d=500 constant": (["--k", "64", "--d", "500", "--family", "constant"], ("verify",)),
@@ -121,9 +131,10 @@ def environment(root: Path) -> dict[str, str]:
 
 
 def prepare(workdir: Path, command: str, flags: list[str]) -> list[str]:
-    """An empty working directory with the table CSV; the call's argv."""
+    """An empty working directory with the table CSVs; the call's argv."""
     workdir.mkdir(parents=True)
-    (workdir / "table.csv").write_text(TABLE_CSV, encoding="utf-8")
+    for name, text in TABLES.items():
+        (workdir / name).write_text(text, encoding="utf-8")
     return [command, *flags, *OUTPUT_FLAGS[command]]
 
 
@@ -132,7 +143,7 @@ def outputs(root: Path, workdir: Path, code: int, stdout: bytes,
     """Every output of one call by name, paths and the report time stripped."""
     out = {"exit code": str(code).encode(), "stdout": stdout, "stderr": stderr}
     for path in sorted(workdir.rglob("*")):
-        if path.is_file() and path.name != "table.csv":
+        if path.is_file() and path.name not in TABLES:
             out[str(path.relative_to(workdir))] = path.read_bytes()
     for name, data in out.items():
         for place, text in ((workdir, b"<workdir>"), (root, b"<root>")):
