@@ -18,7 +18,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -323,6 +322,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     ]
     os.makedirs(ns.out_dir, exist_ok=True)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so no other run loads it
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             points = list(pool.map(_sweep_point, tasks))
     else:
@@ -340,12 +340,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser(argv)
     ns = parser.parse_args(argv)
-    handlers = {
-        "verify": cmd_verify,
-        "spectrum": cmd_spectrum,
-        "dump": cmd_dump,
-        "sweep": cmd_sweep,
-    }
+    handlers = {"verify": cmd_verify, "spectrum": cmd_spectrum,
+                "dump": cmd_dump, "sweep": cmd_sweep}
     try:
         return handlers[ns.command](ns)
     except (FsusyError, OSError) as exc:

@@ -239,6 +239,8 @@ class StructureFunction:
     values: np.ndarray
 
     def value(self, s: int, n: int) -> float:
+        if not 0 <= n <= self.d:
+            raise ValueError(f"level {n} outside 0..{self.d}")
         return float(self.values[s % self.k, n])
 
     def truncate(self, new_d: int) -> "StructureFunction":

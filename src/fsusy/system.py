@@ -51,6 +51,8 @@ class FsusyDoublet:
     def partner(self, s: int, n: int) -> float:
         if not 1 <= s <= self.k:
             raise ValueError(f"partner index {s} outside 1..{self.k}")
+        if not 0 <= n < self.d:
+            raise ValueError(f"partner level {n} outside 0..{self.d - 1}")
         return float(self.partners[s - 1, n])
 
     def partner_diagonal(self, s: int) -> ColumnMap:

@@ -77,9 +77,10 @@ class ColumnMap:
         return self.target.size
 
     def __matmul__(self, other: ColumnMap) -> ColumnMap:
-        has = other.target >= 0
-        via = np.where(has, other.target, 0)
-        return ColumnMap(np.where(has, self.target[via], -1), self.weight[via] * other.weight)
+        via = np.maximum(other.target, 0)  # an empty column reads column 0
+        target = self.target[via]
+        target[other.target < 0] = -1
+        return ColumnMap(target, self.weight[via] * other.weight)
 
     def __pow__(self, n: int) -> ColumnMap:
         out = ColumnMap.diag(np.ones(self.dim))
@@ -89,8 +90,7 @@ class ColumnMap:
 
     def _combine(self, other: ColumnMap, op) -> ColumnMap:
         mine, theirs = self.weight != 0, other.weight != 0
-        both = mine & theirs
-        if np.any(self.target[both] != other.target[both]):
+        if np.any((self.target != other.target) & mine & theirs):
             raise ValueError("operands send a column to different rows")
         return ColumnMap(np.where(mine, self.target, other.target), op(self.weight, other.weight))
 
@@ -192,12 +192,12 @@ def build_projectors(K: np.ndarray, k: int) -> np.ndarray:
 def deviation(lhs: ColumnMap, rhs: ColumnMap) -> np.ndarray:
     """Relative deviation of lhs = rhs in each column.
 
-    Column j scores |lhs_j - rhs_j| / max(1, |lhs_j|, |rhs_j|), where two
-    nonzero entries in different rows deviate by |lhs_j| + |rhs_j|.
+    Column j scores |lhs_j - rhs_j| / max(1, |lhs_j|, |rhs_j|); entries in
+    different rows deviate by |lhs_j| + |rhs_j|, as they do anyway if one is 0.
     """
     a, b = np.abs(lhs.weight), np.abs(rhs.weight)
     dev = np.abs(lhs.weight - rhs.weight)
-    np.add(a, b, out=dev, where=(lhs.target != rhs.target) & (a > 0) & (b > 0))
+    np.add(a, b, out=dev, where=lhs.target != rhs.target)
     np.maximum(a, b, out=a)
     dev /= np.maximum(a, 1.0, out=a)
     return dev

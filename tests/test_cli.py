@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import json
 import os
 import re
@@ -597,7 +598,8 @@ class TestSweep:
                 return map(fn, items)
 
         monkeypatch.setattr(fsusy.cli.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(fsusy.cli, "ProcessPoolExecutor", RecordingPool)
+        # cmd_sweep imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         code = main(["sweep", "--k", "2", "--d", "8",
                      "--a-range", "0", "1", "2", "--b-range", "1", "1", "1",
                      "--out-dir", str(tmp_path / "sweep"), "--jobs", jobs])
@@ -715,3 +717,16 @@ class TestModuleEntryPoint:
                               capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_only_a_parallel_sweep_loads_the_process_pool(self, tmp_path):
+        # the pool stack (multiprocessing, socket, logging, ...) costs every
+        # process about 1.2 MB; a verify run must not load it
+        code = ("import sys, fsusy.cli; "
+                "code = fsusy.cli.main(['verify', '--k', '3', '--d', '12', '--a', '0.5', "
+                f"'--b', '1', '--out_report', {str(tmp_path / 'report.json')!r}]); "
+                "print(code, [m for m in ('multiprocessing', 'concurrent.futures.process') "
+                "if m in sys.modules])")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"

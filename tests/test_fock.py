@@ -175,6 +175,15 @@ def test_solver_matches_telescoped_form_exactly(case):
             assert F.value(s, n) == telescoped(spec, s, n)
 
 
+def test_value_checks_the_level():
+    # the solved range is n = 0 .. d; n = -1 would read F_0(12) from the end
+    F = solve_structure_function(StructureSpec.affine_family(3, 0.5, 1.0), 12)
+    assert F.value(0, 12) == 45.0
+    for n in (-1, 13):
+        with pytest.raises(ValueError, match=rf"level {n} outside 0\.\.12"):
+            F.value(0, n)
+
+
 def test_truncate():
     spec = StructureSpec.constant_values(2, 1.0)
     F = solve_structure_function(spec, 10)

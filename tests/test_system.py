@@ -35,6 +35,10 @@ def test_partner_index_bounds():
         db.partner(0, 1)
     with pytest.raises(ValueError):
         db.partner(4, 1)
+    # n = -1 would read H_1(5) from the end, n = d raise a bare IndexError
+    for n in (-1, 6):
+        with pytest.raises(ValueError, match=rf"partner level {n} outside 0\.\.5"):
+            db.partner(1, n)
 
 
 def test_ground_state_energy_is_negative_for_unit_constant():

@@ -15,6 +15,7 @@ from fsusy.wkalg import (
     build_projectors,
     Scoring,
     build_rep,
+    deviation,
     score,
     verify_wk_relations,
 )
@@ -201,6 +202,47 @@ def test_residual_scales_each_column():
     window = np.array([True, False, True, True])
     assert score([(lhs, moved)], window)[0] == 0.0
     assert score([(lhs, moved)], np.zeros(4, dtype=bool))[0] == 0.0
+
+
+def test_deviation_of_rows_that_differ_under_a_zero_weight():
+    # a zero weight in another row (or an empty column) deviates by the other
+    # weight alone, as it does in the same row; signed zeros read as zeros
+    lhs = ColumnMap(np.array([0, 1, 2, -1, 0]), np.array([0.0, 0.5, -0.0, 0.0, 3.0]))
+    rhs = ColumnMap(np.array([1, 0, 0, 3, 0]), np.array([3.0, 0.0, 0.0, 0.25, 3.0]))
+    dev = deviation(lhs, rhs)
+    assert dev.tolist() == [1.0, 0.5, 0.0, 0.25, 0.0]
+    assert not np.signbit(dev).any()
+    assert score([(lhs, rhs)])[0] == 1.0
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as the suite's build and verify run
+def test_deviation_of_inf_and_nan_weights():
+    # an inf or NaN weight makes its column NaN in any row, which the entry
+    # then reports as an overflow; the other columns keep their deviation
+    inf, nan = np.inf, np.nan
+    lhs = ColumnMap(np.array([0, 1, 2, 3, 4, 5]), np.array([inf, inf, nan, nan, 0.0, 1.0]))
+    rhs = ColumnMap(np.array([0, 0, 2, 0, 1, 5]), np.array([1.0, 0.0, 1.0, 1.0, inf, 0.5]))
+    dev = deviation(lhs, rhs)
+    assert np.isnan(dev[:5]).all()
+    assert dev[5] == 0.5
+    residual = score([(lhs, rhs)])[0]
+    assert np.isnan(residual)
+    entry = Scoring(2, 1e-8).entry("x.y", "x = y", residual, "windowed", FULL_SPACE)
+    assert entry.error == "the products of this identity overflow float64"
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_product_with_empty_columns_reads_column_0():
+    # an empty column of the right factor takes the left factor's column 0
+    # times 0, so an inf there leaves NaN in the empty column, bit for bit
+    left = ColumnMap(np.array([1, 0, 2]), np.array([np.inf, 2.0, 1.0 + 1.0j]))
+    right = ColumnMap(np.array([-1, 0, -1]), np.array([0.0, 3.0, 0.0], dtype=complex))
+    product = left @ right
+    assert product.target.tolist() == [-1, 1, -1]
+    expected = left.weight[[0, 0, 0]] * right.weight
+    assert np.array_equal(product.weight.view(np.int64), expected.view(np.int64))
+    assert np.isnan(product.weight[[0, 2]]).all() and product.weight[1].real == np.inf
+    assert np.isnan(score([(product, product)])[0])
 
 
 def test_columns_narrow_and_describe_themselves():

@@ -4,17 +4,19 @@
 
 Each root is a checkout holding ``src/fsusy``.  Every configuration below
 goes through ``verify``, ``spectrum`` and ``dump`` (the large ones through
-``verify`` only), each call in a fresh ``python3 -m fsusy`` subprocess with
-that tree's ``src`` alone on the path, one BLAS thread, and its own empty
-working directory.  The exit code, stdout, stderr and every file the call
-writes (report, spectrum CSV, each ``.mtx``) are compared between the trees.
+``verify`` only, one affine grid through ``sweep``, serially and with two
+workers), each call in a fresh ``python3 -m fsusy`` subprocess with that
+tree's ``src`` alone on the path, one BLAS thread, and its own empty working
+directory.  The exit code, stdout, stderr and every file the call writes
+(report, spectrum CSV, each ``.mtx``, a sweep's reports and ``index.json``)
+are compared between the trees.
 
 A second, in-process pass then runs every ``verify`` call of each tree
 through ``fsusy.cli.main`` in one interpreter, in an order shuffled with
 the fixed seed ``SEED``, and compares each call's outputs with that tree's
 fresh-process ones, so state that one point leaves to the next shows.
 
-The report's ``generated_at`` value and the tree and working-directory
+Every report's ``generated_at`` value and the tree and working-directory
 paths are replaced by placeholders first.  Prints each difference and exits
 1 if there is any, else 0.
 """
@@ -89,6 +91,10 @@ def configurations() -> dict[str, tuple[list[str], tuple[str, ...]]]:
         "k=32 d=1000 affine(0.5,1)": (
             ["--k", "32", "--d", "1000", "--a", "0.5", "--b", "1"], ("verify",)),
     })
+    # a 3 x 2 grid of affine points, with and without the process pool
+    grid = ["--k", "3", "--d", "12", "--a-range", "-0.5", "0.5", "3", "--b-range", "1", "2", "2"]
+    configs["k=3 d=12 sweep 3x2"] = (grid, ("sweep",))
+    configs["k=3 d=12 sweep 3x2 jobs 2"] = ([*grid, "--jobs", "2"], ("sweep",))
     return configs
 
 
@@ -96,6 +102,7 @@ OUTPUT_FLAGS = {
     "verify": ["--out_report", "report.json"],
     "spectrum": ["--out_spectrum", "spectrum.csv"],
     "dump": ["--out_operators", "ops"],
+    "sweep": ["--out-dir", "sweep"],
 }
 
 
@@ -148,7 +155,7 @@ def outputs(root: Path, workdir: Path, code: int, stdout: bytes,
     for name, data in out.items():
         for place, text in ((workdir, b"<workdir>"), (root, b"<root>")):
             data = data.replace(str(place.resolve()).encode(), text)
-        if name == "report.json":
+        if name.endswith(".json"):
             data = re.sub(rb'"generated_at": "[^"]*"', b'"generated_at": null', data)
         out[name] = data
     return out
