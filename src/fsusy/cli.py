@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -89,7 +90,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tolerance", type=float, help="windowed residual tolerance")
 
 
-def _add_system_flags(parser: argparse.ArgumentParser, sector_keys: list[str]) -> None:
+def _add_system_flags(parser: argparse.ArgumentParser, sector_keys: tuple[str, ...]) -> None:
     parser.add_argument("--family", choices=FAMILIES, help="structure family")
     parser.add_argument("--a", type=float, help="affine slope f_s(n) = a n + b")
     parser.add_argument("--b", type=float, help="affine offset f_s(n) = a n + b")
@@ -130,14 +131,25 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     Every subcommand is registered, so ``fsusy -h`` and an invalid choice
     read the same.  The top-level parser takes no option with a value, so
     the first token of argv not starting with "-" names the subcommand.
+
+    The parser is built once per process for each subcommand and set of
+    --cN flags, and every call that names the same ones gets the same
+    parser: it is shared and must not be mutated.  parse_args leaves it as
+    it is.
     """
+    invoked = next((token for token in argv if not token.startswith("-")), None)
+    # a repeated --cN is one flag, whose last value wins like any other's
+    return _parser(invoked, tuple(dict.fromkeys(_sector_flags(argv))))
+
+
+@functools.lru_cache(maxsize=8)
+def _parser(invoked: str | None, sector_keys: tuple[str, ...]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fsusy",
         description="Build and verify fractional supersymmetric systems "
                     "on truncated graded Fock spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    invoked = next((token for token in argv if not token.startswith("-")), None)
     for name, text in _SUBCOMMANDS.items():
         # the sweep matches no prefixes, which would read --a as --a-range
         p = sub.add_parser(name, help=text, allow_abbrev=name != "sweep")
@@ -147,7 +159,7 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
         if name == "sweep":
             _add_sweep_flags(p)
         else:
-            _add_system_flags(p, _sector_flags(argv))
+            _add_system_flags(p, sector_keys)
     return parser
 
 

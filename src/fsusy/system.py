@@ -72,9 +72,10 @@ def build_supercharges(rep: AlgebraRep) -> tuple[ColumnMap, ColumnMap]:
 def build_hamiltonian_operator(rep: AlgebraRep) -> ColumnMap:
     """Assemble H term by term from its defining expression.
 
-    Every term after (k-1) X+ X- is a diagonal; each is evaluated on its own
-    and subtracted on the (sector, level) table in the order of the
-    expression, as ((c f_t(n + t - s)) Pi_s), and H is lifted once.
+    Every term after (k-1) X+ X- is a diagonal; each is formed on its own,
+    from f_t evaluated once per t, and subtracted on the (sector, level)
+    table in the order of the expression, as ((c f_t(n + t - s)) Pi_s), and
+    H is lifted once.
     """
     basis, spec = rep.basis, rep.spec
     k, d = basis.k, basis.d
@@ -84,11 +85,15 @@ def build_hamiltonian_operator(rep: AlgebraRep) -> ColumnMap:
         raise RepresentationError("X+ X- sends a column off the diagonal")
     H = np.empty((k, d), dtype=complex)
     H[basis.sector, basis.level] = (k - 1) * XpXm.weight
-    n = np.arange(d)
     terms = [(s, t, t - 1) for s in range(3, k + 1) for t in range(2, s)]
     terms += [(s, t, t - k) for s in range(1, k) for t in range(s, k)]
+    # f_t once per t, on the levels n + t - s its terms read: t - k .. t + d - 2,
+    # and 0 .. d - 1 for f_1, which s = 1 alone reads
+    low = {t: t - k if t > 1 else 0 for t in range(1, k)}
+    f = {t: spec.f(t, np.arange(lo, t + d - 1)).astype(complex) for t, lo in low.items()}
     for s, t, c in terms:
-        H -= c * spec.f(t, n + t - s).astype(complex) * rep.projectors[s % k][:, None]
+        start = t - s - low[t]
+        H -= c * f[t][start:start + d] * rep.projectors[s % k][:, None]
     return ColumnMap(diagonal, H[basis.sector, basis.level])
 
 

@@ -13,7 +13,8 @@ def _clear_order_caches():
 
 @pytest.fixture
 def clear_order_caches():
-    """A call that empties every per-order cache of fsusy, as a fresh process
-    starts; the caches are emptied again when the test ends."""
+    """A call that empties every per-order cache of fsusy and the CLI's
+    parser cache, as a fresh process starts; the caches are emptied again
+    when the test ends."""
     yield _clear_order_caches
     _clear_order_caches()

@@ -252,7 +252,11 @@ def test_shift_operators_and_refusals_match_the_level_loop(built):
     StructureSpec.from_table(
         3, {(s, n): ((7 * s + 3 * n) % 11 + 1) / 3 for s in range(3) for n in range(-3, 30)}),
     StructureSpec.constant_values(3, 0.0),
-], ids=["signed-zeros", "sector-constants", "table", "zeros"])
+    # only partner s = 1 reads f_1, at n >= 0; the other sectors from n = -k
+    StructureSpec.from_table(
+        4, {(s, n): ((7 * s + 3 * n) % 11 + 1) / 3
+            for s in range(4) for n in range(0 if s == 1 else -4, 32)}),
+], ids=["signed-zeros", "sector-constants", "table", "zeros", "table-f1-from-0"])
 def test_other_families_match_the_scalar_loops(spec):
     system = build_system(RunConfig(k=spec.k, d=24, spec=spec, margin=spec.k))
     rep = system.rep

@@ -658,6 +658,18 @@ def child_env():
 
 
 HELP = Path(__file__).parent / "data" / "help"
+HELP_CASES = [
+    (["-h"], "fsusy.txt"),
+    (["verify", "-h"], "verify.txt"),
+    (["spectrum", "-h"], "spectrum.txt"),
+    (["dump", "-h"], "dump.txt"),
+    (["sweep", "-h"], "sweep.txt"),
+    (["verify", "--c0", "1", "--c2", "3", "-h"], "verify_c0_c2.txt"),
+]
+USAGE_ERRORS = [
+    (["bogus"], "invalid_choice.txt"),
+    ([], "no_command.txt"),
+]
 
 
 class TestParserText:
@@ -665,14 +677,7 @@ class TestParserText:
     still gave every subcommand its flags on every call (argparse of Python
     3.11 at 80 columns)."""
 
-    @pytest.mark.parametrize("argv, golden", [
-        (["-h"], "fsusy.txt"),
-        (["verify", "-h"], "verify.txt"),
-        (["spectrum", "-h"], "spectrum.txt"),
-        (["dump", "-h"], "dump.txt"),
-        (["sweep", "-h"], "sweep.txt"),
-        (["verify", "--c0", "1", "--c2", "3", "-h"], "verify_c0_c2.txt"),
-    ])
+    @pytest.mark.parametrize("argv, golden", HELP_CASES)
     def test_help(self, monkeypatch, capsys, argv, golden):
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as exc:
@@ -688,16 +693,65 @@ class TestParserText:
         assert flags["verify"] == flags["dump"] == flags["sweep"] == ["help"]
         assert "k" in flags["spectrum"] and "out_spectrum" in flags["spectrum"]
 
-    @pytest.mark.parametrize("argv, golden", [
-        (["bogus"], "invalid_choice.txt"),
-        ([], "no_command.txt"),
-    ])
+    @pytest.mark.parametrize("argv, golden", USAGE_ERRORS)
     def test_usage_errors(self, monkeypatch, capsys, argv, golden):
         monkeypatch.setenv("COLUMNS", "80")
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err == (HELP / golden).read_text(encoding="utf-8")
+
+
+class TestParserCache:
+    """build_parser builds one parser per subcommand and set of --cN flags
+    in a process, and hands it to every call that names the same ones."""
+
+    def test_same_key_same_parser(self):
+        build = fsusy.cli.build_parser
+        verify = build(["verify", "--k", "3", "--d", "40"])
+        assert build(["verify", "--k", "5", "--a", "0.5", "--b", "1"]) is verify
+        assert build(["verify", "--c1", "2", "--c0=1"]) is build(["verify", "--c1", "3", "--c0", "2"])
+
+    def test_other_subcommand_or_sector_flags_other_parser(self):
+        parsers = [fsusy.cli.build_parser(argv) for argv in (
+            ["verify", "--k", "3"], ["spectrum", "--k", "3"], ["verify", "--c1", "2"],
+            ["verify", "--c0", "2"], ["dump", "--c1", "2"], ["verify", "--c1", "2", "--c0", "1"])]
+        for i, parser in enumerate(parsers):
+            assert all(parser is not other for other in parsers[i + 1:])
+
+    def test_sector_flag_after_a_parser_without_one(self, tmp_path):
+        base = ["verify", "--k", "3", "--d", "12", "--out_report", str(tmp_path / "r.json")]
+        assert main(base) == 0
+        assert main([*base, "--c1", "2"]) == 0
+        config = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))["config"]
+        assert config["constants"] == [1.0, 2.0, 1.0]
+
+    def test_repeated_sector_flag_takes_its_last_value(self):
+        argv = ["verify", "--c1", "1", "--c1", "2"]
+        assert fsusy.cli.build_parser(argv).parse_args(argv).c1 == 2.0
+
+    def test_text_unchanged_after_verify_calls(self, monkeypatch, capsys, tmp_path):
+        # built at another width: the help is laid out when it is printed
+        monkeypatch.setenv("COLUMNS", "200")
+        report = ["--out_report", str(tmp_path / "r.json")]
+        assert main(["verify", "--k", "3", "--d", "12", *report]) == 0
+        assert main(["verify", "--k", "3", "--d", "12", "--c0", "1", "--c2", "3", *report]) == 0
+        monkeypatch.setenv("COLUMNS", "80")
+        capsys.readouterr()
+        for argv, golden in HELP_CASES + USAGE_ERRORS:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == (0 if argv and argv[-1] == "-h" else 2)
+            out, err = capsys.readouterr()
+            assert (out if exc.value.code == 0 else err) == (HELP / golden).read_text(
+                encoding="utf-8"), golden
+
+    def test_clear_order_caches_empties_it(self, clear_order_caches):
+        argv = ["sweep", "--k", "3"]
+        first = fsusy.cli.build_parser(argv)
+        clear_order_caches()
+        assert fsusy.cli._parser.cache_info().currsize == 0
+        assert fsusy.cli.build_parser(argv) is not first
 
 
 class TestModuleEntryPoint:

@@ -5,16 +5,19 @@
 Each root is a checkout holding ``src/fsusy``.  Every configuration below
 goes through ``verify``, ``spectrum`` and ``dump`` (the large ones through
 ``verify`` only, one affine grid through ``sweep``, serially and with two
-workers), each call in a fresh ``python3 -m fsusy`` subprocess with that
+workers, and the parser's text through ``verify -h`` and an unknown
+subcommand), each call in a fresh ``python3 -m fsusy`` subprocess with that
 tree's ``src`` alone on the path, one BLAS thread, and its own empty working
 directory.  The exit code, stdout, stderr and every file the call writes
 (report, spectrum CSV, each ``.mtx``, a sweep's reports and ``index.json``)
 are compared between the trees.
 
-A second, in-process pass then runs every ``verify`` call of each tree
-through ``fsusy.cli.main`` in one interpreter, in an order shuffled with
-the fixed seed ``SEED``, and compares each call's outputs with that tree's
-fresh-process ones, so state that one point leaves to the next shows.
+A second, in-process pass then runs every call of each tree through
+``fsusy.cli.main`` in one interpreter, in an order shuffled with the fixed
+seed ``SEED``, and compares each call's outputs with that tree's
+fresh-process ones, so state that one call leaves to the next shows: the
+per-order caches, and the parser shared by calls of one subcommand and set
+of ``--cN`` flags.
 
 Every report's ``generated_at`` value and the tree and working-directory
 paths are replaced by placeholders first.  Prints each difference and exits
@@ -43,13 +46,17 @@ FAMILIES = {
 }
 
 
-def table_csv(k: int) -> str:
-    """A table spec of order k over the arguments -k .. 59."""
-    return "s,n,f\n" + "".join(f"{s},{n},{((7 * s + 3 * n) % 11 + 1) / 3!r}\n"
-                               for s in range(k) for n in range(-k, 60))
+def table_csv(k: int, f1_from: int | None = None) -> str:
+    """A table spec of order k over the arguments -k .. 59, sector 1's from
+    f1_from if it is given."""
+    return "s,n,f\n" + "".join(f"{s},{n},{((7 * s + 3 * n) % 11 + 1) / 3!r}\n" for s in range(k)
+                               for n in range(-k if f1_from is None or s != 1 else f1_from, 60))
 
 
-TABLES = {"table.csv": table_csv(3), "table5.csv": table_csv(5)}
+# f_1 is read by partner s = 1 alone, only at n >= 0, so the last table
+# defines it from there
+TABLES = {"table.csv": table_csv(3), "table5.csv": table_csv(5),
+          "table4_f1_from_0.csv": table_csv(4, f1_from=0)}
 
 
 def family_flags(name: str, k: int) -> list[str]:
@@ -78,6 +85,8 @@ def configurations() -> dict[str, tuple[list[str], tuple[str, ...]]]:
             ["--k", "3", "--d", "40", "--a", "2e305", "--b", "1"], every),
         "k=3 d=40 table": (["--k", "3", "--d", "40", "--table", "table.csv"], every),
         "k=5 d=40 table": (["--k", "5", "--d", "40", "--table", "table5.csv"], every),
+        "k=4 d=40 table, f_1 from n = 0": (
+            ["--k", "4", "--d", "40", "--table", "table4_f1_from_0.csv"], every),
         "k=3 d=12 margin 10": (["--k", "3", "--d", "12", "--margin", "10"], every),
         "k=7 d=30 constant": (["--k", "7", "--d", "30", "--family", "constant"], every),
         "k=7 d=30 affine(0.5,1)": (["--k", "7", "--d", "30", "--a", "0.5", "--b", "1"], every),
@@ -95,6 +104,9 @@ def configurations() -> dict[str, tuple[list[str], tuple[str, ...]]]:
     grid = ["--k", "3", "--d", "12", "--a-range", "-0.5", "0.5", "3", "--b-range", "1", "2", "2"]
     configs["k=3 d=12 sweep 3x2"] = (grid, ("sweep",))
     configs["k=3 d=12 sweep 3x2 jobs 2"] = ([*grid, "--jobs", "2"], ("sweep",))
+    # the parser's own text: a subcommand's help, and a usage error
+    configs["help"] = (["-h"], ("verify",))
+    configs["usage error"] = ([], ("bogus",))
     return configs
 
 
@@ -108,7 +120,7 @@ OUTPUT_FLAGS = {
 
 SEED = 0
 
-# runs the verify calls given as JSON on stdin, [[workdir, argv], ...], in
+# runs the calls given as JSON on stdin, [[workdir, argv], ...], in
 # order through one interpreter; prints each call's exit code, stdout and
 # stderr as one JSON line
 IN_PROCESS = """
@@ -142,7 +154,7 @@ def prepare(workdir: Path, command: str, flags: list[str]) -> list[str]:
     workdir.mkdir(parents=True)
     for name, text in TABLES.items():
         (workdir / name).write_text(text, encoding="utf-8")
-    return [command, *flags, *OUTPUT_FLAGS[command]]
+    return [command, *flags, *OUTPUT_FLAGS.get(command, [])]
 
 
 def outputs(root: Path, workdir: Path, code: int, stdout: bytes,
@@ -170,11 +182,11 @@ def run(root: Path, workdir: Path, command: str, flags: list[str]) -> dict[str, 
 
 
 def run_in_process(root: Path, scratch: Path,
-                   calls: list[tuple[str, list[str]]]) -> list[dict[str, bytes]]:
-    """The (name, flags) verify calls of the tree at root, in order, in one interpreter."""
-    workdirs = [scratch / name for name, _ in calls]
-    batch = [[str(workdir), prepare(workdir, "verify", flags)]
-             for workdir, (_, flags) in zip(workdirs, calls)]
+                   calls: list[tuple[str, str, list[str]]]) -> list[dict[str, bytes]]:
+    """The (name, command, flags) calls of the tree at root, in order, in one interpreter."""
+    workdirs = [scratch / name for name, _, _ in calls]
+    batch = [[str(workdir), prepare(workdir, command, flags)]
+             for workdir, (_, command, flags) in zip(workdirs, calls)]
     proc = subprocess.run([sys.executable, "-c", IN_PROCESS], input=json.dumps(batch).encode(),
                           env=environment(root), capture_output=True, check=False)
     results = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -203,7 +215,7 @@ def compare(old: Path, new: Path, scratch: Path, jobs: int = 2) -> list[str]:
     sides = (("old", old), ("new", new))
     calls = [(cid, command, flags) for cid, (flags, commands) in configurations().items()
              for command in commands]
-    shuffled = [i for i, (_, command, _) in enumerate(calls) if command == "verify"]
+    shuffled = list(range(len(calls)))
     random.Random(SEED).shuffle(shuffled)
 
     def fresh(i_call):
@@ -214,7 +226,7 @@ def compare(old: Path, new: Path, scratch: Path, jobs: int = 2) -> list[str]:
     def in_process(side_root):
         side, root = side_root
         return run_in_process(root, scratch / side / "in-process",
-                              [(f"{i:03d}", calls[i][2]) for i in shuffled])
+                              [(f"{i:03d}-{calls[i][1]}", *calls[i][1:]) for i in shuffled])
 
     with ThreadPoolExecutor(jobs) as pool:
         fresh_outputs = list(pool.map(fresh, enumerate(calls)))
@@ -222,10 +234,10 @@ def compare(old: Path, new: Path, scratch: Path, jobs: int = 2) -> list[str]:
                  for line in differences(f"{cid} | {command}", *outs)]
         for j, shared in enumerate(pool.map(in_process, sides)):
             for i, outs in zip(shuffled, shared):
-                found += differences(f"{calls[i][0]} | verify in one process ({sides[j][0]} tree)",
-                                     fresh_outputs[i][j], outs)
+                found += differences(f"{calls[i][0]} | {calls[i][1]} in one process "
+                                     f"({sides[j][0]} tree)", fresh_outputs[i][j], outs)
     print(f"{len(configurations())} configurations, {len(calls)} calls per tree, "
-          f"{len(shuffled)} verify calls per tree in one process (seed {SEED})")
+          f"each also in one process per tree (seed {SEED})")
     return found
 
 
