@@ -90,14 +90,22 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tolerance", type=float, help="windowed residual tolerance")
 
 
-def _add_system_flags(parser: argparse.ArgumentParser, sector_keys: tuple[str, ...]) -> None:
+# the one output flag of each subcommand that builds a system
+_OUTPUT_FLAGS = {
+    "verify": ("--out_report", "write the JSON report here"),
+    "spectrum": ("--out_spectrum", "write the CSV spectrum here"),
+    "dump": ("--out_operators", "write Matrix Market dumps here"),
+}
+
+
+def _add_system_flags(parser: argparse.ArgumentParser, command: str,
+                      sector_keys: tuple[str, ...]) -> None:
     parser.add_argument("--family", choices=FAMILIES, help="structure family")
     parser.add_argument("--a", type=float, help="affine slope f_s(n) = a n + b")
     parser.add_argument("--b", type=float, help="affine offset f_s(n) = a n + b")
     parser.add_argument("--table", help="CSV path (header s,n,f) for the table family")
-    parser.add_argument("--out_report", help="write the JSON report here")
-    parser.add_argument("--out_spectrum", help="write the CSV spectrum here")
-    parser.add_argument("--out_operators", help="write Matrix Market dumps here")
+    flag, text = _OUTPUT_FLAGS[command]
+    parser.add_argument(flag, help=text)
     for name in sector_keys:
         parser.add_argument(f"--{name}", type=float,
                             help=f"constant for sector {name[1:]}")
@@ -159,7 +167,7 @@ def _parser(invoked: str | None, sector_keys: tuple[str, ...]) -> argparse.Argum
         if name == "sweep":
             _add_sweep_flags(p)
         else:
-            _add_system_flags(p, sector_keys)
+            _add_system_flags(p, name, sector_keys)
     return parser
 
 

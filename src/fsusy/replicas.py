@@ -17,6 +17,7 @@ tied level to level by H_(s-1)(n-1) = H_s(n); the wrap-around pair
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,7 +47,7 @@ _FIELDS = ("Xsm", "Xsp", "qm", "qp", "h")
 
 
 @dataclass(frozen=True)
-class ReplicaBlocks:
+class ReplicaBlocks(Mapping):
     """Every built replica side by side on the direct sum of their sector pairs.
 
     Replica ``order[i]`` = s holds sectors 2i (its sector s-1) and 2i+1 (its
@@ -56,6 +57,9 @@ class ReplicaBlocks:
     a product never leaves its replica and every weight is the replica's
     full-space weight.  With no replica built the maps are empty and there
     is no stack.
+
+    As a mapping it runs over the built s in ascending order, and
+    ``blocks[s]`` lifts replica s back to the full space on each call.
     """
 
     basis: GradedBasis
@@ -75,14 +79,19 @@ class ReplicaBlocks:
         pairs = np.array([(s - 1, s % self.basis.k) for s in self.order]).ravel()
         return self.basis.index(self.stack.level, pairs[self.stack.sector])
 
-    def full_space(self) -> dict[int, ReplicaDoublet]:
-        """Each replica's operators on the full space, by s."""
-        size = 2 * self.basis.d
-        return {s: ReplicaDoublet(s, *(
-                    _scatter(getattr(self, name), self.cols, slice(i * size, (i + 1) * size),
-                             self.basis)
-                    for name in _FIELDS))
-                for i, s in enumerate(self.order)}
+    def __getitem__(self, s: int) -> ReplicaDoublet:
+        if s not in self.order:
+            raise KeyError(s)
+        start = self.order.index(s) * 2 * self.basis.d
+        own = slice(start, start + 2 * self.basis.d)
+        return ReplicaDoublet(s, *(_scatter(getattr(self, name), self.cols, own, self.basis)
+                                   for name in _FIELDS))
+
+    def __iter__(self):
+        return iter(self.order)
+
+    def __len__(self) -> int:
+        return len(self.order)
 
 
 def build_replicas(

@@ -15,7 +15,6 @@ import csv
 import os
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .realization import (
 )
 from .replicas import (
     ReplicaBlocks,
-    ReplicaDoublet,
     build_replicas,
     check_isospectrality,
     k2_reduction_entry,
@@ -121,7 +119,7 @@ class RunConfig:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradedSystem:
     """Built operators of one run: representation, doublet and the replicas
     on their stacked sector pairs.
@@ -131,17 +129,12 @@ class GradedSystem:
 
     rep: AlgebraRep
     doublet: FsusyDoublet
-    blocks: ReplicaBlocks
+    replicas: ReplicaBlocks
     refused: dict[int, FactorizationError]
 
     @property
     def d_effective(self) -> int:
         return self.rep.basis.d
-
-    @cached_property
-    def replicas(self) -> dict[int, ReplicaDoublet]:
-        """Each built replica on the full space, by s, derived on first use."""
-        return self.blocks.full_space()
 
 
 # values that overflow float64 are refused as construction failures instead of warning
@@ -203,7 +196,7 @@ def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
         entries.append(partner_consistency_entry(doublet, scoring))
         entries.append(check_isospectrality(doublet, scoring))
 
-        replica_entries = verify_replicas(system.blocks, doublet, scoring)
+        replica_entries = verify_replicas(system.replicas, doublet, scoring)
         for s in range(2, config.k + 1):
             if s in system.refused:
                 entries.append(ReportEntry.failure(
@@ -212,8 +205,8 @@ def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
                     system.refused[s]))
             else:
                 entries += replica_entries[s]
-        entries.append(verify_sum_identity(doublet, system.blocks, scoring))
-        if config.k == 2 and 2 in system.blocks.order:
+        entries.append(verify_sum_identity(doublet, system.replicas, scoring))
+        if config.k == 2 and 2 in system.replicas.order:
             entries.append(k2_reduction_entry(doublet, system.replicas[2], scoring))
 
         entries += verify_kfermions(pair, scoring)
@@ -226,27 +219,22 @@ def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
     return entries
 
 
-def emit_spectrum(
-    doublet: FsusyDoublet,
-    replicas: dict[int, ReplicaDoublet],
-    path: str,
-) -> None:
+def emit_spectrum(doublet: FsusyDoublet, replicas: ReplicaBlocks, path: str) -> None:
     """Write partner and replica energies as CSV rows s,n,energy,replica_s.
 
     Partner ladder rows carry an empty replica_s; replica rows repeat the two
-    ladders a replica couples, read off the built h(s) diagonal (so the
+    ladders a replica couples, read off the diagonal of the stacked h (so the
     omitted ground level shows its true entry, zero).  Energies are written
     as the shortest round-trip ``repr`` of their float64, signed zeros kept.
     """
-    basis = doublet.rep.basis
     rows = [[s, n, energy, ""]
             for s, ladder in enumerate(doublet.partners.tolist(), start=1)
             for n, energy in enumerate(ladder)]
-    for s in sorted(replicas):
-        h = replicas[s].h.diagonal().real
-        for ladder in (s - 1, s):
-            rows += ([ladder, n, energy, s]
-                     for n, energy in enumerate(h[basis.sector_mask(ladder)].tolist()))
+    # replica s's sectors s-1 and s mod k, as rows 0 and 1 of its block
+    h = replicas.h.diagonal().real.reshape(len(replicas), 2, doublet.rep.basis.d)
+    for s, pair in zip(replicas, h.tolist()):
+        for ladder, energies in zip((s - 1, s), pair):
+            rows += ([ladder, n, energy, s] for n, energy in enumerate(energies))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["s", "n", "energy", "replica_s"])
@@ -295,7 +283,7 @@ def named_operators(system: GradedSystem) -> dict[str, ColumnMap]:
     ops = {"Xm": rep.Xm, "Xp": rep.Xp, "N": rep.N, "K": rep.K}
     ops.update((f"Pi_{s}", rep.projector(s)) for s in range(rep.basis.k))
     ops.update(Qm=doublet.Qm, Qp=doublet.Qp, H=doublet.H)
-    for s, rd in sorted(system.replicas.items()):
+    for s, rd in system.replicas.items():
         ops.update({f"X{s}m": rd.Xsm, f"X{s}p": rd.Xsp, f"q{s}m": rd.qm,
                     f"q{s}p": rd.qp, f"h{s}": rd.h})
     return ops

@@ -282,8 +282,7 @@ def test_slack_levels_are_dropped_like_the_level_loop():
     doublet = system.doublet
     assert d == system.d_effective
     for slack in range(d):
-        blocks, refused = build_replicas(doublet, slack)
-        replicas = blocks.full_space()
+        replicas, refused = build_replicas(doublet, slack)
         for s in (2, 3):
             try:
                 expected = level_shift_operators(doublet, s, slack)
@@ -532,12 +531,12 @@ def test_batched_checks_match_the_one_at_a_time_route(k, label):
     want = reference_verify_system(system, config)
     assert [entry_bits(e) for e in got] == [entry_bits(e) for e in want]
     replicas, _ = reference_replicas(system.doublet, k)
-    batch = verify_replicas(system.blocks, system.doublet, config.scoring)
+    batch = verify_replicas(system.replicas, system.doublet, config.scoring)
     assert sorted(batch) == sorted(replicas)
     for s, rd in replicas.items():
         one = reference_verify_replica(rd, system.doublet, k)
         assert [entry_bits(e) for e in batch[s]] == [entry_bits(e) for e in one]
-    assert (entry_bits(verify_sum_identity(system.doublet, system.blocks, config.scoring))
+    assert (entry_bits(verify_sum_identity(system.doublet, system.replicas, config.scoring))
             == entry_bits(reference_sum_identity(system.doublet, replicas, k)))
 
 
@@ -546,7 +545,7 @@ def test_replica_stack_matches_the_one_at_a_time_build(k, label):
     # refused replicas included (k = 4 falling, k = 5 unit), and levels
     # dropped inside the top slack (k = 6 .. 8 falling: replica 2 drops n = 39)
     system = build_system(RunConfig(k=k, d=40, spec=CHECK_FAMILIES[label](k), margin=k))
-    blocks, basis = system.blocks, system.rep.basis
+    blocks, basis = system.replicas, system.rep.basis
     replicas, refused = reference_replicas(system.doublet, k)
     assert ({s: refusal(e) for s, e in system.refused.items()}
             == {s: refusal(e) for s, e in refused.items()})
@@ -655,7 +654,7 @@ def test_batched_checks_make_the_same_calls_at_every_order(monkeypatch, clear_or
     for k in (3, 8):
         config = RunConfig(k=k, d=40, spec=StructureSpec.affine_family(k, 0.5, 1.0), margin=k)
         system = build_system(config)
-        assert len(system.blocks.order) == k - 1
+        assert len(system.replicas.order) == k - 1
         F, basis = system.rep.F, system.rep.basis
         clear_order_caches()
         pair = build_kfermion_pair(k)

@@ -464,6 +464,35 @@ class TestExitCodes:
         assert header.startswith("%%MatrixMarket")
 
 
+class TestOutputFlags:
+    """Each subcommand takes only the output flag it writes; a config file
+    may hold every output key, and each subcommand reads its own."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("verify", ["--out_spectrum", "x.csv", "--out_operators", "ops/"]),
+        ("spectrum", ["--out_spectrum", "s.csv", "--out_report", "r.json"]),
+        ("dump", ["--out_operators", "ops", "--out_spectrum", "s.csv"]),
+    ])
+    def test_foreign_output_flag_exits_2(self, tmp_path, capsys, monkeypatch, command, flags):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--k", "3", "--d", "12", "--a", "0.5", "--b", "1", *flags])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_file_holds_every_output(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 3\nd = 12\nout_report = r.json\nout_spectrum = s.csv\n"
+                       "out_operators = ops\n", encoding="utf-8")
+        for command, written in (("verify", "r.json"), ("spectrum", "s.csv"), ("dump", "ops")):
+            workdir = tmp_path / command
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            assert main([command, "--config", str(cfg)]) == 0
+            assert [p.name for p in workdir.iterdir()] == [written]
+
+
 class TestSweep:
     def test_grid_reports_and_index(self, tmp_path, capsys):
         out_dir = tmp_path / "sweep"
@@ -673,9 +702,8 @@ USAGE_ERRORS = [
 
 
 class TestParserText:
-    """Help and usage errors, byte for byte as fsusy printed them while it
-    still gave every subcommand its flags on every call (argparse of Python
-    3.11 at 80 columns)."""
+    """Help and usage errors, byte for byte (argparse of Python 3.11 at 80
+    columns)."""
 
     @pytest.mark.parametrize("argv, golden", HELP_CASES)
     def test_help(self, monkeypatch, capsys, argv, golden):

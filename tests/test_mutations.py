@@ -112,7 +112,7 @@ def hamiltonian_case(s):
         doublet = dataclasses.replace(doublet, H=H)
         return verify_fsusy(doublet, scoring) + [
             partner_consistency_entry(doublet, scoring),
-            verify_sum_identity(doublet, system.blocks, scoring),
+            verify_sum_identity(doublet, system.replicas, scoring),
         ]
     return run
 
@@ -125,13 +125,13 @@ def partner_case(s):
         partners[s - 1, n] *= factor
         doublet = dataclasses.replace(doublet, partners=partners)
         return [check_isospectrality(doublet, Scoring(doublet.k, 1e-10))] + replica_entries(
-            system.blocks, doublet)
+            system.replicas, doublet)
     return run
 
 
 def replica_case(s, field, sector):
     def run(system, n, factor):
-        blocks = system.blocks
+        blocks = system.replicas
         op = scaled(getattr(blocks, field), stacked_column(blocks, s, n, sector), factor)
         return replica_entries(dataclasses.replace(blocks, **{field: op}), system.doublet)
     return run
@@ -228,7 +228,7 @@ def test_stray_replica_weight_fails_only_its_replica(systems, k, how):
     field = "h" if how.startswith("h") else "Xsm"
     for label in family_specs(k):
         system = systems[k, label]
-        blocks, doublet = system.blocks, system.doublet
+        blocks, doublet = system.replicas, system.doublet
         op = getattr(blocks, field)
         before = verify_replicas(blocks, doublet, Scoring(k, 1e-10))
         top = system.d_effective - 1 - k

@@ -30,7 +30,7 @@ def build_replica(db, s, slack=0):
     blocks, refused = build_replicas(db, slack)
     if s in refused:
         raise refused[s]
-    return blocks.full_space()[s]
+    return blocks[s]
 
 
 def build_shift_operators(db, s, slack=0):
@@ -255,7 +255,7 @@ def test_stack_without_replicas():
     assert {s: (e.s, e.n, e.value) for s, e in refused.items()} == {
         s: (s, 1, -1.0) for s in (2, 3, 4)}
     assert all(op.dim == 0 for op in (blocks.Xsm, blocks.Xsp, blocks.qm, blocks.qp, blocks.h))
-    assert blocks.full_space() == {}
+    assert dict(blocks) == {}
     assert verify_replicas(blocks, db, Scoring(4, 1e-10)) == {}
     entry = verify_sum_identity(db, blocks, Scoring(4, 1e-10))
     assert not entry.passed and entry.residual is None

@@ -56,17 +56,18 @@ def entrywise_matrix_market(op: ColumnMap) -> str:
     return "\n".join(lines + body) + "\n"
 
 
-def entrywise_spectrum(system: GradedSystem) -> str:
-    """Spectrum CSV from the row-by-row loop of the former writer."""
-    doublet, basis = system.doublet, system.rep.basis
+def entrywise_spectrum(doublet, replicas) -> str:
+    """Spectrum CSV from the row-by-row loop of the former writer, each
+    replica's energies read off its h lifted to the full space."""
+    basis = doublet.rep.basis
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["s", "n", "energy", "replica_s"])
     for s in range(1, doublet.k + 1):
         for n in range(doublet.d):
             writer.writerow([s, n, doublet.partner(s, n), ""])
-    for s in sorted(system.replicas):
-        h = system.replicas[s].h.diagonal()
+    for s in sorted(replicas):
+        h = replicas[s].h.diagonal()
         for ladder in (s - 1, s):
             for n in range(doublet.d):
                 writer.writerow([ladder, n, float(h[basis.index(n, ladder)].real), s])
@@ -279,7 +280,42 @@ class TestEmitSpectrum:
         system = build_system(RunConfig(k=k, d=d, spec=spec, margin=k))
         path = tmp_path / "spectrum.csv"
         emit_spectrum(system.doublet, system.replicas, str(path))
-        assert path.read_bytes() == entrywise_spectrum(system).encode("utf-8")
+        assert path.read_bytes() == entrywise_spectrum(
+            system.doublet, system.replicas).encode("utf-8")
+
+    @staticmethod
+    def refusing(rows):
+        """A k=4 doublet whose partner rows ``rows`` are negative at level 1,
+        and its replicas."""
+        doublet = small_system(4, 12, StructureSpec.affine_family(4, 0.5, 1.0)).doublet
+        partners = doublet.partners.copy()
+        partners[rows, 1] = -1.0
+        doublet = dataclasses.replace(doublet, partners=partners)
+        return (doublet, *build_replicas(doublet))
+
+    def test_replicas_other_than_the_first_ones(self, tmp_path):
+        # H_3(1) < 0: replica 3 is refused, so the stack holds replicas 2 and 4
+        doublet, replicas, refused = self.refusing([2])
+        assert sorted(refused) == [3]
+        assert list(replicas) == [2, 4] and len(replicas) == 2
+        assert 3 not in replicas and 4 in replicas
+        for s in (0, 1, 3, 5):
+            with pytest.raises(KeyError):
+                replicas[s]
+        path = tmp_path / "spectrum.csv"
+        emit_spectrum(doublet, replicas, str(path))
+        assert path.read_bytes() == entrywise_spectrum(doublet, replicas).encode("utf-8")
+        assert {line.split(",")[3] for line in path.read_text(encoding="utf-8").splitlines()[1:]} \
+            == {"", "2", "4"}
+
+    def test_every_replica_refused(self, tmp_path):
+        doublet, replicas, refused = self.refusing([1, 2, 3])
+        assert sorted(refused) == [2, 3, 4]
+        assert list(replicas) == [] and len(replicas) == 0
+        path = tmp_path / "spectrum.csv"
+        emit_spectrum(doublet, replicas, str(path))
+        assert path.read_bytes() == entrywise_spectrum(doublet, replicas).encode("utf-8")
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + 4 * 12
 
 
 class TestMatrixMarket:
@@ -466,6 +502,20 @@ def test_build_system_memory_is_linear_in_dimension():
         config = RunConfig(k=k, d=d, spec=StructureSpec.affine_family(k, 0.5, 1.0), margin=k)
         peak = traced_peak(build_system, config)
         assert peak < 16 * 2**20, (k, d, peak)
+
+
+def test_spectrum_memory_is_linear_in_dimension(tmp_path):
+    # lifting all 63 replicas to the full space at once, 5 maps of kd
+    # columns each, peaks at 64 MiB here
+    config = RunConfig(k=64, d=125, spec=StructureSpec.affine_family(64, 0.5, 1.0), margin=64)
+    path = str(tmp_path / "spectrum.csv")
+
+    def build_and_emit(config):
+        system = build_system(config)
+        emit_spectrum(system.doublet, system.replicas, path)
+
+    peak = traced_peak(build_and_emit, config)
+    assert peak < 16 * 2**20, peak
 
 
 @pytest.mark.parametrize("k, d", [(8, 1000), (32, 250), (64, 125)])

@@ -4,9 +4,9 @@
 
 Each root is a checkout holding ``src/fsusy``.  Every configuration below
 goes through ``verify``, ``spectrum`` and ``dump`` (the large ones through
-``verify`` only, one affine grid through ``sweep``, serially and with two
-workers, and the parser's text through ``verify -h`` and an unknown
-subcommand), each call in a fresh ``python3 -m fsusy`` subprocess with that
+``verify`` only, or at k=64, d=500 through ``verify`` and ``spectrum``, one
+affine grid through ``sweep``, serially and with two workers, and the
+parser's text through ``verify -h`` and an unknown subcommand), each call in a fresh ``python3 -m fsusy`` subprocess with that
 tree's ``src`` alone on the path, one BLAS thread, and its own empty working
 directory.  The exit code, stdout, stderr and every file the call writes
 (report, spectrum CSV, each ``.mtx``, a sweep's reports and ``index.json``)
@@ -94,9 +94,11 @@ def configurations() -> dict[str, tuple[list[str], tuple[str, ...]]]:
         # H sums (k-1)^2 = 529 terms here, each partner energy 22 f_t terms
         "k=24 d=60 affine(0.5,1)": (["--k", "24", "--d", "60", "--a", "0.5", "--b", "1"], every),
         "k=24 d=60 constant": (["--k", "24", "--d", "60", "--family", "constant"], every),
+        # 63 replicas on one stack; the constant family refuses 30 of them
         "k=64 d=500 affine(0.5,1)": (
-            ["--k", "64", "--d", "500", "--a", "0.5", "--b", "1"], ("verify",)),
-        "k=64 d=500 constant": (["--k", "64", "--d", "500", "--family", "constant"], ("verify",)),
+            ["--k", "64", "--d", "500", "--a", "0.5", "--b", "1"], ("verify", "spectrum")),
+        "k=64 d=500 constant": (
+            ["--k", "64", "--d", "500", "--family", "constant"], ("verify", "spectrum")),
         "k=32 d=1000 affine(0.5,1)": (
             ["--k", "32", "--d", "1000", "--a", "0.5", "--b", "1"], ("verify",)),
     })
