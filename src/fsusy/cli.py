@@ -295,17 +295,14 @@ def cmd_dump(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _grid(bounds: list[float], label: str) -> np.ndarray:
+def _steps(bounds: list[float], label: str) -> int:
     lo, hi, steps = bounds
     if not np.isfinite([lo, hi, steps]).all():
         raise ConfigError(f"{label} values must be finite, got {lo} {hi} {steps}")
     count = int(steps)
     if count < 1 or count != steps:
         raise ConfigError(f"{label} step count must be a positive integer, got {steps}")
-    try:
-        return np.linspace(lo, hi, count)
-    except (ValueError, MemoryError):
-        raise ConfigError(f"--{label} step count {steps:g} is too large to allocate") from None
+    return count
 
 
 def _sweep_point(args: tuple) -> dict:
@@ -335,10 +332,12 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     if ns.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {ns.jobs}")
     jobs = min(ns.jobs, os.cpu_count() or 1)
+    a_steps, b_steps = _steps(ns.a_range, "a-range"), _steps(ns.b_range, "b-range")
+    RunConfig.check_sweep(a_steps, b_steps)
     tasks = [
         (i, j, float(a), float(b), base, ns.out_dir)
-        for i, a in enumerate(_grid(ns.a_range, "a-range"))
-        for j, b in enumerate(_grid(ns.b_range, "b-range"))
+        for i, a in enumerate(np.linspace(*ns.a_range[:2], a_steps))
+        for j, b in enumerate(np.linspace(*ns.b_range[:2], b_steps))
     ]
     os.makedirs(ns.out_dir, exist_ok=True)
     if jobs > 1:

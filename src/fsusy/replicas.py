@@ -17,7 +17,6 @@ tied level to level by H_(s-1)(n-1) = H_s(n); the wrap-around pair
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,35 +30,19 @@ from .wkalg import ColumnMap, Scoring, score
 
 
 @dataclass(frozen=True)
-class ReplicaDoublet:
-    """One ordinary SUSY replica on the full space: shift operators, charges
-    and Hamiltonian."""
-
-    s: int
-    Xsm: ColumnMap
-    Xsp: ColumnMap
-    qm: ColumnMap
-    qp: ColumnMap
-    h: ColumnMap
-
-
-_FIELDS = ("Xsm", "Xsp", "qm", "qp", "h")
-
-
-@dataclass(frozen=True)
-class ReplicaBlocks(Mapping):
+class ReplicaBlocks:
     """Every built replica side by side on the direct sum of their sector pairs.
 
     Replica ``order[i]`` = s holds sectors 2i (its sector s-1) and 2i+1 (its
     sector s mod k) of ``stack``, a graded basis of 2m sectors of d levels
     for m replicas; ``cols`` is the full-space column of every stacked
-    column.  Each field of ``_FIELDS`` is one block-diagonal column map, so
-    a product never leaves its replica and every weight is the replica's
-    full-space weight.  With no replica built the maps are empty and there
-    is no stack.
+    column.  Each of the fields Xsm, Xsp, qm, qp and h is one block-diagonal
+    column map, so a product never leaves its replica and every weight is
+    the replica's full-space weight.  With no replica built the maps are
+    empty and there is no stack.
 
-    As a mapping it runs over the built s in ascending order, and
-    ``blocks[s]`` lifts replica s back to the full space on each call.
+    Iterating runs over the built s in ascending order; ``lift`` gives one
+    field of one replica on the full space.
     """
 
     basis: GradedBasis
@@ -79,19 +62,17 @@ class ReplicaBlocks(Mapping):
         pairs = np.array([(s - 1, s % self.basis.k) for s in self.order]).ravel()
         return self.basis.index(self.stack.level, pairs[self.stack.sector])
 
-    def __getitem__(self, s: int) -> ReplicaDoublet:
+    def lift(self, name: str, s: int) -> ColumnMap:
+        """Field ``name`` of replica s on the full space, formed on each call;
+        an s that was not built raises KeyError."""
         if s not in self.order:
             raise KeyError(s)
         start = self.order.index(s) * 2 * self.basis.d
         own = slice(start, start + 2 * self.basis.d)
-        return ReplicaDoublet(s, *(_scatter(getattr(self, name), self.cols, own, self.basis)
-                                   for name in _FIELDS))
+        return _scatter(getattr(self, name), self.cols, own, self.basis)
 
     def __iter__(self):
         return iter(self.order)
-
-    def __len__(self) -> int:
-        return len(self.order)
 
 
 def build_replicas(
@@ -185,7 +166,7 @@ def verify_replicas(
     lower = stack.sector % 2 == 0
     inside = window.mask[blocks.cols]
 
-    Xsm, Xsp, qm, qp, h = (getattr(blocks, name) for name in _FIELDS)
+    Xsm, Xsp, qm, qp, h = blocks.Xsm, blocks.Xsp, blocks.qm, blocks.qp, blocks.h
     zero = ColumnMap.diag(np.zeros(stack.dim))
 
     # the two partner ladders of each replica: H_(s-1) on sector s-1 and
@@ -266,13 +247,13 @@ def verify_sum_identity(
         name, statement, score([(doublet.H, rhs)], window.mask)[0], "windowed", window)
 
 
-def k2_reduction_entry(doublet: FsusyDoublet, rd: ReplicaDoublet, scoring: Scoring) -> ReportEntry:
-    """For k = 2 the single replica reproduces H entrywise."""
-    if doublet.k != 2 or rd.s != 2:
+def k2_reduction_entry(doublet: FsusyDoublet, h: ColumnMap, scoring: Scoring) -> ReportEntry:
+    """For k = 2 the single replica's h, on the full space, reproduces H entrywise."""
+    if doublet.k != 2:
         raise FsusyError("the reduction check applies to the k = 2 replica only")
     window = doublet.rep.basis.window(scoring.margin)
     return scoring.entry(
         "reduction.total_hamiltonian",
         "for order 2 the replica Hamiltonian h(2) equals H entrywise",
-        score([(rd.h, doublet.H)], window.mask)[0], "strict", window,
+        score([(h, doublet.H)], window.mask)[0], "strict", window,
     )

@@ -14,7 +14,9 @@ from __future__ import annotations
 import csv
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -92,10 +94,23 @@ class RunConfig:
             raise ConfigError(f"margin {margin} leaves no window inside {d} levels")
         # the peak of a verify run: k + 31 column maps of kd columns at 24
         # bytes a column, verify_fsusy's k + 1 powers of Q- and 30 for the
-        # built system and the checks; the interpreter, cgroup limits and the
-        # spectrum and dump outputs are not counted
+        # built system and the checks, which from kd = 8000 on also covers the
+        # spectrum and the dump; the interpreter and cgroup limits are not counted
         if 24 * (k + 31) * k * d > _physical_memory():
             raise too_large(k, d)
+
+    @staticmethod
+    def check_sweep(a_steps: int, b_steps: int) -> None:
+        """Refuse a sweep grid that cannot be listed in this machine's memory,
+        counted as a lower bound: 8 bytes a step for each range's float64 array
+        and, for each point, a list slot and a six-slot task tuple, 8 + 88 bytes."""
+        memory = _physical_memory()
+        for label, steps in (("a-range", a_steps), ("b-range", b_steps)):
+            if 8 * steps > memory:
+                raise ConfigError(f"--{label} step count {steps:g} is too large to allocate")
+        if 96 * a_steps * b_steps > memory:
+            raise ConfigError(f"a sweep grid of {a_steps} a-range by {b_steps} b-range "
+                              "steps is too large to list")
 
     @property
     def scoring(self) -> Scoring:
@@ -207,7 +222,7 @@ def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
                 entries += replica_entries[s]
         entries.append(verify_sum_identity(doublet, system.replicas, scoring))
         if config.k == 2 and 2 in system.replicas.order:
-            entries.append(k2_reduction_entry(doublet, system.replicas[2], scoring))
+            entries.append(k2_reduction_entry(doublet, system.replicas.lift("h", 2), scoring))
 
         entries += verify_kfermions(pair, scoring)
         entries += tensor_entries
@@ -227,18 +242,16 @@ def emit_spectrum(doublet: FsusyDoublet, replicas: ReplicaBlocks, path: str) -> 
     omitted ground level shows its true entry, zero).  Energies are written
     as the shortest round-trip ``repr`` of their float64, signed zeros kept.
     """
-    rows = [[s, n, energy, ""]
-            for s, ladder in enumerate(doublet.partners.tolist(), start=1)
-            for n, energy in enumerate(ladder)]
     # replica s's sectors s-1 and s mod k, as rows 0 and 1 of its block
-    h = replicas.h.diagonal().real.reshape(len(replicas), 2, doublet.rep.basis.d)
-    for s, pair in zip(replicas, h.tolist()):
-        for ladder, energies in zip((s - 1, s), pair):
-            rows += ([ladder, n, energy, s] for n, energy in enumerate(energies))
+    h = replicas.h.diagonal().real.reshape(len(replicas.order), 2, doublet.rep.basis.d)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["s", "n", "energy", "replica_s"])
-        writer.writerows(rows)
+        for s, ladder in enumerate(doublet.partners, start=1):
+            writer.writerows([s, n, energy, ""] for n, energy in enumerate(ladder.tolist()))
+        for s, pair in zip(replicas, h):
+            for ladder, energies in zip((s - 1, s), pair.tolist()):
+                writer.writerows([ladder, n, energy, s] for n, energy in enumerate(energies))
 
 
 def write_matrix_market(
@@ -277,15 +290,17 @@ def write_matrix_market(
                  f"{op.dim} {op.dim} {cols.size}\n" + "".join(line))
 
 
-def named_operators(system: GradedSystem) -> dict[str, ColumnMap]:
-    """Every built operator under its dump name, in dump order."""
-    rep, doublet = system.rep, system.doublet
-    ops = {"Xm": rep.Xm, "Xp": rep.Xp, "N": rep.N, "K": rep.K}
-    ops.update((f"Pi_{s}", rep.projector(s)) for s in range(rep.basis.k))
-    ops.update(Qm=doublet.Qm, Qp=doublet.Qp, H=doublet.H)
-    for s, rd in system.replicas.items():
-        ops.update({f"X{s}m": rd.Xsm, f"X{s}p": rd.Xsp, f"q{s}m": rd.qm,
-                    f"q{s}p": rd.qp, f"h{s}": rd.h})
+def named_operators(system: GradedSystem) -> dict[str, Callable[[], ColumnMap]]:
+    """Every built operator's dump name, in dump order, with a call that makes
+    the operator; a projector or replica map is lifted only when called."""
+    rep, doublet, lift = system.rep, system.doublet, system.replicas.lift
+    ops = {name: partial(getattr, rep, name) for name in ("Xm", "Xp", "N", "K")}
+    ops.update((f"Pi_{s}", partial(rep.projector, s)) for s in range(rep.basis.k))
+    ops.update((name, partial(getattr, doublet, name)) for name in ("Qm", "Qp", "H"))
+    for s in system.replicas:
+        ops.update({f"X{s}m": partial(lift, "Xsm", s), f"X{s}p": partial(lift, "Xsp", s),
+                    f"q{s}m": partial(lift, "qm", s), f"q{s}p": partial(lift, "qp", s),
+                    f"h{s}": partial(lift, "h", s)})
     return ops
 
 
@@ -294,9 +309,10 @@ def dump_operators(system: GradedSystem, directory: str) -> list[str]:
 
     A ``.mtx`` file already in the directory that this dump would not
     overwrite, say a leftover of a larger system or of a replica now refused,
-    raises ConfigError before anything is written; no file is deleted.
+    raises ConfigError before anything is written; no file is deleted.  Each
+    operator is made as its file is written, so one lifted map is held at a time.
     """
-    files = {f"{name}.mtx": op for name, op in named_operators(system).items()}
+    files = {f"{name}.mtx": make for name, make in named_operators(system).items()}
     if os.path.isdir(directory):
         stale = sorted(f for f in os.listdir(directory)
                        if f.endswith(".mtx") and f not in files)
@@ -309,8 +325,8 @@ def dump_operators(system: GradedSystem, directory: str) -> list[str]:
     text: dict[int, str] = {}
     index = [str(i) for i in range(1, system.rep.basis.dim + 1)]
     written = []
-    for name, op in files.items():
+    for name, make in files.items():
         path = os.path.join(directory, name)
-        write_matrix_market(path, op, text, index)
+        write_matrix_market(path, make(), text, index)
         written.append(path)
     return written

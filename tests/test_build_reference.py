@@ -42,7 +42,6 @@ from fsusy.realization import (
     verify_kfermions,
 )
 from fsusy.replicas import (
-    ReplicaDoublet,
     build_replicas,
     check_isospectrality,
     k2_reduction_entry,
@@ -161,6 +160,18 @@ def build_shift_operators(
     return Xsm, Xsm.adjoint()
 
 
+@dataclasses.dataclass(frozen=True)
+class ReplicaDoublet:
+    """One replica on the whole space: shift operators, charges and h."""
+
+    s: int
+    Xsm: ColumnMap
+    Xsp: ColumnMap
+    qm: ColumnMap
+    qp: ColumnMap
+    h: ColumnMap
+
+
 def build_replica(doublet: FsusyDoublet, s: int, slack: int = 0) -> ReplicaDoublet:
     """Replica s on the whole space, its charges and h masked by sector."""
     Xsm, Xsp = build_shift_operators(doublet, s, slack)
@@ -241,8 +252,8 @@ def test_shift_operators_and_refusals_match_the_level_loop(built):
         except FactorizationError as exc:
             refused[s] = (exc.s, exc.n, exc.value)
             continue
-        assert_same_map(system.replicas[s].Xsm, expected)
-        assert_same_map(system.replicas[s].Xsp, expected.adjoint())
+        assert_same_map(system.replicas.lift("Xsm", s), expected)
+        assert_same_map(system.replicas.lift("Xsp", s), expected.adjoint())
     assert {s: (e.s, e.n, e.value) for s, e in system.refused.items()} == refused
 
 
@@ -264,8 +275,9 @@ def test_other_families_match_the_scalar_loops(spec):
     assert rep.F.values.tobytes() == F.truncate(rep.basis.d).values.tobytes()
     assert system.doublet.partners.tobytes() == scalar_partner_table(rep).tobytes()
     assert_same_map(system.doublet.H, term_hamiltonian(rep))
-    for s, replica in system.replicas.items():
-        assert_same_map(replica.Xsm, level_shift_operators(system.doublet, s, spec.k))
+    for s in system.replicas:
+        assert_same_map(system.replicas.lift("Xsm", s),
+                        level_shift_operators(system.doublet, s, spec.k))
     # with zero structure values the boson weights vanish, and so do their targets
     pair = build_kfermion_pair(spec.k)
     tensor, reference = build_tensor_realization(pair, rep), reference_tensor(pair, rep)
@@ -291,7 +303,7 @@ def test_slack_levels_are_dropped_like_the_level_loop():
                 assert refusal(refused[s]) == refusal(exc)
                 continue
             assert s not in refused
-            assert_same_map(replicas[s].Xsm, expected)
+            assert_same_map(replicas.lift("Xsm", s), expected)
 
 
 
@@ -484,7 +496,7 @@ def reference_verify_system(system, config):
                 entries += reference_verify_replica(replicas[s], doublet, margin, tol, strict)
         entries.append(reference_sum_identity(doublet, replicas, margin, tol))
         if config.k == 2 and 2 in replicas:
-            entries.append(k2_reduction_entry(doublet, replicas[2], scoring))
+            entries.append(k2_reduction_entry(doublet, replicas[2].h, scoring))
         pair = build_kfermion_pair(config.k)
         entries += verify_kfermions(pair, scoring)
         try:
@@ -568,7 +580,7 @@ def test_replica_stack_matches_the_one_at_a_time_build(k, label):
             assert np.all((to >= own[0]) & (to <= own[-1])), name
             assert np.array_equal(blocks.cols[to], full.target[cols][weight != 0]), name
             # readers of the full space get the one-at-a-time map itself
-            assert_same_map(getattr(system.replicas[s], name), full)
+            assert_same_map(blocks.lift(name, s), full)
 
 
 @pytest.mark.parametrize("k,label", CHECK_POINTS, ids=[f"k={k}-{lb}" for k, lb in CHECK_POINTS])

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fsusy.cli
+import fsusy.suite
 from fsusy.cli import main, parse_config_file
 from fsusy.errors import ConfigError
 
@@ -546,6 +547,21 @@ class TestSweep:
                      "--out-dir", str(out_dir)])
         assert code == 2
         assert "--a-range step count 1e+30 is too large to allocate" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_grid_too_large_to_list_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
+        # the system at k=3, d=10 is counted at 24480 bytes and fits; the
+        # 10 x 30 grid's 300 points at 96 bytes each do not
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 24480)
+        monkeypatch.setattr(fsusy.cli, "run_verification_suite",
+                            lambda config: pytest.fail("a point ran"))
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", "--k", "3", "--d", "10",
+                     "--a-range", "0", "1", "10", "--b-range", "1", "2", "30",
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: a sweep grid of 10 a-range by 30 b-range steps is too large to list\n")
         assert not out_dir.exists()
 
     def test_invalid_order_exits_2_before_writing(self, tmp_path, capsys):

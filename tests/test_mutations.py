@@ -138,9 +138,9 @@ def replica_case(s, field, sector):
 
 
 def reduction_case(system, n, factor):
-    rd, doublet = system.replicas[2], system.doublet
-    h = scaled(rd.h, doublet.rep.basis.index(n, 1), factor)
-    return [k2_reduction_entry(doublet, dataclasses.replace(rd, h=h), Scoring(2, 1e-10))]
+    doublet = system.doublet
+    h = scaled(system.replicas.lift("h", 2), doublet.rep.basis.index(n, 1), factor)
+    return [k2_reduction_entry(doublet, h, Scoring(2, 1e-10))]
 
 
 CASES = {

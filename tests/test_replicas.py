@@ -24,18 +24,17 @@ def make_doublet(k, d, spec=None):
     return build_doublet(rep)
 
 
-def build_replica(db, s, slack=0):
-    """Replica s on the full space, from the stack of every replica; its
-    refusal is raised."""
+def lift(db, name, s, slack=0):
+    """Field ``name`` of replica s on the full space, from the stack of every
+    replica; its refusal is raised."""
     blocks, refused = build_replicas(db, slack)
     if s in refused:
         raise refused[s]
-    return blocks[s]
+    return blocks.lift(name, s)
 
 
 def build_shift_operators(db, s, slack=0):
-    rd = build_replica(db, s, slack)
-    return rd.Xsm, rd.Xsp
+    return lift(db, "Xsm", s, slack), lift(db, "Xsp", s, slack)
 
 
 def replica_entries(db, margin):
@@ -115,9 +114,8 @@ def test_replica_hamiltonian_diagonal_values():
     # k=3, f=1, s=2: sector 1 carries H_1(n) = 2n+3, sector 2 carries
     # H_2(n) = 2n+1 with the ground entry omitted, sector 0 is empty
     db = make_doublet(3, 8)
-    rd = build_replica(db, 2)
     basis = db.rep.basis
-    h = rd.h.dense()
+    h = lift(db, "h", 2).dense()
     for n in range(7):
         assert h[basis.index(n, 1), basis.index(n, 1)].real == pytest.approx(2 * n + 3)
     for n in range(1, 7):
@@ -144,11 +142,11 @@ def test_intertwining_transports_eigenstates():
     # X(s)+ lifts an H_(s-1) eigenstate to an H_s eigenstate of equal energy
     db = make_doublet(3, 16)
     basis = db.rep.basis
-    rd = build_replica(db, 2)
+    Xsp = lift(db, "Xsp", 2).dense()
     for n in range(10):
         vec = np.zeros(basis.dim, dtype=complex)
         vec[basis.index(n, 1)] = 1.0
-        lifted = rd.Xsp.dense() @ vec
+        lifted = Xsp @ vec
         norm = np.linalg.norm(lifted)
         assert norm == pytest.approx(np.sqrt(db.partner(2, n + 1)))
         expected = db.partner(1, n) * lifted
@@ -210,10 +208,9 @@ def test_constant_family_refuses_the_top_replicas(k):
 
 def test_sum_identity_for_k2():
     db = make_doublet(2, 30)
-    rd = build_replica(db, 2)
     entry = verify_sum_identity(db, build_replicas(db)[0], Scoring(2, 1e-10))
     assert entry.residual < 1e-10
-    reduction = k2_reduction_entry(db, rd, Scoring(2, 1e-10))
+    reduction = k2_reduction_entry(db, lift(db, "h", 2), Scoring(2, 1e-10))
     assert reduction.residual < 1e-12
 
 
@@ -240,9 +237,9 @@ def test_sum_identity_requires_all_replicas():
 
 def test_reduction_entry_guards_its_domain():
     db = make_doublet(3, 10)
-    rd = build_replica(db, 2)
+    h = lift(db, "h", 2)
     with pytest.raises(FsusyError):
-        k2_reduction_entry(db, rd, Scoring(2, 1e-10))
+        k2_reduction_entry(db, h, Scoring(2, 1e-10))
 
 
 def test_stack_without_replicas():
@@ -255,7 +252,7 @@ def test_stack_without_replicas():
     assert {s: (e.s, e.n, e.value) for s, e in refused.items()} == {
         s: (s, 1, -1.0) for s in (2, 3, 4)}
     assert all(op.dim == 0 for op in (blocks.Xsm, blocks.Xsp, blocks.qm, blocks.qp, blocks.h))
-    assert dict(blocks) == {}
+    assert list(blocks) == []
     assert verify_replicas(blocks, db, Scoring(4, 1e-10)) == {}
     entry = verify_sum_identity(db, blocks, Scoring(4, 1e-10))
     assert not entry.passed and entry.residual is None
