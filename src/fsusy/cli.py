@@ -334,11 +334,15 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     jobs = min(ns.jobs, os.cpu_count() or 1)
     a_steps, b_steps = _steps(ns.a_range, "a-range"), _steps(ns.b_range, "b-range")
     RunConfig.check_sweep(a_steps, b_steps)
-    tasks = [
-        (i, j, float(a), float(b), base, ns.out_dir)
-        for i, a in enumerate(np.linspace(*ns.a_range[:2], a_steps))
-        for j, b in enumerate(np.linspace(*ns.b_range[:2], b_steps))
-    ]
+    try:
+        tasks = [
+            (i, j, float(a), float(b), base, ns.out_dir)
+            for i, a in enumerate(np.linspace(*ns.a_range[:2], a_steps))
+            for j, b in enumerate(np.linspace(*ns.b_range[:2], b_steps))
+        ]
+    except MemoryError:  # below physical memory, which check_sweep counts
+        raise ConfigError(f"a sweep grid of {a_steps} a-range by {b_steps} b-range "
+                          "steps is too large to list") from None
     os.makedirs(ns.out_dir, exist_ok=True)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so no other run loads it

@@ -24,13 +24,14 @@ uses b(t+1)+, the ladder of its target grade.  The weights are shared with
 the graded route; what this route checks independently is the fermion
 algebra: A, A^(k-1) and the Pf_s resolved from [f-, f+].
 
-Every operator, the k x k fermions included, is a ColumnMap, and the whole
-realization is an AlgebraRep on the graded basis: |m> (x) |t> is the state
-|m, t> of level m in sector t.
+Every operator is a graded shift, the fermions on k grades of one level,
+and the whole realization is an AlgebraRep on the graded basis: |m> (x) |t>
+is the state |m, t> of level m in sector t.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -38,10 +39,10 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import InvalidOrderError, RepresentationError
-from .fock import EIGENVALUE_MULTISET, FULL_GRADE_SPACE, FULL_SPACE, GradedBasis
+from .fock import EIGENVALUE_MULTISET, FULL_GRADE_SPACE, FULL_SPACE
 from .qarith import primitive_root, q_factorial, q_number
 from .report import ReportEntry
-from .wkalg import AlgebraRep, ColumnMap, Scoring, build_projectors, score
+from .wkalg import AlgebraRep, Scoring, Shift, build_projectors, score
 
 
 @dataclass(frozen=True)
@@ -55,26 +56,26 @@ class KFermionPair:
     """
 
     k: int
-    fm: ColumnMap
-    fp: ColumnMap
-    Kf: ColumnMap
+    fm: Shift
+    fp: Shift
+    Kf: Shift
 
     @cached_property
-    def A(self) -> ColumnMap:
+    def A(self) -> Shift:
         """A = f- + f+^(k-1) / [k-1]_q!, mapping grade t to t-1 mod k; A^k = 1."""
         k = self.k
         scale = 1 / q_factorial(k - 1, primitive_root(k))
         return _frozen(self.fm + scale * self.fp ** (k - 1))
 
     @cached_property
-    def Ak1(self) -> ColumnMap:
+    def Ak1(self) -> Shift:
         """A^(k-1) = A^(-1), mapping grade t to t+1 mod k."""
         return _frozen(self.A ** (self.k - 1))
 
     @cached_property
     def Pf(self) -> np.ndarray:
         """The grade projectors resolved from [f-, f+]: row s the diagonal of Pf_s."""
-        Pf = build_projectors(self.Kf.diagonal(), self.k)
+        Pf = build_projectors(self.Kf.weight[:, 0], self.k)
         Pf.flags.writeable = False
         return Pf
 
@@ -83,20 +84,20 @@ class KFermionPair:
         """Residual of each kfermion.* identity, by the name of its entry."""
         k, fm, fp = self.k, self.fm, self.fp
         q = primitive_root(k)
-        zero = ColumnMap.diag(np.zeros(k))
+        zero = Shift.diag(np.zeros((k, 1)))
         residuals = {
-            "q_commutator": score([(fm @ fp - q * (fp @ fm), ColumnMap.diag(np.ones(k)))]),
+            "q_commutator": score([(fm @ fp - q * (fp @ fm), Shift.diag(np.ones((k, 1))))]),
             "nilpotency": score([(fm ** k, zero), (fp ** k, zero)]),
             # [f-, f+] is diagonal, so its diagonal is its eigenvalue multiset
-            "grading_spectrum": score([(self.Kf, ColumnMap.diag(q ** np.arange(k)))]),
+            "grading_spectrum": score([(self.Kf, Shift.diag(q ** np.arange(k)[:, None]))]),
         }
         if k == 2:
             residuals["pair_adjoint"] = score([(fp, fm.adjoint())])
         return MappingProxyType({name: float(val[0]) for name, val in residuals.items()})
 
 
-def _frozen(op: ColumnMap) -> ColumnMap:
-    op.target.flags.writeable = op.weight.flags.writeable = False
+def _frozen(op: Shift) -> Shift:
+    op.weight.flags.writeable = False
     return op
 
 
@@ -106,14 +107,15 @@ def build_kfermion_pair(k: int) -> KFermionPair:
     built once per order; every array is read-only.
 
     f+|t> = |t+1> (dying at the top), f-|t> = [t]_q |t-1>, so both
-    [f-, f+]_q = 1 and [f-, f+] = diag(q^t) hold.
+    [f-, f+]_q = 1 and [f-, f+] = diag(q^t) hold.  As shifts on the cyclic
+    grades, f+ holds weight 0 at t = k-1 and f- at t = 0.
     """
     if k < 2:
         raise InvalidOrderError(f"cyclic order must be at least 2, got {k}")
     q = primitive_root(k)
     t = np.arange(k)
-    fp = ColumnMap(np.where(t < k - 1, t + 1, -1), (t < k - 1).astype(complex))
-    fm = ColumnMap(t - 1, np.array([q_number(int(j), q) for j in t]))
+    fp = Shift(0, 1, (t < k - 1).astype(complex)[:, None])
+    fm = Shift(0, -1, np.array([[q_number(int(j), q)] for j in t]))
     return KFermionPair(k, *map(_frozen, (fm, fp, fm @ fp - fp @ fm)))
 
 
@@ -136,24 +138,34 @@ def verify_kfermions(pair: KFermionPair, scoring: Scoring) -> list[ReportEntry]:
     return entries
 
 
-def _graded_sum(basis: GradedBasis, bosons: np.ndarray, to_level: np.ndarray,
-                fermions: np.ndarray, to_grade: np.ndarray) -> ColumnMap:
-    """sum_s bosons[s] (x) fermions[s] for boson weights on the d levels
-    (rows of a (k, d) array) and fermion weights on the k grades (rows of a
-    (k, k) array), filled once per grade block.
+def _graded_sum(bosons: np.ndarray, fermions: np.ndarray) -> np.ndarray:
+    """The (grade, level) weight table of sum_s bosons[s] (x) fermions[s],
+    for boson weights on the d levels (rows of a (k, d) array) and fermion
+    weights on the k grades (rows of a (k, k) array).
 
     Column |m, t> adds the k products bosons[s, m] * fermions[s, t] to zero
-    in order s = 0 .. k-1, as a sum of k Kronecker products would.  Every
-    boson sends level m to ``to_level[m]`` and every fermion grade t to
-    ``to_grade[t]`` (-1 for none), so each column has one target.
+    in order s = 0 .. k-1, as a sum of k Kronecker products would.
     """
-    weight = np.zeros((basis.k, basis.d), dtype=complex)
+    weight = np.zeros(bosons.shape, dtype=complex)
     for b, f in zip(bosons, fermions, strict=True):
         weight += b * f[:, None]
-    to_level, to_grade = to_level[basis.level], to_grade[basis.sector]
-    target = np.where((to_level >= 0) & (to_grade >= 0),
-                      basis.index(np.maximum(to_level, 0), to_grade), -1)
-    return ColumnMap(target, weight[basis.sector, basis.level])
+    return weight
+
+
+def _check_representable(k: int, F: np.ndarray) -> None:
+    """Refuse an order whose A, A^(k-1) or X+ (for structure values F) leaves
+    float64's normal range, before any is formed: |[k-1]_q!| = k / (2 sin(pi/k))^(k-1),
+    as prod_{t=1..k-1} sin(pi t/k) = k / 2^(k-1), so a_0 = 1/[k-1]_q! is
+    subnormal from k = 204 on, and X+ holds [k-1]_q! times sqrt(F)."""
+    x = (math.log(k) - (k - 1) * math.log(2 * math.sin(math.pi / k))) / math.log(10)
+    text = lambda x: f"{10 ** (x % 1):.2g}e{math.floor(x):+03d}"  # 10^x, also beyond float64
+    if -x < math.log10(np.finfo(float).tiny):
+        raise RepresentationError(f"1/[k-1]_q! = {text(-x)} is below float64's normal range "
+                                  f"at k = {k}")
+    root = math.sqrt(max(float(F.max()), 0.0))
+    if root > 0 and x + math.log10(root) > math.log10(np.finfo(float).max):
+        raise RepresentationError(f"[k-1]_q! = {text(x)} times the largest sqrt(F) = "
+                                  f"{root:.3g} overflows float64 at k = {k}")
 
 
 def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
@@ -162,6 +174,7 @@ def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
     if basis.k != k:
         raise RepresentationError(f"graded space has order {basis.k}, fermion pair {k}")
     d, F = basis.d, rep.F
+    _check_representable(k, F.values[:, :d])
     # the diagonal of Pf_s as row s: its value on each grade, which is the sector
     Pf, A, Ak1 = pair.Pf, pair.A, pair.Ak1
     # b(s)- lowers level m to m-1 with weight sqrt(F_s(m)); F_s(0) = 0 leaves
@@ -172,14 +185,13 @@ def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
     raised = np.roll(bm, -1, axis=0)[:, 1:]
     bp = np.zeros((k, d), dtype=complex)
     bp[:, :-1] = np.where(raised != 0, raised.conj(), 0)
-    up = np.append(np.where((raised != 0).any(axis=0), np.arange(1, d), -1), -1)
-    # A Pf_s and A^(k-1) Pf_s keep the targets of A and A^(k-1); X- is
-    # sum_s b(s)- (x) A Pf_s
-    Xm = _graded_sum(basis, bm, np.arange(d) - 1, A.weight * Pf, A.target)
-    Xp = _graded_sum(basis, bp, up, Ak1.weight * Pf, Ak1.target)
+    # A Pf_s and A^(k-1) Pf_s step the grade by -1 and +1 as A and A^(k-1)
+    # do, and b(s)-+ the level; X- is sum_s b(s)- (x) A Pf_s
+    Xm = Shift(-1, -1, _graded_sum(bm, A.weight[:, 0] * Pf))
+    Xp = Shift(1, 1, _graded_sum(bp, Ak1.weight[:, 0] * Pf))
     # 1 (x) K_f and 1 (x) Pf_s repeat each grade's value over its d levels;
     # N_b (x) 1 is the graded N itself
-    K = ColumnMap.diag(pair.Kf.diagonal()[basis.sector])
+    K = Shift.diag(np.broadcast_to(pair.Kf.weight, (k, d)))
     return AlgebraRep(rep.spec, basis, F, Xm, Xp, rep.N, K, Pf)
 
 
@@ -197,8 +209,8 @@ def compare_realizations(tensor: AlgebraRep, rep: AlgebraRep, scoring: Scoring) 
     # both products are diagonal, so their diagonals are their spectra, real
     # up to round-off; sorted, the i-th smallest of one pairs with the i-th
     # smallest of the other
-    spectra = [ColumnMap.diag(np.sort((Xp @ Xm).diagonal()))
-               for Xp, Xm in ((tensor.Xp, tensor.Xm), (rep.Xp, rep.Xm))]
+    products = [(Xp @ Xm).weight for Xp, Xm in ((tensor.Xp, tensor.Xm), (rep.Xp, rep.Xm))]
+    spectra = [Shift.diag(np.sort(w, axis=None).reshape(w.shape)) for w in products]
     return scoring.entry(
         "tensor.spectral_distance",
         "eigenvalues of X+ X- agree between the tensor and graded constructions",

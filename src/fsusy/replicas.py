@@ -18,7 +18,6 @@ tied level to level by H_(s-1)(n-1) = H_s(n); the wrap-around pair
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,20 +25,17 @@ from .errors import FactorizationError, FsusyError
 from .fock import FULL_SPACE, NONNEG_TOL, Columns, GradedBasis
 from .report import ReportEntry
 from .system import FsusyDoublet
-from .wkalg import ColumnMap, Scoring, score
+from .wkalg import Scoring, Shift, score
 
 
 @dataclass(frozen=True)
 class ReplicaBlocks:
     """Every built replica side by side on the direct sum of their sector pairs.
 
-    Replica ``order[i]`` = s holds sectors 2i (its sector s-1) and 2i+1 (its
-    sector s mod k) of ``stack``, a graded basis of 2m sectors of d levels
-    for m replicas; ``cols`` is the full-space column of every stacked
-    column.  Each of the fields Xsm, Xsp, qm, qp and h is one block-diagonal
-    column map, so a product never leaves its replica and every weight is
-    the replica's full-space weight.  With no replica built the maps are
-    empty and there is no stack.
+    Each of the fields Xsm, Xsp, qm, qp and h is one graded shift on an
+    (m, 2, d) table for m replicas: replica ``order[i]`` = s is block i, with
+    grade 0 its sector s-1 and grade 1 its sector s mod k, so a product never
+    leaves its replica.  With no replica built the tables are empty.
 
     Iterating runs over the built s in ascending order; ``lift`` gives one
     field of one replica on the full space.
@@ -47,29 +43,22 @@ class ReplicaBlocks:
 
     basis: GradedBasis
     order: tuple[int, ...]
-    Xsm: ColumnMap
-    Xsp: ColumnMap
-    qm: ColumnMap
-    qp: ColumnMap
-    h: ColumnMap
+    Xsm: Shift
+    Xsp: Shift
+    qm: Shift
+    qp: Shift
+    h: Shift
 
-    @cached_property
-    def stack(self) -> GradedBasis:
-        return GradedBasis(2 * len(self.order), self.basis.d)
-
-    @cached_property
-    def cols(self) -> np.ndarray:
-        pairs = np.array([(s - 1, s % self.basis.k) for s in self.order]).ravel()
-        return self.basis.index(self.stack.level, pairs[self.stack.sector])
-
-    def lift(self, name: str, s: int) -> ColumnMap:
+    def lift(self, name: str, s: int) -> Shift:
         """Field ``name`` of replica s on the full space, formed on each call;
         an s that was not built raises KeyError."""
         if s not in self.order:
             raise KeyError(s)
-        start = self.order.index(s) * 2 * self.basis.d
-        own = slice(start, start + 2 * self.basis.d)
-        return _scatter(getattr(self, name), self.cols, own, self.basis)
+        block = getattr(self, name)
+        weight = np.zeros((self.basis.k, self.basis.d), dtype=complex)
+        weight[[s - 1, s % self.basis.k]] = block.weight[self.order.index(s)]
+        # the steps of the stack are the replica's steps on the full space
+        return Shift(block.dn, block.ds, weight)
 
     def __iter__(self):
         return iter(self.order)
@@ -98,32 +87,17 @@ def build_replicas(
         refused[int(row) + 2] = FactorizationError(int(row) + 2, int(n[first]), float(v[row, first]))
     built = np.flatnonzero(~offending.any(axis=1))
     m = built.size
-    # X(s)- sends |n, s>, stacked column (2i + 1) d + n, to |n-1, s-1>, stacked
-    # column 2i d + n - 1; the negative values left sit in the top slack levels
-    # and are dropped
-    keep = ~negative[built]
-    target = np.full((m, 2, d), -1)
-    target[:, 1, 1:] = np.where(keep, np.arange(m)[:, None] * 2 * d + n - 1, -1)
+    # X(s)- sends |n, s>, grade 1 of block i, to |n-1, s-1>, its grade 0; the
+    # negative values left sit in the top slack levels and are dropped
     weight = np.zeros((m, 2, d), dtype=complex)
-    weight[:, 1, 1:] = np.where(keep, np.sqrt(np.maximum(v[built], 0.0)), 0.0)
-    Xsm = ColumnMap(target.ravel(), weight.ravel())
+    weight[:, 1, 1:] = np.where(~negative[built], np.sqrt(np.maximum(v[built], 0.0)), 0.0)
+    Xsm = Shift(-1, -1, weight)
     Xsp = Xsm.adjoint()
-    high = np.arange(2 * m * d) // d % 2 == 1
+    high = (np.arange(2) == 1)[:, None]
     h = (Xsm @ Xsp).masked(~high) + (Xsp @ Xsm).masked(high)
     blocks = ReplicaBlocks(basis, tuple(int(r) + 2 for r in built),
                            Xsm, Xsp, Xsm.masked(high), Xsp.masked(~high), h)
     return blocks, refused
-
-
-def _scatter(block: ColumnMap, cols: np.ndarray, own, basis: GradedBasis) -> ColumnMap:
-    """The stacked columns ``own`` (a mask or a slice) of a block-diagonal map,
-    back on the full space."""
-    to = block.target[own]
-    target = np.full(basis.dim, -1)
-    weight = np.zeros(basis.dim, dtype=complex)
-    target[cols[own]] = np.where(to >= 0, cols[np.maximum(to, 0)], -1)
-    weight[cols[own]] = block.weight[own]
-    return ColumnMap(target, weight)
 
 
 # the statement and tier of every replica identity
@@ -154,27 +128,28 @@ def verify_replicas(
     """
     if not blocks.order:
         return {}
-    basis, stack, m = doublet.rep.basis, blocks.stack, len(blocks.order)
+    basis, m = doublet.rep.basis, len(blocks.order)
     window = basis.window(scoring.margin)
-    # each replica's column set of every identity, on the graded basis
+    # each replica's column set of every identity, on the graded basis; only
+    # its text is reported
     columns = {s: dict(dict.fromkeys(_IDENTITIES, FULL_SPACE), intertwining=window,
-                       shift_product=window.narrow(basis.sector_mask(s - 1), f"sector {s - 1}"),
+                       shift_product=window.narrow(None, f"sector {s - 1}"),
                        partner_diagonal=window.narrow(
                            None, f"omitting ground level of sector {s % basis.k}"))
                for s in blocks.order}
-    # the same column sets on the stack, where sector s-1 is each lower sector
-    lower = stack.sector % 2 == 0
-    inside = window.mask[blocks.cols]
+    # the same column sets on the stack, where sector s-1 is each lower grade
+    lower = np.arange(2 * m * basis.d) // basis.d % 2 == 0
+    inside = np.tile(window.mask[:basis.d], 2 * m)
 
     Xsm, Xsp, qm, qp, h = blocks.Xsm, blocks.Xsp, blocks.qm, blocks.qp, blocks.h
-    zero = ColumnMap.diag(np.zeros(stack.dim))
+    zero = Shift.diag(np.zeros(h.weight.shape))
 
     # the two partner ladders of each replica: H_(s-1) on sector s-1 and
     # H_s on sector s, as rows s-2 and s-1 of the partner table
-    rows = np.array([(s - 2, s - 1) for s in blocks.order]).ravel()
-    D = ColumnMap.diag(doublet.partners[rows[stack.sector], stack.level])
-    # H_s(n + 1) on sector s-1, 0 at the top level
-    up = np.append(doublet.partners[:, 1:], np.zeros((basis.k, 1)), axis=1)
+    order = np.array(blocks.order)
+    D = Shift.diag(doublet.partners[np.stack([order - 2, order - 1], axis=1)])
+    # H_s(n + 1) on both sectors of replica s, 0 at the top level
+    up = np.append(doublet.partners[order - 1, 1:], np.zeros((m, 1)), axis=1)
 
     # each identity's products live only while it is scored
     residuals = {
@@ -183,9 +158,10 @@ def verify_replicas(
         "anticommutator": score([(h, qm @ qp + qp @ qm)], None, m),
         "hamiltonian_commutes": score(((h @ q, q @ h) for q in (qm, qp)), None, m),
         "shift_product": score(
-            [(Xsm @ Xsp, ColumnMap.diag(up[rows[stack.sector | 1], stack.level]))],
+            [(Xsm @ Xsp, Shift.diag(np.broadcast_to(up[:, None], h.weight.shape)))],
             inside & lower, m),
-        "partner_diagonal": score([(h, D.masked(lower | (stack.level > 0)))], inside, m),
+        "partner_diagonal": score(
+            [(h, D.masked((np.arange(2) == 0)[:, None] | (np.arange(basis.d) > 0)))], inside, m),
         "intertwining": score(((D @ X, X @ D) for X in (Xsm, Xsp)), inside, m),
     }
     return {
@@ -204,8 +180,8 @@ def check_isospectrality(doublet: FsusyDoublet, scoring: Scoring) -> ReportEntry
     basis = doublet.rep.basis
     top = int(basis.level[basis.window(scoring.margin).mask].max())
     # H_(s-1)(n-1) against H_s(n), s = 2 .. k and n = 1 .. top
-    lower = ColumnMap.diag(doublet.partners[:-1, :top].ravel())
-    upper = ColumnMap.diag(doublet.partners[1:, 1:top + 1].ravel())
+    lower = Shift.diag(doublet.partners[:-1, :top])
+    upper = Shift.diag(doublet.partners[1:, 1:top + 1])
     return scoring.entry(
         "partners.level_shift",
         "adjacent partner ladders agree after a one-level shift (wrap pair exempt)",
@@ -234,20 +210,17 @@ def verify_sum_identity(
     # q(s)+ q(s)- lives on sector s and q(2)- q(2)+ on sector 1, so each
     # column of the sum takes one block product: the upper sector of every
     # replica and the lower sector of replica 2, the first block
-    sector = blocks.stack.sector
-    upper = sector % 2 == 1
-    up, down = blocks.qp @ blocks.qm, blocks.qm @ blocks.qp
-    products = ColumnMap(np.where(upper, up.target, down.target),
-                         np.where(upper, up.weight, down.weight))
-    rhs = _scatter(products, blocks.cols, upper | (sector == 0), basis)
+    rhs = np.zeros((basis.k, basis.d), dtype=complex)
+    rhs[np.array(blocks.order) % basis.k] = (blocks.qp @ blocks.qm).weight[:, 1]
+    rhs[1] = (blocks.qm @ blocks.qp).weight[0, 0]
     # every column but the ground levels |0, s> of sectors s = 2 .. k
     window = basis.window(scoring.margin).narrow(
         (basis.level > 0) | (basis.sector == 1), "omitting replica ground levels")
     return scoring.entry(
-        name, statement, score([(doublet.H, rhs)], window.mask)[0], "windowed", window)
+        name, statement, score([(doublet.H, Shift.diag(rhs))], window.mask)[0], "windowed", window)
 
 
-def k2_reduction_entry(doublet: FsusyDoublet, h: ColumnMap, scoring: Scoring) -> ReportEntry:
+def k2_reduction_entry(doublet: FsusyDoublet, h: Shift, scoring: Scoring) -> ReportEntry:
     """For k = 2 the single replica's h, on the full space, reproduces H entrywise."""
     if doublet.k != 2:
         raise FsusyError("the reduction check applies to the k = 2 replica only")

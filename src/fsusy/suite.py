@@ -43,7 +43,7 @@ from .replicas import (
 )
 from .report import ReportEntry, VerificationReport
 from .system import FsusyDoublet, build_doublet, partner_consistency_entry, verify_fsusy
-from .wkalg import AlgebraRep, ColumnMap, Scoring, build_rep, verify_wk_relations
+from .wkalg import AlgebraRep, Scoring, Shift, build_rep, verify_wk_relations
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -92,11 +92,11 @@ class RunConfig:
             raise ConfigError(f"window margin must be at least 1, got {margin}")
         if d - margin < 2:
             raise ConfigError(f"margin {margin} leaves no window inside {d} levels")
-        # the peak of a verify run: k + 31 column maps of kd columns at 24
-        # bytes a column, verify_fsusy's k + 1 powers of Q- and 30 for the
+        # the peak of a verify run: k + 37 graded shifts of kd columns at 16
+        # bytes a column, verify_fsusy's k + 1 powers of Q- and 36 for the
         # built system and the checks, which from kd = 8000 on also covers the
         # spectrum and the dump; the interpreter and cgroup limits are not counted
-        if 24 * (k + 31) * k * d > _physical_memory():
+        if 16 * (k + 37) * k * d > _physical_memory():
             raise too_large(k, d)
 
     @staticmethod
@@ -243,7 +243,7 @@ def emit_spectrum(doublet: FsusyDoublet, replicas: ReplicaBlocks, path: str) -> 
     as the shortest round-trip ``repr`` of their float64, signed zeros kept.
     """
     # replica s's sectors s-1 and s mod k, as rows 0 and 1 of its block
-    h = replicas.h.diagonal().real.reshape(len(replicas.order), 2, doublet.rep.basis.d)
+    h = replicas.h.weight.real
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["s", "n", "energy", "replica_s"])
@@ -256,7 +256,7 @@ def emit_spectrum(doublet: FsusyDoublet, replicas: ReplicaBlocks, path: str) -> 
 
 def write_matrix_market(
     path: str,
-    op: ColumnMap,
+    op: Shift,
     text: dict[int, str] | None = None,
     index: list[str] | None = None,
 ) -> None:
@@ -266,31 +266,38 @@ def write_matrix_market(
     zeros kept, so reading the file back gives every entry exactly.  ``text``
     maps float64 bit patterns to their repr and ``index[i]`` is the text of
     the 1-based index i + 1; both may be shared by the files of one dump.
+    Each entry's row is derived from the operator's shift.  The entries are
+    formatted and written 1024 at a time, so a file adds little to the peak.
     """
     text = {} if text is None else text
     if index is None:
         index = [str(i) for i in range(1, op.dim + 1)]
-    cols = np.flatnonzero(op.weight)
-    cols = cols[np.argsort(op.target[cols], kind="stable")]
-    bits = op.weight[cols].astype(complex, copy=False).view(np.int64).tolist()
-    # keyed by bit pattern because 0.0 and -0.0 are equal values that print
-    # differently
-    unseen = list(set(bits).difference(text))
-    text.update(zip(unseen, map(repr, np.array(unseen, dtype=np.int64).view(np.float64).tolist())))
-    # one line per entry, "row col re im", as eight interleaved pieces
-    line = [" "] * (8 * cols.size)
-    line[0::8] = map(index.__getitem__, op.target[cols].tolist())
-    line[2::8] = map(index.__getitem__, cols.tolist())
-    parts = list(map(text.__getitem__, bits))
-    line[4::8] = parts[0::2]
-    line[6::8] = parts[1::2]
-    line[7::8] = ["\n"] * cols.size
+    weight, rows = op.weight.ravel(), op.rows()
+    cols = np.flatnonzero((rows >= 0) & (weight != 0))
+    cols = cols[np.argsort(rows[cols], kind="stable")]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"%%MatrixMarket matrix coordinate complex general\n"
-                 f"{op.dim} {op.dim} {cols.size}\n" + "".join(line))
+                 f"{op.dim} {op.dim} {cols.size}\n")
+        for start in range(0, cols.size, 1024):
+            chunk = cols[start:start + 1024]
+            bits = weight[chunk].astype(complex, copy=False).view(np.int64).tolist()
+            # keyed by bit pattern because 0.0 and -0.0 are equal values that
+            # print differently
+            unseen = list(set(bits).difference(text))
+            text.update(zip(unseen, map(
+                repr, np.array(unseen, dtype=np.int64).view(np.float64).tolist())))
+            # one line per entry, "row col re im", as eight interleaved pieces
+            line = [" "] * (8 * chunk.size)
+            line[0::8] = map(index.__getitem__, rows[chunk].tolist())
+            line[2::8] = map(index.__getitem__, chunk.tolist())
+            parts = list(map(text.__getitem__, bits))
+            line[4::8] = parts[0::2]
+            line[6::8] = parts[1::2]
+            line[7::8] = ["\n"] * chunk.size
+            fh.write("".join(line))
 
 
-def named_operators(system: GradedSystem) -> dict[str, Callable[[], ColumnMap]]:
+def named_operators(system: GradedSystem) -> dict[str, Callable[[], Shift]]:
     """Every built operator's dump name, in dump order, with a call that makes
     the operator; a projector or replica map is lifted only when called."""
     rep, doublet, lift = system.rep, system.doublet, system.replicas.lift

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import RepresentationError
 from .fock import FULL_SPACE, StructureFunction, StructureSpec
 from .report import ReportEntry
-from .wkalg import AlgebraRep, ColumnMap, Scoring, score
+from .wkalg import AlgebraRep, Scoring, Shift, score
 
 
 @dataclass(frozen=True)
@@ -35,9 +35,9 @@ class FsusyDoublet:
     """
 
     rep: AlgebraRep
-    Qm: ColumnMap
-    Qp: ColumnMap
-    H: ColumnMap
+    Qm: Shift
+    Qp: Shift
+    H: Shift
     partners: np.ndarray
 
     @property
@@ -55,36 +55,21 @@ class FsusyDoublet:
             raise ValueError(f"partner level {n} outside 0..{self.d - 1}")
         return float(self.partners[s - 1, n])
 
-    def partner_diagonal(self, s: int) -> ColumnMap:
+    def partner_diagonal(self, s: int) -> Shift:
         """H_s(N) as a full-space diagonal: value H_s(n) at every |n, .>."""
-        return ColumnMap.diag(self.partners[s - 1][self.rep.basis.level])
+        return Shift.diag(np.broadcast_to(self.partners[s - 1], (self.k, self.d)))
 
 
-def build_supercharges(rep: AlgebraRep) -> tuple[ColumnMap, ColumnMap]:
-    # exact 0/1 masks equal right-multiplication by (1 - Pi_s) and keep the
-    # order-k nilpotency exact in floating point
-    return (
-        rep.Xm.masked(~rep.basis.sector_mask(1)),
-        rep.Xp.masked(~rep.basis.sector_mask(0)),
-    )
-
-
-def build_hamiltonian_operator(rep: AlgebraRep) -> ColumnMap:
+def build_hamiltonian_operator(rep: AlgebraRep) -> Shift:
     """Assemble H term by term from its defining expression.
 
     Every term after (k-1) X+ X- is a diagonal; each is formed on its own,
     from f_t evaluated once per t, and subtracted on the (sector, level)
-    table in the order of the expression, as ((c f_t(n + t - s)) Pi_s), and
-    H is lifted once.
+    table in the order of the expression, as ((c f_t(n + t - s)) Pi_s).
     """
     basis, spec = rep.basis, rep.spec
     k, d = basis.k, basis.d
-    XpXm = rep.Xp @ rep.Xm
-    diagonal = np.arange(basis.dim)
-    if np.any((XpXm.target != diagonal) & (XpXm.weight != 0)):
-        raise RepresentationError("X+ X- sends a column off the diagonal")
-    H = np.empty((k, d), dtype=complex)
-    H[basis.sector, basis.level] = (k - 1) * XpXm.weight
+    H = (k - 1) * (rep.Xp @ rep.Xm).weight
     terms = [(s, t, t - 1) for s in range(3, k + 1) for t in range(2, s)]
     terms += [(s, t, t - k) for s in range(1, k) for t in range(s, k)]
     # f_t once per t, on the levels n + t - s its terms read: t - k .. t + d - 2,
@@ -94,7 +79,7 @@ def build_hamiltonian_operator(rep: AlgebraRep) -> ColumnMap:
     for s, t, c in terms:
         start = t - s - low[t]
         H -= c * f[t][start:start + d] * rep.projectors[s % k][:, None]
-    return ColumnMap(diagonal, H[basis.sector, basis.level])
+    return Shift.diag(H)
 
 
 def partner_value(spec: StructureSpec, F: StructureFunction, s: int, n: int) -> float:
@@ -147,8 +132,11 @@ def build_doublet(rep: AlgebraRep) -> FsusyDoublet:
         s, n = bad[0]
         raise RepresentationError(f"H_{s + 1}({n}) = {partners[s, n]} is not finite; "
                                   "the partner energies overflow float64")
-    Qm, Qp = build_supercharges(rep)
-    return FsusyDoublet(rep, Qm, Qp, build_hamiltonian_operator(rep), partners)
+    # Q- = X- (1 - Pi_1) and Q+ = X+ (1 - Pi_0) with exact 0/1 sector masks,
+    # which keep the order-k nilpotency exact in floating point
+    sector = np.arange(rep.basis.k)[:, None]
+    return FsusyDoublet(rep, rep.Xm.masked(sector != 1), rep.Xp.masked(sector != 0),
+                        build_hamiltonian_operator(rep), partners)
 
 
 def verify_fsusy(doublet: FsusyDoublet, scoring: Scoring) -> list[ReportEntry]:
@@ -159,10 +147,10 @@ def verify_fsusy(doublet: FsusyDoublet, scoring: Scoring) -> list[ReportEntry]:
     Qm, Qp, H = doublet.Qm, doublet.Qp, doublet.H
 
     # Qm^0 .. Qm^k, each by the product chain that Qm ** j uses
-    powers = [ColumnMap.diag(np.ones(basis.dim))]
+    powers = [Shift.diag(np.ones((k, basis.d)))]
     for _ in range(k):
         powers.append(powers[-1] @ Qm)
-    zero = ColumnMap.diag(np.zeros(basis.dim))
+    zero = Shift.diag(np.zeros((k, basis.d)))
     # each ordered product Qm^(k-1-j) Qp Qm^j joins the sum as it is formed
     ordered = (powers[k - 1 - j] @ Qp @ powers[j] for j in range(k))
     total = sum(ordered, start=next(ordered))
@@ -187,8 +175,7 @@ def partner_consistency_entry(doublet: FsusyDoublet, scoring: Scoring) -> Report
     sector convention of the closed form.
     """
     # partner-table prediction: H_s(n) at |n, s mod k>, so sector 0 reads row k - 1
-    basis = doublet.rep.basis
-    expected = ColumnMap.diag(doublet.partners[basis.sector - 1, basis.level])
+    expected = Shift.diag(doublet.partners[np.arange(doublet.k) - 1])
     return scoring.entry(
         "fsusy.partner_diagonal",
         "H is diagonal and its diagonal matches the closed-form partner energies",

@@ -1,8 +1,9 @@
-"""Graded ladder algebra as column maps, and its relation checks.
+"""Graded ladder algebra as graded shifts, and its relation checks.
 
-Every operator here maps each basis state to at most one basis state, so it
-is a ColumnMap: per column a target row and a weight.  Products are gathers,
-and sector and window projectors are column masks.
+Every operator here moves each basis state |n, s> by one fixed step, to
+|n + dn, s + ds mod k>, with a weight of its own: a Shift, the step and a
+(k, d) weight table.  A product permutes the grades and slices the levels
+of the left factor's table, and projectors are masks of the table.
 
 On the graded basis the defining relations read
 
@@ -19,20 +20,20 @@ ceiling.  Every identity A = B in fsusy is scored by one scale-free residual
     deviation_j(A, B) = |A_j - B_j|_1 / max(1, |A_j|_1, |B_j|_1)
     residual(A, B)    = max_j deviation_j(A, B)
 
-with |.|_1 the column 1-norm.  A column whose two nonzero entries sit in
-different rows deviates by |A_j| + |B_j|.  The residual is 0 exactly when
-A and B agree on those columns, and a relative error in one weight shows at
-its own size whatever d is.  Block-diagonal operators (several
-representations or replicas side by side) are compared once, and each
-block's residual is the maximum of the deviation over its own columns.
+with |.|_1 the column 1-norm; operands of different shifts deviate by
+|A_j| + |B_j|.  The residual is 0 exactly when A and B agree on those
+columns, and a relative error in one weight shows at its own size whatever
+d is.  Block-diagonal operators (several representations or replicas side
+by side) hold their blocks on leading axes of the weight table and are
+compared once; each block's residual is the largest over its own columns.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add, sub
+from functools import lru_cache, reduce
+from operator import add, matmul, sub
 
 import numpy as np
 
@@ -46,86 +47,113 @@ GRADING_TOL = 1e-12
 STRICT_FACTOR = 1e-2
 
 
-@lru_cache(maxsize=4)
-def _identity(dim: int) -> np.ndarray:
-    """Read-only targets 0 .. dim-1, shared by the diagonal maps of that dimension."""
-    target = np.arange(dim)
-    target.flags.writeable = False
-    return target
+@lru_cache(maxsize=16)
+def _rows(shape: tuple[int, ...], dn: int, ds: int) -> np.ndarray:
+    *_, K, d = shape
+    level = np.arange(d) + dn
+    blocks = np.arange(int(np.prod(shape[:-2])))[:, None, None] * (K * d)
+    rows = blocks + (np.arange(K)[:, None] + ds) % K * d + level
+    rows = np.where((level >= 0) & (level < d), rows, -1)
+    rows.flags.writeable = False
+    return rows.ravel()
 
 
 @dataclass(frozen=True, eq=False)
-class ColumnMap:
-    """Square operator with at most one nonzero entry per column.
+class Shift:
+    """Graded shift: column |n, g> goes to row |n + dn, g + ds mod K> with
+    weight ``weight[..., g, n]``, of shape (..., K, d).  The K grades are
+    cyclic and the d levels truncate: a column whose row level falls outside
+    0 .. d-1 has no row and holds 0.  Leading axes hold blocks side by side;
+    the flat column index is the C order of ``weight``."""
 
-    Column j holds ``weight[j]`` in row ``target[j]``; target -1 marks an
-    empty column, whose weight is 0.
-    """
-
-    target: np.ndarray
+    dn: int
+    ds: int
     weight: np.ndarray
 
     # numpy defers arithmetic to the operators below instead of densifying
     __array_ufunc__ = None
 
     @classmethod
-    def diag(cls, values) -> ColumnMap:
-        return cls(_identity(len(values)), np.array(values, dtype=complex))
+    def diag(cls, values) -> Shift:
+        return cls(0, 0, np.array(values, dtype=complex))
+
+    @classmethod
+    def stack(cls, ops: Sequence[Shift]) -> Shift:
+        """The ops as blocks on a new leading axis; every block has one shift."""
+        if any(not op._same_shift(ops[0]) for op in ops):
+            raise ValueError("blocks of one operator must share one shift")
+        return cls(ops[0].dn, ops[0].ds, np.stack([op.weight for op in ops]))
 
     @property
     def dim(self) -> int:
-        return self.target.size
+        return self.weight.size
 
-    def __matmul__(self, other: ColumnMap) -> ColumnMap:
-        via = np.maximum(other.target, 0)  # an empty column reads column 0
-        target = self.target[via]
-        target[other.target < 0] = -1
-        return ColumnMap(target, self.weight[via] * other.weight)
+    def _same_shift(self, other: Shift) -> bool:
+        return self.dn == other.dn and (self.ds - other.ds) % self.weight.shape[-2] == 0
 
-    def __pow__(self, n: int) -> ColumnMap:
-        out = ColumnMap.diag(np.ones(self.dim))
-        for _ in range(n):
-            out = out @ self
-        return out
+    def _levels(self) -> tuple[slice, slice]:
+        """The levels n whose row level n + dn lies inside the table, and those rows."""
+        d, lo = self.weight.shape[-1], max(0, -self.dn)
+        hi = max(lo, min(d, d - self.dn))
+        return slice(lo, hi), slice(lo + self.dn, hi + self.dn)
 
-    def _combine(self, other: ColumnMap, op) -> ColumnMap:
-        mine, theirs = self.weight != 0, other.weight != 0
-        if np.any((self.target != other.target) & mine & theirs):
-            raise ValueError("operands send a column to different rows")
-        return ColumnMap(np.where(mine, self.target, other.target), op(self.weight, other.weight))
+    def __matmul__(self, other: Shift) -> Shift:
+        """Column |n, g> of the product is self's weight at other's row for it
+        times other's weight; a column of other without a row stays 0."""
+        dn, ds = self.dn + other.dn, self.ds + other.ds
+        K, r = other.weight.shape[-2], other.ds % other.weight.shape[-2]
+        if other.dn == 0 and r == 0:
+            return Shift(dn, ds, self.weight * other.weight)
+        cols, rows = other._levels()
+        out = np.zeros(other.weight.shape, dtype=complex)
+        left, right, into = self.weight[..., rows], other.weight[..., cols], out[..., cols]
+        # grades g < K - r read grade g + r of self, the others wrap to g + r - K
+        np.multiply(left[..., r:, :], right[..., :K - r, :], out=into[..., :K - r, :])
+        if r:
+            np.multiply(left[..., :r, :], right[..., K - r:, :], out=into[..., K - r:, :])
+        return Shift(dn, ds, out)
 
-    def __add__(self, other: ColumnMap) -> ColumnMap:
+    def __pow__(self, n: int) -> Shift:
+        return reduce(matmul, [self] * n, Shift.diag(np.ones(self.weight.shape)))
+
+    def _combine(self, other: Shift, op) -> Shift:
+        if not self._same_shift(other):
+            raise ValueError("operands shift their columns by different steps")
+        return Shift(self.dn, self.ds, op(self.weight, other.weight))
+
+    def __add__(self, other: Shift) -> Shift:
         return self._combine(other, np.add)
 
-    def __sub__(self, other: ColumnMap) -> ColumnMap:
+    def __sub__(self, other: Shift) -> Shift:
         return self._combine(other, np.subtract)
 
-    def __rmul__(self, scalar) -> ColumnMap:
-        return ColumnMap(self.target, scalar * self.weight)
+    def __rmul__(self, scalar) -> Shift:
+        return Shift(self.dn, self.ds, scalar * self.weight)
 
-    def adjoint(self) -> ColumnMap:
-        cols = np.flatnonzero(self.weight)
-        rows = self.target[cols]
-        target = np.full(self.dim, -1)
-        target[rows] = cols
-        # two columns sharing a row would fill fewer rows than there are columns
-        if np.count_nonzero(target >= 0) != cols.size:
-            raise ValueError("two columns share a row; the adjoint is no column map")
-        weight = np.zeros(self.dim, dtype=complex)
-        weight[rows] = self.weight[cols].conj()
-        return ColumnMap(target, weight)
+    def adjoint(self) -> Shift:
+        """The conjugate transpose: the opposite shift, each weight conjugated
+        into the column of its row; a zero weight leaves +0."""
+        K, r = self.weight.shape[-2], self.ds % self.weight.shape[-2]
+        cols, rows = self._levels()
+        weight = self.weight[..., cols]
+        weight = np.where(weight != 0, weight.conj(), 0)
+        out = np.zeros(self.weight.shape, dtype=complex)
+        out[..., r:, rows], out[..., :r, rows] = weight[..., :K - r, :], weight[..., K - r:, :]
+        return Shift(-self.dn, -self.ds, out)
 
-    def masked(self, keep: np.ndarray) -> ColumnMap:
-        """Right product with the 0/1 diagonal ``keep``; dropped weights become exact zeros."""
-        return ColumnMap(self.target, self.weight * keep)
+    def masked(self, keep: np.ndarray) -> Shift:
+        """Right product with the 0/1 diagonal ``keep``, broadcast against the
+        weight table; dropped weights become exact zeros."""
+        return Shift(self.dn, self.ds, self.weight * keep)
 
-    def diagonal(self) -> np.ndarray:
-        return np.where(self.target == np.arange(self.dim), self.weight, 0)
+    def rows(self) -> np.ndarray:
+        """The flat row of every column in flat column order, -1 where there is
+        none; read-only, shared by the shifts of one step and table shape."""
+        return _rows(self.weight.shape, self.dn, self.ds % self.weight.shape[-2])
 
     def dense(self) -> np.ndarray:
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        cols = np.flatnonzero(self.target >= 0)
-        mat[self.target[cols], cols] = self.weight[cols]
+        rows, mat = self.rows(), np.zeros((self.dim, self.dim), dtype=complex)
+        mat[rows[rows >= 0], np.flatnonzero(rows >= 0)] = self.weight.ravel()[rows >= 0]
         return mat
 
     def __array__(self, dtype=None, copy=None):
@@ -144,15 +172,15 @@ class AlgebraRep:
     spec: StructureSpec
     basis: GradedBasis
     F: StructureFunction
-    Xm: ColumnMap
-    Xp: ColumnMap
-    N: ColumnMap
-    K: ColumnMap
+    Xm: Shift
+    Xp: Shift
+    N: Shift
+    K: Shift
     projectors: np.ndarray  # (k, k): row s holds Pi_s's value on each sector
 
-    def projector(self, s: int) -> ColumnMap:
+    def projector(self, s: int) -> Shift:
         """Pi_s lifted to a full-space diagonal; s is cyclic, so s = k maps to 0."""
-        return ColumnMap.diag(self.projectors[s % self.basis.k][self.basis.sector])
+        return Shift.diag(np.repeat(self.projectors[s % self.basis.k][:, None], self.basis.d, 1))
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,18 +217,18 @@ def build_projectors(K: np.ndarray, k: int) -> np.ndarray:
     return projectors / k
 
 
-def deviation(lhs: ColumnMap, rhs: ColumnMap) -> np.ndarray:
-    """Relative deviation of lhs = rhs in each column.
+def deviation(lhs: Shift, rhs: Shift) -> np.ndarray:
+    """Relative deviation of lhs = rhs in each column, in flat column order.
 
-    Column j scores |lhs_j - rhs_j| / max(1, |lhs_j|, |rhs_j|); entries in
-    different rows deviate by |lhs_j| + |rhs_j|, as they do anyway if one is 0.
+    Column j scores |lhs_j - rhs_j| / max(1, |lhs_j|, |rhs_j|); operands of
+    different shifts put their entries in different rows and deviate by
+    |lhs_j| + |rhs_j|, as they do anyway if one is 0.
     """
     a, b = np.abs(lhs.weight), np.abs(rhs.weight)
-    dev = np.abs(lhs.weight - rhs.weight)
-    np.add(a, b, out=dev, where=lhs.target != rhs.target)
+    dev = np.abs(lhs.weight - rhs.weight) if lhs._same_shift(rhs) else a + b
     np.maximum(a, b, out=a)
     dev /= np.maximum(a, 1.0, out=a)
-    return dev
+    return dev.ravel()
 
 
 def score(pairs, window: np.ndarray | None = None, blocks: int = 1) -> np.ndarray:
@@ -245,10 +273,11 @@ def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> 
     X-|n, s> = sqrt(F_s(n)) |n-1, s-1> and X+ is its adjoint, so raising out
     of the top level is truncated to zero automatically.
     """
-    k, level, sector = basis.k, basis.level, basis.sector
-    if F.k != k or F.d < basis.d:
+    k, d = basis.k, basis.d
+    if F.k != k or F.d < d:
         raise RepresentationError("structure function does not cover the basis")
-    values = F.values[sector, level]
+    # F_s(n) at [s, n]: the (sector, level) table, flat in basis order
+    values, level = F.values[:, :d], np.arange(d)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         n, s = basis.state(int(bad[0]))
@@ -261,13 +290,10 @@ def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> 
         raise RepresentationError(
             f"F_{s}({n}) = {F.value(s, n):.6g} is negative; no real ladder element exists"
         )
-    Xm = ColumnMap(
-        np.where(level > 0, basis.index(np.maximum(level - 1, 0), sector - 1), -1),
-        np.where(level > 0, np.sqrt(np.maximum(values, 0.0)), 0.0).astype(complex),
-    )
+    Xm = Shift(-1, -1, np.where(level > 0, np.sqrt(np.maximum(values, 0.0)), 0.0).astype(complex))
     grades, projectors = _grading(k)
-    return AlgebraRep(spec, basis, F, Xm, Xm.adjoint(), ColumnMap.diag(level),
-                      ColumnMap.diag(grades[sector]), projectors)
+    return AlgebraRep(spec, basis, F, Xm, Xm.adjoint(), Shift.diag(np.broadcast_to(level, (k, d))),
+                      Shift.diag(np.broadcast_to(grades[:, None], (k, d))), projectors)
 
 
 @lru_cache(maxsize=8)
@@ -295,29 +321,19 @@ _RELATION_STATEMENTS = {
 }
 
 
-def direct_sum(ops: Sequence[ColumnMap]) -> ColumnMap:
-    """Block-diagonal column map of ops, the i-th acting on columns i*dim .. (i+1)*dim - 1."""
-    dim = ops[0].dim
-    return ColumnMap(
-        np.concatenate([np.where(op.target >= 0, op.target + i * dim, -1)
-                        for i, op in enumerate(ops)]),
-        np.concatenate([op.weight for op in ops]),
-    )
-
-
 def ladder_weights(rep: AlgebraRep) -> np.ndarray:
-    """Weights of the diagonal sum_s f_s(N) Pi_s.
+    """Weights of the diagonal sum_s f_s(N) Pi_s on the (sector, level) table.
 
-    The k terms f_s(n) Pi_s are added to zero in order s = 0 .. k-1 on the
-    (sector, level) table, each the complex product of f_s(n) and Pi_s's
-    value on the sector, as the sum of k diagonal column-map products did.
+    The k terms f_s(n) Pi_s are added to zero in order s = 0 .. k-1, each the
+    complex product of f_s(n) and Pi_s's value on the sector, as the sum of
+    k diagonal products would.
     """
     basis = rep.basis
     f = rep.spec.f(np.arange(basis.k)[:, None], np.arange(basis.d))
     total = np.zeros((basis.k, basis.d), dtype=complex)
     for f_s, P in zip(f.astype(complex), rep.projectors, strict=True):
         total += f_s * P[:, None]
-    return total[basis.sector, basis.level]
+    return total
 
 
 def algebra_relation_residuals(
@@ -327,10 +343,9 @@ def algebra_relation_residuals(
     and the window of their common basis.
 
     The representations share one graded basis (k sectors of d levels) and
-    are scored in one pass on their direct sum, the basis of p k sectors in
-    which representation i holds sectors i k .. i k + k - 1; each one's
-    residuals are the largest deviations over its own columns, so they equal
-    a pass on that representation alone.  Serves the graded Fock
+    are scored in one pass on their direct sum, representation i as block i
+    of each operator; each one's residuals are the largest deviations over
+    its own columns, so they equal a pass on that representation alone.  Serves the graded Fock
     construction and the tensor-product one alike.  Each relation is
     compared in a form without cancellation, so every column is scored at
     its own scale: X- X+ against X+ X- + sum_s f_s(N) Pi_s and N X-+
@@ -347,16 +362,16 @@ def algebra_relation_residuals(
     window = basis.window(margin)
     P = np.tile(window.mask, p)
     q = primitive_root(basis.k)
-    Xm, Xp, N, K = (direct_sum([getattr(rep, name) for rep in reps])
+    Xm, Xp, N, K = (Shift.stack([getattr(rep, name) for rep in reps])
                     for name in ("Xm", "Xp", "N", "K"))
-    ladder = ColumnMap.diag(np.concatenate([ladder_weights(r) for r in reps]))
+    ladder = Shift.diag(np.stack([ladder_weights(r) for r in reps]))
     # each relation's products live only while it is scored
     columns = {
         "ladder_commutator": score([(Xm @ Xp, Xp @ Xm + ladder)], P, p),
         "number_ladder": score(((N @ X, op(X @ N, X)) for op, X in ((sub, Xm), (add, Xp))), P, p),
         "grading_ladder": score(((K @ X, c * (X @ K)) for c, X in ((1 / q, Xm), (q, Xp))), P, p),
         "grading_number": score([(K @ N, N @ K)], P, p),
-        "grading_cyclic": score([(K ** basis.k, ColumnMap.diag(np.ones(K.dim)))], P, p),
+        "grading_cyclic": score([(K ** basis.k, Shift.diag(np.ones(K.weight.shape)))], P, p),
     }
     return [{key: float(val[i]) for key, val in columns.items()} for i in range(p)], window
 

@@ -2,11 +2,11 @@
 
 The reference functions below are the former level-by-level constructions:
 the recursion march, the per-level shift operators, the Hamiltonian
-assembled from ColumnMap terms with f evaluated one level at a time, and
+assembled from graded-shift terms with f evaluated one level at a time, and
 the grading resolved over the whole space with every per-level or
 per-grade array lifted by np.tile, np.repeat or a Kronecker product with
 the identity.  Each array route must give the same float64 bits, the same
-targets and the same refusals.  The replicas have a reference too: each
+shifts and the same refusals.  The replicas have a reference too: each
 replica built on the whole space, one s at a time, against the replica
 stack that builds all of them at once.
 
@@ -60,7 +60,7 @@ from fsusy.system import (
 from fsusy.wkalg import (
     _RELATION_STATEMENTS,
     AlgebraRep,
-    ColumnMap,
+    Shift,
     algebra_relation_residuals,
     build_projectors,
     build_rep,
@@ -94,11 +94,11 @@ def scan_effective_dimension(F: StructureFunction, requested_d: int) -> int:
 
 def scalar_weight_diagonal(spec, basis, t, shift):
     vals = np.array([spec.f(t, n + shift) for n in range(basis.d)], dtype=complex)
-    return ColumnMap.diag(np.tile(vals, basis.k))
+    return Shift.diag(np.tile(vals, (basis.k, 1)))
 
 
-def term_hamiltonian(rep: AlgebraRep, projectors=None) -> ColumnMap:
-    """H from full-space ColumnMap terms; Pi_s is projectors[s mod k] when
+def term_hamiltonian(rep: AlgebraRep, projectors=None) -> Shift:
+    """H from full-space graded-shift terms; Pi_s is projectors[s mod k] when
     given, else rep's projector lifted to the whole space."""
     basis, spec = rep.basis, rep.spec
     k = basis.k
@@ -118,25 +118,23 @@ def scalar_partner_table(rep: AlgebraRep) -> np.ndarray:
                      for s in range(1, rep.basis.k + 1)])
 
 
-def level_shift_operators(doublet: FsusyDoublet, s: int, slack: int) -> ColumnMap:
+def level_shift_operators(doublet: FsusyDoublet, s: int, slack: int) -> Shift:
     basis = doublet.rep.basis
     d = basis.d
-    target = np.full(basis.dim, -1)
-    weight = np.zeros(basis.dim, dtype=complex)
+    weight = np.zeros((basis.k, d), dtype=complex)
     for n in range(1, d):
         v = doublet.partner(s, n)
         if v < -NONNEG_TOL:
             if n > d - 1 - slack:
                 continue
             raise FactorizationError(s, n, v)
-        target[basis.index(n, s)] = basis.index(n - 1, s - 1)
-        weight[basis.index(n, s)] = np.sqrt(max(v, 0.0))
-    return ColumnMap(target, weight)
+        weight[s % basis.k, n] = np.sqrt(max(v, 0.0))
+    return Shift(-1, -1, weight)
 
 
 def build_shift_operators(
     doublet: FsusyDoublet, s: int, slack: int = 0
-) -> tuple[ColumnMap, ColumnMap]:
+) -> tuple[Shift, Shift]:
     """X(s)- and X(s)+ of one replica on the whole space; a negative H_s(n)
     below the top ``slack`` levels raises, one within them is dropped."""
     basis = doublet.rep.basis
@@ -151,12 +149,9 @@ def build_shift_operators(
         first = refused[0]
         raise FactorizationError(s, int(n[first]), float(v[first]))
     keep = n[~negative]
-    target = np.full(basis.dim, -1)
-    weight = np.zeros(basis.dim, dtype=complex)
-    cols = basis.index(keep, s)
-    target[cols] = basis.index(keep - 1, s - 1)
-    weight[cols] = np.sqrt(np.maximum(v[keep - 1], 0.0))
-    Xsm = ColumnMap(target, weight)
+    weight = np.zeros((k, d), dtype=complex)
+    weight[s % k, keep] = np.sqrt(np.maximum(v[keep - 1], 0.0))
+    Xsm = Shift(-1, -1, weight)
     return Xsm, Xsm.adjoint()
 
 
@@ -165,18 +160,18 @@ class ReplicaDoublet:
     """One replica on the whole space: shift operators, charges and h."""
 
     s: int
-    Xsm: ColumnMap
-    Xsp: ColumnMap
-    qm: ColumnMap
-    qp: ColumnMap
-    h: ColumnMap
+    Xsm: Shift
+    Xsp: Shift
+    qm: Shift
+    qp: Shift
+    h: Shift
 
 
 def build_replica(doublet: FsusyDoublet, s: int, slack: int = 0) -> ReplicaDoublet:
     """Replica s on the whole space, its charges and h masked by sector."""
     Xsm, Xsp = build_shift_operators(doublet, s, slack)
     basis = doublet.rep.basis
-    lo, hi = basis.sector_mask(s - 1), basis.sector_mask(s)
+    lo, hi = (basis.sector_mask(t).reshape(basis.k, basis.d) for t in (s - 1, s))
     h = (Xsm @ Xsp).masked(lo) + (Xsp @ Xsm).masked(hi)
     return ReplicaDoublet(s, Xsm, Xsp, Xsm.masked(hi), Xsp.masked(lo), h)
 
@@ -192,25 +187,24 @@ def reference_replicas(doublet: FsusyDoublet, slack: int):
     return replicas, refused
 
 
-def kron(b: ColumnMap, f: ColumnMap) -> ColumnMap:
-    """b (x) f with |m> (x) |t> at t*d + m, evaluated over the whole space."""
-    d = b.dim
-    m, t = np.arange(f.dim * d) % d, np.arange(f.dim * d) // d
-    empty = (b.target[m] < 0) | (f.target[t] < 0)
-    return ColumnMap(np.where(empty, -1, f.target[t] * d + b.target[m]), b.weight[m] * f.weight[t])
+def kron(b: Shift, f: Shift) -> Shift:
+    """b (x) f with |m> (x) |t> at t*d + m, evaluated over the whole space, for
+    a boson b on one grade of d levels and a fermion f on k grades of one level."""
+    return Shift(b.dn, f.ds, b.weight[0] * f.weight)
 
 
-def full_space_grading(rep: AlgebraRep) -> tuple[ColumnMap, list[ColumnMap]]:
+def full_space_grading(rep: AlgebraRep) -> tuple[Shift, list[Shift]]:
     """K repeated over every level, and each Pi_s resolved from that full K
     as a full-space diagonal map."""
     k, d = rep.basis.k, rep.basis.d
     q = primitive_root(k)
-    K = ColumnMap.diag(np.repeat([q ** s for s in range(k)], d))
-    return K, [ColumnMap.diag(P) for P in build_projectors(K.weight, k)]
+    K = Shift.diag(np.repeat([q ** s for s in range(k)], d).reshape(k, d))
+    return K, [Shift.diag(P.reshape(k, d)) for P in build_projectors(K.weight.ravel(), k)]
 
 
-def assert_same_map(a: ColumnMap, b: ColumnMap):
-    assert np.array_equal(a.target, b.target)
+def assert_same_map(a: Shift, b: Shift):
+    assert a.dn == b.dn and (a.ds - b.ds) % a.weight.shape[-2] == 0
+    assert a.weight.shape == b.weight.shape
     assert a.weight.tobytes() == b.weight.tobytes()
 
 
@@ -278,7 +272,7 @@ def test_other_families_match_the_scalar_loops(spec):
     for s in system.replicas:
         assert_same_map(system.replicas.lift("Xsm", s),
                         level_shift_operators(system.doublet, s, spec.k))
-    # with zero structure values the boson weights vanish, and so do their targets
+    # with zero structure values the boson weights vanish
     pair = build_kfermion_pair(spec.k)
     tensor, reference = build_tensor_realization(pair, rep), reference_tensor(pair, rep)
     assert_same_map(tensor.Xm, reference.Xm)
@@ -323,13 +317,13 @@ def test_grading_resolved_on_the_grades_matches_the_full_space(k, d):
 
     pair = build_kfermion_pair(k)
     tensor = build_tensor_realization(pair, rep)
-    one = ColumnMap.diag(np.ones(d))
+    one = Shift.diag(np.ones((1, d)))
     assert_same_map(tensor.K, kron(one, pair.Kf))
-    assert_same_map(tensor.N, kron(ColumnMap.diag(np.arange(d)), ColumnMap.diag(np.ones(k))))
-    fermion_projectors = build_projectors(pair.Kf.diagonal(), k)
+    assert_same_map(tensor.N, kron(Shift.diag(np.arange(d)[None]), Shift.diag(np.ones((k, 1)))))
+    fermion_projectors = build_projectors(pair.Kf.weight[:, 0], k)
     assert tensor.projectors.tobytes() == fermion_projectors.tobytes()
     for s, Pf in enumerate(fermion_projectors):
-        assert_same_map(tensor.projector(s), kron(one, ColumnMap.diag(Pf)))
+        assert_same_map(tensor.projector(s), kron(one, Shift.diag(Pf[:, None])))
 
 
 # ---------------------------------------------------------------- checks
@@ -349,10 +343,10 @@ def check(name, statement, residual, tolerance, window="full space"):
 def reference_verify_replica(rd, doublet, margin, tolerance=1e-10, strict=1e-12):
     """One replica's entries, every identity scored over the whole space."""
     basis = doublet.rep.basis
-    s = rd.s
+    k, d, s = basis.k, basis.d, rd.s
     P, win = basis.window(margin)
     qm, qp, h = rd.qm, rd.qp, rd.h
-    zero = ColumnMap.diag(np.zeros(basis.dim))
+    zero = Shift.diag(np.zeros((k, d)))
     entries = []
     nil = max(residual(qm @ qm, zero), residual(qp @ qp, zero))
     entries.append(check(
@@ -367,7 +361,7 @@ def reference_verify_replica(rd, doublet, margin, tolerance=1e-10, strict=1e-12)
         f"replica{s}.hamiltonian_commutes", "[h, q-] = 0 and [h, q+] = 0",
         max(residual(h @ qm, qm @ h), residual(h @ qp, qp @ h)),
         strict, "full space"))
-    shifted = ColumnMap.diag(np.append(doublet.partners[s - 1, 1:], 0.0)[basis.level])
+    shifted = Shift.diag(np.tile(np.append(doublet.partners[s - 1, 1:], 0.0), (k, 1)))
     entries.append(check(
         f"replica{s}.shift_product",
         "X(s)- X(s)+ equals the partner ladder shifted one level down, on sector s-1",
@@ -375,7 +369,8 @@ def reference_verify_replica(rd, doublet, margin, tolerance=1e-10, strict=1e-12)
         tolerance, win + f", sector {s - 1}"))
     lo, hi = basis.sector_mask(s - 1), basis.sector_mask(s)
     hi[basis.index(0, s)] = False
-    expected = doublet.partner_diagonal(s - 1).masked(lo) + doublet.partner_diagonal(s).masked(hi)
+    expected = (doublet.partner_diagonal(s - 1).masked(lo.reshape(k, d))
+                + doublet.partner_diagonal(s).masked(hi.reshape(k, d)))
     entries.append(check(
         f"replica{s}.partner_diagonal",
         "h carries the two partner ladders on its pair of sectors and vanishes elsewhere",
@@ -396,10 +391,10 @@ def reference_verify_fsusy(doublet, margin, tolerance=1e-10, strict=1e-12):
     k = basis.k
     P, win = basis.window(margin)
     Qm, Qp, H = doublet.Qm, doublet.Qp, doublet.H
-    powers = [ColumnMap.diag(np.ones(basis.dim))]
+    powers = [Shift.diag(np.ones((k, basis.d)))]
     for _ in range(k):
         powers.append(powers[-1] @ Qm)
-    zero = ColumnMap.diag(np.zeros(basis.dim))
+    zero = Shift.diag(np.zeros((k, basis.d)))
     terms = [powers[k - 1 - j] @ Qp @ powers[j] for j in range(k)]
     return [
         check("fsusy.nilpotency", "Q-^k = 0 and Q+^k = 0",
@@ -434,9 +429,9 @@ def reference_ladder_sum(rep):
     """sum_s f_s(N) Pi_s from k diagonal column-map products."""
     basis = rep.basis
     return sum(
-        (ColumnMap.diag(rep.spec.f(s, np.arange(basis.d))[basis.level]) @ rep.projector(s)
+        (Shift.diag(np.tile(rep.spec.f(s, np.arange(basis.d)), (basis.k, 1))) @ rep.projector(s)
          for s in range(basis.k)),
-        start=ColumnMap.diag(np.zeros(basis.dim)),
+        start=Shift.diag(np.zeros((basis.k, basis.d))),
     )
 
 
@@ -445,7 +440,7 @@ def reference_relation_residuals(rep, margin):
     basis = rep.basis
     P, win = basis.window(margin)
     q = primitive_root(basis.k)
-    eye = ColumnMap.diag(np.ones(basis.dim))
+    eye = Shift.diag(np.ones((basis.k, basis.d)))
     Xm, Xp, N, K = rep.Xm, rep.Xp, rep.N, rep.K
     return {
         "ladder_commutator": residual(Xm @ Xp, Xp @ Xm + reference_ladder_sum(rep), P),
@@ -459,15 +454,16 @@ def reference_relation_residuals(rep, margin):
 
 def reference_tensor(pair, rep):
     """The tensor realization with X-+ summed from k Kronecker terms each."""
-    basis, k, d = rep.basis, pair.k, rep.basis.d
-    Pf = [ColumnMap.diag(P) for P in build_projectors(pair.Kf.diagonal(), k)]
-    bm = [ColumnMap(np.arange(d) - 1, np.sqrt(np.maximum(rep.F.values[s, :d], 0.0)).astype(complex))
+    k, d = pair.k, rep.basis.d
+    Pf = [Shift.diag(P[:, None]) for P in build_projectors(pair.Kf.weight[:, 0], k)]
+    bm = [Shift(-1, 0, np.sqrt(np.maximum(rep.F.values[s, :d], 0.0)).astype(complex)[None])
           for s in range(k)]
-    zero = ColumnMap.diag(np.zeros(basis.dim))
     A = pair.fm + (1 / q_factorial(k - 1, primitive_root(k))) * pair.fp ** (k - 1)
     Ak1 = A ** (k - 1)
-    Xm = sum((kron(bm[s], A @ Pf[s]) for s in range(k)), start=zero)
-    Xp = sum((kron(bm[(s + 1) % k].adjoint(), Ak1 @ Pf[s]) for s in range(k)), start=zero)
+    # each sum starts from zero weights on the steps of its terms
+    Xm = sum((kron(bm[s], A @ Pf[s]) for s in range(k)), start=Shift(-1, -1, np.zeros((k, d))))
+    Xp = sum((kron(bm[(s + 1) % k].adjoint(), Ak1 @ Pf[s]) for s in range(k)),
+             start=Shift(1, 1, np.zeros((k, d))))
     return dataclasses.replace(build_tensor_realization(pair, rep), Xm=Xm, Xp=Xp)
 
 
@@ -564,21 +560,17 @@ def test_replica_stack_matches_the_one_at_a_time_build(k, label):
     assert blocks.order == tuple(sorted(replicas))
     if label == "affine_falling" and k >= 6:
         assert system.doublet.partners[1, 39] < -NONNEG_TOL and 2 in blocks.order
-    size = 2 * basis.d
     for i, s in enumerate(blocks.order):
-        own = np.arange(i * size, (i + 1) * size)
-        cols = blocks.cols[own]
-        assert np.array_equal(basis.sector[cols], np.repeat([s - 1, s % k], basis.d))
+        pair = [s - 1, s % k]
         for name in ("Xsm", "Xsp", "qm", "qp", "h"):
             stacked, full = getattr(blocks, name), getattr(replicas[s], name)
-            # the replica's weights all sit on its pair of sectors ...
-            assert np.count_nonzero(full.weight) == np.count_nonzero(full.weight[cols])
-            weight = stacked.weight[own]
-            assert np.array_equal(weight.view(np.int64), full.weight[cols].view(np.int64)), name
-            # ... and each nonzero one is sent inside the replica's own block
-            to = stacked.target[own][weight != 0]
-            assert np.all((to >= own[0]) & (to <= own[-1])), name
-            assert np.array_equal(blocks.cols[to], full.target[cols][weight != 0]), name
+            # the replica's weights all sit on its pair of sectors, block i of
+            # the stack, whose rows stay in the block ...
+            assert np.count_nonzero(full.weight) == np.count_nonzero(full.weight[pair])
+            weight = stacked.weight[i]
+            assert np.array_equal(weight.view(np.int64), full.weight[pair].view(np.int64)), name
+            # ... with the replica's own steps between its sectors
+            assert (stacked.dn, stacked.ds) == (full.dn, full.ds), name
             # readers of the full space get the one-at-a-time map itself
             assert_same_map(blocks.lift(name, s), full)
 
@@ -612,7 +604,7 @@ def test_grade_block_sums_match_the_term_sums(k, label):
 
 
 def count_calls(monkeypatch):
-    """Count column-map constructions, products, adjoints and per-column
+    """Count graded-shift constructions, products, adjoints and per-column
     deviations from now on.
 
     A power counts as one product, not as its chain of products, and the
@@ -620,8 +612,8 @@ def count_calls(monkeypatch):
     """
     counts = dict.fromkeys(("construct", "matmul", "adjoint", "deviation"), 0)
     inside_power = []
-    init, matmul, power = ColumnMap.__init__, ColumnMap.__matmul__, ColumnMap.__pow__
-    adjoint, deviation = ColumnMap.adjoint, fsusy.wkalg.deviation
+    init, matmul, power = Shift.__init__, Shift.__matmul__, Shift.__pow__
+    adjoint, deviation = Shift.adjoint, fsusy.wkalg.deviation
 
     def counted_init(self, *args, **kwargs):
         counts["construct"] += not inside_power
@@ -647,10 +639,10 @@ def count_calls(monkeypatch):
         counts["deviation"] += 1
         return deviation(lhs, rhs)
 
-    monkeypatch.setattr(ColumnMap, "__init__", counted_init)
-    monkeypatch.setattr(ColumnMap, "__matmul__", counted_matmul)
-    monkeypatch.setattr(ColumnMap, "__pow__", counted_power)
-    monkeypatch.setattr(ColumnMap, "adjoint", counted_adjoint)
+    monkeypatch.setattr(Shift, "__init__", counted_init)
+    monkeypatch.setattr(Shift, "__matmul__", counted_matmul)
+    monkeypatch.setattr(Shift, "__pow__", counted_power)
+    monkeypatch.setattr(Shift, "adjoint", counted_adjoint)
     monkeypatch.setattr(fsusy.wkalg, "deviation", counted_deviation)
     return counts
 
@@ -659,7 +651,7 @@ def test_batched_checks_make_the_same_calls_at_every_order(monkeypatch, clear_or
     # no loop over replicas, grades, projectors or representations may come
     # back into the representation, the doublet, the replica build and
     # checks, the tensor build or the relation pass: k = 3 and k = 8 (every
-    # replica built) make equally many column maps, products, adjoints and
+    # replica built) make equally many graded shifts, products, adjoints and
     # deviations in each stage.  Each order starts from empty order caches,
     # as a fresh process does, whatever ran before this test
     stages, warm = {}, {}

@@ -349,12 +349,38 @@ class TestExitCodes:
         assert "verdict: pass" in out
         assert "[FAIL]" not in out
 
+    @pytest.mark.parametrize("k, code, construction", [
+        (128, 0, None),
+        # X+ holds [k-1]_q! = 1.6e307 times sqrt(F): finite, but X+ N overflows
+        (203, 1, None),
+        (204, 1, "1/[k-1]_q! = 7.3e-310 is below float64's normal range at k = 204"),
+        (256, 1, "1/[k-1]_q! = 1.1e-413 is below float64's normal range at k = 256"),
+    ], ids=["k=128", "k=203", "k=204", "k=256"])
+    def test_order_frontier_writes_a_report(self, tmp_path, capsys, k, code, construction):
+        # from k = 204 on A's weight 1/[k-1]_q! is subnormal: the tensor
+        # realization fails its construction entry and every other entry is
+        # still scored
+        path = tmp_path / "report.json"
+        assert main(["verify", "--k", str(k), "--d", "8", "--margin", "1", "--a", "0.5",
+                     "--b", "1", "--out_report", str(path)]) == code
+        assert capsys.readouterr().err == ""
+        entries = {e["name"]: e for e in json.loads(path.read_text())["entries"]}
+        assert all(entries[f"algebra.{name}"]["passed"] for name in (
+            "ladder_commutator", "number_ladder", "grading_ladder"))
+        assert entries[f"replica{k}.partner_diagonal"]["passed"]
+        if construction is None:
+            assert "tensor.construction" not in entries and "tensor.spectral_distance" in entries
+        else:
+            assert entries["tensor.construction"]["error"] == construction
+            assert not any(name.startswith("tensor.") and name != "tensor.construction"
+                           for name in entries)
+
     def test_invalid_order_exits_2(self, capsys):
         assert main(["verify", "--k", "1", "--d", "12"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_unallocatable_truncation_exits_2(self, capsys):
-        # a verify run is counted at 2.4e15 bytes: refused before anything is built
+        # a verify run is counted at 1.9e15 bytes: refused before anything is built
         assert main(["verify", "--k", "3", "--d", "1000000000000"]) == 2
         assert capsys.readouterr().err == (
             "error: the system at k=3, d=1000000000000 is too large to allocate\n")
@@ -550,7 +576,7 @@ class TestSweep:
         assert not out_dir.exists()
 
     def test_grid_too_large_to_list_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
-        # the system at k=3, d=10 is counted at 24480 bytes and fits; the
+        # the system at k=3, d=10 is counted at 19200 bytes and fits; the
         # 10 x 30 grid's 300 points at 96 bytes each do not
         monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 24480)
         monkeypatch.setattr(fsusy.cli, "run_verification_suite",
@@ -562,6 +588,21 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: a sweep grid of 10 a-range by 30 b-range steps is too large to list\n")
+        assert not out_dir.exists()
+
+    def test_memory_error_while_listing_names_the_grid(self, tmp_path, capsys, monkeypatch):
+        # under a process limit below physical memory the grid passes
+        # check_sweep and runs out while its tasks are listed
+        def out_of_memory(*args):
+            raise MemoryError
+        monkeypatch.setattr(fsusy.cli.np, "linspace", out_of_memory)
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", "--k", "3", "--d", "12",
+                     "--a-range", "0", "1", "3000", "--b-range", "1", "2", "3000",
+                     "--out-dir", str(out_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: a sweep grid of 3000 a-range by 3000 b-range steps is too large to list\n")
         assert not out_dir.exists()
 
     def test_invalid_order_exits_2_before_writing(self, tmp_path, capsys):

@@ -12,9 +12,9 @@ sector pairs.
 
 Four identities cannot see a scaled weight and are not listed: Q-^k = 0,
 q- q- = 0 and f-^k = 0 stay nilpotent whatever their weights, and the
-diagonal K and N commute whatever their weights.  A replica weight sent
-into another replica's block fails the entries of its own replica that
-read it, and no entry of another replica.
+diagonal K and N commute whatever their weights.  A replica weight changed
+inside its own block fails the entries of its own replica that read it,
+and no entry of another replica.
 """
 
 import dataclasses
@@ -36,7 +36,7 @@ from fsusy.replicas import (
 )
 from fsusy.suite import RunConfig, build_system
 from fsusy.system import partner_consistency_entry, verify_fsusy
-from fsusy.wkalg import ColumnMap, Scoring, verify_wk_relations
+from fsusy.wkalg import Scoring, verify_wk_relations
 
 D = 40
 SCALE = 1 + 1e-9
@@ -59,9 +59,10 @@ def systems():
 
 
 def scaled(op, col, factor):
+    """op with the weight of flat column col scaled by factor."""
     weight = op.weight.copy()
-    weight[col] *= factor
-    return ColumnMap(op.target, weight)
+    weight.reshape(-1)[col] *= factor
+    return dataclasses.replace(op, weight=weight)
 
 
 # Each case maps (system, level n, factor) to the entries of the check behind
@@ -101,7 +102,7 @@ def replica_entries(blocks, doublet):
 def stacked_column(blocks, s, n, sector):
     """Stacked column of |n, sector> in replica s's block, sector s-1 or s."""
     i = blocks.order.index(s)
-    return blocks.stack.index(n, 2 * i + (sector % blocks.basis.k != s - 1))
+    return (2 * i + (sector % blocks.basis.k != s - 1)) * blocks.basis.d + n
 
 
 def hamiltonian_case(s):
@@ -205,44 +206,51 @@ def test_scaled_fermion_weight_fails_the_entry(name, k, field, grades):
             assert entry.passed is passed, (t, factor, entry.residual)
 
 
-def planted(op, col, target, weight):
-    """op with column col sent to row target with the given weight."""
-    targets, weights = op.target.copy(), op.weight.copy()
-    targets[col], weights[col] = target, weight
-    return ColumnMap(targets, weights)
+def planted(op, col, weight):
+    """op with the weight of flat column col set to weight."""
+    weights = op.weight.copy()
+    weights.reshape(-1)[col] = weight
+    return dataclasses.replace(op, weight=weights)
 
 
-# the entries of a replica whose identities read each operator
-READS = {"h": ("anticommutator", "hamiltonian_commutes", "partner_diagonal"),
-         "Xsm": ("shift_product", "intertwining")}
+# each defect of replica s's block: the operator, the weight it puts at a
+# column |n, sector> of the block, and the entries of replica s it fails
+DEFECTS = {
+    "h-scaled": ("h", 0, ("anticommutator", "hamiltonian_commutes", "partner_diagonal")),
+    "Xsm-scaled": ("Xsm", 0, ("shift_product",)),
+    # 1e-9 at |n, s-1>, whose row is |n-1, s>: the intertwining is linear in
+    # X(s)-, so only a weight in another row shows there
+    "Xsm-other-sector": ("Xsm", -1, ("intertwining",)),
+}
 
 
 @pytest.mark.parametrize("k", [3, 4])
-@pytest.mark.parametrize("how", ["h-target-off-the-pair", "target-off-the-pair"])
+@pytest.mark.parametrize("how", list(DEFECTS))
 def test_stray_replica_weight_fails_only_its_replica(systems, k, how):
-    """A weight of 1e-9 planted in replica s's block, in h(s) or in X(s)- at
-    a column of its sector s, with its row in the next replica's block, fails
-    every entry of replica s that reads that operator and leaves every other
-    entry as it was.  The column is one where the operator holds a weight, at
-    the first, the middle and the last such level of the window."""
-    field = "h" if how.startswith("h") else "Xsm"
+    """One weight of replica s's block changed, in h(s) or X(s)-, fails the
+    entries of replica s that see the change and leaves every other entry as
+    it was: a held weight of sector s scaled by 1 + 1e-9, or a weight of
+    1e-9 planted in sector s-1, where X(s)- holds none.  The level is the
+    first, the middle and the last one of the window where the operator
+    holds a weight."""
+    field, shift, fails = DEFECTS[how]
     for label in family_specs(k):
         system = systems[k, label]
         blocks, doublet = system.replicas, system.doublet
         op = getattr(blocks, field)
         before = verify_replicas(blocks, doublet, Scoring(k, 1e-10))
         top = system.d_effective - 1 - k
-        for i, s in enumerate(blocks.order):
-            other = (i + 1) % len(blocks.order)
-            held = [n for n in range(1, top + 1) if op.weight[stacked_column(blocks, s, n, s)] != 0]
+        for s in blocks.order:
+            held = [n for n in range(1, top + 1)
+                    if op.weight.reshape(-1)[stacked_column(blocks, s, n, s)] != 0]
             for n in (held[0], held[len(held) // 2], held[-1]):
-                col = stacked_column(blocks, s, n, s)
-                row = blocks.stack.index(n - 1, 2 * other)
-                mutated = dataclasses.replace(blocks, **{field: planted(op, col, row, 1e-9)})
+                col = stacked_column(blocks, s, n, s + shift)
+                weight = 1e-9 if shift else op.weight.reshape(-1)[col] * SCALE
+                mutated = dataclasses.replace(blocks, **{field: planted(op, col, weight)})
                 after = verify_replicas(mutated, doublet, Scoring(k, 1e-10))
                 for r, entries in after.items():
                     for e, ref in zip(entries, before[r], strict=True):
-                        if r == s and e.name.split(".")[1] in READS[field]:
+                        if r == s and e.name.split(".")[1] in fails:
                             assert not e.passed, (label, s, n, e.name, e.residual)
                         else:
                             assert e == ref, (label, s, n, e.name)

@@ -47,7 +47,7 @@ def shared_arrays(k, d):
               "projectors": rep.projectors, "Pf": pair.Pf}
     for name in ("fm", "fp", "Kf", "A", "Ak1"):
         op = getattr(pair, name)
-        arrays.update({f"{name}.target": op.target, f"{name}.weight": op.weight})
+        arrays[f"{name}.weight"] = op.weight
     return arrays
 
 

@@ -12,7 +12,7 @@ from fsusy.realization import (
     compare_realizations,
     verify_kfermions,
 )
-from fsusy.wkalg import ColumnMap, Scoring, build_rep, verify_wk_relations
+from fsusy.wkalg import Scoring, Shift, build_rep, verify_wk_relations
 
 
 def make_rep(k, d, spec=None):
@@ -60,11 +60,27 @@ def test_cyclic_lowering_support_and_order(k):
     assert np.allclose(np.linalg.matrix_power(A, k), np.eye(k), atol=1e-12)
 
 
+def test_unrepresentable_orders_fail_the_construction():
+    # |[k-1]_q!| = k / (2 sin(pi/k))^(k-1): 1.6e307 at k = 203, so X+ holds
+    # [k-1]_q! sqrt(F) and overflows once sqrt(F) exceeds 11.5; from k = 204
+    # on A's weight 1/[k-1]_q! is subnormal
+    for k, b, message in [
+        (203, 100.0, r"^\[k-1\]_q! = 1.6e\+307 times the largest sqrt\(F\) = 26.5 "
+                     r"overflows float64 at k = 203$"),
+        (204, 1.0, r"^1/\[k-1\]_q! = 7.3e-310 is below float64's normal range at k = 204$"),
+    ]:
+        rep = make_rep(k, 8, StructureSpec.affine_family(k, 0.0, b))
+        with pytest.raises(RepresentationError, match=message):
+            make_tensor(rep)
+    rep = make_rep(203, 8, StructureSpec.affine_family(203, 0.0, 1.0))
+    assert np.isfinite(make_tensor(rep).Xp.weight).all()
+
+
 def test_grading_eigenvalues_are_increment_differences():
     k = 5
     pair = build_kfermion_pair(k)
     q = primitive_root(k)
-    diag = pair.Kf.diagonal()
+    diag = pair.Kf.weight[:, 0]
     assert np.allclose(diag, q ** np.arange(k), atol=1e-12)
 
 
@@ -109,7 +125,7 @@ class TestTensorRealization:
             assert not by_name[key].informative, key
             assert by_name[key].residual < 1e-12, key
         # both products are diagonal (test_tensor_and_graded_ladder_products_are_diagonal)
-        ours, graded = (tensor.Xp @ tensor.Xm).diagonal(), (rep.Xp @ rep.Xm).diagonal()
+        ours, graded = (tensor.Xp @ tensor.Xm).weight, (rep.Xp @ rep.Xm).weight
         np.testing.assert_allclose(ours, graded, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -117,8 +133,8 @@ class TestTensorRealization:
         rep = make_rep(k, 12)
         tensor = make_tensor(rep)
         weight = tensor.Xp.weight.copy()
-        weight[1 * 12 + 3] *= 1 + 1e-6  # |m=3> (x) |t=1>, inside the window
-        mutated = dataclasses.replace(tensor, Xp=ColumnMap(tensor.Xp.target, weight))
+        weight[1, 3] *= 1 + 1e-6  # |m=3> (x) |t=1>, inside the window
+        mutated = dataclasses.replace(tensor, Xp=dataclasses.replace(tensor.Xp, weight=weight))
         for op, passed in [(tensor, True), (mutated, False)]:
             by_name = {e.name: e for e in tensor_entries(op, rep, margin=k)}
             entry = by_name["tensor.ladder_commutator"]
@@ -155,12 +171,11 @@ def spectral_entry(tensor, rep):
 
 
 def test_spectral_distance_of_the_graded_operators_is_zero():
-    # the graded ladders themselves, with their states listed in another
-    # order, have the same sorted spectrum bit for bit
-    rep = make_rep(3, 9, StructureSpec.affine_family(3, 0.5, 1.0))
-    perm = np.random.default_rng(3).permutation(rep.basis.dim)
-    inverse = np.argsort(perm)
-    permuted = [ColumnMap(inverse[X.target[perm]], X.weight[perm]) for X in (rep.Xm, rep.Xp)]
+    # the graded ladders themselves, with their sectors relabelled s -> s + 1,
+    # have the same sorted spectrum bit for bit
+    rep = make_rep(3, 9, StructureSpec.constant_values(3, [1.0, 1.5, 2.0]))
+    permuted = [Shift(X.dn, X.ds, np.roll(X.weight, 1, axis=0)) for X in (rep.Xm, rep.Xp)]
+    assert not np.array_equal(permuted[0].weight, rep.Xm.weight)
     tensor = dataclasses.replace(make_tensor(rep), Xm=permuted[0], Xp=permuted[1])
     entry = spectral_entry(tensor, rep)
     assert entry.residual == 0.0 and entry.passed
@@ -173,8 +188,8 @@ def test_spectral_distance_detects_one_scaled_weight(level):
     rep = make_rep(4, 40, StructureSpec.affine_family(4, 0.5, 1.0))
     tensor = make_tensor(rep)
     weight = tensor.Xm.weight.copy()
-    weight[2 * 40 + level] *= 1 + 1e-9
-    mutated = dataclasses.replace(tensor, Xm=ColumnMap(tensor.Xm.target, weight))
+    weight[2, level] *= 1 + 1e-9
+    mutated = dataclasses.replace(tensor, Xm=dataclasses.replace(tensor.Xm, weight=weight))
     assert spectral_entry(tensor, rep).passed
     entry = spectral_entry(mutated, rep)
     assert not entry.passed
@@ -199,4 +214,5 @@ def test_tensor_and_graded_ladder_products_are_diagonal():
     for Xp, Xm in [(rep.Xp, rep.Xm), (tensor.Xp, tensor.Xm)]:
         product = Xp.dense() @ Xm.dense()
         assert np.array_equal(product, np.diag(np.diag(product)))
-        assert np.allclose(np.diag(product), (Xp @ Xm).diagonal(), rtol=1e-14, atol=0)
+        assert (Xp @ Xm).dn == (Xp @ Xm).ds == 0
+        assert np.allclose(np.diag(product), (Xp @ Xm).weight.ravel(), rtol=1e-14, atol=0)

@@ -27,7 +27,7 @@ from fsusy.suite import (
     write_matrix_market,
 )
 from fsusy.system import build_doublet
-from fsusy.wkalg import ColumnMap, build_rep
+from fsusy.wkalg import Shift, build_rep
 
 UNIT3 = StructureSpec.constant_values(3, 1.0)
 
@@ -46,7 +46,7 @@ WEIGHT_POOL = [0.0, -0.0, 1.0, float(np.nextafter(1.0, 2.0)), 0.1 + 0.2, 0.3,
                5e-324, -1e-300]
 
 
-def entrywise_matrix_market(op: ColumnMap) -> str:
+def entrywise_matrix_market(op: Shift) -> str:
     """Matrix Market text from a plain loop over every dense entry, row-major."""
     M = op.dense()
     n = op.dim
@@ -67,7 +67,7 @@ def entrywise_spectrum(doublet, replicas) -> str:
         for n in range(doublet.d):
             writer.writerow([s, n, doublet.partner(s, n), ""])
     for s in sorted(replicas):
-        h = replicas.lift("h", s).diagonal()
+        h = replicas.lift("h", s).weight.ravel()
         for ladder in (s - 1, s):
             for n in range(doublet.d):
                 writer.writerow([ladder, n, float(h[basis.index(n, ladder)].real), s])
@@ -99,10 +99,10 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
     def test_refuses_a_system_that_exceeds_memory(self, monkeypatch):
-        # a verify run at k=3, d=12 is counted as 24 (k + 31) k d = 29376 bytes
-        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 29376)
+        # a verify run at k=3, d=12 is counted as 16 (k + 37) k d = 23040 bytes
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 23040)
         RunConfig.check_space(3, 12, 3)
-        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 29375)
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 23039)
         with pytest.raises(ConfigError, match="^the system at k=3, d=12 is too large to allocate$"):
             RunConfig.check_space(3, 12, 3)
 
@@ -329,14 +329,20 @@ class TestEmitSpectrum:
         assert len(path.read_text(encoding="utf-8").splitlines()) == 1 + 4 * 12
 
 
+def shift_with(dn, ds, weight):
+    """A graded shift with these steps and weights, 0 in the columns without a row."""
+    weight = np.array(weight)
+    level = np.arange(weight.shape[-1]) + dn
+    weight[..., (level < 0) | (level >= weight.shape[-1])] = 0
+    return Shift(dn, ds, weight)
+
+
 class TestMatrixMarket:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(11)
-        target = rng.permutation(7)
-        target[rng.random(7) < 0.3] = -1
-        weight = rng.normal(size=7) + 1j * rng.normal(size=7)
-        weight[target < 0] = 0.0
-        op = ColumnMap(target, weight)
+        weight = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+        weight[rng.random((2, 3, 4)) < 0.3] = 0.0
+        op = shift_with(-1, 2, weight)
         path = tmp_path / "m.mtx"
         write_matrix_market(str(path), op)
         back = mmread(str(path))
@@ -344,13 +350,12 @@ class TestMatrixMarket:
 
     def test_matches_entrywise_reference(self, tmp_path):
         # round-off sized and purely imaginary entries, an all-zero complex
-        # -0.0 weight (not written) and two columns sharing a row
+        # -0.0 weight (not written), and rows in another order than columns
         rng = np.random.default_rng(5)
-        target = np.array([3, 0, 5, 3, -1, 1, 8, 2, 0])
         weight = rng.normal(size=9) * 1e-17 + 1j * rng.normal(size=9)
         weight[[4, 8]] = 0.0
         weight[0], weight[1], weight[2] = -0.0, 1e-300, 2.5j
-        op = ColumnMap(target, weight)
+        op = shift_with(1, -1, weight.reshape(3, 3))
         path = tmp_path / "r.mtx"
         write_matrix_market(str(path), op)
         assert path.read_text(encoding="utf-8") == entrywise_matrix_market(op)
@@ -360,35 +365,31 @@ class TestMatrixMarket:
     def test_memo_matches_entrywise_reference(self, tmp_path_factory, data):
         # both parts drawn from a small pool, so values repeat across
         # entries and parts, and signed zeros sit beside nonzero partners
-        dim = data.draw(st.integers(2, 8))
-        target = np.array(data.draw(st.lists(st.integers(-1, dim - 1),
-                                             min_size=dim, max_size=dim)))
-        # two columns share a row
-        target[1] = target[0] = max(target[0], 0)
-        parts = st.lists(st.sampled_from(WEIGHT_POOL), min_size=dim, max_size=dim)
+        K, d = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        dn, ds = data.draw(st.integers(-d, d)), data.draw(st.integers(-K, K))
+        parts = st.lists(st.sampled_from(WEIGHT_POOL), min_size=K * d, max_size=K * d)
         weight = np.array(data.draw(parts)) + 1j * np.array(data.draw(parts))
-        weight[target < 0] = 0.0
-        op = ColumnMap(target, weight)
+        op = shift_with(dn, ds, weight.reshape(K, d))
         path = tmp_path_factory.mktemp("memo") / "m.mtx"
         write_matrix_market(str(path), op)
         assert path.read_text(encoding="utf-8") == entrywise_matrix_market(op)
 
     def test_zero_matrix(self, tmp_path):
         path = tmp_path / "z.mtx"
-        write_matrix_market(str(path), ColumnMap(np.full(4, -1), np.zeros(4, dtype=complex)))
+        write_matrix_market(str(path), Shift(-1, 1, np.zeros((2, 2), dtype=complex)))
         text = path.read_text(encoding="utf-8")
         assert text.splitlines()[0] == "%%MatrixMarket matrix coordinate complex general"
         assert text.splitlines()[1] == "4 4 0"
         assert np.count_nonzero(np.asarray(mmread(str(path)).todense())) == 0
 
     def test_real_weights_match_entrywise_reference(self, tmp_path):
-        op = ColumnMap(np.array([1, -1, 0]), np.array([-0.5, 0.0, 2.0]))
+        op = Shift(1, 0, np.array([[2.0, -0.5, 0.0]]))
         path = tmp_path / "x.mtx"
         write_matrix_market(str(path), op)
         assert path.read_text(encoding="utf-8") == entrywise_matrix_market(op)
 
     def test_header_and_one_based_indices(self, tmp_path):
-        op = ColumnMap(np.array([-1, -1, 0]), np.array([0, 0, 1.5 - 0.25j]))
+        op = Shift(-2, 0, np.array([[0, 0, 1.5 - 0.25j]]))
         path = tmp_path / "e.mtx"
         write_matrix_market(str(path), op)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -545,7 +546,7 @@ def test_spectrum_memory_is_linear_in_dimension(tmp_path):
 def test_size_check_counts_the_peak_of_a_verify_run(monkeypatch, tmp_path, k, d):
     config = RunConfig(k=k, d=d, spec=StructureSpec.affine_family(k, 0.5, 1.0), margin=k)
     # the dump lifts one map at a time and stays within the count
-    assert traced_peak(build_and_dump(tmp_path), config) <= 24 * (k + 31) * k * d
+    assert traced_peak(build_and_dump(tmp_path), config) <= 16 * (k + 37) * k * d
     peak = traced_peak(run_verification_suite, config)
     # a machine one byte short of the traced peak is refused, one that holds
     # a quarter more is not
@@ -579,7 +580,7 @@ def test_library_calls_of_the_export_benchmark(tmp_path, monkeypatch):
     for path, op in calls:
         with open(path, encoding="utf-8") as fh:
             nnz = int(fh.read().splitlines()[1].split()[2])
-        assert isinstance(op, ColumnMap) and np.count_nonzero(op) == nnz, path
+        assert isinstance(op, Shift) and np.count_nonzero(op) == nnz, path
 
 
 def test_suite_builds_once_and_reports_every_refusal(monkeypatch):

@@ -11,7 +11,7 @@ from fsusy.fock import FULL_SPACE, GradedBasis, StructureSpec, solve_structure_f
 from fsusy.qarith import primitive_root
 from fsusy.wkalg import (
     STRICT_FACTOR,
-    ColumnMap,
+    Shift,
     build_projectors,
     Scoring,
     build_rep,
@@ -46,13 +46,16 @@ def test_raising_is_exact_adjoint():
     assert np.array_equal(rep.Xp.dense(), rep.Xm.dense().conj().T)
 
 
-def test_adjoint_refuses_two_columns_sharing_a_row():
-    op = ColumnMap(np.array([2, 0, 2, -1]), np.array([1.0, 2.0, 3.0, 0.0], dtype=complex))
-    with pytest.raises(ValueError, match="share a row"):
-        op.adjoint()
-    # a zero weight does not occupy its row
-    op = ColumnMap(np.array([2, 0, 2, -1]), np.array([1.0, 2.0, 0.0, 0.0], dtype=complex))
-    assert np.array_equal(op.adjoint().dense(), op.dense().conj().T)
+def test_adjoint_negates_the_shift():
+    # |n, g> -> |n + 1, g + 2 mod 3>; the top level has no row and holds 0
+    weight = np.array([[1, 2j, 0], [3, 4, 0], [5 - 1j, 6, 0]], dtype=complex)
+    op = Shift(1, 2, weight)
+    adj = op.adjoint()
+    assert (adj.dn, adj.ds) == (-1, -2)
+    assert np.array_equal(adj.dense(), op.dense().conj().T)
+    # row |n + 1, g + 2> of op's column |n, g> is adj's column, level 0 empty
+    assert adj.weight[2, 1] == 1 and adj.weight[1, 1] == 5 + 1j and not adj.weight[:, 0].any()
+    assert op.rows().tolist() == [7, 8, -1, 1, 2, -1, 4, 5, -1]
 
 
 def test_number_and_grading_diagonals():
@@ -105,7 +108,7 @@ class TestProjectors:
         assert rep.projectors.shape == (3, 3)
         for s, row in ((3, 0), (-1, 2)):
             P = rep.projector(s)
-            assert np.array_equal(P.target, np.arange(15))
+            assert (P.dn, P.ds) == (0, 0)
             assert P.weight.tobytes() == np.repeat(rep.projectors[row], 5).tobytes()
 
     def test_rejects_non_unitary(self):
@@ -185,34 +188,39 @@ def test_window_mask_shape_and_errors():
 
 
 def test_residual_scales_each_column():
-    values = np.array([0.5, 2.0, 1e6, 4.0])
-    lhs = ColumnMap.diag(values)
+    values = np.array([[0.5, 2.0], [1e6, 4.0]])
+    lhs = Shift.diag(values)
     assert score([(lhs, lhs)])[0] == 0.0
     # weights below 1 deviate absolutely, larger ones relatively
-    assert score([(lhs, ColumnMap.diag([0.25, 2.0, 1e6, 4.0]))])[0] == 0.25
-    assert score([(lhs, ColumnMap.diag(values * [1, 1, 1 + 1e-9, 1]))])[0] == pytest.approx(1e-9)
+    assert score([(lhs, Shift.diag([[0.25, 2.0], [1e6, 4.0]]))])[0] == 0.25
+    assert score([(lhs, Shift.diag(values * [[1, 1], [1 + 1e-9, 1]]))])[0] == pytest.approx(1e-9)
     # one scaled weight shows at its own size, however many columns agree
-    big = ColumnMap.diag(np.arange(1.0, 10001.0))
-    scaled = ColumnMap.diag(big.weight * np.where(np.arange(10000) == 7, 1 + 1e-9, 1))
+    big = Shift.diag(np.arange(1.0, 10001.0).reshape(100, 100))
+    scaled = Shift.diag(big.weight * np.where(np.arange(10000) == 7, 1 + 1e-9, 1).reshape(100, 100))
     assert score([(big, scaled)])[0] == pytest.approx(1e-9)
-    # a weight in another row counts in full: (2 + 2) / 2
-    moved = ColumnMap(np.array([0, 2, 2, 3]), values)
+    # weights in another row count in full: (0.5 + 0.5) / 1 and (2 + 2) / 2
+    moved = Shift(0, 1, values)
+    assert deviation(lhs, moved).tolist() == [1.0, 2.0, 2.0, 2.0]
     assert score([(lhs, moved)])[0] == 2.0
     # only window columns count, and an empty window leaves nothing to deviate
-    window = np.array([True, False, True, True])
-    assert score([(lhs, moved)], window)[0] == 0.0
+    window = np.array([True, False, False, False])
+    assert score([(lhs, moved)], window)[0] == 1.0
     assert score([(lhs, moved)], np.zeros(4, dtype=bool))[0] == 0.0
 
 
 def test_deviation_of_rows_that_differ_under_a_zero_weight():
-    # a zero weight in another row (or an empty column) deviates by the other
-    # weight alone, as it does in the same row; signed zeros read as zeros
-    lhs = ColumnMap(np.array([0, 1, 2, -1, 0]), np.array([0.0, 0.5, -0.0, 0.0, 3.0]))
-    rhs = ColumnMap(np.array([1, 0, 0, 3, 0]), np.array([3.0, 0.0, 0.0, 0.25, 3.0]))
-    dev = deviation(lhs, rhs)
-    assert dev.tolist() == [1.0, 0.5, 0.0, 0.25, 0.0]
-    assert not np.signbit(dev).any()
-    assert score([(lhs, rhs)])[0] == 1.0
+    # a zero weight in another row (or a column without a row) deviates by the
+    # other weight alone, as it does in the same row; signed zeros read as zeros
+    lhs = Shift(0, 0, np.array([[0.0, 0.5, -0.0], [0.25, -0.0, 0.0]]))
+    rhs = Shift(0, 1, np.array([[3.0, 0.0, 0.0], [0.0, 0.0, -0.0]]))
+    # the top level has no row
+    empty = Shift(1, 1, np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+    for other in (rhs, empty):
+        dev = deviation(lhs, other)
+        assert dev.tolist() == [1.0, 0.5, 0.0, 0.25, 0.0, 0.0]
+        assert dev.tolist() == deviation(lhs, Shift(0, 0, rhs.weight)).tolist()
+        assert not np.signbit(dev).any()
+        assert score([(lhs, other)])[0] == 1.0
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as the suite's build and verify run
@@ -220,11 +228,12 @@ def test_deviation_of_inf_and_nan_weights():
     # an inf or NaN weight makes its column NaN in any row, which the entry
     # then reports as an overflow; the other columns keep their deviation
     inf, nan = np.inf, np.nan
-    lhs = ColumnMap(np.array([0, 1, 2, 3, 4, 5]), np.array([inf, inf, nan, nan, 0.0, 1.0]))
-    rhs = ColumnMap(np.array([0, 0, 2, 0, 1, 5]), np.array([1.0, 0.0, 1.0, 1.0, inf, 0.5]))
-    dev = deviation(lhs, rhs)
-    assert np.isnan(dev[:5]).all()
-    assert dev[5] == 0.5
+    lhs = Shift(0, 0, np.array([[inf, inf, nan], [nan, 0.0, 1.0]]))
+    for ds, last in ((0, 0.5), (1, 1.5)):
+        rhs = Shift(0, ds, np.array([[1.0, 0.0, 1.0], [1.0, inf, 0.5]]))
+        dev = deviation(lhs, rhs)
+        assert np.isnan(dev[:5]).all()
+        assert dev[5] == last
     residual = score([(lhs, rhs)])[0]
     assert np.isnan(residual)
     entry = Scoring(2, 1e-8).entry("x.y", "x = y", residual, "windowed", FULL_SPACE)
@@ -232,16 +241,19 @@ def test_deviation_of_inf_and_nan_weights():
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def test_product_with_empty_columns_reads_column_0():
-    # an empty column of the right factor takes the left factor's column 0
-    # times 0, so an inf there leaves NaN in the empty column, bit for bit
-    left = ColumnMap(np.array([1, 0, 2]), np.array([np.inf, 2.0, 1.0 + 1.0j]))
-    right = ColumnMap(np.array([-1, 0, -1]), np.array([0.0, 3.0, 0.0], dtype=complex))
+def test_product_spreads_an_inf_weight_as_nan():
+    # a zero weight of the right factor whose row holds an inf in the left
+    # factor gives NaN, bit for bit the complex product; a column without a
+    # row holds 0, whatever the left factor holds
+    left = Shift(0, 1, np.array([[1.0 + 1.0j, np.inf, 2.0], [4.0, 5.0, np.inf]]))
+    right = Shift(1, 1, np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 0.0]], dtype=complex))
     product = left @ right
-    assert product.target.tolist() == [-1, 1, -1]
-    expected = left.weight[[0, 0, 0]] * right.weight
+    assert (product.dn, product.ds) == (1, 2)
+    # column |n, g> reads the left factor at |n + 1, g + 1 mod 2>
+    expected = np.array([[left.weight[1, 1] * 0.0, left.weight[1, 2] * 3.0, 0],
+                         [left.weight[0, 1] * 0.0, left.weight[0, 2] * 0.0, 0]])
     assert np.array_equal(product.weight.view(np.int64), expected.view(np.int64))
-    assert np.isnan(product.weight[[0, 2]]).all() and product.weight[1].real == np.inf
+    assert np.isnan(product.weight[1, 0]) and product.weight[0, 1].real == np.inf
     assert np.isnan(score([(product, product)])[0])
 
 
@@ -258,9 +270,9 @@ def test_columns_narrow_and_describe_themselves():
 
 
 def test_score_takes_every_pair_within_each_block():
-    one = ColumnMap.diag([1.0, 1.0, 1.0, 1.0])
-    first = ColumnMap.diag([1.5, 1.0, 1.0, 1.25])
-    second = ColumnMap.diag([1.0, 1.75, 1.0, 1.0])
+    one = Shift.diag([[[1.0, 1.0]], [[1.0, 1.0]]])
+    first = Shift.diag([[[1.5, 1.0]], [[1.0, 1.25]]])
+    second = Shift.diag([[[1.0, 1.75]], [[1.0, 1.0]]])
     pairs = [(one, first), (one, second)]
     assert score(pairs, None, 2).tolist() == [0.75 / 1.75, 0.25 / 1.25]
     assert score(pairs, np.array([True, False, True, True]), 2).tolist() == [0.5 / 1.5, 0.25 / 1.25]
@@ -326,28 +338,23 @@ def test_grading_commutes_with_number_exactly():
     assert np.linalg.norm(comm) == 0.0
 
 
-# dyadic weights keep every product and sum exact, so the column-map results
-# must equal the dense ones bit for bit
+# dyadic weights keep every product and sum exact, so the graded-shift
+# results must equal the dense ones bit for bit
 dyadic = st.builds(lambda re, im: complex(re, im) / 8, st.integers(-16, 16), st.integers(-16, 16))
 
 
 @st.composite
-def column_maps(draw, dim, targets=None):
-    """A column map on dim states; its nonzero columns follow ``targets`` if given."""
-    if targets is None:
-        targets = draw(st.lists(st.integers(-1, dim - 1), min_size=dim, max_size=dim))
-    weight = np.array(draw(st.lists(dyadic, min_size=dim, max_size=dim)))
-    target = np.array(targets)
-    weight[target < 0] = 0
-    return ColumnMap(target, weight)
-
-
-@st.composite
-def partial_permutations(draw, dim):
-    """A column map with distinct rows, so it has an adjoint."""
-    rows = draw(st.permutations(range(dim)))
-    empty = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
-    return draw(column_maps(dim, [-1 if e else r for r, e in zip(rows, empty)]))
+def shifts(draw, shape, dn=None, ds=None):
+    """A graded shift with weight table ``shape``, random steps unless given and
+    dyadic weights; the columns without a row hold 0."""
+    *_, K, d = shape
+    dn = draw(st.integers(-d, d)) if dn is None else dn
+    ds = draw(st.integers(-2 * K, 2 * K)) if ds is None else ds
+    weight = np.array(draw(st.lists(dyadic, min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape))))).reshape(shape)
+    level = np.arange(d) + dn
+    weight[..., (level < 0) | (level >= d)] = 0
+    return Shift(dn, ds, weight)
 
 
 def dense_residual(lhs: np.ndarray, rhs: np.ndarray, window: np.ndarray) -> float:
@@ -357,22 +364,25 @@ def dense_residual(lhs: np.ndarray, rhs: np.ndarray, window: np.ndarray) -> floa
     return float(dev[window].max(initial=0.0))
 
 
-@given(k=st.integers(2, 4), d=st.integers(2, 8), data=st.data())
+@given(blocks=st.integers(1, 2), K=st.integers(2, 4), d=st.integers(2, 6), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_column_map_matches_dense_oracle(k, d, data):
-    dim = k * d
-    A = data.draw(column_maps(dim))
-    B = data.draw(column_maps(dim))
-    P = data.draw(partial_permutations(dim))
+def test_column_map_matches_dense_oracle(blocks, K, d, data):
+    shape = (blocks, K, d)
+    dim = blocks * K * d
+    A = data.draw(shifts(shape))
+    B = data.draw(shifts(shape))
     assert np.array_equal((A @ B).dense(), A.dense() @ B.dense())
     assert np.array_equal((A ** 3).dense(), np.linalg.matrix_power(A.dense(), 3))
-    assert np.array_equal(P.adjoint().dense(), P.dense().conj().T)
+    # every column has its own row, so every shift has an adjoint
+    assert np.array_equal(A.adjoint().dense(), A.dense().conj().T)
     c = data.draw(dyadic)
     assert np.array_equal((c * A).dense(), c * A.dense())
+    # each column's row is where dense() puts its weight
+    rows = A.rows()
+    assert np.array_equal(rows >= 0, A.dense().any(axis=0) | (rows >= 0) & (A.weight.ravel() == 0))
 
-    # same shift: C shares A's rows wherever both are nonzero
-    C = data.draw(column_maps(dim, [t if w != 0 else data.draw(st.integers(-1, dim - 1))
-                                    for t, w in zip(A.target, A.weight)]))
+    # the same shift, its grade step possibly a multiple of K apart
+    C = data.draw(shifts(shape, A.dn, A.ds + K * data.draw(st.integers(-1, 1))))
     assert np.array_equal((A + C).dense(), A.dense() + C.dense())
     assert np.array_equal((A - C).dense(), A.dense() - C.dense())
 
@@ -380,19 +390,23 @@ def test_column_map_matches_dense_oracle(k, d, data):
     Wd = np.diag(window.astype(complex))
     assert score([(A, C)], window)[0] == dense_residual(A.dense(), C.dense(), window)
     assert score([(A, B)])[0] == dense_residual(A.dense(), B.dense(), np.ones(dim, dtype=bool))
-    assert np.array_equal(A.masked(window).dense(), A.dense() @ Wd)
+    assert np.array_equal(A.masked(window.reshape(shape)).dense(), A.dense() @ Wd)
+    # a sector mask broadcasts over the blocks and levels
+    sector = np.array(data.draw(st.lists(st.booleans(), min_size=K, max_size=K)))[:, None]
+    assert np.array_equal(A.masked(sector).dense(),
+                          A.dense() @ np.diag(np.broadcast_to(sector, shape).ravel()))
 
-    # a different shift on a column where both are nonzero is refused by
-    # + and -, and the residual counts both weights there
-    live = np.flatnonzero(A.weight != 0)
-    if live.size:
-        j = data.draw(st.sampled_from(live.tolist()))
-        moved = A.target.copy()
-        moved[j] = (moved[j] + 1) % dim
-        D = ColumnMap(moved, A.weight)
-        with pytest.raises(ValueError):
-            A + D
-        with pytest.raises(ValueError):
-            A - D
-        assert score([(A, D)], window)[0] == dense_residual(A.dense(), D.dense(), window)
-        assert score([(A, D)])[0] > 0.0
+    # another grade step moves every column's row: + and - refuse it, the
+    # residual counts both weights in every column, and blocks of one
+    # operator must share one shift
+    D = Shift(A.dn, A.ds + 1, A.weight)
+    for combine in (A.__add__, A.__sub__):
+        with pytest.raises(ValueError, match="different steps"):
+            combine(D)
+    assert score([(A, D)], window)[0] == dense_residual(A.dense(), D.dense(), window)
+    with pytest.raises(ValueError, match="one shift"):
+        Shift.stack([A, D])
+    stacked = Shift.stack([A, C])
+    assert stacked.weight.shape == (2, *shape)
+    assert np.array_equal(stacked.dense()[:dim, :dim], A.dense())
+    assert np.array_equal(stacked.dense()[dim:, dim:], C.dense())

@@ -101,6 +101,12 @@ def configurations() -> dict[str, tuple[list[str], tuple[str, ...]]]:
             ["--k", "64", "--d", "500", "--family", "constant"], ("verify", "spectrum")),
         "k=32 d=1000 affine(0.5,1)": (
             ["--k", "32", "--d", "1000", "--a", "0.5", "--b", "1"], ("verify",)),
+        # the order frontier: A's weight 1/[k-1]_q! is 6e-308 at k=203 and
+        # subnormal from k=204 on
+        "k=203 d=8 margin 1 affine(0.5,1)": (
+            ["--k", "203", "--d", "8", "--margin", "1", "--a", "0.5", "--b", "1"], ("verify",)),
+        "k=204 d=8 margin 1 affine(0.5,1)": (
+            ["--k", "204", "--d", "8", "--margin", "1", "--a", "0.5", "--b", "1"], ("verify",)),
     })
     # a 3 x 2 grid of affine points, with and without the process pool
     grid = ["--k", "3", "--d", "12", "--a-range", "-0.5", "0.5", "3", "--b-range", "1", "2", "2"]
