@@ -33,7 +33,9 @@ FAMILIES = ("constant", "affine", "table")
 
 
 class Columns(NamedTuple):
-    """Columns to score on (a ``mask``, None for all) and their report text."""
+    """Columns to score on and their report text.  The ``mask`` (None for all)
+    broadcasts against the (..., K, d) weight tables it selects from: a (d,)
+    mask picks levels, a (K, 1) one grades."""
 
     mask: np.ndarray | None
     text: str
@@ -163,12 +165,11 @@ class StructureSpec:
 
 @dataclass(frozen=True)
 class GradedBasis:
-    """Basis |n, s> with k sectors of d levels; flat index = s*d + n.
+    """Basis |n, s> with k sectors of d levels.
 
-    This is the one place that knows the layout: ``level`` and ``sector``
-    give the (n, s) of every flat index, so a per-level array lifts to the
-    whole space as ``values[basis.level]`` and a per-sector one as
-    ``values[basis.sector]``.
+    Every operator and column set on it is a (k, d) table, sector s in row s
+    and level n in column n; a per-level array of shape (d,) broadcasts over
+    the sectors, and over any leading block axes.
     """
 
     k: int
@@ -184,37 +185,8 @@ class GradedBasis:
     def dim(self) -> int:
         return self.k * self.d
 
-    @cached_property
-    def level(self) -> np.ndarray:
-        """Level n of every flat index (read-only)."""
-        return _read_only(np.arange(self.dim) % self.d)
-
-    @cached_property
-    def sector(self) -> np.ndarray:
-        """Sector s of every flat index (read-only)."""
-        return _read_only(np.arange(self.dim) // self.d)
-
-    def index(self, n, s):
-        """Flat index of |n, s>, the sector cyclic; n and s may be integer arrays."""
-        n = np.asarray(n)
-        bad = (n < 0) | (n >= self.d)
-        if bad.any():
-            raise ValueError(f"level {n[bad][0]} outside 0..{self.d - 1}")
-        flat = np.mod(s, self.k) * self.d + n
-        return int(flat) if flat.ndim == 0 else flat
-
-    def state(self, i: int) -> tuple[int, int]:
-        """Inverse of index: flat index -> (n, s)."""
-        if not 0 <= i < self.dim:
-            raise ValueError(f"index {i} outside 0..{self.dim - 1}")
-        return int(self.level[i]), int(self.sector[i])
-
-    def sector_mask(self, s: int) -> np.ndarray:
-        """Columns of sector s (cyclic index), as a fresh mask."""
-        return self.sector == s % self.k
-
     def window(self, margin: int) -> Columns:
-        """Columns of levels n <= d - 1 - margin, as a fresh mask, and their description."""
+        """Levels n <= d - 1 - margin, as a fresh (d,) mask, and their description."""
         if margin < 1:
             raise WindowTooSmallError(f"margin must be at least 1, got {margin}")
         top = self.d - 1 - margin
@@ -222,12 +194,7 @@ class GradedBasis:
             raise WindowTooSmallError(
                 f"margin {margin} leaves no window below the ceiling of {self.d} levels"
             )
-        return Columns(self.level <= top, f"levels n <= {top} of {self.d} (margin {margin})")
-
-
-def _read_only(values: np.ndarray) -> np.ndarray:
-    values.flags.writeable = False
-    return values
+        return Columns(np.arange(self.d) <= top, f"levels n <= {top} of {self.d} (margin {margin})")
 
 
 @dataclass(frozen=True)

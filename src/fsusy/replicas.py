@@ -128,7 +128,7 @@ def verify_replicas(
     """
     if not blocks.order:
         return {}
-    basis, m = doublet.rep.basis, len(blocks.order)
+    basis = doublet.rep.basis
     window = basis.window(scoring.margin)
     # each replica's column set of every identity, on the graded basis; only
     # its text is reported
@@ -137,9 +137,9 @@ def verify_replicas(
                        partner_diagonal=window.narrow(
                            None, f"omitting ground level of sector {s % basis.k}"))
                for s in blocks.order}
-    # the same column sets on the stack, where sector s-1 is each lower grade
-    lower = np.arange(2 * m * basis.d) // basis.d % 2 == 0
-    inside = np.tile(window.mask[:basis.d], 2 * m)
+    # on the (m, 2, d) stack the window's level mask broadcasts as it is, and
+    # sector s-1 is each replica's lower grade
+    lower = (np.arange(2) == 0)[:, None]
 
     Xsm, Xsp, qm, qp, h = blocks.Xsm, blocks.Xsp, blocks.qm, blocks.qp, blocks.h
     zero = Shift.diag(np.zeros(h.weight.shape))
@@ -149,20 +149,20 @@ def verify_replicas(
     order = np.array(blocks.order)
     D = Shift.diag(doublet.partners[np.stack([order - 2, order - 1], axis=1)])
     # H_s(n + 1) on both sectors of replica s, 0 at the top level
-    up = np.append(doublet.partners[order - 1, 1:], np.zeros((m, 1)), axis=1)
+    up = np.append(doublet.partners[order - 1, 1:], np.zeros((order.size, 1)), axis=1)
 
     # each identity's products live only while it is scored
     residuals = {
-        "nilpotency": score(((q @ q, zero) for q in (qm, qp)), None, m),
-        "pair_adjoint": score([(qp, qm.adjoint())], None, m),
-        "anticommutator": score([(h, qm @ qp + qp @ qm)], None, m),
-        "hamiltonian_commutes": score(((h @ q, q @ h) for q in (qm, qp)), None, m),
+        "nilpotency": score(((q @ q, zero) for q in (qm, qp))),
+        "pair_adjoint": score([(qp, qm.adjoint())]),
+        "anticommutator": score([(h, qm @ qp + qp @ qm)]),
+        "hamiltonian_commutes": score(((h @ q, q @ h) for q in (qm, qp))),
         "shift_product": score(
             [(Xsm @ Xsp, Shift.diag(np.broadcast_to(up[:, None], h.weight.shape)))],
-            inside & lower, m),
+            window.mask & lower),
         "partner_diagonal": score(
-            [(h, D.masked((np.arange(2) == 0)[:, None] | (np.arange(basis.d) > 0)))], inside, m),
-        "intertwining": score(((D @ X, X @ D) for X in (Xsm, Xsp)), inside, m),
+            [(h, D.masked(lower | (np.arange(basis.d) > 0)))], window.mask),
+        "intertwining": score(((D @ X, X @ D) for X in (Xsm, Xsp)), window.mask),
     }
     return {
         s: [scoring.entry(f"replica{s}.{key}", statement, residuals[key][i], tier, columns[s][key])
@@ -177,15 +177,14 @@ def check_isospectrality(doublet: FsusyDoublet, scoring: Scoring) -> ReportEntry
     Stated on values rather than eigenvalue multisets because truncation and
     the omitted ground levels fray the edges of a multiset comparison.
     """
-    basis = doublet.rep.basis
-    top = int(basis.level[basis.window(scoring.margin).mask].max())
+    top = int(np.flatnonzero(doublet.rep.basis.window(scoring.margin).mask)[-1])
     # H_(s-1)(n-1) against H_s(n), s = 2 .. k and n = 1 .. top
     lower = Shift.diag(doublet.partners[:-1, :top])
     upper = Shift.diag(doublet.partners[1:, 1:top + 1])
     return scoring.entry(
         "partners.level_shift",
         "adjacent partner ladders agree after a one-level shift (wrap pair exempt)",
-        score([(lower, upper)])[0], "windowed", Columns(None, f"levels 1 <= n <= {top}"),
+        score([(lower, upper)]), "windowed", Columns(None, f"levels 1 <= n <= {top}"),
     )
 
 
@@ -215,9 +214,10 @@ def verify_sum_identity(
     rhs[1] = (blocks.qm @ blocks.qp).weight[0, 0]
     # every column but the ground levels |0, s> of sectors s = 2 .. k
     window = basis.window(scoring.margin).narrow(
-        (basis.level > 0) | (basis.sector == 1), "omitting replica ground levels")
+        (np.arange(basis.d) > 0) | (np.arange(basis.k) == 1)[:, None],
+        "omitting replica ground levels")
     return scoring.entry(
-        name, statement, score([(doublet.H, Shift.diag(rhs))], window.mask)[0], "windowed", window)
+        name, statement, score([(doublet.H, Shift.diag(rhs))], window.mask), "windowed", window)
 
 
 def k2_reduction_entry(doublet: FsusyDoublet, h: Shift, scoring: Scoring) -> ReportEntry:
@@ -228,5 +228,5 @@ def k2_reduction_entry(doublet: FsusyDoublet, h: Shift, scoring: Scoring) -> Rep
     return scoring.entry(
         "reduction.total_hamiltonian",
         "for order 2 the replica Hamiltonian h(2) equals H entrywise",
-        score([(h, doublet.H)], window.mask)[0], "strict", window,
+        score([(h, doublet.H)], window.mask), "strict", window,
     )

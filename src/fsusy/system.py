@@ -157,14 +157,14 @@ def verify_fsusy(doublet: FsusyDoublet, scoring: Scoring) -> list[ReportEntry]:
     return [
         scoring.entry(
             "fsusy.nilpotency", "Q-^k = 0 and Q+^k = 0",
-            score([(powers[k], zero), (Qp ** k, zero)])[0], "exact", FULL_SPACE),
+            score([(powers[k], zero), (Qp ** k, zero)]), "exact", FULL_SPACE),
         scoring.entry(
             "fsusy.multilinear",
             "the k ordered products Q-^(k-1-j) Q+ Q-^j sum to Q-^(k-2) H",
-            score([(total, powers[k - 2] @ H)], window.mask)[0], "windowed", window),
+            score([(total, powers[k - 2] @ H)], window.mask), "windowed", window),
         scoring.entry(
             "fsusy.hamiltonian_commutes", "[H, Q-] = 0 and [H, Q+] = 0",
-            score(((H @ Q, Q @ H) for Q in (Qm, Qp)), window.mask)[0], "strict", window),
+            score(((H @ Q, Q @ H) for Q in (Qm, Qp)), window.mask), "strict", window),
     ]
 
 
@@ -179,5 +179,5 @@ def partner_consistency_entry(doublet: FsusyDoublet, scoring: Scoring) -> Report
     return scoring.entry(
         "fsusy.partner_diagonal",
         "H is diagonal and its diagonal matches the closed-form partner energies",
-        score([(doublet.H, expected)])[0], "strict", FULL_SPACE,
+        score([(doublet.H, expected)]), "strict", FULL_SPACE,
     )

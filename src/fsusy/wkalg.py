@@ -23,9 +23,11 @@ ceiling.  Every identity A = B in fsusy is scored by one scale-free residual
 with |.|_1 the column 1-norm; operands of different shifts deviate by
 |A_j| + |B_j|.  The residual is 0 exactly when A and B agree on those
 columns, and a relative error in one weight shows at its own size whatever
-d is.  Block-diagonal operators (several representations or replicas side
-by side) hold their blocks on leading axes of the weight table and are
-compared once; each block's residual is the largest over its own columns.
+d is.  Columns are the cells of the (..., K, d) weight table and a column
+set is a mask that broadcasts against it.  Block-diagonal operators (several
+representations or replicas side by side) hold their blocks on leading axes
+of the table and are compared once; each block's residual is the largest
+over its own columns.
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ class Shift:
     """Graded shift: column |n, g> goes to row |n + dn, g + ds mod K> with
     weight ``weight[..., g, n]``, of shape (..., K, d).  The K grades are
     cyclic and the d levels truncate: a column whose row level falls outside
-    0 .. d-1 has no row and holds 0.  Leading axes hold blocks side by side;
-    the flat column index is the C order of ``weight``."""
+    0 .. d-1 has no row and holds 0.  Leading axes hold blocks side by side.
+    The dense matrix of ``rows`` and ``dense`` numbers the columns in the C
+    order of ``weight``."""
 
     dn: int
     ds: int
@@ -147,8 +150,9 @@ class Shift:
         return Shift(self.dn, self.ds, self.weight * keep)
 
     def rows(self) -> np.ndarray:
-        """The flat row of every column in flat column order, -1 where there is
-        none; read-only, shared by the shifts of one step and table shape."""
+        """The dense row of every column, columns in the C order of ``weight``,
+        -1 where there is none; read-only, shared by the shifts of one step and
+        table shape."""
         return _rows(self.weight.shape, self.dn, self.ds % self.weight.shape[-2])
 
     def dense(self) -> np.ndarray:
@@ -218,7 +222,7 @@ def build_projectors(K: np.ndarray, k: int) -> np.ndarray:
 
 
 def deviation(lhs: Shift, rhs: Shift) -> np.ndarray:
-    """Relative deviation of lhs = rhs in each column, in flat column order.
+    """Relative deviation of lhs = rhs in each column, as a weight table.
 
     Column j scores |lhs_j - rhs_j| / max(1, |lhs_j|, |rhs_j|); operands of
     different shifts put their entries in different rows and deviate by
@@ -228,20 +232,28 @@ def deviation(lhs: Shift, rhs: Shift) -> np.ndarray:
     dev = np.abs(lhs.weight - rhs.weight) if lhs._same_shift(rhs) else a + b
     np.maximum(a, b, out=a)
     dev /= np.maximum(a, 1.0, out=a)
-    return dev.ravel()
+    return dev
 
 
-def score(pairs, window: np.ndarray | None = None, blocks: int = 1) -> np.ndarray:
-    """Residual of each of ``blocks`` equal consecutive column blocks: the largest
-    deviation over the block's window columns (all without a window) and over the
-    (lhs, rhs) pairs, each freed before a generator of pairs forms the next."""
-    out = np.zeros(blocks)
+def score(pairs, window: np.ndarray | None = None) -> np.ndarray:
+    """Residual of each block of the (..., K, d) tables: the largest deviation
+    over the block's window columns (all without a window) and over the
+    (lhs, rhs) pairs, each freed before a generator of pairs forms the next.
+
+    One residual per leading index, a 0-d array for a single map.  The window
+    must broadcast against the deviation table without changing its shape.
+    """
+    out = np.zeros(())
     for lhs, rhs in pairs:
         dev = deviation(lhs, rhs)
         del lhs, rhs
         if window is not None:
-            dev = np.where(window, dev, 0.0)
-        out = np.maximum(out, dev.reshape(blocks, -1).max(axis=1, initial=0.0))
+            kept = np.where(window, dev, 0.0)
+            if kept.shape != dev.shape:
+                raise ValueError(f"a window of shape {np.shape(window)} does not fit "
+                                 f"a table of shape {dev.shape}")
+            dev = kept
+        out = np.maximum(out, dev.max(axis=(-2, -1), initial=0.0))
     return out
 
 
@@ -276,17 +288,18 @@ def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> 
     k, d = basis.k, basis.d
     if F.k != k or F.d < d:
         raise RepresentationError("structure function does not cover the basis")
-    # F_s(n) at [s, n]: the (sector, level) table, flat in basis order
+    # F_s(n) at [s, n]: the (sector, level) table; the first bad value in
+    # sector order is reported
     values, level = F.values[:, :d], np.arange(d)
-    bad = np.flatnonzero(~np.isfinite(values))
+    bad = np.argwhere(~np.isfinite(values))
     if bad.size:
-        n, s = basis.state(int(bad[0]))
+        s, n = bad[0]
         raise RepresentationError(
             f"F_{s}({n}) = {F.value(s, n)} is not finite; the structure values overflow float64"
         )
-    bad = np.flatnonzero((level > 0) & (values < -NONNEG_TOL))
+    bad = np.argwhere((level > 0) & (values < -NONNEG_TOL))
     if bad.size:
-        n, s = basis.state(int(bad[0]))
+        s, n = bad[0]
         raise RepresentationError(
             f"F_{s}({n}) = {F.value(s, n):.6g} is negative; no real ladder element exists"
         )
@@ -321,19 +334,25 @@ _RELATION_STATEMENTS = {
 }
 
 
-def ladder_weights(rep: AlgebraRep) -> np.ndarray:
-    """Weights of the diagonal sum_s f_s(N) Pi_s on the (sector, level) table.
+def graded_sum(levels: np.ndarray, grades: np.ndarray) -> np.ndarray:
+    """The (grade, level) weight table of sum_s levels[s] (x) grades[s], for
+    weights on the d levels (rows of a (k, d) array) and on the k grades
+    (rows of a (k, k) array).
 
-    The k terms f_s(n) Pi_s are added to zero in order s = 0 .. k-1, each the
-    complex product of f_s(n) and Pi_s's value on the sector, as the sum of
-    k diagonal products would.
+    Column |n, t> adds the k products levels[s, n] * grades[s, t] to zero in
+    order s = 0 .. k-1, as a sum of k Kronecker or diagonal products would.
     """
+    total = np.zeros(levels.shape, dtype=complex)
+    for row, grade in zip(levels, grades, strict=True):
+        total += row * grade[:, None]
+    return total
+
+
+def ladder_weights(rep: AlgebraRep) -> np.ndarray:
+    """Weights of the diagonal sum_s f_s(N) Pi_s on the (sector, level) table."""
     basis = rep.basis
     f = rep.spec.f(np.arange(basis.k)[:, None], np.arange(basis.d))
-    total = np.zeros((basis.k, basis.d), dtype=complex)
-    for f_s, P in zip(f.astype(complex), rep.projectors, strict=True):
-        total += f_s * P[:, None]
-    return total
+    return graded_sum(f.astype(complex), rep.projectors)
 
 
 def algebra_relation_residuals(
@@ -358,22 +377,21 @@ def algebra_relation_residuals(
                 f"representations on {rep.basis.k} x {rep.basis.d} and "
                 f"{basis.k} x {basis.d} spaces have no common window"
             )
-    p = len(reps)
     window = basis.window(margin)
-    P = np.tile(window.mask, p)
+    P = window.mask
     q = primitive_root(basis.k)
     Xm, Xp, N, K = (Shift.stack([getattr(rep, name) for rep in reps])
                     for name in ("Xm", "Xp", "N", "K"))
     ladder = Shift.diag(np.stack([ladder_weights(r) for r in reps]))
     # each relation's products live only while it is scored
     columns = {
-        "ladder_commutator": score([(Xm @ Xp, Xp @ Xm + ladder)], P, p),
-        "number_ladder": score(((N @ X, op(X @ N, X)) for op, X in ((sub, Xm), (add, Xp))), P, p),
-        "grading_ladder": score(((K @ X, c * (X @ K)) for c, X in ((1 / q, Xm), (q, Xp))), P, p),
-        "grading_number": score([(K @ N, N @ K)], P, p),
-        "grading_cyclic": score([(K ** basis.k, Shift.diag(np.ones(K.weight.shape)))], P, p),
+        "ladder_commutator": score([(Xm @ Xp, Xp @ Xm + ladder)], P),
+        "number_ladder": score(((N @ X, op(X @ N, X)) for op, X in ((sub, Xm), (add, Xp))), P),
+        "grading_ladder": score(((K @ X, c * (X @ K)) for c, X in ((1 / q, Xm), (q, Xp))), P),
+        "grading_number": score([(K @ N, N @ K)], P),
+        "grading_cyclic": score([(K ** basis.k, Shift.diag(np.ones(K.weight.shape)))], P),
     }
-    return [{key: float(val[i]) for key, val in columns.items()} for i in range(p)], window
+    return [{key: float(val[i]) for key, val in columns.items()} for i in range(len(reps))], window
 
 
 def verify_wk_relations(

@@ -18,3 +18,9 @@ def clear_order_caches():
     when the test ends."""
     yield _clear_order_caches
     _clear_order_caches()
+
+
+def flat(basis, n, s):
+    """Row and column of |n, s> in a dense matrix of an operator on ``basis``:
+    the C order of its (k, d) weight table, the sector cyclic."""
+    return s % basis.k * basis.d + n

@@ -368,6 +368,9 @@ class TestExitCodes:
         assert all(entries[f"algebra.{name}"]["passed"] for name in (
             "ladder_commutator", "number_ladder", "grading_ladder"))
         assert entries[f"replica{k}.partner_diagonal"]["passed"]
+        # f-^k = 0 exactly, also where [k-1]_q! overflows float64
+        assert (entries["kfermion.nilpotency"]["passed"],
+                entries["kfermion.nilpotency"]["residual"]) == (True, 0.0)
         if construction is None:
             assert "tensor.construction" not in entries and "tensor.spectral_distance" in entries
         else:

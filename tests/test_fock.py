@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import flat
 from fsusy.errors import (
     ConfigError,
     DegenerateSpaceError,
@@ -15,6 +16,7 @@ from fsusy.fock import (
     load_table_csv,
     solve_structure_function,
 )
+from fsusy.wkalg import Shift
 
 
 def telescoped(spec, s, n):
@@ -117,18 +119,14 @@ class TestStructureSpec:
 
 class TestGradedBasis:
     def test_layout(self):
+        # a window is one level mask, which broadcasts over the (k, d) table
         basis = GradedBasis(3, 4)
-        assert basis.dim == 12
-        assert basis.index(0, 0) == 0
-        assert basis.index(2, 1) == 6
-        assert basis.index(1, 3) == 1  # sector wraps mod k
+        assert (basis.k, basis.d, basis.dim) == (3, 4, 12)
+        mask = basis.window(1).mask
+        assert mask.tolist() == [True, True, True, False]
+        assert np.broadcast_shapes(mask.shape, (basis.k, basis.d)) == (3, 4)
 
     def test_bounds(self):
-        basis = GradedBasis(3, 4)
-        with pytest.raises(ValueError):
-            basis.index(4, 0)
-        with pytest.raises(ValueError):
-            basis.state(12)
         with pytest.raises(InvalidOrderError):
             GradedBasis(1, 4)
         with pytest.raises(DegenerateSpaceError):
@@ -137,10 +135,15 @@ class TestGradedBasis:
     @given(k=st.integers(2, 6), d=st.integers(2, 20), data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_index_state_roundtrip(self, k, d, data):
+        # |n, s> sits at table cell [s, n]; the dense matrices of the tests
+        # number it flat(basis, n, s), the C order of the table
         basis = GradedBasis(k, d)
-        i = data.draw(st.integers(0, basis.dim - 1))
-        n, s = basis.state(i)
-        assert basis.index(n, s) == i
+        n, s = data.draw(st.integers(0, d - 1)), data.draw(st.integers(-k, 2 * k))
+        weight = np.zeros((k, d))
+        weight[s % k, n] = 1.0
+        i = flat(basis, n, s)
+        assert np.unravel_index(i, weight.shape) == (s % k, n)
+        assert np.flatnonzero(Shift.diag(weight).dense()).tolist() == [i * basis.dim + i]
 
 
 def test_constant_solution_is_linear():

@@ -12,7 +12,8 @@ sector pairs.
 
 Four identities cannot see a scaled weight and are not listed: Q-^k = 0,
 q- q- = 0 and f-^k = 0 stay nilpotent whatever their weights, and the
-diagonal K and N commute whatever their weights.  A replica weight changed
+diagonal K and N commute whatever their weights.  f-^k = 0 does see a
+weight planted at its zero [0]_q.  A replica weight changed
 inside its own block fails the entries of its own replica that read it,
 and no entry of another replica.
 """
@@ -58,10 +59,10 @@ def systems():
             for k in (2, 3, 4) for label, spec in family_specs(k).items()}
 
 
-def scaled(op, col, factor):
-    """op with the weight of flat column col scaled by factor."""
+def scaled(op, at, factor):
+    """op with its weight at table index ``at`` scaled by factor."""
     weight = op.weight.copy()
-    weight.reshape(-1)[col] *= factor
+    weight[at] *= factor
     return dataclasses.replace(op, weight=weight)
 
 
@@ -75,7 +76,7 @@ def make_tensor(rep):
 def rep_case(field, s):
     def run(system, n, factor):
         rep = system.rep
-        op = scaled(getattr(rep, field), rep.basis.index(n, s), factor)
+        op = scaled(getattr(rep, field), (s, n), factor)
         mutated = dataclasses.replace(rep, **{field: op})
         return verify_wk_relations(mutated, Scoring(rep.basis.k, 1e-10), tensor=make_tensor(rep))[0]
     return run
@@ -85,7 +86,7 @@ def tensor_case(field, s):
     def run(system, n, factor):
         rep = system.rep
         tensor = make_tensor(rep)
-        op = scaled(getattr(tensor, field), rep.basis.index(n, s), factor)
+        op = scaled(getattr(tensor, field), (s, n), factor)
         mutated = dataclasses.replace(tensor, **{field: op})
         scoring = Scoring(rep.basis.k, 1e-10)
         return (verify_wk_relations(rep, scoring, tensor=mutated)[1]
@@ -100,16 +101,15 @@ def replica_entries(blocks, doublet):
 
 
 def stacked_column(blocks, s, n, sector):
-    """Stacked column of |n, sector> in replica s's block, sector s-1 or s."""
-    i = blocks.order.index(s)
-    return (2 * i + (sector % blocks.basis.k != s - 1)) * blocks.basis.d + n
+    """Table index of |n, sector> in replica s's block, sector s-1 or s."""
+    return blocks.order.index(s), int(sector % blocks.basis.k != s - 1), n
 
 
 def hamiltonian_case(s):
     def run(system, n, factor):
         doublet = system.doublet
         scoring = Scoring(doublet.k, 1e-10)
-        H = scaled(doublet.H, doublet.rep.basis.index(n, s), factor)
+        H = scaled(doublet.H, (s, n), factor)
         doublet = dataclasses.replace(doublet, H=H)
         return verify_fsusy(doublet, scoring) + [
             partner_consistency_entry(doublet, scoring),
@@ -140,7 +140,7 @@ def replica_case(s, field, sector):
 
 def reduction_case(system, n, factor):
     doublet = system.doublet
-    h = scaled(system.replicas.lift("h", 2), doublet.rep.basis.index(n, 1), factor)
+    h = scaled(system.replicas.lift("h", 2), (1, n), factor)
     return [k2_reduction_entry(doublet, h, Scoring(2, 1e-10))]
 
 
@@ -201,16 +201,29 @@ def test_scaled_fermion_weight_fails_the_entry(name, k, field, grades):
     assert all(e.passed for e in verify_kfermions(pair, Scoring(k, 1e-10)))
     for t in grades:
         for factor, passed in [(1.0, True), (SCALE, False)]:
-            mutated = dataclasses.replace(pair, **{field: scaled(getattr(pair, field), t, factor)})
+            mutated = dataclasses.replace(pair, **{field: scaled(getattr(pair, field), (t, 0), factor)})
             entry = {e.name: e for e in verify_kfermions(mutated, Scoring(k, 1e-10))}[name]
             assert entry.passed is passed, (t, factor, entry.residual)
 
 
-def planted(op, col, weight):
-    """op with the weight of flat column col set to weight."""
+def planted(op, at, weight):
+    """op with its weight at table index ``at`` set to weight."""
     weights = op.weight.copy()
-    weights.reshape(-1)[col] = weight
+    weights[at] = weight
     return dataclasses.replace(op, weight=weights)
+
+
+@pytest.mark.parametrize("k", [3, 204])
+def test_planted_fermion_weight_fails_the_nilpotency(k):
+    # f-^k = 0 rests on the zero weight [0]_q of grade 0 alone; 1e-9 there
+    # makes every column of f-^k nonzero, also from k = 204 on, where
+    # [k-1]_q! overflows float64
+    pair = build_kfermion_pair(k)
+    for weight, passed in [(0.0, True), (1e-9, False)]:
+        mutated = dataclasses.replace(pair, fm=planted(pair.fm, (0, 0), weight))
+        entry = {e.name: e for e in verify_kfermions(mutated, Scoring(k, 1e-10))}[
+            "kfermion.nilpotency"]
+        assert entry.passed is passed and entry.error is None, (weight, entry.residual)
 
 
 # each defect of replica s's block: the operator, the weight it puts at a
@@ -242,11 +255,11 @@ def test_stray_replica_weight_fails_only_its_replica(systems, k, how):
         top = system.d_effective - 1 - k
         for s in blocks.order:
             held = [n for n in range(1, top + 1)
-                    if op.weight.reshape(-1)[stacked_column(blocks, s, n, s)] != 0]
+                    if op.weight[stacked_column(blocks, s, n, s)] != 0]
             for n in (held[0], held[len(held) // 2], held[-1]):
-                col = stacked_column(blocks, s, n, s + shift)
-                weight = 1e-9 if shift else op.weight.reshape(-1)[col] * SCALE
-                mutated = dataclasses.replace(blocks, **{field: planted(op, col, weight)})
+                at = stacked_column(blocks, s, n, s + shift)
+                weight = 1e-9 if shift else op.weight[at] * SCALE
+                mutated = dataclasses.replace(blocks, **{field: planted(op, at, weight)})
                 after = verify_replicas(mutated, doublet, Scoring(k, 1e-10))
                 for r, entries in after.items():
                     for e, ref in zip(entries, before[r], strict=True):

@@ -38,13 +38,12 @@ POINTS = [(k, label) for k in POINT_ORDERS for label in point_specs(k)]
 
 
 def shared_arrays(k, d):
-    """Every array the order caches hold at k, and the read-only basis layout, by name."""
+    """Every array the order caches hold at k, by name."""
     basis = GradedBasis(k, d)
     spec = StructureSpec.constant_values(k, 1.0)
     rep = build_rep(spec, basis, solve_structure_function(spec, d))
     pair = build_kfermion_pair(k)
-    arrays = {"level": basis.level, "sector": basis.sector, "grades": _grading(k)[0],
-              "projectors": rep.projectors, "Pf": pair.Pf}
+    arrays = {"grades": _grading(k)[0], "projectors": rep.projectors, "Pf": pair.Pf}
     for name in ("fm", "fp", "Kf", "A", "Ak1"):
         op = getattr(pair, name)
         arrays[f"{name}.weight"] = op.weight

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import flat
 from fsusy.errors import FactorizationError, FsusyError, WindowTooSmallError
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
 from fsusy.replicas import (
@@ -56,7 +57,7 @@ def test_lowering_element_is_partner_square_root():
     basis = db.rep.basis
     Xsm, Xsp = build_shift_operators(db, 2)
     # H_2(1) = 3 for f = 1, so X(2)-|1,2> = sqrt(3)|0,1>
-    assert Xsm.dense()[basis.index(0, 1), basis.index(1, 2)] == pytest.approx(np.sqrt(3))
+    assert Xsm.dense()[flat(basis, 0, 1), flat(basis, 1, 2)] == pytest.approx(np.sqrt(3))
     assert np.array_equal(Xsp.dense(), Xsm.dense().conj().T)
 
 
@@ -65,7 +66,7 @@ def test_ground_state_is_omitted():
     basis = db.rep.basis
     for s in (2, 3):
         Xsm, _ = build_shift_operators(db, s)
-        assert np.all(Xsm.dense()[:, basis.index(0, s % 3)] == 0)
+        assert np.all(Xsm.dense()[:, flat(basis, 0, s % 3)] == 0)
 
 
 def test_negative_partner_energy_aborts_factorization():
@@ -87,8 +88,8 @@ def test_slack_drops_only_top_level_negativity():
         build_shift_operators(db, 2)
     Xsm, _ = build_shift_operators(db, 2, slack=3)
     basis = db.rep.basis
-    assert Xsm.dense()[basis.index(6, 1), basis.index(7, 2)] == 0.0
-    assert Xsm.dense()[basis.index(0, 1), basis.index(1, 2)] != 0.0
+    assert Xsm.dense()[flat(basis, 6, 1), flat(basis, 7, 2)] == 0.0
+    assert Xsm.dense()[flat(basis, 0, 1), flat(basis, 1, 2)] != 0.0
 
 
 def test_slack_does_not_mask_low_level_negativity():
@@ -117,12 +118,12 @@ def test_replica_hamiltonian_diagonal_values():
     basis = db.rep.basis
     h = lift(db, "h", 2).dense()
     for n in range(7):
-        assert h[basis.index(n, 1), basis.index(n, 1)].real == pytest.approx(2 * n + 3)
+        assert h[flat(basis, n, 1), flat(basis, n, 1)].real == pytest.approx(2 * n + 3)
     for n in range(1, 7):
-        assert h[basis.index(n, 2), basis.index(n, 2)].real == pytest.approx(2 * n + 1)
-    assert h[basis.index(0, 2), basis.index(0, 2)] == 0.0
+        assert h[flat(basis, n, 2), flat(basis, n, 2)].real == pytest.approx(2 * n + 1)
+    assert h[flat(basis, 0, 2), flat(basis, 0, 2)] == 0.0
     for n in range(8):
-        assert h[basis.index(n, 0), basis.index(n, 0)] == 0.0
+        assert h[flat(basis, n, 0), flat(basis, n, 0)] == 0.0
 
 
 def test_k2_intertwining_is_tight():
@@ -145,7 +146,7 @@ def test_intertwining_transports_eigenstates():
     Xsp = lift(db, "Xsp", 2).dense()
     for n in range(10):
         vec = np.zeros(basis.dim, dtype=complex)
-        vec[basis.index(n, 1)] = 1.0
+        vec[flat(basis, n, 1)] = 1.0
         lifted = Xsp @ vec
         norm = np.linalg.norm(lifted)
         assert norm == pytest.approx(np.sqrt(db.partner(2, n + 1)))

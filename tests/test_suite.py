@@ -59,7 +59,6 @@ def entrywise_matrix_market(op: Shift) -> str:
 def entrywise_spectrum(doublet, replicas) -> str:
     """Spectrum CSV from the row-by-row loop of the former writer, each
     replica's energies read off its h lifted to the full space."""
-    basis = doublet.rep.basis
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["s", "n", "energy", "replica_s"])
@@ -67,10 +66,10 @@ def entrywise_spectrum(doublet, replicas) -> str:
         for n in range(doublet.d):
             writer.writerow([s, n, doublet.partner(s, n), ""])
     for s in sorted(replicas):
-        h = replicas.lift("h", s).weight.ravel()
+        h = replicas.lift("h", s).weight
         for ladder in (s - 1, s):
             for n in range(doublet.d):
-                writer.writerow([ladder, n, float(h[basis.index(n, ladder)].real), s])
+                writer.writerow([ladder, n, float(h[ladder % doublet.k, n].real), s])
     return out.getvalue()
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import flat
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
 from fsusy.suite import RunConfig, build_system
 from fsusy.system import (
@@ -44,7 +45,7 @@ def test_partner_index_bounds():
 def test_ground_state_energy_is_negative_for_unit_constant():
     # the k = 3 sector-0 ground state sits at H_3(0) = -1
     db = make_doublet(3, 8)
-    i = db.rep.basis.index(0, 0)
+    i = flat(db.rep.basis, 0, 0)
     assert db.H.dense()[i, i].real == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -61,8 +62,8 @@ def test_supercharges_avoid_their_masked_sectors():
     # Q- never consumes sector 1, Q+ never consumes sector 0
     Qm, Qp = db.Qm.dense(), db.Qp.dense()
     for n in range(6):
-        assert np.all(Qm[:, basis.index(n, 1)] == 0)
-        assert np.all(Qp[:, basis.index(n, 0)] == 0)
+        assert np.all(Qm[:, flat(basis, n, 1)] == 0)
+        assert np.all(Qp[:, flat(basis, n, 0)] == 0)
 
 
 @pytest.mark.parametrize(

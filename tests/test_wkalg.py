@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import flat
 from fsusy.errors import (
     InvalidGradingError,
     RepresentationError,
@@ -34,11 +35,11 @@ def test_ladder_matrix_elements():
     Xm = rep.Xm.dense()
     for s in range(3):
         for n in range(1, 6):
-            elem = Xm[basis.index(n - 1, s - 1), basis.index(n, s)]
+            elem = Xm[flat(basis, n - 1, s - 1), flat(basis, n, s)]
             assert elem == pytest.approx(np.sqrt(F.value(s, n)))
     # X- annihilates every sector ground state
     for s in range(3):
-        assert np.all(Xm[:, basis.index(0, s)] == 0)
+        assert np.all(Xm[:, flat(basis, 0, s)] == 0)
 
 
 def test_raising_is_exact_adjoint():
@@ -65,7 +66,7 @@ def test_number_and_grading_diagonals():
     N, K = rep.N.dense(), rep.K.dense()
     for s in range(3):
         for n in range(5):
-            i = basis.index(n, s)
+            i = flat(basis, n, s)
             assert N[i, i] == n
             assert K[i, i] == q**s
 
@@ -144,41 +145,30 @@ class TestProjectors:
     def test_matches_exact_selector(self):
         rep = make_rep(3, 6)
         for s in range(3):
-            sel = np.diag(rep.basis.sector_mask(s))
+            sel = np.diag(np.repeat(np.arange(3) == s, 6))
             assert np.allclose(rep.projector(s).dense(), sel, atol=1e-12)
 
 
 def test_sector_mask_layout():
+    # a (k, 1) sector mask and a (d,) level mask broadcast over the (k, d)
+    # table; as diagonals they select the dense columns of their states
     basis = GradedBasis(3, 4)
-    mask = basis.sector_mask(1) | basis.sector_mask(3)  # 3 wraps to 0
-    assert mask.dtype == bool
-    assert np.all(mask[basis.index(0, 1) : basis.index(3, 1) + 1])
-    assert np.all(mask[basis.index(0, 0) : basis.index(3, 0) + 1])
-    assert not np.any(mask[basis.index(0, 2) : basis.index(3, 2) + 1])
-    # level and sector invert the flat index s*d + n, arrays included
-    assert list(basis.level) == [0, 1, 2, 3] * 3
-    assert list(basis.sector) == [0] * 4 + [1] * 4 + [2] * 4
-    assert np.array_equal(basis.index(basis.level, basis.sector), np.arange(basis.dim))
-    assert all(basis.state(i) == (basis.level[i], basis.sector[i]) for i in range(basis.dim))
-    # the layout arrays are cached and shared, so they are read-only
-    assert basis.level is basis.level and basis.sector is basis.sector
-    for layout in (basis.level, basis.sector):
-        with pytest.raises(ValueError, match="read-only"):
-            layout[0] = 1
-    with pytest.raises(ValueError, match="level 4 outside 0..3"):
-        basis.index(np.array([1, 4]), 0)
+    sector = np.array([True, True, False])[:, None]  # sectors 0 and 1
+    level = np.arange(4) <= 1
+    keep = Shift.diag(np.ones((3, 4))).masked(sector & level).dense().diagonal()
+    assert [i for i in range(basis.dim) if keep[i]] == sorted(
+        flat(basis, n, s) for s in (0, 1) for n in (0, 1))
 
 
 def test_window_mask_shape_and_errors():
     basis = GradedBasis(2, 6)
     mask, description = basis.window(2)
     assert description == "levels n <= 3 of 6 (margin 2)"
-    for s in range(2):
-        for n in range(6):
-            assert mask[basis.index(n, s)] == (n <= 3)
+    # one level mask, broadcast over the sectors
+    assert mask.tolist() == [n <= 3 for n in range(6)]
     # callers clear states in their window, which must not leak into the next
     mask[:] = False
-    assert basis.window(2)[0].sum() == 8
+    assert basis.window(2)[0].sum() == 4
     with pytest.raises(WindowTooSmallError, match="margin must be at least 1, got 0"):
         basis.window(0)
     with pytest.raises(
@@ -190,22 +180,22 @@ def test_window_mask_shape_and_errors():
 def test_residual_scales_each_column():
     values = np.array([[0.5, 2.0], [1e6, 4.0]])
     lhs = Shift.diag(values)
-    assert score([(lhs, lhs)])[0] == 0.0
+    assert score([(lhs, lhs)]) == 0.0
     # weights below 1 deviate absolutely, larger ones relatively
-    assert score([(lhs, Shift.diag([[0.25, 2.0], [1e6, 4.0]]))])[0] == 0.25
-    assert score([(lhs, Shift.diag(values * [[1, 1], [1 + 1e-9, 1]]))])[0] == pytest.approx(1e-9)
+    assert score([(lhs, Shift.diag([[0.25, 2.0], [1e6, 4.0]]))]) == 0.25
+    assert score([(lhs, Shift.diag(values * [[1, 1], [1 + 1e-9, 1]]))]) == pytest.approx(1e-9)
     # one scaled weight shows at its own size, however many columns agree
     big = Shift.diag(np.arange(1.0, 10001.0).reshape(100, 100))
     scaled = Shift.diag(big.weight * np.where(np.arange(10000) == 7, 1 + 1e-9, 1).reshape(100, 100))
-    assert score([(big, scaled)])[0] == pytest.approx(1e-9)
+    assert score([(big, scaled)]) == pytest.approx(1e-9)
     # weights in another row count in full: (0.5 + 0.5) / 1 and (2 + 2) / 2
     moved = Shift(0, 1, values)
-    assert deviation(lhs, moved).tolist() == [1.0, 2.0, 2.0, 2.0]
-    assert score([(lhs, moved)])[0] == 2.0
+    assert deviation(lhs, moved).tolist() == [[1.0, 2.0], [2.0, 2.0]]
+    assert score([(lhs, moved)]) == 2.0
     # only window columns count, and an empty window leaves nothing to deviate
-    window = np.array([True, False, False, False])
-    assert score([(lhs, moved)], window)[0] == 1.0
-    assert score([(lhs, moved)], np.zeros(4, dtype=bool))[0] == 0.0
+    window = np.array([[True, False], [False, False]])
+    assert score([(lhs, moved)], window) == 1.0
+    assert score([(lhs, moved)], np.zeros(2, dtype=bool)) == 0.0
 
 
 def test_deviation_of_rows_that_differ_under_a_zero_weight():
@@ -217,10 +207,10 @@ def test_deviation_of_rows_that_differ_under_a_zero_weight():
     empty = Shift(1, 1, np.array([[3.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     for other in (rhs, empty):
         dev = deviation(lhs, other)
-        assert dev.tolist() == [1.0, 0.5, 0.0, 0.25, 0.0, 0.0]
+        assert dev.tolist() == [[1.0, 0.5, 0.0], [0.25, 0.0, 0.0]]
         assert dev.tolist() == deviation(lhs, Shift(0, 0, rhs.weight)).tolist()
         assert not np.signbit(dev).any()
-        assert score([(lhs, other)])[0] == 1.0
+        assert score([(lhs, other)]) == 1.0
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as the suite's build and verify run
@@ -232,9 +222,9 @@ def test_deviation_of_inf_and_nan_weights():
     for ds, last in ((0, 0.5), (1, 1.5)):
         rhs = Shift(0, ds, np.array([[1.0, 0.0, 1.0], [1.0, inf, 0.5]]))
         dev = deviation(lhs, rhs)
-        assert np.isnan(dev[:5]).all()
-        assert dev[5] == last
-    residual = score([(lhs, rhs)])[0]
+        assert np.isnan(dev.ravel()[:5]).all()
+        assert dev[1, 2] == last
+    residual = score([(lhs, rhs)])
     assert np.isnan(residual)
     entry = Scoring(2, 1e-8).entry("x.y", "x = y", residual, "windowed", FULL_SPACE)
     assert entry.error == "the products of this identity overflow float64"
@@ -254,15 +244,16 @@ def test_product_spreads_an_inf_weight_as_nan():
                          [left.weight[0, 1] * 0.0, left.weight[0, 2] * 0.0, 0]])
     assert np.array_equal(product.weight.view(np.int64), expected.view(np.int64))
     assert np.isnan(product.weight[1, 0]) and product.weight[0, 1].real == np.inf
-    assert np.isnan(score([(product, product)])[0])
+    assert np.isnan(score([(product, product)]))
 
 
 def test_columns_narrow_and_describe_themselves():
     basis = GradedBasis(2, 6)
     window = basis.window(2)
-    shift = window.narrow(basis.sector_mask(1), "sector 1")
+    shift = window.narrow((np.arange(2) == 1)[:, None], "sector 1")
     assert shift.text == "levels n <= 3 of 6 (margin 2), sector 1"
-    assert np.array_equal(shift.mask, (basis.level <= 3) & (basis.sector == 1))
+    # a (d,) level mask narrowed by a (k, 1) sector mask is a (k, d) table
+    assert shift.mask.tolist() == [[False] * 6, [True] * 4 + [False] * 2]
     # without a mask only the text grows
     noted = window.narrow(None, "omitting ground level of sector 0")
     assert noted.text == "levels n <= 3 of 6 (margin 2), omitting ground level of sector 0"
@@ -270,14 +261,33 @@ def test_columns_narrow_and_describe_themselves():
 
 
 def test_score_takes_every_pair_within_each_block():
+    # two blocks of a (2, 1, 2) stack, each scored over its own (1, 2) table
     one = Shift.diag([[[1.0, 1.0]], [[1.0, 1.0]]])
     first = Shift.diag([[[1.5, 1.0]], [[1.0, 1.25]]])
     second = Shift.diag([[[1.0, 1.75]], [[1.0, 1.0]]])
     pairs = [(one, first), (one, second)]
-    assert score(pairs, None, 2).tolist() == [0.75 / 1.75, 0.25 / 1.25]
-    assert score(pairs, np.array([True, False, True, True]), 2).tolist() == [0.5 / 1.5, 0.25 / 1.25]
-    assert score(pairs).tolist() == [0.75 / 1.75]
-    assert score([], None, 3).tolist() == [0.0, 0.0, 0.0]
+    assert score(pairs).tolist() == [0.75 / 1.75, 0.25 / 1.25]
+    # a level mask broadcasts over the blocks, a block mask picks blocks
+    assert score(pairs, np.array([True, False])).tolist() == [0.5 / 1.5, 0.0]
+    assert score(pairs, np.array([False, True])[:, None, None]).tolist() == [0.0, 0.25 / 1.25]
+    # a single map gives a 0-d residual, and no pair leaves nothing to deviate
+    single = [(Shift.diag(one.weight[0]), Shift.diag(first.weight[0]))]
+    assert score(single).shape == () and score(single) == 0.5 / 1.5
+    assert score([]) == 0.0
+
+
+def test_score_refuses_a_window_that_reshapes_the_table():
+    # a window of a (2, 1, 2) table broadcasts to that shape or is refused:
+    # one that does not broadcast, and one that would make the table larger
+    table = Shift.diag(np.ones((2, 1, 2)))
+    for shape in ((2,), (1, 2), (2, 1, 1), (2, 1, 2)):
+        assert score([(table, table)], np.ones(shape, dtype=bool)).shape == (2,)
+    for shape in ((3,), (2, 3)):
+        with pytest.raises(ValueError, match="broadcast"):
+            score([(table, table)], np.ones(shape, dtype=bool))
+    for shape in ((2, 2), (1, 2, 1, 2)):
+        with pytest.raises(ValueError, match=rf"window of shape \({shape[0]}, .* does not fit"):
+            score([(table, table)], np.ones(shape, dtype=bool))
 
 
 def test_scoring_tiers_and_overflow():
@@ -357,11 +367,15 @@ def shifts(draw, shape, dn=None, ds=None):
     return Shift(dn, ds, weight)
 
 
-def dense_residual(lhs: np.ndarray, rhs: np.ndarray, window: np.ndarray) -> float:
-    """Column 1-norm of lhs - rhs over max(1, column 1-norms), largest on the window."""
+def dense_residual(lhs: np.ndarray, rhs: np.ndarray, window: np.ndarray) -> list[float]:
+    """Column 1-norm of lhs - rhs over max(1, column 1-norms), largest on the
+    window columns of each block; the window is the table mask, flattened
+    for the dense matrices."""
     col = lambda m: np.abs(m).sum(axis=0)
     dev = col(lhs - rhs) / np.maximum(1.0, np.maximum(col(lhs), col(rhs)))
-    return float(dev[window].max(initial=0.0))
+    blocks = window.reshape(window.shape[0], -1)
+    dev = dev.reshape(blocks.shape)
+    return [float(d[w].max(initial=0.0)) for d, w in zip(dev, blocks)]
 
 
 @given(blocks=st.integers(1, 2), K=st.integers(2, 4), d=st.integers(2, 6), data=st.data())
@@ -387,10 +401,11 @@ def test_column_map_matches_dense_oracle(blocks, K, d, data):
     assert np.array_equal((A - C).dense(), A.dense() - C.dense())
 
     window = np.array(data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim)))
-    Wd = np.diag(window.astype(complex))
-    assert score([(A, C)], window)[0] == dense_residual(A.dense(), C.dense(), window)
-    assert score([(A, B)])[0] == dense_residual(A.dense(), B.dense(), np.ones(dim, dtype=bool))
-    assert np.array_equal(A.masked(window.reshape(shape)).dense(), A.dense() @ Wd)
+    window = window.reshape(shape)
+    Wd = np.diag(window.ravel().astype(complex))
+    assert score([(A, C)], window).tolist() == dense_residual(A.dense(), C.dense(), window)
+    assert score([(A, B)]).tolist() == dense_residual(A.dense(), B.dense(), np.ones(shape, bool))
+    assert np.array_equal(A.masked(window).dense(), A.dense() @ Wd)
     # a sector mask broadcasts over the blocks and levels
     sector = np.array(data.draw(st.lists(st.booleans(), min_size=K, max_size=K)))[:, None]
     assert np.array_equal(A.masked(sector).dense(),
@@ -403,7 +418,7 @@ def test_column_map_matches_dense_oracle(blocks, K, d, data):
     for combine in (A.__add__, A.__sub__):
         with pytest.raises(ValueError, match="different steps"):
             combine(D)
-    assert score([(A, D)], window)[0] == dense_residual(A.dense(), D.dense(), window)
+    assert score([(A, D)], window).tolist() == dense_residual(A.dense(), D.dense(), window)
     with pytest.raises(ValueError, match="one shift"):
         Shift.stack([A, D])
     stacked = Shift.stack([A, C])
