@@ -19,7 +19,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from .fock import StructureSpec
-from .report import ReportEntry, VerificationReport
+from .report import PACKAGE_VERSION as __version__, ReportEntry, VerificationReport
 from .suite import (
     GradedSystem,
     RunConfig,
@@ -29,8 +29,6 @@ from .suite import (
     run_verification_suite,
 )
 from .system import partner_value
-
-__version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",

@@ -92,11 +92,11 @@ class RunConfig:
             raise ConfigError(f"window margin must be at least 1, got {margin}")
         if d - margin < 2:
             raise ConfigError(f"margin {margin} leaves no window inside {d} levels")
-        # the peak of a verify run: k + 37 graded shifts of kd columns at 16
-        # bytes a column, verify_fsusy's k + 1 powers of Q- and 36 for the
-        # built system and the checks, which from kd = 8000 on also covers the
-        # spectrum and the dump; the interpreter and cgroup limits are not counted
-        if 16 * (k + 37) * k * d > _physical_memory():
+        # a run's peak at 16 bytes an entry: 48 (k, d) tables (verify holds up to
+        # 42 at once, build plus dump 49) and 4 (k, k) grade tables (the projector
+        # tables of K and [f-, f+], the tensor's A Pf_s); the interpreter and
+        # cgroup limits are not counted
+        if 16 * (48 * k * d + 4 * k * k) > _physical_memory():
             raise too_large(k, d)
 
     @staticmethod

@@ -208,16 +208,16 @@ def build_projectors(K: np.ndarray, k: int) -> np.ndarray:
     dim = K.size
     if np.linalg.norm(np.abs(K) ** 2 - 1) > GRADING_TOL * dim:
         raise InvalidGradingError("grading operator is not unitary")
-    powers = [np.ones(dim, dtype=complex)]
-    for _ in range(k):
-        powers.append(_times(powers[-1], K))
-    if np.linalg.norm(powers[k] - 1) > GRADING_TOL * dim:
-        raise InvalidGradingError(f"grading operator is not cyclic of order {k}")
     q = primitive_root(k)
     projectors = np.zeros((k, dim), dtype=complex)
-    for s, acc in enumerate(projectors):
-        for t in range(k):
-            acc += q ** (-s * t) * powers[t]
+    # one running power K^t; each row still adds its terms in order t = 0 .. k-1
+    power = np.ones(dim, dtype=complex)
+    for t in range(k):
+        for s, acc in enumerate(projectors):
+            acc += q ** (-s * t) * power
+        power = _times(power, K)
+    if np.linalg.norm(power - 1) > GRADING_TOL * dim:
+        raise InvalidGradingError(f"grading operator is not cyclic of order {k}")
     return projectors / k
 
 

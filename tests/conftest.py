@@ -1,5 +1,6 @@
 import sys
 
+import numpy as np
 import pytest
 
 
@@ -24,3 +25,12 @@ def flat(basis, n, s):
     """Row and column of |n, s> in a dense matrix of an operator on ``basis``:
     the C order of its (k, d) weight table, the sector cyclic."""
     return s % basis.k * basis.d + n
+
+
+def multilinear_roundoff(k):
+    """Bound on the column deviation between two orders of forming and adding
+    the k ordered products Q-^(k-1-j) Q+ Q-^j.  The weights are nonnegative,
+    so a column of a product of k factors is off by at most (k-1) eps
+    relative, and a sum of k such terms by (k-1) eps more: each route is
+    within 2(k-1) eps of exact, and two routes differ by less than 4k eps."""
+    return 4 * k * np.finfo(float).eps

@@ -579,7 +579,7 @@ class TestSweep:
         assert not out_dir.exists()
 
     def test_grid_too_large_to_list_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
-        # the system at k=3, d=10 is counted at 19200 bytes and fits; the
+        # the system at k=3, d=10 is counted at 23616 bytes and fits; the
         # 10 x 30 grid's 300 points at 96 bytes each do not
         monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 24480)
         monkeypatch.setattr(fsusy.cli, "run_verification_suite",

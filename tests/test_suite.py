@@ -3,8 +3,10 @@ import dataclasses
 import gc
 import io
 import json
+import tomllib
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,12 +100,19 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
     def test_refuses_a_system_that_exceeds_memory(self, monkeypatch):
-        # a verify run at k=3, d=12 is counted as 16 (k + 37) k d = 23040 bytes
-        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 23040)
+        # a run at k=3, d=12 is counted as 16 (48 k d + 4 k^2) = 28224 bytes
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 28224)
         RunConfig.check_space(3, 12, 3)
-        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 23039)
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 28223)
         with pytest.raises(ConfigError, match="^the system at k=3, d=12 is too large to allocate$"):
             RunConfig.check_space(3, 12, 3)
+
+    def test_counts_the_grade_tables(self, monkeypatch):
+        # at k=100000, d=4 the (k, d) tables would fit in twice 16 * 48 k d
+        # bytes, but one (k, k) table alone takes 160 GB
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 2 * 16 * 48 * 100000 * 4)
+        with pytest.raises(ConfigError, match="^the system at k=100000, d=4 is too large"):
+            RunConfig.check_space(100000, 4, 1)
 
     def test_refuses_a_sweep_grid_that_exceeds_memory(self, monkeypatch):
         # a 10 x 30 grid is counted at 96 bytes a point, 28800 bytes
@@ -247,6 +256,13 @@ class TestReportJson:
     def test_report_without_entries(self):
         report = VerificationReport.compile({"k": 2}, [])
         assert report.to_json() == indented_json(report)
+
+    def test_one_version_string(self):
+        # the package, its reports and its distribution metadata name one version
+        pyproject = Path(__file__).parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as fh:
+            version = tomllib.load(fh)["project"]["version"]
+        assert fsusy.__version__ == VerificationReport.compile({}, []).version == version
 
 
 class TestEmitSpectrum:
@@ -541,19 +557,35 @@ def test_spectrum_memory_is_linear_in_dimension(tmp_path):
         assert peak < 16 * 2**20, (output.__name__, peak)
 
 
-@pytest.mark.parametrize("k, d", [(8, 1000), (32, 250), (64, 125)])
-def test_size_check_counts_the_peak_of_a_verify_run(monkeypatch, tmp_path, k, d):
-    config = RunConfig(k=k, d=d, spec=StructureSpec.affine_family(k, 0.5, 1.0), margin=k)
-    # the dump lifts one map at a time and stays within the count
-    assert traced_peak(build_and_dump(tmp_path), config) <= 16 * (k + 37) * k * d
-    peak = traced_peak(run_verification_suite, config)
-    # a machine one byte short of the traced peak is refused, one that holds
-    # a quarter more is not
+def assert_counted(monkeypatch, peak, k, d):
+    """A machine one byte short of the traced peak is refused."""
     monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: peak - 1)
     with pytest.raises(ConfigError, match="too large to allocate"):
-        RunConfig.check_space(k, d, k)
+        RunConfig.check_space(k, d, 1)
+
+
+@pytest.mark.parametrize("k, d", [(8, 1000), (32, 250), (64, 125)])
+def test_size_check_counts_the_peak_of_a_verify_run(
+        monkeypatch, tmp_path, clear_order_caches, k, d):
+    # every peak is traced with empty per-order caches, as in a fresh process
+    config = RunConfig(k=k, d=d, spec=StructureSpec.affine_family(k, 0.5, 1.0), margin=k)
+    # the dump lifts one map at a time and stays within the count
+    clear_order_caches()
+    assert_counted(monkeypatch, traced_peak(build_and_dump(tmp_path), config), k, d)
+    clear_order_caches()
+    peak = traced_peak(run_verification_suite, config)
+    assert_counted(monkeypatch, peak, k, d)
+    # a machine that holds a quarter more than the peak is not refused
     monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: int(1.25 * peak))
     RunConfig.check_space(k, d, k)
+
+
+@pytest.mark.parametrize("k, d", [(64, 8), (128, 8)])
+def test_size_check_counts_the_grade_tables_of_a_verify_run(monkeypatch, clear_order_caches, k, d):
+    # at k >> d the (k, k) grade tables outweigh the (k, d) weight tables
+    config = RunConfig(k=k, d=d, spec=StructureSpec.affine_family(k, 0.5, 1.0), margin=1)
+    clear_order_caches()
+    assert_counted(monkeypatch, traced_peak(run_verification_suite, config), k, d)
 
 
 def test_library_calls_of_the_export_benchmark(tmp_path, monkeypatch):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import flat
+import fsusy.system
+from conftest import flat, multilinear_roundoff
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
 from fsusy.suite import RunConfig, build_system
 from fsusy.system import (
@@ -11,7 +12,7 @@ from fsusy.system import (
     partner_value,
     verify_fsusy,
 )
-from fsusy.wkalg import Scoring, build_rep
+from fsusy.wkalg import Scoring, Shift, build_rep, score
 
 
 def make_doublet(k, d, spec=None):
@@ -145,6 +146,29 @@ def test_multilinear_window_tightness():
     db = make_doublet(4, 12)
     entries = {e.name: e for e in verify_fsusy(db, Scoring(4, 1e-10))}
     assert entries["fsusy.multilinear"].residual < 1e-12
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 64])
+def test_multilinear_recursion_matches_the_list_of_ordered_products(monkeypatch, k):
+    d = 2 * k + 8
+    db = make_doublet(k, d, StructureSpec.affine_family(k, 0.5, 1.0))
+    # the operand pairs verify_fsusy scores, entry by entry
+    scored = []
+    monkeypatch.setattr(fsusy.system, "score",
+                        lambda pairs, window=None: scored.append(list(pairs)) or 0.0)
+    verify_fsusy(db, Scoring(2, 1e-10))
+    [(top, _), _], [(total, rhs)], _ = scored
+    # the literal route: every power of Q- held, the k ordered products
+    # formed and added left to right
+    powers = [Shift.diag(np.ones((k, d)))]
+    for _ in range(k):
+        powers.append(powers[-1] @ db.Qm)
+    terms = [powers[k - 1 - j] @ db.Qp @ powers[j] for j in range(k)]
+    assert score([(total, sum(terms[1:], start=terms[0]))]) <= multilinear_roundoff(k)
+    # the running power gives Q-^(k-2) H and Q-^k bit for bit
+    for got, want in ((rhs, powers[k - 2] @ db.H), (top, powers[k])):
+        assert (got.dn, got.ds % k) == (want.dn, want.ds % k)
+        assert np.array_equal(got.weight.view(np.int64), want.weight.view(np.int64))
 
 
 DYADIC_A = (-0.25, -0.125, 0.0, 0.125, 0.5, 2.0)
