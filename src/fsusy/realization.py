@@ -168,13 +168,9 @@ def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
     # the diagonal of Pf_s as row s: its value on each grade, which is the sector
     Pf, A, Ak1 = pair.Pf, pair.A, pair.Ak1
     # b(s)- lowers level m to m-1 with weight sqrt(F_s(m)); F_s(0) = 0 leaves
-    # level 0 empty.  b(s+1)+ at [s, m] is the adjoint of row s+1: it raises
-    # m to m+1 with the conjugate weight of level m+1, where that weight is
-    # nonzero
+    # level 0 empty.  b(s+1)+ at [s, m], raising m to m+1, is the adjoint of row s+1
     bm = np.sqrt(np.maximum(F.values[:, :d], 0.0)).astype(complex)
-    raised = np.roll(bm, -1, axis=0)[:, 1:]
-    bp = np.zeros((k, d), dtype=complex)
-    bp[:, :-1] = np.where(raised != 0, raised.conj(), 0)
+    bp = Shift(-1, -1, bm).adjoint().weight
     # A Pf_s and A^(k-1) Pf_s step the grade by -1 and +1 as A and A^(k-1)
     # do, and b(s)-+ the level; X- is sum_s b(s)- (x) A Pf_s
     Xm = Shift(-1, -1, graded_sum(bm, A.weight[:, 0] * Pf))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import os
+import struct
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -254,10 +255,19 @@ def emit_spectrum(doublet: FsusyDoublet, replicas: ReplicaBlocks, path: str) -> 
                 writer.writerows([ladder, n, energy, s] for n, energy in enumerate(energies))
 
 
+class _Reprs(dict):
+    """float64 bit pattern -> shortest round-trip ``repr``, formatted on first
+    lookup; by bit pattern, as 0.0 and -0.0 are equal but print differently."""
+
+    def __missing__(self, bits: int) -> str:
+        text = self[bits] = repr(struct.unpack("<d", struct.pack("<q", bits))[0])
+        return text
+
+
 def write_matrix_market(
     path: str,
     op: Shift,
-    text: dict[int, str] | None = None,
+    text: _Reprs | None = None,
     index: list[str] | None = None,
 ) -> None:
     """Matrix Market coordinate complex general, entries in row-major order.
@@ -266,34 +276,27 @@ def write_matrix_market(
     zeros kept, so reading the file back gives every entry exactly.  ``text``
     maps float64 bit patterns to their repr and ``index[i]`` is the text of
     the 1-based index i + 1; both may be shared by the files of one dump.
-    Each entry's row is derived from the operator's shift.  The entries are
-    formatted and written 1024 at a time, so a file adds little to the peak.
+    The entries are formatted and written 1024 at a time, so a file adds
+    little to the peak.
     """
-    text = {} if text is None else text
+    text = _Reprs() if text is None else text
     if index is None:
         index = [str(i) for i in range(1, op.dim + 1)]
-    weight, rows = op.weight.ravel(), op.rows()
-    cols = np.flatnonzero((rows >= 0) & (weight != 0))
-    cols = cols[np.argsort(rows[cols], kind="stable")]
+    rows, cols, weight = op.entries()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"%%MatrixMarket matrix coordinate complex general\n"
-                 f"{op.dim} {op.dim} {cols.size}\n")
-        for start in range(0, cols.size, 1024):
-            chunk = cols[start:start + 1024]
-            bits = weight[chunk].astype(complex, copy=False).view(np.int64).tolist()
-            # keyed by bit pattern because 0.0 and -0.0 are equal values that
-            # print differently
-            unseen = list(set(bits).difference(text))
-            text.update(zip(unseen, map(
-                repr, np.array(unseen, dtype=np.int64).view(np.float64).tolist())))
+                 f"{op.dim} {op.dim} {rows.size}\n")
+        for start in range(0, rows.size, 1024):
+            row, col, w = (a[start:start + 1024] for a in (rows, cols, weight))
+            bits = w.astype(complex, copy=False).view(np.int64).tolist()
             # one line per entry, "row col re im", as eight interleaved pieces
-            line = [" "] * (8 * chunk.size)
-            line[0::8] = map(index.__getitem__, rows[chunk].tolist())
-            line[2::8] = map(index.__getitem__, chunk.tolist())
+            line = [" "] * (8 * row.size)
+            line[0::8] = map(index.__getitem__, row.tolist())
+            line[2::8] = map(index.__getitem__, col.tolist())
             parts = list(map(text.__getitem__, bits))
             line[4::8] = parts[0::2]
             line[6::8] = parts[1::2]
-            line[7::8] = ["\n"] * chunk.size
+            line[7::8] = ["\n"] * row.size
             fh.write("".join(line))
 
 
@@ -329,7 +332,7 @@ def dump_operators(system: GradedSystem, directory: str) -> list[str]:
                 "would not overwrite; choose an empty directory or remove them")
     os.makedirs(directory, exist_ok=True)
     # every part and index is formatted once per dump, not once per file
-    text: dict[int, str] = {}
+    text = _Reprs()
     index = [str(i) for i in range(1, system.rep.basis.dim + 1)]
     written = []
     for name, make in files.items():

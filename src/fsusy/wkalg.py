@@ -2,8 +2,8 @@
 
 Every operator here moves each basis state |n, s> by one fixed step, to
 |n + dn, s + ds mod k>, with a weight of its own: a Shift, the step and a
-(k, d) weight table.  A product permutes the grades and slices the levels
-of the left factor's table, and projectors are masks of the table.
+(k, d) weight table.  Products, adjoints and dense entries read a table
+moved by one step, and projectors are masks of the table.
 
 On the graded basis the defining relations read
 
@@ -49,15 +49,17 @@ GRADING_TOL = 1e-12
 STRICT_FACTOR = 1e-2
 
 
-@lru_cache(maxsize=16)
-def _rows(shape: tuple[int, ...], dn: int, ds: int) -> np.ndarray:
-    *_, K, d = shape
-    level = np.arange(d) + dn
-    blocks = np.arange(int(np.prod(shape[:-2])))[:, None, None] * (K * d)
-    rows = blocks + (np.arange(K)[:, None] + ds) % K * d + level
-    rows = np.where((level >= 0) & (level < d), rows, -1)
-    rows.flags.writeable = False
-    return rows.ravel()
+def _moved(table: np.ndarray, dn: int, ds: int) -> np.ndarray:
+    """Cell |n, g> holds cell |n + dn, g + ds mod K> of the (..., K, d) table,
+    and 0 where n + dn falls outside the d levels, however far the step reaches."""
+    *_, K, d = table.shape
+    r, lo = ds % K, max(0, -dn)
+    hi = max(lo, min(d, d - dn))
+    out = np.zeros(table.shape, dtype=table.dtype)
+    into, src = out[..., lo:hi], table[..., lo + dn:hi + dn]
+    # grades g < K - r read grade g + r, the others wrap to g + r - K
+    into[..., :K - r, :], into[..., K - r:, :] = src[..., r:, :], src[..., :r, :]
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +68,8 @@ class Shift:
     weight ``weight[..., g, n]``, of shape (..., K, d).  The K grades are
     cyclic and the d levels truncate: a column whose row level falls outside
     0 .. d-1 has no row and holds 0.  Leading axes hold blocks side by side.
-    The dense matrix of ``rows`` and ``dense`` numbers the columns in the C
-    order of ``weight``."""
+    The dense matrix of ``entries`` and ``dense`` numbers its rows and
+    columns in the C order of ``weight``."""
 
     dn: int
     ds: int
@@ -94,27 +96,12 @@ class Shift:
     def _same_shift(self, other: Shift) -> bool:
         return self.dn == other.dn and (self.ds - other.ds) % self.weight.shape[-2] == 0
 
-    def _levels(self) -> tuple[slice, slice]:
-        """The levels n whose row level n + dn lies inside the table, and those rows."""
-        d, lo = self.weight.shape[-1], max(0, -self.dn)
-        hi = max(lo, min(d, d - self.dn))
-        return slice(lo, hi), slice(lo + self.dn, hi + self.dn)
-
     def __matmul__(self, other: Shift) -> Shift:
         """Column |n, g> of the product is self's weight at other's row for it
-        times other's weight; a column of other without a row stays 0."""
-        dn, ds = self.dn + other.dn, self.ds + other.ds
-        K, r = other.weight.shape[-2], other.ds % other.weight.shape[-2]
-        if other.dn == 0 and r == 0:
-            return Shift(dn, ds, self.weight * other.weight)
-        cols, rows = other._levels()
-        out = np.zeros(other.weight.shape, dtype=complex)
-        left, right, into = self.weight[..., rows], other.weight[..., cols], out[..., cols]
-        # grades g < K - r read grade g + r of self, the others wrap to g + r - K
-        np.multiply(left[..., r:, :], right[..., :K - r, :], out=into[..., :K - r, :])
-        if r:
-            np.multiply(left[..., :r, :], right[..., K - r:, :], out=into[..., K - r:, :])
-        return Shift(dn, ds, out)
+        times other's weight, or 0 times it where other's column has no row."""
+        diagonal = other.dn == 0 and other.ds % other.weight.shape[-2] == 0
+        left = self.weight if diagonal else _moved(self.weight, other.dn, other.ds)
+        return Shift(self.dn + other.dn, self.ds + other.ds, left * other.weight)
 
     def __pow__(self, n: int) -> Shift:
         return reduce(matmul, [self] * n, Shift.diag(np.ones(self.weight.shape)))
@@ -136,28 +123,27 @@ class Shift:
     def adjoint(self) -> Shift:
         """The conjugate transpose: the opposite shift, each weight conjugated
         into the column of its row; a zero weight leaves +0."""
-        K, r = self.weight.shape[-2], self.ds % self.weight.shape[-2]
-        cols, rows = self._levels()
-        weight = self.weight[..., cols]
-        weight = np.where(weight != 0, weight.conj(), 0)
-        out = np.zeros(self.weight.shape, dtype=complex)
-        out[..., r:, rows], out[..., :r, rows] = weight[..., :K - r, :], weight[..., K - r:, :]
-        return Shift(-self.dn, -self.ds, out)
+        weight = _moved(self.weight, -self.dn, -self.ds)
+        return Shift(-self.dn, -self.ds, np.where(weight != 0, weight.conj(), 0))
 
     def masked(self, keep: np.ndarray) -> Shift:
         """Right product with the 0/1 diagonal ``keep``, broadcast against the
         weight table; dropped weights become exact zeros."""
         return Shift(self.dn, self.ds, self.weight * keep)
 
-    def rows(self) -> np.ndarray:
-        """The dense row of every column, columns in the C order of ``weight``,
-        -1 where there is none; read-only, shared by the shifts of one step and
-        table shape."""
-        return _rows(self.weight.shape, self.dn, self.ds % self.weight.shape[-2])
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and weight of each nonzero dense entry, rows strictly increasing."""
+        K, d = self.weight.shape[-2:]
+        # cell r of the table moved back by the step holds the weight of row r
+        weight = _moved(self.weight, -self.dn, -self.ds).ravel()
+        rows = np.flatnonzero(weight)
+        grade = rows // d % K
+        return rows, rows - self.dn + ((grade - self.ds) % K - grade) * d, weight[rows]
 
     def dense(self) -> np.ndarray:
-        rows, mat = self.rows(), np.zeros((self.dim, self.dim), dtype=complex)
-        mat[rows[rows >= 0], np.flatnonzero(rows >= 0)] = self.weight.ravel()[rows >= 0]
+        rows, cols, weight = self.entries()
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        mat[rows, cols] = weight
         return mat
 
     def __array__(self, dtype=None, copy=None):

@@ -56,7 +56,10 @@ def test_adjoint_negates_the_shift():
     assert np.array_equal(adj.dense(), op.dense().conj().T)
     # row |n + 1, g + 2> of op's column |n, g> is adj's column, level 0 empty
     assert adj.weight[2, 1] == 1 and adj.weight[1, 1] == 5 + 1j and not adj.weight[:, 0].any()
-    assert op.rows().tolist() == [7, 8, -1, 1, 2, -1, 4, 5, -1]
+    # columns 0 .. 8 go to rows 7, 8, -, 1, 2, -, 4, 5, -: the top level has none
+    rows, cols, weights = op.entries()
+    assert rows.tolist() == [1, 2, 4, 5, 7, 8] and cols.tolist() == [3, 4, 6, 7, 0, 1]
+    assert weights.tolist() == [3, 4, 5 - 1j, 6, 1, 2j]
 
 
 def test_number_and_grading_diagonals():
@@ -356,15 +359,27 @@ dyadic = st.builds(lambda re, im: complex(re, im) / 8, st.integers(-16, 16), st.
 @st.composite
 def shifts(draw, shape, dn=None, ds=None):
     """A graded shift with weight table ``shape``, random steps unless given and
-    dyadic weights; the columns without a row hold 0."""
+    dyadic weights; the columns without a row hold 0.  The level step reaches
+    past twice the d levels, as the powers of Q- do at k > d."""
     *_, K, d = shape
-    dn = draw(st.integers(-d, d)) if dn is None else dn
+    dn = draw(st.integers(-2 * d - 1, 2 * d + 1)) if dn is None else dn
     ds = draw(st.integers(-2 * K, 2 * K)) if ds is None else ds
     weight = np.array(draw(st.lists(dyadic, min_size=int(np.prod(shape)),
                                     max_size=int(np.prod(shape))))).reshape(shape)
     level = np.arange(d) + dn
     weight[..., (level < 0) | (level >= d)] = 0
     return Shift(dn, ds, weight)
+
+
+def dense_oracle(op: Shift) -> np.ndarray:
+    """The dense matrix of a graded shift, one column at a time: column
+    |b, g, n> of the C order holds its weight in row |b, g + ds mod K, n + dn>."""
+    *_, K, d = op.weight.shape
+    mat = np.zeros((op.dim, op.dim), dtype=complex)
+    for col, (b, g, n) in enumerate(np.ndindex(op.dim // (K * d), K, d)):
+        if 0 <= n + op.dn < d:
+            mat[(b * K + (g + op.ds) % K) * d + n + op.dn, col] = op.weight.flat[col]
+    return mat
 
 
 def dense_residual(lhs: np.ndarray, rhs: np.ndarray, window: np.ndarray) -> list[float]:
@@ -391,9 +406,14 @@ def test_column_map_matches_dense_oracle(blocks, K, d, data):
     assert np.array_equal(A.adjoint().dense(), A.dense().conj().T)
     c = data.draw(dyadic)
     assert np.array_equal((c * A).dense(), c * A.dense())
-    # each column's row is where dense() puts its weight
-    rows = A.rows()
-    assert np.array_equal(rows >= 0, A.dense().any(axis=0) | (rows >= 0) & (A.weight.ravel() == 0))
+    # each column's weight sits in its row, and entries() lists the nonzero
+    # ones row by row
+    oracle = dense_oracle(A)
+    assert np.array_equal(A.dense(), oracle)
+    rows, cols, weights = A.entries()
+    assert np.all(np.diff(rows) > 0)
+    assert [rows.tolist(), cols.tolist()] == [i.tolist() for i in np.nonzero(oracle)]
+    assert np.array_equal(weights, oracle[rows, cols])
 
     # the same shift, its grade step possibly a multiple of K apart
     C = data.draw(shifts(shape, A.dn, A.ds + K * data.draw(st.integers(-1, 1))))

@@ -107,6 +107,11 @@ def configurations() -> dict[str, tuple[list[str], tuple[str, ...]]]:
             ["--k", "203", "--d", "8", "--margin", "1", "--a", "0.5", "--b", "1"], ("verify",)),
         "k=204 d=8 margin 1 affine(0.5,1)": (
             ["--k", "204", "--d", "8", "--margin", "1", "--a", "0.5", "--b", "1"], ("verify",)),
+        # orders above the levels: the powers of Q- step past every level
+        "k=12 d=4 margin 1 affine(0.5,1)": (
+            ["--k", "12", "--d", "4", "--margin", "1", "--a", "0.5", "--b", "1"], every),
+        "k=40 d=6 margin 1 constant": (
+            ["--k", "40", "--d", "6", "--margin", "1", "--family", "constant"], ("verify",)),
     })
     # a 3 x 2 grid of affine points, with and without the process pool
     grid = ["--k", "3", "--d", "12", "--a-range", "-0.5", "0.5", "3", "--b-range", "1", "2", "2"]
