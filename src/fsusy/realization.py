@@ -41,8 +41,7 @@ import numpy as np
 from .errors import InvalidOrderError, RepresentationError
 from .fock import EIGENVALUE_MULTISET, FULL_GRADE_SPACE, FULL_SPACE
 from .qarith import primitive_root, q_factorial, q_number
-from .report import ReportEntry
-from .wkalg import AlgebraRep, Scoring, Shift, build_projectors, graded_sum, score
+from .wkalg import AlgebraRep, Shift, build_projectors, graded_sum, score
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class KFermionPair:
     """Operators of one k-fermion pair on the k grades and their commutator grading.
 
     What depends on the pair alone is derived on first use and kept with it:
-    the tensor's fermion factors ``A``, ``Ak1`` and ``Pf`` and the residuals
+    the tensor's fermion factors ``A``, ``Ak1`` and ``Pf`` and the records
     of its checks.  A pair made by ``dataclasses.replace`` is a new object
     and derives its own.
     """
@@ -81,23 +80,24 @@ class KFermionPair:
 
     @cached_property
     def residuals(self) -> MappingProxyType:
-        """Residual of each kfermion.* identity, by the name of its entry."""
+        """Record of each kfermion.* identity, residual and columns, by the
+        name of its entry."""
         k, fm, fp = self.k, self.fm, self.fp
         q = primitive_root(k)
         zero = Shift.diag(np.zeros((k, 1)))
-        # f- over its largest weight: every column product of its k-th power
-        # stays finite, where f-^k itself forms [k-1]_q! before [0]_q = 0 and
-        # overflows from k = 204 on
-        unit = (1 / np.abs(fm.weight).max()) * fm
-        residuals = {
-            "q_commutator": score([(fm @ fp - q * (fp @ fm), Shift.diag(np.ones((k, 1))))]),
-            "nilpotency": score([(unit ** k, zero), (fp ** k, zero)]),
+        # the nilpotency on the supports of the factors: f-^k itself forms
+        # [k-1]_q! before [0]_q = 0 and overflows from k = 204 on
+        records = {
+            "kfermion.q_commutator": (
+                score([(fm @ fp - q * (fp @ fm), Shift.diag(np.ones((k, 1))))]), FULL_GRADE_SPACE),
+            "kfermion.nilpotency": (score((f.support() ** k, zero) for f in (fm, fp)), FULL_SPACE),
             # [f-, f+] is diagonal, so its diagonal is its eigenvalue multiset
-            "grading_spectrum": score([(self.Kf, Shift.diag(q ** np.arange(k)[:, None]))]),
+            "kfermion.grading_spectrum": (
+                score([(self.Kf, Shift.diag(q ** np.arange(k)[:, None]))]), EIGENVALUE_MULTISET),
         }
         if k == 2:
-            residuals["pair_adjoint"] = score([(fp, fm.adjoint())])
-        return MappingProxyType({name: float(val) for name, val in residuals.items()})
+            records["kfermion.pair_adjoint"] = (score([(fp, fm.adjoint())]), FULL_SPACE)
+        return MappingProxyType({name: (float(val), cols) for name, (val, cols) in records.items()})
 
 
 def _frozen(op: Shift) -> Shift:
@@ -121,25 +121,6 @@ def build_kfermion_pair(k: int) -> KFermionPair:
     fp = Shift(0, 1, (t < k - 1).astype(complex)[:, None])
     fm = Shift(0, -1, np.array([[q_number(int(j), q)] for j in t]))
     return KFermionPair(k, *map(_frozen, (fm, fp, fm @ fp - fp @ fm)))
-
-
-# the statement and tier of every kfermion.* identity, in report order
-_KFERMION_IDENTITIES = {
-    "q_commutator": ("f- f+ - q f+ f- = 1", "strict", FULL_GRADE_SPACE),
-    "nilpotency": ("f-^k = 0 and f+^k = 0", "exact", FULL_SPACE),
-    "grading_spectrum": ("[f-, f+] has eigenvalue multiset {q^t : t = 0..k-1}",
-                         "strict", EIGENVALUE_MULTISET),
-    "pair_adjoint": ("for order 2 the pair is mutually adjoint", "exact", FULL_SPACE),
-}
-
-
-def verify_kfermions(pair: KFermionPair, scoring: Scoring) -> list[ReportEntry]:
-    """The kfermion.* entries of the pair's residuals, scored afresh on every call."""
-    entries = []
-    for name, residual in pair.residuals.items():
-        statement, tier, columns = _KFERMION_IDENTITIES[name]
-        entries.append(scoring.entry(f"kfermion.{name}", statement, residual, tier, columns))
-    return entries
 
 
 def _check_representable(k: int, F: np.ndarray) -> None:
@@ -181,11 +162,12 @@ def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
     return AlgebraRep(rep.spec, basis, F, Xm, Xp, rep.N, K, Pf)
 
 
-def compare_realizations(tensor: AlgebraRep, rep: AlgebraRep, scoring: Scoring) -> ReportEntry:
-    """Compare the spectra of X+ X- between the tensor and the graded construction.
+def compare_realizations(tensor: AlgebraRep, rep: AlgebraRep) -> dict:
+    """Record of the spectra of X+ X- compared between the tensor and the
+    graded construction.
 
     Their defining relations are checked together by
-    ``wkalg.verify_wk_relations``.
+    ``wkalg.algebra_relation_residuals``.
     """
     if tensor.basis != rep.basis:
         raise RepresentationError(
@@ -197,7 +179,4 @@ def compare_realizations(tensor: AlgebraRep, rep: AlgebraRep, scoring: Scoring) 
     # smallest of the other
     products = [(Xp @ Xm).weight for Xp, Xm in ((tensor.Xp, tensor.Xm), (rep.Xp, rep.Xm))]
     spectra = [Shift.diag(np.sort(w, axis=None).reshape(w.shape)) for w in products]
-    return scoring.entry(
-        "tensor.spectral_distance",
-        "eigenvalues of X+ X- agree between the tensor and graded constructions",
-        score([spectra]), "windowed", EIGENVALUE_MULTISET)
+    return {"tensor.spectral_distance": (score([spectra]), EIGENVALUE_MULTISET)}

@@ -23,9 +23,8 @@ import numpy as np
 
 from .errors import FactorizationError, FsusyError
 from .fock import FULL_SPACE, NONNEG_TOL, Columns, GradedBasis
-from .report import ReportEntry
 from .system import FsusyDoublet
-from .wkalg import Scoring, Shift, score
+from .wkalg import Shift, score
 
 
 @dataclass(frozen=True)
@@ -100,28 +99,11 @@ def build_replicas(
     return blocks, refused
 
 
-# the statement and tier of every replica identity
-_IDENTITIES = {
-    "nilpotency": ("q- q- = 0 and q+ q+ = 0", "exact"),
-    "pair_adjoint": ("q+ is the conjugate transpose of q-", "exact"),
-    "anticommutator": ("h = q- q+ + q+ q-", "exact"),
-    "hamiltonian_commutes": ("[h, q-] = 0 and [h, q+] = 0", "strict"),
-    # X(s)- X(s)+ = H_s(N+1) on sector s-1
-    "shift_product": ("X(s)- X(s)+ equals the partner ladder shifted one level down, "
-                      "on sector s-1", "windowed"),
-    # h = H_(s-1) Pi_(s-1) + H_s Pi_s, with 0 expected at the omitted |0, s>
-    "partner_diagonal": ("h carries the two partner ladders on its pair of sectors and "
-                         "vanishes elsewhere", "strict"),
-    # H_(s-1) X(s)- = X(s)- H_s and H_s X(s)+ = X(s)+ H_(s-1)
-    "intertwining": ("the shift operators intertwine adjacent partner ladders", "strict"),
-}
-
-
 def verify_replicas(
-    blocks: ReplicaBlocks, doublet: FsusyDoublet, scoring: Scoring
-) -> dict[int, list[ReportEntry]]:
-    """Check the ordinary SUSY axioms and both factorization identities of
-    every replica, by s.
+    blocks: ReplicaBlocks, doublet: FsusyDoublet, window: Columns
+) -> dict[int, dict]:
+    """Records of the ordinary SUSY axioms and both factorization identities
+    of every replica, by s.
 
     Each identity is evaluated once on the stacked replicas; each replica's
     residual over its own columns of the stack equals its full-space one.
@@ -129,14 +111,6 @@ def verify_replicas(
     if not blocks.order:
         return {}
     basis = doublet.rep.basis
-    window = basis.window(scoring.margin)
-    # each replica's column set of every identity, on the graded basis; only
-    # its text is reported
-    columns = {s: dict(dict.fromkeys(_IDENTITIES, FULL_SPACE), intertwining=window,
-                       shift_product=window.narrow(None, f"sector {s - 1}"),
-                       partner_diagonal=window.narrow(
-                           None, f"omitting ground level of sector {s % basis.k}"))
-               for s in blocks.order}
     # on the (m, 2, d) stack the window's level mask broadcasts as it is, and
     # sector s-1 is each replica's lower grade
     lower = (np.arange(2) == 0)[:, None]
@@ -151,9 +125,10 @@ def verify_replicas(
     # H_s(n + 1) on both sectors of replica s, 0 at the top level
     up = np.append(doublet.partners[order - 1, 1:], np.zeros((order.size, 1)), axis=1)
 
-    # each identity's products live only while it is scored
+    # each identity's products live only while it is scored; the
+    # nilpotency is decided on the supports of the factors
     residuals = {
-        "nilpotency": score(((q @ q, zero) for q in (qm, qp))),
+        "nilpotency": score((q @ q, zero) for q in (qm.support(), qp.support())),
         "pair_adjoint": score([(qp, qm.adjoint())]),
         "anticommutator": score([(h, qm @ qp + qp @ qm)]),
         "hamiltonian_commutes": score(((h @ q, q @ h) for q in (qm, qp))),
@@ -164,48 +139,46 @@ def verify_replicas(
             [(h, D.masked(lower | (np.arange(basis.d) > 0)))], window.mask),
         "intertwining": score(((D @ X, X @ D) for X in (Xsm, Xsp)), window.mask),
     }
-    return {
-        s: [scoring.entry(f"replica{s}.{key}", statement, residuals[key][i], tier, columns[s][key])
-            for key, (statement, tier) in _IDENTITIES.items()]
-        for i, s in enumerate(blocks.order)
-    }
+    records = {}
+    for i, s in enumerate(blocks.order):
+        # each replica's column set of every identity, on the graded basis;
+        # only its text is reported
+        columns = {"shift_product": window.narrow(None, f"sector {s - 1}"),
+                   "partner_diagonal": window.narrow(
+                       None, f"omitting ground level of sector {s % basis.k}"),
+                   "intertwining": window}
+        records[s] = {f"replica{s}.{key}": (val[i], columns.get(key, FULL_SPACE))
+                      for key, val in residuals.items()}
+    return records
 
 
-def check_isospectrality(doublet: FsusyDoublet, scoring: Scoring) -> ReportEntry:
+def check_isospectrality(doublet: FsusyDoublet, window: Columns) -> dict:
     """Level-shift identity H_(s-1)(n-1) = H_s(n) for s = 2 .. k.
 
     Stated on values rather than eigenvalue multisets because truncation and
     the omitted ground levels fray the edges of a multiset comparison.
     """
-    top = int(np.flatnonzero(doublet.rep.basis.window(scoring.margin).mask)[-1])
+    top = int(np.flatnonzero(window.mask)[-1])
     # H_(s-1)(n-1) against H_s(n), s = 2 .. k and n = 1 .. top
     lower = Shift.diag(doublet.partners[:-1, :top])
     upper = Shift.diag(doublet.partners[1:, 1:top + 1])
-    return scoring.entry(
-        "partners.level_shift",
-        "adjacent partner ladders agree after a one-level shift (wrap pair exempt)",
-        score([(lower, upper)]), "windowed", Columns(None, f"levels 1 <= n <= {top}"),
-    )
+    return {"partners.level_shift": (score([(lower, upper)]),
+                                      Columns(None, f"levels 1 <= n <= {top}"))}
 
 
-def verify_sum_identity(
-    doublet: FsusyDoublet, blocks: ReplicaBlocks, scoring: Scoring
-) -> ReportEntry:
+def verify_sum_identity(doublet: FsusyDoublet, blocks: ReplicaBlocks, window: Columns) -> dict:
     """Reassemble H from the replica charges:
 
         H = q(2)- q(2)+ + sum_{s=2..k} q(s)+ q(s)-
 
     checked away from the k-1 omitted ground levels, whose energies the
     right-hand side cannot see.  Without every replica the sum cannot be
-    formed, and the entry fails naming the missing ones.
+    formed, and the record is the error naming the missing ones.
     """
     basis = doublet.rep.basis
-    name = "fsusy.charge_sum"
-    statement = "H equals q(2)- q(2)+ plus the sum of q(s)+ q(s)- over all replicas"
     missing = [s for s in range(2, basis.k + 1) if s not in blocks.order]
     if missing:
-        return ReportEntry.failure(
-            name, statement, f"replicas {missing} could not be factorized")
+        return {"fsusy.charge_sum": FsusyError(f"replicas {missing} could not be factorized")}
     # q(s)+ q(s)- lives on sector s and q(2)- q(2)+ on sector 1, so each
     # column of the sum takes one block product: the upper sector of every
     # replica and the lower sector of replica 2, the first block
@@ -213,20 +186,13 @@ def verify_sum_identity(
     rhs[np.array(blocks.order) % basis.k] = (blocks.qp @ blocks.qm).weight[:, 1]
     rhs[1] = (blocks.qm @ blocks.qp).weight[0, 0]
     # every column but the ground levels |0, s> of sectors s = 2 .. k
-    window = basis.window(scoring.margin).narrow(
-        (np.arange(basis.d) > 0) | (np.arange(basis.k) == 1)[:, None],
-        "omitting replica ground levels")
-    return scoring.entry(
-        name, statement, score([(doublet.H, Shift.diag(rhs))], window.mask), "windowed", window)
+    window = window.narrow((np.arange(basis.d) > 0) | (np.arange(basis.k) == 1)[:, None],
+                           "omitting replica ground levels")
+    return {"fsusy.charge_sum": (score([(doublet.H, Shift.diag(rhs))], window.mask), window)}
 
 
-def k2_reduction_entry(doublet: FsusyDoublet, h: Shift, scoring: Scoring) -> ReportEntry:
+def k2_reduction_entry(doublet: FsusyDoublet, h: Shift, window: Columns) -> dict:
     """For k = 2 the single replica's h, on the full space, reproduces H entrywise."""
     if doublet.k != 2:
         raise FsusyError("the reduction check applies to the k = 2 replica only")
-    window = doublet.rep.basis.window(scoring.margin)
-    return scoring.entry(
-        "reduction.total_hamiltonian",
-        "for order 2 the replica Hamiltonian h(2) equals H entrywise",
-        score([(h, doublet.H)], window.mask), "strict", window,
-    )
+    return {"reduction.total_hamiltonian": (score([(h, doublet.H)], window.mask), window)}

@@ -28,12 +28,7 @@ from .fock import (
     effective_dimension,
     solve_structure_function,
 )
-from .realization import (
-    build_kfermion_pair,
-    build_tensor_realization,
-    compare_realizations,
-    verify_kfermions,
-)
+from .realization import build_kfermion_pair, build_tensor_realization, compare_realizations
 from .replicas import (
     ReplicaBlocks,
     build_replicas,
@@ -43,8 +38,8 @@ from .replicas import (
     verify_sum_identity,
 )
 from .report import ReportEntry, VerificationReport
-from .system import FsusyDoublet, build_doublet, partner_consistency_entry, verify_fsusy
-from .wkalg import AlgebraRep, Scoring, Shift, build_rep, verify_wk_relations
+from .system import FsusyDoublet, build_doublet, verify_fsusy
+from .wkalg import AlgebraRep, Scoring, Shift, algebra_relation_residuals, build_rep
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -115,7 +110,7 @@ class RunConfig:
 
     @property
     def scoring(self) -> Scoring:
-        return Scoring(self.margin, self.tolerance)
+        return Scoring(self.tolerance)
 
     def echo(self, d_effective: int | None) -> dict:
         """Config as stable JSON-ready scalars for the report header."""
@@ -171,10 +166,7 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
         system = build_system(config)
     except FsusyError as exc:
         echo = config.echo(None)
-        entries = [ReportEntry.failure(
-            "construction.representation",
-            "the graded ladder representation materializes on the truncated space",
-            exc)]
+        entries = config.scoring.entries({"construction.representation": exc})
     else:
         echo = config.echo(system.d_effective)
         entries = verify_system(system, config)
@@ -187,52 +179,40 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
 # products that overflow float64 fail their entries instead of warning
 @np.errstate(over="ignore", invalid="ignore")
 def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
-    """Every identity check of a built system, in report order."""
-    rep, doublet, scoring = system.rep, system.doublet, config.scoring
-    entries: list[ReportEntry] = []
+    """Every identity check of a built system on one window, in report order."""
+    rep, doublet = system.rep, system.doublet
+    try:
+        window = rep.basis.window(config.margin)
+    except WindowTooSmallError as exc:
+        return config.scoring.entries({"construction.window": exc})
     pair = build_kfermion_pair(config.k)
     try:
         tensor = build_tensor_realization(pair, rep)
     except FsusyError as exc:
-        tensor = None
-        tensor_entries = [ReportEntry.failure(
-            "tensor.construction",
-            "the tensor-product realization materializes on the truncated space",
-            exc)]
-    try:
-        # the graded and the tensor relations in one pass; the tensor entries
-        # go last in the report, but are scored here so that the tensor
-        # realization is freed before the doublet and replica checks
-        algebra, relations = verify_wk_relations(rep, scoring, tensor)
-        if tensor is not None:
-            tensor_entries = relations + [compare_realizations(tensor, rep, scoring)]
-            del tensor
-        entries += algebra
-        entries += verify_fsusy(doublet, scoring)
-        entries.append(partner_consistency_entry(doublet, scoring))
-        entries.append(check_isospectrality(doublet, scoring))
-
-        replica_entries = verify_replicas(system.replicas, doublet, scoring)
-        for s in range(2, config.k + 1):
-            if s in system.refused:
-                entries.append(ReportEntry.failure(
-                    f"replica{s}.factorization",
-                    "the partner ladder admits real square roots at every level",
-                    system.refused[s]))
-            else:
-                entries += replica_entries[s]
-        entries.append(verify_sum_identity(doublet, system.replicas, scoring))
-        if config.k == 2 and 2 in system.replicas.order:
-            entries.append(k2_reduction_entry(doublet, system.replicas.lift("h", 2), scoring))
-
-        entries += verify_kfermions(pair, scoring)
-        entries += tensor_entries
-    except WindowTooSmallError as exc:
-        entries.append(ReportEntry.failure(
-            "construction.window",
-            "a safe window exists below the truncation ceiling",
-            exc))
-    return entries
+        tensor, tensor_records = None, {"tensor.construction": exc}
+    # the graded and the tensor relations in one pass; the tensor records go
+    # last in the report, but are made here so that the tensor realization
+    # is freed before the doublet and replica checks
+    residuals = algebra_relation_residuals([rep] if tensor is None else [rep, tensor], window)
+    records = {f"algebra.{key}": (val, window) for key, val in residuals[0].items()}
+    if tensor is not None:
+        tensor_records = {f"tensor.{key}": (val, window) for key, val in residuals[1].items()}
+        tensor_records.update(compare_realizations(tensor, rep))
+        del tensor
+    records.update(verify_fsusy(doublet, window))
+    records.update(check_isospectrality(doublet, window))
+    replicas = verify_replicas(system.replicas, doublet, window)
+    for s in range(2, config.k + 1):
+        if s in system.refused:
+            records[f"replica{s}.factorization"] = system.refused[s]
+        else:
+            records.update(replicas[s])
+    records.update(verify_sum_identity(doublet, system.replicas, window))
+    if config.k == 2 and 2 in system.replicas.order:
+        records.update(k2_reduction_entry(doublet, system.replicas.lift("h", 2), window))
+    records.update(pair.residuals)
+    records.update(tensor_records)
+    return config.scoring.entries(records)
 
 
 def emit_spectrum(doublet: FsusyDoublet, replicas: ReplicaBlocks, path: str) -> None:

@@ -22,9 +22,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import RepresentationError
-from .fock import FULL_SPACE, StructureFunction, StructureSpec
-from .report import ReportEntry
-from .wkalg import AlgebraRep, Scoring, Shift, score
+from .fock import FULL_SPACE, Columns, StructureFunction, StructureSpec
+from .wkalg import AlgebraRep, Shift, score
 
 
 @dataclass(frozen=True)
@@ -140,46 +139,33 @@ def build_doublet(rep: AlgebraRep) -> FsusyDoublet:
                         build_hamiltonian_operator(rep), partners)
 
 
-def verify_fsusy(doublet: FsusyDoublet, scoring: Scoring) -> list[ReportEntry]:
-    """Check nilpotency, the order-k multilinear relation and [H, Q+-] = 0.
+def verify_fsusy(doublet: FsusyDoublet, window: Columns) -> dict:
+    """Records of nilpotency, the order-k multilinear relation, [H, Q+-] = 0
+    and diag(H) against the partner formula.
 
     The sum S_m = sum_{j<m} Q-^(m-1-j) Q+ Q-^j of m ordered products obeys
     S_1 = Q+ and S_(m+1) = Q- S_m + Q+ Q-^m: Q- raises each term's first power
     by one, and Q+ Q-^m is the new term j = m.  So S_k, the multilinear sum,
-    needs only S_m and the running power Q-^m, which passes Q-^(k-2) on its way to Q-^k.
+    needs only S_m and the running power Q-^m, which passes Q-^(k-2).
+    Q-^k and Q+^k are decided on the supports of their factors.  H from
+    operator assembly and the closed-form partner energies evaluate
+    independent expressions; their agreement pins the sector convention of
+    the closed form.
     """
-    k, window = doublet.k, doublet.rep.basis.window(scoring.margin)
+    k = doublet.k
     Qm, Qp, H = doublet.Qm, doublet.Qp, doublet.H
     total, power, rhs = Qp, Qm, H
     for m in range(1, k):
+        power = power @ Qm if m > 1 else power
         rhs = power @ H if m == k - 2 else rhs
         total = Qm @ total + Qp @ power
-        power = power @ Qm
     zero = Shift.diag(np.zeros((k, doublet.d)))
-    return [
-        scoring.entry(
-            "fsusy.nilpotency", "Q-^k = 0 and Q+^k = 0",
-            score([(power, zero), (Qp ** k, zero)]), "exact", FULL_SPACE),
-        scoring.entry(
-            "fsusy.multilinear",
-            "the k ordered products Q-^(k-1-j) Q+ Q-^j sum to Q-^(k-2) H",
-            score([(total, rhs)], window.mask), "windowed", window),
-        scoring.entry(
-            "fsusy.hamiltonian_commutes", "[H, Q-] = 0 and [H, Q+] = 0",
-            score(((H @ Q, Q @ H) for Q in (Qm, Qp)), window.mask), "strict", window),
-    ]
-
-
-def partner_consistency_entry(doublet: FsusyDoublet, scoring: Scoring) -> ReportEntry:
-    """Compare diag(H) from operator assembly against the partner formula.
-
-    The two routes evaluate independent expressions; their agreement pins the
-    sector convention of the closed form.
-    """
     # partner-table prediction: H_s(n) at |n, s mod k>, so sector 0 reads row k - 1
-    expected = Shift.diag(doublet.partners[np.arange(doublet.k) - 1])
-    return scoring.entry(
-        "fsusy.partner_diagonal",
-        "H is diagonal and its diagonal matches the closed-form partner energies",
-        score([(doublet.H, expected)]), "strict", FULL_SPACE,
-    )
+    expected = Shift.diag(doublet.partners[np.arange(k) - 1])
+    return {
+        "fsusy.nilpotency": (score((Q.support() ** k, zero) for Q in (Qm, Qp)), FULL_SPACE),
+        "fsusy.multilinear": (score([(total, rhs)], window.mask), window),
+        "fsusy.hamiltonian_commutes": (
+            score(((H @ Q, Q @ H) for Q in (Qm, Qp)), window.mask), window),
+        "fsusy.partner_diagonal": (score([(H, expected)]), FULL_SPACE),
+    }

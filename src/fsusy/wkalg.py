@@ -27,7 +27,9 @@ d is.  Columns are the cells of the (..., K, d) weight table and a column
 set is a mask that broadcasts against it.  Block-diagonal operators (several
 representations or replicas side by side) hold their blocks on leading axes
 of the table and are compared once; each block's residual is the largest
-over its own columns.
+over its own columns.  A check returns records, the residual and its
+columns by entry name, and ``Scoring.entries`` makes every report entry
+from them, with the tier and statement of ``report.IDENTITIES``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 from .errors import InvalidGradingError, RepresentationError
 from .fock import NONNEG_TOL, Columns, GradedBasis, StructureFunction, StructureSpec
 from .qarith import primitive_root
-from .report import ReportEntry
+from .report import ReportEntry, identity
 
 GRADING_TOL = 1e-12
 
@@ -104,7 +106,7 @@ class Shift:
         return Shift(self.dn + other.dn, self.ds + other.ds, left * other.weight)
 
     def __pow__(self, n: int) -> Shift:
-        return reduce(matmul, [self] * n, Shift.diag(np.ones(self.weight.shape)))
+        return reduce(matmul, [self] * n, Shift(0, 0, np.ones_like(self.weight)))
 
     def _combine(self, other: Shift, op) -> Shift:
         if not self._same_shift(other):
@@ -125,6 +127,14 @@ class Shift:
         into the column of its row; a zero weight leaves +0."""
         weight = _moved(self.weight, -self.dn, -self.ds)
         return Shift(-self.dn, -self.ds, np.where(weight != 0, weight.conj(), 0))
+
+    def support(self) -> Shift:
+        """The same step with weight 1 where this one's weight is nonzero, else 0.
+
+        A column of a product holds the product of one weight of each factor,
+        so the product of the factors' supports is nonzero exactly where the
+        exact product is, and it can neither overflow nor underflow."""
+        return Shift(self.dn, self.ds, (self.weight != 0).astype(float))
 
     def masked(self, keep: np.ndarray) -> Shift:
         """Right product with the 0/1 diagonal ``keep``, broadcast against the
@@ -245,14 +255,25 @@ def score(pairs, window: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scoring:
-    """A run's window margin and tolerance; ``entry`` makes every scored entry.
+    """A run's tolerance; ``entries`` makes every report entry.
 
     Tiers: "exact" at 0, "strict" at ``tolerance`` * STRICT_FACTOR for the
     identities that hold by exact cancellation, "windowed" at ``tolerance``.
     """
 
-    margin: int
     tolerance: float
+
+    def entries(self, records: dict) -> list[ReportEntry]:
+        """The entries of a check's records, in their order: by entry name, a
+        residual and its columns, or the exception of an identity without one;
+        the statement and tier are the identity's in ``report.IDENTITIES``."""
+        entries = []
+        for name, record in records.items():
+            tier, statement = identity(name)
+            entries.append(ReportEntry.failure(name, statement, record)
+                           if isinstance(record, Exception)
+                           else self.entry(name, statement, record[0], tier, record[1]))
+        return entries
 
     def entry(self, name, statement, residual, tier: str, columns: Columns) -> ReportEntry:
         """The entry of an identity; a residual that is not finite is an overflow."""
@@ -311,15 +332,6 @@ def _grading(k: int) -> tuple[np.ndarray, np.ndarray]:
     return grades, projectors
 
 
-_RELATION_STATEMENTS = {
-    "ladder_commutator": "[X-, X+] equals the sector-weighted structure values sum_s f_s(N) Pi_s",
-    "number_ladder": "[N, X-] = -X- and [N, X+] = +X+",
-    "grading_ladder": "K X- = q^(-1) X- K and K X+ = q^(+1) X+ K",
-    "grading_number": "[K, N] = 0",
-    "grading_cyclic": "K^k = 1",
-}
-
-
 def graded_sum(levels: np.ndarray, grades: np.ndarray) -> np.ndarray:
     """The (grade, level) weight table of sum_s levels[s] (x) grades[s], for
     weights on the d levels (rows of a (k, d) array) and on the k grades
@@ -342,10 +354,10 @@ def ladder_weights(rep: AlgebraRep) -> np.ndarray:
 
 
 def algebra_relation_residuals(
-    reps: Sequence[AlgebraRep], margin: int
-) -> tuple[list[dict[str, float]], Columns]:
-    """Windowed residuals of the five defining relations of each representation,
-    and the window of their common basis.
+    reps: Sequence[AlgebraRep], window: Columns
+) -> list[dict[str, float]]:
+    """Residuals of the five defining relations of each representation on
+    the window of their common basis.
 
     The representations share one graded basis (k sectors of d levels) and
     are scored in one pass on their direct sum, representation i as block i
@@ -363,7 +375,6 @@ def algebra_relation_residuals(
                 f"representations on {rep.basis.k} x {rep.basis.d} and "
                 f"{basis.k} x {basis.d} spaces have no common window"
             )
-    window = basis.window(margin)
     P = window.mask
     q = primitive_root(basis.k)
     Xm, Xp, N, K = (Shift.stack([getattr(rep, name) for rep in reps])
@@ -377,23 +388,4 @@ def algebra_relation_residuals(
         "grading_number": score([(K @ N, N @ K)], P),
         "grading_cyclic": score([(K ** basis.k, Shift.diag(np.ones(K.weight.shape)))], P),
     }
-    return [{key: float(val[i]) for key, val in columns.items()} for i in range(len(reps))], window
-
-
-def verify_wk_relations(
-    rep: AlgebraRep, scoring: Scoring, tensor: AlgebraRep | None = None
-) -> tuple[list[ReportEntry], list[ReportEntry]]:
-    """Check the five defining relations of the graded construction and,
-    when given, of the tensor-product one, in one pass on both.
-
-    Returns the algebra.* entries and the tensor.* entries (none without a
-    tensor realization).
-    """
-    reps = [rep] if tensor is None else [rep, tensor]
-    residuals, window = algebra_relation_residuals(reps, scoring.margin)
-    entries = [
-        [scoring.entry(f"{prefix}.{key}", _RELATION_STATEMENTS[key], val, "windowed", window)
-         for key, val in values.items()]
-        for prefix, values in zip(("algebra", "tensor"), residuals)
-    ]
-    return entries[0], (entries[1] if tensor is not None else [])
+    return [{key: float(val[i]) for key, val in columns.items()} for i in range(len(reps))]

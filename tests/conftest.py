@@ -3,6 +3,8 @@ import sys
 import numpy as np
 import pytest
 
+from fsusy.wkalg import Scoring
+
 
 def _clear_order_caches():
     for name, module in list(sys.modules.items()):
@@ -34,3 +36,19 @@ def multilinear_roundoff(k):
     relative, and a sum of k such terms by (k-1) eps more: each route is
     within 2(k-1) eps of exact, and two routes differ by less than 4k eps."""
     return 4 * k * np.finfo(float).eps
+
+
+def entries(records):
+    """The report entries of a check's records, at the default tolerance 1e-10."""
+    return Scoring(1e-10).entries(records)
+
+
+def by_name(records):
+    """The report entries of a check's records by name."""
+    return {e.name: e for e in entries(records)}
+
+
+def one_entry(records):
+    """The report entry of a check that makes one record."""
+    [entry] = entries(records)
+    return entry

@@ -29,7 +29,7 @@ from fsusy.fock import (
     effective_dimension,
     solve_structure_function,
 )
-from fsusy.realization import build_kfermion_pair, verify_kfermions
+from fsusy.realization import build_kfermion_pair
 from fsusy.suite import RunConfig, run_verification_suite
 from fsusy.system import build_doublet, partner_value
 from fsusy.wkalg import Scoring, build_rep
@@ -289,7 +289,7 @@ def test_criterion_08_solver_matches_telescoped_form():
 def test_criterion_09_kfermions_and_tensor_realization(grid):
     bad = []
     for k in range(2, 9):
-        entries = by_name_list(verify_kfermions(build_kfermion_pair(k), Scoring(k, 1e-10)))
+        entries = by_name_list(Scoring(1e-10).entries(build_kfermion_pair(k).residuals))
         point = f"k={k}"
         check_residual(entries, "kfermion.q_commutator", 1e-12, point, bad)
         check_residual(entries, "kfermion.nilpotency", 0.0, point, bad, exact=True)

@@ -38,12 +38,7 @@ from fsusy.fock import (
     solve_structure_function,
 )
 from fsusy.qarith import primitive_root, q_factorial
-from fsusy.realization import (
-    build_kfermion_pair,
-    build_tensor_realization,
-    compare_realizations,
-    verify_kfermions,
-)
+from fsusy.realization import build_kfermion_pair, build_tensor_realization, compare_realizations
 from fsusy.replicas import (
     build_replicas,
     check_isospectrality,
@@ -53,15 +48,8 @@ from fsusy.replicas import (
 )
 from fsusy.report import ReportEntry
 from fsusy.suite import RunConfig, build_system, verify_system
-from fsusy.system import (
-    FsusyDoublet,
-    build_doublet,
-    build_hamiltonian_operator,
-    partner_consistency_entry,
-    partner_value,
-)
+from fsusy.system import FsusyDoublet, build_doublet, build_hamiltonian_operator, partner_value
 from fsusy.wkalg import (
-    _RELATION_STATEMENTS,
     AlgebraRep,
     Shift,
     algebra_relation_residuals,
@@ -396,9 +384,11 @@ def reference_verify_replica(rd, doublet, margin, tolerance=1e-10, strict=1e-12)
 
 
 def reference_verify_fsusy(doublet, margin, tolerance=1e-10, strict=1e-12):
-    """The doublet axioms with the k ordered products held in a list, summed in order."""
+    """The doublet axioms with the k ordered products held in a list, summed
+    in order, and diag(H) against the partner energies read one at a time."""
     basis = doublet.rep.basis
     k = basis.k
+    partners = Shift.diag([[doublet.partner(s or k, n) for n in range(basis.d)] for s in range(k)])
     P, win = basis.window(margin)
     Qm, Qp, H = doublet.Qm, doublet.Qp, doublet.H
     powers = [Shift.diag(np.ones((k, basis.d)))]
@@ -413,6 +403,9 @@ def reference_verify_fsusy(doublet, margin, tolerance=1e-10, strict=1e-12):
               residual(sum(terms[1:], start=terms[0]), powers[k - 2] @ H, P), tolerance, win),
         check("fsusy.hamiltonian_commutes", "[H, Q-] = 0 and [H, Q+] = 0",
               max(residual(H @ Qm, Qm @ H, P), residual(H @ Qp, Qp @ H, P)), strict, win),
+        check("fsusy.partner_diagonal",
+              "H is diagonal and its diagonal matches the closed-form partner energies",
+              residual(H, partners), strict),
     ]
 
 
@@ -434,6 +427,15 @@ def reference_sum_identity(doublet, replicas, margin, tolerance=1e-10):
         P[s % k, 0] = False
     return check(name, statement, residual(doublet.H, rhs, P), tolerance,
                  win + ", omitting replica ground levels")
+
+
+RELATION_STATEMENTS = {
+    "ladder_commutator": "[X-, X+] equals the sector-weighted structure values sum_s f_s(N) Pi_s",
+    "number_ladder": "[N, X-] = -X- and [N, X+] = +X+",
+    "grading_ladder": "K X- = q^(-1) X- K and K X+ = q^(+1) X+ K",
+    "grading_number": "[K, N] = 0",
+    "grading_cyclic": "K^k = 1",
+}
 
 
 def reference_ladder_sum(rep):
@@ -480,19 +482,19 @@ def reference_tensor(pair, rep):
 
 def reference_verify_system(system, config):
     """The suite's entries with every replica built and every check made on
-    the whole space, one at a time."""
-    rep, doublet = system.rep, system.doublet
+    the whole space, one at a time; the level shift, the k = 2 reduction, the
+    k-fermions and the spectra are the program's own checks."""
+    rep, doublet, basis = system.rep, system.doublet, system.rep.basis
     margin, tol, scoring = config.margin, config.tolerance, config.scoring
     strict = tol * STRICT_FACTOR
     replicas, refused = reference_replicas(doublet, margin)
     entries = []
     try:
         residuals, win = reference_relation_residuals(rep, margin)
-        entries += [check(f"algebra.{key}", _RELATION_STATEMENTS[key], val, tol, win)
+        entries += [check(f"algebra.{key}", RELATION_STATEMENTS[key], val, tol, win)
                     for key, val in residuals.items()]
         entries += reference_verify_fsusy(doublet, margin, tol, strict)
-        entries.append(partner_consistency_entry(doublet, scoring))
-        entries.append(check_isospectrality(doublet, scoring))
+        entries += scoring.entries(check_isospectrality(doublet, basis.window(margin)))
         for s in range(2, config.k + 1):
             if s in refused:
                 entries.append(ReportEntry.failure(
@@ -503,9 +505,10 @@ def reference_verify_system(system, config):
                 entries += reference_verify_replica(replicas[s], doublet, margin, tol, strict)
         entries.append(reference_sum_identity(doublet, replicas, margin, tol))
         if config.k == 2 and 2 in replicas:
-            entries.append(k2_reduction_entry(doublet, replicas[2].h, scoring))
+            entries += scoring.entries(
+                k2_reduction_entry(doublet, replicas[2].h, basis.window(margin)))
         pair = build_kfermion_pair(config.k)
-        entries += verify_kfermions(pair, scoring)
+        entries += scoring.entries(pair.residuals)
         try:
             tensor = reference_tensor(pair, rep)
         except FsusyError as exc:
@@ -514,9 +517,9 @@ def reference_verify_system(system, config):
                 "the tensor-product realization materializes on the truncated space", exc))
         else:
             residuals, win = reference_relation_residuals(tensor, margin)
-            entries += [check(f"tensor.{key}", _RELATION_STATEMENTS[key], val, tol, win)
+            entries += [check(f"tensor.{key}", RELATION_STATEMENTS[key], val, tol, win)
                         for key, val in residuals.items()]
-            entries.append(compare_realizations(tensor, rep, scoring))
+            entries += scoring.entries(compare_realizations(tensor, rep))
     except WindowTooSmallError as exc:
         entries.append(ReportEntry.failure(
             "construction.window", "a safe window exists below the truncation ceiling", exc))
@@ -558,13 +561,16 @@ def test_batched_checks_match_the_one_at_a_time_route(k, label):
                   for e in entries] for entries in (got, want))
     assert [entry_bits(e) for e in got] == [entry_bits(e) for e in want]
     replicas, _ = reference_replicas(system.doublet, k)
-    batch = verify_replicas(system.replicas, system.doublet, config.scoring)
+    window = system.rep.basis.window(k)
+    batch = verify_replicas(system.replicas, system.doublet, window)
     assert sorted(batch) == sorted(replicas)
     for s, rd in replicas.items():
         one = reference_verify_replica(rd, system.doublet, k)
-        assert [entry_bits(e) for e in batch[s]] == [entry_bits(e) for e in one]
-    assert (entry_bits(verify_sum_identity(system.doublet, system.replicas, config.scoring))
-            == entry_bits(reference_sum_identity(system.doublet, replicas, k)))
+        assert ([entry_bits(e) for e in config.scoring.entries(batch[s])]
+                == [entry_bits(e) for e in one])
+    [charge_sum] = config.scoring.entries(
+        verify_sum_identity(system.doublet, system.replicas, window))
+    assert entry_bits(charge_sum) == entry_bits(reference_sum_identity(system.doublet, replicas, k))
 
 
 @pytest.mark.parametrize("k,label", CHECK_POINTS, ids=[f"k={k}-{lb}" for k, lb in CHECK_POINTS])
@@ -599,12 +605,13 @@ def test_paired_relation_pass_equals_each_representation_alone(k, label):
     config = RunConfig(k=k, d=40, spec=CHECK_FAMILIES[label](k), margin=k)
     rep = build_system(config).rep
     tensor = build_tensor_realization(build_kfermion_pair(k), rep)
-    (graded, paired_tensor), win = algebra_relation_residuals([rep, tensor], k)
-    alone = [algebra_relation_residuals([one], k) for one in (rep, tensor)]
+    window = rep.basis.window(k)
+    graded, paired_tensor = algebra_relation_residuals([rep, tensor], window)
+    alone = [algebra_relation_residuals([one], window) for one in (rep, tensor)]
     references = [reference_relation_residuals(one, k) for one in (rep, tensor)]
-    for residuals, (single, single_win), (ref, ref_win) in zip(
+    for residuals, single, (ref, ref_win) in zip(
             (graded, paired_tensor), alone, references, strict=True):
-        assert win.text == single_win.text == ref_win
+        assert window.text == ref_win
         hexed = {key: val.hex() for key, val in residuals.items()}
         assert hexed == {key: val.hex() for key, val in single[0].items()}
         assert hexed == {key: val.hex() for key, val in ref.items()}
@@ -693,12 +700,12 @@ def test_batched_checks_make_the_same_calls_at_every_order(monkeypatch, clear_or
             done("representation and doublet")
             blocks, _ = build_replicas(system.doublet, config.margin)
             done("replica build")
-            verify_replicas(blocks, system.doublet, config.scoring)
-            verify_sum_identity(system.doublet, blocks, config.scoring)
+            verify_replicas(blocks, system.doublet, basis.window(k))
+            verify_sum_identity(system.doublet, blocks, basis.window(k))
             done("replica checks")
             tensor = build_tensor_realization(pair, system.rep)
             done("tensor build")
-            algebra_relation_residuals([system.rep, tensor], k)
+            algebra_relation_residuals([system.rep, tensor], basis.window(k))
             done("relation pass")
             # the pair keeps its fermion factors: a second tensor build at
             # this order forms no product

@@ -12,23 +12,20 @@ sector pairs.
 
 Four identities cannot see a scaled weight and are not listed: Q-^k = 0,
 q- q- = 0 and f-^k = 0 stay nilpotent whatever their weights, and the
-diagonal K and N commute whatever their weights.  f-^k = 0 does see a
-weight planted at its zero [0]_q.  A replica weight changed
+diagonal K and N commute whatever their weights.  f-^k = 0 and Q-^k = 0 do
+see a weight planted at one of their exact zeros.  A replica weight changed
 inside its own block fails the entries of its own replica that read it,
 and no entry of another replica.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from conftest import by_name, entries
 from fsusy.fock import StructureSpec
-from fsusy.realization import (
-    build_kfermion_pair,
-    build_tensor_realization,
-    compare_realizations,
-    verify_kfermions,
-)
+from fsusy.realization import build_kfermion_pair, build_tensor_realization, compare_realizations
 from fsusy.replicas import (
     check_isospectrality,
     k2_reduction_entry,
@@ -36,8 +33,8 @@ from fsusy.replicas import (
     verify_sum_identity,
 )
 from fsusy.suite import RunConfig, build_system
-from fsusy.system import partner_consistency_entry, verify_fsusy
-from fsusy.wkalg import Scoring, verify_wk_relations
+from fsusy.system import verify_fsusy
+from fsusy.wkalg import algebra_relation_residuals
 
 D = 40
 SCALE = 1 + 1e-9
@@ -73,12 +70,21 @@ def make_tensor(rep):
     return build_tensor_realization(build_kfermion_pair(rep.basis.k), rep)
 
 
+def relation_entries(rep, tensor):
+    """The algebra.* and tensor.* entries of the paired relation pass."""
+    window = rep.basis.window(rep.basis.k)
+    residuals = algebra_relation_residuals([rep, tensor], window)
+    return entries({f"{prefix}.{key}": (val, window)
+                    for prefix, values in zip(("algebra", "tensor"), residuals)
+                    for key, val in values.items()})
+
+
 def rep_case(field, s):
     def run(system, n, factor):
         rep = system.rep
         op = scaled(getattr(rep, field), (s, n), factor)
         mutated = dataclasses.replace(rep, **{field: op})
-        return verify_wk_relations(mutated, Scoring(rep.basis.k, 1e-10), tensor=make_tensor(rep))[0]
+        return relation_entries(mutated, make_tensor(rep))
     return run
 
 
@@ -88,16 +94,18 @@ def tensor_case(field, s):
         tensor = make_tensor(rep)
         op = scaled(getattr(tensor, field), (s, n), factor)
         mutated = dataclasses.replace(tensor, **{field: op})
-        scoring = Scoring(rep.basis.k, 1e-10)
-        return (verify_wk_relations(rep, scoring, tensor=mutated)[1]
-                + [compare_realizations(mutated, rep, scoring)])
+        return relation_entries(rep, mutated) + entries(compare_realizations(mutated, rep))
     return run
 
 
 def replica_entries(blocks, doublet):
-    """Entries of every replica, checked on the stack as the suite does."""
-    return [e for entries in verify_replicas(blocks, doublet, Scoring(doublet.k, 1e-10)).values()
-            for e in entries]
+    """Entries of every replica by s, checked on the stack as the suite does."""
+    window = doublet.rep.basis.window(doublet.k)
+    return {s: entries(records) for s, records in verify_replicas(blocks, doublet, window).items()}
+
+
+def every_replica_entry(blocks, doublet):
+    return [e for found in replica_entries(blocks, doublet).values() for e in found]
 
 
 def stacked_column(blocks, s, n, sector):
@@ -108,13 +116,10 @@ def stacked_column(blocks, s, n, sector):
 def hamiltonian_case(s):
     def run(system, n, factor):
         doublet = system.doublet
-        scoring = Scoring(doublet.k, 1e-10)
-        H = scaled(doublet.H, (s, n), factor)
-        doublet = dataclasses.replace(doublet, H=H)
-        return verify_fsusy(doublet, scoring) + [
-            partner_consistency_entry(doublet, scoring),
-            verify_sum_identity(doublet, system.replicas, scoring),
-        ]
+        window = doublet.rep.basis.window(doublet.k)
+        doublet = dataclasses.replace(doublet, H=scaled(doublet.H, (s, n), factor))
+        return entries(verify_fsusy(doublet, window)
+                       | verify_sum_identity(doublet, system.replicas, window))
     return run
 
 
@@ -125,8 +130,9 @@ def partner_case(s):
         partners = doublet.partners.copy()
         partners[s - 1, n] *= factor
         doublet = dataclasses.replace(doublet, partners=partners)
-        return [check_isospectrality(doublet, Scoring(doublet.k, 1e-10))] + replica_entries(
-            system.replicas, doublet)
+        window = doublet.rep.basis.window(doublet.k)
+        return (entries(check_isospectrality(doublet, window))
+                + every_replica_entry(system.replicas, doublet))
     return run
 
 
@@ -134,14 +140,14 @@ def replica_case(s, field, sector):
     def run(system, n, factor):
         blocks = system.replicas
         op = scaled(getattr(blocks, field), stacked_column(blocks, s, n, sector), factor)
-        return replica_entries(dataclasses.replace(blocks, **{field: op}), system.doublet)
+        return every_replica_entry(dataclasses.replace(blocks, **{field: op}), system.doublet)
     return run
 
 
 def reduction_case(system, n, factor):
     doublet = system.doublet
     h = scaled(system.replicas.lift("h", 2), (1, n), factor)
-    return [k2_reduction_entry(doublet, h, Scoring(2, 1e-10))]
+    return entries(k2_reduction_entry(doublet, h, doublet.rep.basis.window(2)))
 
 
 CASES = {
@@ -198,11 +204,11 @@ def test_scaled_weight_fails_the_entry(systems, name):
 def test_scaled_fermion_weight_fails_the_entry(name, k, field, grades):
     pair = build_kfermion_pair(k)
     # the canonical pair's residuals are cached first; no mutated copy may read them
-    assert all(e.passed for e in verify_kfermions(pair, Scoring(k, 1e-10)))
+    assert all(e.passed for e in entries(pair.residuals))
     for t in grades:
         for factor, passed in [(1.0, True), (SCALE, False)]:
             mutated = dataclasses.replace(pair, **{field: scaled(getattr(pair, field), (t, 0), factor)})
-            entry = {e.name: e for e in verify_kfermions(mutated, Scoring(k, 1e-10))}[name]
+            entry = by_name(mutated.residuals)[name]
             assert entry.passed is passed, (t, factor, entry.residual)
 
 
@@ -213,17 +219,32 @@ def planted(op, at, weight):
     return dataclasses.replace(op, weight=weights)
 
 
-@pytest.mark.parametrize("k", [3, 204])
+@pytest.mark.parametrize("k", [3, 204, 1000, 2000])
 def test_planted_fermion_weight_fails_the_nilpotency(k):
     # f-^k = 0 rests on the zero weight [0]_q of grade 0 alone; 1e-9 there
     # makes every column of f-^k nonzero, also from k = 204 on, where
-    # [k-1]_q! overflows float64
+    # [k-1]_q! overflows float64, and at k = 2000, where the product of the
+    # k weights underflows to 0
     pair = build_kfermion_pair(k)
-    for weight, passed in [(0.0, True), (1e-9, False)]:
+    for weight, residual in [(0.0, 0.0), (1e-9, 1.0)]:
         mutated = dataclasses.replace(pair, fm=planted(pair.fm, (0, 0), weight))
-        entry = {e.name: e for e in verify_kfermions(mutated, Scoring(k, 1e-10))}[
-            "kfermion.nilpotency"]
-        assert entry.passed is passed and entry.error is None, (weight, entry.residual)
+        entry = by_name(mutated.residuals)["kfermion.nilpotency"]
+        assert (entry.residual, entry.passed) == (residual, residual == 0), (weight, entry)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_planted_supercharge_weight_fails_the_nilpotency():
+    # Q-^k = 0 rests on the exact zeros of Q- on sector 1, which every path
+    # of k steps crosses; 1e-9 planted at |80, 1> makes the column's path
+    # nonzero to level 16, also where the products of Q-^k overflow float64
+    k = 64
+    system = build_system(RunConfig(k=k, d=100, spec=StructureSpec.affine_family(k, 1e7, 1.0),
+                                    margin=k))
+    doublet, window = system.doublet, system.rep.basis.window(k)
+    for weight, residual in [(0.0, 0.0), (1e-9, 1.0)]:
+        mutated = dataclasses.replace(doublet, Qm=planted(doublet.Qm, (1, 80), weight))
+        entry = by_name(verify_fsusy(mutated, window))["fsusy.nilpotency"]
+        assert (entry.residual, entry.passed) == (residual, residual == 0), (weight, entry)
 
 
 # each defect of replica s's block: the operator, the weight it puts at a
@@ -251,7 +272,7 @@ def test_stray_replica_weight_fails_only_its_replica(systems, k, how):
         system = systems[k, label]
         blocks, doublet = system.replicas, system.doublet
         op = getattr(blocks, field)
-        before = verify_replicas(blocks, doublet, Scoring(k, 1e-10))
+        before = replica_entries(blocks, doublet)
         top = system.d_effective - 1 - k
         for s in blocks.order:
             held = [n for n in range(1, top + 1)
@@ -260,7 +281,7 @@ def test_stray_replica_weight_fails_only_its_replica(systems, k, how):
                 at = stacked_column(blocks, s, n, s + shift)
                 weight = 1e-9 if shift else op.weight[at] * SCALE
                 mutated = dataclasses.replace(blocks, **{field: planted(op, at, weight)})
-                after = verify_replicas(mutated, doublet, Scoring(k, 1e-10))
+                after = replica_entries(mutated, doublet)
                 for r, entries in after.items():
                     for e, ref in zip(entries, before[r], strict=True):
                         if r == s and e.name.split(".")[1] in fails:

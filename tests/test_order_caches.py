@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
-from fsusy.realization import build_kfermion_pair, build_tensor_realization, verify_kfermions
+from fsusy.realization import build_kfermion_pair, build_tensor_realization
 from fsusy.suite import RunConfig, build_system, run_verification_suite
 from fsusy.wkalg import Scoring, _grading, build_rep
 
@@ -57,7 +57,7 @@ def test_every_shared_array_is_read_only(k):
             array[...] = array
         assert not array.flags.writeable, name
     with pytest.raises(TypeError):
-        build_kfermion_pair(k).residuals["q_commutator"] = 0.0
+        build_kfermion_pair(k).residuals["kfermion.q_commutator"] = (0.0, None)
 
 
 def test_systems_of_one_order_share_the_order_objects():
@@ -103,14 +103,14 @@ SCALE = 1 + 1e-9
 @pytest.mark.parametrize("k,field", [(5, "fm"), (5, "fp"), (5, "Kf"), (2, "fp")])
 def test_a_replaced_pair_is_checked_afresh(k, field):
     pair = build_kfermion_pair(k)
-    scoring = Scoring(k, 1e-10)
-    assert all(entry.passed for entry in verify_kfermions(pair, scoring))
+    scoring = Scoring(1e-10)
+    assert all(entry.passed for entry in scoring.entries(pair.residuals))
     op = getattr(pair, field)
     weight = op.weight.copy()
     weight[np.flatnonzero(weight)[-1]] *= SCALE
     mutated = dataclasses.replace(pair, **{field: dataclasses.replace(op, weight=weight)})
     assert build_kfermion_pair(k) is pair
-    assert not all(entry.passed for entry in verify_kfermions(mutated, scoring))
+    assert not all(entry.passed for entry in scoring.entries(mutated.residuals))
     assert mutated.A is not pair.A
     # the canonical pair still reads its own residuals
-    assert all(entry.passed for entry in verify_kfermions(pair, scoring))
+    assert all(entry.passed for entry in scoring.entries(pair.residuals))

@@ -3,16 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import by_name, entries, one_entry
 from fsusy.errors import InvalidOrderError, RepresentationError
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
 from fsusy.qarith import primitive_root
-from fsusy.realization import (
-    build_kfermion_pair,
-    build_tensor_realization,
-    compare_realizations,
-    verify_kfermions,
-)
-from fsusy.wkalg import Scoring, Shift, build_rep, verify_wk_relations
+from fsusy.realization import build_kfermion_pair, build_tensor_realization, compare_realizations
+from fsusy.wkalg import Shift, algebra_relation_residuals, build_rep
 
 
 def make_rep(k, d, spec=None):
@@ -35,7 +31,7 @@ def test_kfermion_order_is_validated():
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_kfermion_invariants(k):
-    entries = {e.name: e for e in verify_kfermions(build_kfermion_pair(k), Scoring(k, 1e-10))}
+    entries = by_name(build_kfermion_pair(k).residuals)
     assert entries["kfermion.q_commutator"].residual < 1e-12
     assert entries["kfermion.nilpotency"].residual == 0.0
     assert entries["kfermion.grading_spectrum"].residual < 1e-12
@@ -90,9 +86,10 @@ def make_tensor(rep):
 
 def tensor_entries(tensor, rep, margin):
     """The tensor.* entries of a suite run: the relations, paired with rep's, and the spectra."""
-    scoring = Scoring(margin, 1e-10)
-    return (verify_wk_relations(rep, scoring, tensor=tensor)[1]
-            + [compare_realizations(tensor, rep, scoring)])
+    window = rep.basis.window(margin)
+    _, relations = algebra_relation_residuals([rep, tensor], window)
+    return entries({f"tensor.{key}": (val, window) for key, val in relations.items()}
+                   | compare_realizations(tensor, rep))
 
 
 TENSOR_RELATIONS = [
@@ -161,13 +158,13 @@ class TestTensorRealization:
         rep = make_rep(2, 10)
         tensor = make_tensor(make_rep(2, 8))
         with pytest.raises(RepresentationError):
-            compare_realizations(tensor, rep, Scoring(2, 1e-10))
+            compare_realizations(tensor, rep)
         with pytest.raises(RepresentationError, match="no common window"):
-            verify_wk_relations(rep, Scoring(2, 1e-10), tensor=tensor)
+            algebra_relation_residuals([rep, tensor], rep.basis.window(2))
 
 
 def spectral_entry(tensor, rep):
-    return compare_realizations(tensor, rep, Scoring(tensor.basis.k, 1e-10))
+    return one_entry(compare_realizations(tensor, rep))
 
 
 def test_spectral_distance_of_the_graded_operators_is_zero():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import flat
+from conftest import entries, flat, one_entry
 from fsusy.errors import FactorizationError, FsusyError, WindowTooSmallError
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
 from fsusy.replicas import (
@@ -15,7 +15,7 @@ from fsusy.replicas import (
 )
 from fsusy.suite import RunConfig, build_system
 from fsusy.system import build_doublet, partner_value
-from fsusy.wkalg import Scoring, build_rep
+from fsusy.wkalg import build_rep
 
 
 def make_doublet(k, d, spec=None):
@@ -38,9 +38,16 @@ def build_shift_operators(db, s, slack=0):
     return lift(db, "Xsm", s, slack), lift(db, "Xsp", s, slack)
 
 
-def replica_entries(db, margin):
-    """The entries of every replica by s, checked on the stack."""
-    return verify_replicas(build_replicas(db)[0], db, Scoring(margin, 1e-10))
+def window(db, margin):
+    return db.rep.basis.window(margin)
+
+
+def replica_entries(db, margin, blocks=None):
+    """The entries of every replica by s, checked on the stack (of every
+    replica without ``blocks``)."""
+    blocks = build_replicas(db)[0] if blocks is None else blocks
+    return {s: entries(records)
+            for s, records in verify_replicas(blocks, db, window(db, margin)).items()}
 
 
 def decaying_table_doublet():
@@ -161,7 +168,7 @@ def test_level_shift_identity_holds():
         StructureSpec.affine_family(4, 0.5, 1.0),
     ]:
         db = make_doublet(spec.k, 20, spec)
-        entry = check_isospectrality(db, Scoring(spec.k, 1e-10))
+        entry = one_entry(check_isospectrality(db, window(db, spec.k)))
         assert entry.passed, entry.residual
 
 
@@ -170,12 +177,12 @@ def test_level_shift_takes_its_levels_from_the_window():
     # and a margin that leaves no level raises instead of scoring nothing
     d = 12
     db = make_doublet(3, d, StructureSpec.affine_family(3, 0.5, 1.0))
-    entry = check_isospectrality(db, Scoring(d - 2, 1e-10))
+    entry = one_entry(check_isospectrality(db, window(db, d - 2)))
     assert entry.passed
     assert entry.window == "levels 1 <= n <= 1"
     for margin in (d - 1, d, 2 * d):
         with pytest.raises(WindowTooSmallError, match=f"^margin {margin} leaves no window"):
-            check_isospectrality(db, Scoring(margin, 1e-10))
+            check_isospectrality(db, window(db, margin))
 
 
 def test_wrap_pair_is_not_isospectral():
@@ -186,7 +193,7 @@ def test_wrap_pair_is_not_isospectral():
         abs(db.partner(3, n - 1) - db.partner(1, n)) for n in range(1, 8)
     )
     assert wrap_dev == pytest.approx(6.0)
-    assert check_isospectrality(db, Scoring(3, 1e-10)).passed
+    assert one_entry(check_isospectrality(db, window(db, 3))).passed
 
 
 @pytest.mark.parametrize("k", [*range(2, 14), 16, 32, 64, 65])
@@ -209,16 +216,16 @@ def test_constant_family_refuses_the_top_replicas(k):
 
 def test_sum_identity_for_k2():
     db = make_doublet(2, 30)
-    entry = verify_sum_identity(db, build_replicas(db)[0], Scoring(2, 1e-10))
+    entry = one_entry(verify_sum_identity(db, build_replicas(db)[0], window(db, 2)))
     assert entry.residual < 1e-10
-    reduction = k2_reduction_entry(db, lift(db, "h", 2), Scoring(2, 1e-10))
+    reduction = one_entry(k2_reduction_entry(db, lift(db, "h", 2), window(db, 2)))
     assert reduction.residual < 1e-12
 
 
 def test_sum_identity_for_k4_affine():
     spec = StructureSpec.affine_family(4, 0.0, 1.0)
     db = make_doublet(4, 40, spec)
-    entry = verify_sum_identity(db, build_replicas(db)[0], Scoring(4, 1e-10))
+    entry = one_entry(verify_sum_identity(db, build_replicas(db)[0], window(db, 4)))
     assert entry.residual < 1e-10
 
 
@@ -229,7 +236,7 @@ def test_sum_identity_requires_all_replicas():
     partners[2, 1] = -1.0
     blocks, refused = build_replicas(dataclasses.replace(db, partners=partners))
     assert blocks.order == (2,) and sorted(refused) == [3]
-    entry = verify_sum_identity(db, blocks, Scoring(2, 1e-10))
+    entry = one_entry(verify_sum_identity(db, blocks, window(db, 2)))
     assert entry.name == "fsusy.charge_sum"
     assert not entry.passed
     assert entry.residual is None
@@ -240,7 +247,7 @@ def test_reduction_entry_guards_its_domain():
     db = make_doublet(3, 10)
     h = lift(db, "h", 2)
     with pytest.raises(FsusyError):
-        k2_reduction_entry(db, h, Scoring(2, 1e-10))
+        k2_reduction_entry(db, h, window(db, 2))
 
 
 def test_stack_without_replicas():
@@ -254,8 +261,8 @@ def test_stack_without_replicas():
         s: (s, 1, -1.0) for s in (2, 3, 4)}
     assert all(op.dim == 0 for op in (blocks.Xsm, blocks.Xsp, blocks.qm, blocks.qp, blocks.h))
     assert list(blocks) == []
-    assert verify_replicas(blocks, db, Scoring(4, 1e-10)) == {}
-    entry = verify_sum_identity(db, blocks, Scoring(4, 1e-10))
+    assert verify_replicas(blocks, db, window(db, 4)) == {}
+    entry = one_entry(verify_sum_identity(db, blocks, window(db, 4)))
     assert not entry.passed and entry.residual is None
     assert "replicas [2, 3, 4]" in entry.error
 
@@ -272,5 +279,5 @@ def test_each_replica_is_checked_on_its_own_block():
         partners[[r - 1 for r in others], 1] = -1.0
         blocks, refused = build_replicas(dataclasses.replace(db, partners=partners))
         assert blocks.order == (s,) and sorted(refused) == others
-        alone = verify_replicas(blocks, db, Scoring(4, 1e-10))
+        alone = replica_entries(db, 4, blocks)
         assert alone[s] == every[s]

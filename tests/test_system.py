@@ -3,16 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fsusy.system
-from conftest import flat, multilinear_roundoff
+from conftest import by_name, flat, multilinear_roundoff
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
 from fsusy.suite import RunConfig, build_system
-from fsusy.system import (
-    build_doublet,
-    partner_consistency_entry,
-    partner_value,
-    verify_fsusy,
-)
-from fsusy.wkalg import Scoring, Shift, build_rep, score
+from fsusy.system import build_doublet, partner_value, verify_fsusy
+from fsusy.wkalg import Shift, build_rep, score
 
 
 def make_doublet(k, d, spec=None):
@@ -78,7 +73,7 @@ def test_supercharges_avoid_their_masked_sectors():
 )
 def test_fsusy_axioms(k, d, spec):
     db = make_doublet(k, d, spec)
-    entries = {e.name: e for e in verify_fsusy(db, Scoring(2, 1e-10))}
+    entries = by_name(verify_fsusy(db, db.rep.basis.window(2)))
     assert entries["fsusy.nilpotency"].residual == 0.0
     assert entries["fsusy.multilinear"].residual < 1e-10
     assert entries["fsusy.hamiltonian_commutes"].residual < 1e-12
@@ -99,7 +94,7 @@ def test_partner_diagonal_consistency():
         StructureSpec.affine_family(3, 0.25, 1.0),
     ]:
         db = make_doublet(3, 12, spec)
-        entry = partner_consistency_entry(db, Scoring(2, 1e-10))
+        entry = by_name(verify_fsusy(db, db.rep.basis.window(2)))["fsusy.partner_diagonal"]
         assert entry.passed, entry.residual
 
 
@@ -144,7 +139,7 @@ def test_multilinear_window_tightness():
     # the multilinear identity involves k - 1 raisings, so truncation effects
     # stay outside a window with margin >= k - 1
     db = make_doublet(4, 12)
-    entries = {e.name: e for e in verify_fsusy(db, Scoring(4, 1e-10))}
+    entries = by_name(verify_fsusy(db, db.rep.basis.window(4)))
     assert entries["fsusy.multilinear"].residual < 1e-12
 
 
@@ -156,8 +151,8 @@ def test_multilinear_recursion_matches_the_list_of_ordered_products(monkeypatch,
     scored = []
     monkeypatch.setattr(fsusy.system, "score",
                         lambda pairs, window=None: scored.append(list(pairs)) or 0.0)
-    verify_fsusy(db, Scoring(2, 1e-10))
-    [(top, _), _], [(total, rhs)], _ = scored
+    verify_fsusy(db, db.rep.basis.window(2))
+    [(top, _), _], [(total, rhs)], _, _ = scored
     # the literal route: every power of Q- held, the k ordered products
     # formed and added left to right
     powers = [Shift.diag(np.ones((k, d)))]
@@ -165,10 +160,13 @@ def test_multilinear_recursion_matches_the_list_of_ordered_products(monkeypatch,
         powers.append(powers[-1] @ db.Qm)
     terms = [powers[k - 1 - j] @ db.Qp @ powers[j] for j in range(k)]
     assert score([(total, sum(terms[1:], start=terms[0]))]) <= multilinear_roundoff(k)
-    # the running power gives Q-^(k-2) H and Q-^k bit for bit
-    for got, want in ((rhs, powers[k - 2] @ db.H), (top, powers[k])):
-        assert (got.dn, got.ds % k) == (want.dn, want.ds % k)
-        assert np.array_equal(got.weight.view(np.int64), want.weight.view(np.int64))
+    # the running power gives Q-^(k-2) H bit for bit, and the product of the
+    # supports of Q-'s k factors is nonzero exactly where Q-^k is
+    want = powers[k - 2] @ db.H
+    assert (rhs.dn, rhs.ds % k) == (want.dn, want.ds % k)
+    assert np.array_equal(rhs.weight.view(np.int64), want.weight.view(np.int64))
+    assert (top.dn, top.ds % k) == (powers[k].dn, powers[k].ds % k)
+    assert np.array_equal(top.weight != 0, powers[k].weight != 0)
 
 
 DYADIC_A = (-0.25, -0.125, 0.0, 0.125, 0.5, 2.0)

@@ -15,10 +15,10 @@ from fsusy.wkalg import (
     Shift,
     build_projectors,
     Scoring,
+    algebra_relation_residuals,
     build_rep,
     deviation,
     score,
-    verify_wk_relations,
 )
 
 
@@ -229,7 +229,7 @@ def test_deviation_of_inf_and_nan_weights():
         assert dev[1, 2] == last
     residual = score([(lhs, rhs)])
     assert np.isnan(residual)
-    entry = Scoring(2, 1e-8).entry("x.y", "x = y", residual, "windowed", FULL_SPACE)
+    entry = Scoring(1e-8).entry("x.y", "x = y", residual, "windowed", FULL_SPACE)
     assert entry.error == "the products of this identity overflow float64"
 
 
@@ -294,7 +294,7 @@ def test_score_refuses_a_window_that_reshapes_the_table():
 
 
 def test_scoring_tiers_and_overflow():
-    scoring = Scoring(2, 1e-8)
+    scoring = Scoring(1e-8)
     window = GradedBasis(2, 6).window(2)
     entries = [scoring.entry("x.y", "x = y", 5e-9, tier, window)
                for tier in ("exact", "windowed", "strict")]
@@ -322,8 +322,11 @@ def test_scoring_tiers_and_overflow():
 )
 def test_defining_relations_hold(k, d, spec):
     rep = make_rep(k, d, spec)
-    entries, tensor_entries = verify_wk_relations(rep, Scoring(2, 1e-10))
-    assert tensor_entries == []
+    window = rep.basis.window(2)
+    residuals = algebra_relation_residuals([rep], window)
+    assert len(residuals) == 1
+    entries = Scoring(1e-10).entries(
+        {f"algebra.{key}": (val, window) for key, val in residuals[0].items()})
     assert len(entries) == 5
     for e in entries:
         assert e.passed, (e.name, e.residual)
@@ -340,8 +343,8 @@ def test_relations_hold_for_random_nonnegative_tables(k, seed):
     }
     spec = StructureSpec.from_table(k, entries)
     rep = make_rep(k, d, spec)
-    for e in verify_wk_relations(rep, Scoring(2, 1e-10))[0]:
-        assert e.residual < 1e-10, (e.name, e.residual)
+    for key, residual in algebra_relation_residuals([rep], rep.basis.window(2))[0].items():
+        assert residual < 1e-10, (key, residual)
 
 
 def test_grading_commutes_with_number_exactly():

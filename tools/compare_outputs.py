@@ -88,6 +88,9 @@ def configurations() -> dict[str, tuple[list[str], tuple[str, ...]]]:
         "k=4 d=40 table, f_1 from n = 0": (
             ["--k", "4", "--d", "40", "--table", "table4_f1_from_0.csv"], every),
         "k=3 d=12 margin 10": (["--k", "3", "--d", "12", "--margin", "10"], every),
+        # d is truncated to 6 levels, which leave no window below margin 10
+        "k=3 d=12 margin 10 affine(-0.5,1) (no window)": (
+            ["--k", "3", "--d", "12", "--margin", "10", "--a", "-0.5", "--b", "1"], every),
         "k=7 d=30 constant": (["--k", "7", "--d", "30", "--family", "constant"], every),
         "k=7 d=30 affine(0.5,1)": (["--k", "7", "--d", "30", "--a", "0.5", "--b", "1"], every),
         "k=8 d=100 affine(0.5,1)": (["--k", "8", "--d", "100", "--a", "0.5", "--b", "1"], every),
@@ -101,6 +104,12 @@ def configurations() -> dict[str, tuple[list[str], tuple[str, ...]]]:
             ["--k", "64", "--d", "500", "--family", "constant"], ("verify", "spectrum")),
         "k=32 d=1000 affine(0.5,1)": (
             ["--k", "32", "--d", "1000", "--a", "0.5", "--b", "1"], ("verify",)),
+        # nilpotency decided on supports: Q-^k's products of up to k-1
+        # nonzero weights overflow float64 before they meet Q-'s zeros
+        "k=128 d=600 affine(0.5,1)": (
+            ["--k", "128", "--d", "600", "--a", "0.5", "--b", "1"], ("verify",)),
+        "k=64 d=100 affine(1e7,1)": (
+            ["--k", "64", "--d", "100", "--a", "1e7", "--b", "1"], ("verify",)),
         # the order frontier: A's weight 1/[k-1]_q! is 6e-308 at k=203 and
         # subnormal from k=204 on
         "k=203 d=8 margin 1 affine(0.5,1)": (
