@@ -9,7 +9,6 @@ verifies every defining identity numerically and reports the residuals.
 from .errors import (
     ConfigError,
     DegenerateSpaceError,
-    DivisionDegenerateError,
     DomainError,
     FactorizationError,
     FsusyError,
@@ -33,7 +32,6 @@ from .system import partner_value
 __all__ = [
     "ConfigError",
     "DegenerateSpaceError",
-    "DivisionDegenerateError",
     "DomainError",
     "FactorizationError",
     "FsusyError",

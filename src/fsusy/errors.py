@@ -9,10 +9,6 @@ class InvalidOrderError(FsusyError):
     """Raised when the cyclic order k is below 2."""
 
 
-class DivisionDegenerateError(FsusyError):
-    """Raised when a q-deformed quantity is requested at q = 1."""
-
-
 class DegenerateSpaceError(FsusyError):
     """Raised when truncation leaves fewer than two levels per sector."""
 

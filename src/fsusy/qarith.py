@@ -1,43 +1,53 @@
-"""Roots of unity, q-deformed integers and q-factorials.
+"""Roots of unity, q-deformed integers and q-factorials of one order k.
 
-q-numbers are evaluated as explicit geometric sums 1 + q + ... + q^(n-1).
-Near a root of unity the textbook quotient (1 - q^n) / (1 - q) cancels
-catastrophically, the sum form does not.
+q is the primitive k-th root of unity, and every power q^m is read from the
+table of the k roots at m mod k, never multiplied up: a running product
+drifts in phase by about one rounding a step.  q-numbers are evaluated as
+explicit geometric sums 1 + q + ... + q^(n-1) of those roots.  Near a root
+of unity the textbook quotient (1 - q^n) / (1 - q) cancels catastrophically,
+the sum form does not.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
+from functools import lru_cache
 
-from .errors import DivisionDegenerateError, InvalidOrderError
+import numpy as np
+
+from .errors import InvalidOrderError
+
+
+@lru_cache(maxsize=8)
+def roots(k: int) -> np.ndarray:
+    """The k roots exp(2*pi*i*m/k), m = 0 .. k-1, built once per order and
+    read-only; q^m is ``roots(k)[m % k]``."""
+    if k < 2:
+        raise InvalidOrderError(f"cyclic order must be at least 2, got {k}")
+    table = np.array([cmath.exp(2j * cmath.pi * m / k) for m in range(k)])
+    table.flags.writeable = False
+    return table
 
 
 def primitive_root(k: int) -> complex:
     """Primitive k-th root of unity exp(2*pi*i/k)."""
-    if k < 2:
-        raise InvalidOrderError(f"cyclic order must be at least 2, got {k}")
-    return cmath.exp(2j * cmath.pi / k)
+    return complex(roots(k)[1])
 
 
-def q_number(n: int, q: complex) -> complex:
-    """q-deformed integer [n] = 1 + q + ... + q^(n-1), with [0] = 0."""
-    if n < 0:
-        raise ValueError(f"q-numbers are defined for n >= 0, got {n}")
-    if q == 1:
-        raise DivisionDegenerateError("q-numbers are degenerate at q = 1")
-    total = 0j
-    power = 1 + 0j
-    for _ in range(n):
-        total += power
-        power *= q
-    return total
+@lru_cache(maxsize=8)
+def q_numbers(k: int) -> np.ndarray:
+    """[0]_q .. [k]_q of order k, built once per order and read-only: [n]_q
+    adds roots(k)[:n] left to right, so [0]_q = 0 and [k]_q is 0 up to round-off."""
+    table = np.concatenate(([0j], np.cumsum(roots(k))))
+    table.flags.writeable = False
+    return table
 
 
-def q_factorial(n: int, q: complex) -> complex:
-    """q-deformed factorial [n]! = [1][2]...[n], with [0]! = 1."""
-    if n < 0:
-        raise ValueError(f"q-factorials are defined for n >= 0, got {n}")
-    out = 1 + 0j
-    for i in range(1, n + 1):
-        out *= q_number(i, q)
-    return out
+def q_factorial(n: int, k: int) -> complex:
+    """q-deformed factorial [n]_q! = [1]_q [2]_q ... [n]_q of order k, with
+    [0]_q! = 1, for 0 <= n <= k."""
+    table = q_numbers(k)
+    if not 0 <= n <= k:
+        raise ValueError(f"q-factorials of order {k} are defined for 0 <= n <= {k}, got {n}")
+    return math.prod(table[1:n + 1].tolist(), start=1 + 0j)

@@ -38,9 +38,9 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InvalidOrderError, RepresentationError
+from .errors import RepresentationError
 from .fock import EIGENVALUE_MULTISET, FULL_GRADE_SPACE, FULL_SPACE
-from .qarith import primitive_root, q_factorial, q_number
+from .qarith import q_factorial, q_numbers, roots
 from .wkalg import AlgebraRep, Shift, build_projectors, graded_sum, score
 
 
@@ -63,7 +63,7 @@ class KFermionPair:
     def A(self) -> Shift:
         """A = f- + f+^(k-1) / [k-1]_q!, mapping grade t to t-1 mod k; A^k = 1."""
         k = self.k
-        scale = 1 / q_factorial(k - 1, primitive_root(k))
+        scale = 1 / q_factorial(k - 1, k)
         return _frozen(self.fm + scale * self.fp ** (k - 1))
 
     @cached_property
@@ -83,17 +83,17 @@ class KFermionPair:
         """Record of each kfermion.* identity, residual and columns, by the
         name of its entry."""
         k, fm, fp = self.k, self.fm, self.fp
-        q = primitive_root(k)
+        q = roots(k)
         zero = Shift.diag(np.zeros((k, 1)))
         # the nilpotency on the supports of the factors: f-^k itself forms
         # [k-1]_q! before [0]_q = 0 and overflows from k = 204 on
         records = {
             "kfermion.q_commutator": (
-                score([(fm @ fp - q * (fp @ fm), Shift.diag(np.ones((k, 1))))]), FULL_GRADE_SPACE),
+                score([(fm @ fp - q[1] * (fp @ fm), Shift.diag(np.ones((k, 1))))]), FULL_GRADE_SPACE),
             "kfermion.nilpotency": (score((f.support() ** k, zero) for f in (fm, fp)), FULL_SPACE),
             # [f-, f+] is diagonal, so its diagonal is its eigenvalue multiset
             "kfermion.grading_spectrum": (
-                score([(self.Kf, Shift.diag(q ** np.arange(k)[:, None]))]), EIGENVALUE_MULTISET),
+                score([(self.Kf, Shift.diag(q[:, None]))]), EIGENVALUE_MULTISET),
         }
         if k == 2:
             records["kfermion.pair_adjoint"] = (score([(fp, fm.adjoint())]), FULL_SPACE)
@@ -107,19 +107,15 @@ def _frozen(op: Shift) -> Shift:
 
 @lru_cache(maxsize=8)
 def build_kfermion_pair(k: int) -> KFermionPair:
-    """k-fermions with f+ the unit shift and f- carrying the [t]_q weights,
-    built once per order; every array is read-only.
+    """k-fermions with f+ the unit shift and f- carrying the [t]_q weights
+    of ``qarith.q_numbers``, built once per order; every array is read-only.
 
     f+|t> = |t+1> (dying at the top), f-|t> = [t]_q |t-1>, so both
     [f-, f+]_q = 1 and [f-, f+] = diag(q^t) hold.  As shifts on the cyclic
     grades, f+ holds weight 0 at t = k-1 and f- at t = 0.
     """
-    if k < 2:
-        raise InvalidOrderError(f"cyclic order must be at least 2, got {k}")
-    q = primitive_root(k)
-    t = np.arange(k)
-    fp = Shift(0, 1, (t < k - 1).astype(complex)[:, None])
-    fm = Shift(0, -1, np.array([[q_number(int(j), q)] for j in t]))
+    fm = Shift(0, -1, q_numbers(k)[:k, None])
+    fp = Shift(0, 1, (np.arange(k) < k - 1).astype(complex)[:, None])
     return KFermionPair(k, *map(_frozen, (fm, fp, fm @ fp - fp @ fm)))
 
 

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import InvalidGradingError, RepresentationError
 from .fock import NONNEG_TOL, Columns, GradedBasis, StructureFunction, StructureSpec
-from .qarith import primitive_root
+from .qarith import primitive_root, roots
 from .report import ReportEntry, identity
 
 GRADING_TOL = 1e-12
@@ -204,6 +204,8 @@ def build_projectors(K: np.ndarray, k: int) -> np.ndarray:
     dim = K.size
     if np.linalg.norm(np.abs(K) ** 2 - 1) > GRADING_TOL * dim:
         raise InvalidGradingError("grading operator is not unitary")
+    # q ** (-s * t) of a Python complex, not roots(k): the table's last bits
+    # (and numpy's power) move the exported Pi_s round-off that perfbench pins
     q = primitive_root(k)
     projectors = np.zeros((k, dim), dtype=complex)
     # one running power K^t; each row still adds its terms in order t = 0 .. k-1
@@ -325,6 +327,8 @@ def _grading(k: int) -> tuple[np.ndarray, np.ndarray]:
     its round-off (about 1e-16 outside their sectors), which
     perfbench/reference.json pins.
     """
+    # q ** s, not roots(k): the projectors' leak, and the strict H verdicts
+    # at large k, hang on the last bits of these grades
     q = primitive_root(k)
     grades = np.array([q ** s for s in range(k)])
     projectors = build_projectors(grades, k)
@@ -376,7 +380,7 @@ def algebra_relation_residuals(
                 f"{basis.k} x {basis.d} spaces have no common window"
             )
     P = window.mask
-    q = primitive_root(basis.k)
+    q = roots(basis.k)
     Xm, Xp, N, K = (Shift.stack([getattr(rep, name) for rep in reps])
                     for name in ("Xm", "Xp", "N", "K"))
     ladder = Shift.diag(np.stack([ladder_weights(r) for r in reps]))
@@ -384,7 +388,7 @@ def algebra_relation_residuals(
     columns = {
         "ladder_commutator": score([(Xm @ Xp, Xp @ Xm + ladder)], P),
         "number_ladder": score(((N @ X, op(X @ N, X)) for op, X in ((sub, Xm), (add, Xp))), P),
-        "grading_ladder": score(((K @ X, c * (X @ K)) for c, X in ((1 / q, Xm), (q, Xp))), P),
+        "grading_ladder": score(((K @ X, c * (X @ K)) for c, X in ((q[-1], Xm), (q[1], Xp))), P),
         "grading_number": score([(K @ N, N @ K)], P),
         "grading_cyclic": score([(K ** basis.k, Shift.diag(np.ones(K.weight.shape)))], P),
     }

@@ -37,7 +37,7 @@ from fsusy.fock import (
     effective_dimension,
     solve_structure_function,
 )
-from fsusy.qarith import primitive_root, q_factorial
+from fsusy.qarith import primitive_root, q_factorial, roots
 from fsusy.realization import build_kfermion_pair, build_tensor_realization, compare_realizations
 from fsusy.replicas import (
     build_replicas,
@@ -452,14 +452,14 @@ def reference_relation_residuals(rep, margin):
     """The five relation residuals of one representation on its own space."""
     basis = rep.basis
     P, win = basis.window(margin)
-    q = primitive_root(basis.k)
+    q = roots(basis.k)
     eye = Shift.diag(np.ones((basis.k, basis.d)))
     Xm, Xp, N, K = rep.Xm, rep.Xp, rep.N, rep.K
     return {
         "ladder_commutator": residual(Xm @ Xp, Xp @ Xm + reference_ladder_sum(rep), P),
         "number_ladder": max(residual(N @ Xm, Xm @ N - Xm, P), residual(N @ Xp, Xp @ N + Xp, P)),
-        "grading_ladder": max(residual(K @ Xm, (1 / q) * (Xm @ K), P),
-                              residual(K @ Xp, q * (Xp @ K), P)),
+        "grading_ladder": max(residual(K @ Xm, q[-1] * (Xm @ K), P),
+                              residual(K @ Xp, q[1] * (Xp @ K), P)),
         "grading_number": residual(K @ N, N @ K, P),
         "grading_cyclic": residual(K ** basis.k, eye, P),
     }, win
@@ -471,7 +471,7 @@ def reference_tensor(pair, rep):
     Pf = [Shift.diag(P[:, None]) for P in build_projectors(pair.Kf.weight[:, 0], k)]
     bm = [Shift(-1, 0, np.sqrt(np.maximum(rep.F.values[s, :d], 0.0)).astype(complex)[None])
           for s in range(k)]
-    A = pair.fm + (1 / q_factorial(k - 1, primitive_root(k))) * pair.fp ** (k - 1)
+    A = pair.fm + (1 / q_factorial(k - 1, k)) * pair.fp ** (k - 1)
     Ak1 = A ** (k - 1)
     # each sum starts from zero weights on the steps of its terms
     Xm = sum((kron(bm[s], A @ Pf[s]) for s in range(k)), start=Shift(-1, -1, np.zeros((k, d))))

@@ -1,6 +1,7 @@
 """What depends on the order k alone is built once per process and shared
-by every system of that order: the grades and their projector table, and
-the k-fermion pair with its fermion factors and residuals.
+by every system of that order: the k roots of unity and the q-numbers read
+from them, the grades and their projector table, and the k-fermion pair
+with its fermion factors and residuals.
 
 These tests hold the caches to three promises: every shared array is
 read-only, a sequence of runs in one process writes the reports that one
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
+from fsusy.qarith import q_numbers, roots
 from fsusy.realization import build_kfermion_pair, build_tensor_realization
 from fsusy.suite import RunConfig, build_system, run_verification_suite
 from fsusy.wkalg import Scoring, _grading, build_rep
@@ -43,7 +45,8 @@ def shared_arrays(k, d):
     spec = StructureSpec.constant_values(k, 1.0)
     rep = build_rep(spec, basis, solve_structure_function(spec, d))
     pair = build_kfermion_pair(k)
-    arrays = {"grades": _grading(k)[0], "projectors": rep.projectors, "Pf": pair.Pf}
+    arrays = {"roots": roots(k), "q_numbers": q_numbers(k), "grades": _grading(k)[0],
+              "projectors": rep.projectors, "Pf": pair.Pf}
     for name in ("fm", "fp", "Kf", "A", "Ak1"):
         op = getattr(pair, name)
         arrays[f"{name}.weight"] = op.weight

@@ -39,6 +39,17 @@ def test_kfermion_invariants(k):
         assert entries["kfermion.pair_adjoint"].residual == 0.0
 
 
+def test_strict_kfermion_entries_pass_at_every_order_to_1000():
+    # |[t]_q| reaches 1/sin(pi/k), so the round-off of these entries grows
+    # with k; each power of q must be read at its exponent for them to stay
+    # below the strict tier
+    strict = ("kfermion.q_commutator", "kfermion.grading_spectrum")
+    failed = [(k, name, entry.residual) for k in range(2, 1001)
+              for name, entry in by_name(build_kfermion_pair(k).residuals).items()
+              if name in strict and not entry.passed]
+    assert failed == []
+
+
 @pytest.mark.parametrize("k", range(3, 9))
 def test_kfermion_pair_is_not_adjoint_above_order_two(k):
     pair = build_kfermion_pair(k)

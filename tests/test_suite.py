@@ -588,6 +588,9 @@ def test_size_check_counts_the_grade_tables_of_a_verify_run(monkeypatch, clear_o
     assert_counted(monkeypatch, traced_peak(run_verification_suite, config), k, d)
 
 
+EXPORT_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference.json"
+
+
 def test_library_calls_of_the_export_benchmark(tmp_path, monkeypatch):
     # perfbench's export workload makes these calls through fsusy.suite, and
     # its tracer wraps write_matrix_market by that module-global name and
@@ -608,10 +611,18 @@ def test_library_calls_of_the_export_benchmark(tmp_path, monkeypatch):
     assert sorted(system.replicas) == [2, 3, 4, 5]
     assert len(written) == 32
     assert [path for path, _ in calls] == written
+    # the two header lines of every file are the ones perfbench pins, so a
+    # change in the round-off of Pi_s, H or K that moves a nonzero count
+    # fails here too
+    with open(EXPORT_REFERENCE, encoding="utf-8") as fh:
+        pinned = json.load(fh)["export"]["op"]["mtx"]
+    headers = {}
     for path, op in calls:
         with open(path, encoding="utf-8") as fh:
-            nnz = int(fh.read().splitlines()[1].split()[2])
+            header = headers[Path(path).name] = fh.read().splitlines()[:2]
+        nnz = int(header[1].split()[2])
         assert isinstance(op, Shift) and np.count_nonzero(op) == nnz, path
+    assert headers == pinned
 
 
 def test_suite_builds_once_and_reports_every_refusal(monkeypatch):

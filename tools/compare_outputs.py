@@ -21,7 +21,10 @@ of ``--cN`` flags.
 
 Every report's ``generated_at`` value and the tree and working-directory
 paths are replaced by placeholders first.  Prints each difference and exits
-1 if there is any, else 0.
+1 if there is any, else 0.  Each output that differs is listed with its
+first ``MAX_LINES`` differing lines, every later line whose verdict differs
+(a ``"passed"`` or ``"verdict"`` value, or a printed ``[PASS]``/``[FAIL]``
+or verdict line) and a count of the rest.
 """
 
 from __future__ import annotations
@@ -219,18 +222,39 @@ def run_in_process(root: Path, scratch: Path,
             for workdir, (code, out, err) in zip(workdirs, results)]
 
 
-def first_difference(a: bytes, b: bytes) -> str:
-    for i, (line_a, line_b) in enumerate(zip(a.splitlines(), b.splitlines()), start=1):
-        if line_a != line_b:
-            return f"line {i}: {line_a[:100]!r} != {line_b[:100]!r}"
-    return f"{len(a.splitlines())} lines != {len(b.splitlines())} lines"
+# differing lines listed for each output before only verdict lines are
+MAX_LINES = 10
+
+# how a line reads a verdict: a report's "passed" and "verdict" values (the
+# sweep index's too) and the printed [PASS]/[FAIL] marks and verdict line
+VERDICT = re.compile(rb'"passed": \w+|"verdict": "?\w*|\[(?:PASS|FAIL)\]|^verdict: \w+')
+
+
+def line_differences(a: bytes, b: bytes) -> list[str]:
+    """Each differing line of two outputs: the first MAX_LINES of them, and
+    past those every line whose verdict differs, then a count of the rest."""
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    found = [(i, x, y) for i, (x, y) in enumerate(zip(lines_a, lines_b), start=1) if x != y]
+    shown = [(i, x, y) for j, (i, x, y) in enumerate(found)
+             if j < MAX_LINES or VERDICT.findall(x) != VERDICT.findall(y)]
+    out = [f"line {i}: {x[:100]!r} != {y[:100]!r}" for i, x, y in shown]
+    if len(found) > len(shown):
+        out.append(f"{len(found) - len(shown)} more differing lines, none a verdict")
+    if len(lines_a) != len(lines_b):
+        out.append(f"{len(lines_a)} lines != {len(lines_b)} lines")
+    return out
 
 
 def differences(where: str, a: dict[str, bytes], b: dict[str, bytes]) -> list[str]:
-    return [f"{where} | {name}: "
-            + ("missing in one" if name not in a or name not in b
-               else first_difference(a[name], b[name]))
-            for name in sorted(set(a) | set(b)) if a.get(name) != b.get(name)]
+    """One text for each output that differs, its differing lines indented below it."""
+    found = []
+    for name in sorted(set(a) | set(b)):
+        if a.get(name) == b.get(name):
+            continue
+        lines = (line_differences(a[name], b[name]) if name in a and name in b
+                 else ["missing in one"])
+        found.append("\n    ".join([f"{where} | {name}:", *lines]))
+    return found
 
 
 def compare(old: Path, new: Path, scratch: Path, jobs: int = 2) -> list[str]:
