@@ -6,9 +6,11 @@ space as
     X- = A sum_s b(s)- Pf_s,   X+ = A^(k-1) sum_s b(s+1)+ Pf_s,
     A  = f- + f+^(k-1) / [k-1]_q!,   K = 1 (x) [f-, f+],   N = N_b (x) 1,
 
-with Pf_s the fermion-grade projectors resolved from [f-, f+] and
-b(s)-|m> = sqrt(F_s(m)) |m-1>, b(s)+ its adjoint, where F is the graded
-structure function of the Fock construction.
+with Pf_s the projector onto fermion grade s and b(s)-|m> = sqrt(F_s(m)) |m-1>,
+b(s)+ its adjoint, where F is the graded structure function of the Fock
+construction.  Pf_s keeps grade s alone, so each sum is one broadcast
+product: the boson weights on the (grade, level) table times the grade
+weights of A or A^(k-1).
 
 Why this closes the algebra: A maps grade t to t-1 with weight a_t
 (a_t = [t]_q for t >= 1, a_0 = 1/[k-1]_q!).  The a_t multiply to 1 around
@@ -22,7 +24,7 @@ and the coupled recursion F_(t+1)(m+1) - F_t(m) = f_t(m) gives
 [X-, X+] = sum_t f_t(N) Pf_t, the graded relation.  That is why X+ on grade t
 uses b(t+1)+, the ladder of its target grade.  The weights are shared with
 the graded route; what this route checks independently is the fermion
-algebra: A, A^(k-1) and the Pf_s resolved from [f-, f+].
+algebra: A and A^(k-1), formed from f- and f+ alone, and [f-, f+] through K.
 
 Every operator is a graded shift, the fermions on k grades of one level,
 and the whole realization is an AlgebraRep on the graded basis: |m> (x) |t>
@@ -41,7 +43,7 @@ import numpy as np
 from .errors import RepresentationError
 from .fock import EIGENVALUE_MULTISET, FULL_GRADE_SPACE, FULL_SPACE
 from .qarith import q_factorial, q_numbers, roots
-from .wkalg import AlgebraRep, Shift, build_projectors, graded_sum, score
+from .wkalg import AlgebraRep, Shift, score
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class KFermionPair:
     """Operators of one k-fermion pair on the k grades and their commutator grading.
 
     What depends on the pair alone is derived on first use and kept with it:
-    the tensor's fermion factors ``A``, ``Ak1`` and ``Pf`` and the records
+    the tensor's fermion factors ``A`` and ``Ak1`` and the records
     of its checks.  A pair made by ``dataclasses.replace`` is a new object
     and derives its own.
     """
@@ -70,13 +72,6 @@ class KFermionPair:
     def Ak1(self) -> Shift:
         """A^(k-1) = A^(-1), mapping grade t to t+1 mod k."""
         return _frozen(self.A ** (self.k - 1))
-
-    @cached_property
-    def Pf(self) -> np.ndarray:
-        """The grade projectors resolved from [f-, f+]: row s the diagonal of Pf_s."""
-        Pf = build_projectors(self.Kf.weight[:, 0], self.k)
-        Pf.flags.writeable = False
-        return Pf
 
     @cached_property
     def residuals(self) -> MappingProxyType:
@@ -142,20 +137,18 @@ def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
         raise RepresentationError(f"graded space has order {basis.k}, fermion pair {k}")
     d, F = basis.d, rep.F
     _check_representable(k, F.values[:, :d])
-    # the diagonal of Pf_s as row s: its value on each grade, which is the sector
-    Pf, A, Ak1 = pair.Pf, pair.A, pair.Ak1
     # b(s)- lowers level m to m-1 with weight sqrt(F_s(m)); F_s(0) = 0 leaves
     # level 0 empty.  b(s+1)+ at [s, m], raising m to m+1, is the adjoint of row s+1
     bm = np.sqrt(np.maximum(F.values[:, :d], 0.0)).astype(complex)
     bp = Shift(-1, -1, bm).adjoint().weight
-    # A Pf_s and A^(k-1) Pf_s step the grade by -1 and +1 as A and A^(k-1)
-    # do, and b(s)-+ the level; X- is sum_s b(s)- (x) A Pf_s
-    Xm = Shift(-1, -1, graded_sum(bm, A.weight[:, 0] * Pf))
-    Xp = Shift(1, 1, graded_sum(bp, Ak1.weight[:, 0] * Pf))
-    # 1 (x) K_f and 1 (x) Pf_s repeat each grade's value over its d levels;
-    # N_b (x) 1 is the graded N itself
+    # A and A^(k-1) step the grade by -1 and +1, b(s)-+ the level; their
+    # (k, 1) grade weights broadcast over the d levels
+    Xm = Shift(-1, -1, bm * pair.A.weight)
+    Xp = Shift(1, 1, bp * pair.Ak1.weight)
+    # 1 (x) K_f repeats each grade's value over its d levels; N_b (x) 1 is the
+    # graded N itself
     K = Shift.diag(np.broadcast_to(pair.Kf.weight, (k, d)))
-    return AlgebraRep(rep.spec, basis, F, Xm, Xp, rep.N, K, Pf)
+    return AlgebraRep(rep.spec, basis, F, Xm, Xp, rep.N, K)
 
 
 def compare_realizations(tensor: AlgebraRep, rep: AlgebraRep) -> dict:

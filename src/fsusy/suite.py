@@ -39,7 +39,7 @@ from .replicas import (
 )
 from .report import ReportEntry, VerificationReport
 from .system import FsusyDoublet, build_doublet, verify_fsusy
-from .wkalg import AlgebraRep, Scoring, Shift, algebra_relation_residuals, build_rep
+from .wkalg import AlgebraRep, Scoring, Shift, _grading, algebra_relation_residuals, build_rep
 
 DEFAULT_TOLERANCE = 1e-10
 
@@ -89,10 +89,10 @@ class RunConfig:
         if d - margin < 2:
             raise ConfigError(f"margin {margin} leaves no window inside {d} levels")
         # a run's peak at 16 bytes an entry: 48 (k, d) tables (verify holds up to
-        # 42 at once, build plus dump 49) and 4 (k, k) grade tables (the projector
-        # tables of K and [f-, f+], the tensor's A Pf_s); the interpreter and
-        # cgroup limits are not counted
-        if 16 * (48 * k * d + 4 * k * k) > _physical_memory():
+        # 42 at once, build plus dump 49) and 2 (k, k) grade tables (the Fourier
+        # projector table of H and the dump, and its sum while it is formed);
+        # the interpreter and cgroup limits are not counted
+        if 16 * (48 * k * d + 2 * k * k) > _physical_memory():
             raise too_large(k, d)
 
     @staticmethod
@@ -284,8 +284,12 @@ def named_operators(system: GradedSystem) -> dict[str, Callable[[], Shift]]:
     """Every built operator's dump name, in dump order, with a call that makes
     the operator; a projector or replica map is lifted only when called."""
     rep, doublet, lift = system.rep, system.doublet, system.replicas.lift
+    k, d = rep.basis.k, rep.basis.d
     ops = {name: partial(getattr, rep, name) for name in ("Xm", "Xp", "N", "K")}
-    ops.update((f"Pi_{s}", partial(rep.projector, s)) for s in range(rep.basis.k))
+    # Pi_s is row s of the Fourier table, whose round-off perfbench/reference.json
+    # pins, repeated over the d levels of each sector
+    ops.update((f"Pi_{s}", partial(Shift.diag, np.broadcast_to(row[:, None], (k, d))))
+               for s, row in enumerate(_grading(k)[1]))
     ops.update((name, partial(getattr, doublet, name)) for name in ("Qm", "Qp", "H"))
     for s in system.replicas:
         ops.update({f"X{s}m": partial(lift, "Xsm", s), f"X{s}p": partial(lift, "Xsp", s),

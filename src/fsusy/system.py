@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import RepresentationError
 from .fock import FULL_SPACE, Columns, StructureFunction, StructureSpec
-from .wkalg import AlgebraRep, Shift, score
+from .wkalg import AlgebraRep, Shift, _grading, score
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,11 @@ def build_hamiltonian_operator(rep: AlgebraRep) -> Shift:
     # and 0 .. d - 1 for f_1, which s = 1 alone reads
     low = {t: t - k if t > 1 else 0 for t in range(1, k)}
     f = {t: spec.f(t, np.arange(lo, t + d - 1)).astype(complex) for t, lo in low.items()}
+    # the Fourier table, whose round-off in the exported H perfbench/reference.json pins
+    projectors = _grading(k)[1]
     for s, t, c in terms:
         start = t - s - low[t]
-        H -= c * f[t][start:start + d] * rep.projectors[s % k][:, None]
+        H -= c * f[t][start:start + d] * projectors[s % k][:, None]
     return Shift.diag(H)
 
 

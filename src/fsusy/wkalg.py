@@ -3,7 +3,9 @@
 Every operator here moves each basis state |n, s> by one fixed step, to
 |n + dn, s + ds mod k>, with a weight of its own: a Shift, the step and a
 (k, d) weight table.  Products, adjoints and dense entries read a table
-moved by one step, and projectors are masks of the table.
+moved by one step.  A sector projector Pi_s keeps sector s alone, so it is
+the mask of that sector; only H and the dumped Pi_s read the Fourier
+projector table of ``_grading``.
 
 On the graded basis the defining relations read
 
@@ -36,8 +38,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import add, matmul, sub
+from functools import lru_cache
+from operator import add, sub
 
 import numpy as np
 
@@ -106,7 +108,15 @@ class Shift:
         return Shift(self.dn + other.dn, self.ds + other.ds, left * other.weight)
 
     def __pow__(self, n: int) -> Shift:
-        return reduce(matmul, [self] * n, Shift(0, 0, np.ones_like(self.weight)))
+        """The n-th power by repeated squaring, about 2 log2(n) products."""
+        power, square = Shift(0, 0, np.ones_like(self.weight)), self
+        while n:
+            if n & 1:
+                power = power @ square
+            n >>= 1
+            if n:
+                square = square @ square
+        return power
 
     def _combine(self, other: Shift, op) -> Shift:
         if not self._same_shift(other):
@@ -176,11 +186,6 @@ class AlgebraRep:
     Xp: Shift
     N: Shift
     K: Shift
-    projectors: np.ndarray  # (k, k): row s holds Pi_s's value on each sector
-
-    def projector(self, s: int) -> Shift:
-        """Pi_s lifted to a full-space diagonal; s is cyclic, so s = k maps to 0."""
-        return Shift.diag(np.repeat(self.projectors[s % self.basis.k][:, None], self.basis.d, 1))
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,7 +294,7 @@ class Scoring:
 
 
 def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> AlgebraRep:
-    """Materialize X-, X+, N, K and the table of the sector projectors.
+    """Materialize X-, X+, N and K.
 
     X-|n, s> = sqrt(F_s(n)) |n-1, s-1> and X+ is its adjoint, so raising out
     of the top level is truncated to zero automatically.
@@ -313,19 +318,21 @@ def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> 
             f"F_{s}({n}) = {F.value(s, n):.6g} is negative; no real ladder element exists"
         )
     Xm = Shift(-1, -1, np.where(level > 0, np.sqrt(np.maximum(values, 0.0)), 0.0).astype(complex))
-    grades, projectors = _grading(k)
+    grades = _grading(k)[0]
     return AlgebraRep(spec, basis, F, Xm, Xm.adjoint(), Shift.diag(np.broadcast_to(level, (k, d))),
-                      Shift.diag(np.broadcast_to(grades[:, None], (k, d))), projectors)
+                      Shift.diag(np.broadcast_to(grades[:, None], (k, d))))
 
 
 @lru_cache(maxsize=8)
 def _grading(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The grades q^s of the k sectors and their projector table, built once
-    per order; both read-only.
+    per order; both read-only.  Row s of the table holds Pi_s's value on each
+    sector.
 
-    The Fourier route rather than exact 0/1 masks: exported Pi_s and H carry
-    its round-off (about 1e-16 outside their sectors), which
-    perfbench/reference.json pins.
+    The table is the Fourier route rather than exact 0/1 masks, and only H's
+    assembly and the dump of Pi_s read it: the exported Pi_s and H carry its
+    round-off (about 1e-16 outside their sectors), which
+    perfbench/reference.json pins.  Everything else selects a sector exactly.
     """
     # q ** s, not roots(k): the projectors' leak, and the strict H verdicts
     # at large k, hang on the last bits of these grades
@@ -334,27 +341,6 @@ def _grading(k: int) -> tuple[np.ndarray, np.ndarray]:
     projectors = build_projectors(grades, k)
     grades.flags.writeable = projectors.flags.writeable = False
     return grades, projectors
-
-
-def graded_sum(levels: np.ndarray, grades: np.ndarray) -> np.ndarray:
-    """The (grade, level) weight table of sum_s levels[s] (x) grades[s], for
-    weights on the d levels (rows of a (k, d) array) and on the k grades
-    (rows of a (k, k) array).
-
-    Column |n, t> adds the k products levels[s, n] * grades[s, t] to zero in
-    order s = 0 .. k-1, as a sum of k Kronecker or diagonal products would.
-    """
-    total = np.zeros(levels.shape, dtype=complex)
-    for row, grade in zip(levels, grades, strict=True):
-        total += row * grade[:, None]
-    return total
-
-
-def ladder_weights(rep: AlgebraRep) -> np.ndarray:
-    """Weights of the diagonal sum_s f_s(N) Pi_s on the (sector, level) table."""
-    basis = rep.basis
-    f = rep.spec.f(np.arange(basis.k)[:, None], np.arange(basis.d))
-    return graded_sum(f.astype(complex), rep.projectors)
 
 
 def algebra_relation_residuals(
@@ -383,7 +369,9 @@ def algebra_relation_residuals(
     q = roots(basis.k)
     Xm, Xp, N, K = (Shift.stack([getattr(rep, name) for rep in reps])
                     for name in ("Xm", "Xp", "N", "K"))
-    ladder = Shift.diag(np.stack([ladder_weights(r) for r in reps]))
+    # Pi_s keeps sector s alone, so sum_s f_s(N) Pi_s is f on the (sector, level) table
+    sector, level = np.arange(basis.k)[:, None], np.arange(basis.d)
+    ladder = Shift.diag(np.stack([rep.spec.f(sector, level) for rep in reps]))
     # each relation's products live only while it is scored
     columns = {
         "ladder_commutator": score([(Xm @ Xp, Xp @ Xm + ladder)], P),

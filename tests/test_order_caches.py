@@ -16,11 +16,11 @@ import re
 import numpy as np
 import pytest
 
-from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
+from fsusy.fock import StructureSpec
 from fsusy.qarith import q_numbers, roots
 from fsusy.realization import build_kfermion_pair, build_tensor_realization
 from fsusy.suite import RunConfig, build_system, run_verification_suite
-from fsusy.wkalg import Scoring, _grading, build_rep
+from fsusy.wkalg import Scoring, _grading
 
 POINT_ORDERS = (2, 3, 4, 5, 8)
 POINT_D = 24
@@ -39,14 +39,12 @@ def point_specs(k):
 POINTS = [(k, label) for k in POINT_ORDERS for label in point_specs(k)]
 
 
-def shared_arrays(k, d):
+def shared_arrays(k):
     """Every array the order caches hold at k, by name."""
-    basis = GradedBasis(k, d)
-    spec = StructureSpec.constant_values(k, 1.0)
-    rep = build_rep(spec, basis, solve_structure_function(spec, d))
     pair = build_kfermion_pair(k)
-    arrays = {"roots": roots(k), "q_numbers": q_numbers(k), "grades": _grading(k)[0],
-              "projectors": rep.projectors, "Pf": pair.Pf}
+    grades, projectors = _grading(k)
+    arrays = {"roots": roots(k), "q_numbers": q_numbers(k), "grades": grades,
+              "projectors": projectors}
     for name in ("fm", "fp", "Kf", "A", "Ak1"):
         op = getattr(pair, name)
         arrays[f"{name}.weight"] = op.weight
@@ -55,7 +53,7 @@ def shared_arrays(k, d):
 
 @pytest.mark.parametrize("k", (2, 5))
 def test_every_shared_array_is_read_only(k):
-    for name, array in shared_arrays(k, 6).items():
+    for name, array in shared_arrays(k).items():
         with pytest.raises(ValueError, match="read-only"):
             array[...] = array
         assert not array.flags.writeable, name
@@ -63,15 +61,16 @@ def test_every_shared_array_is_read_only(k):
         build_kfermion_pair(k).residuals["kfermion.q_commutator"] = (0.0, None)
 
 
-def test_systems_of_one_order_share_the_order_objects():
+def test_systems_of_one_order_share_the_order_objects(clear_order_caches):
+    clear_order_caches()
     first, second = (build_system(RunConfig(k=4, d=12, spec=spec, margin=4)).rep
                      for spec in (StructureSpec.constant_values(4, 1.0),
                                   StructureSpec.affine_family(4, 0.5, 1.0)))
-    assert first.projectors is second.projectors
+    # the grades and the projector table of H and the dump are built once
+    assert _grading.cache_info().misses == 1
     assert build_kfermion_pair(4) is build_kfermion_pair(4)
     pair = build_kfermion_pair(4)
     tensors = [build_tensor_realization(pair, rep) for rep in (first, second)]
-    assert tensors[0].projectors is tensors[1].projectors is pair.Pf
     # what reads f is not shared
     assert not np.array_equal(tensors[0].Xm.weight, tensors[1].Xm.weight)
 

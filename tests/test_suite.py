@@ -100,10 +100,10 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
     def test_refuses_a_system_that_exceeds_memory(self, monkeypatch):
-        # a run at k=3, d=12 is counted as 16 (48 k d + 4 k^2) = 28224 bytes
-        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 28224)
+        # a run at k=3, d=12 is counted as 16 (48 k d + 2 k^2) = 27936 bytes
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 27936)
         RunConfig.check_space(3, 12, 3)
-        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 28223)
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 27935)
         with pytest.raises(ConfigError, match="^the system at k=3, d=12 is too large to allocate$"):
             RunConfig.check_space(3, 12, 3)
 
@@ -580,9 +580,10 @@ def test_size_check_counts_the_peak_of_a_verify_run(
     RunConfig.check_space(k, d, k)
 
 
-@pytest.mark.parametrize("k, d", [(64, 8), (128, 8)])
+@pytest.mark.parametrize("k, d", [(64, 8), (128, 8), (200, 4), (256, 4)])
 def test_size_check_counts_the_grade_tables_of_a_verify_run(monkeypatch, clear_order_caches, k, d):
-    # at k >> d the (k, k) grade tables outweigh the (k, d) weight tables
+    # at k >> d the (k, k) grade tables outweigh the (k, d) weight tables;
+    # from k = 204 on the tensor is refused
     config = RunConfig(k=k, d=d, spec=StructureSpec.affine_family(k, 0.5, 1.0), margin=1)
     clear_order_caches()
     assert_counted(monkeypatch, traced_peak(run_verification_suite, config), k, d)

@@ -17,9 +17,11 @@ from fsusy.wkalg import (
     Scoring,
     algebra_relation_residuals,
     build_rep,
+    _grading,
     deviation,
     score,
 )
+from fsusy.suite import RunConfig, build_system, named_operators
 
 
 def make_rep(k, d, spec=None):
@@ -91,29 +93,35 @@ def test_structure_function_must_cover_basis():
         build_rep(spec, GradedBasis(2, 10), solve_structure_function(spec, 5))
 
 
+def fourier_projector(k, d, s):
+    """Row s of the Fourier table that H and the dump read, lifted over d levels."""
+    return Shift.diag(np.repeat(_grading(k)[1][s][:, None], d, 1))
+
+
 class TestProjectors:
     def test_resolution_of_identity(self):
-        rep = make_rep(3, 5)
-        total = sum(rep.projector(s).dense() for s in range(3))
+        total = sum(fourier_projector(3, 5, s).dense() for s in range(3))
         assert np.allclose(total, np.eye(15), atol=1e-12)
 
     def test_idempotent_and_orthogonal(self):
-        rep = make_rep(4, 5)
         for s in range(4):
-            P = rep.projector(s).dense()
+            P = fourier_projector(4, 5, s).dense()
             assert np.allclose(P @ P, P, atol=1e-12)
             for t in range(4):
                 if t != s:
-                    assert np.linalg.norm(P @ rep.projector(t).dense()) < 1e-12
+                    assert np.linalg.norm(P @ fourier_projector(4, 5, t).dense()) < 1e-12
 
-    def test_cyclic_accessor(self):
-        rep = make_rep(3, 5)
-        # one (k, k) table, row s the value of Pi_s on each sector, lifted on request
-        assert rep.projectors.shape == (3, 3)
-        for s, row in ((3, 0), (-1, 2)):
-            P = rep.projector(s)
+    def test_dump_lifts_each_table_row(self):
+        # one (k, k) table, row s the value of Pi_s on each sector, lifted
+        # only when the dump asks for Pi_s
+        config = RunConfig(k=3, d=5, spec=StructureSpec.constant_values(3, 1.0), margin=1)
+        operators = named_operators(build_system(config))
+        table = _grading(3)[1]
+        assert table.shape == (3, 3)
+        for s in range(3):
+            P = operators[f"Pi_{s}"]()
             assert (P.dn, P.ds) == (0, 0)
-            assert P.weight.tobytes() == np.repeat(rep.projectors[row], 5).tobytes()
+            assert P.weight.tobytes() == np.repeat(table[s], 5).tobytes()
 
     def test_rejects_non_unitary(self):
         with pytest.raises(InvalidGradingError, match="not unitary"):
@@ -146,10 +154,9 @@ class TestProjectors:
         assert np.abs(sum(projectors) - 1).max() <= 2 * k * np.finfo(float).eps
 
     def test_matches_exact_selector(self):
-        rep = make_rep(3, 6)
         for s in range(3):
             sel = np.diag(np.repeat(np.arange(3) == s, 6))
-            assert np.allclose(rep.projector(s).dense(), sel, atol=1e-12)
+            assert np.allclose(fourier_projector(3, 6, s).dense(), sel, atol=1e-12)
 
 
 def test_sector_mask_layout():
