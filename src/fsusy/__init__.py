@@ -12,7 +12,6 @@ from .errors import (
     DomainError,
     FactorizationError,
     FsusyError,
-    InvalidGradingError,
     InvalidOrderError,
     RepresentationError,
     WindowTooSmallError,
@@ -36,7 +35,6 @@ __all__ = [
     "FactorizationError",
     "FsusyError",
     "GradedSystem",
-    "InvalidGradingError",
     "InvalidOrderError",
     "ReportEntry",
     "RepresentationError",

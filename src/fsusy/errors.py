@@ -13,10 +13,6 @@ class DegenerateSpaceError(FsusyError):
     """Raised when truncation leaves fewer than two levels per sector."""
 
 
-class InvalidGradingError(FsusyError):
-    """Raised when a grading operator is not unitary and cyclic."""
-
-
 class RepresentationError(FsusyError):
     """Raised when structure-function values admit no Hilbert-space ladder."""
 

@@ -88,11 +88,12 @@ class RunConfig:
             raise ConfigError(f"window margin must be at least 1, got {margin}")
         if d - margin < 2:
             raise ConfigError(f"margin {margin} leaves no window inside {d} levels")
-        # a run's peak at 16 bytes an entry: 48 (k, d) tables (verify holds up to
-        # 42 at once, build plus dump 49) and 2 (k, k) grade tables (the Fourier
-        # projector table of H and the dump, and its sum while it is formed);
-        # the interpreter and cgroup limits are not counted
-        if 16 * (48 * k * d + 2 * k * k) > _physical_memory():
+        # a run's peak at 16 bytes an entry: 46 (k, d) tables (verify holds up to
+        # 38 at once, build plus dump 45) and 2 (k, k) tables (the Fourier
+        # projector table of H and the dump, and the f_t that H's terms read,
+        # k - 1 rows of k + d - 1 levels); the interpreter and cgroup limits
+        # are not counted
+        if 16 * (46 * k * d + 2 * k * k) > _physical_memory():
             raise too_large(k, d)
 
     @staticmethod

@@ -43,12 +43,10 @@ from operator import add, sub
 
 import numpy as np
 
-from .errors import InvalidGradingError, RepresentationError
+from .errors import RepresentationError
 from .fock import NONNEG_TOL, Columns, GradedBasis, StructureFunction, StructureSpec
 from .qarith import primitive_root, roots
 from .report import ReportEntry, identity
-
-GRADING_TOL = 1e-12
 
 STRICT_FACTOR = 1e-2
 
@@ -84,7 +82,8 @@ class Shift:
 
     @classmethod
     def diag(cls, values) -> Shift:
-        return cls(0, 0, np.array(values, dtype=complex))
+        """The diagonal with these weights; complex values are not copied."""
+        return cls(0, 0, np.asarray(values, dtype=complex))
 
     @classmethod
     def stack(cls, ops: Sequence[Shift]) -> Shift:
@@ -196,34 +195,6 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_projectors(K: np.ndarray, k: int) -> np.ndarray:
-    """Resolve a unitary cyclic grading K, given by its diagonal, into projectors.
-
-    Pi_s = (1/k) sum_t q^(-s t) K^t with q the primitive k-th root of unity;
-    row s of the result is the diagonal of Pi_s.  Every step is elementwise,
-    so the k distinct grade values give the same bits as the whole space.  The
-    powers K^t use the unfused complex product, which rounds like the
-    one-term dot of a dense matrix product, so the round-off the exported
-    Pi_s and H carry (about 1e-16 outside their sectors) stays what it was.
-    """
-    dim = K.size
-    if np.linalg.norm(np.abs(K) ** 2 - 1) > GRADING_TOL * dim:
-        raise InvalidGradingError("grading operator is not unitary")
-    # q ** (-s * t) of a Python complex, not roots(k): the table's last bits
-    # (and numpy's power) move the exported Pi_s round-off that perfbench pins
-    q = primitive_root(k)
-    projectors = np.zeros((k, dim), dtype=complex)
-    # one running power K^t; each row still adds its terms in order t = 0 .. k-1
-    power = np.ones(dim, dtype=complex)
-    for t in range(k):
-        for s, acc in enumerate(projectors):
-            acc += q ** (-s * t) * power
-        power = _times(power, K)
-    if np.linalg.norm(power - 1) > GRADING_TOL * dim:
-        raise InvalidGradingError(f"grading operator is not cyclic of order {k}")
-    return projectors / k
-
-
 def deviation(lhs: Shift, rhs: Shift) -> np.ndarray:
     """Relative deviation of lhs = rhs in each column, as a weight table.
 
@@ -318,27 +289,39 @@ def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> 
             f"F_{s}({n}) = {F.value(s, n):.6g} is negative; no real ladder element exists"
         )
     Xm = Shift(-1, -1, np.where(level > 0, np.sqrt(np.maximum(values, 0.0)), 0.0).astype(complex))
-    grades = _grading(k)[0]
-    return AlgebraRep(spec, basis, F, Xm, Xm.adjoint(), Shift.diag(np.broadcast_to(level, (k, d))),
-                      Shift.diag(np.broadcast_to(grades[:, None], (k, d))))
+    # N and K are read-only views that broadcast one level range and the
+    # order's grades over the (k, d) table
+    N = Shift.diag(np.broadcast_to(level.astype(complex), (k, d)))
+    K = Shift.diag(np.broadcast_to(_grading(k)[0][:, None], (k, d)))
+    return AlgebraRep(spec, basis, F, Xm, Xm.adjoint(), N, K)
 
 
 @lru_cache(maxsize=8)
 def _grading(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The grades q^s of the k sectors and their projector table, built once
-    per order; both read-only.  Row s of the table holds Pi_s's value on each
-    sector.
+    per order; both read-only.  Row s of the table holds the value of
+    Pi_s = (1/k) sum_t q^(-s t) K^t on each sector.
 
     The table is the Fourier route rather than exact 0/1 masks, and only H's
     assembly and the dump of Pi_s read it: the exported Pi_s and H carry its
     round-off (about 1e-16 outside their sectors), which
     perfbench/reference.json pins.  Everything else selects a sector exactly.
     """
-    # q ** s, not roots(k): the projectors' leak, and the strict H verdicts
-    # at large k, hang on the last bits of these grades
+    # q ** s and q ** (-s * t) of a Python complex, not roots(k) nor numpy's
+    # power: the projectors' leak, and the strict H verdicts at large k, hang
+    # on the last bits of the grades and of the table
     q = primitive_root(k)
     grades = np.array([q ** s for s in range(k)])
-    projectors = build_projectors(grades, k)
+    projectors = np.zeros((k, k), dtype=complex)
+    # one running power K^t by the unfused product, which rounds like the
+    # one-term dot of a dense matrix product; each row adds its terms in
+    # order t = 0 .. k-1
+    power = np.ones(k, dtype=complex)
+    for t in range(k):
+        for s, acc in enumerate(projectors):
+            acc += q ** (-s * t) * power
+        power = _times(power, grades)
+    projectors /= k
     grades.flags.writeable = projectors.flags.writeable = False
     return grades, projectors
 

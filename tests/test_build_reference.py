@@ -54,7 +54,6 @@ from fsusy.wkalg import (
     AlgebraRep,
     Shift,
     algebra_relation_residuals,
-    build_projectors,
     build_rep,
     STRICT_FACTOR,
     _grading,
@@ -199,13 +198,38 @@ def kron(b: Shift, f: Shift) -> Shift:
     return Shift(b.dn, f.ds, b.weight[0] * f.weight)
 
 
+def grades(k: int) -> np.ndarray:
+    """The k grades q^s, powers of a Python complex q."""
+    q = primitive_root(k)
+    return np.array([q ** s for s in range(k)])
+
+
+def fourier_projectors(K: np.ndarray, k: int) -> np.ndarray:
+    """Resolve a cyclic grading K, given by its diagonal, into the projectors
+    Pi_s = (1/k) sum_t q^(-s t) K^t; row s of the result is Pi_s's diagonal.
+
+    The coefficients are powers of a Python complex q and the powers K^t come
+    from the complex product written out on the real and imaginary parts;
+    each row adds its terms in order t = 0 .. k-1 and is divided by k once."""
+    q = primitive_root(k)
+    projectors = np.zeros((k, K.size), dtype=complex)
+    power = np.ones(K.size, dtype=complex)
+    for t in range(k):
+        for s, acc in enumerate(projectors):
+            acc += q ** (-s * t) * power
+        product = np.empty(K.size, dtype=complex)
+        product.real = power.real * K.real - power.imag * K.imag
+        product.imag = power.real * K.imag + power.imag * K.real
+        power = product
+    return projectors / k
+
+
 def full_space_grading(rep: AlgebraRep) -> tuple[Shift, list[Shift]]:
     """K repeated over every level, and each Pi_s resolved from that full K
     as a full-space diagonal map."""
     k, d = rep.basis.k, rep.basis.d
-    q = primitive_root(k)
-    K = Shift.diag(np.repeat([q ** s for s in range(k)], d).reshape(k, d))
-    return K, [Shift.diag(P.reshape(k, d)) for P in build_projectors(K.weight.ravel(), k)]
+    K = Shift.diag(np.repeat(grades(k), d).reshape(k, d))
+    return K, [Shift.diag(P.reshape(k, d)) for P in fourier_projectors(K.weight.ravel(), k)]
 
 
 def assert_same_map(a: Shift, b: Shift):
@@ -315,6 +339,18 @@ def test_slack_levels_are_dropped_like_the_level_loop():
             assert s not in refused
             assert_same_map(replicas.lift("Xsm", s), expected)
 
+
+
+@pytest.mark.parametrize("k", [*range(2, 81), 128, 203, 204, 256, 512])
+def test_grading_table_matches_the_reference_route(k):
+    # the grades and the Fourier table that H and the dumped Pi_s read,
+    # formed on the k grades, carry the reference route's bits
+    expected = grades(k)
+    ours, table = _grading(k)
+    assert ours.dtype == expected.dtype and ours.tobytes() == expected.tobytes()
+    reference = fourier_projectors(expected, k)
+    assert table.shape == (k, k) and table.dtype == reference.dtype
+    assert table.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("d", [5, 7, 40, 41])

