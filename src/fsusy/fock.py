@@ -167,9 +167,10 @@ class StructureSpec:
 class GradedBasis:
     """Basis |n, s> with k sectors of d levels.
 
-    Every operator and column set on it is a (k, d) table, sector s in row s
-    and level n in column n; a per-level array of shape (d,) broadcasts over
-    the sectors, and over any leading block axes.
+    Every operator and column set on it, and the structure function F, is a
+    (k, d) table, sector s in row s and level n in column n; a per-level
+    array of shape (d,) broadcasts over the sectors, and over any leading
+    block axes.
     """
 
     k: int
@@ -197,32 +198,16 @@ class GradedBasis:
         return Columns(np.arange(self.d) <= top, f"levels n <= {top} of {self.d} (margin {margin})")
 
 
-@dataclass(frozen=True)
-class StructureFunction:
-    """Solved recursion values F_s(n) for 0 <= s < k, 0 <= n <= d."""
-
-    k: int
-    d: int
-    values: np.ndarray
-
-    def value(self, s: int, n: int) -> float:
-        if not 0 <= n <= self.d:
-            raise ValueError(f"level {n} outside 0..{self.d}")
-        return float(self.values[s % self.k, n])
-
-    def truncate(self, new_d: int) -> "StructureFunction":
-        if new_d > self.d:
-            raise ValueError(f"cannot extend solved range {self.d} to {new_d}")
-        return StructureFunction(self.k, new_d, self.values[:, : new_d + 1].copy())
-
-
-def solve_structure_function(spec: StructureSpec, d: int) -> StructureFunction:
-    """Solve the coupled recursion up from F_s(0) = 0.
+def solve_structure_function(spec: StructureSpec, d: int) -> np.ndarray:
+    """Solve the coupled recursion up from F_s(0) = 0 on d levels: the (k, d)
+    table of the basis, F_s(n) at [s, n].
 
     Each pair (s, n+1) is reached from exactly one predecessor
     (s-1 mod k, n), so the solution is unique: along the chain that starts
     at sector c, F_(c+n mod k)(n) is the sum of f_(c+j mod k)(j) over j < n,
-    added left to right to 0.0.
+    added left to right to 0.0.  f is read on all d levels, f_s(d-1) too,
+    which the ladder relation at the top level needs: a table without it
+    fails here.
     """
     if d < 2:
         raise DegenerateSpaceError(f"need at least 2 levels per sector, got {d}")
@@ -232,27 +217,26 @@ def solve_structure_function(spec: StructureSpec, d: int) -> StructureFunction:
     with np.errstate(over="ignore", invalid="ignore"):
         # f_s(n) at [n, s], so a missing table value is reported level by level
         f = spec.f(np.arange(k), np.arange(d)[:, None])
-        n = np.arange(d + 1)
+        n = np.arange(d)
         chain = (np.arange(k)[:, None] + n) % k
         # each chain's running sum starts from F_s(0) = 0.0, not from its first
         # step, so a first step of -0.0 gives F = +0.0
-        steps = np.zeros((k, d + 1))
+        steps = np.zeros((k, d))
         steps[:, 1:] = f[n[:-1], chain[:, :-1]]
-        values = np.empty((k, d + 1))
-        values[chain, n] = np.cumsum(steps, axis=1)
-    return StructureFunction(k, d, values)
+        F = np.empty((k, d))
+        F[chain, n] = np.cumsum(steps, axis=1)
+    return F
 
 
-def effective_dimension(F: StructureFunction, requested_d: int) -> int:
-    """Largest d' <= requested_d with F_s(n) >= 0 for every sector and n < d'.
+def effective_dimension(F: np.ndarray) -> int:
+    """Largest d' with F_s(n) >= 0 for every sector and level n < d' of the
+    (k, d) table F.
 
     Negative structure values admit no real ladder matrix elements, so the
     space is truncated just below the first sign change.
     """
-    if requested_d > F.d:
-        raise ValueError(f"F solved to n = {F.d}, cannot scan up to {requested_d}")
-    negative = np.flatnonzero((F.values[:, :requested_d] < -NONNEG_TOL).any(axis=0))
-    limit = int(negative[0]) if negative.size else requested_d
+    negative = np.flatnonzero((F < -NONNEG_TOL).any(axis=0))
+    limit = int(negative[0]) if negative.size else F.shape[1]
     if limit < 2:
         raise DegenerateSpaceError(
             f"structure values go negative at level {limit}; fewer than 2 levels survive"

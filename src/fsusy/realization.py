@@ -132,14 +132,13 @@ def _check_representable(k: int, F: np.ndarray) -> None:
 
 def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
     """The operators of the module docstring on rep's graded basis, levels times grades."""
-    basis, k = rep.basis, pair.k
+    basis, F, k = rep.basis, rep.F, pair.k
     if basis.k != k:
         raise RepresentationError(f"graded space has order {basis.k}, fermion pair {k}")
-    d, F = basis.d, rep.F
-    _check_representable(k, F.values[:, :d])
+    _check_representable(k, F)
     # b(s)- lowers level m to m-1 with weight sqrt(F_s(m)); F_s(0) = 0 leaves
     # level 0 empty.  b(s+1)+ at [s, m], raising m to m+1, is the adjoint of row s+1
-    bm = np.sqrt(np.maximum(F.values[:, :d], 0.0)).astype(complex)
+    bm = np.sqrt(np.maximum(F, 0.0)).astype(complex)
     bp = Shift(-1, -1, bm).adjoint().weight
     # A and A^(k-1) step the grade by -1 and +1, b(s)-+ the level; their
     # (k, 1) grade weights broadcast over the d levels
@@ -147,7 +146,7 @@ def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
     Xp = Shift(1, 1, bp * pair.Ak1.weight)
     # 1 (x) K_f repeats each grade's value over its d levels; N_b (x) 1 is the
     # graded N itself
-    K = Shift.diag(np.broadcast_to(pair.Kf.weight, (k, d)))
+    K = Shift.diag(np.broadcast_to(pair.Kf.weight, F.shape))
     return AlgebraRep(rep.spec, basis, F, Xm, Xp, rep.N, K)
 
 

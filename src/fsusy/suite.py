@@ -22,12 +22,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigError, FactorizationError, FsusyError, WindowTooSmallError
-from .fock import (
-    GradedBasis,
-    StructureSpec,
-    effective_dimension,
-    solve_structure_function,
-)
+from .fock import StructureSpec, effective_dimension, solve_structure_function
 from .realization import build_kfermion_pair, build_tensor_realization, compare_realizations
 from .replicas import (
     ReplicaBlocks,
@@ -154,9 +149,7 @@ class GradedSystem:
 def build_system(config: RunConfig) -> GradedSystem:
     """Construct everything buildable; unfactorizable replicas are refused."""
     F = solve_structure_function(config.spec, config.d)
-    d_eff = effective_dimension(F, config.d)
-    basis = GradedBasis(config.k, d_eff)
-    rep = build_rep(config.spec, basis, F.truncate(d_eff))
+    rep = build_rep(config.spec, F[:, :effective_dimension(F)])
     doublet = build_doublet(rep)
     return GradedSystem(rep, doublet, *build_replicas(doublet, slack=config.margin))
 

@@ -22,7 +22,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import RepresentationError
-from .fock import FULL_SPACE, Columns, StructureFunction, StructureSpec
+from .fock import FULL_SPACE, Columns, StructureSpec
 from .wkalg import AlgebraRep, Shift, _grading, score
 
 
@@ -84,17 +84,20 @@ def build_hamiltonian_operator(rep: AlgebraRep) -> Shift:
     return Shift.diag(H)
 
 
-def partner_value(spec: StructureSpec, F: StructureFunction, s: int, n: int) -> float:
-    """Closed-form partner energy H_s(n) for partner index 1 <= s <= k.
+def partner_value(spec: StructureSpec, F: np.ndarray, s: int, n: int) -> float:
+    """Closed-form partner energy H_s(n) for partner index 1 <= s <= k and
+    level n of the (k, d) table F.
 
     H_s(n) = (k-1) F_s(n) - sum_{t=2..k-1} (t-1) f_t(n-s+t)
                           + (k-1) sum_{t=s..k-1} f_t(n-s+t)
 
     with F_s read at sector s mod k.
     """
-    k = spec.k
+    k, d = F.shape
     if not 1 <= s <= k:
         raise ValueError(f"partner index {s} outside 1..{k}")
+    if not 0 <= n < d:
+        raise ValueError(f"level {n} outside 0..{d - 1}")
     # explicit left-to-right sums from 0.0: sum() of floats is compensated
     # from Python 3.12 on, which would round differently
     mid = 0.0
@@ -103,16 +106,17 @@ def partner_value(spec: StructureSpec, F: StructureFunction, s: int, n: int) -> 
     tail = 0.0
     for t in range(s, k):
         tail += spec.f(t, n - s + t)
-    return (k - 1) * F.value(s % k, n) - mid + (k - 1) * tail
+    return (k - 1) * float(F[s % k, n]) - mid + (k - 1) * tail
 
 
-def partner_table(spec: StructureSpec, F: StructureFunction, d: int) -> np.ndarray:
-    """partner_value at every partner index s = 1 .. k (rows) and level n < d.
+def partner_table(spec: StructureSpec, F: np.ndarray) -> np.ndarray:
+    """partner_value at every partner index s = 1 .. k (rows) and level n < d
+    of the (k, d) table F.
 
     Each term is added in partner_value's order, from a 0.0 start as its
     sums make, so the table equals the closed form bit for bit.
     """
-    k = spec.k
+    k, d = F.shape
     s = np.arange(1, k + 1)[:, None]
     n = np.arange(d)
     mid, tail = np.zeros((k, d)), np.zeros((k, d))
@@ -122,13 +126,13 @@ def partner_table(spec: StructureSpec, F: StructureFunction, d: int) -> np.ndarr
         ft = spec.f(t, n - s + t)
         mid += (t - 1) * ft
         tail[:t] += ft[:t]
-    return (k - 1) * F.values[s[:, 0] % k, :d] - mid + (k - 1) * tail
+    return (k - 1) * F[s[:, 0] % k] - mid + (k - 1) * tail
 
 
 def build_doublet(rep: AlgebraRep) -> FsusyDoublet:
     """Supercharges, H and the partner table; a partner energy that is not
     finite is refused at its first (s, n) in row order, before H is built."""
-    partners = partner_table(rep.spec, rep.F, rep.basis.d)
+    partners = partner_table(rep.spec, rep.F)
     bad = np.argwhere(~np.isfinite(partners))
     if bad.size:
         s, n = bad[0]

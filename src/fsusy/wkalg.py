@@ -44,7 +44,7 @@ from operator import add, sub
 import numpy as np
 
 from .errors import RepresentationError
-from .fock import NONNEG_TOL, Columns, GradedBasis, StructureFunction, StructureSpec
+from .fock import NONNEG_TOL, Columns, GradedBasis, StructureSpec
 from .qarith import primitive_root, roots
 from .report import ReportEntry, identity
 
@@ -175,12 +175,13 @@ class AlgebraRep:
     """All operator families of one ladder representation on a graded basis.
 
     ``build_rep`` makes the graded Fock construction and
-    ``realization.build_tensor_realization`` the k-fermion tensor one.
+    ``realization.build_tensor_realization`` the k-fermion tensor one.  F is
+    the structure function on the basis, the (k, d) table of F_s(n).
     """
 
     spec: StructureSpec
     basis: GradedBasis
-    F: StructureFunction
+    F: np.ndarray
     Xm: Shift
     Xp: Shift
     N: Shift
@@ -264,35 +265,32 @@ class Scoring:
         return ReportEntry(name, statement, residual, bound, residual <= bound, columns.text)
 
 
-def build_rep(spec: StructureSpec, basis: GradedBasis, F: StructureFunction) -> AlgebraRep:
-    """Materialize X-, X+, N and K.
+def build_rep(spec: StructureSpec, F: np.ndarray) -> AlgebraRep:
+    """Materialize X-, X+, N and K on the basis of the (k, d) table F.
 
     X-|n, s> = sqrt(F_s(n)) |n-1, s-1> and X+ is its adjoint, so raising out
     of the top level is truncated to zero automatically.
     """
-    k, d = basis.k, basis.d
-    if F.k != k or F.d < d:
-        raise RepresentationError("structure function does not cover the basis")
-    # F_s(n) at [s, n]: the (sector, level) table; the first bad value in
-    # sector order is reported
-    values, level = F.values[:, :d], np.arange(d)
-    bad = np.argwhere(~np.isfinite(values))
+    basis = GradedBasis(*F.shape)
+    # the first bad value in sector order is reported
+    level = np.arange(basis.d)
+    bad = np.argwhere(~np.isfinite(F))
     if bad.size:
         s, n = bad[0]
         raise RepresentationError(
-            f"F_{s}({n}) = {F.value(s, n)} is not finite; the structure values overflow float64"
+            f"F_{s}({n}) = {F[s, n]} is not finite; the structure values overflow float64"
         )
-    bad = np.argwhere((level > 0) & (values < -NONNEG_TOL))
+    bad = np.argwhere((level > 0) & (F < -NONNEG_TOL))
     if bad.size:
         s, n = bad[0]
         raise RepresentationError(
-            f"F_{s}({n}) = {F.value(s, n):.6g} is negative; no real ladder element exists"
+            f"F_{s}({n}) = {F[s, n]:.6g} is negative; no real ladder element exists"
         )
-    Xm = Shift(-1, -1, np.where(level > 0, np.sqrt(np.maximum(values, 0.0)), 0.0).astype(complex))
+    Xm = Shift(-1, -1, np.where(level > 0, np.sqrt(np.maximum(F, 0.0)), 0.0).astype(complex))
     # N and K are read-only views that broadcast one level range and the
     # order's grades over the (k, d) table
-    N = Shift.diag(np.broadcast_to(level.astype(complex), (k, d)))
-    K = Shift.diag(np.broadcast_to(_grading(k)[0][:, None], (k, d)))
+    N = Shift.diag(np.broadcast_to(level.astype(complex), F.shape))
+    K = Shift.diag(np.broadcast_to(_grading(basis.k)[0][:, None], F.shape))
     return AlgebraRep(spec, basis, F, Xm, Xm.adjoint(), N, K)
 
 

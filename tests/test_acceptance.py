@@ -24,7 +24,6 @@ import pytest
 from fsusy.cli import main
 from fsusy.fock import (
     NONNEG_TOL,
-    GradedBasis,
     StructureSpec,
     effective_dimension,
     solve_structure_function,
@@ -107,7 +106,7 @@ def closed_form_refusals(spec, d):
     """
     found = {}
     F = solve_structure_function(spec, d)
-    top = effective_dimension(F, d) - 1 - spec.k
+    top = effective_dimension(F) - 1 - spec.k
     for s in range(2, spec.k + 1):
         for n in range(1, top + 1):
             value = partner_value(spec, F, s, n)
@@ -235,8 +234,7 @@ def test_criterion_06_isospectral_shift_and_wrap_guard(grid):
         assert not any("wrap" in name for name in entries), (k, label)
     assert not bad, "\n".join(bad)
     spec = StructureSpec.constant_values(3, 1.0)
-    basis = GradedBasis(3, 12)
-    doublet = build_doublet(build_rep(spec, basis, solve_structure_function(spec, 12)))
+    doublet = build_doublet(build_rep(spec, solve_structure_function(spec, 12)))
     wrap_dev = max(
         abs(doublet.partner(3, n - 1) - doublet.partner(1, n)) for n in range(1, 8)
     )
@@ -279,11 +277,11 @@ def test_criterion_08_solver_matches_telescoped_form():
         spec = StructureSpec.from_table(k, table)
         solved = solve_structure_function(spec, d)
         for s in range(k):
-            for n in range(d + 1):
+            for n in range(d):
                 closed = sum(
                     table[(s - j) % k, n - j] for j in range(1, n + 1)
                 )
-                assert abs(solved.values[s, n] - closed) < 1e-12
+                assert abs(solved[s, n] - closed) < 1e-12
 
 
 def test_criterion_09_kfermions_and_tensor_realization(grid):

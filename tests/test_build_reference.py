@@ -33,7 +33,6 @@ from fsusy.errors import FactorizationError, FsusyError, WindowTooSmallError
 from fsusy.fock import (
     NONNEG_TOL,
     GradedBasis,
-    StructureFunction,
     StructureSpec,
     effective_dimension,
     solve_structure_function,
@@ -68,19 +67,19 @@ GRID_FAMILIES = {
 POINTS = [(k, label) for k in (2, 3, 4, 5, 8) for label in GRID_FAMILIES]
 
 
-def march_structure_function(spec: StructureSpec, d: int) -> StructureFunction:
-    values = np.zeros((spec.k, d + 1))
-    for n in range(d):
+def march_structure_function(spec: StructureSpec, d: int) -> np.ndarray:
+    F = np.zeros((spec.k, d))
+    for n in range(d - 1):
         for s in range(spec.k):
-            values[(s + 1) % spec.k, n + 1] = values[s, n] + spec.f(s, n)
-    return StructureFunction(spec.k, d, values)
+            F[(s + 1) % spec.k, n + 1] = F[s, n] + spec.f(s, n)
+    return F
 
 
-def scan_effective_dimension(F: StructureFunction, requested_d: int) -> int:
-    for n in range(requested_d):
-        if F.values[:, n].min() < -NONNEG_TOL:
+def scan_effective_dimension(F: np.ndarray) -> int:
+    for n in range(F.shape[1]):
+        if F[:, n].min() < -NONNEG_TOL:
             return n
-    return requested_d
+    return F.shape[1]
 
 
 def scalar_weight_diagonal(spec, basis, t, shift):
@@ -262,10 +261,11 @@ def built(request):
 
 def test_structure_function_and_truncation_match_the_march(built):
     spec, system = built
-    F = solve_structure_function(spec, 40)
-    assert F.values.tobytes() == march_structure_function(spec, 40).values.tobytes()
-    assert effective_dimension(F, 40) == scan_effective_dimension(F, 40)
-    assert system.rep.F.values.tobytes() == F.truncate(system.d_effective).values.tobytes()
+    F, march = solve_structure_function(spec, 40), march_structure_function(spec, 40)
+    assert F.tobytes() == march.tobytes()
+    assert effective_dimension(F) == scan_effective_dimension(F)
+    assert system.rep.F.shape == (system.rep.basis.k, system.d_effective)
+    assert system.rep.F.tobytes() == march[:, :system.d_effective].tobytes()
 
 
 def test_partner_table_matches_the_closed_form(built):
@@ -307,7 +307,7 @@ def test_other_families_match_the_scalar_loops(spec):
     system = build_system(RunConfig(k=spec.k, d=24, spec=spec, margin=spec.k))
     rep = system.rep
     F = march_structure_function(spec, 24)
-    assert rep.F.values.tobytes() == F.truncate(rep.basis.d).values.tobytes()
+    assert rep.F.tobytes() == F[:, :rep.basis.d].tobytes()
     assert system.doublet.partners.tobytes() == scalar_partner_table(rep).tobytes()
     assert_same_map(system.doublet.H, term_hamiltonian(rep))
     for s in system.replicas:
@@ -323,7 +323,7 @@ def test_slack_levels_are_dropped_like_the_level_loop():
     # f = 3 - n makes the top partner energies negative inside the slack
     spec = StructureSpec.from_table(3, {(s, n): 3.0 - n for s in range(3) for n in range(-3, 24)})
     F = solve_structure_function(spec, 20)
-    d = effective_dimension(F, 20)
+    d = effective_dimension(F)
     system = build_system(RunConfig(k=3, d=20, spec=spec, margin=3))
     doublet = system.doublet
     assert d == system.d_effective
@@ -359,7 +359,7 @@ def test_grading_resolved_on_the_grades_matches_the_full_space(k, d):
     # the Fourier sum rounds elementwise, so resolving the k grade values and
     # lifting them gives the full-space bits, whether kd is a multiple of 4 or not
     spec = StructureSpec.affine_family(k, 0.5, 1.0)
-    rep = build_rep(spec, GradedBasis(k, d), solve_structure_function(spec, d))
+    rep = build_rep(spec, solve_structure_function(spec, d))
     K, projectors = full_space_grading(rep)
     assert_same_map(rep.K, K)
     assert _grading(k)[1].shape == (k, k)
@@ -521,7 +521,7 @@ def reference_tensor(pair, rep):
     Pf_s the mask of grade s."""
     k, d = pair.k, rep.basis.d
     Pf = [Shift.diag((np.arange(k) == s)[:, None]) for s in range(k)]
-    bm = [Shift(-1, 0, np.sqrt(np.maximum(rep.F.values[s, :d], 0.0)).astype(complex)[None])
+    bm = [Shift(-1, 0, np.sqrt(np.maximum(rep.F[s], 0.0)).astype(complex)[None])
           for s in range(k)]
     A = pair.fm + (1 / q_factorial(k - 1, k)) * pair.fp ** (k - 1)
     Ak1 = A ** (k - 1)
@@ -745,7 +745,7 @@ def test_batched_checks_make_the_same_calls_at_every_order(monkeypatch, clear_or
                 stage[name] = dict(counts)
                 counts.update(dict.fromkeys(counts, 0))
 
-            build_doublet(build_rep(config.spec, basis, F))
+            build_doublet(build_rep(config.spec, F))
             done("representation and doublet")
             blocks, _ = build_replicas(system.doublet, config.margin)
             done("replica build")

@@ -232,6 +232,30 @@ class TestSpecSelection:
             assert named is not None, entries[0]["error"]
             assert (int(named[1]), int(named[2])) == first
 
+    @pytest.mark.parametrize("dropped", [(0, 9), (1, 9), (2, 9), (0, 10)])
+    def test_table_missing_the_top_level_argument_fails_construction(self, tmp_path, capsys,
+                                                                     dropped):
+        # the solver reads f on all d = 10 levels: F needs f_s(n) for n < 9
+        # only, but the ladder relation at the top level reads f_s(9).
+        # f_0(10) is read by nothing
+        k, d = 3, 10
+        rows = [f"{s},{n},1.0" for s in range(k) for n in range(-k, d + k + 1)
+                if (s, n) != dropped]
+        table = tmp_path / "structure.csv"
+        table.write_text("\n".join(["s,n,f", *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "report.json"
+        code = main(["verify", "--k", str(k), "--d", str(d),
+                     "--table", str(table), "--out_report", str(out)])
+        capsys.readouterr()
+        if dropped[1] == d:
+            assert code == 0
+            return
+        assert code == 1
+        entries = json.loads(out.read_text(encoding="utf-8"))["entries"]
+        assert [e["name"] for e in entries] == ["construction.representation"]
+        assert entries[0]["error"] == (
+            f"table spec has no value for sector {dropped[0]} at argument n = {d - 1}")
+
     @pytest.mark.parametrize("flags", [
         ["--a", "nan", "--b", "1"],
         ["--c0", "inf"],

@@ -150,16 +150,16 @@ def test_constant_solution_is_linear():
     spec = StructureSpec.constant_values(3, 1.0)
     F = solve_structure_function(spec, 10)
     for s in range(3):
-        for n in range(11):
-            assert F.value(s, n) == n
+        for n in range(10):
+            assert F[s, n] == n
 
 
 def test_recursion_residual_is_zero():
     spec = StructureSpec.affine_family(4, 0.5, 1.0)
-    F = solve_structure_function(spec, 12)
+    F = solve_structure_function(spec, 13)
     for s in range(4):
         for n in range(12):
-            lhs = F.value((s + 1) % 4, n + 1) - F.value(s, n)
+            lhs = F[(s + 1) % 4, n + 1] - F[s, n]
             assert lhs == pytest.approx(spec.f(s, n), abs=1e-13)
 
 
@@ -174,27 +174,8 @@ def test_solver_matches_telescoped_form_exactly(case):
     spec = StructureSpec.from_table(k, entries)
     F = solve_structure_function(spec, d)
     for s in range(k):
-        for n in range(d + 1):
-            assert F.value(s, n) == telescoped(spec, s, n)
-
-
-def test_value_checks_the_level():
-    # the solved range is n = 0 .. d; n = -1 would read F_0(12) from the end
-    F = solve_structure_function(StructureSpec.affine_family(3, 0.5, 1.0), 12)
-    assert F.value(0, 12) == 45.0
-    for n in (-1, 13):
-        with pytest.raises(ValueError, match=rf"level {n} outside 0\.\.12"):
-            F.value(0, n)
-
-
-def test_truncate():
-    spec = StructureSpec.constant_values(2, 1.0)
-    F = solve_structure_function(spec, 10)
-    cut = F.truncate(4)
-    assert cut.d == 4
-    assert cut.values.shape == (2, 5)
-    with pytest.raises(ValueError):
-        F.truncate(11)
+        for n in range(d):
+            assert F[s, n] == telescoped(spec, s, n)
 
 
 def test_effective_dimension_truncates_at_sign_change():
@@ -202,15 +183,13 @@ def test_effective_dimension_truncates_at_sign_change():
     entries = {(s, n): 3.0 - n for s in range(3) for n in range(-3, 21)}
     spec = StructureSpec.from_table(3, entries)
     F = solve_structure_function(spec, 20)
-    assert effective_dimension(F, 20) == 8
+    assert effective_dimension(F) == 8
 
 
 def test_effective_dimension_passthrough():
     spec = StructureSpec.constant_values(2, 1.0)
     F = solve_structure_function(spec, 15)
-    assert effective_dimension(F, 15) == 15
-    with pytest.raises(ValueError):
-        effective_dimension(F, 16)
+    assert effective_dimension(F) == 15
 
 
 AFFINE_A = (-1.0, -0.5, -0.25, -0.125, 0.0, 0.125, 0.5, 2.0)
@@ -223,24 +202,24 @@ def test_affine_family_matches_closed_form(k):
     # for a < 0 its first negative value sits at floor(1 - 2b/a) + 1, the
     # bound-state count of the Morse-like case
     d = 64
-    n = np.arange(d + 1)
+    n = np.arange(d)
     for a in AFFINE_A:
         for b in AFFINE_B:
             F = solve_structure_function(StructureSpec.affine_family(k, a, b), d)
             closed = b * n + a * n * (n - 1) / 2
             for s in range(k):
-                np.testing.assert_allclose(F.values[s], closed, rtol=1e-12, atol=0,
+                np.testing.assert_allclose(F[s], closed, rtol=1e-12, atol=0,
                                            err_msg=f"a={a} b={b} s={s}")
             if a < 0:
                 expected = min(d, int(np.floor(1 - 2 * b / a)) + 1)
-                assert effective_dimension(F, d) == expected, (a, b)
+                assert effective_dimension(F) == expected, (a, b)
 
 
 def test_effective_dimension_rejects_immediate_negativity():
     spec = StructureSpec.constant_values(2, -1.0)
     F = solve_structure_function(spec, 10)
     with pytest.raises(DegenerateSpaceError):
-        effective_dimension(F, 10)
+        effective_dimension(F)
 
 
 class TestLoadTableCsv:
@@ -289,5 +268,5 @@ class TestLoadTableCsv:
 def test_solution_shape_and_origin():
     spec = StructureSpec.affine_family(5, 0.25, 0.5)
     F = solve_structure_function(spec, 8)
-    assert F.values.shape == (5, 9)
-    assert np.all(F.values[:, 0] == 0.0)
+    assert F.shape == (5, 8)
+    assert np.all(F[:, 0] == 0.0)

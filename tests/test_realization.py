@@ -6,7 +6,7 @@ import pytest
 import fsusy.wkalg
 from conftest import by_name, entries, one_entry
 from fsusy.errors import InvalidOrderError, RepresentationError
-from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
+from fsusy.fock import StructureSpec, solve_structure_function
 from fsusy.qarith import primitive_root
 from fsusy.realization import build_kfermion_pair, build_tensor_realization, compare_realizations
 from fsusy.suite import RunConfig, run_verification_suite
@@ -15,8 +15,7 @@ from fsusy.wkalg import Shift, algebra_relation_residuals, build_rep
 
 def make_rep(k, d, spec=None):
     spec = spec or StructureSpec.constant_values(k, 1.0)
-    basis = GradedBasis(k, d)
-    return build_rep(spec, basis, solve_structure_function(spec, d))
+    return build_rep(spec, solve_structure_function(spec, d))
 
 
 def test_ordinary_fermion_matrices():
@@ -237,7 +236,7 @@ def test_tensor_ladders_select_their_grade_exactly(k):
     rep = make_rep(k, d, StructureSpec.affine_family(k, 0.5, 1.0))
     pair = build_kfermion_pair(k)
     tensor = build_tensor_realization(pair, rep)
-    bm = np.sqrt(np.maximum(rep.F.values[:, :d], 0.0)).astype(complex)
+    bm = np.sqrt(np.maximum(rep.F, 0.0)).astype(complex)
     bp = Shift(-1, -1, bm).adjoint().weight
     for X, expected in ((tensor.Xm, bm * pair.A.weight), (tensor.Xp, bp * pair.Ak1.weight)):
         assert X.weight.tobytes() == expected.tobytes()

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import entries, flat, one_entry
 from fsusy.errors import FactorizationError, FsusyError, WindowTooSmallError
-from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
+from fsusy.fock import StructureSpec, solve_structure_function
 from fsusy.replicas import (
     build_replicas,
     check_isospectrality,
@@ -20,9 +20,7 @@ from fsusy.wkalg import build_rep
 
 def make_doublet(k, d, spec=None):
     spec = spec or StructureSpec.constant_values(k, 1.0)
-    basis = GradedBasis(k, d)
-    rep = build_rep(spec, basis, solve_structure_function(spec, d))
-    return build_doublet(rep)
+    return build_doublet(build_rep(spec, solve_structure_function(spec, d)))
 
 
 def lift(db, name, s, slack=0):
@@ -55,8 +53,7 @@ def decaying_table_doublet():
     entries = {(s, n): 3.0 - n for s in range(3) for n in range(-3, 24)}
     spec = StructureSpec.from_table(3, entries)
     F = solve_structure_function(spec, 20)
-    basis = GradedBasis(3, 8)
-    return build_doublet(build_rep(spec, basis, F.truncate(8)))
+    return build_doublet(build_rep(spec, F[:, :8]))
 
 
 def test_lowering_element_is_partner_square_root():

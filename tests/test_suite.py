@@ -15,7 +15,7 @@ from scipy.io import mmread
 
 import fsusy.suite
 from fsusy.errors import ConfigError
-from fsusy.fock import FULL_SPACE, GradedBasis, StructureSpec, solve_structure_function
+from fsusy.fock import FULL_SPACE, StructureSpec, solve_structure_function
 from fsusy.replicas import build_replicas
 from fsusy.report import VerificationReport
 from fsusy.suite import (
@@ -36,8 +36,7 @@ UNIT3 = StructureSpec.constant_values(3, 1.0)
 
 def small_system(k, d, spec=None):
     spec = spec or StructureSpec.constant_values(k, 1.0)
-    basis = GradedBasis(k, d)
-    doublet = build_doublet(build_rep(spec, basis, solve_structure_function(spec, d)))
+    doublet = build_doublet(build_rep(spec, solve_structure_function(spec, d)))
     return GradedSystem(doublet.rep, doublet, *build_replicas(doublet))
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import fsusy.system
 from conftest import by_name, flat, multilinear_roundoff
-from fsusy.fock import GradedBasis, StructureSpec, solve_structure_function
+from fsusy.fock import StructureSpec, solve_structure_function
 from fsusy.suite import RunConfig, build_system
 from fsusy.system import build_doublet, partner_value, verify_fsusy
 from fsusy.wkalg import Shift, build_rep, score
@@ -12,9 +12,7 @@ from fsusy.wkalg import Shift, build_rep, score
 
 def make_doublet(k, d, spec=None):
     spec = spec or StructureSpec.constant_values(k, 1.0)
-    basis = GradedBasis(k, d)
-    rep = build_rep(spec, basis, solve_structure_function(spec, d))
-    return build_doublet(rep)
+    return build_doublet(build_rep(spec, solve_structure_function(spec, d)))
 
 
 def test_partner_ladders_for_unit_constant():
@@ -36,6 +34,17 @@ def test_partner_index_bounds():
     for n in (-1, 6):
         with pytest.raises(ValueError, match=rf"partner level {n} outside 0\.\.5"):
             db.partner(1, n)
+
+
+def test_partner_value_checks_the_level():
+    # F holds the d = 12 levels n = 0 .. 11; n = -1 would read F_1(11) from
+    # the end of the row
+    spec = StructureSpec.affine_family(3, 0.5, 1.0)
+    F = solve_structure_function(spec, 12)
+    assert partner_value(spec, F, 1, 11) == build_doublet(build_rep(spec, F)).partner(1, 11)
+    for n in (-1, 12):
+        with pytest.raises(ValueError, match=rf"level {n} outside 0\.\.11"):
+            partner_value(spec, F, 1, n)
 
 
 def test_ground_state_energy_is_negative_for_unit_constant():

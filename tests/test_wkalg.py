@@ -21,8 +21,7 @@ from fsusy.suite import RunConfig, build_system, named_operators
 
 def make_rep(k, d, spec=None):
     spec = spec or StructureSpec.constant_values(k, 1.0)
-    basis = GradedBasis(k, d)
-    return build_rep(spec, basis, solve_structure_function(spec, d))
+    return build_rep(spec, solve_structure_function(spec, d))
 
 
 def test_ladder_matrix_elements():
@@ -33,7 +32,7 @@ def test_ladder_matrix_elements():
     for s in range(3):
         for n in range(1, 6):
             elem = Xm[flat(basis, n - 1, s - 1), flat(basis, n, s)]
-            assert elem == pytest.approx(np.sqrt(F.value(s, n)))
+            assert elem == pytest.approx(np.sqrt(F[s, n]))
     # X- annihilates every sector ground state
     for s in range(3):
         assert np.all(Xm[:, flat(basis, 0, s)] == 0)
@@ -76,16 +75,18 @@ def test_negative_structure_value_is_rejected():
     spec = StructureSpec.from_table(
         2, {(s, n): (-1.0 if n == 0 else 1.0) for s in range(2) for n in range(6)}
     )
-    basis = GradedBasis(2, 6)
     F = solve_structure_function(spec, 6)
     with pytest.raises(RepresentationError):
-        build_rep(spec, basis, F)
+        build_rep(spec, F)
 
 
-def test_structure_function_must_cover_basis():
+def test_build_rep_reads_its_basis_from_F():
     spec = StructureSpec.constant_values(2, 1.0)
-    with pytest.raises(RepresentationError):
-        build_rep(spec, GradedBasis(2, 10), solve_structure_function(spec, 5))
+    F = solve_structure_function(spec, 10)
+    rep = build_rep(spec, F[:, :5])
+    assert rep.basis == GradedBasis(2, 5)
+    assert rep.F.shape == (rep.basis.k, rep.basis.d)
+    assert rep.Xm.weight.shape == rep.N.weight.shape == (2, 5)
 
 
 def fourier_projector(k, d, s):

@@ -56,10 +56,18 @@ def table_csv(k: int, f1_from: int | None = None) -> str:
                                for n in range(-k if f1_from is None or s != 1 else f1_from, 60))
 
 
-# f_1 is read by partner s = 1 alone, only at n >= 0, so the last table
+def falling_table_csv(k: int) -> str:
+    """A table spec of order k over the arguments -k .. 59: f = 1 below n = 20
+    and -3 from there, so F turns negative and the space is truncated."""
+    return "s,n,f\n" + "".join(f"{s},{n},{1.0 if n < 20 else -3.0!r}\n" for s in range(k)
+                               for n in range(-k, 60))
+
+
+# f_1 is read by partner s = 1 alone, only at n >= 0, so the third table
 # defines it from there
 TABLES = {"table.csv": table_csv(3), "table5.csv": table_csv(5),
-          "table4_f1_from_0.csv": table_csv(4, f1_from=0)}
+          "table4_f1_from_0.csv": table_csv(4, f1_from=0),
+          "table4_falling.csv": falling_table_csv(4)}
 
 
 def family_flags(name: str, k: int) -> list[str]:
@@ -90,6 +98,9 @@ def configurations() -> dict[str, tuple[list[str], tuple[str, ...]]]:
         "k=5 d=40 table": (["--k", "5", "--d", "40", "--table", "table5.csv"], every),
         "k=4 d=40 table, f_1 from n = 0": (
             ["--k", "4", "--d", "40", "--table", "table4_f1_from_0.csv"], every),
+        # F goes negative at level 27, so the system is built on F[:, :27]
+        "k=4 d=40 table, falling (d_eff < d)": (
+            ["--k", "4", "--d", "40", "--table", "table4_falling.csv"], every),
         "k=3 d=12 margin 10": (["--k", "3", "--d", "12", "--margin", "10"], every),
         # d is truncated to 6 levels, which leave no window below margin 10
         "k=3 d=12 margin 10 affine(-0.5,1) (no window)": (
