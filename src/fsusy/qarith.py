@@ -1,4 +1,4 @@
-"""Roots of unity, q-deformed integers and q-factorials of one order k.
+"""Roots of unity and q-deformed integers of one order k.
 
 q is the primitive k-th root of unity, and every power q^m is read from the
 table of the k roots at m mod k, never multiplied up: a running product
@@ -11,7 +11,6 @@ the sum form does not.
 from __future__ import annotations
 
 import cmath
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -43,11 +42,3 @@ def q_numbers(k: int) -> np.ndarray:
     table.flags.writeable = False
     return table
 
-
-def q_factorial(n: int, k: int) -> complex:
-    """q-deformed factorial [n]_q! = [1]_q [2]_q ... [n]_q of order k, with
-    [0]_q! = 1, for 0 <= n <= k."""
-    table = q_numbers(k)
-    if not 0 <= n <= k:
-        raise ValueError(f"q-factorials of order {k} are defined for 0 <= n <= {k}, got {n}")
-    return math.prod(table[1:n + 1].tolist(), start=1 + 0j)

@@ -12,13 +12,21 @@ construction.  Pf_s keeps grade s alone, so each sum is one broadcast
 product: the boson weights on the (grade, level) table times the grade
 weights of A or A^(k-1).
 
-Why this closes the algebra: A maps grade t to t-1 with weight a_t
-(a_t = [t]_q for t >= 1, a_0 = 1/[k-1]_q!).  The a_t multiply to 1 around
-the cycle, so A^k = 1 and A^(k-1) = A^(-1) maps t to t+1 with weight
-1/a_(t+1).  On |m> (x) |t> therefore
+Why the pair's basis is free: the k-fermion relations [f-, f+]_q = 1,
+f-^k = f+^k = 0 and [f-, f+] = q^N are polynomials in f-+, so they hold for
+S f-+ S^(-1) with any invertible diagonal S, and A, formed from f-+ alone,
+becomes S A S^(-1), which leaves the tensor's relations and spectra as they
+were.  The textbook pair (f+ the unit raising shift, f-|t> = [t]_q |t-1>)
+conjugated by S = diag([t]_q!) is the pair built here: f-|t> = |t-1> and
+f+|t> = [t+1]_q |t+1>, 0 at t = 0 and t = k-1 respectively.  Its
+f+^(k-1) / [k-1]_q! has the one column |0> -> |k-1> of weight
+[1]_q ... [k-1]_q / [k-1]_q! = 1, the (k-1)-th power of f+ [N+1]_q^(-1),
+whose weights are [t+1]_q / [t+1]_q; so [k-1]_q!, which overflows float64
+from k = 204 on, is never formed.  A is then the unit cyclic shift: it maps
+grade t to t-1 with weight a_t = 1 for every t, A^k = 1, and
+A^(k-1) = A^(-1) maps t to t+1 with weight 1.  On |m> (x) |t> therefore
 
-    X+ X- = (sqrt(F_t(m)) a_t) (sqrt(F_t(m)) / a_t)                 = F_t(m),
-    X- X+ = (sqrt(F_(t+1)(m+1)) / a_(t+1)) (sqrt(F_(t+1)(m+1)) a_(t+1)) = F_(t+1)(m+1),
+    X+ X- = sqrt(F_t(m))^2 = F_t(m),   X- X+ = sqrt(F_(t+1)(m+1))^2 = F_(t+1)(m+1),
 
 and the coupled recursion F_(t+1)(m+1) - F_t(m) = f_t(m) gives
 [X-, X+] = sum_t f_t(N) Pf_t, the graded relation.  That is why X+ on grade t
@@ -33,7 +41,6 @@ is the state |m, t> of level m in sector t.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -42,7 +49,7 @@ import numpy as np
 
 from .errors import RepresentationError
 from .fock import EIGENVALUE_MULTISET, FULL_GRADE_SPACE, FULL_SPACE
-from .qarith import q_factorial, q_numbers, roots
+from .qarith import q_numbers, roots
 from .wkalg import AlgebraRep, Shift, score
 
 
@@ -63,10 +70,13 @@ class KFermionPair:
 
     @cached_property
     def A(self) -> Shift:
-        """A = f- + f+^(k-1) / [k-1]_q!, mapping grade t to t-1 mod k; A^k = 1."""
-        k = self.k
-        scale = 1 / q_factorial(k - 1, k)
-        return _frozen(self.fm + scale * self.fp ** (k - 1))
+        """A = f- + (f+ [N+1]_q^(-1))^(k-1), the unit shift from grade t to
+        t-1 mod k; A^k = 1."""
+        # [N+1]_q is the diagonal f- f+, and it is divided only where f+ is
+        # nonzero: at the top grade both are 0
+        fp, step = self.fp.weight, np.zeros_like(self.fp.weight)
+        np.divide(fp, (self.fm @ self.fp).weight, out=step, where=fp != 0)
+        return _frozen(self.fm + Shift(0, 1, step) ** (self.k - 1))
 
     @cached_property
     def Ak1(self) -> Shift:
@@ -80,8 +90,8 @@ class KFermionPair:
         k, fm, fp = self.k, self.fm, self.fp
         q = roots(k)
         zero = Shift.diag(np.zeros((k, 1)))
-        # the nilpotency on the supports of the factors: f-^k itself forms
-        # [k-1]_q! before [0]_q = 0 and overflows from k = 204 on
+        # the nilpotency on the supports of the factors: f+^k itself forms
+        # [k-1]_q! before its 0 at the top grade and overflows from k = 204 on
         records = {
             "kfermion.q_commutator": (
                 score([(fm @ fp - q[1] * (fp @ fm), Shift.diag(np.ones((k, 1))))]), FULL_GRADE_SPACE),
@@ -102,32 +112,14 @@ def _frozen(op: Shift) -> Shift:
 
 @lru_cache(maxsize=8)
 def build_kfermion_pair(k: int) -> KFermionPair:
-    """k-fermions with f+ the unit shift and f- carrying the [t]_q weights
-    of ``qarith.q_numbers``, built once per order; every array is read-only.
-
-    f+|t> = |t+1> (dying at the top), f-|t> = [t]_q |t-1>, so both
-    [f-, f+]_q = 1 and [f-, f+] = diag(q^t) hold.  As shifts on the cyclic
-    grades, f+ holds weight 0 at t = k-1 and f- at t = 0.
-    """
-    fm = Shift(0, -1, q_numbers(k)[:k, None])
-    fp = Shift(0, 1, (np.arange(k) < k - 1).astype(complex)[:, None])
+    """k-fermions f-|t> = |t-1> and f+|t> = [t+1]_q |t+1> (``qarith.q_numbers``),
+    built once per order; every array is read-only.  [f-, f+]_q = 1 and
+    [f-, f+] = diag(q^t) hold.  As shifts on the cyclic grades, f- holds
+    weight 0 at t = 0 and f+ at t = k-1, exactly, where [k]_q is 0 only up to
+    round-off."""
+    fm = Shift(0, -1, (np.arange(k) > 0).astype(complex)[:, None])
+    fp = Shift(0, 1, np.append(q_numbers(k)[1:k], 0)[:, None])
     return KFermionPair(k, *map(_frozen, (fm, fp, fm @ fp - fp @ fm)))
-
-
-def _check_representable(k: int, F: np.ndarray) -> None:
-    """Refuse an order whose A, A^(k-1) or X+ (for structure values F) leaves
-    float64's normal range, before any is formed: |[k-1]_q!| = k / (2 sin(pi/k))^(k-1),
-    as prod_{t=1..k-1} sin(pi t/k) = k / 2^(k-1), so a_0 = 1/[k-1]_q! is
-    subnormal from k = 204 on, and X+ holds [k-1]_q! times sqrt(F)."""
-    x = (math.log(k) - (k - 1) * math.log(2 * math.sin(math.pi / k))) / math.log(10)
-    text = lambda x: f"{10 ** (x % 1):.2g}e{math.floor(x):+03d}"  # 10^x, also beyond float64
-    if -x < math.log10(np.finfo(float).tiny):
-        raise RepresentationError(f"1/[k-1]_q! = {text(-x)} is below float64's normal range "
-                                  f"at k = {k}")
-    root = math.sqrt(max(float(F.max()), 0.0))
-    if root > 0 and x + math.log10(root) > math.log10(np.finfo(float).max):
-        raise RepresentationError(f"[k-1]_q! = {text(x)} times the largest sqrt(F) = "
-                                  f"{root:.3g} overflows float64 at k = {k}")
 
 
 def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
@@ -135,7 +127,6 @@ def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
     basis, F, k = rep.basis, rep.F, pair.k
     if basis.k != k:
         raise RepresentationError(f"graded space has order {basis.k}, fermion pair {k}")
-    _check_representable(k, F)
     # b(s)- lowers level m to m-1 with weight sqrt(F_s(m)); F_s(0) = 0 leaves
     # level 0 empty.  b(s+1)+ at [s, m], raising m to m+1, is the adjoint of row s+1
     bm = np.sqrt(np.maximum(F, 0.0)).astype(complex)

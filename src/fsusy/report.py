@@ -61,8 +61,6 @@ IDENTITIES = {
     "kfermion.nilpotency": ("exact", "f-^k = 0 and f+^k = 0"),
     "kfermion.grading_spectrum": ("strict", "[f-, f+] has eigenvalue multiset {q^t : t = 0..k-1}"),
     "kfermion.pair_adjoint": ("exact", "for order 2 the pair is mutually adjoint"),
-    "tensor.construction": (
-        None, "the tensor-product realization materializes on the truncated space"),
     **{f"tensor.{key}": ("windowed", text) for key, text in _RELATIONS.items()},
     "tensor.spectral_distance": (
         "windowed", "eigenvalues of X+ X- agree between the tensor and graded constructions"),

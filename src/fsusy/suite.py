@@ -180,19 +180,15 @@ def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
     except WindowTooSmallError as exc:
         return config.scoring.entries({"construction.window": exc})
     pair = build_kfermion_pair(config.k)
-    try:
-        tensor = build_tensor_realization(pair, rep)
-    except FsusyError as exc:
-        tensor, tensor_records = None, {"tensor.construction": exc}
+    tensor = build_tensor_realization(pair, rep)
     # the graded and the tensor relations in one pass; the tensor records go
     # last in the report, but are made here so that the tensor realization
     # is freed before the doublet and replica checks
-    residuals = algebra_relation_residuals([rep] if tensor is None else [rep, tensor], window)
+    residuals = algebra_relation_residuals([rep, tensor], window)
     records = {f"algebra.{key}": (val, window) for key, val in residuals[0].items()}
-    if tensor is not None:
-        tensor_records = {f"tensor.{key}": (val, window) for key, val in residuals[1].items()}
-        tensor_records.update(compare_realizations(tensor, rep))
-        del tensor
+    tensor_records = {f"tensor.{key}": (val, window) for key, val in residuals[1].items()}
+    tensor_records.update(compare_realizations(tensor, rep))
+    del tensor
     records.update(verify_fsusy(doublet, window))
     records.update(check_isospectrality(doublet, window))
     replicas = verify_replicas(system.replicas, doublet, window)

@@ -221,15 +221,16 @@ def planted(op, at, weight):
 
 @pytest.mark.parametrize("k", [3, 204, 1000, 2000])
 def test_planted_fermion_weight_fails_the_nilpotency(k):
-    # f-^k = 0 rests on the zero weight [0]_q of grade 0 alone; 1e-9 there
-    # makes every column of f-^k nonzero, also from k = 204 on, where
-    # [k-1]_q! overflows float64, and at k = 2000, where the product of the
-    # k weights underflows to 0
+    # f-^k = 0 rests on f-'s zero weight at grade 0 alone and f+^k = 0 on
+    # f+'s at grade k-1; 1e-9 at either makes every column of the power
+    # nonzero, also from k = 204 on, where f+'s column products [k-1]_q!
+    # overflow float64
     pair = build_kfermion_pair(k)
-    for weight, residual in [(0.0, 0.0), (1e-9, 1.0)]:
-        mutated = dataclasses.replace(pair, fm=planted(pair.fm, (0, 0), weight))
-        entry = by_name(mutated.residuals)["kfermion.nilpotency"]
-        assert (entry.residual, entry.passed) == (residual, residual == 0), (weight, entry)
+    for field, grade in (("fm", 0), ("fp", k - 1)):
+        for weight, residual in [(0.0, 0.0), (1e-9, 1.0)]:
+            op = planted(getattr(pair, field), (grade, 0), weight)
+            entry = by_name(dataclasses.replace(pair, **{field: op}).residuals)["kfermion.nilpotency"]
+            assert (entry.residual, entry.passed) == (residual, residual == 0), (field, weight)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsusy.errors import InvalidOrderError
-from fsusy.qarith import primitive_root, q_factorial, q_numbers, roots
+from fsusy.qarith import primitive_root, q_numbers, roots
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 64, 327, 1000])
@@ -23,7 +23,7 @@ def test_primitive_root_values():
 
 @pytest.mark.parametrize("k", [1, 0, -3])
 def test_primitive_root_rejects_low_order(k):
-    for of_order in (primitive_root, roots, q_numbers, lambda k: q_factorial(0, k)):
+    for of_order in (primitive_root, roots, q_numbers):
         with pytest.raises(InvalidOrderError):
             of_order(k)
 
@@ -58,29 +58,6 @@ def test_q_number_matches_geometric_quotient(k, data):
 def test_q_number_vanishes_at_the_order(k):
     assert q_numbers(k)[0] == 0
     assert abs(q_numbers(k)[k]) < 1e-12
-
-
-def test_q_factorial_values():
-    assert q_factorial(0, 5) == 1
-    assert q_factorial(1, 5) == 1
-    expected = q_numbers(5)[1] * q_numbers(5)[2] * q_numbers(5)[3]
-    assert q_factorial(3, 5) == pytest.approx(expected)
-    for n in (-2, 6):
-        with pytest.raises(ValueError):
-            q_factorial(n, 5)
-
-
-@pytest.mark.parametrize("k", range(2, 9))
-def test_q_factorial_below_order_is_nonzero(k):
-    # [k-1]! divides the cyclic lowering operator, so it must not vanish
-    assert abs(q_factorial(k - 1, k)) > 1e-6
-
-
-@pytest.mark.parametrize("k", [5, 203])
-def test_q_factorial_below_order_has_its_closed_form_modulus(k):
-    # |[k-1]_q!| = k / (2 sin(pi/k))^(k-1), as prod_{t=1..k-1} sin(pi t/k) = k / 2^(k-1)
-    closed = k / (2 * np.sin(np.pi / k)) ** (k - 1)
-    assert abs(q_factorial(k - 1, k)) == pytest.approx(closed, rel=1e-12)
 
 
 @given(k=st.integers(2, 1000))

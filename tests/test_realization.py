@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ import fsusy.wkalg
 from conftest import by_name, entries, one_entry
 from fsusy.errors import InvalidOrderError, RepresentationError
 from fsusy.fock import StructureSpec, solve_structure_function
-from fsusy.qarith import primitive_root
-from fsusy.realization import build_kfermion_pair, build_tensor_realization, compare_realizations
+from fsusy.qarith import primitive_root, q_numbers
+from fsusy.realization import KFermionPair, build_kfermion_pair, build_tensor_realization, compare_realizations
 from fsusy.suite import RunConfig, run_verification_suite
 from fsusy.wkalg import Shift, algebra_relation_residuals, build_rep
 
@@ -66,22 +67,6 @@ def test_cyclic_lowering_support_and_order(k):
         nonzero = np.flatnonzero(np.abs(col) > 1e-14)
         assert list(nonzero) == [(t - 1) % k]
     assert np.allclose(np.linalg.matrix_power(A, k), np.eye(k), atol=1e-12)
-
-
-def test_unrepresentable_orders_fail_the_construction():
-    # |[k-1]_q!| = k / (2 sin(pi/k))^(k-1): 1.6e307 at k = 203, so X+ holds
-    # [k-1]_q! sqrt(F) and overflows once sqrt(F) exceeds 11.5; from k = 204
-    # on A's weight 1/[k-1]_q! is subnormal
-    for k, b, message in [
-        (203, 100.0, r"^\[k-1\]_q! = 1.6e\+307 times the largest sqrt\(F\) = 26.5 "
-                     r"overflows float64 at k = 203$"),
-        (204, 1.0, r"^1/\[k-1\]_q! = 7.3e-310 is below float64's normal range at k = 204$"),
-    ]:
-        rep = make_rep(k, 8, StructureSpec.affine_family(k, 0.0, b))
-        with pytest.raises(RepresentationError, match=message):
-            make_tensor(rep)
-    rep = make_rep(203, 8, StructureSpec.affine_family(203, 0.0, 1.0))
-    assert np.isfinite(make_tensor(rep).Xp.weight).all()
 
 
 def test_grading_eigenvalues_are_increment_differences():
@@ -268,9 +253,94 @@ def test_ladder_relation_reads_f_on_the_sector_level_table(k, monkeypatch):
 
 
 def test_tensor_relation_and_spectra_stay_at_round_off_at_order_203():
-    # the largest order whose tensor is representable; summing the k grades'
-    # Fourier projector round-off into each weight read 6.09e-14 and 1.08e-13
+    # the largest order whose tensor the textbook basis could represent, with
+    # A's grade-0 weight 1/[k-1]_q! = 6e-308; summing the k grades' Fourier
+    # projector round-off into each weight read 6.09e-14 and 1.08e-13
     config = RunConfig(k=203, d=8, spec=StructureSpec.affine_family(203, 0.5, 1.0), margin=1)
     report = {e.name: e for e in run_verification_suite(config).entries}
     for name in ("tensor.ladder_commutator", "tensor.spectral_distance"):
         assert report[name].residual <= 1e-14, (name, report[name].residual)
+
+
+def with_A(pair, A):
+    """A copy of the pair that holds A as given; A^(k-1) is derived from it."""
+    copy = dataclasses.replace(pair)
+    vars(copy)["A"] = A  # where functools.cached_property keeps A
+    return copy
+
+
+def textbook_pair(k):
+    """The pair in the basis the built one is conjugated from by diag([t]_q!):
+    f+ the unit raising shift, f-|t> = [t]_q |t-1>, A = f- + f+^(k-1) / [k-1]_q!."""
+    fm = Shift(0, -1, q_numbers(k)[:k, None])
+    fp = Shift(0, 1, (np.arange(k) < k - 1).astype(complex)[:, None])
+    factorial = math.prod(q_numbers(k)[1:k].tolist(), start=1 + 0j)
+    return with_A(KFermionPair(k, fm, fp, fm @ fp - fp @ fm), fm + (1 / factorial) * fp ** (k - 1))
+
+
+def pair_and_tensor_entries(pair, rep, margin):
+    return entries(pair.residuals) + tensor_entries(build_tensor_realization(pair, rep), rep, margin)
+
+
+@pytest.mark.parametrize("k", [*range(2, 14), 64, 128])
+def test_the_textbook_basis_gives_the_same_entries(k):
+    # the two pairs are similar, so every identity holds in both.  A weight
+    # of X+ X- or X- X+ carries k weights of A, one through X- and k - 1
+    # multiplied into A^(k-1) through X+, which cancel in exact arithmetic;
+    # in either basis they leave a relative round-off of at most about k
+    # epsilon, so a residual read in the two bases differs by at most twice
+    # that, and 4 k epsilon leaves a factor 2 for the rounding of the residual
+    # itself.  Below k = 204 the textbook basis is representable; at 203 its
+    # X+ overflows in [N, X+] at d = 8
+    rep = make_rep(k, 8, StructureSpec.affine_family(k, 0.5, 1.0))
+    built, textbook = (pair_and_tensor_entries(pair, rep, margin=1)
+                       for pair in (build_kfermion_pair(k), textbook_pair(k)))
+    assert [(e.name, e.passed) for e in built] == [(e.name, True) for e in textbook]
+    bound = 4 * k * np.finfo(float).eps
+    for ours, theirs in zip(built, textbook):
+        if ours.name.startswith("kfermion."):
+            assert ours.residual.hex() == theirs.residual.hex(), ours.name
+        else:
+            assert abs(ours.residual - theirs.residual) <= bound, (ours.name, ours.residual,
+                                                                   theirs.residual)
+
+
+@pytest.fixture(scope="module")
+def order_512():
+    rep = make_rep(512, 8, StructureSpec.affine_family(512, 0.5, 1.0))
+    return build_kfermion_pair(512), rep
+
+
+def planted(op, grade):
+    """op with its weight at one grade scaled by 1 + 1e-9."""
+    weight = op.weight.copy()
+    weight[grade] *= 1 + 1e-9
+    return dataclasses.replace(op, weight=weight)
+
+
+@pytest.mark.parametrize("k", [204, 256, 512])
+def test_tensor_entries_pass_past_the_textbook_frontier(k, order_512):
+    # from k = 204 on, the textbook basis cannot hold A's weight 1/[k-1]_q!;
+    # in the built basis every weight of A is 1, f-'s exactly and grade 0's
+    # a product of k - 1 rounded ratios [t+1]_q / [t+1]_q
+    pair, rep = order_512 if k == 512 else (
+        build_kfermion_pair(k), make_rep(k, 8, StructureSpec.affine_family(k, 0.5, 1.0)))
+    assert (pair.A.weight[1:] == 1).all()
+    assert abs(pair.A.weight[0, 0] - 1) <= k * np.finfo(float).eps
+    failed = [(e.name, e.residual) for e in pair_and_tensor_entries(pair, rep, 1) if not e.passed]
+    assert failed == []
+
+
+def test_planted_weights_fail_past_the_textbook_frontier(order_512):
+    pair, rep = order_512
+
+    def failed(pair):
+        return {e.name for e in pair_and_tensor_entries(pair, rep, 1) if not e.passed}
+
+    # a weight of A moves every product X+ X- by 1e-9 of itself
+    assert failed(with_A(pair, planted(pair.A, 100))) == {
+        "tensor.ladder_commutator", "tensor.spectral_distance"}
+    # a weight of f- also enters A's divisor [N+1]_q = f- f+, so A^k = 1
+    # still holds and the tensor passes; the q-commutator fails
+    assert failed(dataclasses.replace(pair, fm=planted(pair.fm, 100))) == {
+        "kfermion.q_commutator"}

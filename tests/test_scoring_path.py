@@ -127,7 +127,6 @@ RUNS = {
     # the acceptance grid, with the refused replicas of k = 4 falling and k = 5
     **{f"k={k} {label}": (k, 40, k, family(k)) for k in range(2, 6)
        for label, family in GRID.items()},
-    "tensor.construction": (204, 8, 1, StructureSpec.affine_family(204, 0.5, 1.0)),
     "construction.window": (3, 12, 10, StructureSpec.affine_family(3, -0.5, 1.0)),
     "construction.representation": (3, 40, 3, StructureSpec.affine_family(3, 2e305, 1.0)),
 }
@@ -145,7 +144,7 @@ def test_entries_come_in_the_order_of_the_table(reports, label):
     table = iter(expanded(RUNS[label][0]))
     # each name is found in what is left of the table after the one before
     assert all(name in table for name in names), names
-    if label.startswith("construction") or label.startswith("tensor"):
+    if label.startswith("construction"):
         assert label in names
 
 

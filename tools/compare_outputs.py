@@ -124,8 +124,10 @@ def configurations() -> dict[str, tuple[list[str], tuple[str, ...]]]:
             ["--k", "128", "--d", "600", "--a", "0.5", "--b", "1"], ("verify",)),
         "k=64 d=100 affine(1e7,1)": (
             ["--k", "64", "--d", "100", "--a", "1e7", "--b", "1"], ("verify",)),
-        # the order frontier: A's weight 1/[k-1]_q! is 6e-308 at k=203 and
-        # subnormal from k=204 on
+        # the textbook k-fermion basis's frontier, where A's weight 1/[k-1]_q!
+        # was 6e-308 at k=203 and subnormal from k=204 on; in the basis where
+        # A is the unit cyclic shift these rungs and k=512 exit 0 (no rung
+        # at k >= 1000, where building H alone takes about 25 s)
         "k=203 d=8 margin 1 affine(0.5,1)": (
             ["--k", "203", "--d", "8", "--margin", "1", "--a", "0.5", "--b", "1"], ("verify",)),
         "k=204 d=8 margin 1 affine(0.5,1)": (
