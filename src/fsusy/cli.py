@@ -270,7 +270,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 def _build_noting_refusals(config: RunConfig) -> GradedSystem:
     """build_system, with one stderr line per refused replica."""
     system = build_system(config)
-    for s, exc in sorted(system.refused.items()):
+    for s, exc in sorted(system.replicas.refused.items()):
         print(f"replica {s} skipped: {exc}", file=sys.stderr)
     return system
 

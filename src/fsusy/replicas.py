@@ -13,6 +13,11 @@ factorize the partner ladder modulo the omitted ground level |0, s>, and
 is an ordinary (k = 2 style) supersymmetric doublet.  Partner energies are
 tied level to level by H_(s-1)(n-1) = H_s(n); the wrap-around pair
 (s = 1 against s = k) obeys no such identity and is deliberately not checked.
+
+``build_replicas`` factorizes every ladder at once and keeps each refusal
+with its reason; ``verify_replicas`` makes every record of the construction
+in report order, so the rules of the split (which replicas were refused,
+that the charge sum needs them all, that k = 2 reduces to H) live here alone.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ class ReplicaBlocks:
     (m, 2, d) table for m replicas: replica ``order[i]`` = s is block i, with
     grade 0 its sector s-1 and grade 1 its sector s mod k, so a product never
     leaves its replica.  With no replica built the tables are empty.
+    ``refused`` holds, by s, the reason each unbuilt replica was refused.
 
     Iterating runs over the built s in ascending order; ``lift`` gives one
     field of one replica on the full space.
@@ -47,6 +53,7 @@ class ReplicaBlocks:
     qm: Shift
     qp: Shift
     h: Shift
+    refused: dict[int, FactorizationError]
 
     def lift(self, name: str, s: int) -> Shift:
         """Field ``name`` of replica s on the full space, formed on each call;
@@ -63,11 +70,9 @@ class ReplicaBlocks:
         return iter(self.order)
 
 
-def build_replicas(
-    doublet: FsusyDoublet, slack: int = 0
-) -> tuple[ReplicaBlocks, dict[int, FactorizationError]]:
+def build_replicas(doublet: FsusyDoublet, slack: int = 0) -> ReplicaBlocks:
     """Factorize every partner ladder s = 2 .. k at once: the replicas on
-    their stacked sector pairs, and the refused ones by s.
+    their stacked sector pairs, with the refused ones by s.
 
     Negative H_s(n) admits no real square root.  Within the top ``slack``
     levels such values are truncation junk and their terms are dropped;
@@ -94,105 +99,93 @@ def build_replicas(
     Xsp = Xsm.adjoint()
     high = (np.arange(2) == 1)[:, None]
     h = (Xsm @ Xsp).masked(~high) + (Xsp @ Xsm).masked(high)
-    blocks = ReplicaBlocks(basis, tuple(int(r) + 2 for r in built),
-                           Xsm, Xsp, Xsm.masked(high), Xsp.masked(~high), h)
-    return blocks, refused
+    return ReplicaBlocks(basis, tuple(int(r) + 2 for r in built),
+                         Xsm, Xsp, Xsm.masked(high), Xsp.masked(~high), h, refused)
 
 
-def verify_replicas(
-    blocks: ReplicaBlocks, doublet: FsusyDoublet, window: Columns
-) -> dict[int, dict]:
-    """Records of the ordinary SUSY axioms and both factorization identities
-    of every replica, by s.
+def verify_replicas(blocks: ReplicaBlocks, doublet: FsusyDoublet, window: Columns) -> dict:
+    """Every record of the replica construction, in report order: the level
+    shift of the partner ladders; for each s = 2 .. k the ordinary SUSY axioms
+    and both factorization identities of replica s, or its refusal; the
+    charge sum; and, at k = 2, the reduction h(2) = H.
 
     Each identity is evaluated once on the stacked replicas; each replica's
     residual over its own columns of the stack equals its full-space one.
     """
-    if not blocks.order:
-        return {}
     basis = doublet.rep.basis
+    k, d = basis.k, basis.d
+    partners = doublet.partners
+    # H_(s-1)(n-1) = H_s(n) for s = 2 .. k and n = 1 .. top, stated on values
+    # rather than eigenvalue multisets, whose edges truncation and the
+    # omitted ground levels fray
+    top = int(np.flatnonzero(window.mask)[-1])
+    records = {"partners.level_shift": (
+        score([(Shift.diag(partners[:-1, :top]), Shift.diag(partners[1:, 1:top + 1]))]),
+        Columns(None, f"levels 1 <= n <= {top}"))}
+
     # on the (m, 2, d) stack the window's level mask broadcasts as it is, and
     # sector s-1 is each replica's lower grade
     lower = (np.arange(2) == 0)[:, None]
-
     Xsm, Xsp, qm, qp, h = blocks.Xsm, blocks.Xsp, blocks.qm, blocks.qp, blocks.h
     zero = Shift.diag(np.zeros(h.weight.shape))
-
     # the two partner ladders of each replica: H_(s-1) on sector s-1 and
     # H_s on sector s, as rows s-2 and s-1 of the partner table
-    order = np.array(blocks.order)
-    D = Shift.diag(doublet.partners[np.stack([order - 2, order - 1], axis=1)])
+    order = np.array(blocks.order, dtype=int)
+    D = Shift.diag(partners[np.stack([order - 2, order - 1], axis=1)])
     # H_s(n + 1) on both sectors of replica s, 0 at the top level
-    up = np.append(doublet.partners[order - 1, 1:], np.zeros((order.size, 1)), axis=1)
+    up = np.append(partners[order - 1, 1:], np.zeros((order.size, 1)), axis=1)
+
+    # H = q(2)- q(2)+ + sum_{s=2..k} q(s)+ q(s)-, from the products the
+    # anticommutator forms: q(s)+ q(s)- lives on sector s, the upper grade of
+    # every replica, and q(2)- q(2)+ on sector 1, the lower grade of the
+    # first block.  It is checked away from the k-1 omitted ground levels,
+    # whose energies the right-hand side cannot see, and cannot be formed
+    # without every replica
+    qmqp, qpqm = qm @ qp, qp @ qm
+    anticommutator = score([(h, qmqp + qpqm)])
+    if blocks.refused:
+        charge_sum = FsusyError(f"replicas {sorted(blocks.refused)} could not be factorized")
+    else:
+        rhs = np.zeros((k, d), dtype=complex)
+        rhs[order % k] = qpqm.weight[:, 1]
+        rhs[1] = qmqp.weight[0, 0]
+        kept = window.narrow((np.arange(d) > 0) | (np.arange(k) == 1)[:, None],
+                             "omitting replica ground levels")
+        charge_sum = (score([(doublet.H, Shift.diag(rhs))], kept.mask), kept)
+        del rhs
+    del qmqp, qpqm
 
     # each identity's products live only while it is scored; the
     # nilpotency is decided on the supports of the factors
     residuals = {
         "nilpotency": score((q @ q, zero) for q in (qm.support(), qp.support())),
         "pair_adjoint": score([(qp, qm.adjoint())]),
-        "anticommutator": score([(h, qm @ qp + qp @ qm)]),
+        "anticommutator": anticommutator,
         "hamiltonian_commutes": score(((h @ q, q @ h) for q in (qm, qp))),
         "shift_product": score(
             [(Xsm @ Xsp, Shift.diag(np.broadcast_to(up[:, None], h.weight.shape)))],
             window.mask & lower),
         "partner_diagonal": score(
-            [(h, D.masked(lower | (np.arange(basis.d) > 0)))], window.mask),
+            [(h, D.masked(lower | (np.arange(d) > 0)))], window.mask),
         "intertwining": score(((D @ X, X @ D) for X in (Xsm, Xsp)), window.mask),
     }
-    records = {}
-    for i, s in enumerate(blocks.order):
+    block = {s: i for i, s in enumerate(blocks.order)}
+    for s in range(2, k + 1):
+        if s in blocks.refused:
+            records[f"replica{s}.factorization"] = blocks.refused[s]
+            continue
         # each replica's column set of every identity, on the graded basis;
         # only its text is reported
         columns = {"shift_product": window.narrow(None, f"sector {s - 1}"),
                    "partner_diagonal": window.narrow(
-                       None, f"omitting ground level of sector {s % basis.k}"),
+                       None, f"omitting ground level of sector {s % k}"),
                    "intertwining": window}
-        records[s] = {f"replica{s}.{key}": (val[i], columns.get(key, FULL_SPACE))
-                      for key, val in residuals.items()}
+        records.update((f"replica{s}.{key}", (val[block[s]], columns.get(key, FULL_SPACE)))
+                       for key, val in residuals.items())
+    records["fsusy.charge_sum"] = charge_sum
+    if k == 2:
+        # H_2 = F_0 >= -NONNEG_TOL on every built level, so replica 2 is
+        # never refused, and its h on the full space is H entrywise
+        records["reduction.total_hamiltonian"] = (
+            score([(blocks.lift("h", 2), doublet.H)], window.mask), window)
     return records
-
-
-def check_isospectrality(doublet: FsusyDoublet, window: Columns) -> dict:
-    """Level-shift identity H_(s-1)(n-1) = H_s(n) for s = 2 .. k.
-
-    Stated on values rather than eigenvalue multisets because truncation and
-    the omitted ground levels fray the edges of a multiset comparison.
-    """
-    top = int(np.flatnonzero(window.mask)[-1])
-    # H_(s-1)(n-1) against H_s(n), s = 2 .. k and n = 1 .. top
-    lower = Shift.diag(doublet.partners[:-1, :top])
-    upper = Shift.diag(doublet.partners[1:, 1:top + 1])
-    return {"partners.level_shift": (score([(lower, upper)]),
-                                      Columns(None, f"levels 1 <= n <= {top}"))}
-
-
-def verify_sum_identity(doublet: FsusyDoublet, blocks: ReplicaBlocks, window: Columns) -> dict:
-    """Reassemble H from the replica charges:
-
-        H = q(2)- q(2)+ + sum_{s=2..k} q(s)+ q(s)-
-
-    checked away from the k-1 omitted ground levels, whose energies the
-    right-hand side cannot see.  Without every replica the sum cannot be
-    formed, and the record is the error naming the missing ones.
-    """
-    basis = doublet.rep.basis
-    missing = [s for s in range(2, basis.k + 1) if s not in blocks.order]
-    if missing:
-        return {"fsusy.charge_sum": FsusyError(f"replicas {missing} could not be factorized")}
-    # q(s)+ q(s)- lives on sector s and q(2)- q(2)+ on sector 1, so each
-    # column of the sum takes one block product: the upper sector of every
-    # replica and the lower sector of replica 2, the first block
-    rhs = np.zeros((basis.k, basis.d), dtype=complex)
-    rhs[np.array(blocks.order) % basis.k] = (blocks.qp @ blocks.qm).weight[:, 1]
-    rhs[1] = (blocks.qm @ blocks.qp).weight[0, 0]
-    # every column but the ground levels |0, s> of sectors s = 2 .. k
-    window = window.narrow((np.arange(basis.d) > 0) | (np.arange(basis.k) == 1)[:, None],
-                           "omitting replica ground levels")
-    return {"fsusy.charge_sum": (score([(doublet.H, Shift.diag(rhs))], window.mask), window)}
-
-
-def k2_reduction_entry(doublet: FsusyDoublet, h: Shift, window: Columns) -> dict:
-    """For k = 2 the single replica's h, on the full space, reproduces H entrywise."""
-    if doublet.k != 2:
-        raise FsusyError("the reduction check applies to the k = 2 replica only")
-    return {"reduction.total_hamiltonian": (score([(h, doublet.H)], window.mask), window)}

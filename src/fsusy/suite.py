@@ -4,9 +4,10 @@ One RunConfig drives the whole pipeline.  ``build_system`` is the only
 construction path: solve the structure function, truncate to the effective
 dimension, build the graded representation, the supercharge doublet and the
 replicas, recording each refused replica with its reason.  The suite then
-verifies every identity on the built system and cross-checks the
-tensor-product realization.  Construction failures become report entries
-rather than exceptions so a run always yields a verdict.
+verifies every identity on the built system, one module's checks after
+another, each module making its records in report order, and cross-checks
+the tensor-product realization.  Construction failures become report
+entries rather than exceptions so a run always yields a verdict.
 """
 
 from __future__ import annotations
@@ -21,17 +22,10 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, FactorizationError, FsusyError, WindowTooSmallError
+from .errors import ConfigError, FsusyError, WindowTooSmallError
 from .fock import StructureSpec, effective_dimension, solve_structure_function
 from .realization import build_kfermion_pair, build_tensor_realization, compare_realizations
-from .replicas import (
-    ReplicaBlocks,
-    build_replicas,
-    check_isospectrality,
-    k2_reduction_entry,
-    verify_replicas,
-    verify_sum_identity,
-)
+from .replicas import ReplicaBlocks, build_replicas, verify_replicas
 from .report import ReportEntry, VerificationReport
 from .system import FsusyDoublet, build_doublet, verify_fsusy
 from .wkalg import AlgebraRep, Scoring, Shift, _grading, algebra_relation_residuals, build_rep
@@ -129,15 +123,11 @@ class RunConfig:
 @dataclass(frozen=True)
 class GradedSystem:
     """Built operators of one run: representation, doublet and the replicas
-    on their stacked sector pairs.
-
-    ``refused`` holds, by s, the reason each unbuilt replica was refused.
-    """
+    on their stacked sector pairs, with the refused ones."""
 
     rep: AlgebraRep
     doublet: FsusyDoublet
     replicas: ReplicaBlocks
-    refused: dict[int, FactorizationError]
 
     @property
     def d_effective(self) -> int:
@@ -151,7 +141,7 @@ def build_system(config: RunConfig) -> GradedSystem:
     F = solve_structure_function(config.spec, config.d)
     rep = build_rep(config.spec, F[:, :effective_dimension(F)])
     doublet = build_doublet(rep)
-    return GradedSystem(rep, doublet, *build_replicas(doublet, slack=config.margin))
+    return GradedSystem(rep, doublet, build_replicas(doublet, slack=config.margin))
 
 
 def run_verification_suite(config: RunConfig) -> VerificationReport:
@@ -190,16 +180,7 @@ def verify_system(system: GradedSystem, config: RunConfig) -> list[ReportEntry]:
     tensor_records.update(compare_realizations(tensor, rep))
     del tensor
     records.update(verify_fsusy(doublet, window))
-    records.update(check_isospectrality(doublet, window))
-    replicas = verify_replicas(system.replicas, doublet, window)
-    for s in range(2, config.k + 1):
-        if s in system.refused:
-            records[f"replica{s}.factorization"] = system.refused[s]
-        else:
-            records.update(replicas[s])
-    records.update(verify_sum_identity(doublet, system.replicas, window))
-    if config.k == 2 and 2 in system.replicas.order:
-        records.update(k2_reduction_entry(doublet, system.replicas.lift("h", 2), window))
+    records.update(verify_replicas(system.replicas, doublet, window))
     records.update(pair.residuals)
     records.update(tensor_records)
     return config.scoring.entries(records)

@@ -48,17 +48,6 @@ class FsusyDoublet:
     def d(self) -> int:
         return self.rep.basis.d
 
-    def partner(self, s: int, n: int) -> float:
-        if not 1 <= s <= self.k:
-            raise ValueError(f"partner index {s} outside 1..{self.k}")
-        if not 0 <= n < self.d:
-            raise ValueError(f"partner level {n} outside 0..{self.d - 1}")
-        return float(self.partners[s - 1, n])
-
-    def partner_diagonal(self, s: int) -> Shift:
-        """H_s(N) as a full-space diagonal: value H_s(n) at every |n, .>."""
-        return Shift.diag(np.broadcast_to(self.partners[s - 1], (self.k, self.d)))
-
 
 def build_hamiltonian_operator(rep: AlgebraRep) -> Shift:
     """Assemble H term by term from its defining expression.

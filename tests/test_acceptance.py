@@ -236,7 +236,7 @@ def test_criterion_06_isospectral_shift_and_wrap_guard(grid):
     spec = StructureSpec.constant_values(3, 1.0)
     doublet = build_doublet(build_rep(spec, solve_structure_function(spec, 12)))
     wrap_dev = max(
-        abs(doublet.partner(3, n - 1) - doublet.partner(1, n)) for n in range(1, 8)
+        abs(doublet.partners[2, n - 1] - doublet.partners[0, n]) for n in range(1, 8)
     )
     assert wrap_dev == pytest.approx(6.0)
 

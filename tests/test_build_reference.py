@@ -11,12 +11,14 @@ replica built on the whole space, one s at a time, against the replica
 stack that builds all of them at once.
 
 The checks have references too: each replica verified on the whole space,
-one at a time; the charge sum added up from k-1 full-space products; the
-order-k multilinear sum from the list of its k ordered products; the
-defining relations of one representation with sum_s f_s(N) Pi_s formed
-from k diagonal products with exact sector masks; and the tensor ladders
-summed from 2k Kronecker terms with exact grade masks.  The batched checks must give the same entries, residual bits
-included; the one exception is the multilinear residual, which the program
+one at a time; the level shift compared one pair of partner energies at a
+time; the charge sum added up from k-1 full-space products; the k = 2
+reduction read off the full-space replica; the order-k multilinear sum
+from the list of its k ordered products; the defining relations of one
+representation with sum_s f_s(N) Pi_s formed from k diagonal products with
+exact sector masks; and the tensor ladders summed from 2k Kronecker terms
+with exact grade masks.  The batched checks must give the same entries,
+residual bits included; the one exception is the multilinear residual, which the program
 forms by a recursion that rounds differently and which must agree within
 ``multilinear_roundoff``.
 """
@@ -39,13 +41,7 @@ from fsusy.fock import (
 )
 from fsusy.qarith import primitive_root, q_numbers, roots
 from fsusy.realization import build_kfermion_pair, build_tensor_realization, compare_realizations
-from fsusy.replicas import (
-    build_replicas,
-    check_isospectrality,
-    k2_reduction_entry,
-    verify_replicas,
-    verify_sum_identity,
-)
+from fsusy.replicas import build_replicas, verify_replicas
 from fsusy.report import ReportEntry
 from fsusy.suite import RunConfig, build_system, verify_system
 from fsusy.system import FsusyDoublet, build_doublet, build_hamiltonian_operator, partner_value
@@ -120,7 +116,7 @@ def level_shift_operators(doublet: FsusyDoublet, s: int, slack: int) -> Shift:
     d = basis.d
     weight = np.zeros((basis.k, d), dtype=complex)
     for n in range(1, d):
-        v = doublet.partner(s, n)
+        v = float(doublet.partners[s - 1, n])
         if v < -NONNEG_TOL:
             if n > d - 1 - slack:
                 continue
@@ -289,7 +285,7 @@ def test_shift_operators_and_refusals_match_the_level_loop(built):
             continue
         assert_same_map(system.replicas.lift("Xsm", s), expected)
         assert_same_map(system.replicas.lift("Xsp", s), expected.adjoint())
-    assert {s: (e.s, e.n, e.value) for s, e in system.refused.items()} == refused
+    assert {s: (e.s, e.n, e.value) for s, e in system.replicas.refused.items()} == refused
 
 
 @pytest.mark.parametrize("spec", [
@@ -328,15 +324,15 @@ def test_slack_levels_are_dropped_like_the_level_loop():
     doublet = system.doublet
     assert d == system.d_effective
     for slack in range(d):
-        replicas, refused = build_replicas(doublet, slack)
+        replicas = build_replicas(doublet, slack)
         for s in (2, 3):
             try:
                 expected = level_shift_operators(doublet, s, slack)
             except FactorizationError as exc:
                 assert s not in replicas
-                assert refusal(refused[s]) == refusal(exc)
+                assert refusal(replicas.refused[s]) == refusal(exc)
                 continue
-            assert s not in refused
+            assert s not in replicas.refused
             assert_same_map(replicas.lift("Xsm", s), expected)
 
 
@@ -389,6 +385,24 @@ def check(name, statement, residual, tolerance, window="full space"):
     return ReportEntry(name, statement, residual, float(tolerance), residual <= tolerance, window)
 
 
+def partner_diagonal(doublet, s):
+    """H_s(N) as a full-space diagonal: value H_s(n) at every |n, .>."""
+    return Shift.diag(np.broadcast_to(doublet.partners[s - 1], (doublet.k, doublet.d)))
+
+
+def reference_level_shift(doublet, margin, tolerance=1e-10):
+    """H_(s-1)(n-1) against H_s(n), one pair of partner energies at a time,
+    over the window's levels from n = 1."""
+    P, _ = doublet.rep.basis.window(margin)
+    top = int(np.flatnonzero(P)[-1])
+    H = doublet.partners
+    dev = max((abs(H[s - 2, n - 1] - H[s - 1, n]) / max(1.0, abs(H[s - 2, n - 1]), abs(H[s - 1, n]))
+               for s in range(2, doublet.k + 1) for n in range(1, top + 1)), default=0.0)
+    return check("partners.level_shift",
+                 "adjacent partner ladders agree after a one-level shift (wrap pair exempt)",
+                 dev, tolerance, f"levels 1 <= n <= {top}")
+
+
 def reference_verify_replica(rd, doublet, margin, tolerance=1e-10, strict=1e-12):
     """One replica's entries, every identity scored over the whole space."""
     basis = doublet.rep.basis
@@ -418,13 +432,13 @@ def reference_verify_replica(rd, doublet, margin, tolerance=1e-10, strict=1e-12)
         tolerance, win + f", sector {s - 1}"))
     lo, hi = sector_mask(basis, s - 1), sector_mask(basis, s)
     hi[s % k, 0] = False
-    expected = doublet.partner_diagonal(s - 1).masked(lo) + doublet.partner_diagonal(s).masked(hi)
+    expected = partner_diagonal(doublet, s - 1).masked(lo) + partner_diagonal(doublet, s).masked(hi)
     entries.append(check(
         f"replica{s}.partner_diagonal",
         "h carries the two partner ladders on its pair of sectors and vanishes elsewhere",
         residual(h, expected, P), strict,
         win + f", omitting ground level of sector {s % basis.k}"))
-    Dlo, Dhi = doublet.partner_diagonal(s - 1), doublet.partner_diagonal(s)
+    Dlo, Dhi = partner_diagonal(doublet, s - 1), partner_diagonal(doublet, s)
     inter = max(residual(Dlo @ rd.Xsm, rd.Xsm @ Dhi, P), residual(Dhi @ rd.Xsp, rd.Xsp @ Dlo, P))
     entries.append(check(
         f"replica{s}.intertwining",
@@ -438,7 +452,8 @@ def reference_verify_fsusy(doublet, margin, tolerance=1e-10, strict=1e-12):
     in order, and diag(H) against the partner energies read one at a time."""
     basis = doublet.rep.basis
     k = basis.k
-    partners = Shift.diag([[doublet.partner(s or k, n) for n in range(basis.d)] for s in range(k)])
+    partners = Shift.diag([[float(doublet.partners[(s or k) - 1, n]) for n in range(basis.d)]
+                           for s in range(k)])
     P, win = basis.window(margin)
     Qm, Qp, H = doublet.Qm, doublet.Qp, doublet.H
     powers = [Shift.diag(np.ones((k, basis.d)))]
@@ -538,8 +553,8 @@ def reference_tensor(pair, rep):
 
 def reference_verify_system(system, config):
     """The suite's entries with every replica built and every check made on
-    the whole space, one at a time; the level shift, the k = 2 reduction, the
-    k-fermions and the spectra are the program's own checks."""
+    the whole space, one at a time; the k-fermions and the spectra are the
+    program's own checks."""
     rep, doublet, basis = system.rep, system.doublet, system.rep.basis
     margin, tol, scoring = config.margin, config.tolerance, config.scoring
     strict = tol * STRICT_FACTOR
@@ -550,7 +565,7 @@ def reference_verify_system(system, config):
         entries += [check(f"algebra.{key}", RELATION_STATEMENTS[key], val, tol, win)
                     for key, val in residuals.items()]
         entries += reference_verify_fsusy(doublet, margin, tol, strict)
-        entries += scoring.entries(check_isospectrality(doublet, basis.window(margin)))
+        entries.append(reference_level_shift(doublet, margin, tol))
         for s in range(2, config.k + 1):
             if s in refused:
                 entries.append(ReportEntry.failure(
@@ -560,9 +575,12 @@ def reference_verify_system(system, config):
             else:
                 entries += reference_verify_replica(replicas[s], doublet, margin, tol, strict)
         entries.append(reference_sum_identity(doublet, replicas, margin, tol))
-        if config.k == 2 and 2 in replicas:
-            entries += scoring.entries(
-                k2_reduction_entry(doublet, replicas[2].h, basis.window(margin)))
+        if config.k == 2:
+            P, win = basis.window(margin)
+            entries.append(check(
+                "reduction.total_hamiltonian",
+                "for order 2 the replica Hamiltonian h(2) equals H entrywise",
+                residual(replicas[2].h, doublet.H, P), strict, win))
         pair = build_kfermion_pair(config.k)
         entries += scoring.entries(pair.residuals)
         tensor = reference_tensor(pair, rep)
@@ -612,15 +630,14 @@ def test_batched_checks_match_the_one_at_a_time_route(k, label):
     assert [entry_bits(e) for e in got] == [entry_bits(e) for e in want]
     replicas, _ = reference_replicas(system.doublet, k)
     window = system.rep.basis.window(k)
-    batch = verify_replicas(system.replicas, system.doublet, window)
-    assert sorted(batch) == sorted(replicas)
+    batch = {e.name: e for e in config.scoring.entries(
+        verify_replicas(system.replicas, system.doublet, window))}
+    assert [s for s in range(2, k + 1) if f"replica{s}.nilpotency" in batch] == sorted(replicas)
     for s, rd in replicas.items():
         one = reference_verify_replica(rd, system.doublet, k)
-        assert ([entry_bits(e) for e in config.scoring.entries(batch[s])]
-                == [entry_bits(e) for e in one])
-    [charge_sum] = config.scoring.entries(
-        verify_sum_identity(system.doublet, system.replicas, window))
-    assert entry_bits(charge_sum) == entry_bits(reference_sum_identity(system.doublet, replicas, k))
+        assert [entry_bits(batch[e.name]) for e in one] == [entry_bits(e) for e in one]
+    assert (entry_bits(batch["fsusy.charge_sum"])
+            == entry_bits(reference_sum_identity(system.doublet, replicas, k)))
 
 
 @pytest.mark.parametrize("k,label", CHECK_POINTS, ids=[f"k={k}-{lb}" for k, lb in CHECK_POINTS])
@@ -630,7 +647,7 @@ def test_replica_stack_matches_the_one_at_a_time_build(k, label):
     system = build_system(RunConfig(k=k, d=40, spec=CHECK_FAMILIES[label](k), margin=k))
     blocks, basis = system.replicas, system.rep.basis
     replicas, refused = reference_replicas(system.doublet, k)
-    assert ({s: refusal(e) for s, e in system.refused.items()}
+    assert ({s: refusal(e) for s, e in blocks.refused.items()}
             == {s: refusal(e) for s, e in refused.items()})
     assert blocks.order == tuple(sorted(replicas))
     if label == "affine_falling" and k >= 6:
@@ -648,6 +665,20 @@ def test_replica_stack_matches_the_one_at_a_time_build(k, label):
             assert (stacked.dn, stacked.ds) == (full.dn, full.ds), name
             # readers of the full space get the one-at-a-time map itself
             assert_same_map(blocks.lift(name, s), full)
+
+
+@pytest.mark.parametrize("label", list(CHECK_FAMILIES))
+def test_order_two_never_refuses_its_replica(label):
+    # at k = 2 the partner table gives H_2 = F_0, which is >= -NONNEG_TOL on
+    # every built level, so replica 2 is always built and the report always
+    # holds the reduction h(2) = H
+    config = RunConfig(k=2, d=40, spec=CHECK_FAMILIES[label](2), margin=2)
+    system = build_system(config)
+    assert np.array_equal(system.doublet.partners[1], system.rep.F[0])
+    assert (system.rep.F[0] >= -NONNEG_TOL).all()
+    assert system.replicas.order == (2,) and not system.replicas.refused
+    names = [e.name for e in verify_system(system, config)]
+    assert "reduction.total_hamiltonian" in names
 
 
 @pytest.mark.parametrize("k,label", CHECK_POINTS, ids=[f"k={k}-{lb}" for k, lb in CHECK_POINTS])
@@ -745,10 +776,9 @@ def test_batched_checks_make_the_same_calls_at_every_order(monkeypatch, clear_or
 
             build_doublet(build_rep(config.spec, F))
             done("representation and doublet")
-            blocks, _ = build_replicas(system.doublet, config.margin)
+            blocks = build_replicas(system.doublet, config.margin)
             done("replica build")
             verify_replicas(blocks, system.doublet, basis.window(k))
-            verify_sum_identity(system.doublet, blocks, basis.window(k))
             done("replica checks")
             tensor = build_tensor_realization(pair, system.rep)
             done("tensor build")

@@ -390,6 +390,28 @@ class TestExitCodes:
             f"tensor.{key}" for key in ("ladder_commutator", "number_ladder", "grading_ladder",
                                         "grading_number", "grading_cyclic", "spectral_distance")]
 
+    def test_empty_replica_stack_fails_naming_every_refusal(self, tmp_path, capsys):
+        # d is truncated to 3 levels, and every partner ladder is negative at
+        # level 1: no replica is built, and the charge sum names all four
+        path = tmp_path / "report.json"
+        assert main(["verify", "--k", "5", "--d", "12", "--a", "-2", "--b", "1",
+                     "--margin", "1", "--out_report", str(path)]) == 1
+        assert "verdict: fail" in capsys.readouterr().out
+        report = json.loads(path.read_text())
+        assert report["config"]["d_effective"] == 3
+        assert report["verdict"] == "fail"
+        entries = {e["name"]: e for e in report["entries"]}
+        assert "partners.level_shift" in entries
+        assert [name for name in entries if name.startswith(("replica", "reduction"))] == [
+            f"replica{s}.factorization" for s in (2, 3, 4, 5)]
+        for s, value in ((2, -10), (3, -2), (4, -2), (5, -10)):
+            entry = entries[f"replica{s}.factorization"]
+            assert not entry["passed"]
+            assert entry["error"].startswith(f"partner energy H_{s}(1) = {value} is negative")
+        charge_sum = entries["fsusy.charge_sum"]
+        assert not charge_sum["passed"] and charge_sum["residual"] is None
+        assert charge_sum["error"] == "replicas [2, 3, 4, 5] could not be factorized"
+
     def test_invalid_order_exits_2(self, capsys):
         assert main(["verify", "--k", "1", "--d", "12"]) == 2
         assert "error:" in capsys.readouterr().err

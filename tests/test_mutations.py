@@ -26,12 +26,7 @@ import pytest
 from conftest import by_name, entries
 from fsusy.fock import StructureSpec
 from fsusy.realization import build_kfermion_pair, build_tensor_realization, compare_realizations
-from fsusy.replicas import (
-    check_isospectrality,
-    k2_reduction_entry,
-    verify_replicas,
-    verify_sum_identity,
-)
+from fsusy.replicas import verify_replicas
 from fsusy.suite import RunConfig, build_system
 from fsusy.system import verify_fsusy
 from fsusy.wkalg import algebra_relation_residuals
@@ -98,14 +93,16 @@ def tensor_case(field, s):
     return run
 
 
-def replica_entries(blocks, doublet):
-    """Entries of every replica by s, checked on the stack as the suite does."""
-    window = doublet.rep.basis.window(doublet.k)
-    return {s: entries(records) for s, records in verify_replicas(blocks, doublet, window).items()}
-
-
 def every_replica_entry(blocks, doublet):
-    return [e for found in replica_entries(blocks, doublet).values() for e in found]
+    """Every entry of the replica construction, checked on the stack as the
+    suite does."""
+    return entries(verify_replicas(blocks, doublet, doublet.rep.basis.window(doublet.k)))
+
+
+def replica_entries(blocks, doublet):
+    """Entries of every built replica by s."""
+    found = every_replica_entry(blocks, doublet)
+    return {s: [e for e in found if e.name.startswith(f"replica{s}.")] for s in blocks}
 
 
 def stacked_column(blocks, s, n, sector):
@@ -118,8 +115,8 @@ def hamiltonian_case(s):
         doublet = system.doublet
         window = doublet.rep.basis.window(doublet.k)
         doublet = dataclasses.replace(doublet, H=scaled(doublet.H, (s, n), factor))
-        return entries(verify_fsusy(doublet, window)
-                       | verify_sum_identity(doublet, system.replicas, window))
+        return (entries(verify_fsusy(doublet, window))
+                + every_replica_entry(system.replicas, doublet))
     return run
 
 
@@ -130,9 +127,7 @@ def partner_case(s):
         partners = doublet.partners.copy()
         partners[s - 1, n] *= factor
         doublet = dataclasses.replace(doublet, partners=partners)
-        window = doublet.rep.basis.window(doublet.k)
-        return (entries(check_isospectrality(doublet, window))
-                + every_replica_entry(system.replicas, doublet))
+        return every_replica_entry(system.replicas, doublet)
     return run
 
 
@@ -142,12 +137,6 @@ def replica_case(s, field, sector):
         op = scaled(getattr(blocks, field), stacked_column(blocks, s, n, sector), factor)
         return every_replica_entry(dataclasses.replace(blocks, **{field: op}), system.doublet)
     return run
-
-
-def reduction_case(system, n, factor):
-    doublet = system.doublet
-    h = scaled(system.replicas.lift("h", 2), (1, n), factor)
-    return entries(k2_reduction_entry(doublet, h, doublet.rep.basis.window(2)))
 
 
 CASES = {
@@ -175,7 +164,8 @@ CASES = {
         f"replica{s}.intertwining": (3, partner_case(s)),
     }.items()},
     # k = 2
-    "reduction.total_hamiltonian": (2, reduction_case),
+    # h(2) at |n, 1>, the lower grade of the one block
+    "reduction.total_hamiltonian": (2, replica_case(2, "h", 1)),
 }
 
 

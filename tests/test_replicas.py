@@ -3,16 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import entries, flat, one_entry
-from fsusy.errors import FactorizationError, FsusyError, WindowTooSmallError
+from conftest import by_name, flat
+from fsusy.errors import FactorizationError, WindowTooSmallError
 from fsusy.fock import StructureSpec, solve_structure_function
-from fsusy.replicas import (
-    build_replicas,
-    check_isospectrality,
-    k2_reduction_entry,
-    verify_replicas,
-    verify_sum_identity,
-)
+from fsusy.replicas import build_replicas, verify_replicas
 from fsusy.suite import RunConfig, build_system
 from fsusy.system import build_doublet, partner_value
 from fsusy.wkalg import build_rep
@@ -26,9 +20,9 @@ def make_doublet(k, d, spec=None):
 def lift(db, name, s, slack=0):
     """Field ``name`` of replica s on the full space, from the stack of every
     replica; its refusal is raised."""
-    blocks, refused = build_replicas(db, slack)
-    if s in refused:
-        raise refused[s]
+    blocks = build_replicas(db, slack)
+    if s in blocks.refused:
+        raise blocks.refused[s]
     return blocks.lift(name, s)
 
 
@@ -40,12 +34,18 @@ def window(db, margin):
     return db.rep.basis.window(margin)
 
 
+def construction_entries(db, margin, blocks=None):
+    """Every entry of the replica construction by name, checked on the stack
+    (of every replica without ``blocks``)."""
+    blocks = build_replicas(db) if blocks is None else blocks
+    return by_name(verify_replicas(blocks, db, window(db, margin)))
+
+
 def replica_entries(db, margin, blocks=None):
-    """The entries of every replica by s, checked on the stack (of every
-    replica without ``blocks``)."""
-    blocks = build_replicas(db)[0] if blocks is None else blocks
-    return {s: entries(records)
-            for s, records in verify_replicas(blocks, db, window(db, margin)).items()}
+    """The entries of every built replica by s."""
+    blocks = build_replicas(db) if blocks is None else blocks
+    found = construction_entries(db, margin, blocks).values()
+    return {s: [e for e in found if e.name.startswith(f"replica{s}.")] for s in blocks}
 
 
 def decaying_table_doublet():
@@ -87,7 +87,7 @@ def test_negative_partner_energy_aborts_factorization():
 def test_slack_drops_only_top_level_negativity():
     db = decaying_table_doublet()
     # H_2(7) = -4 right at the truncation edge
-    assert db.partner(2, 7) == pytest.approx(-4.0)
+    assert db.partners[1, 7] == pytest.approx(-4.0)
     with pytest.raises(FactorizationError):
         build_shift_operators(db, 2)
     Xsm, _ = build_shift_operators(db, 2, slack=3)
@@ -153,9 +153,10 @@ def test_intertwining_transports_eigenstates():
         vec[flat(basis, n, 1)] = 1.0
         lifted = Xsp @ vec
         norm = np.linalg.norm(lifted)
-        assert norm == pytest.approx(np.sqrt(db.partner(2, n + 1)))
-        expected = db.partner(1, n) * lifted
-        applied = db.partner_diagonal(2).dense() @ lifted
+        assert norm == pytest.approx(np.sqrt(db.partners[1, n + 1]))
+        expected = db.partners[0, n] * lifted
+        # H_2(N) on every sector
+        applied = np.tile(db.partners[1], basis.k) * lifted
         assert np.allclose(applied, expected, atol=1e-10)
 
 
@@ -165,7 +166,7 @@ def test_level_shift_identity_holds():
         StructureSpec.affine_family(4, 0.5, 1.0),
     ]:
         db = make_doublet(spec.k, 20, spec)
-        entry = one_entry(check_isospectrality(db, window(db, spec.k)))
+        entry = construction_entries(db, spec.k)["partners.level_shift"]
         assert entry.passed, entry.residual
 
 
@@ -174,12 +175,12 @@ def test_level_shift_takes_its_levels_from_the_window():
     # and a margin that leaves no level raises instead of scoring nothing
     d = 12
     db = make_doublet(3, d, StructureSpec.affine_family(3, 0.5, 1.0))
-    entry = one_entry(check_isospectrality(db, window(db, d - 2)))
+    entry = construction_entries(db, d - 2)["partners.level_shift"]
     assert entry.passed
     assert entry.window == "levels 1 <= n <= 1"
     for margin in (d - 1, d, 2 * d):
         with pytest.raises(WindowTooSmallError, match=f"^margin {margin} leaves no window"):
-            check_isospectrality(db, window(db, margin))
+            construction_entries(db, margin)
 
 
 def test_wrap_pair_is_not_isospectral():
@@ -187,10 +188,10 @@ def test_wrap_pair_is_not_isospectral():
     # so the wrap pair must stay outside the asserted identity
     db = make_doublet(3, 12)
     wrap_dev = max(
-        abs(db.partner(3, n - 1) - db.partner(1, n)) for n in range(1, 8)
+        abs(db.partners[2, n - 1] - db.partners[0, n]) for n in range(1, 8)
     )
     assert wrap_dev == pytest.approx(6.0)
-    assert one_entry(check_isospectrality(db, window(db, 3))).passed
+    assert construction_entries(db, 3)["partners.level_shift"].passed
 
 
 @pytest.mark.parametrize("k", [*range(2, 14), 16, 32, 64, 65])
@@ -201,11 +202,12 @@ def test_constant_family_refuses_the_top_replicas(k):
     spec = StructureSpec.constant_values(k, 1.0)
     system = build_system(RunConfig(k=k, d=k + 2, spec=spec, margin=k))
     lowest = k - (k - 3) // 2 + 1
-    assert sorted(system.refused) == list(range(lowest, k + 1))
+    refused = system.replicas.refused
+    assert sorted(refused) == list(range(lowest, k + 1))
     if k < 5:
-        assert not system.refused
+        assert not refused
     for j, s in enumerate(range(lowest, k + 1), start=1):
-        exc = system.refused[s]
+        exc = refused[s]
         expected = -(k - 1) * j if k % 2 == 0 else -(k - 1) * (2 * j - 1) / 2
         assert (exc.s, exc.n) == (s, 1)
         assert exc.value == expected == partner_value(spec, system.rep.F, s, 1)
@@ -213,16 +215,15 @@ def test_constant_family_refuses_the_top_replicas(k):
 
 def test_sum_identity_for_k2():
     db = make_doublet(2, 30)
-    entry = one_entry(verify_sum_identity(db, build_replicas(db)[0], window(db, 2)))
-    assert entry.residual < 1e-10
-    reduction = one_entry(k2_reduction_entry(db, lift(db, "h", 2), window(db, 2)))
-    assert reduction.residual < 1e-12
+    found = construction_entries(db, 2)
+    assert found["fsusy.charge_sum"].residual < 1e-10
+    assert found["reduction.total_hamiltonian"].residual < 1e-12
 
 
 def test_sum_identity_for_k4_affine():
     spec = StructureSpec.affine_family(4, 0.0, 1.0)
     db = make_doublet(4, 40, spec)
-    entry = one_entry(verify_sum_identity(db, build_replicas(db)[0], window(db, 4)))
+    entry = construction_entries(db, 4)["fsusy.charge_sum"]
     assert entry.residual < 1e-10
 
 
@@ -231,20 +232,20 @@ def test_sum_identity_requires_all_replicas():
     # a negative H_3(1) refuses replica 3 and leaves replica 2 alone
     partners = db.partners.copy()
     partners[2, 1] = -1.0
-    blocks, refused = build_replicas(dataclasses.replace(db, partners=partners))
-    assert blocks.order == (2,) and sorted(refused) == [3]
-    entry = one_entry(verify_sum_identity(db, blocks, window(db, 2)))
-    assert entry.name == "fsusy.charge_sum"
+    blocks = build_replicas(dataclasses.replace(db, partners=partners))
+    assert blocks.order == (2,) and sorted(blocks.refused) == [3]
+    entry = construction_entries(db, 2, blocks)["fsusy.charge_sum"]
     assert not entry.passed
     assert entry.residual is None
     assert "replicas [3]" in entry.error
 
 
 def test_reduction_entry_guards_its_domain():
-    db = make_doublet(3, 10)
-    h = lift(db, "h", 2)
-    with pytest.raises(FsusyError):
-        k2_reduction_entry(db, h, window(db, 2))
+    # h(2) = H holds at k = 2 alone, and only there is it recorded, last
+    for k in (2, 3, 4):
+        names = list(construction_entries(make_doublet(k, 10), 2))
+        assert ("reduction.total_hamiltonian" in names) is (k == 2)
+        assert names[-1] == ("reduction.total_hamiltonian" if k == 2 else "fsusy.charge_sum")
 
 
 def test_stack_without_replicas():
@@ -252,14 +253,17 @@ def test_stack_without_replicas():
     db = make_doublet(4, 10)
     partners = db.partners.copy()
     partners[:, 1:] = -1.0
-    blocks, refused = build_replicas(dataclasses.replace(db, partners=partners))
+    blocks = build_replicas(dataclasses.replace(db, partners=partners))
     assert blocks.order == ()
-    assert {s: (e.s, e.n, e.value) for s, e in refused.items()} == {
+    assert {s: (e.s, e.n, e.value) for s, e in blocks.refused.items()} == {
         s: (s, 1, -1.0) for s in (2, 3, 4)}
     assert all(op.dim == 0 for op in (blocks.Xsm, blocks.Xsp, blocks.qm, blocks.qp, blocks.h))
     assert list(blocks) == []
-    assert verify_replicas(blocks, db, window(db, 4)) == {}
-    entry = one_entry(verify_sum_identity(db, blocks, window(db, 4)))
+    found = construction_entries(db, 4, blocks)
+    assert list(found) == ["partners.level_shift", "replica2.factorization",
+                           "replica3.factorization", "replica4.factorization",
+                           "fsusy.charge_sum"]
+    entry = found["fsusy.charge_sum"]
     assert not entry.passed and entry.residual is None
     assert "replicas [2, 3, 4]" in entry.error
 
@@ -274,7 +278,7 @@ def test_each_replica_is_checked_on_its_own_block():
         # refuse every other replica at level 1
         others = [r for r in (2, 3, 4) if r != s]
         partners[[r - 1 for r in others], 1] = -1.0
-        blocks, refused = build_replicas(dataclasses.replace(db, partners=partners))
-        assert blocks.order == (s,) and sorted(refused) == others
+        blocks = build_replicas(dataclasses.replace(db, partners=partners))
+        assert blocks.order == (s,) and sorted(blocks.refused) == others
         alone = replica_entries(db, 4, blocks)
         assert alone[s] == every[s]

@@ -37,7 +37,7 @@ UNIT3 = StructureSpec.constant_values(3, 1.0)
 def small_system(k, d, spec=None):
     spec = spec or StructureSpec.constant_values(k, 1.0)
     doublet = build_doublet(build_rep(spec, solve_structure_function(spec, d)))
-    return GradedSystem(doublet.rep, doublet, *build_replicas(doublet))
+    return GradedSystem(doublet.rep, doublet, build_replicas(doublet))
 
 
 # float64 parts a formatting memo must tell apart: 0.0 and -0.0 are equal
@@ -65,7 +65,7 @@ def entrywise_spectrum(doublet, replicas) -> str:
     writer.writerow(["s", "n", "energy", "replica_s"])
     for s in range(1, doublet.k + 1):
         for n in range(doublet.d):
-            writer.writerow([s, n, doublet.partner(s, n), ""])
+            writer.writerow([s, n, float(doublet.partners[s - 1, n]), ""])
     for s in sorted(replicas):
         h = replicas.lift("h", s).weight
         for ladder in (s - 1, s):
@@ -316,12 +316,12 @@ class TestEmitSpectrum:
         partners = doublet.partners.copy()
         partners[rows, 1] = -1.0
         doublet = dataclasses.replace(doublet, partners=partners)
-        return (doublet, *build_replicas(doublet))
+        return doublet, build_replicas(doublet)
 
     def test_replicas_other_than_the_first_ones(self, tmp_path):
         # H_3(1) < 0: replica 3 is refused, so the stack holds replicas 2 and 4
-        doublet, replicas, refused = self.refusing([2])
-        assert sorted(refused) == [3]
+        doublet, replicas = self.refusing([2])
+        assert sorted(replicas.refused) == [3]
         assert list(replicas) == [2, 4]
         assert 3 not in replicas and 4 in replicas
         for s in (0, 1, 3, 5):
@@ -334,8 +334,8 @@ class TestEmitSpectrum:
             == {"", "2", "4"}
 
     def test_every_replica_refused(self, tmp_path):
-        doublet, replicas, refused = self.refusing([1, 2, 3])
-        assert sorted(refused) == [2, 3, 4]
+        doublet, replicas = self.refusing([1, 2, 3])
+        assert sorted(replicas.refused) == [2, 3, 4]
         assert list(replicas) == []
         path = tmp_path / "spectrum.csv"
         emit_spectrum(doublet, replicas, str(path))
@@ -488,10 +488,10 @@ def test_build_system_skips_unfactorizable_replicas():
     spec = StructureSpec.constant_values(5, 1.0)
     system = build_system(RunConfig(k=5, d=16, spec=spec, margin=5))
     assert sorted(system.replicas) == [2, 3, 4]
-    assert sorted(system.refused) == [5]
+    assert sorted(system.replicas.refused) == [5]
     # H_5(1) = 4 F_0(1) - (1 f_2(-2) + 2 f_3(-1) + 3 f_4(0)) = 4 - 6
-    assert system.refused[5].n == 1
-    assert system.refused[5].value == -2
+    assert system.replicas.refused[5].n == 1
+    assert system.replicas.refused[5].value == -2
     assert system.d_effective == 16
 
 
@@ -502,10 +502,10 @@ def test_refused_replica_leaves_no_reference_cycle():
     gc.disable()
     try:
         system = build_system(RunConfig(k=5, d=12, spec=spec, margin=5))
-        assert system.refused
-        alive = weakref.ref(system)
+        assert system.replicas.refused
+        alive = [weakref.ref(system), weakref.ref(system.replicas)]
         del system
-        assert alive() is None
+        assert [ref() for ref in alive] == [None, None]
     finally:
         gc.enable()
 
@@ -638,5 +638,6 @@ def test_suite_builds_once_and_reports_every_refusal(monkeypatch):
     report = run_verification_suite(RunConfig(k=5, d=16, spec=spec, margin=5))
     assert len(built) == 1
     factorization = {e.name for e in report.entries if e.name.endswith(".factorization")}
-    assert factorization == {f"replica{s}.factorization" for s in built[0].refused}
-    assert built[0].refused
+    refused = built[0].replicas.refused
+    assert factorization == {f"replica{s}.factorization" for s in refused}
+    assert refused

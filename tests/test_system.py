@@ -19,21 +19,9 @@ def test_partner_ladders_for_unit_constant():
     # closed forms with f = 1 and k = 3: H_3 = 2n-1, H_2 = 2n+1, H_1 = 2n+3
     db = make_doublet(3, 10)
     for n in range(10):
-        assert db.partner(3, n) == pytest.approx(2 * n - 1)
-        assert db.partner(2, n) == pytest.approx(2 * n + 1)
-        assert db.partner(1, n) == pytest.approx(2 * n + 3)
-
-
-def test_partner_index_bounds():
-    db = make_doublet(3, 6)
-    with pytest.raises(ValueError):
-        db.partner(0, 1)
-    with pytest.raises(ValueError):
-        db.partner(4, 1)
-    # n = -1 would read H_1(5) from the end, n = d raise a bare IndexError
-    for n in (-1, 6):
-        with pytest.raises(ValueError, match=rf"partner level {n} outside 0\.\.5"):
-            db.partner(1, n)
+        assert db.partners[2, n] == pytest.approx(2 * n - 1)
+        assert db.partners[1, n] == pytest.approx(2 * n + 1)
+        assert db.partners[0, n] == pytest.approx(2 * n + 3)
 
 
 def test_partner_value_checks_the_level():
@@ -41,7 +29,7 @@ def test_partner_value_checks_the_level():
     # the end of the row
     spec = StructureSpec.affine_family(3, 0.5, 1.0)
     F = solve_structure_function(spec, 12)
-    assert partner_value(spec, F, 1, 11) == build_doublet(build_rep(spec, F)).partner(1, 11)
+    assert partner_value(spec, F, 1, 11) == build_doublet(build_rep(spec, F)).partners[0, 11]
     for n in (-1, 12):
         with pytest.raises(ValueError, match=rf"level {n} outside 0\.\.11"):
             partner_value(spec, F, 1, n)
@@ -135,13 +123,6 @@ def test_partner_shift_identity(k, raw):
             lhs = partner_value(spec, F, s, n + 1)
             rhs = partner_value(spec, F, s - 1, n)
             assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_partner_diagonal_tiles_all_sectors():
-    db = make_doublet(3, 5)
-    diag = np.diag(db.partner_diagonal(2).dense()).real
-    expected = np.tile([db.partner(2, n) for n in range(5)], 3)
-    assert np.allclose(diag, expected)
 
 
 def test_multilinear_window_tightness():

@@ -141,6 +141,10 @@ def configurations() -> dict[str, tuple[list[str], tuple[str, ...]]]:
             ["--k", "12", "--d", "4", "--margin", "1", "--a", "0.5", "--b", "1"], every),
         "k=40 d=6 margin 1 constant": (
             ["--k", "40", "--d", "6", "--margin", "1", "--family", "constant"], ("verify",)),
+        # d is truncated to 3 levels and all four replicas are refused: the
+        # empty replica stack
+        "k=5 d=12 margin 1 affine(-2,1) (no replica)": (
+            ["--k", "5", "--d", "12", "--margin", "1", "--a", "-2", "--b", "1"], every),
     })
     # a 3 x 2 grid of affine points, with and without the process pool
     grid = ["--k", "3", "--d", "12", "--a-range", "-0.5", "0.5", "3", "--b-range", "1", "2", "2"]
