@@ -35,15 +35,31 @@ from .suite import (
     too_large,
 )
 
-CONFIG_KEYS = {
-    "k", "d", "family", "a", "b", "table", "margin", "tolerance",
-    "out_report", "out_spectrum", "out_operators",
+_SUBCOMMANDS = {
+    "verify": "run the full identity suite and print a summary",
+    "spectrum": "emit partner and replica energies as CSV",
+    "dump": "emit every built operator as a Matrix Market file",
+    "sweep": "verify a grid of affine families",
+}
+_EVERY, _BUILDING = tuple(_SUBCOMMANDS), ("verify", "spectrum", "dump")
+# every config key: its type, its flag's help, the one family that reads it
+# (None: every family) and the subcommands that take it as a flag, in the
+# order of their help; the sector constants c0, c1, ... are the constant family's
+SETTINGS = {
+    "k": (int, "cyclic order (k >= 2)", None, _EVERY),
+    "d": (int, "requested levels per sector (d >= 4)", None, _EVERY),
+    "margin": (int, "safe-window margin (default k)", None, _EVERY),
+    "tolerance": (float, "windowed residual tolerance", None, _EVERY),
+    "family": (str, "structure family", None, _BUILDING),
+    "a": (float, "affine slope f_s(n) = a n + b", "affine", _BUILDING),
+    "b": (float, "affine offset f_s(n) = a n + b", "affine", _BUILDING),
+    "table": (str, "CSV path (header s,n,f) for the table family", "table", _BUILDING),
+    "out_report": (str, "write the JSON report here", None, ("verify",)),
+    "out_spectrum": (str, "write the CSV spectrum here", None, ("spectrum",)),
+    "out_operators": (str, "write Matrix Market dumps here", None, ("dump",)),
 }
 # canonical indices only: c00 would name sector 0 a second time
 _SECTOR_KEY = re.compile(r"^c(0|[1-9]\d*)$")
-# structure parameters that only one family reads; the sector constants c0,
-# c1, ... belong to the constant family
-_FAMILY_OF_KEY = {"a": "affine", "b": "affine", "table": "table"}
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -60,7 +76,7 @@ def parse_config_file(path: str) -> dict[str, str]:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
-                if key not in CONFIG_KEYS and not _SECTOR_KEY.match(key):
+                if key not in SETTINGS and not _SECTOR_KEY.match(key):
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 if key in values:
                     raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -82,41 +98,17 @@ def _sector_flags(argv: list[str]) -> list[str]:
     return found
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_flags(parser: argparse.ArgumentParser, command: str,
+               sector_keys: tuple[str, ...]) -> None:
+    """The settings flags that ``command`` takes, and the --cN flags named on
+    the command line if it builds a system."""
     parser.add_argument("--config", help="flat key = value settings file")
-    parser.add_argument("--k", type=int, help="cyclic order (k >= 2)")
-    parser.add_argument("--d", type=int, help="requested levels per sector (d >= 4)")
-    parser.add_argument("--margin", type=int, help="safe-window margin (default k)")
-    parser.add_argument("--tolerance", type=float, help="windowed residual tolerance")
-
-
-# the one output flag of each subcommand that builds a system
-_OUTPUT_FLAGS = {
-    "verify": ("--out_report", "write the JSON report here"),
-    "spectrum": ("--out_spectrum", "write the CSV spectrum here"),
-    "dump": ("--out_operators", "write Matrix Market dumps here"),
-}
-
-
-def _add_system_flags(parser: argparse.ArgumentParser, command: str,
-                      sector_keys: tuple[str, ...]) -> None:
-    parser.add_argument("--family", choices=FAMILIES, help="structure family")
-    parser.add_argument("--a", type=float, help="affine slope f_s(n) = a n + b")
-    parser.add_argument("--b", type=float, help="affine offset f_s(n) = a n + b")
-    parser.add_argument("--table", help="CSV path (header s,n,f) for the table family")
-    flag, text = _OUTPUT_FLAGS[command]
-    parser.add_argument(flag, help=text)
-    for name in sector_keys:
-        parser.add_argument(f"--{name}", type=float,
-                            help=f"constant for sector {name[1:]}")
-
-
-_SUBCOMMANDS = {
-    "verify": "run the full identity suite and print a summary",
-    "spectrum": "emit partner and replica energies as CSV",
-    "dump": "emit every built operator as a Matrix Market file",
-    "sweep": "verify a grid of affine families",
-}
+    for key, (cast, text, _, commands) in SETTINGS.items():
+        if command in commands:
+            parser.add_argument(f"--{key}", type=cast, help=text,
+                                choices=FAMILIES if key == "family" else None)
+    for name in sector_keys if command in _BUILDING else ():
+        parser.add_argument(f"--{name}", type=float, help=f"constant for sector {name[1:]}")
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
@@ -163,11 +155,9 @@ def _parser(invoked: str | None, sector_keys: tuple[str, ...]) -> argparse.Argum
         p = sub.add_parser(name, help=text, allow_abbrev=name != "sweep")
         if name != invoked:
             continue
-        _add_common_flags(p)
+        _add_flags(p, name, sector_keys)
         if name == "sweep":
             _add_sweep_flags(p)
-        else:
-            _add_system_flags(p, name, sector_keys)
     return parser
 
 
@@ -185,13 +175,10 @@ def _merge_settings(ns: argparse.Namespace) -> dict:
     if env is not None:
         merged["tolerance"] = _parse_scalar("FSUSY_TOLERANCE", env, float)
     if ns.config:
-        casts = {"k": int, "d": int, "margin": int, "a": float, "b": float,
-                 "tolerance": float}
         for key, text in parse_config_file(ns.config).items():
-            m = _SECTOR_KEY.match(key)
-            cast = float if m else casts.get(key, str)
+            cast = float if _SECTOR_KEY.match(key) else SETTINGS[key][0]
             merged[key] = _parse_scalar(key, text, cast)
-    for key in CONFIG_KEYS:
+    for key in SETTINGS:
         flag = getattr(ns, key, None)
         if flag is not None:
             merged[key] = flag
@@ -217,7 +204,7 @@ def _build_spec(k: int, settings: dict) -> StructureSpec:
             family = "constant"
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; choose from {FAMILIES}")
-    owners = {key: "constant" if _SECTOR_KEY.match(key) else _FAMILY_OF_KEY.get(key)
+    owners = {key: "constant" if _SECTOR_KEY.match(key) else SETTINGS[key][2]
               for key in settings}
     foreign = sorted(key for key, owner in owners.items() if owner not in (None, family))
     if foreign:

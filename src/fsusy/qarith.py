@@ -34,11 +34,8 @@ def primitive_root(k: int) -> complex:
     return complex(roots(k)[1])
 
 
-@lru_cache(maxsize=8)
 def q_numbers(k: int) -> np.ndarray:
-    """[0]_q .. [k]_q of order k, built once per order and read-only: [n]_q
-    adds roots(k)[:n] left to right, so [0]_q = 0 and [k]_q is 0 up to round-off."""
-    table = np.concatenate(([0j], np.cumsum(roots(k))))
-    table.flags.writeable = False
-    return table
+    """[0]_q .. [k]_q of order k: [n]_q adds roots(k)[:n] left to right, so
+    [0]_q = 0 and [k]_q is 0 up to round-off."""
+    return np.concatenate(([0j], np.cumsum(roots(k))))
 

@@ -10,7 +10,9 @@ with Pf_s the projector onto fermion grade s and b(s)-|m> = sqrt(F_s(m)) |m-1>,
 b(s)+ its adjoint, where F is the graded structure function of the Fock
 construction.  Pf_s keeps grade s alone, so each sum is one broadcast
 product: the boson weights on the (grade, level) table times the grade
-weights of A or A^(k-1).
+weights of A or A^(k-1).  Those boson weights are the graded X-+'s own:
+sum_s b(s)- Pf_s is X-'s table and sum_s b(s+1)+ Pf_s is X+'s, so the
+tensor takes them from the graded construction rather than from F again.
 
 Why the pair's basis is free: the k-fermion relations [f-, f+]_q = 1,
 f-^k = f+^k = 0 and [f-, f+] = q^N are polynomials in f-+, so they hold for
@@ -30,8 +32,8 @@ A^(k-1) = A^(-1) maps t to t+1 with weight 1.  On |m> (x) |t> therefore
 
 and the coupled recursion F_(t+1)(m+1) - F_t(m) = f_t(m) gives
 [X-, X+] = sum_t f_t(N) Pf_t, the graded relation.  That is why X+ on grade t
-uses b(t+1)+, the ladder of its target grade.  The weights are shared with
-the graded route; what this route checks independently is the fermion
+uses b(t+1)+, the ladder of its target grade.  The boson weights are the
+graded route's; what this route checks independently is the fermion
 algebra: A and A^(k-1), formed from f- and f+ alone, and [f-, f+] through K.
 
 Every operator is a graded shift, the fermions on k grades of one level,
@@ -124,21 +126,18 @@ def build_kfermion_pair(k: int) -> KFermionPair:
 
 def build_tensor_realization(pair: KFermionPair, rep: AlgebraRep) -> AlgebraRep:
     """The operators of the module docstring on rep's graded basis, levels times grades."""
-    basis, F, k = rep.basis, rep.F, pair.k
+    basis, k = rep.basis, pair.k
     if basis.k != k:
         raise RepresentationError(f"graded space has order {basis.k}, fermion pair {k}")
-    # b(s)- lowers level m to m-1 with weight sqrt(F_s(m)); F_s(0) = 0 leaves
-    # level 0 empty.  b(s+1)+ at [s, m], raising m to m+1, is the adjoint of row s+1
-    bm = np.sqrt(np.maximum(F, 0.0)).astype(complex)
-    bp = Shift(-1, -1, bm).adjoint().weight
-    # A and A^(k-1) step the grade by -1 and +1, b(s)-+ the level; their
-    # (k, 1) grade weights broadcast over the d levels
-    Xm = Shift(-1, -1, bm * pair.A.weight)
-    Xp = Shift(1, 1, bp * pair.Ak1.weight)
+    # the boson weights sqrt(F_s(m)) of b(s)- and sqrt(F_(s+1)(m+1)) of
+    # b(s+1)+ at [s, m] are the graded X-+'s own; A and A^(k-1) step the
+    # grade by -1 and +1, and their (k, 1) grade weights broadcast over the d levels
+    Xm = Shift(-1, -1, rep.Xm.weight * pair.A.weight)
+    Xp = Shift(1, 1, rep.Xp.weight * pair.Ak1.weight)
     # 1 (x) K_f repeats each grade's value over its d levels; N_b (x) 1 is the
     # graded N itself
-    K = Shift.diag(np.broadcast_to(pair.Kf.weight, F.shape))
-    return AlgebraRep(rep.spec, basis, F, Xm, Xp, rep.N, K)
+    K = Shift.diag(np.broadcast_to(pair.Kf.weight, rep.F.shape))
+    return AlgebraRep(rep.spec, basis, rep.F, Xm, Xp, rep.N, K)
 
 
 def compare_realizations(tensor: AlgebraRep, rep: AlgebraRep) -> dict:

@@ -10,9 +10,12 @@ factorize the partner ladder modulo the omitted ground level |0, s>, and
     q(s)- = X(s)- Pi_s,   q(s)+ = X(s)+ Pi_(s-1),
     h(s)  = X(s)- X(s)+ Pi_(s-1) + X(s)+ X(s)- Pi_s
 
-is an ordinary (k = 2 style) supersymmetric doublet.  Partner energies are
-tied level to level by H_(s-1)(n-1) = H_s(n); the wrap-around pair
-(s = 1 against s = k) obeys no such identity and is deliberately not checked.
+is an ordinary (k = 2 style) supersymmetric doublet.  X(s)- has columns in
+sector s alone and X(s)+ in sector s-1 alone, so the projectors keep every
+column and q(s)-+ = X(s)-+: the replicas hold X(s)-+ and h(s) only.
+Partner energies are tied level to level by H_(s-1)(n-1) = H_s(n); the
+wrap-around pair (s = 1 against s = k) obeys no such identity and is
+deliberately not checked.
 
 ``build_replicas`` factorizes every ladder at once and keeps each refusal
 with its reason; ``verify_replicas`` makes every record of the construction
@@ -36,7 +39,7 @@ from .wkalg import Shift, score
 class ReplicaBlocks:
     """Every built replica side by side on the direct sum of their sector pairs.
 
-    Each of the fields Xsm, Xsp, qm, qp and h is one graded shift on an
+    Each of the fields Xsm, Xsp and h is one graded shift on an
     (m, 2, d) table for m replicas: replica ``order[i]`` = s is block i, with
     grade 0 its sector s-1 and grade 1 its sector s mod k, so a product never
     leaves its replica.  With no replica built the tables are empty.
@@ -50,8 +53,6 @@ class ReplicaBlocks:
     order: tuple[int, ...]
     Xsm: Shift
     Xsp: Shift
-    qm: Shift
-    qp: Shift
     h: Shift
     refused: dict[int, FactorizationError]
 
@@ -99,8 +100,7 @@ def build_replicas(doublet: FsusyDoublet, slack: int = 0) -> ReplicaBlocks:
     Xsp = Xsm.adjoint()
     high = (np.arange(2) == 1)[:, None]
     h = (Xsm @ Xsp).masked(~high) + (Xsp @ Xsm).masked(high)
-    return ReplicaBlocks(basis, tuple(int(r) + 2 for r in built),
-                         Xsm, Xsp, Xsm.masked(high), Xsp.masked(~high), h, refused)
+    return ReplicaBlocks(basis, tuple(int(r) + 2 for r in built), Xsm, Xsp, h, refused)
 
 
 def verify_replicas(blocks: ReplicaBlocks, doublet: FsusyDoublet, window: Columns) -> dict:
@@ -126,7 +126,10 @@ def verify_replicas(blocks: ReplicaBlocks, doublet: FsusyDoublet, window: Column
     # on the (m, 2, d) stack the window's level mask broadcasts as it is, and
     # sector s-1 is each replica's lower grade
     lower = (np.arange(2) == 0)[:, None]
-    Xsm, Xsp, qm, qp, h = blocks.Xsm, blocks.Xsp, blocks.qm, blocks.qp, blocks.h
+    # the q-identities are scored on X(s)-+: X(s)- has columns in sector s
+    # alone and X(s)+ in sector s-1 alone, so q(s)- = X(s)- Pi_s and
+    # q(s)+ = X(s)+ Pi_(s-1) are X(s)-+ themselves
+    Xsm, Xsp, h = blocks.Xsm, blocks.Xsp, blocks.h
     zero = Shift.diag(np.zeros(h.weight.shape))
     # the two partner ladders of each replica: H_(s-1) on sector s-1 and
     # H_s on sector s, as rows s-2 and s-1 of the partner table
@@ -141,7 +144,7 @@ def verify_replicas(blocks: ReplicaBlocks, doublet: FsusyDoublet, window: Column
     # first block.  It is checked away from the k-1 omitted ground levels,
     # whose energies the right-hand side cannot see, and cannot be formed
     # without every replica
-    qmqp, qpqm = qm @ qp, qp @ qm
+    qmqp, qpqm = Xsm @ Xsp, Xsp @ Xsm
     anticommutator = score([(h, qmqp + qpqm)])
     if blocks.refused:
         charge_sum = FsusyError(f"replicas {sorted(blocks.refused)} could not be factorized")
@@ -158,10 +161,10 @@ def verify_replicas(blocks: ReplicaBlocks, doublet: FsusyDoublet, window: Column
     # each identity's products live only while it is scored; the
     # nilpotency is decided on the supports of the factors
     residuals = {
-        "nilpotency": score((q @ q, zero) for q in (qm.support(), qp.support())),
-        "pair_adjoint": score([(qp, qm.adjoint())]),
+        "nilpotency": score((q @ q, zero) for q in (Xsm.support(), Xsp.support())),
+        "pair_adjoint": score([(Xsp, Xsm.adjoint())]),
         "anticommutator": anticommutator,
-        "hamiltonian_commutes": score(((h @ q, q @ h) for q in (qm, qp))),
+        "hamiltonian_commutes": score(((h @ q, q @ h) for q in (Xsm, Xsp))),
         "shift_product": score(
             [(Xsm @ Xsp, Shift.diag(np.broadcast_to(up[:, None], h.weight.shape)))],
             window.mask & lower),

@@ -77,12 +77,12 @@ class RunConfig:
             raise ConfigError(f"window margin must be at least 1, got {margin}")
         if d - margin < 2:
             raise ConfigError(f"margin {margin} leaves no window inside {d} levels")
-        # a run's peak at 16 bytes an entry: 46 (k, d) tables (verify holds up to
-        # 38 at once, build plus dump 45) and 2 (k, k) tables (the Fourier
+        # a run's peak at 16 bytes an entry: 41 (k, d) tables (verify holds up to
+        # 34 at once, build plus dump 41) and 2 (k, k) tables (the Fourier
         # projector table of H and the dump, and the f_t that H's terms read,
         # k - 1 rows of k + d - 1 levels); the interpreter and cgroup limits
         # are not counted
-        if 16 * (46 * k * d + 2 * k * k) > _physical_memory():
+        if 16 * (41 * k * d + 2 * k * k) > _physical_memory():
             raise too_large(k, d)
 
     @staticmethod
@@ -263,8 +263,9 @@ def named_operators(system: GradedSystem) -> dict[str, Callable[[], Shift]]:
                for s, row in enumerate(_grading(k)[1]))
     ops.update((name, partial(getattr, doublet, name)) for name in ("Qm", "Qp", "H"))
     for s in system.replicas:
+        # q(s)-+ = X(s)-+ (see replicas), dumped under both names
         ops.update({f"X{s}m": partial(lift, "Xsm", s), f"X{s}p": partial(lift, "Xsp", s),
-                    f"q{s}m": partial(lift, "qm", s), f"q{s}p": partial(lift, "qp", s),
+                    f"q{s}m": partial(lift, "Xsm", s), f"q{s}p": partial(lift, "Xsp", s),
                     f"h{s}": partial(lift, "h", s)})
     return ops
 

@@ -654,7 +654,14 @@ def test_replica_stack_matches_the_one_at_a_time_build(k, label):
         assert system.doublet.partners[1, 39] < -NONNEG_TOL and 2 in blocks.order
     for i, s in enumerate(blocks.order):
         pair = [s - 1, s % k]
-        for name in ("Xsm", "Xsp", "qm", "qp", "h"):
+        # the stack holds no q(s)-+: the projector-formed charges of the
+        # reference route are X(s)-+ by value (the mask multiply turns a
+        # -0.0 of X(s)+ into +0.0)
+        for q, X in (("qm", "Xsm"), ("qp", "Xsp")):
+            full, lifted = getattr(replicas[s], q), blocks.lift(X, s)
+            assert (full.dn, full.ds) == (lifted.dn, lifted.ds), q
+            assert np.array_equal(full.weight, lifted.weight), q
+        for name in ("Xsm", "Xsp", "h"):
             stacked, full = getattr(blocks, name), getattr(replicas[s], name)
             # the replica's weights all sit on its pair of sectors, block i of
             # the stack, whose rows stay in the block ...

@@ -443,6 +443,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: the system at k=1000000000, d=4 is too large to allocate\n")
 
+    @pytest.mark.parametrize("command, builder, output", [
+        ("verify", "run_verification_suite", "--out_report"),
+        ("spectrum", "build_system", "--out_spectrum"),
+        ("dump", "build_system", "--out_operators"),
+    ])
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flags", "config"])
+    def test_memory_error_in_the_build_names_the_system(
+            self, tmp_path, monkeypatch, capsys, command, builder, output, from_config):
+        # under a process limit below physical memory the system passes
+        # check_space and runs out while it is built; the message reads k
+        # and d from wherever the settings came from
+        def out_of_memory(*args):
+            raise MemoryError
+        monkeypatch.setattr(fsusy.cli, builder, out_of_memory)
+        if from_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("k = 3\nd = 12\n", encoding="utf-8")
+            size = ["--config", str(cfg)]
+        else:
+            size = ["--k", "3", "--d", "12"]
+        out = tmp_path / "out"
+        assert main([command, *size, output, str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the system at k=3, d=12 is too large to allocate\n")
+        assert not out.exists()
+
     def test_unreachable_tolerance_exits_1(self, capsys):
         code = main(["verify", "--k", "3", "--d", "12", "--tolerance", "1e-18"])
         assert code == 1
@@ -613,7 +639,7 @@ class TestSweep:
         assert not out_dir.exists()
 
     def test_grid_too_large_to_list_exits_2_before_running(self, tmp_path, capsys, monkeypatch):
-        # the system at k=3, d=10 is counted at 23616 bytes and fits; the
+        # the system at k=3, d=10 is counted at 19968 bytes and fits; the
         # 10 x 30 grid's 300 points at 96 bytes each do not
         monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 24480)
         monkeypatch.setattr(fsusy.cli, "run_verification_suite",

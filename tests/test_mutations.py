@@ -156,7 +156,7 @@ CASES = {
     "fsusy.charge_sum": (3, hamiltonian_case(2)),
     "partners.level_shift": (3, partner_case(2)),
     **{name: case for s in (2, 3) for name, case in {
-        f"replica{s}.pair_adjoint": (3, replica_case(s, "qp", s - 1)),
+        f"replica{s}.pair_adjoint": (3, replica_case(s, "Xsp", s - 1)),
         f"replica{s}.anticommutator": (3, replica_case(s, "h", s)),
         f"replica{s}.hamiltonian_commutes": (3, replica_case(s, "h", s)),
         f"replica{s}.shift_product": (3, replica_case(s, "Xsm", s)),
@@ -238,27 +238,32 @@ def test_planted_supercharge_weight_fails_the_nilpotency():
         assert (entry.residual, entry.passed) == (residual, residual == 0), (weight, entry)
 
 
-# each defect of replica s's block: the operator, the weight it puts at a
-# column |n, sector> of the block, and the entries of replica s it fails
+# each defect of replica s's block: the operator, the sector s + held_at of
+# the block where it holds the weights whose levels are used, the sector
+# s + shift where the defect goes (the held weight scaled if the two agree,
+# else 1e-9 planted), and the entries of replica s it fails.  X(s)-+ are
+# also q(s)-+, so their defects fail the charge identities too
 DEFECTS = {
-    "h-scaled": ("h", 0, ("anticommutator", "hamiltonian_commutes", "partner_diagonal")),
-    "Xsm-scaled": ("Xsm", 0, ("shift_product",)),
+    "h-scaled": ("h", 0, 0, ("anticommutator", "hamiltonian_commutes", "partner_diagonal")),
+    "Xsm-scaled": ("Xsm", 0, 0, ("shift_product", "pair_adjoint", "anticommutator")),
     # 1e-9 at |n, s-1>, whose row is |n-1, s>: the intertwining is linear in
     # X(s)-, so only a weight in another row shows there
-    "Xsm-other-sector": ("Xsm", -1, ("intertwining",)),
+    "Xsm-other-sector": ("Xsm", 0, -1, ("intertwining", "nilpotency", "pair_adjoint",
+                                         "hamiltonian_commutes")),
+    "Xsp-scaled": ("Xsp", -1, -1, ("shift_product", "pair_adjoint", "anticommutator")),
 }
 
 
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("how", list(DEFECTS))
 def test_stray_replica_weight_fails_only_its_replica(systems, k, how):
-    """One weight of replica s's block changed, in h(s) or X(s)-, fails the
-    entries of replica s that see the change and leaves every other entry as
-    it was: a held weight of sector s scaled by 1 + 1e-9, or a weight of
+    """One weight of replica s's block changed, in h(s), X(s)- or X(s)+,
+    fails the entries of replica s that see the change and leaves every
+    other entry as it was: a held weight scaled by 1 + 1e-9, or a weight of
     1e-9 planted in sector s-1, where X(s)- holds none.  The level is the
     first, the middle and the last one of the window where the operator
     holds a weight."""
-    field, shift, fails = DEFECTS[how]
+    field, held_at, shift, fails = DEFECTS[how]
     for label in family_specs(k):
         system = systems[k, label]
         blocks, doublet = system.replicas, system.doublet
@@ -267,10 +272,10 @@ def test_stray_replica_weight_fails_only_its_replica(systems, k, how):
         top = system.d_effective - 1 - k
         for s in blocks.order:
             held = [n for n in range(1, top + 1)
-                    if op.weight[stacked_column(blocks, s, n, s)] != 0]
+                    if op.weight[stacked_column(blocks, s, n, s + held_at)] != 0]
             for n in (held[0], held[len(held) // 2], held[-1]):
                 at = stacked_column(blocks, s, n, s + shift)
-                weight = 1e-9 if shift else op.weight[at] * SCALE
+                weight = op.weight[at] * SCALE if shift == held_at else 1e-9
                 mutated = dataclasses.replace(blocks, **{field: planted(op, at, weight)})
                 after = replica_entries(mutated, doublet)
                 for r, entries in after.items():

@@ -1,7 +1,7 @@
 """What depends on the order k alone is built once per process and shared
-by every system of that order: the k roots of unity and the q-numbers read
-from them, the grades and their projector table, and the k-fermion pair
-with its fermion factors and residuals.
+by every system of that order: the k roots of unity, the grades and their
+projector table, and the k-fermion pair with its fermion factors and
+residuals.
 
 These tests hold the caches to three promises: every shared array is
 read-only, a sequence of runs in one process writes the reports that one
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from fsusy.fock import StructureSpec
-from fsusy.qarith import q_numbers, roots
+from fsusy.qarith import roots
 from fsusy.realization import build_kfermion_pair, build_tensor_realization
 from fsusy.suite import RunConfig, build_system, run_verification_suite
 from fsusy.wkalg import Scoring, _grading
@@ -43,8 +43,7 @@ def shared_arrays(k):
     """Every array the order caches hold at k, by name."""
     pair = build_kfermion_pair(k)
     grades, projectors = _grading(k)
-    arrays = {"roots": roots(k), "q_numbers": q_numbers(k), "grades": grades,
-              "projectors": projectors}
+    arrays = {"roots": roots(k), "grades": grades, "projectors": projectors}
     for name in ("fm", "fp", "Kf", "A", "Ak1"):
         op = getattr(pair, name)
         arrays[f"{name}.weight"] = op.weight

@@ -257,7 +257,7 @@ def test_stack_without_replicas():
     assert blocks.order == ()
     assert {s: (e.s, e.n, e.value) for s, e in blocks.refused.items()} == {
         s: (s, 1, -1.0) for s in (2, 3, 4)}
-    assert all(op.dim == 0 for op in (blocks.Xsm, blocks.Xsp, blocks.qm, blocks.qp, blocks.h))
+    assert all(op.dim == 0 for op in (blocks.Xsm, blocks.Xsp, blocks.h))
     assert list(blocks) == []
     found = construction_entries(db, 4, blocks)
     assert list(found) == ["partners.level_shift", "replica2.factorization",

@@ -99,17 +99,17 @@ class TestRunConfig:
             RunConfig(**kwargs)
 
     def test_refuses_a_system_that_exceeds_memory(self, monkeypatch):
-        # a run at k=3, d=12 is counted as 16 (46 k d + 2 k^2) = 26784 bytes
-        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 26784)
+        # a run at k=3, d=12 is counted as 16 (41 k d + 2 k^2) = 23904 bytes
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 23904)
         RunConfig.check_space(3, 12, 3)
-        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 26783)
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 23903)
         with pytest.raises(ConfigError, match="^the system at k=3, d=12 is too large to allocate$"):
             RunConfig.check_space(3, 12, 3)
 
     def test_counts_the_grade_tables(self, monkeypatch):
-        # at k=100000, d=4 the (k, d) tables would fit in twice 16 * 46 k d
+        # at k=100000, d=4 the (k, d) tables would fit in twice 16 * 41 k d
         # bytes, but one (k, k) table alone takes 160 GB
-        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 2 * 16 * 46 * 100000 * 4)
+        monkeypatch.setattr(fsusy.suite, "_physical_memory", lambda: 2 * 16 * 41 * 100000 * 4)
         with pytest.raises(ConfigError, match="^the system at k=100000, d=4 is too large"):
             RunConfig.check_space(100000, 4, 1)
 

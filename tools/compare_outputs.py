@@ -21,10 +21,13 @@ of ``--cN`` flags.
 
 Every report's ``generated_at`` value and the tree and working-directory
 paths are replaced by placeholders first.  Prints each difference and exits
-1 if there is any, else 0.  Each output that differs is listed with its
-first ``MAX_LINES`` differing lines, every later line whose verdict differs
-(a ``"passed"`` or ``"verdict"`` value, or a printed ``[PASS]``/``[FAIL]``
-or verdict line) and a count of the rest.
+1 if there is any, else 0.  An output whose fields (split on whitespace and
+commas) match once ``-0.0`` and ``0.0`` compare equal is listed as one line,
+"differs only in the sign of zeros"; it still counts as a difference.  Each
+other output that differs is listed with its first ``MAX_LINES`` differing
+lines, every later line whose verdict differs (a ``"passed"`` or
+``"verdict"`` value, or a printed ``[PASS]``/``[FAIL]`` or verdict line)
+and a count of the rest.
 """
 
 from __future__ import annotations
@@ -266,11 +269,24 @@ def line_differences(a: bytes, b: bytes) -> list[str]:
     return out
 
 
+FIELD_SEPARATOR = re.compile(rb"[\s,]+")
+
+
+def unsigned_zero_fields(data: bytes) -> list[bytes]:
+    """The fields of an output, split on whitespace and commas, with -0.0 read as 0.0."""
+    return [b"0.0" if field == b"-0.0" else field for field in FIELD_SEPARATOR.split(data)]
+
+
 def differences(where: str, a: dict[str, bytes], b: dict[str, bytes]) -> list[str]:
-    """One text for each output that differs, its differing lines indented below it."""
+    """One text for each output that differs, its differing lines indented
+    below it unless it differs only in the sign of zeros."""
     found = []
     for name in sorted(set(a) | set(b)):
         if a.get(name) == b.get(name):
+            continue
+        if (name in a and name in b
+                and unsigned_zero_fields(a[name]) == unsigned_zero_fields(b[name])):
+            found.append(f"{where} | {name}: differs only in the sign of zeros")
             continue
         lines = (line_differences(a[name], b[name]) if name in a and name in b
                  else ["missing in one"])
