@@ -161,11 +161,11 @@ def _parser(invoked: str | None, sector_keys: tuple[str, ...]) -> argparse.Argum
     return parser
 
 
-def _parse_scalar(key: str, text: str, cast):
+def _parse_scalar(source: str, text: str, cast):
     try:
         return cast(text)
     except ValueError:
-        raise ConfigError(f"config key {key!r} has invalid value {text!r}") from None
+        raise ConfigError(f"{source} has invalid value {text!r}") from None
 
 
 def _merge_settings(ns: argparse.Namespace) -> dict:
@@ -173,11 +173,11 @@ def _merge_settings(ns: argparse.Namespace) -> dict:
     merged: dict = {}
     env = os.environ.get("FSUSY_TOLERANCE")
     if env is not None:
-        merged["tolerance"] = _parse_scalar("FSUSY_TOLERANCE", env, float)
+        merged["tolerance"] = _parse_scalar("environment variable FSUSY_TOLERANCE", env, float)
     if ns.config:
         for key, text in parse_config_file(ns.config).items():
             cast = float if _SECTOR_KEY.match(key) else SETTINGS[key][0]
-            merged[key] = _parse_scalar(key, text, cast)
+            merged[key] = _parse_scalar(f"config key {key!r}", text, cast)
     for key in SETTINGS:
         flag = getattr(ns, key, None)
         if flag is not None:
@@ -226,8 +226,8 @@ def _build_spec(k: int, settings: dict) -> StructureSpec:
     return load_table_csv(settings["table"], k)
 
 
-def make_config(ns: argparse.Namespace) -> RunConfig:
-    settings = _merge_settings(ns)
+def make_config(settings: dict) -> RunConfig:
+    """The run's inputs from the merged settings; output paths stay in them."""
     if "k" not in settings:
         raise ConfigError("the cyclic order k is required (flag --k or config key k)")
     if "d" not in settings:
@@ -242,14 +242,14 @@ def make_config(ns: argparse.Namespace) -> RunConfig:
         spec=_build_spec(k, settings),
         margin=margin,
         tolerance=settings.get("tolerance", DEFAULT_TOLERANCE),
-        out_report=settings.get("out_report"),
-        out_spectrum=settings.get("out_spectrum"),
-        out_operators=settings.get("out_operators"),
     )
 
 
 def cmd_verify(ns: argparse.Namespace) -> int:
-    report = run_verification_suite(make_config(ns))
+    settings = _merge_settings(ns)
+    report = run_verification_suite(make_config(settings))
+    if settings.get("out_report"):
+        report.write(settings["out_report"])
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -263,22 +263,24 @@ def _build_noting_refusals(config: RunConfig) -> GradedSystem:
 
 
 def cmd_spectrum(ns: argparse.Namespace) -> int:
-    config = make_config(ns)
-    if not config.out_spectrum:
+    settings = _merge_settings(ns)
+    config, path = make_config(settings), settings.get("out_spectrum")
+    if not path:
         raise ConfigError("spectrum needs an output path (--out_spectrum)")
     system = _build_noting_refusals(config)
-    emit_spectrum(system.doublet, system.replicas, config.out_spectrum)
-    print(f"spectrum written to {config.out_spectrum}")
+    emit_spectrum(system.doublet, system.replicas, path)
+    print(f"spectrum written to {path}")
     return 0
 
 
 def cmd_dump(ns: argparse.Namespace) -> int:
-    config = make_config(ns)
-    if not config.out_operators:
+    settings = _merge_settings(ns)
+    config, directory = make_config(settings), settings.get("out_operators")
+    if not directory:
         raise ConfigError("dump needs an output directory (--out_operators)")
     system = _build_noting_refusals(config)
-    written = dump_operators(system, config.out_operators)
-    print(f"{len(written)} operators written to {config.out_operators}")
+    written = dump_operators(system, directory)
+    print(f"{len(written)} operators written to {directory}")
     return 0
 
 
@@ -300,9 +302,10 @@ def _sweep_point(args: tuple) -> dict:
         "verdict": "error", "error": None,
     }
     try:
-        config = dataclasses.replace(
-            base, spec=StructureSpec.affine_family(base.k, a, b), out_report=path)
-        point["verdict"] = run_verification_suite(config).verdict
+        config = dataclasses.replace(base, spec=StructureSpec.affine_family(base.k, a, b))
+        report = run_verification_suite(config)
+        report.write(path)
+        point["verdict"] = report.verdict
     except FsusyError as exc:
         point["error"] = str(exc)
     return point
@@ -315,7 +318,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     if unused:
         raise ConfigError(f"sweep does not take {', '.join(unused)}; it sets the affine "
                           "family per point and writes only to --out-dir")
-    base = make_config(ns)
+    base = make_config(_merge_settings(ns))
     if ns.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {ns.jobs}")
     jobs = min(ns.jobs, os.cpu_count() or 1)

@@ -48,16 +48,13 @@ def _physical_memory() -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated inputs of one run: space, structure family, outputs."""
+    """Validated inputs of one run: space, structure family, margin and tolerance."""
 
     k: int
     d: int
     spec: StructureSpec
     margin: int
     tolerance: float = DEFAULT_TOLERANCE
-    out_report: str | None = None
-    out_spectrum: str | None = None
-    out_operators: str | None = None
 
     def __post_init__(self):
         self.check_space(self.k, self.d, self.margin)
@@ -145,7 +142,7 @@ def build_system(config: RunConfig) -> GradedSystem:
 
 
 def run_verification_suite(config: RunConfig) -> VerificationReport:
-    """Build the system once, run every check on it and compile the report."""
+    """Build the system once, run every check on it and return the report unwritten."""
     try:
         system = build_system(config)
     except FsusyError as exc:
@@ -154,10 +151,7 @@ def run_verification_suite(config: RunConfig) -> VerificationReport:
     else:
         echo = config.echo(system.d_effective)
         entries = verify_system(system, config)
-    report = VerificationReport.compile(echo, entries)
-    if config.out_report:
-        report.write(config.out_report)
-    return report
+    return VerificationReport.compile(echo, entries)
 
 
 # products that overflow float64 fail their entries instead of warning

@@ -135,7 +135,8 @@ class TestPrecedence:
     def test_invalid_environment_value_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("FSUSY_TOLERANCE", "tight")
         assert main(list(self.BASE)) == 2
-        assert "invalid value" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: environment variable FSUSY_TOLERANCE has invalid value 'tight'\n")
 
     @pytest.mark.parametrize("source", ["flag", "environment"])
     def test_infinite_tolerance_exits_2(self, source, monkeypatch, capsys):
@@ -581,6 +582,12 @@ class TestOutputFlags:
             monkeypatch.chdir(workdir)
             assert main([command, "--config", str(cfg)]) == 0
             assert [p.name for p in workdir.iterdir()] == [written]
+
+    def test_verify_without_out_report_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["verify", "--k", "3", "--d", "12"]) == 0
+        assert "verdict: pass" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweep:

@@ -80,9 +80,8 @@ def report_text(path) -> str:
 
 
 def run_point(k, label, path) -> str:
-    config = RunConfig(k=k, d=POINT_D, spec=point_specs(k)[label], margin=k,
-                       out_report=str(path))
-    run_verification_suite(config)
+    config = RunConfig(k=k, d=POINT_D, spec=point_specs(k)[label], margin=k)
+    run_verification_suite(config).write(path)
     return report_text(path)
 
 

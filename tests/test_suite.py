@@ -186,12 +186,21 @@ class TestRunVerificationSuite:
 
     def test_report_written_when_requested(self, tmp_path):
         out = tmp_path / "report.json"
-        cfg = RunConfig(k=2, d=10, spec=StructureSpec.constant_values(2, 1.0),
-                        margin=2, out_report=str(out))
+        cfg = RunConfig(k=2, d=10, spec=StructureSpec.constant_values(2, 1.0), margin=2)
         report = run_verification_suite(cfg)
+        report.write(out)
         on_disk = json.loads(out.read_text(encoding="utf-8"))
         assert on_disk["verdict"] == report.verdict
         assert on_disk["config"]["k"] == 2
+
+    def test_returns_the_report_and_writes_nothing(self, tmp_path, monkeypatch):
+        # output paths are the CLI's settings, not inputs of a run
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "k", "d", "spec", "margin", "tolerance"]
+        monkeypatch.chdir(tmp_path)
+        report = run_verification_suite(RunConfig(k=3, d=12, spec=UNIT3, margin=3))
+        assert report.verdict == "pass"
+        assert list(tmp_path.iterdir()) == []
 
     def test_every_entry_gates_the_verdict(self):
         # no entry is informative, so one failing entry, the spectral

@@ -8,7 +8,8 @@ goes through ``verify``, ``spectrum`` and ``dump`` (the large ones through
 affine grid through ``sweep``, serially and with two workers, and the
 parser's text through ``verify -h`` and an unknown subcommand), each call in a fresh ``python3 -m fsusy`` subprocess with that
 tree's ``src`` alone on the path, one BLAS thread, and its own empty working
-directory.  The exit code, stdout, stderr and every file the call writes
+directory.  ``FSUSY_TOLERANCE`` is set only by the configurations in
+``ENVIRONMENTS``.  The exit code, stdout, stderr and every file the call writes
 (report, spectrum CSV, each ``.mtx``, a sweep's reports and ``index.json``)
 are compared between the trees.
 
@@ -77,6 +78,14 @@ def family_flags(name: str, k: int) -> list[str]:
     if name == "sector-constants":
         return [arg for s in range(k) for arg in (f"--c{s}", repr(1 + 0.5 * s))]
     return FAMILIES[name]
+
+
+# configuration id -> the variables its calls add to environment(root): the
+# tolerance's route through the environment, a valid value and an invalid one
+ENVIRONMENTS = {
+    "k=3 d=12 FSUSY_TOLERANCE=1e-8": {"FSUSY_TOLERANCE": "1e-8"},
+    "k=3 d=12 FSUSY_TOLERANCE=tight": {"FSUSY_TOLERANCE": "tight"},
+}
 
 
 def configurations() -> dict[str, tuple[list[str], tuple[str, ...]]]:
@@ -156,6 +165,7 @@ def configurations() -> dict[str, tuple[list[str], tuple[str, ...]]]:
     # the parser's own text: a subcommand's help, and a usage error
     configs["help"] = (["-h"], ("verify",))
     configs["usage error"] = ([], ("bogus",))
+    configs.update((cid, (["--k", "3", "--d", "12"], ("verify",))) for cid in ENVIRONMENTS)
     return configs
 
 
@@ -169,14 +179,15 @@ OUTPUT_FLAGS = {
 
 SEED = 0
 
-# runs the calls given as JSON on stdin, [[workdir, argv], ...], in
-# order through one interpreter; prints each call's exit code, stdout and
-# stderr as one JSON line
+# runs the calls given as JSON on stdin, [[workdir, argv, variables], ...],
+# in order through one interpreter, each with its variables set in the
+# environment; prints each call's exit code, stdout and stderr as one JSON line
 IN_PROCESS = """
 import contextlib, io, json, os, sys, traceback
 from fsusy.cli import main
-for workdir, argv in json.load(sys.stdin):
+for workdir, argv, variables in json.load(sys.stdin):
     os.chdir(workdir)
+    os.environ.update(variables)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         # the exit code and stderr a fresh interpreter would give
@@ -187,14 +198,18 @@ for workdir, argv in json.load(sys.stdin):
         except Exception:
             traceback.print_exc()
             code = 1
+    for key in variables:
+        del os.environ[key]
     print(json.dumps([code, out.getvalue(), err.getvalue()]), flush=True)
 """
 
 
-def environment(root: Path) -> dict[str, str]:
-    env = {key: val for key, val in os.environ.items() if not key.startswith("PYTHON")}
+def environment(root: Path, **variables: str) -> dict[str, str]:
+    env = {key: val for key, val in os.environ.items()
+           if not key.startswith(("PYTHON", "FSUSY_"))}
     env.update(PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1",
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               **variables)
     return env
 
 
@@ -222,20 +237,23 @@ def outputs(root: Path, workdir: Path, code: int, stdout: bytes,
     return out
 
 
-def run(root: Path, workdir: Path, command: str, flags: list[str]) -> dict[str, bytes]:
+def run(root: Path, workdir: Path, cid: str, command: str,
+        flags: list[str]) -> dict[str, bytes]:
     """One CLI call of the tree at root in a fresh process in workdir."""
     argv = prepare(workdir, command, flags)
     proc = subprocess.run([sys.executable, "-m", "fsusy", *argv], cwd=workdir,
-                          env=environment(root), capture_output=True, check=False)
+                          env=environment(root, **ENVIRONMENTS.get(cid, {})),
+                          capture_output=True, check=False)
     return outputs(root, workdir, proc.returncode, proc.stdout, proc.stderr)
 
 
 def run_in_process(root: Path, scratch: Path,
                    calls: list[tuple[str, str, list[str]]]) -> list[dict[str, bytes]]:
-    """The (name, command, flags) calls of the tree at root, in order, in one interpreter."""
-    workdirs = [scratch / name for name, _, _ in calls]
-    batch = [[str(workdir), prepare(workdir, command, flags)]
-             for workdir, (_, command, flags) in zip(workdirs, calls)]
+    """The (name, configuration id, command, flags) calls of the tree at root,
+    in order, in one interpreter."""
+    workdirs = [scratch / name for name, _, _, _ in calls]
+    batch = [[str(workdir), prepare(workdir, command, flags), ENVIRONMENTS.get(cid, {})]
+             for workdir, (_, cid, command, flags) in zip(workdirs, calls)]
     proc = subprocess.run([sys.executable, "-c", IN_PROCESS], input=json.dumps(batch).encode(),
                           env=environment(root), capture_output=True, check=False)
     results = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -302,14 +320,14 @@ def compare(old: Path, new: Path, scratch: Path, jobs: int = 2) -> list[str]:
     random.Random(SEED).shuffle(shuffled)
 
     def fresh(i_call):
-        i, (_, command, flags) = i_call
-        return [run(root, scratch / side / f"{i:03d}-{command}", command, flags)
+        i, (cid, command, flags) = i_call
+        return [run(root, scratch / side / f"{i:03d}-{command}", cid, command, flags)
                 for side, root in sides]
 
     def in_process(side_root):
         side, root = side_root
         return run_in_process(root, scratch / side / "in-process",
-                              [(f"{i:03d}-{calls[i][1]}", *calls[i][1:]) for i in shuffled])
+                              [(f"{i:03d}-{calls[i][1]}", *calls[i]) for i in shuffled])
 
     with ThreadPoolExecutor(jobs) as pool:
         fresh_outputs = list(pool.map(fresh, enumerate(calls)))
